@@ -14,6 +14,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/mem"
 	"repro/internal/netsim"
+	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -254,11 +255,10 @@ func BenchmarkMeasureColdVsRecycled(b *testing.B) {
 		recycle bool
 	}{{"cold", false}, {"recycled", true}} {
 		b.Run(arm.name, func(b *testing.B) {
-			experiments.SetCaching(false)
-			experiments.SetRecycling(arm.recycle)
+			memoWas, recycleWas := par.SetMemo(false), par.SetRecycling(arm.recycle)
 			defer func() {
-				experiments.SetCaching(true)
-				experiments.SetRecycling(true)
+				par.SetMemo(memoWas)
+				par.SetRecycling(recycleWas)
 				experiments.ResetPerf()
 			}()
 			experiments.ResetPerf()
@@ -315,11 +315,10 @@ func BenchmarkFullRunCachedVsUncached(b *testing.B) {
 		on   bool
 	}{{"uncached", false}, {"cached", true}} {
 		b.Run(arm.name, func(b *testing.B) {
-			experiments.SetCaching(arm.on)
-			experiments.SetRecycling(arm.on)
+			memoWas, recycleWas := par.SetMemo(arm.on), par.SetRecycling(arm.on)
 			defer func() {
-				experiments.SetCaching(true)
-				experiments.SetRecycling(true)
+				par.SetMemo(memoWas)
+				par.SetRecycling(recycleWas)
 				experiments.ResetPerf()
 			}()
 			b.ResetTimer()
@@ -359,9 +358,9 @@ func BenchmarkTracingOverhead(b *testing.B) {
 		{"on", trace.New(discardSink{})},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
-			experiments.SetCaching(false)
+			memoWas := par.SetMemo(false)
 			defer func() {
-				experiments.SetCaching(true)
+				par.SetMemo(memoWas)
 				experiments.ResetPerf()
 			}()
 			experiments.ResetPerf()
@@ -397,9 +396,9 @@ func BenchmarkSweepSymbolicVsBytes(b *testing.B) {
 		plane mem.DataPlane
 	}{{"bytes", mem.Bytes}, {"symbolic", mem.Symbolic}} {
 		b.Run(arm.name, func(b *testing.B) {
-			experiments.SetCaching(false)
+			memoWas := par.SetMemo(false)
 			defer func() {
-				experiments.SetCaching(true)
+				par.SetMemo(memoWas)
 				experiments.ResetPerf()
 			}()
 			experiments.ResetPerf()
@@ -425,9 +424,9 @@ func TestSymbolicPlaneFasterAtMaxDatagram(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timed comparison in -short mode")
 	}
-	experiments.SetCaching(false)
+	memoWas := par.SetMemo(false)
 	defer func() {
-		experiments.SetCaching(true)
+		par.SetMemo(memoWas)
 		experiments.ResetPerf()
 	}()
 	timePlane := func(plane mem.DataPlane) float64 {

@@ -32,19 +32,15 @@ type bigsweepDoc struct {
 	Perf        experiments.PerfStats      `json:"perf"`
 }
 
-// runBigSweepCmd parses the bigsweep subcommand's flags. The canonical
-// spellings are -stride and -seed; the historical -sweepstride and
-// -sweepseed remain registered as aliases.
+// runBigSweepCmd parses the bigsweep subcommand's flags.
 func runBigSweepCmd(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("geniebench bigsweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var opts bigSweepOptions
 	fs.IntVar(&opts.stride, "stride", 47,
 		"length stride over [1, 65535] (larger = fewer points)")
-	fs.IntVar(&opts.stride, "sweepstride", 47, "alias for -stride")
 	fs.Uint64Var(&opts.seed, "seed", 1,
 		"spot-check selection seed (same seed = same spot-check set)")
-	fs.Uint64Var(&opts.seed, "sweepseed", 1, "alias for -seed")
 	fs.IntVar(&opts.spotCheck, "spotcheck", 4096,
 		"expected points per simulated spot check (negative disables)")
 	fs.Float64Var(&opts.errBound, "errbound", 1e-9,
@@ -62,7 +58,7 @@ func runBigSweepCmd(args []string, stdout, stderr io.Writer) int {
 		return usageErrf(fs, stderr, "-parallel must be at least 1, got %d", opts.parallel)
 	}
 	if opts.stride < 1 {
-		return usageErrf(fs, stderr, "-sweepstride must be at least 1, got %d", opts.stride)
+		return usageErrf(fs, stderr, "-stride must be at least 1, got %d", opts.stride)
 	}
 	experiments.SetParallelism(opts.parallel)
 	if *cpuprofile != "" {

@@ -9,17 +9,13 @@ import (
 	"repro/internal/faults"
 )
 
-// runChaosCmd parses the chaos subcommand's flags. The canonical
-// spelling is -spec; the historical top-level -faults remains
-// registered as an alias so `geniebench -faults <spec>` keeps working
-// through the dispatch shim.
+// runChaosCmd parses the chaos subcommand's flags.
 func runChaosCmd(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("geniebench chaos", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var specStr string
 	fs.StringVar(&specStr, "spec", "",
 		"seeded fault spec, e.g. seed=1,drop=0.25,dup=0.1,reorder=0.1,corrupt=0.05,allocfail=0.02,pooldeny=0.1")
-	fs.StringVar(&specStr, "faults", "", "alias for -spec")
 	parallel := fs.Int("parallel", 0, "worker goroutines (0 = leave harness default)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -31,18 +27,18 @@ func runChaosCmd(args []string, stdout, stderr io.Writer) int {
 		experiments.SetParallelism(*parallel)
 	}
 	if specStr == "" {
-		return usageErrf(fs, stderr, "-faults: a fault spec is required (e.g. -spec seed=1,drop=0.25)")
+		return usageErrf(fs, stderr, "-spec: a fault spec is required (e.g. -spec seed=1,drop=0.25)")
 	}
 	spec, err := faults.ParseSpec(specStr)
 	if err != nil {
-		return usageErrf(fs, stderr, "-faults: %v", err)
+		return usageErrf(fs, stderr, "-spec: %v", err)
 	}
 	if err := spec.Validate(); err != nil {
-		return usageErrf(fs, stderr, "-faults: %v", err)
+		return usageErrf(fs, stderr, "-spec: %v", err)
 	}
 	if !spec.Enabled() {
 		return usageErrf(fs, stderr,
-			"-faults: spec %q injects nothing (set a seed and at least one rate)", specStr)
+			"-spec: spec %q injects nothing (set a seed and at least one rate)", specStr)
 	}
 	return runChaos(spec, stdout, stderr)
 }

@@ -13,25 +13,18 @@ import (
 	"repro/internal/experiments"
 )
 
-// runClusterCmd parses the cluster subcommand's flags. The canonical
-// spellings are -hosts/-rounds/-bytes/-workers/-minspeedup; the
-// historical -cluster* prefixed names remain registered as aliases.
+// runClusterCmd parses the cluster subcommand's flags.
 func runClusterCmd(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("geniebench cluster", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var opts clusterOptions
 	fs.IntVar(&opts.hosts, "hosts", 64, "incast host count (1 receiver + N-1 senders)")
-	fs.IntVar(&opts.hosts, "clusterhosts", 64, "alias for -hosts")
 	fs.IntVar(&opts.rounds, "rounds", 4, "lockstep send/drain rounds per workload")
-	fs.IntVar(&opts.rounds, "clusterrounds", 4, "alias for -rounds")
 	fs.IntVar(&opts.msgBytes, "bytes", 8192, "incast message payload size in bytes")
-	fs.IntVar(&opts.msgBytes, "clusterbytes", 8192, "alias for -bytes")
 	fs.StringVar(&opts.workers, "workers", "",
 		"comma-separated worker counts to compare (default 1,4,GOMAXPROCS)")
-	fs.StringVar(&opts.workers, "clusterworkers", "", "alias for -workers")
 	fs.Float64Var(&opts.minSpeedup, "minspeedup", 0,
 		"exit nonzero if the best ring self-speedup falls below this (0 = no gate)")
-	fs.Float64Var(&opts.minSpeedup, "minclusterspeedup", 0, "alias for -minspeedup")
 	fs.StringVar(&opts.jsonPath, "json", "", "write both reports as JSON to this path")
 	parallel := fs.Int("parallel", 0, "worker goroutines for the harness (0 = leave default)")
 	if err := fs.Parse(args); err != nil {
@@ -41,12 +34,12 @@ func runClusterCmd(args []string, stdout, stderr io.Writer) int {
 		experiments.SetParallelism(*parallel)
 	}
 	if opts.hosts < 2 {
-		return usageErrf(fs, stderr, "-clusterhosts must be at least 2, got %d", opts.hosts)
+		return usageErrf(fs, stderr, "-hosts must be at least 2, got %d", opts.hosts)
 	}
 	return runCluster(opts, stdout, stderr)
 }
 
-// clusterOptions carries the -cluster flag settings into runCluster.
+// clusterOptions carries the cluster flag settings into runCluster.
 type clusterOptions struct {
 	hosts      int
 	rounds     int
@@ -56,7 +49,7 @@ type clusterOptions struct {
 	jsonPath   string
 }
 
-// clusterDoc is the -json document of a -cluster run (BENCH_pr7.json in
+// clusterDoc is the -json document of a cluster run (BENCH_pr7.json in
 // CI): both workloads' per-worker-count runs, the determinism verdict,
 // and enough environment to interpret the speedup honestly.
 type clusterDoc struct {
@@ -87,7 +80,7 @@ func parseWorkerList(s string) ([]int, error) {
 // incast determinism check (digest byte-compared across worker counts)
 // and the ring halo-exchange self-speedup measurement. Exit status is
 // nonzero if any worker count's digest diverges from serial, or if
-// -minclusterspeedup is set and the best ring self-speedup falls short.
+// -minspeedup is set and the best ring self-speedup falls short.
 func runCluster(opts clusterOptions, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "geniebench:", err)
@@ -95,7 +88,7 @@ func runCluster(opts clusterOptions, stdout, stderr io.Writer) int {
 	}
 	workers, err := parseWorkerList(opts.workers)
 	if err != nil {
-		return fail(fmt.Errorf("-clusterworkers: %w", err))
+		return fail(fmt.Errorf("-workers: %w", err))
 	}
 
 	incast, err := experiments.RunIncast(experiments.ClusterBenchConfig{

@@ -13,8 +13,8 @@ import (
 func TestCLIClusterMode(t *testing.T) {
 	jsonPath := filepath.Join(t.TempDir(), "bench.json")
 	code, stdout, stderr := runCLI(t,
-		"-cluster", "-clusterhosts", "9", "-clusterrounds", "2",
-		"-clusterbytes", "4096", "-clusterworkers", "1,2,4",
+		"cluster", "-hosts", "9", "-rounds", "2",
+		"-bytes", "4096", "-workers", "1,2,4",
 		"-json", jsonPath)
 	if code != 0 {
 		t.Fatalf("exit code %d\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
@@ -51,8 +51,8 @@ func TestCLIClusterMode(t *testing.T) {
 // machine cannot beat 1000x — while the digest checks still pass.
 func TestCLIClusterSpeedupGate(t *testing.T) {
 	code, stdout, stderr := runCLI(t,
-		"-cluster", "-clusterhosts", "5", "-clusterrounds", "1",
-		"-clusterworkers", "1,2", "-minclusterspeedup", "1000")
+		"cluster", "-hosts", "5", "-rounds", "1",
+		"-workers", "1,2", "-minspeedup", "1000")
 	if code != 1 {
 		t.Fatalf("exit code %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
@@ -63,15 +63,15 @@ func TestCLIClusterSpeedupGate(t *testing.T) {
 
 // Bad cluster flag values exit 2 with usage.
 func TestCLIClusterBadFlags(t *testing.T) {
-	code, _, stderr := runCLI(t, "-cluster", "-clusterhosts", "1")
-	if code != 2 || !strings.Contains(stderr, "-clusterhosts") {
+	code, _, stderr := runCLI(t, "cluster", "-hosts", "1")
+	if code != 2 || !strings.Contains(stderr, "-hosts must be at least 2") {
 		t.Fatalf("exit code %d, stderr:\n%s", code, stderr)
 	}
-	code, _, stderr = runCLI(t, "-cluster", "-clusterworkers", "1,zero")
+	code, _, stderr = runCLI(t, "cluster", "-workers", "1,zero")
 	if code != 1 && code != 2 {
 		t.Fatalf("exit code %d for bad worker list, stderr:\n%s", code, stderr)
 	}
-	if !strings.Contains(stderr, "clusterworkers") {
+	if !strings.Contains(stderr, "-workers: bad worker count") {
 		t.Fatalf("stderr missing flag name:\n%s", stderr)
 	}
 }

@@ -9,10 +9,8 @@
 //	geniebench storage      # storage-path study: semantics x I/O size over block device + page cache
 //
 // Every subcommand takes its own flags (see `geniebench <cmd> -h`); all
-// of them share -json <path> (machine-readable report) and -parallel N
-// (harness worker goroutines). The historical spellings `-bigsweep`,
-// `-cluster`, and `-faults <spec>` still work as aliases for their
-// subcommands and print a deprecation note on stderr.
+// of them share -parallel N (harness worker goroutines), and all but
+// chaos share -json <path> (machine-readable report).
 //
 // # sweep
 //
@@ -22,7 +20,7 @@
 // exemplar per figure as Chrome trace_event JSON. Measurement points
 // fan out across -parallel workers (any count produces byte-identical
 // output), identical points are memoized, and testbeds are recycled;
-// -nocache and -norecycle restore the cold path. -dataplane selects
+// -nomemo and -norecycle restore the cold path. -dataplane selects
 // symbolic or materialized payload bytes — output is identical either
 // way.
 //
@@ -112,12 +110,13 @@ var subcommands = []struct {
 	{"storage", "storage-path study: semantics x I/O size over block device + page cache", runStorageCmd},
 }
 
-// run is the testable entry point: flag or usage errors return 2,
-// runtime failures 1, success 0.
+// run is the testable entry point: the first argument names the
+// subcommand unless it is a flag, in which case sweep runs. Flag or
+// usage errors return 2, runtime failures 1, success 0.
 func run(args []string, stdout, stderr io.Writer) int {
-	name, rest, note := dispatch(args)
-	if note != "" {
-		fmt.Fprintln(stderr, note)
+	name, rest := "sweep", args
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		name, rest = args[0], args[1:]
 	}
 	for _, sc := range subcommands {
 		if sc.name == name {
@@ -127,33 +126,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "geniebench: unknown subcommand %q\n", name)
 	printUsage(stderr)
 	return 2
-}
-
-// dispatch resolves the subcommand: an explicit first argument wins;
-// otherwise the legacy mode flags (-bigsweep, -cluster, -faults) are
-// recognized as aliases with a deprecation note, and everything else
-// falls through to the default sweep.
-func dispatch(args []string) (name string, rest []string, note string) {
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		return args[0], args[1:], ""
-	}
-	for i, a := range args {
-		flagName := strings.TrimLeft(a, "-")
-		switch {
-		case flagName == "bigsweep" || flagName == "cluster":
-			// Boolean mode flag: drop it, keep every other flag — the
-			// subcommand's FlagSet still accepts the historical names.
-			rest = append(append([]string{}, args[:i]...), args[i+1:]...)
-			return flagName, rest,
-				fmt.Sprintf("geniebench: note: -%s is deprecated; use `geniebench %s`", flagName, flagName)
-		case flagName == "faults" || strings.HasPrefix(flagName, "faults="):
-			// Value-carrying mode flag: keep it, the chaos FlagSet
-			// registers -faults as an alias of -spec.
-			return "chaos", args,
-				"geniebench: note: -faults is deprecated; use `geniebench chaos -spec <spec>`"
-		}
-	}
-	return "sweep", args, ""
 }
 
 func printUsage(w io.Writer) {

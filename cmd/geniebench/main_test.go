@@ -9,14 +9,12 @@ import (
 )
 
 // runCLI invokes run() with captured streams, restoring the harness's
-// package-wide settings afterwards (run() mutates parallelism, caching,
-// recycling, and the data plane).
+// parallelism and counters afterwards (subcommands restore the memo and
+// recycling switches themselves).
 func runCLI(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
 	defer func() {
 		experiments.SetParallelism(0)
-		experiments.SetCaching(true)
-		experiments.SetRecycling(true)
 		experiments.ResetPerf()
 	}()
 	var stdout, stderr bytes.Buffer
@@ -36,10 +34,10 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 		{"zero parallel", []string{"-parallel", "0"}, "-parallel"},
 		{"negative parallel", []string{"-parallel", "-3"}, "-parallel"},
 		{"bogus dataplane", []string{"-dataplane", "quantum"}, "-dataplane"},
-		{"malformed faults", []string{"-faults", "seed"}, "-faults"},
-		{"unknown fault key", []string{"-faults", "seed=1,bogus=0.5"}, "-faults"},
-		{"out-of-range fault rate", []string{"-faults", "seed=1,drop=1.5"}, "-faults"},
-		{"empty fault spec", []string{"-faults", "seed=0"}, "injects nothing"},
+		{"malformed faults", []string{"chaos", "-spec", "seed"}, "-spec"},
+		{"unknown fault key", []string{"chaos", "-spec", "seed=1,bogus=0.5"}, "-spec"},
+		{"out-of-range fault rate", []string{"chaos", "-spec", "seed=1,drop=1.5"}, "-spec"},
+		{"empty fault spec", []string{"chaos", "-spec", "seed=0"}, "injects nothing"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -60,7 +58,7 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 // Chaos mode: a pinned benign spec must recover everything and exit 0
 // with a report on stdout.
 func TestCLIChaosMode(t *testing.T) {
-	code, stdout, stderr := runCLI(t, "-faults", "seed=1,drop=0.25,dup=0.1,corrupt=0.1")
+	code, stdout, stderr := runCLI(t, "chaos", "-spec", "seed=1,drop=0.25,dup=0.1,corrupt=0.1")
 	if code != 0 {
 		t.Fatalf("exit code %d\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}

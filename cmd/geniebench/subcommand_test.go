@@ -10,9 +10,8 @@ import (
 	"repro/internal/experiments"
 )
 
-// The dispatcher: explicit subcommands route, legacy mode flags alias
-// with a deprecation note, and unknown names exit 2 with the
-// subcommand list.
+// The dispatcher: explicit subcommands route, a leading flag selects
+// sweep, and unknown names exit 2 with the subcommand list.
 func TestCLIDispatch(t *testing.T) {
 	t.Run("unknown subcommand", func(t *testing.T) {
 		code, _, stderr := runCLI(t, "frobnicate")
@@ -25,25 +24,10 @@ func TestCLIDispatch(t *testing.T) {
 			}
 		}
 	})
-	t.Run("legacy faults alias notes deprecation", func(t *testing.T) {
-		code, stdout, stderr := runCLI(t, "-faults", "seed=1,drop=0.25")
-		if code != 0 {
-			t.Fatalf("exit code %d\nstderr:\n%s", code, stderr)
-		}
-		if !strings.Contains(stderr, "deprecated") || !strings.Contains(stderr, "geniebench chaos") {
-			t.Errorf("no deprecation note on stderr:\n%s", stderr)
-		}
-		if !strings.Contains(stdout, "recovered") {
-			t.Errorf("chaos report missing:\n%s", stdout)
-		}
-	})
 	t.Run("chaos subcommand spec flag", func(t *testing.T) {
 		code, stdout, stderr := runCLI(t, "chaos", "-spec", "seed=1,drop=0.25")
 		if code != 0 {
 			t.Fatalf("exit code %d\nstderr:\n%s", code, stderr)
-		}
-		if strings.Contains(stderr, "deprecated") {
-			t.Errorf("spurious deprecation note for the new spelling:\n%s", stderr)
 		}
 		if !strings.Contains(stdout, "recovered") {
 			t.Errorf("chaos report missing:\n%s", stdout)
@@ -51,7 +35,7 @@ func TestCLIDispatch(t *testing.T) {
 	})
 	t.Run("chaos requires a spec", func(t *testing.T) {
 		code, _, stderr := runCLI(t, "chaos")
-		if code != 2 || !strings.Contains(stderr, "-faults") {
+		if code != 2 || !strings.Contains(stderr, "-spec: a fault spec is required") {
 			t.Fatalf("exit code %d, stderr:\n%s", code, stderr)
 		}
 	})
@@ -63,7 +47,7 @@ func TestCLIDispatch(t *testing.T) {
 	})
 	t.Run("cluster subcommand canonical flags", func(t *testing.T) {
 		code, _, stderr := runCLI(t, "cluster", "-hosts", "1")
-		if code != 2 || !strings.Contains(stderr, "-clusterhosts") {
+		if code != 2 || !strings.Contains(stderr, "-hosts must be at least 2") {
 			t.Fatalf("exit code %d, stderr:\n%s", code, stderr)
 		}
 	})

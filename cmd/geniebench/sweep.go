@@ -16,6 +16,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/mem"
 	"repro/internal/netsim"
+	"repro/internal/par"
 	"repro/internal/trace"
 )
 
@@ -136,7 +137,7 @@ func runSweepCmd(args []string, stdout, stderr io.Writer) int {
 		"worker goroutines per sweep (1 = serial)")
 	jsonPath := fs.String("json", "",
 		"write every figure/table plus wall-clock per generator as JSON to this path")
-	nocache := fs.Bool("nocache", false,
+	nomemo := fs.Bool("nomemo", false,
 		"disable the cross-generator measurement memo (output is identical, only slower)")
 	norecycle := fs.Bool("norecycle", false,
 		"disable testbed recycling across measurement points")
@@ -159,8 +160,8 @@ func runSweepCmd(args []string, stdout, stderr io.Writer) int {
 	all := !*figures && !*tables && !*ablations && *tracePath == ""
 
 	experiments.SetParallelism(*parallel)
-	experiments.SetCaching(!*nocache)
-	experiments.SetRecycling(!*norecycle)
+	defer par.SetMemo(par.SetMemo(!*nomemo))
+	defer par.SetRecycling(par.SetRecycling(!*norecycle))
 	experiments.SetDataPlane(plane)
 
 	if *cpuprofile != "" {
@@ -219,7 +220,7 @@ func runSweepCmd(args []string, stdout, stderr io.Writer) int {
 		rep := report{
 			Parallelism: *parallel,
 			GOMAXPROCS:  runtime.GOMAXPROCS(0),
-			Cache:       !*nocache,
+			Cache:       !*nomemo,
 			Recycle:     !*norecycle,
 			DataPlane:   plane.Name(),
 			TotalWallMS: float64(time.Since(start).Microseconds()) / 1000,
@@ -238,7 +239,7 @@ func runSweepCmd(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// The performance summary goes to stderr so stdout stays
-	// byte-comparable across cache/recycle/parallelism settings.
+	// byte-comparable across memo/recycle/parallelism settings.
 	fmt.Fprintf(stderr,
 		"geniebench: cache %d hits / %d misses / %d single-flight waits; testbeds %d recycled / %d built\n",
 		perf.CacheHits, perf.CacheMisses, perf.CacheWaits,

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/faults"
+	"repro/internal/par"
 	"repro/internal/workload"
 )
 
@@ -127,14 +128,8 @@ func runWorkloadCmd(args []string, stdout, stderr io.Writer) int {
 	if *parallel > 0 {
 		experiments.SetParallelism(*parallel)
 	}
-	if *noMemo {
-		workload.SetPointMemo(false)
-		defer workload.SetPointMemo(true)
-	}
-	if *noRecycle {
-		workload.SetClusterRecycling(false)
-		defer workload.SetClusterRecycling(true)
-	}
+	defer par.SetMemo(par.SetMemo(!*noMemo))
+	defer par.SetRecycling(par.SetRecycling(!*noRecycle))
 
 	cfg := experiments.WorkloadConfig{}
 	cfg.PointWorkers = *pointWorkers

@@ -37,7 +37,7 @@ type EstimatePoint struct {
 // It evaluates the paper's Section 8 model — base latency plus the
 // critical path's data-passing operation costs — in closed form,
 // several hundred times faster than a simulated Transfer; geniebench
-// -bigsweep continuously validates the two paths against each other.
+// bigsweep continuously validates the two paths against each other.
 //
 // Estimate covers the regime of a single fault-free datagram on a
 // fresh testbed. Fragmented (MTU), faulted, or back-to-back traffic

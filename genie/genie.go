@@ -132,7 +132,8 @@ type (
 	ReliableStats = core.ReliableStats
 )
 
-// ParseFaultSpec parses the geniebench -faults syntax, e.g.
+// ParseFaultSpec parses the geniebench fault-spec syntax (chaos -spec,
+// workload -faults), e.g.
 // "seed=1,drop=0.2,corrupt=0.05".
 func ParseFaultSpec(s string) (FaultSpec, error) { return faults.ParseSpec(s) }
 

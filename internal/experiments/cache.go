@@ -2,12 +2,11 @@ package experiments
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/netsim"
+	"repro/internal/par"
 	"repro/internal/workload"
 )
 
@@ -54,31 +53,10 @@ func measureKey(s Setup, sem core.Semantics, length int) cacheKey {
 	}
 }
 
-// cacheEntry is one memoized measurement. done is closed once m and err
-// are final; until then, latecomers for the same key block on it
-// (single-flight).
-type cacheEntry struct {
-	done chan struct{}
-	m    Measurement
-	err  error
-}
-
-// cacheShards is the number of lock-striped segments. A power of two so
-// the shard index is a mask of the key hash; 32 stripes keep lock
-// contention negligible at any plausible -parallel setting while the
-// per-shard maps stay dense.
-const cacheShards = 32
-
-// cacheShard is one lock-striped segment of the memo.
-type cacheShard struct {
-	mu      sync.Mutex
-	entries map[cacheKey]*cacheEntry
-}
-
-// shardIndex hashes the key's discriminating fields (FNV-1a) down to a
-// stripe. The hash only distributes — equality is still decided by the
-// full key inside the shard map.
-func shardIndex(k *cacheKey) uint64 {
+// cacheKeyHash spreads cache keys over the memo's stripes (FNV-1a over
+// the key's discriminating fields). Equality is still decided by the
+// full key.
+func cacheKeyHash(k cacheKey) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)
 	mix := func(v uint64) {
@@ -96,109 +74,29 @@ func shardIndex(k *cacheKey) uint64 {
 		h ^= uint64(k.plane[i])
 		h *= prime
 	}
-	return h & (cacheShards - 1)
+	return h
 }
 
-// Cache is a content-keyed, single-flight memo of measurement points.
-// Across a full geniebench run the figure and table generators probe
-// many identical (Setup, Semantics, length) points — Figure 3, its
-// throughput table, Table 7, and the OC-12 extension all re-measure the
-// same max-datagram points, and Table 6 and Table 7 run the same
-// instrumented sweeps — so each unique point is simulated exactly once
-// and shared by reference. Two parallel workers asking for the same
-// point never compute it twice: the first becomes the computer, the
-// rest wait on its entry. The paper's thesis is that redundant data
-// handling dominates I/O cost; the harness takes its own advice.
-//
-// The memo is lock-striped across cacheShards segments keyed by a hash
-// of the point, so parallel workers probing different points do not
-// serialize on one mutex; the BigSweep spot-check oracle in particular
-// drives it from every worker at once.
-//
-// A Cache is safe for concurrent use. Cached Measurements (including
-// their Records slices) are shared across callers and must be treated
-// as immutable.
-type Cache struct {
-	shards [cacheShards]cacheShard
+// measureMemo memoizes Measure. Across a full geniebench run the figure
+// and table generators probe many identical (Setup, Semantics, length)
+// points: Figure 3, its throughput table, Table 7, and the OC-12
+// extension all re-measure the same max-datagram points, and Table 6
+// and Table 7 run the same instrumented sweeps. Each unique point is
+// simulated once and shared by reference, so cached Measurements
+// (including their Records slices) must be treated as immutable. The
+// paper's thesis is that redundant data handling dominates I/O cost;
+// the harness takes its own advice.
+var measureMemo = par.NewMemo[cacheKey, Measurement](cacheKeyHash)
 
-	hits   atomic.Uint64 // lookups satisfied by a completed entry
-	misses atomic.Uint64 // lookups that computed the point
-	waits  atomic.Uint64 // lookups that blocked on an in-flight computation
-}
-
-// NewCache returns an empty measurement cache.
-func NewCache() *Cache {
-	c := &Cache{}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[cacheKey]*cacheEntry)
-	}
-	return c
-}
-
-// Measure returns the memoized measurement for the point, computing it
-// on a miss. Errors are memoized too: the simulation is deterministic,
-// so a failing point fails identically on every probe.
-func (c *Cache) Measure(s Setup, sem core.Semantics, length int) (Measurement, error) {
-	key := measureKey(s, sem, length)
-	sh := &c.shards[shardIndex(&key)]
-	sh.mu.Lock()
-	if e, ok := sh.entries[key]; ok {
-		sh.mu.Unlock()
-		select {
-		case <-e.done:
-			c.hits.Add(1)
-		default:
-			c.waits.Add(1)
-			<-e.done
-		}
-		return e.m, e.err
-	}
-	e := &cacheEntry{done: make(chan struct{})}
-	sh.entries[key] = e
-	sh.mu.Unlock()
-	c.misses.Add(1)
-	e.m, e.err = measureUncached(s, sem, length)
-	close(e.done)
-	return e.m, e.err
-}
-
-// Len returns the number of memoized points (including in-flight ones).
-func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
-		n += len(c.shards[i].entries)
-		c.shards[i].mu.Unlock()
-	}
-	return n
-}
-
-// measureCache is the package-wide cache consulted by Measure; nil
-// means caching is disabled (geniebench -nocache).
-var measureCache atomic.Pointer[Cache]
-
-func init() { measureCache.Store(NewCache()) }
-
-// SetCaching enables or disables the package-wide measurement cache
-// used by Measure and every generator built on it. Disabling discards
-// the cache contents; re-enabling starts from an empty cache. Cached
-// and uncached runs produce byte-identical output — the cache only
-// removes redundant simulation.
-func SetCaching(on bool) {
-	if on {
-		if measureCache.Load() == nil {
-			measureCache.Store(NewCache())
-		}
-	} else {
-		measureCache.Store(nil)
-	}
-}
-
-// CachingEnabled reports whether the package-wide cache is active.
-func CachingEnabled() bool { return measureCache.Load() != nil }
+// testbeds recycles Measure's testbeds, keyed by their configuration.
+// A miss needs two hosts of 512 frames plus engine, VM and netsim set-up
+// for one datagram; Testbed.Reset returns that graph to its
+// post-construction state without reallocating frame backing stores.
+var testbeds par.Recycler[core.TestbedConfig, *core.Testbed]
 
 // PerfStats is a snapshot of the harness's own performance counters:
-// the measurement cache and the testbed recycler.
+// the memos and recyclers of the pairwise, workload and storage sweeps,
+// and the analytic fast path.
 type PerfStats struct {
 	// CacheHits counts Measure calls satisfied by a completed memo.
 	CacheHits uint64 `json:"cache_hits"`
@@ -257,53 +155,52 @@ type PerfStats struct {
 	// StorageRigsRecycled counts storage sweep points served by a Reset
 	// rig from a free list instead of a fresh construction.
 	StorageRigsRecycled uint64 `json:"storage_rigs_recycled,omitempty"`
+	// StorageRigResetFailures counts storage rigs dropped because Reset
+	// failed; always zero unless a simulation leaked state.
+	StorageRigResetFailures uint64 `json:"storage_rig_reset_failures,omitempty"`
 }
 
 // Perf returns a snapshot of the package-wide performance counters.
 func Perf() PerfStats {
+	memo, tbs := measureMemo.Stats(), testbeds.Stats()
+	sm, rigs := storageMemo.Stats(), storageRigs.Stats()
 	wl := workload.Perf()
-	st := PerfStats{
-		TestbedsBuilt:        testbedsBuilt.Load(),
-		TestbedsRecycled:     testbedsRecycled.Load(),
-		ResetFailures:        testbedResetFailures.Load(),
-		AnalyticPoints:       analyticPoints.Load(),
-		SimulatedSpotchecks:  simulatedSpotchecks.Load(),
-		MaxRelErr:            math.Float64frombits(analyticMaxRelErr.Load()),
-		WorkloadMemoHits:     wl.MemoHits,
-		WorkloadMemoMisses:   wl.MemoMisses,
-		WorkloadMemoWaits:    wl.MemoWaits,
-		ClustersBuilt:        wl.ClustersBuilt,
-		ClustersRecycled:     wl.ClustersRecycled,
-		ClusterResetFailures: wl.ClusterResetFailures,
-		StorageMemoHits:      storageMemoHits.Load(),
-		StorageMemoMisses:    storageMemoMisses.Load(),
-		StorageMemoWaits:     storageMemoWaits.Load(),
-		StorageRigsBuilt:     storageRigsBuilt.Load(),
-		StorageRigsRecycled:  storageRigsRecycled.Load(),
+	return PerfStats{
+		CacheHits:               memo.Hits,
+		CacheMisses:             memo.Misses,
+		CacheWaits:              memo.Waits,
+		TestbedsBuilt:           tbs.Built,
+		TestbedsRecycled:        tbs.Recycled,
+		ResetFailures:           tbs.ResetFailures,
+		AnalyticPoints:          analyticPoints.Load(),
+		SimulatedSpotchecks:     simulatedSpotchecks.Load(),
+		MaxRelErr:               math.Float64frombits(analyticMaxRelErr.Load()),
+		WorkloadMemoHits:        wl.MemoHits,
+		WorkloadMemoMisses:      wl.MemoMisses,
+		WorkloadMemoWaits:       wl.MemoWaits,
+		ClustersBuilt:           wl.ClustersBuilt,
+		ClustersRecycled:        wl.ClustersRecycled,
+		ClusterResetFailures:    wl.ClusterResetFailures,
+		StorageMemoHits:         sm.Hits,
+		StorageMemoMisses:       sm.Misses,
+		StorageMemoWaits:        sm.Waits,
+		StorageRigsBuilt:        rigs.Built,
+		StorageRigsRecycled:     rigs.Recycled,
+		StorageRigResetFailures: rigs.ResetFailures,
 	}
-	if c := measureCache.Load(); c != nil {
-		st.CacheHits = c.hits.Load()
-		st.CacheMisses = c.misses.Load()
-		st.CacheWaits = c.waits.Load()
-	}
-	return st
 }
 
-// ResetPerf discards the package-wide cache contents, testbed free
-// lists, and all performance counters, preserving the enabled/disabled
-// state of each layer. Tests and benchmarks use it to measure from a
-// cold start.
+// ResetPerf discards every memo's contents and every free list, here and
+// in the workload package, and zeroes all performance counters. The
+// switches (par.SetMemo, par.SetRecycling) keep their settings. Tests and
+// benchmarks use it to measure from a cold start.
 func ResetPerf() {
-	if measureCache.Load() != nil {
-		measureCache.Store(NewCache())
-	}
-	testbedPools = sync.Map{}
-	testbedsBuilt.Store(0)
-	testbedsRecycled.Store(0)
-	testbedResetFailures.Store(0)
+	measureMemo.Reset()
+	testbeds.Reset()
+	storageMemo.Reset()
+	storageRigs.Reset()
 	analyticPoints.Store(0)
 	simulatedSpotchecks.Store(0)
 	analyticMaxRelErr.Store(0)
-	resetStoragePerf()
 	workload.ResetPerf()
 }

@@ -55,7 +55,7 @@ func TestRingDeterministicAcrossWorkers(t *testing.T) {
 
 // TestIncastFullScale pins the deliverable configuration itself: the
 // 64-host incast at 1 and 4 workers. Kept to two rounds so the suite
-// stays fast; geniebench -cluster runs the full version.
+// stays fast; geniebench cluster runs the full version.
 func TestIncastFullScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale incast skipped in -short")

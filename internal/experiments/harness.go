@@ -121,16 +121,32 @@ func (m Measurement) ThroughputMbps() float64 {
 // the measurement. Each point runs on its own private testbed, which
 // makes sweeps deterministic and independent, like the paper's
 // per-length runs on a quiet network. Identical points are memoized
-// (see Cache) and testbeds are recycled across points (see
-// SetRecycling); both layers are transparent — output is byte-identical
-// to a cold Measure on a fresh testbed.
+// (see measureMemo) and testbeds are recycled across points (see
+// testbeds); both layers are transparent — output is byte-identical to
+// a cold Measure on a fresh testbed.
 func Measure(s Setup, sem core.Semantics, length int) (Measurement, error) {
-	// Traced runs bypass the memo cache: the caller wants the event
-	// stream, which only a real simulation produces.
-	if c := measureCache.Load(); c != nil && s.Tracer == nil {
-		return c.Measure(s, sem, length)
+	// Traced runs bypass the memo: the caller wants the event stream,
+	// which only a real simulation produces.
+	if s.Tracer != nil {
+		return measureUncached(s, sem, length)
 	}
-	return measureUncached(s, sem, length)
+	return measureMemo.Do(measureKey(s, sem, length), func() (Measurement, error) {
+		return measureUncached(s, sem, length)
+	})
+}
+
+// measureTestbedConfig is the testbed configuration Measure uses for a
+// given Setup. It must stay a pure function of the Setup fields that
+// are part of the cache key.
+func measureTestbedConfig(s Setup) core.TestbedConfig {
+	return core.TestbedConfig{
+		Model:      s.model(),
+		Buffering:  s.Scheme,
+		OverlayOff: s.DevOff,
+		Genie:      s.Genie,
+		Plane:      s.plane(),
+		Faults:     s.Faults,
+	}
 }
 
 // measureUncached simulates the point, on a recycled testbed when one
@@ -139,7 +155,7 @@ func Measure(s Setup, sem core.Semantics, length int) (Measurement, error) {
 // dropped.
 func measureUncached(s Setup, sem core.Semantics, length int) (Measurement, error) {
 	cfg := measureTestbedConfig(s)
-	tb, err := acquireTestbed(cfg)
+	tb, err := testbeds.Get(cfg, func() (*core.Testbed, error) { return core.NewTestbed(cfg) })
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -147,7 +163,7 @@ func measureUncached(s Setup, sem core.Semantics, length int) (Measurement, erro
 	if err != nil {
 		return Measurement{}, err
 	}
-	releaseTestbed(cfg, tb)
+	testbeds.Put(cfg, tb)
 	return m, nil
 }
 

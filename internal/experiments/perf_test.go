@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -11,23 +9,22 @@ import (
 	"repro/internal/faults"
 	"repro/internal/mem"
 	"repro/internal/netsim"
+	"repro/internal/par"
 	"repro/internal/trace"
 )
 
-// withPerfRegime runs f with caching, recycling, and parallelism pinned,
-// from a cold cache and empty free lists, restoring the previous
+// withPerfRegime runs f with the memo, recycling, and parallelism
+// pinned, from a cold memo and empty free lists, restoring the previous
 // configuration afterwards.
-func withPerfRegime(t *testing.T, cache, recycle bool, workers int, f func()) {
+func withPerfRegime(t *testing.T, memo, recycle bool, workers int, f func()) {
 	t.Helper()
-	prevCache, prevRecycle, prevWorkers := CachingEnabled(), RecyclingEnabled(), Parallelism()
+	prevMemo, prevRecycle, prevWorkers := par.SetMemo(memo), par.SetRecycling(recycle), Parallelism()
 	defer func() {
-		SetCaching(prevCache)
-		SetRecycling(prevRecycle)
+		par.SetMemo(prevMemo)
+		par.SetRecycling(prevRecycle)
 		SetParallelism(prevWorkers)
 		ResetPerf()
 	}()
-	SetCaching(cache)
-	SetRecycling(recycle)
 	SetParallelism(workers)
 	ResetPerf()
 	f()
@@ -161,52 +158,14 @@ func TestCacheSharesPointsAcrossGenerators(t *testing.T) {
 	})
 }
 
-// TestCacheSingleFlight asserts that concurrent workers asking for the
-// same point compute it exactly once: one miss, and every other caller
-// either waits on the in-flight computation or hits the completed
-// entry. Run under -race this also locks in the entry lifecycle.
-func TestCacheSingleFlight(t *testing.T) {
-	const workers = 16
-	c := NewCache()
-	s := Setup{Scheme: netsim.EarlyDemux}
-	var wg sync.WaitGroup
-	results := make([]Measurement, workers)
-	errs := make([]error, workers)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = c.Measure(s, core.EmulatedCopy, 8192)
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < workers; i++ {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		if !reflect.DeepEqual(results[i], results[0]) {
-			t.Fatalf("worker %d got a different measurement: %+v vs %+v", i, results[i], results[0])
-		}
-	}
-	if got := c.misses.Load(); got != 1 {
-		t.Errorf("misses = %d, want 1 (single-flight)", got)
-	}
-	if hw := c.hits.Load() + c.waits.Load(); hw != workers-1 {
-		t.Errorf("hits+waits = %d, want %d", hw, workers-1)
-	}
-	if c.Len() != 1 {
-		t.Errorf("cache holds %d entries, want 1", c.Len())
-	}
-}
-
 // TestCacheDistinguishesSetups asserts the key covers every axis that
 // changes the simulation: distinct configurations must not share
 // entries, while the zero Genie config must share with the explicit
 // defaults NewTestbed would substitute for it.
 func TestCacheDistinguishesSetups(t *testing.T) {
-	c := NewCache()
 	base := Setup{Scheme: netsim.EarlyDemux}
 	variants := []Setup{
+		base,
 		{Scheme: netsim.Pooled},
 		{Scheme: netsim.Pooled, AppOffset: 1000},
 		{Scheme: netsim.EarlyDemux, Instrument: true},
@@ -218,27 +177,25 @@ func TestCacheDistinguishesSetups(t *testing.T) {
 		// free default, but its testbeds carry an injector: no sharing.
 		{Scheme: netsim.EarlyDemux, Faults: faults.Spec{Seed: 7}},
 	}
-	if _, err := c.Measure(base, core.Copy, 4096); err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range variants {
-		if _, err := c.Measure(v, core.Copy, 4096); err != nil {
-			t.Fatal(err)
+	keys := map[cacheKey]int{}
+	for i, v := range variants {
+		k := measureKey(v, core.Copy, 4096)
+		if j, ok := keys[k]; ok {
+			t.Errorf("variants %d and %d share a memo key: %+v", j, i, k)
 		}
+		keys[k] = i
 	}
-	if got, want := c.Len(), 1+len(variants); got != want {
-		t.Errorf("cache holds %d entries, want %d distinct ones", got, want)
+	if measureKey(base, core.Copy, 4096) == measureKey(base, core.Share, 4096) ||
+		measureKey(base, core.Copy, 4096) == measureKey(base, core.Copy, 8192) {
+		t.Error("semantics or length missing from the memo key")
 	}
 
 	// The zero config and the explicit defaults are the same simulation
 	// and must share one entry.
 	withDefaults := base
 	withDefaults.Genie = core.DefaultConfig()
-	if _, err := c.Measure(withDefaults, core.Copy, 4096); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := c.Len(), 1+len(variants); got != want {
-		t.Errorf("zero-value Genie config did not share the defaults' entry: %d entries, want %d", got, want)
+	if measureKey(withDefaults, core.Copy, 4096) != measureKey(base, core.Copy, 4096) {
+		t.Error("zero-value Genie config does not share the defaults' memo key")
 	}
 }
 

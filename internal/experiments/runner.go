@@ -1,9 +1,9 @@
 package experiments
 
 import (
-	"runtime"
-	"sync"
 	"sync/atomic"
+
+	"repro/internal/par"
 )
 
 // Runner fans independent measurement points across a pool of worker
@@ -19,77 +19,14 @@ type Runner struct {
 	Workers int
 }
 
-// workers resolves the effective worker count for n points.
-func (r Runner) workers(n int) int {
-	w := r.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // ForEach runs fn(i) for every i in [0, n), fanning the calls across the
-// worker pool. fn must write its result into caller-owned, index-i
-// storage; distinct indices never race. The returned error is
-// deterministic: among all failing indices, the error of the lowest one —
-// exactly the error the serial loop would have returned. Indices beyond
-// the first observed failure may be skipped.
+// worker pool (see par.Each). fn must write its result into
+// caller-owned, index-i storage; distinct indices never race. The
+// returned error is deterministic: among all failing indices, the error
+// of the lowest one — exactly the error the serial loop would have
+// returned. Indices beyond the first observed failure may be skipped.
 func (r Runner) ForEach(n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if r.workers(n) == 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	var (
-		next   atomic.Int64
-		mu     sync.Mutex
-		errIdx = n
-		first  error
-		wg     sync.WaitGroup
-	)
-	next.Store(-1)
-	for k := r.workers(n); k > 0; k-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				mu.Lock()
-				failed := i > errIdx
-				mu.Unlock()
-				if failed {
-					// An earlier index already failed; later work can
-					// be abandoned without changing the outcome.
-					return
-				}
-				if err := fn(i); err != nil {
-					mu.Lock()
-					if i < errIdx {
-						errIdx, first = i, err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return first
+	return par.Each(n, r.Workers, fn)
 }
 
 // defaultWorkers is the package-wide worker count: 0 selects

@@ -3,8 +3,7 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"repro/internal/blockdev"
@@ -12,6 +11,7 @@ import (
 	"repro/internal/digest"
 	"repro/internal/mem"
 	"repro/internal/netsim"
+	"repro/internal/par"
 	"repro/internal/vm"
 )
 
@@ -112,24 +112,14 @@ type storageKey struct {
 	disk           blockdev.Model
 }
 
-// storageEntry is one memoized point (single-flight, errors included).
-type storageEntry struct {
-	done chan struct{}
-	p    StoragePoint
-	err  error
+// storageKeyHash spreads storage keys over the memo's stripes.
+func storageKeyHash(k storageKey) uint64 {
+	return uint64(k.sem)<<48 ^ uint64(k.size)<<16 ^ uint64(k.cachePages)<<8 ^ uint64(k.dirtyThreshold)
 }
 
-var (
-	storageMemoMu sync.Mutex
-	storageMemo   = map[storageKey]*storageEntry{}
-
-	storageMemoHits   atomic.Uint64
-	storageMemoMisses atomic.Uint64
-	storageMemoWaits  atomic.Uint64
-
-	storageRigsBuilt    atomic.Uint64
-	storageRigsRecycled atomic.Uint64
-)
+// storageMemo memoizes storage points: concurrent workers and later
+// verification runs never simulate the same point twice.
+var storageMemo = par.NewMemo[storageKey, StoragePoint](storageKeyHash)
 
 // storageRig pairs a testbed with its storage stack for recycling: the
 // stack's kernel object is created before any process, so a Reset +
@@ -139,19 +129,7 @@ type storageRig struct {
 	st *core.Storage
 }
 
-// storageRigPools maps disk configuration to a *sync.Pool of recycled
-// rigs (the testbed configuration is fixed: the stock single-pair bed).
-var storageRigPools sync.Map
-
-func acquireStorageRig(disk core.DiskConfig) (*storageRig, error) {
-	if !recyclingOff.Load() {
-		if p, ok := storageRigPools.Load(disk); ok {
-			if v := p.(*sync.Pool).Get(); v != nil {
-				storageRigsRecycled.Add(1)
-				return v.(*storageRig), nil
-			}
-		}
-	}
+func newStorageRig(disk core.DiskConfig) (*storageRig, error) {
 	tb, err := core.NewTestbed(core.TestbedConfig{})
 	if err != nil {
 		return nil, err
@@ -160,22 +138,21 @@ func acquireStorageRig(disk core.DiskConfig) (*storageRig, error) {
 	if err != nil {
 		return nil, err
 	}
-	storageRigsBuilt.Add(1)
 	return &storageRig{tb: tb, st: st}, nil
 }
 
-func releaseStorageRig(disk core.DiskConfig, r *storageRig) {
-	if recyclingOff.Load() {
-		return
-	}
+// Reset returns the rig to its post-construction state.
+func (r *storageRig) Reset() error {
 	if err := r.tb.Reset(); err != nil {
-		testbedResetFailures.Add(1)
-		return
+		return err
 	}
 	r.st.Reacquire()
-	p, _ := storageRigPools.LoadOrStore(disk, &sync.Pool{})
-	p.(*sync.Pool).Put(r)
+	return nil
 }
+
+// storageRigs recycles rigs keyed by disk configuration (the testbed
+// configuration is fixed: the stock single-pair bed).
+var storageRigs par.Recycler[core.DiskConfig, *storageRig]
 
 // storageImage returns the deterministic content of file block b.
 func storageImage(b, n int) []byte {
@@ -190,7 +167,9 @@ func storageImage(b, n int) []byte {
 const storageOps = 4
 
 // runStoragePoint simulates one grid point from a cold (or
-// indistinguishably recycled) storage stack.
+// indistinguishably recycled) storage stack. The rig goes back to the
+// free list after a clean run; a failed point's rig is in an unknown
+// state and is dropped.
 func runStoragePoint(k storageKey) (StoragePoint, error) {
 	disk := core.DiskConfig{
 		Disk:           k.disk,
@@ -198,10 +177,21 @@ func runStoragePoint(k storageKey) (StoragePoint, error) {
 		ReadAhead:      k.readAhead,
 		DirtyThreshold: k.dirtyThreshold,
 	}
-	rig, err := acquireStorageRig(disk)
+	rig, err := storageRigs.Get(disk, func() (*storageRig, error) { return newStorageRig(disk) })
 	if err != nil {
 		return StoragePoint{}, err
 	}
+	pt, err := simulateStoragePoint(rig, k)
+	if err != nil {
+		return StoragePoint{}, err
+	}
+	storageRigs.Put(disk, rig)
+	return pt, nil
+}
+
+// simulateStoragePoint runs the point's read, write and sendfile legs on
+// rig and checks the stack's conservation invariants.
+func simulateStoragePoint(rig *storageRig, k storageKey) (StoragePoint, error) {
 	tb, s := rig.tb, rig.st
 	bs := s.Device().BlockSize()
 	span := (k.size + bs - 1) / bs
@@ -329,66 +319,7 @@ func runStoragePoint(k storageKey) (StoragePoint, error) {
 	dv := s.Device().Stats()
 	pt.DeviceSeeks = dv.Seeks
 	pt.DeviceBusyUS = dv.BusyUS
-	releaseStorageRig(disk, rig)
 	return pt, nil
-}
-
-// measureStoragePoint is the memoized entry: single-flight per key, so
-// concurrent workers (and later verification runs) never simulate the
-// same point twice.
-func measureStoragePoint(k storageKey) (StoragePoint, error) {
-	storageMemoMu.Lock()
-	if e, ok := storageMemo[k]; ok {
-		storageMemoMu.Unlock()
-		select {
-		case <-e.done:
-			storageMemoHits.Add(1)
-		default:
-			storageMemoWaits.Add(1)
-			<-e.done
-		}
-		return e.p, e.err
-	}
-	e := &storageEntry{done: make(chan struct{})}
-	storageMemo[k] = e
-	storageMemoMu.Unlock()
-	storageMemoMisses.Add(1)
-	e.p, e.err = runStoragePoint(k)
-	close(e.done)
-	return e.p, e.err
-}
-
-// storageFanOut runs fn(i) for i in [0, n) across pw goroutines
-// claiming indices off a shared counter; fn writes caller-owned
-// index-i storage. (The workload package keeps an identical helper
-// unexported; the shape is small enough to duplicate rather than
-// export.)
-func storageFanOut(n, pw int, fn func(i int)) {
-	if pw > n {
-		pw = n
-	}
-	if pw < 1 {
-		pw = 1
-	}
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	next.Store(-1)
-	for k := pw; k > 0; k-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 func (cfg StorageConfig) grid() []storageKey {
@@ -429,14 +360,13 @@ func (cfg StorageConfig) grid() []storageKey {
 // folds the canonical-order digest.
 func runStorageGrid(keys []storageKey, pw int) ([]StoragePoint, string, error) {
 	points := make([]StoragePoint, len(keys))
-	errs := make([]error, len(keys))
-	storageFanOut(len(keys), pw, func(i int) {
-		points[i], errs[i] = measureStoragePoint(keys[i])
+	err := par.Each(len(keys), pw, func(i int) error {
+		var err error
+		points[i], err = storageMemo.Do(keys[i], func() (StoragePoint, error) { return runStoragePoint(keys[i]) })
+		return err
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, "", err
-		}
+	if err != nil {
+		return nil, "", err
 	}
 	d := digest.New()
 	for _, pt := range points {
@@ -486,11 +416,7 @@ func storageCrossovers(points []StoragePoint) []StorageCrossover {
 	for s := range sizes {
 		sorted = append(sorted, s)
 	}
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
+	slices.Sort(sorted)
 	var out []StorageCrossover
 	for _, ck := range order {
 		x := StorageCrossover{CachePages: ck.cp, DirtyThreshold: ck.dt}
@@ -545,18 +471,4 @@ func RunStorage(cfg StorageConfig) (*StorageReport, error) {
 	rep.Crossovers = storageCrossovers(rep.Points)
 	rep.Perf = Perf()
 	return rep, nil
-}
-
-// resetStoragePerf clears the storage memo, rig pools, and counters;
-// hooked into the package-wide ResetPerf.
-func resetStoragePerf() {
-	storageMemoMu.Lock()
-	storageMemo = map[storageKey]*storageEntry{}
-	storageMemoMu.Unlock()
-	storageRigPools = sync.Map{}
-	storageMemoHits.Store(0)
-	storageMemoMisses.Store(0)
-	storageMemoWaits.Store(0)
-	storageRigsBuilt.Store(0)
-	storageRigsRecycled.Store(0)
 }

@@ -64,6 +64,28 @@ func TestRunStorageDeterministic(t *testing.T) {
 	}
 }
 
+// With the memo off, the 4-worker run re-simulates every point instead
+// of replaying the 1-worker run from the memo, and the default sweep
+// must still reproduce its committed digest at both worker counts.
+func TestRunStorageMemoOff(t *testing.T) {
+	withPerfRegime(t, false, true, 0, func() {
+		rep, err := RunStorage(StorageConfig{Workers: []int{1, 4}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		points := uint64(rep.Runs[0].Points)
+		if rep.Perf.StorageMemoHits != 0 || rep.Perf.StorageMemoMisses != 2*points {
+			t.Errorf("memo hits %d misses %d, want 0 and %d (every point simulated twice)",
+				rep.Perf.StorageMemoHits, rep.Perf.StorageMemoMisses, 2*points)
+		}
+		for _, r := range rep.Runs {
+			if r.Digest != "4234ccce87e5a8f3" {
+				t.Errorf("workers=%d digest %s, want the committed 4234ccce87e5a8f3", r.Workers, r.Digest)
+			}
+		}
+	})
+}
+
 // The report locates a finite copy-vs-move crossover on the read path
 // for every cache configuration, strictly inside the swept sizes.
 func TestRunStorageCrossover(t *testing.T) {

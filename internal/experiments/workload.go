@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/par"
 	"repro/internal/workload"
 )
 
@@ -101,27 +102,12 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadReport, error) {
 
 	coldDigest := ""
 	if cfg.CompareSerialCold {
-		memoWas, recycleWas := workload.PointMemoEnabled(), workload.ClusterRecyclingEnabled()
-		workload.SetPointMemo(false)
-		workload.SetClusterRecycling(false)
 		start := time.Now()
-		for _, w := range workers {
-			if w < 1 {
-				w = 1
-			}
-			res, err := workload.Run(cfg.Config, w)
-			if err != nil {
-				workload.SetPointMemo(memoWas)
-				workload.SetClusterRecycling(recycleWas)
-				return nil, err
-			}
-			if coldDigest == "" {
-				coldDigest = res.Digest
-			}
+		var err error
+		if coldDigest, err = runSerialCold(cfg.Config, workers); err != nil {
+			return nil, err
 		}
 		rep.SerialColdSec = time.Since(start).Seconds()
-		workload.SetPointMemo(memoWas)
-		workload.SetClusterRecycling(recycleWas)
 	}
 
 	for _, w := range workers {
@@ -158,4 +144,25 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadReport, error) {
 	}
 	rep.Perf = Perf()
 	return rep, nil
+}
+
+// runSerialCold runs the sweep at every worker count one point at a
+// time with the memo and recycling off, and returns the first run's
+// digest.
+func runSerialCold(cfg workload.Config, workers []int) (string, error) {
+	// Each inner call switches the mechanism off and returns its previous
+	// setting, which the deferred outer call restores.
+	defer par.SetMemo(par.SetMemo(false))
+	defer par.SetRecycling(par.SetRecycling(false))
+	digest := ""
+	for _, w := range workers {
+		res, err := workload.Run(cfg, max(w, 1))
+		if err != nil {
+			return "", err
+		}
+		if digest == "" {
+			digest = res.Digest
+		}
+	}
+	return digest, nil
 }

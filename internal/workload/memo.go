@@ -1,11 +1,9 @@
 package workload
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/par"
 )
 
 // The workload-point memo: a sweep point is a pure function of the
@@ -16,10 +14,10 @@ import (
 // bit-identically, so RunWorkload's multi-worker digest comparison can
 // simulate each point once and let the other worker counts verify
 // against the memo instead of recomputing — the default {1, 4}-worker
-// verification run costs ~1x rather than ~2x the sweep. The memo is
-// lock-striped and single-flight, exactly like the measurement cache on
-// the pairwise path: racing point workers asking for the same point
-// block on the in-flight entry instead of computing it twice.
+// verification run costs ~1x rather than ~2x the sweep. The memo is a
+// single-flight par.Memo, like the measurement memo on the pairwise
+// path: racing point workers asking for the same point block on the
+// in-flight entry instead of computing it twice.
 
 // pointKey identifies one operating point up to simulation determinism.
 // Every Config field that reaches the simulation is present; the
@@ -63,71 +61,10 @@ func memoKeyFor(cfg Config, sem core.Semantics, depth int, load float64) pointKe
 	}
 }
 
-// memoEntry is one memoized point. done is closed once raw and err are
-// final; until then latecomers for the same key block on it.
-type memoEntry struct {
-	done chan struct{}
-	raw  *pointRaw
-	err  error
-}
-
-// memoShards is the number of lock-striped segments; a power of two so
-// the shard index is a mask of the key hash.
-const memoShards = 16
-
-type memoShard struct {
-	mu      sync.Mutex
-	entries map[pointKey]*memoEntry
-}
-
-// pointMemo is the package-wide memo. Entries are immutable once their
-// done channel closes; a memoized *pointRaw is shared by reference and
-// only ever read (makePoint and foldPoint are pure readers).
-var pointMemo [memoShards]memoShard
-
-func init() {
-	for i := range pointMemo {
-		pointMemo[i].entries = make(map[pointKey]*memoEntry)
-	}
-}
-
-var (
-	memoHits   atomic.Uint64
-	memoMisses atomic.Uint64
-	memoWaits  atomic.Uint64
-)
-
-// pointMemoOff gates the memo; false = memo on (the default).
-var pointMemoOff atomic.Bool
-
-// SetPointMemo enables or disables the workload-point memo. Disabling
-// discards the memo contents; re-enabling starts from an empty memo.
-// Memoized and recomputed points are bit-identical — the memo only
-// removes redundant simulation — so the toggle exists for benchmarking
-// and for tests that want every run to genuinely re-simulate.
-func SetPointMemo(on bool) {
-	pointMemoOff.Store(!on)
-	if !on {
-		clearPointMemo()
-	}
-}
-
-// PointMemoEnabled reports whether the workload-point memo is active.
-func PointMemoEnabled() bool { return !pointMemoOff.Load() }
-
-func clearPointMemo() {
-	for i := range pointMemo {
-		sh := &pointMemo[i]
-		sh.mu.Lock()
-		sh.entries = make(map[pointKey]*memoEntry)
-		sh.mu.Unlock()
-	}
-}
-
-// memoShardIndex hashes the key's discriminating fields (FNV-1a) down
-// to a stripe. The hash only distributes — equality is still decided by
-// the full key inside the shard map.
-func memoShardIndex(k *pointKey) uint64 {
+// pointKeyHash spreads point keys over the memo's stripes (FNV-1a over
+// the key's discriminating fields). Equality is still decided by the
+// full key.
+func pointKeyHash(k pointKey) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)
 	mix := func(v uint64) {
@@ -143,39 +80,21 @@ func memoShardIndex(k *pointKey) uint64 {
 		h ^= uint64(k.scenario[i])
 		h *= prime
 	}
-	return h & (memoShards - 1)
+	return h
 }
 
+// pointMemo is the package-wide memo. A memoized *pointRaw is shared by
+// reference and only ever read (makePoint and foldPoint are pure
+// readers).
+var pointMemo = par.NewMemo[pointKey, *pointRaw](pointKeyHash)
+
 // memoPoint returns the memoized raw observations for the point,
-// computing them on a miss. Errors are memoized too: the simulation is
-// deterministic, so a failing point fails identically on every probe.
-// workers is deliberately absent from the key — points are
-// worker-count invariant, and that is the point.
+// computing them on a miss. workers is deliberately absent from the
+// key — points are worker-count invariant, and that is the point.
 func memoPoint(cfg Config, sem core.Semantics, depth int, load float64, workers int) (*pointRaw, error) {
-	if pointMemoOff.Load() {
+	return pointMemo.Do(memoKeyFor(cfg, sem, depth, load), func() (*pointRaw, error) {
 		return computePoint(cfg, sem, depth, load, workers)
-	}
-	key := memoKeyFor(cfg, sem, depth, load)
-	sh := &pointMemo[memoShardIndex(&key)]
-	sh.mu.Lock()
-	if e, ok := sh.entries[key]; ok {
-		sh.mu.Unlock()
-		select {
-		case <-e.done:
-			memoHits.Add(1)
-		default:
-			memoWaits.Add(1)
-			<-e.done
-		}
-		return e.raw, e.err
-	}
-	e := &memoEntry{done: make(chan struct{})}
-	sh.entries[key] = e
-	sh.mu.Unlock()
-	memoMisses.Add(1)
-	e.raw, e.err = computePoint(cfg, sem, depth, load, workers)
-	close(e.done)
-	return e.raw, e.err
+	})
 }
 
 // PerfStats is a snapshot of the workload engine's own performance
@@ -200,26 +119,22 @@ type PerfStats struct {
 
 // Perf returns a snapshot of the package-wide performance counters.
 func Perf() PerfStats {
+	memo, cl := pointMemo.Stats(), clusters.Stats()
 	return PerfStats{
-		MemoHits:             memoHits.Load(),
-		MemoMisses:           memoMisses.Load(),
-		MemoWaits:            memoWaits.Load(),
-		ClustersBuilt:        clustersBuilt.Load(),
-		ClustersRecycled:     clustersRecycled.Load(),
-		ClusterResetFailures: clusterResetFailures.Load(),
+		MemoHits:             memo.Hits,
+		MemoMisses:           memo.Misses,
+		MemoWaits:            memo.Waits,
+		ClustersBuilt:        cl.Built,
+		ClustersRecycled:     cl.Recycled,
+		ClusterResetFailures: cl.ResetFailures,
 	}
 }
 
-// ResetPerf discards the memo contents, the cluster free lists, and all
-// performance counters, preserving the enabled/disabled state of each
-// layer. Tests and benchmarks use it to measure from a cold start.
+// ResetPerf discards the memo contents and the cluster free lists and
+// zeroes all performance counters. The switches (par.SetMemo,
+// par.SetRecycling) keep their settings. Tests and benchmarks use it to
+// measure from a cold start.
 func ResetPerf() {
-	clearPointMemo()
-	clusterPools = sync.Map{}
-	memoHits.Store(0)
-	memoMisses.Store(0)
-	memoWaits.Store(0)
-	clustersBuilt.Store(0)
-	clustersRecycled.Store(0)
-	clusterResetFailures.Store(0)
+	pointMemo.Reset()
+	clusters.Reset()
 }

@@ -1,13 +1,12 @@
 package workload
 
 import (
-	"fmt"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/par"
 )
 
 // The optimization stack's whole contract is observational equivalence:
@@ -23,11 +22,10 @@ import (
 func setRegime(t testing.TB, memo, recycle bool) {
 	t.Helper()
 	ResetPerf()
-	SetPointMemo(memo)
-	SetClusterRecycling(recycle)
+	memoWas, recycleWas := par.SetMemo(memo), par.SetRecycling(recycle)
 	t.Cleanup(func() {
-		SetPointMemo(true)
-		SetClusterRecycling(true)
+		par.SetMemo(memoWas)
+		par.SetRecycling(recycleWas)
 		ResetPerf()
 	})
 }
@@ -92,7 +90,7 @@ func TestRegimesDigestIdentity(t *testing.T) {
 			// Recycled: the second pass reuses Reset clusters from the
 			// first. Recycling must actually fire for the regime to be
 			// exercised.
-			SetClusterRecycling(true)
+			par.SetRecycling(true)
 			res, err = RunParallel(cfg, 1, 1)
 			check("recycle-warmup", res, err)
 			res, err = RunParallel(cfg, 1, 1)
@@ -106,7 +104,7 @@ func TestRegimesDigestIdentity(t *testing.T) {
 			// Memo-served: with the memo on, a second run at a different
 			// in-cluster worker count is served entirely from cache — and
 			// must still reproduce the cold digest.
-			SetPointMemo(true)
+			par.SetMemo(true)
 			res, err = RunParallel(cfg, 1, 1)
 			check("memo-warmup", res, err)
 			before := Perf()
@@ -124,54 +122,14 @@ func TestRegimesDigestIdentity(t *testing.T) {
 	}
 }
 
-// TestPointWorkerResolution pins the fan-out arithmetic: explicit
-// counts pass through, non-positive adopts GOMAXPROCS, and the sweep
-// clamp never exceeds the grid.
+// TestPointWorkerResolution pins the reported point-worker count:
+// explicit counts pass through and non-positive adopts GOMAXPROCS.
 func TestPointWorkerResolution(t *testing.T) {
 	if got := ResolvePointWorkers(3); got != 3 {
 		t.Errorf("ResolvePointWorkers(3) = %d", got)
 	}
 	if got := ResolvePointWorkers(0); got < 1 {
 		t.Errorf("ResolvePointWorkers(0) = %d, want >= 1", got)
-	}
-	if got := resolvePointWorkers(64, 5); got != 5 {
-		t.Errorf("resolvePointWorkers(64, 5) = %d, want clamped to 5", got)
-	}
-	if got := resolvePointWorkers(1, 100); got != 1 {
-		t.Errorf("resolvePointWorkers(1, 100) = %d", got)
-	}
-}
-
-// TestFanOutPointsErrorDeterminism: when several racing point workers
-// hit failing grid cells, the executor must surface the lowest-index
-// failure — the one the serial walk would have stopped at — no matter
-// which worker reached it first, and must not abandon cells before it.
-func TestFanOutPointsErrorDeterminism(t *testing.T) {
-	const n = 64
-	for _, pw := range []int{1, 2, 8} {
-		errs := make([]error, n)
-		var ran [n]atomic.Bool
-		fanOutPoints(n, pw, func(i int) {
-			ran[i].Store(true)
-			if i == 17 || i == 40 {
-				errs[i] = fmt.Errorf("cell %d failed", i)
-			}
-		}, errs)
-		firstErr := -1
-		for i, err := range errs {
-			if err != nil {
-				firstErr = i
-				break
-			}
-		}
-		if firstErr != 17 {
-			t.Errorf("pw=%d: first error at index %d, want 17", pw, firstErr)
-		}
-		for i := 0; i <= 17; i++ {
-			if !ran[i].Load() {
-				t.Errorf("pw=%d: cell %d before the failure never ran", pw, i)
-			}
-		}
 	}
 }
 

@@ -3,14 +3,13 @@ package workload
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/faults"
 	"repro/internal/mem"
 	"repro/internal/netsim"
+	"repro/internal/par"
 )
 
 // Cluster recycling: every sweep point needs a multi-host cluster —
@@ -21,9 +20,9 @@ import (
 // graph to its post-construction state without reallocating frame
 // backing stores or event arenas, so the sweep keeps free lists of
 // Reset clusters, one per distinct configuration, and points reuse them
-// instead of rebuilding. sync.Pool gives each worker (strictly, each P)
-// its own lock-free list; a Reset cluster simulates bit-identically to
-// a fresh one, so recycling cannot perturb the sweep digest.
+// instead of rebuilding (see par.Recycler). A Reset cluster simulates
+// bit-identically to a fresh one, so recycling cannot perturb the sweep
+// digest.
 
 // clusterKey is the comparable identity of a cluster configuration:
 // clusters with equal keys are interchangeable after Reset. The cost
@@ -89,57 +88,5 @@ func keyFor(cfg core.ClusterConfig) clusterKey {
 	}
 }
 
-// clusterPools maps clusterKey to a *sync.Pool of Reset *core.Cluster
-// ready for reuse.
-var clusterPools sync.Map
-
-var (
-	clustersBuilt        atomic.Uint64
-	clustersRecycled     atomic.Uint64
-	clusterResetFailures atomic.Uint64
-)
-
-// clusterRecyclingOff gates cluster reuse; false = recycling on (the
-// default).
-var clusterRecyclingOff atomic.Bool
-
-// SetClusterRecycling enables or disables cluster recycling. Disabling
-// drops nothing eagerly — pooled clusters simply stop being handed out
-// (and collected); re-enabling resumes reuse. Recycled and fresh
-// clusters simulate bit-identically, so the toggle exists for
-// benchmarking and fault isolation, not correctness.
-func SetClusterRecycling(on bool) { clusterRecyclingOff.Store(!on) }
-
-// ClusterRecyclingEnabled reports whether cluster recycling is active.
-func ClusterRecyclingEnabled() bool { return !clusterRecyclingOff.Load() }
-
-// acquireCluster returns a ready-to-use cluster for the configuration:
-// a recycled one from the free list when available, a freshly built one
-// otherwise.
-func acquireCluster(cfg core.ClusterConfig) (*core.Cluster, error) {
-	if !clusterRecyclingOff.Load() {
-		if p, ok := clusterPools.Load(keyFor(cfg)); ok {
-			if v := p.(*sync.Pool).Get(); v != nil {
-				clustersRecycled.Add(1)
-				return v.(*core.Cluster), nil
-			}
-		}
-	}
-	clustersBuilt.Add(1)
-	return core.NewCluster(cfg)
-}
-
-// releaseCluster Resets the cluster and returns it to the free list for
-// its configuration. A cluster whose Reset fails (a leaked invariant in
-// the simulation) is dropped rather than reused.
-func releaseCluster(cfg core.ClusterConfig, c *core.Cluster) {
-	if clusterRecyclingOff.Load() {
-		return
-	}
-	if err := c.Reset(); err != nil {
-		clusterResetFailures.Add(1)
-		return
-	}
-	p, _ := clusterPools.LoadOrStore(keyFor(cfg), &sync.Pool{})
-	p.(*sync.Pool).Put(c)
-}
+// clusters recycles sweep-point clusters keyed by configuration.
+var clusters par.Recycler[clusterKey, *core.Cluster]

@@ -29,13 +29,12 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/digest"
 	"repro/internal/faults"
 	"repro/internal/netsim"
+	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topo"
@@ -297,26 +296,23 @@ func RunParallel(cfg Config, workers, pointWorkers int) (*Result, error) {
 		}
 	}
 	raws := make([]*pointRaw, len(grid))
-	errs := make([]error, len(grid))
-	runCell := func(i int) {
+	err = par.Each(len(grid), pointWorkers, func(i int) error {
 		g := grid[i]
-		raws[i], errs[i] = memoPoint(cfg, g.sem, g.depth, g.load, workers)
-	}
-	if pw := resolvePointWorkers(pointWorkers, len(grid)); pw == 1 {
-		for i := range grid {
-			runCell(i)
-			if errs[i] != nil {
-				break
-			}
+		raw, err := memoPoint(cfg, g.sem, g.depth, g.load, workers)
+		if err != nil {
+			return fmt.Errorf("workload: %s %s depth=%d load=%v: %w",
+				cfg.Scenario, g.sem, g.depth, g.load, err)
 		}
-	} else {
-		fanOutPoints(len(grid), pw, runCell, errs)
+		raws[i] = raw
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Assemble and fold in canonical grid order. The fold is the exact
 	// statement sequence the serial sweep emitted inline, so the digest
-	// cannot tell the regimes apart; errors surface as the lowest-index
-	// failure — precisely the error the serial walk would have returned.
+	// cannot tell the regimes apart.
 	d := digest.New()
 	res := &Result{
 		Scenario: cfg.Scenario,
@@ -334,10 +330,6 @@ func RunParallel(cfg Config, workers, pointWorkers int) (*Result, error) {
 		for range cfg.Depths {
 			for range cfg.Loads {
 				g = grid[idx]
-				if errs[idx] != nil {
-					return nil, fmt.Errorf("workload: %s %s depth=%d load=%v: %w",
-						cfg.Scenario, g.sem, g.depth, g.load, errs[idx])
-				}
 				pt := makePoint(cfg, g.depth, g.load, raws[idx])
 				foldPoint(d, g.sem.String(), &pt, raws[idx])
 				scheme.Points = append(scheme.Points, pt)
@@ -362,61 +354,6 @@ func ResolvePointWorkers(pw int) int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return pw
-}
-
-// resolvePointWorkers clamps the requested point-worker count to
-// [1, n]; <= 0 selects GOMAXPROCS.
-func resolvePointWorkers(pw, n int) int {
-	pw = ResolvePointWorkers(pw)
-	if pw > n {
-		pw = n
-	}
-	if pw < 1 {
-		pw = 1
-	}
-	return pw
-}
-
-// fanOutPoints runs fn(i) for every i in [0, n) across pw worker
-// goroutines claiming indices off a shared counter. fn writes into
-// caller-owned index-i storage, so distinct indices never race. Indices
-// beyond the lowest failing one may be abandoned — the assembly loop
-// stops there anyway — but every index below it always runs.
-func fanOutPoints(n, pw int, fn func(i int), errs []error) {
-	var (
-		next   atomic.Int64
-		mu     sync.Mutex
-		errIdx = n
-		wg     sync.WaitGroup
-	)
-	next.Store(-1)
-	for k := pw; k > 0; k-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				mu.Lock()
-				abandoned := i > errIdx
-				mu.Unlock()
-				if abandoned {
-					return
-				}
-				fn(i)
-				if errs[i] != nil {
-					mu.Lock()
-					if i < errIdx {
-						errIdx = i
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // computePoint dispatches one operating point to its scenario runner.
@@ -583,11 +520,12 @@ func clusterFor(cfg Config, depthMsgs, endpoints int, spec topo.Spec, workers in
 		Topo:    spec,
 		Workers: workers,
 	}
-	c, err := acquireCluster(ccfg)
+	key := keyFor(ccfg)
+	c, err := clusters.Get(key, func() (*core.Cluster, error) { return core.NewCluster(ccfg) })
 	if err != nil {
 		return nil, nil, err
 	}
-	release := func() { releaseCluster(ccfg, c) }
+	release := func() { clusters.Put(key, c) }
 	if got := c.Host(0).Genie.KernelPool().PageSize(); got != pageSize {
 		release()
 		return nil, nil, fmt.Errorf("workload: unexpected page size %d", got)

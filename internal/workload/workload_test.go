@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/par"
 )
 
 // The file-server sweep at default settings is the CI-pinned backbone
@@ -105,8 +106,8 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 	// Disable the point memo so every worker count actually resimulates;
 	// with it on, the later runs would verify against cached points and
 	// the comparison would be vacuous.
-	SetPointMemo(false)
-	t.Cleanup(func() { SetPointMemo(true) })
+	memoWas := par.SetMemo(false)
+	t.Cleanup(func() { par.SetMemo(memoWas) })
 	cfg := Config{
 		Semantics: []core.Semantics{core.Copy, core.Share},
 		Depths:    []int{1, 4},
@@ -135,8 +136,8 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 // derived per host — and injected wire loss keeps every depth bimodal:
 // a queue cannot buffer away a lossy link.
 func TestFaultArmedDeterministic(t *testing.T) {
-	SetPointMemo(false)
-	t.Cleanup(func() { SetPointMemo(true) })
+	memoWas := par.SetMemo(false)
+	t.Cleanup(func() { par.SetMemo(memoWas) })
 	cfg := Config{
 		Semantics: []core.Semantics{core.Copy},
 		Depths:    []int{4, 16},
