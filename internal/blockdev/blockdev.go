@@ -161,18 +161,22 @@ func (d *Device) service(block, count int) sim.Duration {
 	return d.busyUntil.Sub(d.eng.Now())
 }
 
-// ReadBuf reads count blocks starting at block, returning the content
-// and the wait until the data is available.
-func (d *Device) ReadBuf(block, count int) (mem.Buf, sim.Duration, error) {
+// ReadBlocks reads count blocks starting at block as one request,
+// returning each block's content (element i is block+i, exactly one
+// block long) and the wait until the data is available. The contents
+// are the device's stored values, shared rather than copied: callers
+// load them into frames or targets and never write through them. Join
+// them with mem.Concat when one buffer is needed.
+func (d *Device) ReadBlocks(block, count int) ([]mem.Buf, sim.Duration, error) {
 	if err := d.checkRange(block, count); err != nil {
-		return mem.Buf{}, 0, err
+		return nil, 0, err
 	}
 	wait := d.service(block, count)
 	d.stats.Reads++
 	d.stats.BlocksRead += uint64(count)
-	out := mem.Buf{}
-	for i := 0; i < count; i++ {
-		out = out.Append(d.Peek(block + i))
+	out := make([]mem.Buf, count)
+	for i := range out {
+		out[i] = d.Peek(block + i)
 	}
 	return out, wait, nil
 }
@@ -183,12 +187,17 @@ func (d *Device) ReadBuf(block, count int) (mem.Buf, sim.Duration, error) {
 // through, so in-place file input lands in referenced application
 // pages exactly like in-place network input.
 func (d *Device) Read(block, count int, target netsim.DMATarget) (sim.Duration, error) {
-	content, wait, err := d.ReadBuf(block, count)
+	blocks, wait, err := d.ReadBlocks(block, count)
 	if err != nil {
 		return 0, err
 	}
-	if limit := min(content.Len(), target.Len()); limit > 0 {
-		target.DMAWrite(0, content.Slice(0, limit))
+	limit := target.Len()
+	for i, b := range blocks {
+		off := i * d.blockSize
+		if off >= limit {
+			break
+		}
+		target.DMAWrite(off, b.Slice(0, min(d.blockSize, limit-off)))
 	}
 	return wait, nil
 }

@@ -36,18 +36,18 @@ func TestContentRoundTrip(t *testing.T) {
 	if _, err := d.Write(3, mem.BufBytes(want)); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := d.ReadBuf(3, 2)
+	got, _, err := d.ReadBlocks(3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Resolve(), want) {
+	if !bytes.Equal(mem.Concat(got).Resolve(), want) {
 		t.Fatal("read-back content differs from written content")
 	}
-	zero, _, err := d.ReadBuf(10, 1)
+	zero, _, err := d.ReadBlocks(10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(zero.Resolve(), make([]byte, bs)) {
+	if !bytes.Equal(mem.Concat(zero).Resolve(), make([]byte, bs)) {
 		t.Fatal("unwritten block not zero")
 	}
 	if _, err := d.Write(5, mem.BufBytes(pattern(2, 100))); err != nil {
@@ -82,7 +82,7 @@ func TestSeekAccounting(t *testing.T) {
 		t.Fatalf("contiguous write wait %v, want %v", w2.Micros(), want2)
 	}
 	// Jump back: seek again.
-	if _, _, err := d.ReadBuf(0, 1); err != nil {
+	if _, _, err := d.ReadBlocks(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	st := d.Stats()
@@ -115,7 +115,7 @@ func TestArmIdleGap(t *testing.T) {
 // Range validation and Reset behavior.
 func TestRangeAndReset(t *testing.T) {
 	_, d := newDev(t, Model{})
-	if _, _, err := d.ReadBuf(63, 2); err == nil {
+	if _, _, err := d.ReadBlocks(63, 2); err == nil {
 		t.Fatal("overrun read accepted")
 	}
 	if _, err := d.Write(-1, mem.ZeroBuf(bs)); err == nil {
@@ -124,7 +124,7 @@ func TestRangeAndReset(t *testing.T) {
 	if err := d.Load(2, mem.BufBytes(pattern(3, bs))); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := d.ReadBuf(2, 1); err != nil {
+	if _, _, err := d.ReadBlocks(2, 1); err != nil {
 		t.Fatal(err)
 	}
 	d.Reset()
@@ -135,7 +135,7 @@ func TestRangeAndReset(t *testing.T) {
 		t.Fatal("content survived Reset")
 	}
 	// Post-Reset service starts with a cold arm, like a fresh device.
-	_, w, err := d.ReadBuf(0, 1)
+	_, w, err := d.ReadBlocks(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,5 +155,69 @@ func TestModelNormalization(t *testing.T) {
 	_, lit := newDev(t, Model{SeekUS: 5})
 	if lit.Model() != (Model{SeekUS: 5}) {
 		t.Fatalf("literal model perturbed: %+v", lit.Model())
+	}
+}
+
+// frameTarget is a DMA target over a run of frames whose capacity, n
+// bytes, may end mid-frame. A store past the capacity fails the test.
+type frameTarget struct {
+	t      *testing.T
+	frames []*mem.Frame
+	n      int
+}
+
+func (ft frameTarget) Len() int { return ft.n }
+
+func (ft frameTarget) DMAWrite(off int, b mem.Buf) {
+	if off < 0 || off+b.Len() > ft.n {
+		ft.t.Fatalf("DMAWrite [%d,+%d) past a %d-byte target", off, b.Len(), ft.n)
+	}
+	mem.ScatterFrames(ft.frames, off, b)
+}
+
+// Read of several blocks into a target that ends mid-block stores
+// exactly the target's length, block by block, and both data planes
+// leave the same bytes in the target's frames.
+func TestReadClipsToTarget(t *testing.T) {
+	const blocks, limit = 3, 2*bs + 100
+	var frames [2][]*mem.Frame
+	for i, plane := range []mem.DataPlane{mem.Bytes, mem.Symbolic} {
+		_, d := newDev(t, Model{})
+		for b := 0; b < blocks; b++ {
+			content := mem.BufBytes(pattern(b+1, bs))
+			if plane.Symbolic() {
+				content = mem.LiteralBuf(pattern(b+1, bs))
+			}
+			if err := d.Load(4+b, content); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pm := mem.NewWithPlane(blocks+1, bs, plane)
+		for range blocks + 1 {
+			f, err := pm.AllocZeroed()
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames[i] = append(frames[i], f)
+		}
+		if _, err := d.Read(4, blocks, frameTarget{t, frames[i], limit}); err != nil {
+			t.Fatal(err)
+		}
+		got := mem.GatherFrames(frames[i], 0, (blocks+1)*bs).Resolve()
+		want := append(append(pattern(1, bs), pattern(2, bs)...), pattern(3, 100)...)
+		if !bytes.Equal(got[:limit], want) {
+			t.Fatalf("%s plane: target content differs from the device blocks", plane.Name())
+		}
+		if !bytes.Equal(got[limit:], make([]byte, len(got)-limit)) {
+			t.Fatalf("%s plane: Read stored past the target's end", plane.Name())
+		}
+		if st := d.Stats(); st.Reads != 1 || st.BlocksRead != blocks {
+			t.Fatalf("%s plane: stats %+v, want one request of %d blocks", plane.Name(), st, blocks)
+		}
+	}
+	for j := range frames[0] {
+		if !frames[0][j].ReadBuf(0, bs).Equal(frames[1][j].ReadBuf(0, bs)) {
+			t.Fatalf("frame %d differs between the bytes and symbolic planes", j)
+		}
 	}
 }

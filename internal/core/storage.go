@@ -23,7 +23,9 @@ import (
 //                             into the app's address space (consuming
 //                             the cache entry), partial tails copied
 //            share families — in-place device DMA into referenced app
-//                             pages, bypassing the cache entirely
+//                             pages, bypassing the cache (dirty cached
+//                             pages of the range are written back
+//                             first, as O_DIRECT does)
 //            move families  — a system-allocated region built from
 //                             donated cache pages (the mmap-style op)
 //   write(): copy           — copyin into cache pages (write-behind)
@@ -286,12 +288,15 @@ func (s *Storage) FileRead(p *Process, sem Semantics, block, length int, va vm.A
 			prep = append(prep, charge{cost.Wire, length})
 		}
 		blocks := s.blockSpan(length)
+		// Direct I/O stays coherent with the cache: dirty cached pages
+		// of the range reach the media before the device serves it.
+		wb := s.cache.WriteBackRange(block, blocks)
 		w, err := s.dev.Read(block, blocks, ref)
 		if err != nil {
 			ref.Unreference()
 			return nil, err
 		}
-		wait = w
+		wait = max(wb, w) // the arm serializes: the read completes after the writebacks
 		s.stats.DirectReads++
 		s.stats.DirectBlocks += uint64(blocks)
 		op.Addr = va

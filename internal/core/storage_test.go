@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/mem"
@@ -193,6 +194,63 @@ func TestShareReadBypassesCache(t *testing.T) {
 	}
 	if err := s.CheckConservation(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Share-family reads stay coherent with the cache, as O_DIRECT does:
+// the range's dirty cached pages are written back before the device
+// DMA, counted as writebacks, and their device time is part of the
+// read's wait.
+func TestFileReadDirectSeesDirtyCache(t *testing.T) {
+	for _, sem := range []Semantics{Share, EmulatedShare} {
+		tb, s := storageBed(t, DiskConfig{CachePages: 32})
+		bs := s.Device().BlockSize()
+		loadFile(t, s, 4)
+		p := tb.A.Genie.NewProcess()
+		src, err := p.Brk(bs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirty := bytes.Repeat([]byte{0xAB}, bs)
+		if err := p.Write(src, dirty); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.FileWrite(p, Copy, 0, bs, src); err != nil {
+			t.Fatal(err)
+		}
+		tb.Run()
+		if s.Cache().Dirty() != 1 || s.Device().Stats().Writes != 0 {
+			t.Fatalf("%v: write did not stay in the cache", sem)
+		}
+		dst, err := p.Brk(2 * bs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		op, err := s.FileRead(p, sem, 0, 2*bs, dst)
+		if err != nil {
+			t.Fatalf("%v: %v", sem, err)
+		}
+		tb.Run()
+		if !op.Done || op.Err != nil {
+			t.Fatalf("%v: op not done (err %v)", sem, op.Err)
+		}
+		want := append(append([]byte(nil), dirty...), filePattern(1, bs)...)
+		if got := readBack(t, p, dst, 2*bs); !bytes.Equal(got, want) {
+			t.Fatalf("%v: direct read returned media older than the cache's write", sem)
+		}
+		if ct := s.Cache().Counters(); ct.Writebacks != 1 || s.Cache().Dirty() != 0 {
+			t.Fatalf("%v: writebacks %d, dirty %d; want 1, 0", sem, ct.Writebacks, s.Cache().Dirty())
+		}
+		// Both requests pay a seek on the arm: the write-back starts
+		// cold, and the read returns to the block it just wrote.
+		m := s.Device().Model()
+		wantWait := 2*(m.SeekUS+m.FixedUS) + m.PerByteUS*float64(3*bs)
+		if math.Abs(op.DeviceWait-wantWait) > 1e-6 {
+			t.Fatalf("%v: device wait %v us, want %v (write-back + read)", sem, op.DeviceWait, wantWait)
+		}
+		if err := s.CheckConservation(); err != nil {
+			t.Fatalf("%v: %v", sem, err)
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ package pagecache
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/blockdev"
 	"repro/internal/mem"
@@ -183,32 +184,43 @@ func (c *Cache) flushDirty() sim.Duration {
 			blocks = append(blocks, b)
 		}
 	}
-	sortInts(blocks)
+	slices.Sort(blocks)
 	var wait sim.Duration
 	for _, b := range blocks {
-		e := c.entries[b]
-		w, err := c.dev.Write(b, e.frame.SnapshotBuf())
-		if err != nil {
-			// Resident blocks are in device range by construction.
-			panic(fmt.Sprintf("pagecache: writeback of block %d: %v", b, err))
-		}
-		wait = w // sequential on the arm: the last write's wait covers all
-		e.dirty = false
-		c.ndirty--
-		c.counters.Writebacks++
+		wait = c.writeBack(c.entries[b]) // sequential on the arm: the last write's wait covers all
 	}
 	c.gauge()
 	return wait
 }
 
-// sortInts is insertion sort: dirty sets are small and the dependency
-// footprint stays minimal.
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
+// WriteBackRange writes back the dirty resident pages among
+// [block, block+count) in ascending block order, leaving them resident
+// and clean, and returns the device wait (zero when none was dirty).
+// A cache-bypassing read calls it first, as O_DIRECT does, so the
+// device never serves media older than the cache's own writes.
+func (c *Cache) WriteBackRange(block, count int) sim.Duration {
+	var wait sim.Duration
+	for b := block; b < block+count; b++ {
+		if e, ok := c.entries[b]; ok && e.dirty {
+			wait = c.writeBack(e) // sequential on the arm: the last write's wait covers all
 		}
 	}
+	c.gauge()
+	return wait
+}
+
+// writeBack writes a dirty page to the device and marks it clean,
+// returning the device wait. The caller re-levels the gauges.
+func (c *Cache) writeBack(e *entry) sim.Duration {
+	w, err := c.dev.Write(e.block, e.frame.SnapshotBuf())
+	if err != nil {
+		// Resident blocks are in device range by construction.
+		panic(fmt.Sprintf("pagecache: writeback of block %d: %v", e.block, err))
+	}
+	e.dirty = false
+	c.ndirty--
+	c.counters.Writebacks++
+	return w
 }
 
 // evictFor evicts least-recently-used pages until need more pages fit
@@ -218,14 +230,7 @@ func (c *Cache) evictFor(need int) sim.Duration {
 	for len(c.entries)+need > c.cfg.Pages && c.tail != nil {
 		e := c.tail
 		if e.dirty {
-			w, err := c.dev.Write(e.block, e.frame.SnapshotBuf())
-			if err != nil {
-				panic(fmt.Sprintf("pagecache: eviction writeback of block %d: %v", e.block, err))
-			}
-			wait = w
-			e.dirty = false
-			c.ndirty--
-			c.counters.Writebacks++
+			wait = c.writeBack(e)
 		}
 		c.lruUnlink(e)
 		delete(c.entries, e.block)
@@ -265,20 +270,19 @@ func (c *Cache) fill(block int) (sim.Duration, error) {
 		}
 		run++
 	}
-	content, wait, err := c.dev.ReadBuf(block, run)
+	blocks, wait, err := c.dev.ReadBlocks(block, run)
 	if err != nil {
 		return 0, err
 	}
 	c.counters.Misses++
 	c.counters.ReadAheads += uint64(run - 1)
-	bs := c.dev.BlockSize()
 	for i := run - 1; i >= 0; i-- { // insert missed block last so it ends up MRU
 		e, evictWait, err := c.insert(block + i)
 		if err != nil {
 			return wait, err
 		}
 		wait += evictWait
-		e.frame.LoadBuf(content.Slice(i*bs, bs))
+		e.frame.LoadBuf(blocks[i])
 	}
 	return wait, nil
 }
@@ -314,26 +318,49 @@ func (c *Cache) EnsureRange(block, count int) (sim.Duration, error) {
 }
 
 // ReadRange returns n bytes starting at byte off within block's run,
-// filling misses, plus the device wait.
+// filling misses, plus the device wait. Each byte is copied once: on
+// the bytes plane every page reads straight into its slice of one
+// n-byte result, on the symbolic plane the pages' runs are joined once.
+// Pages are read as they are required, so a fill that evicts an
+// earlier page of the range cannot lose its bytes.
 func (c *Cache) ReadRange(block, off, n int) (mem.Buf, sim.Duration, error) {
+	if n <= 0 {
+		return mem.Buf{}, 0, nil
+	}
 	bs := c.dev.BlockSize()
-	out := mem.Buf{}
-	var wait sim.Duration
 	pos := block + off/bs
 	off %= bs
-	for n > 0 {
+	symbolic := c.sys.Phys().Symbolic()
+	var (
+		out   []byte
+		parts []mem.Buf
+	)
+	if symbolic {
+		parts = make([]mem.Buf, 0, (off+n+bs-1)/bs)
+	} else {
+		out = make([]byte, n)
+	}
+	var wait sim.Duration
+	for done := 0; done < n; {
 		e, w, err := c.require(pos)
 		if err != nil {
 			return mem.Buf{}, wait, err
 		}
 		wait += w
-		k := min(bs-off, n)
-		out = out.Append(e.frame.ReadBuf(off, k))
-		n -= k
+		k := min(bs-off, n-done)
+		if symbolic {
+			parts = append(parts, e.frame.ReadBuf(off, k))
+		} else {
+			e.frame.ReadAt(out[done:done+k], off)
+		}
+		done += k
 		off = 0
 		pos++
 	}
-	return out, wait, nil
+	if symbolic {
+		return mem.Concat(parts), wait, nil
+	}
+	return mem.BufBytes(out), wait, nil
 }
 
 // WriteRange stores data at byte off within block's run with
@@ -391,14 +418,7 @@ func (c *Cache) TakeFrame(block int) (*mem.Frame, sim.Duration, error) {
 		return nil, wait, err
 	}
 	if e.dirty {
-		w, err := c.dev.Write(e.block, e.frame.SnapshotBuf())
-		if err != nil {
-			return nil, wait, err
-		}
-		wait += w
-		e.dirty = false
-		c.ndirty--
-		c.counters.Writebacks++
+		wait += c.writeBack(e)
 	}
 	c.lruUnlink(e)
 	delete(c.entries, e.block)

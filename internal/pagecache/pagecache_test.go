@@ -2,6 +2,7 @@ package pagecache
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/blockdev"
@@ -14,7 +15,13 @@ const pageSize = 4096
 
 func newCache(t *testing.T, cfg Config) (*vm.System, *blockdev.Device, *Cache) {
 	t.Helper()
-	pm := mem.NewWithPlane(256, pageSize, mem.Bytes)
+	return newCacheOn(t, mem.Bytes, cfg)
+}
+
+// newCacheOn is newCache with frames on the given data plane.
+func newCacheOn(t testing.TB, plane mem.DataPlane, cfg Config) (*vm.System, *blockdev.Device, *Cache) {
+	t.Helper()
+	pm := mem.NewWithPlane(256, pageSize, plane)
 	sys := vm.NewSystem(pm)
 	eng := sim.New()
 	dev, err := blockdev.New(eng, blockdev.Model{SeekUS: 100, FixedUS: 10, PerByteUS: 0.001}, pageSize, 128)
@@ -28,7 +35,7 @@ func newCache(t *testing.T, cfg Config) (*vm.System, *blockdev.Device, *Cache) {
 	return sys, dev, c
 }
 
-func image(dev *blockdev.Device, t *testing.T, blocks int) {
+func image(dev *blockdev.Device, t testing.TB, blocks int) {
 	t.Helper()
 	for b := 0; b < blocks; b++ {
 		p := make([]byte, pageSize)
@@ -349,6 +356,126 @@ func TestReacquireMatchesFresh(t *testing.T) {
 	for i := range fresh {
 		if fresh[i] != recycled[i] {
 			t.Fatalf("frame ids diverge at %d: fresh %v recycled %v", i, fresh, recycled)
+		}
+	}
+}
+
+// The storage read path copies each byte once: a bytes-plane ReadRange
+// of resident pages allocates only its result, and a Device.Read into
+// referenced pages allocates only the list of block contents.
+func TestReadPathAllocs(t *testing.T) {
+	sys, dev, c := newCache(t, Config{Pages: 32})
+	image(dev, t, 32)
+	const pages, blocks = 15, 5
+	if _, err := c.EnsureRange(0, pages); err != nil {
+		t.Fatal(err)
+	}
+	readRange := func() {
+		if _, _, err := c.ReadRange(0, 0, pages*pageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a := testing.AllocsPerRun(20, readRange); a > 1 {
+		t.Fatalf("%d-page ReadRange of resident blocks: %v allocs, want <= 1", pages, a)
+	}
+
+	as := sys.NewAddressSpace()
+	r, err := as.AllocRegion(blocks*pageSize, vm.Unmovable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := as.ReferenceRange(r.Start(), blocks*pageSize, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Unreference()
+	devRead := func() {
+		if _, err := dev.Read(0, blocks, ref); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a := testing.AllocsPerRun(20, devRead); a > 1 {
+		t.Fatalf("%d-block Device.Read into an IORef: %v allocs, want <= 1", blocks, a)
+	}
+	got := make([]byte, blocks*pageSize)
+	ref.DMARead(0, got)
+	for b := 0; b < blocks; b++ {
+		if !bytes.Equal(got[b*pageSize:(b+1)*pageSize], wantBlock(b, 0, pageSize)) {
+			t.Fatalf("block %d content mismatch after Device.Read", b)
+		}
+	}
+}
+
+var sinkBuf mem.Buf
+
+// BenchmarkReadRange reads a run of resident pages on each data plane.
+func BenchmarkReadRange(b *testing.B) {
+	for _, plane := range []mem.DataPlane{mem.Bytes, mem.Symbolic} {
+		for _, pages := range []int{1, 4, 15} {
+			b.Run(fmt.Sprintf("%s/%dpages", plane.Name(), pages), func(b *testing.B) {
+				_, dev, c := newCacheOn(b, plane, Config{Pages: 16})
+				image(dev, b, pages)
+				if _, err := c.EnsureRange(0, pages); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.SetBytes(int64(pages * pageSize))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					buf, _, err := c.ReadRange(0, 0, pages*pageSize)
+					if err != nil {
+						b.Fatal(err)
+					}
+					sinkBuf = buf
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkFillReadAhead misses once per iteration on a bytes-plane
+// cache of five pages with read-ahead 4, so every miss fills a
+// five-block run and evicts the previous one.
+func BenchmarkFillReadAhead(b *testing.B) {
+	const run = 5
+	_, dev, c := newCacheOn(b, mem.Bytes, Config{Pages: run, ReadAhead: run - 1})
+	image(dev, b, 120)
+	b.ReportAllocs()
+	b.SetBytes(run * pageSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.EnsureRange(i*run%120, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if ct := c.Counters(); ct.Misses != uint64(b.N) || ct.ReadAheads != uint64(b.N*(run-1)) {
+		b.Fatalf("counters %+v: want one %d-block fill per iteration", ct, run)
+	}
+}
+
+// BenchmarkDeviceRead DMAs five blocks into referenced bytes-plane
+// pages.
+func BenchmarkDeviceRead(b *testing.B) {
+	const blocks = 5
+	sys, dev, _ := newCacheOn(b, mem.Bytes, Config{Pages: 1})
+	image(dev, b, blocks)
+	as := sys.NewAddressSpace()
+	r, err := as.AllocRegion(blocks*pageSize, vm.Unmovable)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ref, err := as.ReferenceRange(r.Start(), blocks*pageSize, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ref.Unreference()
+	b.ReportAllocs()
+	b.SetBytes(blocks * pageSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dev.Read(0, blocks, ref); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
