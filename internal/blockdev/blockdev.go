@@ -165,8 +165,7 @@ func (d *Device) service(block, count int) sim.Duration {
 // returning each block's content (element i is block+i, exactly one
 // block long) and the wait until the data is available. The contents
 // are the device's stored values, shared rather than copied: callers
-// load them into frames or targets and never write through them. Join
-// them with mem.Concat when one buffer is needed.
+// load them into frames or targets and never write through them.
 func (d *Device) ReadBlocks(block, count int) ([]mem.Buf, sim.Duration, error) {
 	if err := d.checkRange(block, count); err != nil {
 		return nil, 0, err

@@ -290,13 +290,13 @@ func (s *Storage) FileRead(p *Process, sem Semantics, block, length int, va vm.A
 		blocks := s.blockSpan(length)
 		// Direct I/O stays coherent with the cache: dirty cached pages
 		// of the range reach the media before the device serves it.
-		wb := s.cache.WriteBackRange(block, blocks)
+		s.cache.WriteBackRange(block, blocks)
 		w, err := s.dev.Read(block, blocks, ref)
 		if err != nil {
 			ref.Unreference()
 			return nil, err
 		}
-		wait = max(wb, w) // the arm serializes: the read completes after the writebacks
+		wait = w // the arm serializes: the read's wait covers the writebacks
 		s.stats.DirectReads++
 		s.stats.DirectBlocks += uint64(blocks)
 		op.Addr = va

@@ -240,8 +240,8 @@ func (b Buf) Slice(off, n int) Buf {
 }
 
 // Append returns the concatenation b + o. It joins two operands: a loop
-// of Append copies its whole prefix at every step, so join n parts with
-// Concat.
+// of Append copies its whole prefix at every step, so a join of n parts
+// should size its result once and read each part into it.
 func (b Buf) Append(o Buf) Buf {
 	switch {
 	case o.n == 0:
@@ -262,54 +262,6 @@ func (b Buf) Append(o Buf) Buf {
 		runs = appendRun(runs, r)
 	}
 	return Buf{n: b.n + o.n, runs: runs}
-}
-
-// Concat returns the concatenation of parts, sized once: one allocation
-// of the total length when every non-empty part is materialized, one
-// run list otherwise (materialized parts become literal runs aliasing
-// their bytes, as in Append). A lone non-empty part is returned
-// unchanged.
-func Concat(parts []Buf) Buf {
-	n, nruns, nonEmpty, lone, symbolic := 0, 0, 0, 0, false
-	for i, p := range parts {
-		if p.n == 0 {
-			continue
-		}
-		n += p.n
-		nonEmpty++
-		lone = i
-		if p.bytes == nil {
-			symbolic = true
-			nruns += len(p.runs)
-		} else {
-			nruns++
-		}
-	}
-	switch {
-	case nonEmpty == 0:
-		return Buf{}
-	case nonEmpty == 1:
-		return parts[lone]
-	case !symbolic:
-		joined := make([]byte, 0, n)
-		for _, p := range parts {
-			joined = append(joined, p.bytes...)
-		}
-		return Buf{n: n, bytes: joined}
-	}
-	runs := make([]Run, 0, nruns)
-	for _, p := range parts {
-		switch {
-		case p.n == 0:
-		case p.bytes != nil:
-			runs = appendRun(runs, Run{Src: SrcLiteral, Len: p.n, lit: p.bytes})
-		default:
-			for _, r := range p.runs {
-				runs = appendRun(runs, r)
-			}
-		}
-	}
-	return Buf{n: n, runs: runs}
 }
 
 // ReadAt resolves bytes [off, off+len(p)) of the buffer into p.

@@ -246,98 +246,3 @@ func TestFrameSnapshotLoadRoundTrip(t *testing.T) {
 		})
 	}
 }
-
-// TestPropertyConcatMatchesAppendFold checks Concat against the naive
-// left fold of Append over random mixes of parts. Bytes-plane trials
-// join only materialized and empty parts; symbolic trials mix empty,
-// zero, pattern (some continuing the previous pattern part, so runs
-// coalesce across part boundaries), literal and materialized parts.
-// The two must agree on length, contents and representation, and a
-// lone non-empty part must come back unchanged. Runs are compared with
-// a fold over the parts in run form: Append joins two adjacent
-// materialized parts into one fresh slice, while Concat keeps each as
-// its own literal run rather than copy it.
-func TestPropertyConcatMatchesAppendFold(t *testing.T) {
-	sameBuf := func(a, b Buf) bool {
-		return a.n == b.n && len(a.bytes) == len(b.bytes) && len(a.runs) == len(b.runs) &&
-			(len(a.bytes) == 0 || &a.bytes[0] == &b.bytes[0]) &&
-			(len(a.runs) == 0 || &a.runs[0] == &b.runs[0])
-	}
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		symbolic := rng.Intn(2) == 1
-		kinds := 2 // empty, bytes
-		if symbolic {
-			kinds = 6
-		}
-		parts := make([]Buf, rng.Intn(8))
-		var src SourceID
-		next := 0 // source offset following the last pattern part
-		for i := range parts {
-			n := 1 + rng.Intn(40)
-			switch rng.Intn(kinds) {
-			case 0:
-				if rng.Intn(2) == 0 {
-					parts[i] = Buf{}
-				} else {
-					parts[i] = BufBytes([]byte{})
-				}
-			case 1:
-				p := make([]byte, n)
-				rng.Read(p)
-				parts[i] = BufBytes(p)
-			case 2:
-				parts[i] = ZeroBuf(n)
-			case 3, 4:
-				if src == 0 || rng.Intn(2) == 0 {
-					src, next = NewPatternSource(), rng.Intn(100)
-				}
-				parts[i] = PatternBuf(src, next, n)
-				next += n
-			case 5:
-				p := make([]byte, n)
-				rng.Read(p)
-				parts[i] = LiteralBuf(p)
-			}
-		}
-		fold, runFold := Buf{}, Buf{}
-		lone, nonEmpty := Buf{}, 0
-		for _, p := range parts {
-			fold = fold.Append(p)
-			if p.bytes != nil {
-				runFold = runFold.Append(LiteralBuf(p.bytes))
-			} else {
-				runFold = runFold.Append(p)
-			}
-			if p.Len() > 0 {
-				lone = p
-				nonEmpty++
-			}
-		}
-		got := Concat(parts)
-		switch {
-		case got.Len() != fold.Len():
-			t.Logf("seed %d: Len %d, fold %d", seed, got.Len(), fold.Len())
-			return false
-		case !bytes.Equal(got.Resolve(), fold.Resolve()):
-			t.Logf("seed %d: contents differ from the Append fold", seed)
-			return false
-		case got.Len() > 0 && got.Symbolic() != fold.Symbolic():
-			t.Logf("seed %d: Symbolic %v, fold %v", seed, got.Symbolic(), fold.Symbolic())
-			return false
-		case got.Symbolic() && !runsEqual(got.runs, runFold.runs):
-			t.Logf("seed %d: runs %v, fold %v", seed, got.runs, runFold.runs)
-			return false
-		case nonEmpty == 1 && !sameBuf(got, lone):
-			t.Logf("seed %d: lone non-empty part not returned unchanged", seed)
-			return false
-		case !symbolic && got.Len() > 0 && got.Symbolic():
-			t.Logf("seed %d: materialized parts joined into runs", seed)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -195,18 +195,16 @@ func (c *Cache) flushDirty() sim.Duration {
 
 // WriteBackRange writes back the dirty resident pages among
 // [block, block+count) in ascending block order, leaving them resident
-// and clean, and returns the device wait (zero when none was dirty).
-// A cache-bypassing read calls it first, as O_DIRECT does, so the
-// device never serves media older than the cache's own writes.
-func (c *Cache) WriteBackRange(block, count int) sim.Duration {
-	var wait sim.Duration
+// and clean. A cache-bypassing read calls it first, as O_DIRECT does,
+// so the device never serves media older than the cache's own writes;
+// the device queues the writes, so that read's wait already covers them.
+func (c *Cache) WriteBackRange(block, count int) {
 	for b := block; b < block+count; b++ {
 		if e, ok := c.entries[b]; ok && e.dirty {
-			wait = c.writeBack(e) // sequential on the arm: the last write's wait covers all
+			c.writeBack(e)
 		}
 	}
 	c.gauge()
-	return wait
 }
 
 // writeBack writes a dirty page to the device and marks it clean,
@@ -318,11 +316,11 @@ func (c *Cache) EnsureRange(block, count int) (sim.Duration, error) {
 }
 
 // ReadRange returns n bytes starting at byte off within block's run,
-// filling misses, plus the device wait. Each byte is copied once: on
-// the bytes plane every page reads straight into its slice of one
-// n-byte result, on the symbolic plane the pages' runs are joined once.
-// Pages are read as they are required, so a fill that evicts an
-// earlier page of the range cannot lose its bytes.
+// filling misses, plus the device wait. Each byte is copied once: every
+// page reads straight into its slice of one n-byte result, materialized
+// on either data plane. Pages are
+// read as they are required, so a fill that evicts an earlier page of
+// the range cannot lose its bytes.
 func (c *Cache) ReadRange(block, off, n int) (mem.Buf, sim.Duration, error) {
 	if n <= 0 {
 		return mem.Buf{}, 0, nil
@@ -330,16 +328,7 @@ func (c *Cache) ReadRange(block, off, n int) (mem.Buf, sim.Duration, error) {
 	bs := c.dev.BlockSize()
 	pos := block + off/bs
 	off %= bs
-	symbolic := c.sys.Phys().Symbolic()
-	var (
-		out   []byte
-		parts []mem.Buf
-	)
-	if symbolic {
-		parts = make([]mem.Buf, 0, (off+n+bs-1)/bs)
-	} else {
-		out = make([]byte, n)
-	}
+	out := make([]byte, n)
 	var wait sim.Duration
 	for done := 0; done < n; {
 		e, w, err := c.require(pos)
@@ -348,17 +337,10 @@ func (c *Cache) ReadRange(block, off, n int) (mem.Buf, sim.Duration, error) {
 		}
 		wait += w
 		k := min(bs-off, n-done)
-		if symbolic {
-			parts = append(parts, e.frame.ReadBuf(off, k))
-		} else {
-			e.frame.ReadAt(out[done:done+k], off)
-		}
+		e.frame.ReadAt(out[done:done+k], off)
 		done += k
 		off = 0
 		pos++
-	}
-	if symbolic {
-		return mem.Concat(parts), wait, nil
 	}
 	return mem.BufBytes(out), wait, nil
 }

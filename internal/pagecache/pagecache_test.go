@@ -13,15 +13,9 @@ import (
 
 const pageSize = 4096
 
-func newCache(t *testing.T, cfg Config) (*vm.System, *blockdev.Device, *Cache) {
+func newCache(t testing.TB, cfg Config) (*vm.System, *blockdev.Device, *Cache) {
 	t.Helper()
-	return newCacheOn(t, mem.Bytes, cfg)
-}
-
-// newCacheOn is newCache with frames on the given data plane.
-func newCacheOn(t testing.TB, plane mem.DataPlane, cfg Config) (*vm.System, *blockdev.Device, *Cache) {
-	t.Helper()
-	pm := mem.NewWithPlane(256, pageSize, plane)
+	pm := mem.NewWithPlane(256, pageSize, mem.Bytes)
 	sys := vm.NewSystem(pm)
 	eng := sim.New()
 	dev, err := blockdev.New(eng, blockdev.Model{SeekUS: 100, FixedUS: 10, PerByteUS: 0.001}, pageSize, 128)
@@ -408,28 +402,26 @@ func TestReadPathAllocs(t *testing.T) {
 
 var sinkBuf mem.Buf
 
-// BenchmarkReadRange reads a run of resident pages on each data plane.
+// BenchmarkReadRange reads a run of resident bytes-plane pages.
 func BenchmarkReadRange(b *testing.B) {
-	for _, plane := range []mem.DataPlane{mem.Bytes, mem.Symbolic} {
-		for _, pages := range []int{1, 4, 15} {
-			b.Run(fmt.Sprintf("%s/%dpages", plane.Name(), pages), func(b *testing.B) {
-				_, dev, c := newCacheOn(b, plane, Config{Pages: 16})
-				image(dev, b, pages)
-				if _, err := c.EnsureRange(0, pages); err != nil {
+	for _, pages := range []int{1, 4, 15} {
+		b.Run(fmt.Sprintf("%dpages", pages), func(b *testing.B) {
+			_, dev, c := newCache(b, Config{Pages: 16})
+			image(dev, b, pages)
+			if _, err := c.EnsureRange(0, pages); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(pages * pageSize))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf, _, err := c.ReadRange(0, 0, pages*pageSize)
+				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.SetBytes(int64(pages * pageSize))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					buf, _, err := c.ReadRange(0, 0, pages*pageSize)
-					if err != nil {
-						b.Fatal(err)
-					}
-					sinkBuf = buf
-				}
-			})
-		}
+				sinkBuf = buf
+			}
+		})
 	}
 }
 
@@ -438,7 +430,7 @@ func BenchmarkReadRange(b *testing.B) {
 // five-block run and evicts the previous one.
 func BenchmarkFillReadAhead(b *testing.B) {
 	const run = 5
-	_, dev, c := newCacheOn(b, mem.Bytes, Config{Pages: run, ReadAhead: run - 1})
+	_, dev, c := newCache(b, Config{Pages: run, ReadAhead: run - 1})
 	image(dev, b, 120)
 	b.ReportAllocs()
 	b.SetBytes(run * pageSize)
@@ -458,7 +450,7 @@ func BenchmarkFillReadAhead(b *testing.B) {
 // pages.
 func BenchmarkDeviceRead(b *testing.B) {
 	const blocks = 5
-	sys, dev, _ := newCacheOn(b, mem.Bytes, Config{Pages: 1})
+	sys, dev, _ := newCache(b, Config{Pages: 1})
 	image(dev, b, blocks)
 	as := sys.NewAddressSpace()
 	r, err := as.AllocRegion(blocks*pageSize, vm.Unmovable)
