@@ -16,15 +16,8 @@ func runChaosCmd(args []string, stdout, stderr io.Writer) int {
 	var specStr string
 	fs.StringVar(&specStr, "spec", "",
 		"seeded fault spec, e.g. seed=1,drop=0.25,dup=0.1,reorder=0.1,corrupt=0.05,allocfail=0.02,pooldeny=0.1")
-	parallel := fs.Int("parallel", 0, "worker goroutines (0 = leave harness default)")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *parallel < 0 {
-		return usageErrf(fs, stderr, "-parallel must be at least 1, got %d", *parallel)
-	}
-	if *parallel > 0 {
-		experiments.SetParallelism(*parallel)
 	}
 	if specStr == "" {
 		return usageErrf(fs, stderr, "-spec: a fault spec is required (e.g. -spec seed=1,drop=0.25)")

@@ -26,12 +26,8 @@ func runClusterCmd(args []string, stdout, stderr io.Writer) int {
 	fs.Float64Var(&opts.minSpeedup, "minspeedup", 0,
 		"exit nonzero if the best ring self-speedup falls below this (0 = no gate)")
 	fs.StringVar(&opts.jsonPath, "json", "", "write both reports as JSON to this path")
-	parallel := fs.Int("parallel", 0, "worker goroutines for the harness (0 = leave default)")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *parallel > 0 {
-		experiments.SetParallelism(*parallel)
 	}
 	if opts.hosts < 2 {
 		return usageErrf(fs, stderr, "-hosts must be at least 2, got %d", opts.hosts)
@@ -135,9 +131,11 @@ func runCluster(opts clusterOptions, stdout, stderr io.Writer) int {
 			code = 1
 		}
 	}
-	if opts.minSpeedup > 0 && ring.BestSpeedup < opts.minSpeedup {
-		fmt.Fprintf(stderr, "geniebench: FAIL: ring self-speedup %.2fx (workers=%d) below required %.2fx\n",
-			ring.BestSpeedup, ring.BestWorkers, opts.minSpeedup)
+	maxWorkers := 0
+	for _, r := range ring.Runs {
+		maxWorkers = max(maxWorkers, r.Workers)
+	}
+	if speedupGate(stderr, "ring self-speedup", ring.BestSpeedup, opts.minSpeedup, maxWorkers) {
 		code = 1
 	}
 	return code

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -47,17 +49,36 @@ func TestCLIClusterMode(t *testing.T) {
 	}
 }
 
-// The speedup gate must fail the run when set impossibly high — this
-// machine cannot beat 1000x — while the digest checks still pass.
+// The speedup gate must fail the run when set impossibly high — no
+// machine beats 1000x — while the digest checks still pass. A host with
+// fewer CPUs than the largest worker count skips the gate instead.
 func TestCLIClusterSpeedupGate(t *testing.T) {
 	code, stdout, stderr := runCLI(t,
 		"cluster", "-hosts", "5", "-rounds", "1",
 		"-workers", "1,2", "-minspeedup", "1000")
+	if min(runtime.NumCPU(), runtime.GOMAXPROCS(0)) < 2 {
+		if code != 0 || !strings.Contains(stderr, "gate skipped:") {
+			t.Fatalf("exit code %d, want 0 and a skip notice\nstderr:\n%s", code, stderr)
+		}
+		return
+	}
 	if code != 1 {
 		t.Fatalf("exit code %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
 	if !strings.Contains(stderr, "self-speedup") {
 		t.Fatalf("stderr missing speedup failure:\n%s", stderr)
+	}
+}
+
+// Crediting more workers than the host has CPUs skips the ring gate,
+// however unmeetable its floor.
+func TestCLIClusterSpeedupGateSkips(t *testing.T) {
+	code, _, stderr := runCLI(t,
+		"cluster", "-hosts", "3", "-rounds", "1",
+		"-workers", "1,1000000", "-minspeedup", "1000")
+	want := regexp.MustCompile(`gate skipped: (NumCPU|GOMAXPROCS)=\d+ < 1000000\n`)
+	if code != 0 || !want.MatchString(stderr) {
+		t.Fatalf("exit code %d, want 0 and %v\nstderr:\n%s", code, want, stderr)
 	}
 }
 

@@ -8,9 +8,11 @@
 //	geniebench workload     # closed-loop backpressure study: semantics x depth x load
 //	geniebench storage      # storage-path study: semantics x I/O size over block device + page cache
 //
-// Every subcommand takes its own flags (see `geniebench <cmd> -h`); all
-// of them share -parallel N (harness worker goroutines), and all but
-// chaos share -json <path> (machine-readable report).
+// Every subcommand takes its own flags (see `geniebench <cmd> -h`). All
+// but chaos take -json <path> (machine-readable report). sweep, bigsweep
+// and workload take -parallel N, the goroutines their independent points
+// fan across; cluster and storage take -workers, the list of worker
+// counts whose digests must match.
 //
 // # sweep
 //
@@ -45,6 +47,11 @@
 // execution. Exit status is nonzero on any digest divergence, or when
 // -minspeedup is set and the best ring self-speedup falls short.
 //
+// Both -minspeedup gates (cluster and workload) are skipped, not failed,
+// on a host with fewer CPUs than the parallelism they credit: the
+// largest -workers count for the ring, the -parallel point workers for
+// the workload.
+//
 // # chaos
 //
 // Runs reliable transfers across every buffering scheme and semantics
@@ -65,13 +72,13 @@
 // The sweep runs at every -workers count and the digests must match
 // bit for bit; exit status is nonzero on divergence, or when
 // -requiretransition names a semantics whose transition is not finite.
-// Independent grid points fan across -pointworkers goroutines (default:
-// the shared -parallel setting) while -workers parallelizes inside one
-// point's cluster engine; every point reuses a Reset cluster from the
-// recycler and the workload-point memo serves repeat worker counts
-// without resimulating (-norecycle and -nomemo restore the cold path —
-// output is byte-identical either way). -minspeedup additionally times
-// the serial cold regime and gates on the optimized speedup over it.
+// Independent grid points fan across -parallel goroutines (default
+// GOMAXPROCS) while -workers parallelizes inside one point's cluster
+// engine. Every -workers count simulates the whole grid again. Each point
+// reuses a Reset cluster from the recycler (-norecycle builds every
+// cluster fresh; output is byte-identical either way). -minspeedup
+// additionally times the serial cold regime and gates on the optimized
+// speedup over it.
 //
 // # storage
 //
@@ -91,6 +98,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strings"
 )
 
@@ -147,4 +155,28 @@ func usageErrf(fs *flag.FlagSet, stderr io.Writer, format string, a ...any) int 
 func failf(stderr io.Writer, err error) int {
 	fmt.Fprintln(stderr, "geniebench:", err)
 	return 1
+}
+
+// speedupGate applies a -minspeedup floor (0 = no gate) to a measured
+// speedup that credits w-way parallelism and reports whether the run
+// fails it. A process with fewer usable CPUs than w (NumCPU, or a lower
+// GOMAXPROCS) cannot show that speedup, so there the gate is skipped
+// instead of decided by the runner's core count.
+func speedupGate(stderr io.Writer, what string, got, floor float64, w int) (fail bool) {
+	if floor <= 0 {
+		return false
+	}
+	cpus, limit := runtime.NumCPU(), "NumCPU"
+	if p := runtime.GOMAXPROCS(0); p < cpus {
+		cpus, limit = p, "GOMAXPROCS"
+	}
+	if cpus < w {
+		fmt.Fprintf(stderr, "geniebench: %s gate skipped: %s=%d < %d\n", what, limit, cpus, w)
+		return false
+	}
+	if got < floor {
+		fmt.Fprintf(stderr, "geniebench: FAIL: %s %.2fx, want >= %.2fx\n", what, got, floor)
+		return true
+	}
+	return false
 }

@@ -2,11 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"os"
-
-	"flag"
 
 	"repro/internal/blockdev"
 	"repro/internal/experiments"
@@ -39,12 +38,8 @@ func runStorageCmd(args []string, stdout, stderr io.Writer) int {
 	requireCrossover := fs.Bool("requirecrossover", false,
 		"exit nonzero unless every cache configuration locates a finite copy-vs-move crossover (CI gate)")
 	jsonPath := fs.String("json", "", "write the full report as JSON to this path")
-	parallel := fs.Int("parallel", 0, "worker goroutines for the harness (0 = leave default)")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *parallel > 0 {
-		experiments.SetParallelism(*parallel)
 	}
 
 	cfg := experiments.StorageConfig{ReadAhead: *readAhead}
@@ -95,9 +90,7 @@ func runStorageCmd(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "geniebench: wrote %s\n", *jsonPath)
 	}
 
-	fmt.Fprintf(stderr,
-		"geniebench: storage perf: memo %d hits / %d misses / %d waits, rigs %d recycled / %d built\n",
-		rep.Perf.StorageMemoHits, rep.Perf.StorageMemoMisses, rep.Perf.StorageMemoWaits,
+	fmt.Fprintf(stderr, "geniebench: storage perf: rigs %d recycled / %d built\n",
 		rep.Perf.StorageRigsRecycled, rep.Perf.StorageRigsBuilt)
 
 	code := 0

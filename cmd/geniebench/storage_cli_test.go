@@ -62,8 +62,9 @@ func TestCLIStorage(t *testing.T) {
 	if len(rep.Crossovers) != 1 || rep.Crossovers[0].Bytes == 0 {
 		t.Fatalf("crossovers = %+v", rep.Crossovers)
 	}
-	if rep.Perf.StorageMemoMisses == 0 {
-		t.Errorf("perf block missing storage memo counters: %+v", rep.Perf)
+	// Both worker counts simulate all six points: one rig each.
+	if got := rep.Perf.StorageRigsBuilt + rep.Perf.StorageRigsRecycled; got != 12 {
+		t.Errorf("rig gets %d, want 12 (6 points x 2 runs): %+v", got, rep.Perf)
 	}
 }
 

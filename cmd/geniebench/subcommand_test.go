@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -103,17 +105,18 @@ func TestCLIWorkload(t *testing.T) {
 	}
 }
 
-// The optimization flags: -pointworkers fans grid points out without
-// perturbing the digest, -minspeedup times the serial cold regime and
-// reports the speedup plus the perf counters, and -nomemo/-norecycle
-// run cold while still matching bit for bit.
+// The optimization flags: -parallel fans grid points out without
+// perturbing the digest, every -workers count re-simulates the grid,
+// -minspeedup times the serial cold regime and reports the speedup plus
+// the perf counters, and -norecycle -parallel 1 runs cold while still
+// matching bit for bit.
 func TestCLIWorkloadPointWorkers(t *testing.T) {
 	jsonPath := filepath.Join(t.TempDir(), "wl.json")
 	args := []string{"workload",
 		"-semantics", "copy", "-depths", "1,4", "-loads", "0.5,2",
 		"-ops", "6", "-workers", "1,2"}
 	code, stdout, stderr := runCLI(t, append(args,
-		"-pointworkers", "8", "-minspeedup", "0.1", "-json", jsonPath)...)
+		"-parallel", "8", "-minspeedup", "0.1", "-json", jsonPath)...)
 	if code != 0 {
 		t.Fatalf("exit code %d\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
@@ -140,12 +143,14 @@ func TestCLIWorkloadPointWorkers(t *testing.T) {
 		t.Errorf("speedup fields missing: cold=%v optimized=%v speedup=%v",
 			rep.SerialColdSec, rep.OptimizedSec, rep.Speedup)
 	}
-	if rep.Perf.WorkloadMemoMisses == 0 {
-		t.Errorf("perf block missing workload memo counters: %+v", rep.Perf)
+	// 4 points, simulated at 2 worker counts in the cold and in the
+	// optimized regime: one cluster get each.
+	if got := rep.Perf.ClustersBuilt + rep.Perf.ClustersRecycled; got != 16 {
+		t.Errorf("cluster gets %d, want 16: %+v", got, rep.Perf)
 	}
 
 	coldDigest := rep.Runs[0].Digest
-	code, stdout, stderr = runCLI(t, append(args, "-nomemo", "-norecycle")...)
+	code, stdout, stderr = runCLI(t, append(args, "-norecycle", "-parallel", "1")...)
 	if code != 0 {
 		t.Fatalf("cold run exit code %d\nstderr:\n%s", code, stderr)
 	}
@@ -154,16 +159,35 @@ func TestCLIWorkloadPointWorkers(t *testing.T) {
 	}
 }
 
-// An unmeetable -minspeedup floor fails the run with exit 1.
+// An unmeetable -minspeedup floor fails the run with exit 1 on a host
+// with the two CPUs the gate credits, and is skipped on a smaller one.
 func TestCLIWorkloadSpeedupGateFails(t *testing.T) {
 	code, _, stderr := runCLI(t, "workload",
 		"-semantics", "copy", "-depths", "1", "-loads", "1",
-		"-ops", "4", "-workers", "1", "-minspeedup", "1e9")
+		"-ops", "4", "-workers", "1", "-parallel", "2", "-minspeedup", "1e9")
+	if min(runtime.NumCPU(), runtime.GOMAXPROCS(0)) < 2 {
+		if code != 0 || !strings.Contains(stderr, "gate skipped:") {
+			t.Fatalf("exit code %d, want 0 and a skip notice; stderr:\n%s", code, stderr)
+		}
+		return
+	}
 	if code != 1 {
 		t.Fatalf("exit code %d, want 1; stderr:\n%s", code, stderr)
 	}
 	if !strings.Contains(stderr, "speedup") {
 		t.Errorf("stderr missing speedup diagnostic:\n%s", stderr)
+	}
+}
+
+// A speedup gate that credits more point workers than the host has CPUs
+// is skipped, however unmeetable its floor.
+func TestCLIWorkloadSpeedupGateSkips(t *testing.T) {
+	code, _, stderr := runCLI(t, "workload",
+		"-semantics", "copy", "-depths", "1", "-loads", "1",
+		"-ops", "4", "-workers", "1", "-parallel", "1000000", "-minspeedup", "1e9")
+	want := regexp.MustCompile(`gate skipped: (NumCPU|GOMAXPROCS)=\d+ < 1000000\n`)
+	if code != 0 || !want.MatchString(stderr) {
+		t.Fatalf("exit code %d, want 0 and %v; stderr:\n%s", code, want, stderr)
 	}
 }
 
@@ -195,6 +219,7 @@ func TestCLIWorkloadRejectsBadFlags(t *testing.T) {
 		{"bad load list", []string{"-loads", "0.5,fast"}, "-loads"},
 		{"bad worker list", []string{"-workers", "1,none"}, "-workers"},
 		{"zero worker", []string{"-workers", "0"}, "-workers"},
+		{"negative parallel", []string{"-parallel", "-1"}, "-parallel"},
 		{"malformed faults", []string{"-faults", "seed"}, "-faults"},
 		{"unknown scenario", []string{"-scenario", "torrent"}, "scenario"},
 		{"bad gate name", []string{"-requiretransition", "telepathy"}, "-requiretransition"},

@@ -115,24 +115,20 @@ func runWorkloadCmd(args []string, stdout, stderr io.Writer) int {
 		"exit nonzero unless this semantics' rule-3 transition depth is finite (CI gate)")
 	jsonPath := fs.String("json", "", "write the full report as JSON to this path")
 	parallel := fs.Int("parallel", 0,
-		"worker goroutines for the harness; workload points fan across this many unless -pointworkers overrides (0 = leave default)")
-	pointWorkers := fs.Int("pointworkers", 0,
-		"goroutines for independent (semantics, depth, load) points — a different axis from -workers, which parallelizes inside one point's cluster (0 = adopt -parallel, 1 = serial)")
-	noMemo := fs.Bool("nomemo", false, "disable the workload-point memo (later -workers runs recompute every point)")
+		"goroutines for independent (semantics, depth, load) points — a different axis from -workers, which parallelizes inside one point's cluster (0 = GOMAXPROCS, 1 = serial)")
 	noRecycle := fs.Bool("norecycle", false, "disable cluster recycling (every point builds a fresh cluster)")
 	minSpeedup := fs.Float64("minspeedup", 0,
 		"also time the serial/cold regime and exit nonzero unless optimized/cold speedup meets this floor (CI gate)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *parallel > 0 {
-		experiments.SetParallelism(*parallel)
+	if *parallel < 0 {
+		return usageErrf(fs, stderr, "-parallel must be at least 0, got %d", *parallel)
 	}
-	defer par.SetMemo(par.SetMemo(!*noMemo))
 	defer par.SetRecycling(par.SetRecycling(!*noRecycle))
 
 	cfg := experiments.WorkloadConfig{}
-	cfg.PointWorkers = *pointWorkers
+	cfg.PointWorkers = *parallel
 	cfg.CompareSerialCold = *minSpeedup > 0
 	cfg.Scenario = *scenario
 	cfg.Clients = *clients
@@ -203,9 +199,7 @@ func runWorkloadCmd(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "geniebench: wrote %s\n", *jsonPath)
 	}
 
-	fmt.Fprintf(stderr,
-		"geniebench: workload perf: memo %d hits / %d misses / %d waits, clusters %d recycled / %d built\n",
-		rep.Perf.WorkloadMemoHits, rep.Perf.WorkloadMemoMisses, rep.Perf.WorkloadMemoWaits,
+	fmt.Fprintf(stderr, "geniebench: workload perf: clusters %d recycled / %d built\n",
 		rep.Perf.ClustersRecycled, rep.Perf.ClustersBuilt)
 
 	code := 0
@@ -213,10 +207,7 @@ func runWorkloadCmd(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "geniebench: FAIL: workload digests diverge across worker counts\n")
 		code = 1
 	}
-	if *minSpeedup > 0 && rep.Speedup < *minSpeedup {
-		fmt.Fprintf(stderr,
-			"geniebench: FAIL: workload speedup %.2fx over serial cold, want >= %.2fx\n",
-			rep.Speedup, *minSpeedup)
+	if speedupGate(stderr, "workload speedup over serial cold", rep.Speedup, *minSpeedup, rep.PointWorkers) {
 		code = 1
 	}
 	if *requireTransition != "" {

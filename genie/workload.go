@@ -141,16 +141,18 @@ func WithWorkloadWorkers(workers ...int) WorkloadOption {
 // WithPointWorkers sets the number of goroutines independent
 // (semantics, depth, load) points fan across — a different axis from
 // WithWorkloadWorkers, which parallelizes inside one point's cluster
-// engine. 0 (the default) adopts the package-wide parallelism; 1 walks
-// the grid serially. The digest is byte-identical at any value.
+// engine. 0 (the default) means GOMAXPROCS; 1 walks the grid serially.
+// The digest is byte-identical at any value.
 func WithPointWorkers(n int) WorkloadOption {
 	return func(o *workloadOptions) { o.cfg.PointWorkers = n }
 }
 
 // WithSerialColdComparison additionally times the whole verification
-// run in the serial/cold regime (no point parallelism, no memo, no
-// cluster recycling) and reports the optimized run's speedup over it;
-// the cold digest participates in the determinism verdict.
+// run in the serial/cold regime (no point parallelism, no cluster
+// recycling) and reports the optimized run's speedup over it; the cold
+// digest participates in the determinism verdict. Both regimes simulate
+// every point at every worker count, so the speedup is point
+// parallelism plus recycling and nothing else.
 func WithSerialColdComparison() WorkloadOption {
 	return func(o *workloadOptions) { o.cfg.CompareSerialCold = true }
 }

@@ -95,8 +95,8 @@ var measureMemo = par.NewMemo[cacheKey, Measurement](cacheKeyHash)
 var testbeds par.Recycler[core.TestbedConfig, *core.Testbed]
 
 // PerfStats is a snapshot of the harness's own performance counters:
-// the memos and recyclers of the pairwise, workload and storage sweeps,
-// and the analytic fast path.
+// the pairwise measurement memo, the recyclers of the pairwise, workload
+// and storage sweeps, and the analytic fast path.
 type PerfStats struct {
 	// CacheHits counts Measure calls satisfied by a completed memo.
 	CacheHits uint64 `json:"cache_hits"`
@@ -122,15 +122,6 @@ type PerfStats struct {
 	// MaxRelErr is the worst analytic-vs-simulated relative error
 	// observed by any spot check since the last reset.
 	MaxRelErr float64 `json:"max_rel_err,omitempty"`
-	// WorkloadMemoHits counts workload sweep points served by a
-	// completed entry of the workload-point memo.
-	WorkloadMemoHits uint64 `json:"workload_memo_hits,omitempty"`
-	// WorkloadMemoMisses counts workload sweep points simulated from
-	// scratch.
-	WorkloadMemoMisses uint64 `json:"workload_memo_misses,omitempty"`
-	// WorkloadMemoWaits counts workload sweep points that blocked on
-	// another point worker computing the same point (single-flight).
-	WorkloadMemoWaits uint64 `json:"workload_memo_waits,omitempty"`
 	// ClustersBuilt counts multi-host clusters constructed from scratch
 	// for workload sweep points.
 	ClustersBuilt uint64 `json:"clusters_built,omitempty"`
@@ -140,15 +131,6 @@ type PerfStats struct {
 	// ClusterResetFailures counts clusters dropped because Reset failed;
 	// always zero unless a simulation leaked state.
 	ClusterResetFailures uint64 `json:"cluster_reset_failures,omitempty"`
-	// StorageMemoHits counts storage sweep points served by a completed
-	// entry of the storage-point memo.
-	StorageMemoHits uint64 `json:"storage_memo_hits,omitempty"`
-	// StorageMemoMisses counts storage sweep points simulated from
-	// scratch.
-	StorageMemoMisses uint64 `json:"storage_memo_misses,omitempty"`
-	// StorageMemoWaits counts storage sweep points that blocked on
-	// another worker computing the same point (single-flight).
-	StorageMemoWaits uint64 `json:"storage_memo_waits,omitempty"`
 	// StorageRigsBuilt counts testbed+storage rigs constructed from
 	// scratch for storage sweep points.
 	StorageRigsBuilt uint64 `json:"storage_rigs_built,omitempty"`
@@ -162,8 +144,7 @@ type PerfStats struct {
 
 // Perf returns a snapshot of the package-wide performance counters.
 func Perf() PerfStats {
-	memo, tbs := measureMemo.Stats(), testbeds.Stats()
-	sm, rigs := storageMemo.Stats(), storageRigs.Stats()
+	memo, tbs, rigs := measureMemo.Stats(), testbeds.Stats(), storageRigs.Stats()
 	wl := workload.Perf()
 	return PerfStats{
 		CacheHits:               memo.Hits,
@@ -175,29 +156,23 @@ func Perf() PerfStats {
 		AnalyticPoints:          analyticPoints.Load(),
 		SimulatedSpotchecks:     simulatedSpotchecks.Load(),
 		MaxRelErr:               math.Float64frombits(analyticMaxRelErr.Load()),
-		WorkloadMemoHits:        wl.MemoHits,
-		WorkloadMemoMisses:      wl.MemoMisses,
-		WorkloadMemoWaits:       wl.MemoWaits,
 		ClustersBuilt:           wl.ClustersBuilt,
 		ClustersRecycled:        wl.ClustersRecycled,
 		ClusterResetFailures:    wl.ClusterResetFailures,
-		StorageMemoHits:         sm.Hits,
-		StorageMemoMisses:       sm.Misses,
-		StorageMemoWaits:        sm.Waits,
 		StorageRigsBuilt:        rigs.Built,
 		StorageRigsRecycled:     rigs.Recycled,
 		StorageRigResetFailures: rigs.ResetFailures,
 	}
 }
 
-// ResetPerf discards every memo's contents and every free list, here and
-// in the workload package, and zeroes all performance counters. The
+// ResetPerf discards the measurement memo's contents and every free
+// list, here and in the workload package, and zeroes all performance
+// counters. The
 // switches (par.SetMemo, par.SetRecycling) keep their settings. Tests and
 // benchmarks use it to measure from a cold start.
 func ResetPerf() {
 	measureMemo.Reset()
 	testbeds.Reset()
-	storageMemo.Reset()
 	storageRigs.Reset()
 	analyticPoints.Store(0)
 	simulatedSpotchecks.Store(0)

@@ -88,32 +88,6 @@ type ClusterReport struct {
 	BestWorkers   int                `json:"best_workers"`
 }
 
-// clusterDigest folds delivery records and final stats into one FNV-64a
-// hex string (the shared internal/digest fold). Everything order-
-// sensitive goes through here: if any worker count perturbs a single
-// delivery time, payload byte, or stat counter, the digest changes.
-type clusterDigest struct {
-	*digest.Digest
-}
-
-func newClusterDigest() *clusterDigest {
-	return &clusterDigest{Digest: digest.New()}
-}
-
-func (d *clusterDigest) addf(format string, args ...any) {
-	d.Addf(format, args...)
-}
-
-// delivery folds one received message into the digest, sampling the
-// payload with the shared strided checksum (see digest.PayloadSum for
-// why sampling, not summing, is the right cost/discrimination trade).
-func (d *clusterDigest) delivery(round, ch, port, n int, at float64, payload []byte) {
-	d.Addf("r%d c%d p%d len=%d at=%x sum=%08x\n", round, ch, port, n, at, digest.PayloadSum(payload))
-	d.Record()
-}
-
-func (d *clusterDigest) hex() string { return d.Hex() }
-
 // stamp writes the per-message identity into the payload head. The body
 // keeps its constant fill: re-stamping every byte of every message is
 // pure serial app-time work between windows and would cap the engine's
@@ -130,8 +104,13 @@ func stamp(payload []byte, round, ch, dir int) {
 }
 
 // drainInto consumes every completed message on e, folds each into the
-// digest, and reposts its buffer.
-func drainInto(d *clusterDigest, round, ch int, e *core.Endpoint) error {
+// digest, and reposts its buffer. The digest takes every delivery record
+// and, after the last round, the final stats: if any worker count
+// perturbs a single delivery time, payload byte, or stat counter, it
+// changes. Payloads enter through the shared strided checksum (see
+// digest.PayloadSum for why sampling, not summing, is the right
+// cost/discrimination trade).
+func drainInto(d *digest.Digest, round, ch int, e *core.Endpoint) error {
 	for {
 		m, ok := e.Recv()
 		if !ok {
@@ -140,7 +119,10 @@ func drainInto(d *clusterDigest, round, ch int, e *core.Endpoint) error {
 		if m.Err() != nil {
 			return fmt.Errorf("cluster: delivery error on port %d: %w", e.Port(), m.Err())
 		}
-		d.delivery(round, ch, e.Port(), len(m.Data()), m.CompletedAt(), m.Data())
+		data := m.Data()
+		d.Addf("r%d c%d p%d len=%d at=%x sum=%08x\n",
+			round, ch, e.Port(), len(data), m.CompletedAt(), digest.PayloadSum(data))
+		d.Record()
 		if err := m.Release(); err != nil {
 			return err
 		}
@@ -186,7 +168,7 @@ func runIncastOnce(cfg ClusterBenchConfig, workers int) (*ClusterWorkerRun, erro
 		}
 		ends[i] = chanEnd{s: es, r: er}
 	}
-	d := newClusterDigest()
+	d := digest.New()
 	payload := make([]byte, cfg.MsgBytes)
 	for j := range payload {
 		payload[j] = byte(j * 7)
@@ -209,12 +191,12 @@ func runIncastOnce(cfg ClusterBenchConfig, workers int) (*ClusterWorkerRun, erro
 	final := c.Run()
 	elapsed := time.Since(start)
 	for i := 0; i < cfg.Hosts; i++ {
-		d.addf("host%d nic=%+v genie=%+v\n", i, c.Host(i).NIC.Stats(), c.Host(i).Genie.Stats())
+		d.Addf("host%d nic=%+v genie=%+v\n", i, c.Host(i).NIC.Stats(), c.Host(i).Genie.Stats())
 	}
-	d.addf("final=%x\n", float64(final))
+	d.Addf("final=%x\n", float64(final))
 	return &ClusterWorkerRun{
 		Workers:     workers,
-		Digest:      d.hex(),
+		Digest:      d.Hex(),
 		Deliveries:  d.Records(),
 		FinalTimeUS: float64(final),
 		ElapsedSec:  elapsed.Seconds(),
@@ -257,7 +239,7 @@ func runRingOnce(cfg ClusterBenchConfig, workers int) (*ClusterWorkerRun, error)
 		}
 		links[i] = duplex{a: ea, b: eb}
 	}
-	d := newClusterDigest()
+	d := digest.New()
 	payload := make([]byte, cfg.MsgBytes)
 	for j := range payload {
 		payload[j] = byte(j * 7)
@@ -287,12 +269,12 @@ func runRingOnce(cfg ClusterBenchConfig, workers int) (*ClusterWorkerRun, error)
 	final := c.Run()
 	elapsed := time.Since(start)
 	for i := 0; i < cfg.Hosts; i++ {
-		d.addf("host%d nic=%+v genie=%+v\n", i, c.Host(i).NIC.Stats(), c.Host(i).Genie.Stats())
+		d.Addf("host%d nic=%+v genie=%+v\n", i, c.Host(i).NIC.Stats(), c.Host(i).Genie.Stats())
 	}
-	d.addf("final=%x\n", float64(final))
+	d.Addf("final=%x\n", float64(final))
 	return &ClusterWorkerRun{
 		Workers:     workers,
-		Digest:      d.hex(),
+		Digest:      d.Hex(),
 		Deliveries:  d.Records(),
 		FinalTimeUS: float64(final),
 		ElapsedSec:  elapsed.Seconds(),

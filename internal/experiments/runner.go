@@ -33,9 +33,11 @@ func (r Runner) ForEach(n int, fn func(i int) error) error {
 // runtime.GOMAXPROCS(0). cmd/geniebench sets it from -parallel.
 var defaultWorkers atomic.Int32
 
-// SetParallelism sets the worker count used by every sweep, table, and
-// ablation generator in this package. n == 1 restores strictly serial
-// execution; n <= 0 selects runtime.GOMAXPROCS(0).
+// SetParallelism sets the worker count used by every pairwise sweep,
+// table, and ablation generator in this package and by BigSweep; the
+// workload and storage sweeps take theirs from their configs. n == 1
+// restores strictly serial execution; n <= 0 selects
+// runtime.GOMAXPROCS(0).
 func SetParallelism(n int) {
 	if n < 0 {
 		n = 0

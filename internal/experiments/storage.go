@@ -23,8 +23,8 @@ import (
 // and reports per-op CPU and latency next to the cache's hit ratio and
 // writeback-burst accounting. The whole sweep runs under the same
 // determinism oracle as the network experiments: points fan across
-// worker goroutines, every point is memoized single-flight, and the
-// canonical-order digest must be bit-identical at any worker count.
+// worker goroutines and the canonical-order digest must be bit-identical
+// at any worker count.
 
 // StorageConfig parameterizes the sweep grid and the verification run.
 type StorageConfig struct {
@@ -43,8 +43,8 @@ type StorageConfig struct {
 	// Disk overrides the device cost model; zero → blockdev defaults.
 	Disk blockdev.Model
 	// Workers lists the point-fan-out worker counts to compare; empty →
-	// 1 and 4. The first run is the baseline; later runs verify against
-	// the point memo and must reproduce its digest bit for bit.
+	// 1 and 4. The first run is the baseline; every later run simulates
+	// the grid again and must reproduce its digest bit for bit.
 	Workers []int
 }
 
@@ -100,9 +100,7 @@ type StorageReport struct {
 	Perf          PerfStats          `json:"perf"`
 }
 
-// storageKey identifies one storage grid point up to simulation
-// determinism; it deliberately excludes the worker count, which must
-// not influence results.
+// storageKey is one storage grid point.
 type storageKey struct {
 	sem            core.Semantics
 	size           int
@@ -111,15 +109,6 @@ type storageKey struct {
 	readAhead      int
 	disk           blockdev.Model
 }
-
-// storageKeyHash spreads storage keys over the memo's stripes.
-func storageKeyHash(k storageKey) uint64 {
-	return uint64(k.sem)<<48 ^ uint64(k.size)<<16 ^ uint64(k.cachePages)<<8 ^ uint64(k.dirtyThreshold)
-}
-
-// storageMemo memoizes storage points: concurrent workers and later
-// verification runs never simulate the same point twice.
-var storageMemo = par.NewMemo[storageKey, StoragePoint](storageKeyHash)
 
 // storageRig pairs a testbed with its storage stack for recycling: the
 // stack's kernel object is created before any process, so a Reset +
@@ -362,7 +351,7 @@ func runStorageGrid(keys []storageKey, pw int) ([]StoragePoint, string, error) {
 	points := make([]StoragePoint, len(keys))
 	err := par.Each(len(keys), pw, func(i int) error {
 		var err error
-		points[i], err = storageMemo.Do(keys[i], func() (StoragePoint, error) { return runStoragePoint(keys[i]) })
+		points[i], err = runStoragePoint(keys[i])
 		return err
 	})
 	if err != nil {
@@ -433,8 +422,8 @@ func storageCrossovers(points []StoragePoint) []StorageCrossover {
 
 // RunStorage executes the storage sweep at every configured
 // point-worker count. The first run is the reported baseline; every
-// later run — served largely by the point memo — must reproduce its
-// digest bit for bit, or Deterministic flips to false.
+// later run simulates every point again and must reproduce its digest
+// bit for bit, or Deterministic flips to false.
 func RunStorage(cfg StorageConfig) (*StorageReport, error) {
 	workers := cfg.Workers
 	if len(workers) == 0 {

@@ -6,82 +6,62 @@ import (
 	"repro/internal/core"
 )
 
-// smallStorageConfig keeps the sweep cheap: 4 semantics spanning the
-// taxonomy's corners, 3 sizes bracketing the crossover, one cache
-// pressure axis.
-func smallStorageConfig() StorageConfig {
-	return StorageConfig{
-		Semantics:       []core.Semantics{core.Copy, core.EmulatedCopy, core.Share, core.EmulatedMove},
-		Sizes:           []int{512, 8192, 61440},
-		CachePages:      []int{8, 64},
-		DirtyThresholds: []int{0, 4},
-		Workers:         []int{1, 4},
-	}
-}
-
-// The sweep's digest must be bit-identical at 1 and 4 point workers —
-// the memo serves the second run, and a fresh memo must agree too.
+// The default sweep reproduces its committed digest at 1 and 4 point
+// workers, and the 4-worker run simulates every point again instead of
+// replaying the first run: every run takes one rig per point. Fresh rigs
+// (recycling off) reproduce the digest too.
 func TestRunStorageDeterministic(t *testing.T) {
+	const committed = "4234ccce87e5a8f3"
 	ResetPerf()
-	rep, err := RunStorage(smallStorageConfig())
+	rep, err := RunStorage(StorageConfig{Workers: []int{1, 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Deterministic {
+	if !rep.Deterministic || len(rep.Runs) != 2 {
 		t.Fatalf("storage sweep not deterministic: %+v", rep.Runs)
 	}
-	if len(rep.Runs) != 2 || rep.Runs[0].Digest != rep.Runs[1].Digest {
-		t.Fatalf("runs diverged: %+v", rep.Runs)
+	for _, r := range rep.Runs {
+		if r.Digest != committed {
+			t.Errorf("workers=%d digest %s, want the committed %s", r.Workers, r.Digest, committed)
+		}
 	}
-	if rep.Runs[0].Points == 0 {
-		t.Fatal("empty sweep")
-	}
-	perf := rep.Perf
-	if perf.StorageMemoMisses != uint64(rep.Runs[0].Points) {
-		t.Fatalf("memo misses %d, want one per point (%d)",
-			perf.StorageMemoMisses, rep.Runs[0].Points)
-	}
-	if perf.StorageMemoHits+perf.StorageMemoWaits == 0 {
-		t.Fatal("second run never touched the memo")
+	points := uint64(rep.Runs[0].Points)
+	if got := rep.Perf.StorageRigsBuilt + rep.Perf.StorageRigsRecycled; points == 0 || got != 2*points {
+		t.Errorf("rig gets %d, want %d (every point simulated in both runs)", got, 2*points)
 	}
 
-	// A cold memo and fresh rigs must reproduce the digest bit for bit
-	// — recycling and memoization are observably invisible.
-	ResetPerf()
-	cold, err := RunStorage(StorageConfig{
-		Semantics:       smallStorageConfig().Semantics,
-		Sizes:           smallStorageConfig().Sizes,
-		CachePages:      smallStorageConfig().CachePages,
-		DirtyThresholds: smallStorageConfig().DirtyThresholds,
-		Workers:         []int{4},
+	withPerfRegime(t, true, false, 0, func() {
+		fresh, err := RunStorage(StorageConfig{Workers: []int{4}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fresh.Runs[0].Digest != committed {
+			t.Errorf("fresh-rig digest %s, want the committed %s", fresh.Runs[0].Digest, committed)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Runs[0].Digest != rep.Runs[0].Digest {
-		t.Fatalf("cold rebuild digest %s != original %s",
-			cold.Runs[0].Digest, rep.Runs[0].Digest)
-	}
 }
 
-// With the memo off, the 4-worker run re-simulates every point instead
-// of replaying the 1-worker run from the memo, and the default sweep
-// must still reproduce its committed digest at both worker counts.
+// The storage sweep has no memo of its own, so switching the process-wide
+// memo off (the sweep subcommand's -nomemo regime) changes nothing: both
+// passes reproduce the committed digest and simulate every point.
 func TestRunStorageMemoOff(t *testing.T) {
+	const committed = "4234ccce87e5a8f3"
 	withPerfRegime(t, false, true, 0, func() {
 		rep, err := RunStorage(StorageConfig{Workers: []int{1, 4}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		points := uint64(rep.Runs[0].Points)
-		if rep.Perf.StorageMemoHits != 0 || rep.Perf.StorageMemoMisses != 2*points {
-			t.Errorf("memo hits %d misses %d, want 0 and %d (every point simulated twice)",
-				rep.Perf.StorageMemoHits, rep.Perf.StorageMemoMisses, 2*points)
+		if !rep.Deterministic || len(rep.Runs) != 2 {
+			t.Fatalf("memo-off storage sweep not deterministic: %+v", rep.Runs)
 		}
 		for _, r := range rep.Runs {
-			if r.Digest != "4234ccce87e5a8f3" {
-				t.Errorf("workers=%d digest %s, want the committed 4234ccce87e5a8f3", r.Workers, r.Digest)
+			if r.Digest != committed {
+				t.Errorf("memo-off workers=%d digest %s, want the committed %s", r.Workers, r.Digest, committed)
 			}
+		}
+		points := uint64(rep.Runs[0].Points)
+		if got := rep.Perf.StorageRigsBuilt + rep.Perf.StorageRigsRecycled; points == 0 || got != 2*points {
+			t.Errorf("memo-off rig gets %d, want %d", got, 2*points)
 		}
 	})
 }

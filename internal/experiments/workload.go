@@ -16,14 +16,12 @@ import (
 // counter, and high-water mark, so a single worker-count-dependent
 // perturbation anywhere in the stack flips Deterministic to false.
 //
-// The sweep itself runs on the full PR 1 + PR 2 optimization stack
-// brought to the cluster layer: independent (semantics, depth, load)
-// points fan across PointWorkers goroutines, each point reuses a warm
-// Reset cluster from the recycler, and the workload-point memo makes
-// every worker count after the first verify against memoized points
-// instead of recomputing — the default {1, 4} verification run costs
-// about one sweep, not two. All of it is observably identical to the
-// cold serial path (byte-identical digests); CompareSerialCold measures
+// The sweep itself runs point-parallel and recycled: independent
+// (semantics, depth, load) points fan across PointWorkers goroutines and
+// each point reuses a warm Reset cluster from the recycler. Every worker
+// count simulates the whole grid again, so the digest comparison is a
+// real check. Both mechanisms are observably identical to the cold
+// serial path (byte-identical digests); CompareSerialCold measures
 // exactly that claim.
 
 // WorkloadConfig parameterizes the experiment: the sweep itself plus
@@ -35,13 +33,12 @@ type WorkloadConfig struct {
 	Workers []int
 	// PointWorkers is the number of goroutines independent (semantics,
 	// depth, load) points fan across — a different axis from Workers,
-	// which parallelizes *inside* one point's cluster engine. 0 adopts
-	// the package-wide parallelism (SetParallelism / geniebench
-	// -parallel, defaulting to GOMAXPROCS); 1 is the strictly serial
-	// walk. Results are byte-identical at any value.
+	// which parallelizes *inside* one point's cluster engine. 0 means
+	// GOMAXPROCS; 1 is the strictly serial walk. Results are
+	// byte-identical at any value.
 	PointWorkers int
 	// CompareSerialCold, when set, first times the entire verification
-	// run in the PR 8 regime — one point at a time, no memo, no cluster
+	// run in the serial cold regime — one point at a time, no cluster
 	// recycling — and reports the optimized run's speedup over it. The
 	// cold digest participates in the determinism verdict.
 	CompareSerialCold bool
@@ -69,34 +66,30 @@ type WorkloadReport struct {
 	// the serial/cold regime (CompareSerialCold only).
 	SerialColdSec float64 `json:"serial_cold_sec,omitempty"`
 	// OptimizedSec is the wall-clock of the optimized verification run
-	// (point-parallel + recycled + memo-served), summed over Runs.
+	// (point-parallel + recycled), summed over Runs.
 	OptimizedSec float64 `json:"optimized_sec,omitempty"`
 	// Speedup is SerialColdSec / OptimizedSec (CompareSerialCold only).
 	Speedup float64 `json:"speedup_vs_serial_cold,omitempty"`
 	// Perf snapshots the harness's performance counters after the run:
-	// workload memo hits/misses/waits and clusters recycled/built, next
-	// to the pairwise-path cache and testbed counters.
+	// clusters recycled/built, next to the pairwise-path cache and
+	// testbed counters.
 	Perf PerfStats `json:"perf"`
 }
 
 // RunWorkload executes the sweep at every configured worker count. The
 // first run (workers=1 unless overridden) is the reported baseline;
-// every other run must reproduce its digest bit for bit — simulating
-// each point at most once in total, because the later runs verify
-// against the workload-point memo.
+// every other run simulates the grid again and must reproduce its
+// digest bit for bit.
 func RunWorkload(cfg WorkloadConfig) (*WorkloadReport, error) {
 	workers := cfg.Workers
 	if len(workers) == 0 {
 		workers = []int{1, 4}
 	}
-	pointWorkers := cfg.PointWorkers
-	if pointWorkers == 0 {
-		pointWorkers = Parallelism()
-	}
+	pointWorkers := workload.ResolvePointWorkers(cfg.PointWorkers)
 	rep := &WorkloadReport{
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 		NumCPU:        runtime.NumCPU(),
-		PointWorkers:  workload.ResolvePointWorkers(pointWorkers),
+		PointWorkers:  pointWorkers,
 		Deterministic: true,
 	}
 
@@ -147,12 +140,10 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadReport, error) {
 }
 
 // runSerialCold runs the sweep at every worker count one point at a
-// time with the memo and recycling off, and returns the first run's
-// digest.
+// time with recycling off, and returns the first run's digest.
 func runSerialCold(cfg workload.Config, workers []int) (string, error) {
-	// Each inner call switches the mechanism off and returns its previous
+	// The inner call switches recycling off and returns its previous
 	// setting, which the deferred outer call restores.
-	defer par.SetMemo(par.SetMemo(false))
 	defer par.SetRecycling(par.SetRecycling(false))
 	digest := ""
 	for _, w := range workers {

@@ -1,7 +1,9 @@
-// Package par holds the harness's three work-saving mechanisms, shared
-// by every sweep in the repository: a single-flight memo of simulated
-// points (Memo), a free list of Reset simulation objects (Recycler), and
-// an index-claiming fan-out over worker goroutines (Each).
+// Package par holds the harness's three work-saving mechanisms: a
+// single-flight memo of simulated points (Memo), a free list of Reset
+// simulation objects (Recycler), and an index-claiming fan-out over
+// worker goroutines (Each). Every sweep recycles and fans out; only the
+// pairwise measurement path memoizes, because only there do generators
+// ask for the same point again.
 //
 // None of them may change a result. A simulated point is a pure function
 // of its key, a Reset object simulates bit-identically to a fresh one,

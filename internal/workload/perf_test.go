@@ -10,21 +10,19 @@ import (
 )
 
 // The optimization stack's whole contract is observational equivalence:
-// point parallelism, cluster recycling, and the point memo may only
-// remove redundant work, never perturb a bit of it. These tests pin the
+// point parallelism, cluster recycling, and shard parallelism may only
+// remove redundant work or spread it out, never perturb a bit of it. These tests pin the
 // contract by running the same sweep in every regime and comparing the
 // full digest — which folds every latency sample, counter, and
 // high-water mark — plus the decoded schemes.
 
-// setRegime pins the memo and recycling switches for one test and
-// restores the defaults (both on) afterwards, with cold counters and
-// empty free lists on both sides.
-func setRegime(t testing.TB, memo, recycle bool) {
+// setRegime pins the recycling switch for one test and restores it
+// afterwards, with cold counters and empty free lists on both sides.
+func setRegime(t testing.TB, recycle bool) {
 	t.Helper()
 	ResetPerf()
-	memoWas, recycleWas := par.SetMemo(memo), par.SetRecycling(recycle)
+	recycleWas := par.SetRecycling(recycle)
 	t.Cleanup(func() {
-		par.SetMemo(memoWas)
 		par.SetRecycling(recycleWas)
 		ResetPerf()
 	})
@@ -58,12 +56,12 @@ func regimeConfigs() map[string]Config {
 
 // TestRegimesDigestIdentity runs each pinned sweep in four regimes —
 // serial cold, point-parallel cold, serial with cluster recycling, and
-// memo-served — and requires byte-identical digests and deep-equal
-// schemes across all of them.
+// three shard workers per point — and requires byte-identical digests
+// and deep-equal schemes across all of them.
 func TestRegimesDigestIdentity(t *testing.T) {
 	for name, cfg := range regimeConfigs() {
 		t.Run(name, func(t *testing.T) {
-			setRegime(t, false, false)
+			setRegime(t, false)
 			base, err := RunParallel(cfg, 1, 1)
 			if err != nil {
 				t.Fatal(err)
@@ -101,22 +99,17 @@ func TestRegimesDigestIdentity(t *testing.T) {
 				t.Errorf("cluster reset failures = %d, want 0", p.ClusterResetFailures)
 			}
 
-			// Memo-served: with the memo on, a second run at a different
-			// in-cluster worker count is served entirely from cache — and
-			// must still reproduce the cold digest.
-			par.SetMemo(true)
-			res, err = RunParallel(cfg, 1, 1)
-			check("memo-warmup", res, err)
+			// Shard-parallel: three in-cluster workers per point. The run
+			// must simulate every point — one cluster get each — and still
+			// reproduce the cold digest.
 			before := Perf()
 			res, err = RunParallel(cfg, 3, 1)
-			check("memo-served", res, err)
+			check("shard-parallel-3", res, err)
 			after := Perf()
 			points := uint64(len(cfg.Semantics) * len(cfg.Depths) * len(cfg.Loads))
-			if got := after.MemoHits - before.MemoHits; got != points {
-				t.Errorf("memo-served run: %d hits, want %d (one per grid point)", got, points)
-			}
-			if after.MemoMisses != before.MemoMisses {
-				t.Errorf("memo-served run recomputed %d points", after.MemoMisses-before.MemoMisses)
+			gets := after.ClustersBuilt + after.ClustersRecycled - before.ClustersBuilt - before.ClustersRecycled
+			if gets != points {
+				t.Errorf("shard-parallel-3 run: %d cluster gets, want %d (one per grid point)", gets, points)
 			}
 		})
 	}
@@ -158,11 +151,11 @@ func BenchmarkWorkloadPointColdVsRecycled(b *testing.B) {
 		}
 	}
 	b.Run("cold", func(b *testing.B) {
-		setRegime(b, false, false)
+		setRegime(b, false)
 		run(b)
 	})
 	b.Run("recycled", func(b *testing.B) {
-		setRegime(b, false, true)
+		setRegime(b, true)
 		if _, err := RunParallel(cfg, 1, 1); err != nil { // warm the free list
 			b.Fatal(err)
 		}
@@ -172,8 +165,7 @@ func BenchmarkWorkloadPointColdVsRecycled(b *testing.B) {
 }
 
 // BenchmarkSweepSerialVsPointParallel measures the point-parallel
-// executor against the serial walk on a full default-sized grid, both
-// without the memo so every iteration really sweeps.
+// executor against the serial walk on a full default-sized grid.
 func BenchmarkSweepSerialVsPointParallel(b *testing.B) {
 	cfg := Config{
 		Semantics: []core.Semantics{core.Copy, core.Share, core.EmulatedWeakMove},
@@ -185,7 +177,7 @@ func BenchmarkSweepSerialVsPointParallel(b *testing.B) {
 			name = "pointworkers8"
 		}
 		b.Run(name, func(b *testing.B) {
-			setRegime(b, false, true)
+			setRegime(b, true)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := RunParallel(cfg, 1, pw); err != nil {

@@ -90,3 +90,38 @@ func keyFor(cfg core.ClusterConfig) clusterKey {
 
 // clusters recycles sweep-point clusters keyed by configuration.
 var clusters par.Recycler[clusterKey, *core.Cluster]
+
+// PerfStats is a snapshot of the workload engine's own performance
+// counters: the cluster recycler.
+type PerfStats struct {
+	// MemoHits, MemoMisses and MemoWaits are always zero: sweep points
+	// are not memoized (a point repeats only in a determinism check,
+	// which must re-simulate it). The fields stay because the benchmark
+	// harness in bench/ reads them.
+	MemoHits   uint64 `json:"workload_memo_hits"`
+	MemoMisses uint64 `json:"workload_memo_misses"`
+	MemoWaits  uint64 `json:"workload_memo_waits"`
+	// ClustersBuilt counts clusters constructed from scratch.
+	ClustersBuilt uint64 `json:"clusters_built"`
+	// ClustersRecycled counts points served by a Reset cluster from a
+	// free list instead of a fresh construction.
+	ClustersRecycled uint64 `json:"clusters_recycled"`
+	// ClusterResetFailures counts clusters dropped because Reset failed;
+	// always zero unless a simulation leaked state.
+	ClusterResetFailures uint64 `json:"cluster_reset_failures,omitempty"`
+}
+
+// Perf returns a snapshot of the package-wide performance counters.
+func Perf() PerfStats {
+	cl := clusters.Stats()
+	return PerfStats{
+		ClustersBuilt:        cl.Built,
+		ClustersRecycled:     cl.Recycled,
+		ClusterResetFailures: cl.ResetFailures,
+	}
+}
+
+// ResetPerf discards the cluster free lists and zeroes the counters; the
+// recycling switch (par.SetRecycling) keeps its setting. Tests and
+// benchmarks use it to measure from a cold start.
+func ResetPerf() { clusters.Reset() }

