@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -108,14 +107,9 @@ func runBigSweep(opts bigSweepOptions, stdout, stderr io.Writer) int {
 			Sweep:       rep,
 			Perf:        experiments.Perf(),
 		}
-		buf, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
+		if err := writeJSON(stderr, opts.jsonPath, doc); err != nil {
 			return failf(stderr, err)
 		}
-		if err := os.WriteFile(opts.jsonPath, append(buf, '\n'), 0o644); err != nil {
-			return failf(stderr, err)
-		}
-		fmt.Fprintf(stderr, "geniebench: wrote %s\n", opts.jsonPath)
 	}
 
 	if !rep.BoundOK {

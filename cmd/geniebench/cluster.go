@@ -1,14 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
-	"strconv"
-	"strings"
 
 	"repro/internal/experiments"
 )
@@ -21,8 +16,8 @@ func runClusterCmd(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&opts.hosts, "hosts", 64, "incast host count (1 receiver + N-1 senders)")
 	fs.IntVar(&opts.rounds, "rounds", 4, "lockstep send/drain rounds per workload")
 	fs.IntVar(&opts.msgBytes, "bytes", 8192, "incast message payload size in bytes")
-	fs.StringVar(&opts.workers, "workers", "",
-		"comma-separated worker counts to compare (default 1,4,GOMAXPROCS)")
+	workersList := fs.String("workers", "",
+		"comma-separated worker counts to digest-compare (default 1,4)")
 	fs.Float64Var(&opts.minSpeedup, "minspeedup", 0,
 		"exit nonzero if the best ring self-speedup falls below this (0 = no gate)")
 	fs.StringVar(&opts.jsonPath, "json", "", "write both reports as JSON to this path")
@@ -32,6 +27,10 @@ func runClusterCmd(args []string, stdout, stderr io.Writer) int {
 	if opts.hosts < 2 {
 		return usageErrf(fs, stderr, "-hosts must be at least 2, got %d", opts.hosts)
 	}
+	var err error
+	if opts.workers, err = parseWorkers(*workersList); err != nil {
+		return usageErrf(fs, stderr, "-workers: %v", err)
+	}
 	return runCluster(opts, stdout, stderr)
 }
 
@@ -40,94 +39,54 @@ type clusterOptions struct {
 	hosts      int
 	rounds     int
 	msgBytes   int
-	workers    string
+	workers    []int
 	minSpeedup float64
 	jsonPath   string
 }
 
 // clusterDoc is the -json document of a cluster run (BENCH_pr7.json in
-// CI): both workloads' per-worker-count runs, the determinism verdict,
-// and enough environment to interpret the speedup honestly.
+// CI): both workloads' reports, each with its per-worker-count runs,
+// determinism verdict and host environment.
 type clusterDoc struct {
-	GOMAXPROCS int                        `json:"gomaxprocs"`
-	NumCPU     int                        `json:"num_cpu"`
-	Incast     *experiments.ClusterReport `json:"incast"`
-	Ring       *experiments.ClusterReport `json:"ring"`
-}
-
-// parseWorkerList parses "1,4,8"; empty means the default set
-// {1, 4, GOMAXPROCS}.
-func parseWorkerList(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var ws []int
-	for _, f := range strings.Split(s, ",") {
-		w, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || w < 1 {
-			return nil, fmt.Errorf("bad worker count %q", f)
-		}
-		ws = append(ws, w)
-	}
-	return ws, nil
+	Incast *experiments.ClusterReport `json:"incast"`
+	Ring   *experiments.ClusterReport `json:"ring"`
 }
 
 // runCluster executes the sharded-engine benchmark pair: the 64-host
 // incast determinism check (digest byte-compared across worker counts)
 // and the ring halo-exchange self-speedup measurement. Exit status is
-// nonzero if any worker count's digest diverges from serial, or if
+// nonzero if any worker count's digest diverges from the first, or if
 // -minspeedup is set and the best ring self-speedup falls short.
 func runCluster(opts clusterOptions, stdout, stderr io.Writer) int {
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, "geniebench:", err)
-		return 1
-	}
-	workers, err := parseWorkerList(opts.workers)
-	if err != nil {
-		return fail(fmt.Errorf("-workers: %w", err))
-	}
-
 	incast, err := experiments.RunIncast(experiments.ClusterBenchConfig{
 		Hosts:    opts.hosts,
 		Rounds:   opts.rounds,
 		MsgBytes: opts.msgBytes,
-		Workers:  workers,
+		Workers:  opts.workers,
 	})
 	if err != nil {
-		return fail(err)
+		return failf(stderr, err)
 	}
 	printClusterReport(stdout, incast)
 
 	ring, err := experiments.RunRing(experiments.ClusterBenchConfig{
 		Rounds:  opts.rounds * 4, // more rounds: this is the timing vehicle
-		Workers: workers,
+		Workers: opts.workers,
 	})
 	if err != nil {
-		return fail(err)
+		return failf(stderr, err)
 	}
 	printClusterReport(stdout, ring)
 
 	if opts.jsonPath != "" {
-		doc := clusterDoc{
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			NumCPU:     runtime.NumCPU(),
-			Incast:     incast,
-			Ring:       ring,
+		if err := writeJSON(stderr, opts.jsonPath, clusterDoc{Incast: incast, Ring: ring}); err != nil {
+			return failf(stderr, err)
 		}
-		buf, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return fail(err)
-		}
-		if err := os.WriteFile(opts.jsonPath, append(buf, '\n'), 0o644); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stderr, "geniebench: wrote %s\n", opts.jsonPath)
 	}
 
 	code := 0
 	for _, rep := range []*experiments.ClusterReport{incast, ring} {
-		if !rep.Deterministic {
-			fmt.Fprintf(stderr, "geniebench: FAIL: %s digests diverge across worker counts\n", rep.Mode)
+		if divergenceGate(stderr, "cluster "+rep.Mode, rep.Verification) {
 			code = 1
 		}
 	}
@@ -141,20 +100,13 @@ func runCluster(opts clusterOptions, stdout, stderr io.Writer) int {
 	return code
 }
 
-// printClusterReport renders one workload's runs: the per-worker-count
-// digest lines are byte-stable; the closing verdict line carries the
-// wall-clock self-speedup and environment.
+// printClusterReport renders one workload: its shape, the verified
+// runs, then the simulated end time and the wall-clock self-speedup.
 func printClusterReport(stdout io.Writer, rep *experiments.ClusterReport) {
-	fmt.Fprintf(stdout, "cluster %s: %d hosts, %d rounds, %d-byte messages\n",
-		rep.Mode, rep.Hosts, rep.Rounds, rep.MsgBytes)
-	for _, r := range rep.Runs {
-		fmt.Fprintf(stdout, "cluster %s: workers=%d digest=%s deliveries=%d final=%.3fus\n",
-			rep.Mode, r.Workers, r.Digest, r.Deliveries, r.FinalTimeUS)
-	}
-	verdict := "bit-identical across worker counts"
-	if !rep.Deterministic {
-		verdict = "DIGESTS DIVERGE"
-	}
-	fmt.Fprintf(stdout, "cluster %s: %s; best self-speedup %.2fx at %d workers (GOMAXPROCS=%d, NumCPU=%d)\n",
-		rep.Mode, verdict, rep.BestSpeedup, rep.BestWorkers, rep.GOMAXPROCS, rep.NumCPU)
+	label := "cluster " + rep.Mode
+	fmt.Fprintf(stdout, "%s: %d hosts, %d rounds, %d-byte messages\n",
+		label, rep.Hosts, rep.Rounds, rep.MsgBytes)
+	printVerification(stdout, label, rep.Verification)
+	fmt.Fprintf(stdout, "%s: final=%.3fus; best self-speedup %.2fx at %d workers\n",
+		label, rep.FinalTimeUS, rep.BestSpeedup, rep.BestWorkers)
 }

@@ -44,7 +44,7 @@ func TestCLIClusterMode(t *testing.T) {
 	if doc.Incast.Hosts != 9 || len(doc.Incast.Runs) != 3 {
 		t.Fatalf("incast report = %+v", doc.Incast)
 	}
-	if doc.NumCPU < 1 || doc.GOMAXPROCS < 1 {
+	if doc.Incast.NumCPU < 1 || doc.Ring.GOMAXPROCS < 1 {
 		t.Fatalf("environment not recorded: %+v", doc)
 	}
 }
@@ -89,10 +89,10 @@ func TestCLIClusterBadFlags(t *testing.T) {
 		t.Fatalf("exit code %d, stderr:\n%s", code, stderr)
 	}
 	code, _, stderr = runCLI(t, "cluster", "-workers", "1,zero")
-	if code != 1 && code != 2 {
-		t.Fatalf("exit code %d for bad worker list, stderr:\n%s", code, stderr)
+	if code != 2 {
+		t.Fatalf("exit code %d for bad worker list, want 2; stderr:\n%s", code, stderr)
 	}
-	if !strings.Contains(stderr, "-workers: bad worker count") {
+	if !strings.Contains(stderr, "-workers: bad count") {
 		t.Fatalf("stderr missing flag name:\n%s", stderr)
 	}
 }

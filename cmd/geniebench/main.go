@@ -11,8 +11,12 @@
 // Every subcommand takes its own flags (see `geniebench <cmd> -h`). All
 // but chaos take -json <path> (machine-readable report). sweep, bigsweep
 // and workload take -parallel N, the goroutines their independent points
-// fan across; cluster and storage take -workers, the list of worker
-// counts whose digests must match.
+// fan across. cluster, workload and storage take -workers, the list of
+// worker counts whose digests must match, and share one rule for it:
+// the default is 1,4, a repeated count runs once, the first run is the
+// baseline, and a count below 1 or a non-number is a usage error. Each
+// prints one digest line per run (workers, digest, records, elapsed)
+// and one verdict line, and exits 1 when the digests diverge.
 //
 // # sweep
 //
@@ -40,12 +44,12 @@
 //
 // # cluster
 //
-// Exercises the sharded parallel engine: a -hosts incast runs at
-// several worker counts (-workers, default 1,4,GOMAXPROCS) and the full
-// delivery digest must be byte-identical at all of them; then a ring
-// halo exchange measures the engine's self-speedup over its own serial
-// execution. Exit status is nonzero on any digest divergence, or when
-// -minspeedup is set and the best ring self-speedup falls short.
+// Exercises the sharded parallel engine: a -hosts incast runs at every
+// -workers count and the full delivery digest must be byte-identical at
+// all of them; then a ring halo exchange measures the engine's
+// self-speedup over its first run. Exit status is nonzero on any digest
+// divergence, or when -minspeedup is set and the best ring self-speedup
+// falls short.
 //
 // Both -minspeedup gates (cluster and workload) are skipped, not failed,
 // on a host with fewer CPUs than the parallelism they credit: the
@@ -94,12 +98,15 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"strings"
+
+	"repro/internal/experiments"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -179,4 +186,49 @@ func speedupGate(stderr io.Writer, what string, got, floor float64, w int) (fail
 		return true
 	}
 	return false
+}
+
+// writeJSON writes v as indented JSON to path and notes it on stderr.
+func writeJSON(stderr io.Writer, path string, v any) error {
+	buf, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "geniebench: wrote %s\n", path)
+	return nil
+}
+
+// parseWorkers parses a -workers list: a usage error unless every entry
+// is a count of at least 1.
+func parseWorkers(s string) ([]int, error) {
+	ws, err := parseIntList(s)
+	if err == nil {
+		err = experiments.CheckWorkers(ws)
+	}
+	return ws, err
+}
+
+// printVerification renders a worker-count sweep: one digest line per
+// run, then the verdict with the host it ran on.
+func printVerification(stdout io.Writer, label string, v experiments.Verification) {
+	for _, r := range v.Runs {
+		fmt.Fprintf(stdout, "%s: workers=%d digest=%s records=%d elapsed=%.3fs\n",
+			label, r.Workers, r.Digest, r.Records, r.ElapsedSec)
+	}
+	verdict := "bit-identical across worker counts"
+	if !v.Deterministic {
+		verdict = "DIGESTS DIVERGE"
+	}
+	fmt.Fprintf(stdout, "%s: %s (GOMAXPROCS=%d, NumCPU=%d)\n", label, verdict, v.GOMAXPROCS, v.NumCPU)
+}
+
+// divergenceGate reports whether v's runs diverged, which fails the run.
+func divergenceGate(stderr io.Writer, label string, v experiments.Verification) (fail bool) {
+	if !v.Deterministic {
+		fmt.Fprintf(stderr, "geniebench: FAIL: %s digests diverge across worker counts\n", label)
+	}
+	return !v.Deterministic
 }

@@ -1,11 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/blockdev"
 	"repro/internal/experiments"
@@ -59,13 +57,8 @@ func runStorageCmd(args []string, stdout, stderr io.Writer) int {
 	if cfg.DirtyThresholds, err = parseIntList(*dirtyList); err != nil {
 		return usageErrf(fs, stderr, "-dirty: %v", err)
 	}
-	if cfg.Workers, err = parseIntList(*workersList); err != nil {
+	if cfg.Workers, err = parseWorkers(*workersList); err != nil {
 		return usageErrf(fs, stderr, "-workers: %v", err)
-	}
-	for _, w := range cfg.Workers {
-		if w < 1 {
-			return usageErrf(fs, stderr, "-workers: count %d < 1", w)
-		}
 	}
 	for _, n := range cfg.Sizes {
 		if n < 1 {
@@ -80,22 +73,16 @@ func runStorageCmd(args []string, stdout, stderr io.Writer) int {
 	printStorageReport(stdout, rep)
 
 	if *jsonPath != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
+		if err := writeJSON(stderr, *jsonPath, rep); err != nil {
 			return failf(stderr, err)
 		}
-		if err := os.WriteFile(*jsonPath, append(buf, '\n'), 0o644); err != nil {
-			return failf(stderr, err)
-		}
-		fmt.Fprintf(stderr, "geniebench: wrote %s\n", *jsonPath)
 	}
 
 	fmt.Fprintf(stderr, "geniebench: storage perf: rigs %d recycled / %d built\n",
 		rep.Perf.StorageRigsRecycled, rep.Perf.StorageRigsBuilt)
 
 	code := 0
-	if !rep.Deterministic {
-		fmt.Fprintf(stderr, "geniebench: FAIL: storage digests diverge across worker counts\n")
+	if divergenceGate(stderr, "storage", rep.Verification) {
 		code = 1
 	}
 	if *requireCrossover {
@@ -140,14 +127,5 @@ func printStorageReport(stdout io.Writer, rep *experiments.StorageReport) {
 				x.CachePages, x.DirtyThreshold)
 		}
 	}
-	for _, r := range rep.Runs {
-		fmt.Fprintf(stdout, "storage: workers=%d digest=%s points=%d elapsed=%.3fs\n",
-			r.Workers, r.Digest, r.Points, r.ElapsedSec)
-	}
-	verdict := "bit-identical across worker counts"
-	if !rep.Deterministic {
-		verdict = "DIGESTS DIVERGE"
-	}
-	fmt.Fprintf(stdout, "storage: %s (GOMAXPROCS=%d, NumCPU=%d)\n",
-		verdict, rep.GOMAXPROCS, rep.NumCPU)
+	printVerification(stdout, "storage", rep.Verification)
 }

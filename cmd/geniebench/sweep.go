@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -227,15 +226,9 @@ func runSweepCmd(args []string, stdout, stderr io.Writer) int {
 			Perf:        perf,
 			Results:     results,
 		}
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
+		if err := writeJSON(stderr, *jsonPath, rep); err != nil {
 			return failf(stderr, err)
 		}
-		if err := os.WriteFile(*jsonPath, append(buf, '\n'), 0o644); err != nil {
-			return failf(stderr, err)
-		}
-		fmt.Fprintf(stderr, "geniebench: wrote %s (%d generators, %.0f ms total)\n",
-			*jsonPath, len(results), rep.TotalWallMS)
 	}
 
 	// The performance summary goes to stderr so stdout stays

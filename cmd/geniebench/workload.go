@@ -1,11 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 
@@ -150,13 +148,8 @@ func runWorkloadCmd(args []string, stdout, stderr io.Writer) int {
 	if cfg.Loads, err = parseFloatList(*loadList); err != nil {
 		return usageErrf(fs, stderr, "-loads: %v", err)
 	}
-	if cfg.Workers, err = parseIntList(*workersList); err != nil {
+	if cfg.Workers, err = parseWorkers(*workersList); err != nil {
 		return usageErrf(fs, stderr, "-workers: %v", err)
-	}
-	for _, w := range cfg.Workers {
-		if w < 1 {
-			return usageErrf(fs, stderr, "-workers: count %d < 1", w)
-		}
 	}
 	if *faultsFlag != "" {
 		spec, err := faults.ParseSpec(*faultsFlag)
@@ -189,22 +182,16 @@ func runWorkloadCmd(args []string, stdout, stderr io.Writer) int {
 	printWorkloadReport(stdout, rep)
 
 	if *jsonPath != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
+		if err := writeJSON(stderr, *jsonPath, rep); err != nil {
 			return failf(stderr, err)
 		}
-		if err := os.WriteFile(*jsonPath, append(buf, '\n'), 0o644); err != nil {
-			return failf(stderr, err)
-		}
-		fmt.Fprintf(stderr, "geniebench: wrote %s\n", *jsonPath)
 	}
 
 	fmt.Fprintf(stderr, "geniebench: workload perf: clusters %d recycled / %d built\n",
 		rep.Perf.ClustersRecycled, rep.Perf.ClustersBuilt)
 
 	code := 0
-	if !rep.Deterministic {
-		fmt.Fprintf(stderr, "geniebench: FAIL: workload digests diverge across worker counts\n")
+	if divergenceGate(stderr, "workload "+rep.Scenario, rep.Verification) {
 		code = 1
 	}
 	if speedupGate(stderr, "workload speedup over serial cold", rep.Speedup, *minSpeedup, rep.PointWorkers) {
@@ -255,16 +242,8 @@ func printWorkloadReport(stdout io.Writer, rep *experiments.WorkloadReport) {
 				res.Scenario, s.Semantics)
 		}
 	}
-	for _, r := range rep.Runs {
-		fmt.Fprintf(stdout, "workload %s: workers=%d digest=%s ops=%d elapsed=%.3fs\n",
-			res.Scenario, r.Workers, r.Digest, r.CompletedOps, r.ElapsedSec)
-	}
-	verdict := "bit-identical across worker counts"
-	if !rep.Deterministic {
-		verdict = "DIGESTS DIVERGE"
-	}
-	fmt.Fprintf(stdout, "workload %s: %s (GOMAXPROCS=%d, NumCPU=%d, point-workers=%d)\n",
-		res.Scenario, verdict, rep.GOMAXPROCS, rep.NumCPU, rep.PointWorkers)
+	printVerification(stdout, "workload "+res.Scenario, rep.Verification)
+	fmt.Fprintf(stdout, "workload %s: point-workers=%d\n", res.Scenario, rep.PointWorkers)
 	if rep.SerialColdSec > 0 {
 		fmt.Fprintf(stdout,
 			"workload %s: serial cold %.3fs, optimized %.3fs, speedup %.2fx\n",

@@ -79,7 +79,7 @@ func WithDiskModel(m DiskModel) StorageOption {
 
 // WithStorageWorkers sets the point-fan-out worker counts the sweep is
 // digest-compared across. Default {1, 4}; the first is the reported
-// baseline.
+// baseline, a repeated count runs once, and a count below 1 is an error.
 func WithStorageWorkers(workers ...int) StorageOption {
 	return func(o *storageOptions) { o.cfg.Workers = workers }
 }

@@ -133,7 +133,7 @@ func WithWorkloadSeed(seed uint64) WorkloadOption {
 
 // WithWorkloadWorkers sets the shard-advance worker counts the sweep is
 // digest-compared across. Default {1, 4}; the first is the reported
-// baseline.
+// baseline, a repeated count runs once, and a count below 1 is an error.
 func WithWorkloadWorkers(workers ...int) WorkloadOption {
 	return func(o *workloadOptions) { o.cfg.Workers = workers }
 }

@@ -111,3 +111,10 @@ func TestWorkloadFacadeFaults(t *testing.T) {
 		t.Errorf("injected loss left no trace: %+v", p)
 	}
 }
+
+// A worker count below 1 is an error, not silently clamped to 1.
+func TestWorkloadFacadeRejectsBadWorkers(t *testing.T) {
+	if _, err := genie.RunWorkload(genie.WithWorkloadWorkers(0)); err == nil {
+		t.Error("worker count 0 did not error")
+	}
+}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -29,8 +28,8 @@ type ClusterBenchConfig struct {
 	// MsgBytes is the payload size per message; 0 → 8192 (incast) or
 	// 32768 (ring).
 	MsgBytes int
-	// Workers lists the worker counts to compare; empty → 1, 4, and
-	// GOMAXPROCS (deduplicated, ascending 1 first as the baseline).
+	// Workers lists the worker counts to compare; empty → 1 and 4. The
+	// first run is the digest and wall-clock baseline.
 	Workers []int
 }
 
@@ -44,48 +43,23 @@ func (c ClusterBenchConfig) withDefaults(defaultHosts, defaultMsg int) ClusterBe
 	if c.MsgBytes <= 0 {
 		c.MsgBytes = defaultMsg
 	}
-	if len(c.Workers) == 0 {
-		c.Workers = []int{1, 4, runtime.GOMAXPROCS(0)}
-	}
-	seen := map[int]bool{}
-	var ws []int
-	for _, w := range c.Workers {
-		if w < 1 {
-			w = 1
-		}
-		if !seen[w] {
-			seen[w] = true
-			ws = append(ws, w)
-		}
-	}
-	c.Workers = ws
 	return c
 }
 
-// ClusterWorkerRun is one workload execution at a fixed worker count.
-type ClusterWorkerRun struct {
-	Workers     int     `json:"workers"`
-	Digest      string  `json:"digest"`
-	Deliveries  uint64  `json:"deliveries"`
-	FinalTimeUS float64 `json:"final_time_us"`
-	ElapsedSec  float64 `json:"elapsed_sec"`
-	Speedup     float64 `json:"speedup_vs_serial"`
-}
-
 // ClusterReport summarizes a cluster benchmark: the runs at each worker
-// count, whether every digest matched the serial baseline, and the best
-// observed self-speedup.
+// count, whether every digest matched the first run's, and the best
+// observed self-speedup over that first run.
 type ClusterReport struct {
-	Mode          string             `json:"mode"` // "incast" or "ring"
-	Hosts         int                `json:"hosts"`
-	Rounds        int                `json:"rounds"`
-	MsgBytes      int                `json:"msg_bytes"`
-	GOMAXPROCS    int                `json:"gomaxprocs"`
-	NumCPU        int                `json:"num_cpu"`
-	Runs          []ClusterWorkerRun `json:"runs"`
-	Deterministic bool               `json:"deterministic"`
-	BestSpeedup   float64            `json:"best_speedup"`
-	BestWorkers   int                `json:"best_workers"`
+	Mode     string `json:"mode"` // "incast" or "ring"
+	Hosts    int    `json:"hosts"`
+	Rounds   int    `json:"rounds"`
+	MsgBytes int    `json:"msg_bytes"`
+	Verification
+	// FinalTimeUS is the simulated time the workload ends at. It is
+	// folded into the digest, so it is the same at every worker count.
+	FinalTimeUS float64 `json:"final_time_us"`
+	BestSpeedup float64 `json:"best_speedup"`
+	BestWorkers int     `json:"best_workers"`
 }
 
 // stamp writes the per-message identity into the payload head. The body
@@ -133,7 +107,7 @@ func drainInto(d *digest.Digest, round, ch int, e *core.Endpoint) error {
 // Hosts-1 senders each push Rounds messages at host 0 in lockstep
 // rounds, every round fully drained before the next begins. The
 // receiver's NIC, kernel pool, and egress port absorb the full fan-in.
-func runIncastOnce(cfg ClusterBenchConfig, workers int) (*ClusterWorkerRun, error) {
+func runIncastOnce(cfg ClusterBenchConfig, workers int) (WorkerRun, float64, error) {
 	pages := func(n int) int { return (n + 4095) / 4096 }
 	bufPages := pages(cfg.MsgBytes)
 	senders := cfg.Hosts - 1
@@ -155,7 +129,7 @@ func runIncastOnce(cfg ClusterBenchConfig, workers int) (*ClusterWorkerRun, erro
 	}
 	c, err := core.NewCluster(ccfg)
 	if err != nil {
-		return nil, err
+		return WorkerRun{}, 0, err
 	}
 	recv := c.Host(0).Genie.NewProcess()
 	type chanEnd struct{ s, r *core.Endpoint }
@@ -164,7 +138,7 @@ func runIncastOnce(cfg ClusterBenchConfig, workers int) (*ClusterWorkerRun, erro
 		p := c.Host(i + 1).Genie.NewProcess()
 		es, er, err := c.Connect(p, recv, core.EmulatedCopy, cfg.MsgBytes, 2)
 		if err != nil {
-			return nil, err
+			return WorkerRun{}, 0, err
 		}
 		ends[i] = chanEnd{s: es, r: er}
 	}
@@ -178,29 +152,18 @@ func runIncastOnce(cfg ClusterBenchConfig, workers int) (*ClusterWorkerRun, erro
 		for i, e := range ends {
 			stamp(payload, round, i, 0)
 			if _, err := e.s.Send(payload); err != nil {
-				return nil, fmt.Errorf("cluster: incast round %d sender %d: %w", round, i, err)
+				return WorkerRun{}, 0, fmt.Errorf("cluster: incast round %d sender %d: %w", round, i, err)
 			}
 		}
 		c.Run()
 		for i, e := range ends {
 			if err := drainInto(d, round, i, e.r); err != nil {
-				return nil, err
+				return WorkerRun{}, 0, err
 			}
 		}
 	}
-	final := c.Run()
-	elapsed := time.Since(start)
-	for i := 0; i < cfg.Hosts; i++ {
-		d.Addf("host%d nic=%+v genie=%+v\n", i, c.Host(i).NIC.Stats(), c.Host(i).Genie.Stats())
-	}
-	d.Addf("final=%x\n", float64(final))
-	return &ClusterWorkerRun{
-		Workers:     workers,
-		Digest:      d.Hex(),
-		Deliveries:  d.Records(),
-		FinalTimeUS: float64(final),
-		ElapsedSec:  elapsed.Seconds(),
-	}, nil
+	run, final := finishClusterRun(c, d, start)
+	return run, final, nil
 }
 
 // runRingOnce executes the halo-exchange workload at one worker count:
@@ -208,7 +171,7 @@ func runIncastOnce(cfg ClusterBenchConfig, workers int) (*ClusterWorkerRun, erro
 // Unlike incast this uses the Bytes plane — every page is materialized
 // and copied — so per-shard work is substantial and the workload is the
 // self-speedup measurement vehicle.
-func runRingOnce(cfg ClusterBenchConfig, workers int) (*ClusterWorkerRun, error) {
+func runRingOnce(cfg ClusterBenchConfig, workers int) (WorkerRun, float64, error) {
 	pages := func(n int) int { return (n + 4095) / 4096 }
 	bufPages := pages(cfg.MsgBytes)
 	gcfg := core.DefaultConfig()
@@ -224,7 +187,7 @@ func runRingOnce(cfg ClusterBenchConfig, workers int) (*ClusterWorkerRun, error)
 	}
 	c, err := core.NewCluster(ccfg)
 	if err != nil {
-		return nil, err
+		return WorkerRun{}, 0, err
 	}
 	procs := make([]*core.Process, cfg.Hosts)
 	for i := range procs {
@@ -235,7 +198,7 @@ func runRingOnce(cfg ClusterBenchConfig, workers int) (*ClusterWorkerRun, error)
 	for i, p := range ccfg.Topo.Pairs {
 		ea, eb, err := c.Connect(procs[p[0]], procs[p[1]], core.EmulatedCopy, cfg.MsgBytes, 2)
 		if err != nil {
-			return nil, err
+			return WorkerRun{}, 0, err
 		}
 		links[i] = duplex{a: ea, b: eb}
 	}
@@ -249,73 +212,58 @@ func runRingOnce(cfg ClusterBenchConfig, workers int) (*ClusterWorkerRun, error)
 		for i, l := range links {
 			stamp(payload, round, i, 0)
 			if _, err := l.a.Send(payload); err != nil {
-				return nil, fmt.Errorf("cluster: ring round %d link %d fwd: %w", round, i, err)
+				return WorkerRun{}, 0, fmt.Errorf("cluster: ring round %d link %d fwd: %w", round, i, err)
 			}
 			stamp(payload, round, i, 1)
 			if _, err := l.b.Send(payload); err != nil {
-				return nil, fmt.Errorf("cluster: ring round %d link %d rev: %w", round, i, err)
+				return WorkerRun{}, 0, fmt.Errorf("cluster: ring round %d link %d rev: %w", round, i, err)
 			}
 		}
 		c.Run()
 		for i, l := range links {
 			if err := drainInto(d, round, i, l.a); err != nil {
-				return nil, err
+				return WorkerRun{}, 0, err
 			}
 			if err := drainInto(d, round, i, l.b); err != nil {
-				return nil, err
+				return WorkerRun{}, 0, err
 			}
 		}
 	}
-	final := c.Run()
-	elapsed := time.Since(start)
-	for i := 0; i < cfg.Hosts; i++ {
-		d.Addf("host%d nic=%+v genie=%+v\n", i, c.Host(i).NIC.Stats(), c.Host(i).Genie.Stats())
-	}
-	d.Addf("final=%x\n", float64(final))
-	return &ClusterWorkerRun{
-		Workers:     workers,
-		Digest:      d.Hex(),
-		Deliveries:  d.Records(),
-		FinalTimeUS: float64(final),
-		ElapsedSec:  elapsed.Seconds(),
-	}, nil
+	run, final := finishClusterRun(c, d, start)
+	return run, final, nil
 }
 
-// runClusterBench executes the workload once per configured worker
-// count and assembles the report. The serial run is the digest and
-// wall-clock baseline.
-func runClusterBench(mode string, cfg ClusterBenchConfig, once func(ClusterBenchConfig, int) (*ClusterWorkerRun, error)) (*ClusterReport, error) {
-	rep := &ClusterReport{
-		Mode:       mode,
-		Hosts:      cfg.Hosts,
-		Rounds:     cfg.Rounds,
-		MsgBytes:   cfg.MsgBytes,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
+// finishClusterRun runs c to quiescence after the send/drain loop that
+// began at start, folds every host's final stats and the end time into
+// d, and returns the run with that end time in µs. Only the loop is
+// timed: cluster construction is not the engine's work.
+func finishClusterRun(c *core.Cluster, d *digest.Digest, start time.Time) (WorkerRun, float64) {
+	final := float64(c.Run())
+	elapsed := time.Since(start)
+	for i := 0; i < c.Size(); i++ {
+		d.Addf("host%d nic=%+v genie=%+v\n", i, c.Host(i).NIC.Stats(), c.Host(i).Genie.Stats())
 	}
-	var baseline *ClusterWorkerRun
-	rep.Deterministic = true
-	for _, w := range cfg.Workers {
-		run, err := once(cfg, w)
-		if err != nil {
-			return nil, err
-		}
-		if baseline == nil || w == 1 && baseline.Workers != 1 {
-			baseline = run
-		}
-		rep.Runs = append(rep.Runs, *run)
+	d.Addf("final=%x\n", final)
+	return WorkerRun{Digest: d.Hex(), Records: d.Records(), ElapsedSec: elapsed.Seconds()}, final
+}
+
+// verifyCluster runs one workload at every configured worker count and
+// reads the self-speedup over the first run off the verified runs.
+func verifyCluster(mode string, cfg ClusterBenchConfig, once func(ClusterBenchConfig, int) (WorkerRun, float64, error)) (*ClusterReport, error) {
+	rep := &ClusterReport{Mode: mode, Hosts: cfg.Hosts, Rounds: cfg.Rounds, MsgBytes: cfg.MsgBytes}
+	var err error
+	rep.Verification, err = verifyWorkers(cfg.Workers, func(w int) (WorkerRun, error) {
+		run, final, err := once(cfg, w)
+		rep.FinalTimeUS = final
+		return run, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	for i := range rep.Runs {
-		r := &rep.Runs[i]
-		if r.Digest != baseline.Digest || r.Deliveries != baseline.Deliveries {
-			rep.Deterministic = false
-		}
-		if r.ElapsedSec > 0 {
-			r.Speedup = baseline.ElapsedSec / r.ElapsedSec
-		}
-		if r.Speedup > rep.BestSpeedup {
-			rep.BestSpeedup = r.Speedup
-			rep.BestWorkers = r.Workers
+	base := rep.Runs[0].ElapsedSec
+	for _, r := range rep.Runs {
+		if r.ElapsedSec > 0 && base/r.ElapsedSec > rep.BestSpeedup {
+			rep.BestSpeedup, rep.BestWorkers = base/r.ElapsedSec, r.Workers
 		}
 	}
 	return rep, nil
@@ -324,11 +272,11 @@ func runClusterBench(mode string, cfg ClusterBenchConfig, once func(ClusterBench
 // RunIncast runs the incast determinism benchmark: Hosts-1 senders
 // converging on one receiver, digest-compared across worker counts.
 func RunIncast(cfg ClusterBenchConfig) (*ClusterReport, error) {
-	return runClusterBench("incast", cfg.withDefaults(64, 8192), runIncastOnce)
+	return verifyCluster("incast", cfg.withDefaults(64, 8192), runIncastOnce)
 }
 
 // RunRing runs the halo-exchange benchmark on the Bytes plane: the
 // self-speedup measurement with the same digest comparison.
 func RunRing(cfg ClusterBenchConfig) (*ClusterReport, error) {
-	return runClusterBench("ring", cfg.withDefaults(8, 32768), runRingOnce)
+	return verifyCluster("ring", cfg.withDefaults(8, 32768), runRingOnce)
 }

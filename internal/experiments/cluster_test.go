@@ -20,11 +20,11 @@ func TestIncastDeterministicAcrossWorkers(t *testing.T) {
 	}
 	wantDeliveries := uint64(16 * 3)
 	for _, r := range rep.Runs {
-		if r.Deliveries != wantDeliveries {
-			t.Fatalf("workers=%d delivered %d, want %d", r.Workers, r.Deliveries, wantDeliveries)
+		if r.Records != wantDeliveries {
+			t.Fatalf("workers=%d delivered %d, want %d", r.Workers, r.Records, wantDeliveries)
 		}
 	}
-	if rep.Runs[0].FinalTimeUS <= 0 {
+	if rep.FinalTimeUS <= 0 {
 		t.Fatal("final simulated time not positive")
 	}
 }
@@ -47,8 +47,8 @@ func TestRingDeterministicAcrossWorkers(t *testing.T) {
 	// Every link delivers both directions every round.
 	wantDeliveries := uint64(6 * 2 * 3)
 	for _, r := range rep.Runs {
-		if r.Deliveries != wantDeliveries {
-			t.Fatalf("workers=%d delivered %d, want %d", r.Workers, r.Deliveries, wantDeliveries)
+		if r.Records != wantDeliveries {
+			t.Fatalf("workers=%d delivered %d, want %d", r.Workers, r.Records, wantDeliveries)
 		}
 	}
 }
@@ -73,7 +73,7 @@ func TestIncastFullScale(t *testing.T) {
 	if !rep.Deterministic {
 		t.Fatalf("64-host incast digests diverge: %+v", rep.Runs)
 	}
-	if want := uint64(63 * 2); rep.Runs[0].Deliveries != want {
-		t.Fatalf("deliveries = %d, want %d", rep.Runs[0].Deliveries, want)
+	if want := uint64(63 * 2); rep.Runs[0].Records != want {
+		t.Fatalf("deliveries = %d, want %d", rep.Runs[0].Records, want)
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"time"
 
@@ -80,24 +79,13 @@ type StorageCrossover struct {
 	Bytes          int `json:"bytes"`
 }
 
-// StorageWorkerRun is one full sweep at a fixed point-worker count.
-type StorageWorkerRun struct {
-	Workers    int     `json:"workers"`
-	Digest     string  `json:"digest"`
-	Points     int     `json:"points"`
-	ElapsedSec float64 `json:"elapsed_sec"`
-}
-
 // StorageReport is the experiment outcome.
 type StorageReport struct {
-	Scenario      string             `json:"scenario"`
-	GOMAXPROCS    int                `json:"gomaxprocs"`
-	NumCPU        int                `json:"num_cpu"`
-	Points        []StoragePoint     `json:"points"`
-	Crossovers    []StorageCrossover `json:"crossovers"`
-	Runs          []StorageWorkerRun `json:"runs"`
-	Deterministic bool               `json:"deterministic"`
-	Perf          PerfStats          `json:"perf"`
+	Scenario   string             `json:"scenario"`
+	Points     []StoragePoint     `json:"points"`
+	Crossovers []StorageCrossover `json:"crossovers"`
+	Verification
+	Perf PerfStats `json:"perf"`
 }
 
 // storageKey is one storage grid point.
@@ -156,9 +144,9 @@ func storageImage(b, n int) []byte {
 const storageOps = 4
 
 // runStoragePoint simulates one grid point from a cold (or
-// indistinguishably recycled) storage stack. The rig goes back to the
-// free list after a clean run; a failed point's rig is in an unknown
-// state and is dropped.
+// indistinguishably recycled) storage stack; any error names the point.
+// The rig goes back to the free list after a clean run; a failed
+// point's rig is in an unknown state and is dropped.
 func runStoragePoint(k storageKey) (StoragePoint, error) {
 	disk := core.DiskConfig{
 		Disk:           k.disk,
@@ -167,12 +155,13 @@ func runStoragePoint(k storageKey) (StoragePoint, error) {
 		DirtyThreshold: k.dirtyThreshold,
 	}
 	rig, err := storageRigs.Get(disk, func() (*storageRig, error) { return newStorageRig(disk) })
-	if err != nil {
-		return StoragePoint{}, err
+	var pt StoragePoint
+	if err == nil {
+		pt, err = simulateStoragePoint(rig, k)
 	}
-	pt, err := simulateStoragePoint(rig, k)
 	if err != nil {
-		return StoragePoint{}, err
+		return StoragePoint{}, fmt.Errorf("storage: %s size=%d cache=%dpg dirty=%d readahead=%d: %w",
+			k.sem, k.size, k.cachePages, k.dirtyThreshold, k.readAhead, err)
 	}
 	storageRigs.Put(disk, rig)
 	return pt, nil
@@ -289,10 +278,10 @@ func simulateStoragePoint(rig *storageRig, k storageKey) (StoragePoint, error) {
 
 	s.Sync()
 	if err := s.CheckConservation(); err != nil {
-		return StoragePoint{}, fmt.Errorf("point %+v: %w", k, err)
+		return StoragePoint{}, err
 	}
 	if err := tb.A.Phys.CheckInvariants(); err != nil {
-		return StoragePoint{}, fmt.Errorf("point %+v: %w", k, err)
+		return StoragePoint{}, err
 	}
 
 	ct := s.Cache().Counters()
@@ -347,7 +336,8 @@ func (cfg StorageConfig) grid() []storageKey {
 
 // runStorageGrid measures every point at the given worker count and
 // folds the canonical-order digest.
-func runStorageGrid(keys []storageKey, pw int) ([]StoragePoint, string, error) {
+func runStorageGrid(keys []storageKey, pw int) ([]StoragePoint, WorkerRun, error) {
+	start := time.Now()
 	points := make([]StoragePoint, len(keys))
 	err := par.Each(len(keys), pw, func(i int) error {
 		var err error
@@ -355,7 +345,7 @@ func runStorageGrid(keys []storageKey, pw int) ([]StoragePoint, string, error) {
 		return err
 	})
 	if err != nil {
-		return nil, "", err
+		return nil, WorkerRun{}, err
 	}
 	d := digest.New()
 	for _, pt := range points {
@@ -367,7 +357,7 @@ func runStorageGrid(keys []storageKey, pw int) ([]StoragePoint, string, error) {
 			pt.DeviceSeeks, pt.DeviceBusyUS)
 		d.Record()
 	}
-	return points, d.Hex(), nil
+	return points, WorkerRun{Digest: d.Hex(), Records: d.Records(), ElapsedSec: time.Since(start).Seconds()}, nil
 }
 
 // storageCrossovers locates, for each cache configuration, the
@@ -425,37 +415,18 @@ func storageCrossovers(points []StoragePoint) []StorageCrossover {
 // later run simulates every point again and must reproduce its digest
 // bit for bit, or Deterministic flips to false.
 func RunStorage(cfg StorageConfig) (*StorageReport, error) {
-	workers := cfg.Workers
-	if len(workers) == 0 {
-		workers = []int{1, 4}
-	}
 	keys := cfg.grid()
-	rep := &StorageReport{
-		Scenario:      "storage",
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		NumCPU:        runtime.NumCPU(),
-		Deterministic: true,
-	}
-	for _, w := range workers {
-		if w < 1 {
-			w = 1
-		}
-		start := time.Now()
-		points, dg, err := runStorageGrid(keys, w)
-		if err != nil {
-			return nil, err
-		}
-		rep.Runs = append(rep.Runs, StorageWorkerRun{
-			Workers:    w,
-			Digest:     dg,
-			Points:     len(points),
-			ElapsedSec: time.Since(start).Seconds(),
-		})
+	rep := &StorageReport{Scenario: "storage"}
+	var err error
+	rep.Verification, err = verifyWorkers(cfg.Workers, func(w int) (WorkerRun, error) {
+		points, run, err := runStorageGrid(keys, w)
 		if rep.Points == nil {
 			rep.Points = points
-		} else if dg != rep.Runs[0].Digest {
-			rep.Deterministic = false
 		}
+		return run, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	rep.Crossovers = storageCrossovers(rep.Points)
 	rep.Perf = Perf()

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -25,7 +26,7 @@ func TestRunStorageDeterministic(t *testing.T) {
 			t.Errorf("workers=%d digest %s, want the committed %s", r.Workers, r.Digest, committed)
 		}
 	}
-	points := uint64(rep.Runs[0].Points)
+	points := rep.Runs[0].Records
 	if got := rep.Perf.StorageRigsBuilt + rep.Perf.StorageRigsRecycled; points == 0 || got != 2*points {
 		t.Errorf("rig gets %d, want %d (every point simulated in both runs)", got, 2*points)
 	}
@@ -59,7 +60,7 @@ func TestRunStorageMemoOff(t *testing.T) {
 				t.Errorf("memo-off workers=%d digest %s, want the committed %s", r.Workers, r.Digest, committed)
 			}
 		}
-		points := uint64(rep.Runs[0].Points)
+		points := rep.Runs[0].Records
 		if got := rep.Perf.StorageRigsBuilt + rep.Perf.StorageRigsRecycled; points == 0 || got != 2*points {
 			t.Errorf("memo-off rig gets %d, want %d", got, 2*points)
 		}
@@ -162,5 +163,25 @@ func TestRunStorageWritebackBursts(t *testing.T) {
 	}
 	if eager.Writebacks == 0 {
 		t.Fatal("threshold-4 point never wrote back")
+	}
+}
+
+// A failing grid point names itself: an I/O size past the end of the
+// device fails with the point's coordinates, not just the device error.
+func TestRunStorageErrorNamesPoint(t *testing.T) {
+	_, err := RunStorage(StorageConfig{
+		Semantics:       []core.Semantics{core.Copy},
+		Sizes:           []int{10000000},
+		CachePages:      []int{8},
+		DirtyThresholds: []int{0},
+		Workers:         []int{1},
+	})
+	if err == nil {
+		t.Fatal("oversized point succeeded")
+	}
+	for _, want := range []string{"copy", "size=10000000", "cache=8pg", "dirty=0", "readahead=0", "blockdev:"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q missing %q", err, want)
+		}
 	}
 }

@@ -180,99 +180,27 @@ func latencyFit(s Setup, sem core.Semantics, lengths []int) (stats.Fit, error) {
 }
 
 // CriticalPath returns the primitive operations that contribute to
-// end-to-end latency for one semantics under one buffering scheme
-// (Section 8's overlap analysis over Tables 2-4): sender prepare ops
-// always contribute; receiver dispose ops contribute always; receiver
-// ready ops contribute only for pooled and outboard buffering.
+// end-to-end latency for one semantics under one buffering scheme,
+// derived from core's Tables 2-4 by Section 8's overlap analysis: sender
+// prepare ops always contribute; receiver ready ops contribute except
+// under early demultiplexing, where they run at posting time; receiver
+// dispose ops contribute except buffer deallocation, which is deferred
+// past notification, and completion zeroing, which has no bytes to zero
+// at Table 7's page-multiple lengths. An unaligned application buffer
+// turns a swap into a copyout.
 func CriticalPath(sem core.Semantics, scheme netsim.InputBuffering, aligned bool) []cost.Op {
-	var ops []cost.Op
-	// Sender prepare (Table 2).
-	switch sem {
-	case core.Copy:
-		ops = append(ops, cost.BufAllocate, cost.Copyin)
-	case core.EmulatedCopy:
-		ops = append(ops, cost.Reference, cost.ReadOnly)
-	case core.Share:
-		ops = append(ops, cost.Reference, cost.Wire)
-	case core.EmulatedShare:
-		ops = append(ops, cost.Reference)
-	case core.Move:
-		ops = append(ops, cost.Reference, cost.Wire, cost.RegionMarkOut, cost.Invalidate)
-	case core.EmulatedMove:
-		ops = append(ops, cost.Reference, cost.RegionMarkOut, cost.Invalidate)
-	case core.WeakMove:
-		ops = append(ops, cost.Reference, cost.Wire, cost.RegionMarkOut)
-	case core.EmulatedWeakMove:
-		ops = append(ops, cost.Reference, cost.RegionMarkOut)
+	ops := core.OutputPrepareOps(sem)
+	if scheme != netsim.EarlyDemux {
+		ops = append(ops, core.InputReadyOps(sem, scheme)...)
 	}
-	if scheme == netsim.Pooled {
-		ops = append(ops, cost.OverlayAllocate, cost.Overlay)
-	}
-	passData := cost.Swap
-	if !aligned {
-		passData = cost.Copyout
-	}
-	switch scheme {
-	case netsim.EarlyDemux:
-		switch sem {
-		case core.Copy:
-			ops = append(ops, cost.Copyout)
-		case core.EmulatedCopy:
-			ops = append(ops, cost.Swap)
-		case core.Share:
-			ops = append(ops, cost.Unwire, cost.Unreference)
-		case core.EmulatedShare:
-			ops = append(ops, cost.Unreference)
-		case core.Move:
-			ops = append(ops, cost.RegionCreate, cost.RegionFill, cost.RegionMap, cost.RegionMarkIn)
-		case core.EmulatedMove:
-			ops = append(ops, cost.RegionCheckUnrefReinstateMarkIn)
-		case core.WeakMove:
-			ops = append(ops, cost.RegionCheck, cost.Unwire, cost.Unreference, cost.RegionMarkIn)
-		case core.EmulatedWeakMove:
-			ops = append(ops, cost.RegionCheckUnrefMarkIn)
+	for _, op := range core.InputDisposeOps(sem, scheme) {
+		switch {
+		case op == cost.BufDeallocate || op == cost.ZeroComplete:
+			continue
+		case op == cost.Swap && !aligned && !sem.SystemAllocated():
+			op = cost.Copyout
 		}
-	case netsim.Pooled:
-		switch sem {
-		case core.Copy:
-			ops = append(ops, cost.Copyout, cost.OverlayDeallocate)
-		case core.EmulatedCopy:
-			ops = append(ops, passData, cost.OverlayDeallocate)
-		case core.Share:
-			ops = append(ops, cost.Unwire, cost.Unreference, passData, cost.OverlayDeallocate)
-		case core.EmulatedShare:
-			ops = append(ops, cost.Unreference, passData, cost.OverlayDeallocate)
-		case core.Move:
-			ops = append(ops, cost.RegionCreate, cost.RegionFillOverlayRefill, cost.RegionMap,
-				cost.RegionMarkIn, cost.OverlayDeallocate)
-		case core.EmulatedMove, core.EmulatedWeakMove:
-			ops = append(ops, cost.RegionCheck, cost.Unreference, cost.Swap,
-				cost.RegionMarkIn, cost.OverlayDeallocate)
-		case core.WeakMove:
-			ops = append(ops, cost.RegionCheck, cost.Unwire, cost.Unreference, cost.Swap,
-				cost.RegionMarkIn, cost.OverlayDeallocate)
-		}
-	case netsim.OutboardBuffering:
-		ops = append(ops, cost.OutboardDMA)
-		switch sem {
-		case core.Copy:
-			ops = append(ops, cost.BufAllocate, cost.Copyout)
-		case core.EmulatedCopy:
-			ops = append(ops, cost.Reference, cost.Unreference)
-		case core.Share:
-			ops = append(ops, cost.Unwire, cost.Unreference)
-		case core.EmulatedShare:
-			ops = append(ops, cost.Unreference)
-		case core.Move:
-			ops = append(ops, cost.BufAllocate, cost.RegionCreate, cost.RegionFill,
-				cost.RegionMap, cost.RegionMarkIn)
-		case core.EmulatedMove:
-			ops = append(ops, cost.RegionCheckUnrefReinstateMarkIn)
-		case core.WeakMove:
-			ops = append(ops, cost.RegionCheck, cost.Unwire, cost.Unreference, cost.RegionMarkIn)
-		case core.EmulatedWeakMove:
-			ops = append(ops, cost.RegionCheckUnrefMarkIn)
-		}
+		ops = append(ops, op)
 	}
 	return ops
 }
@@ -341,11 +269,10 @@ func Table7(s Setup) (Table, error) {
 	err = runner().ForEach(len(sems), func(i int) error {
 		sem := sems[i]
 		pr := paperRow(sem)
-		sysAligned := sem.SystemAllocated() // unaffected by app alignment
 
 		estE := estimateFit(opFits, base, sem, netsim.EarlyDemux, true)
 		estP := estimateFit(opFits, base, sem, netsim.Pooled, true)
-		estU := estimateFit(opFits, base, sem, netsim.Pooled, sysAligned)
+		estU := estimateFit(opFits, base, sem, netsim.Pooled, false)
 		actE, err := latencyFit(early, sem, lengths)
 		if err != nil {
 			return err

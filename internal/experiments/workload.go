@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"runtime"
 	"time"
 
 	"repro/internal/par"
@@ -11,7 +10,7 @@ import (
 // The closed-loop workload experiment: run one backpressure sweep
 // (semantics × queue depth × offered load, see internal/workload) at
 // several worker counts, digest-compare the runs, and report the
-// serial baseline's schemes. This is the same determinism discipline
+// first run's schemes. This is the same determinism discipline
 // as the cluster benchmarks — the digest folds every latency sample,
 // counter, and high-water mark, so a single worker-count-dependent
 // perturbation anywhere in the stack flips Deterministic to false.
@@ -44,24 +43,13 @@ type WorkloadConfig struct {
 	CompareSerialCold bool
 }
 
-// WorkloadWorkerRun is one full sweep at a fixed worker count.
-type WorkloadWorkerRun struct {
-	Workers      int     `json:"workers"`
-	Digest       string  `json:"digest"`
-	CompletedOps uint64  `json:"completed_ops"`
-	ElapsedSec   float64 `json:"elapsed_sec"`
-}
-
-// WorkloadReport is the experiment outcome: the serial baseline's full
+// WorkloadReport is the experiment outcome: the first run's full
 // sweep, the per-worker-count digests, and the determinism verdict.
 type WorkloadReport struct {
-	Scenario      string              `json:"scenario"`
-	GOMAXPROCS    int                 `json:"gomaxprocs"`
-	NumCPU        int                 `json:"num_cpu"`
-	PointWorkers  int                 `json:"point_workers"`
-	Result        *workload.Result    `json:"result"`
-	Runs          []WorkloadWorkerRun `json:"runs"`
-	Deterministic bool                `json:"deterministic"`
+	Scenario     string           `json:"scenario"`
+	PointWorkers int              `json:"point_workers"`
+	Result       *workload.Result `json:"result"`
+	Verification
 	// SerialColdSec is the wall-clock of the whole verification run in
 	// the serial/cold regime (CompareSerialCold only).
 	SerialColdSec float64 `json:"serial_cold_sec,omitempty"`
@@ -77,60 +65,37 @@ type WorkloadReport struct {
 }
 
 // RunWorkload executes the sweep at every configured worker count. The
-// first run (workers=1 unless overridden) is the reported baseline;
-// every other run simulates the grid again and must reproduce its
-// digest bit for bit.
+// first run is the reported baseline; every other run simulates the
+// grid again and must reproduce its digest bit for bit. With
+// CompareSerialCold the cold runs come first and join the verdict.
 func RunWorkload(cfg WorkloadConfig) (*WorkloadReport, error) {
-	workers := cfg.Workers
-	if len(workers) == 0 {
-		workers = []int{1, 4}
-	}
 	pointWorkers := workload.ResolvePointWorkers(cfg.PointWorkers)
-	rep := &WorkloadReport{
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		NumCPU:        runtime.NumCPU(),
-		PointWorkers:  pointWorkers,
-		Deterministic: true,
-	}
-
-	coldDigest := ""
+	rep := &WorkloadReport{PointWorkers: pointWorkers}
+	var cold Verification
+	var err error
 	if cfg.CompareSerialCold {
-		start := time.Now()
-		var err error
-		if coldDigest, err = runSerialCold(cfg.Config, workers); err != nil {
+		if cold, err = verifySerialCold(cfg); err != nil {
 			return nil, err
 		}
-		rep.SerialColdSec = time.Since(start).Seconds()
 	}
-
-	for _, w := range workers {
-		if w < 1 {
-			w = 1
-		}
+	rep.Verification, err = verifyWorkers(cfg.Workers, func(w int) (WorkerRun, error) {
 		start := time.Now()
 		res, err := workload.RunParallel(cfg.Config, w, pointWorkers)
 		if err != nil {
-			return nil, err
+			return WorkerRun{}, err
 		}
-		elapsed := time.Since(start).Seconds()
-		rep.OptimizedSec += elapsed
-		rep.Runs = append(rep.Runs, WorkloadWorkerRun{
-			Workers:      w,
-			Digest:       res.Digest,
-			CompletedOps: res.CompletedOps,
-			ElapsedSec:   elapsed,
-		})
 		if rep.Result == nil {
-			rep.Result = res
-			rep.Scenario = res.Scenario
-		} else if res.Digest != rep.Result.Digest {
-			rep.Deterministic = false
+			rep.Result, rep.Scenario = res, res.Scenario
 		}
+		return workloadRun(res, start), nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if coldDigest != "" {
-		if coldDigest != rep.Result.Digest {
-			rep.Deterministic = false
-		}
+	rep.OptimizedSec = rep.elapsedSec()
+	if cfg.CompareSerialCold {
+		rep.Deterministic = agree(append(cold.Runs, rep.Runs...))
+		rep.SerialColdSec = cold.elapsedSec()
 		if rep.OptimizedSec > 0 {
 			rep.Speedup = rep.SerialColdSec / rep.OptimizedSec
 		}
@@ -139,21 +104,23 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadReport, error) {
 	return rep, nil
 }
 
-// runSerialCold runs the sweep at every worker count one point at a
-// time with recycling off, and returns the first run's digest.
-func runSerialCold(cfg workload.Config, workers []int) (string, error) {
+// verifySerialCold runs the sweep at every worker count one point at a
+// time with recycling off.
+func verifySerialCold(cfg WorkloadConfig) (Verification, error) {
 	// The inner call switches recycling off and returns its previous
 	// setting, which the deferred outer call restores.
 	defer par.SetRecycling(par.SetRecycling(false))
-	digest := ""
-	for _, w := range workers {
-		res, err := workload.Run(cfg, max(w, 1))
+	return verifyWorkers(cfg.Workers, func(w int) (WorkerRun, error) {
+		start := time.Now()
+		res, err := workload.Run(cfg.Config, w)
 		if err != nil {
-			return "", err
+			return WorkerRun{}, err
 		}
-		if digest == "" {
-			digest = res.Digest
-		}
-	}
-	return digest, nil
+		return workloadRun(res, start), nil
+	})
+}
+
+// workloadRun records a sweep that began at start.
+func workloadRun(res *workload.Result, start time.Time) WorkerRun {
+	return WorkerRun{Digest: res.Digest, Records: res.CompletedOps, ElapsedSec: time.Since(start).Seconds()}
 }
