@@ -19,6 +19,11 @@
 //     the buffer exactly.
 package checksum
 
+import (
+	"encoding/binary"
+	"math/bits"
+)
+
 // Sum returns the Internet checksum of data: the 16-bit ones-complement
 // of the ones-complement sum of the data taken as big-endian 16-bit
 // words, padded with a zero byte if odd.
@@ -29,15 +34,32 @@ func Sum(data []byte) uint16 {
 // Accumulate adds data into a running 32-bit ones-complement
 // accumulator, allowing incremental checksumming of scattered buffers.
 // Each call must start at an even byte offset of the overall message.
+//
+// The sum runs eight bytes at a time: a big-endian 64-bit word is four
+// 16-bit words, and because 0xffff divides 2^64-1, a ones-complement
+// (end-around carry) sum of 64-bit words is congruent to the 16-bit sum.
+// The result is folded to 16 bits, which leaves headroom for any number
+// of further calls; it is zero only when acc and every word are zero,
+// so Fold still tells +0 (no data) from -0.
 func Accumulate(acc uint32, data []byte) uint32 {
+	sum := uint64(acc)
+	var carry uint64
 	i := 0
+	for ; i+8 <= len(data); i += 8 {
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(data[i:]), 0)
+		sum += carry
+	}
+	sum = sum>>32 + sum&0xffffffff // fold to 33 bits: the tail cannot overflow
 	for ; i+1 < len(data); i += 2 {
-		acc += uint32(data[i])<<8 | uint32(data[i+1])
+		sum += uint64(data[i])<<8 | uint64(data[i+1])
 	}
 	if i < len(data) {
-		acc += uint32(data[i]) << 8
+		sum += uint64(data[i]) << 8
 	}
-	return acc
+	for sum>>16 != 0 {
+		sum = sum>>16 + sum&0xffff
+	}
+	return uint32(sum)
 }
 
 // Fold reduces the accumulator to the final 16-bit checksum.

@@ -128,6 +128,47 @@ func TestPropertyCopyAndSum(t *testing.T) {
 	}
 }
 
+// refSum is the naive reference the fuzz target checks against: the
+// ones-complement sum of data's big-endian 16-bit words (an odd tail
+// padded with a zero byte), the carry folded back after every add.
+func refSum(data []byte) uint16 {
+	var s uint32
+	for i := 0; i < len(data); i += 2 {
+		w := uint32(data[i]) << 8
+		if i+1 < len(data) {
+			w |= uint32(data[i+1])
+		}
+		s += w
+		s = s&0xffff + s>>16
+	}
+	return uint16(s)
+}
+
+// FuzzAccumulate checks Accumulate, Sum and accumulation split at two
+// even offsets against refSum. The seed corpus in testdata/fuzz holds
+// the edge cases: empty and odd-length input, all zeros (+0), all 0xff
+// and a nonzero sum congruent to 0 mod 0xffff (-0), and a 60 KB frame.
+func FuzzAccumulate(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, cut1, cut2 uint16) {
+		want := ^refSum(data)
+		if got := Fold(Accumulate(0, data)); got != want {
+			t.Fatalf("Fold(Accumulate) = %#04x, reference %#04x", got, want)
+		}
+		if got := Sum(data); got != want {
+			t.Fatalf("Sum = %#04x, reference %#04x", got, want)
+		}
+		a := int(cut1) % (len(data) + 1) &^ 1
+		b := int(cut2) % (len(data) + 1) &^ 1
+		a, b = min(a, b), max(a, b)
+		acc := Accumulate(0, data[:a])
+		acc = Accumulate(acc, data[a:b])
+		acc = Accumulate(acc, data[b:])
+		if got := Fold(acc); got != want {
+			t.Fatalf("split at %d,%d: %#04x, reference %#04x", a, b, got, want)
+		}
+	})
+}
+
 func BenchmarkSum60KB(b *testing.B) {
 	data := make([]byte, 61440)
 	b.SetBytes(61440)

@@ -28,10 +28,11 @@ type Message struct {
 	data []byte
 }
 
-// Data returns the message payload. The slice is a copy for weak
-// semantics safety; strong semantics could expose the buffer directly,
-// but a uniform API keeps applications semantics-agnostic — the paper's
-// transparency goal.
+// Data returns the message payload, read out of the receive buffer so
+// that every semantics hands the application the same kind of slice —
+// the paper's transparency goal. The slice is valid until Release,
+// which returns it to the endpoint for the next message; a caller that
+// keeps the payload longer copies it.
 func (m *Message) Data() []byte { return m.data }
 
 // CompletedAt returns the simulated time the message became available;
@@ -41,8 +42,16 @@ func (m *Message) CompletedAt() float64 { return float64(m.in.CompletedAt) }
 // Err returns the message's delivery error, if any.
 func (m *Message) Err() error { return m.in.Err }
 
-// Release returns the receive buffer to the channel window.
-func (m *Message) Release() error { return m.ep.repost(m.in) }
+// Release returns the receive buffer to the channel window and the
+// payload slice to the endpoint; Data returns nil afterwards.
+func (m *Message) Release() error {
+	err := m.ep.repost(m.in)
+	if m.data != nil {
+		m.ep.spare = append(m.ep.spare, m.data)
+		m.data = nil
+	}
+	return err
+}
 
 // Endpoint is one end of a channel.
 type Endpoint struct {
@@ -72,6 +81,9 @@ type Endpoint struct {
 
 	rxBufs    []vm.Addr // receive buffers (application-allocated)
 	completed []*Message
+	// spare holds the payload slices of released messages; completions
+	// read into one of them instead of allocating.
+	spare [][]byte
 }
 
 // NewChannel connects two processes (normally on different hosts of a
@@ -131,11 +143,12 @@ func (e *Endpoint) post(va vm.Addr) error {
 		return err
 	}
 	in.OnComplete(func(in *InputOp) {
-		data := make([]byte, in.N)
+		data := e.payloadSlice(in.N)
 		if in.Err == nil {
-			if err := e.p.Read(in.Addr, data); err != nil {
-				in.Err = err
-			}
+			in.Err = e.p.Read(in.Addr, data)
+		}
+		if in.Err != nil {
+			clear(data) // an undelivered payload reads as zeros
 		}
 		m := &Message{ep: e, in: in, data: data}
 		if e.onMessage != nil {
@@ -145,6 +158,18 @@ func (e *Endpoint) post(va vm.Addr) error {
 		e.completed = append(e.completed, m)
 	})
 	return nil
+}
+
+// payloadSlice returns an n-byte slice for a completing message, reusing
+// a released message's slice when one is spare. Every slice has room
+// for bufSize bytes, the most an input posted by this endpoint receives.
+func (e *Endpoint) payloadSlice(n int) []byte {
+	if k := len(e.spare) - 1; k >= 0 {
+		b := e.spare[k][:n]
+		e.spare = e.spare[:k]
+		return b
+	}
+	return make([]byte, n, e.bufSize)
 }
 
 // OnMessage installs a reactive handler invoked at message completion on

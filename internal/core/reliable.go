@@ -155,8 +155,10 @@ func (r *Reliable) Stats() ReliableStats { return r.stats }
 // abandoned.
 func (r *Reliable) Outstanding() int { return len(r.sendQ) }
 
-// OnDeliver installs the exactly-once delivery upcall. The payload
-// slice is owned by the callee.
+// OnDeliver installs the exactly-once delivery upcall. The payload is
+// borrowed from the receive path for the duration of the upcall: it is
+// reused for a later frame once the upcall returns, so a callee that
+// keeps it copies it.
 func (r *Reliable) OnDeliver(fn func(seq uint32, payload []byte)) { r.onDeliver = fn }
 
 // OnSettled installs an upcall fired once per sent frame when it leaves
@@ -270,9 +272,8 @@ func (r *Reliable) onMessage(m *Message) {
 		} else {
 			r.seen[seq] = true
 			r.stats.Delivered++
-			payload := append([]byte(nil), data[relHeaderLen:relHeaderLen+n]...)
 			if r.onDeliver != nil {
-				r.onDeliver(seq, payload)
+				r.onDeliver(seq, data[relHeaderLen:relHeaderLen+n:relHeaderLen+n])
 			}
 		}
 		// Repost the window buffer before acking, and always ack — a
@@ -346,10 +347,11 @@ func buildFrame(ftype byte, seq uint32, payload []byte) []byte {
 // verifyFrame checks the header checksum over header plus n payload
 // bytes (the frame may be padded beyond that by system-allocated
 // transports; padding is not covered, and corruption there is
-// harmless).
+// harmless). The sum skips the checksum field in place, which is the
+// same as summing it zeroed.
 func verifyFrame(data []byte, n int) bool {
 	want := binary.BigEndian.Uint16(data[2:])
-	scratch := append([]byte(nil), data[:relHeaderLen+n]...)
-	scratch[2], scratch[3] = 0, 0
-	return checksum.Sum(scratch) == want
+	acc := checksum.Accumulate(0, data[:2])
+	acc = checksum.Accumulate(acc, data[4:relHeaderLen+n])
+	return checksum.Fold(acc) == want
 }

@@ -63,8 +63,9 @@ func (c *ReliableRPCClient) Outstanding() int { return len(c.pending) }
 // Orphans reports delivered frames that could not be correlated.
 func (c *ReliableRPCClient) Orphans() uint64 { return c.orphans }
 
-// ServeReliableRPC turns a reliable endpoint into an RPC server.
-// Response send failures (give-up after MaxAttempts shows in the
+// ServeReliableRPC turns a reliable endpoint into an RPC server. req is
+// borrowed for the handler call, as OnDeliver payloads are. Response
+// send failures (give-up after MaxAttempts shows in the
 // reliable stats, not here) are reported through errFn, which may be
 // nil.
 func ServeReliableRPC(r *Reliable, handler func(req []byte) []byte, errFn func(error)) {

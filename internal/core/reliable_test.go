@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/faults"
@@ -41,7 +42,8 @@ func collect(r *Reliable) *deliveries {
 	d := &deliveries{counts: make(map[uint32]int), payloads: make(map[uint32][]byte)}
 	r.OnDeliver(func(seq uint32, payload []byte) {
 		d.counts[seq]++
-		d.payloads[seq] = payload
+		// The payload is borrowed for the upcall; keep a copy.
+		d.payloads[seq] = append([]byte(nil), payload...)
 	})
 	return d
 }
@@ -253,5 +255,58 @@ func TestRPCOrphanAccounting(t *testing.T) {
 	}
 	if client.Outstanding() != 0 {
 		t.Errorf("outstanding = %d", client.Outstanding())
+	}
+}
+
+// TestReliableReceiveAllocs pins the borrowed-payload receive path. On a
+// warmed 2048-byte channel the send path allocates three frames' worth
+// per frame (the wire frame, the output snapshot and its gather), and
+// receiving must stay within two more, acks and bookkeeping included:
+// reading into a spare slice and verifying and delivering in place
+// allocate no payload at all, where a fresh receive slice, a scratch
+// copy for verification and a payload copy would take three.
+func TestReliableReceiveAllocs(t *testing.T) {
+	const (
+		size   = 2048
+		window = 4
+		rounds = 50
+	)
+	tb, err := NewTestbed(TestbedConfig{Buffering: netsim.EarlyDemux, FramesPerHost: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ra, rb, err := NewReliableChannel(tb.A.Genie.NewProcess(), tb.B.Genie.NewProcess(), 80, Copy, size, window, ReliableConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum int
+	rb.OnDeliver(func(_ uint32, payload []byte) { sum += int(payload[0]) })
+	payload := bytes.Repeat([]byte{7}, size)
+	round := func() {
+		for i := 0; i < window; i++ {
+			if _, err := ra.Send(payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tb.Run()
+	}
+	for i := 0; i < 5; i++ { // warm the engine arena, frames and spare slices
+		round()
+	}
+	before := rb.Stats().Delivered
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < rounds; i++ {
+		round()
+	}
+	runtime.ReadMemStats(&m1)
+	delivered := rb.Stats().Delivered - before
+	if delivered != rounds*window || sum != 7*(rounds+5)*window {
+		t.Fatalf("delivered %d frames (sum %d), want %d", delivered, sum, rounds*window)
+	}
+	perFrame := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(delivered)
+	t.Logf("%.0f bytes allocated per delivered %d-byte frame", perFrame, size)
+	if limit := float64(5 * (size + relHeaderLen)); perFrame > limit {
+		t.Errorf("%.0f bytes allocated per delivered frame, want at most %.0f", perFrame, limit)
 	}
 }

@@ -103,8 +103,10 @@ func (c *RPCClient) Outstanding() int { return len(c.pending) }
 
 // ServeRPC turns an endpoint into an RPC server: handler runs at request
 // arrival on the simulated clock and its return value is sent back with
-// the request's correlation id. Handler errors and send failures are
-// reported through errFn (which may be nil).
+// the request's correlation id. req is borrowed for the call (the
+// message is released afterwards), so a handler that keeps it copies
+// it. Handler errors and send failures are reported through errFn
+// (which may be nil).
 func ServeRPC(ep *Endpoint, handler func(req []byte) []byte, errFn func(error)) {
 	report := func(err error) {
 		if errFn != nil && err != nil {

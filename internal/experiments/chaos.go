@@ -212,7 +212,8 @@ func runChaosPoint(tb *core.Testbed, cfg ChaosConfig, scheme netsim.InputBufferi
 			g.count++
 			return
 		}
-		delivered[seq] = &rx{count: 1, data: payload}
+		// The payload is borrowed for the upcall; keep a copy.
+		delivered[seq] = &rx{count: 1, data: append([]byte(nil), payload...)}
 	})
 
 	sent := make(map[uint32][]byte, cfg.Messages)

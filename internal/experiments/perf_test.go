@@ -200,35 +200,24 @@ func TestCacheDistinguishesSetups(t *testing.T) {
 }
 
 // TestRecycleCounters asserts a serial sweep over one configuration
-// reuses testbeds instead of rebuilding one per point. sync.Pool free
-// lists are per-P and may occasionally miss (goroutine migration, GC),
-// so the test checks the accounting identity and that recycling
-// happened, not an exact split.
+// builds one testbed and reuses it for every later point: free testbeds
+// are never lost to garbage collection, so the split is exact.
 func TestRecycleCounters(t *testing.T) {
 	withPerfRegime(t, false, true, 1, func() {
 		lengths := []int{4096, 8192, 12288, 16384}
-		// A GC cycle between points can clear the free list, so a sweep
-		// may legitimately build all its testbeds fresh; retry a few
-		// times before declaring recycling broken.
-		for attempt := 0; attempt < 5; attempt++ {
-			ResetPerf()
-			for _, b := range lengths {
-				if _, err := Measure(Setup{Scheme: netsim.EarlyDemux}, core.Share, b); err != nil {
-					t.Fatal(err)
-				}
-			}
-			st := Perf()
-			if got := st.TestbedsBuilt + st.TestbedsRecycled; got != uint64(len(lengths)) {
-				t.Errorf("built (%d) + recycled (%d) = %d, want one testbed per point (%d)",
-					st.TestbedsBuilt, st.TestbedsRecycled, got, len(lengths))
-			}
-			if st.ResetFailures != 0 {
-				t.Errorf("reset failures = %d, want 0", st.ResetFailures)
-			}
-			if st.TestbedsRecycled > 0 || t.Failed() {
-				return
+		ResetPerf()
+		for _, b := range lengths {
+			if _, err := Measure(Setup{Scheme: netsim.EarlyDemux}, core.Share, b); err != nil {
+				t.Fatal(err)
 			}
 		}
-		t.Error("no testbeds recycled across repeated serial sweeps of identical configurations")
+		st := Perf()
+		if st.TestbedsBuilt != 1 || st.TestbedsRecycled != uint64(len(lengths)-1) {
+			t.Errorf("built %d, recycled %d; want 1 and %d (one build, then reuse)",
+				st.TestbedsBuilt, st.TestbedsRecycled, len(lengths)-1)
+		}
+		if st.ResetFailures != 0 {
+			t.Errorf("reset failures = %d, want 0", st.ResetFailures)
+		}
 	})
 }

@@ -355,7 +355,8 @@ type DataPlane interface {
 	// plane, a single fresh pattern run on the symbolic plane.
 	NewPayload(n int) Buf
 
-	// materialize installs a frame's initial (zero) backing store.
+	// materialize installs a frame's initial (zero) contents at its
+	// first allocation.
 	materialize(f *Frame, pageSize int)
 }
 
@@ -370,9 +371,10 @@ func (bytesPlane) NewPayload(n int) Buf {
 	}
 	return BufBytes(p)
 }
-func (bytesPlane) materialize(f *Frame, pageSize int) {
-	f.data = make([]byte, pageSize)
-}
+
+// materialize leaves a bytes frame without a backing store: it reads as
+// zeros until its first write materializes one (Frame.touch).
+func (bytesPlane) materialize(*Frame, int) {}
 
 type symbolicPlane struct{}
 

@@ -34,9 +34,9 @@ type FrameID int
 //     is dropped.
 type Frame struct {
 	id   FrameID
-	data []byte // materialized contents (Bytes plane)
+	data []byte // materialized contents (Bytes plane), nil until first written
 	runs []Run  // provenance runs covering [0, size) (Symbolic plane)
-	size int    // page size, set at materialization
+	size int    // page size, set at first allocation
 
 	inRefs  int // references held by in-flight input operations
 	outRefs int // references held by in-flight output operations
@@ -51,12 +51,27 @@ type Frame struct {
 func (f *Frame) ID() FrameID { return f.id }
 
 // Data returns the frame's backing bytes. The slice aliases the frame:
-// writes through it model DMA or CPU stores into physical memory.
-// Backing stores are materialized lazily: a frame that has never been
-// allocated has no data yet and returns nil. On the symbolic plane
-// frames have no materialized bytes and Data is always nil; use the
-// plane-agnostic accessors (ReadAt, WriteBuf, ...) instead.
-func (f *Frame) Data() []byte { return f.data }
+// writes through it model DMA or CPU stores into physical memory, so
+// Data materializes the backing store of an allocated frame that has
+// not been written yet. A frame that has never been allocated returns
+// nil. On the symbolic plane frames have no materialized bytes and Data
+// is always nil; use the plane-agnostic accessors (ReadAt, WriteBuf,
+// ...) instead.
+func (f *Frame) Data() []byte {
+	if f.runs == nil && f.size > 0 {
+		f.touch()
+	}
+	return f.data
+}
+
+// touch materializes a bytes-plane frame's backing store on its first
+// write. Until then the frame reads as zeros, which is what a fresh
+// backing store holds.
+func (f *Frame) touch() {
+	if f.data == nil {
+		f.data = make([]byte, f.size)
+	}
+}
 
 // Size returns the frame size in bytes (0 before first allocation).
 func (f *Frame) Size() int { return f.size }
@@ -79,6 +94,7 @@ func (f *Frame) WriteBuf(off int, b Buf) {
 		return
 	}
 	if f.runs == nil {
+		f.touch()
 		b.ReadAt(f.data[off:off+n], 0)
 		return
 	}
@@ -102,7 +118,9 @@ func (f *Frame) ReadBuf(off, n int) Buf {
 	}
 	if f.runs == nil {
 		out := make([]byte, n)
-		copy(out, f.data[off:])
+		if f.data != nil {
+			copy(out, f.data[off:])
+		}
 		return BufBytes(out)
 	}
 	return Buf{n: n, runs: sliceRuns(f.runs, off, n)}
@@ -120,7 +138,11 @@ func (f *Frame) ReadAt(p []byte, off int) {
 		panic(fmt.Sprintf("mem: ReadAt(%d..%d) overruns %d-byte frame", off, off+len(p), f.size))
 	}
 	if f.runs == nil {
-		copy(p, f.data[off:])
+		if f.data == nil {
+			clear(p)
+		} else {
+			copy(p, f.data[off:])
+		}
 		return
 	}
 	resolveRuns(sliceRuns(f.runs, off, len(p)), p)
@@ -131,6 +153,11 @@ func (f *Frame) ReadAt(p []byte, off int) {
 // on the symbolic plane.
 func (f *Frame) CopyFrom(src *Frame) {
 	if f.runs == nil {
+		if src.data == nil {
+			clear(f.data)
+			return
+		}
+		f.touch()
 		copy(f.data, src.data)
 		return
 	}
@@ -143,7 +170,9 @@ func (f *Frame) ClearRange(off, n int) {
 		return
 	}
 	if f.runs == nil {
-		clear(f.data[off : off+n])
+		if f.data != nil {
+			clear(f.data[off : off+n])
+		}
 		return
 	}
 	f.runs = spliceRuns(f.runs, f.size, off, []Run{{Src: SrcZero, Len: n}}, n)
@@ -236,11 +265,13 @@ func NewWithPlane(numFrames, pageSize int, plane DataPlane) *PhysMem {
 		frames:   make([]Frame, numFrames),
 		freeList: make([]FrameID, 0, numFrames),
 	}
-	// Frame backing stores are materialized lazily on first allocation:
-	// a sweep that touches 30 frames of a 512-frame machine never pays
-	// for the other 482 pages. Materialized data is zero (machine memory
-	// after power-on), so first-allocation contents match the old eager
-	// backing store exactly.
+	// Frame backing stores are materialized lazily: a symbolic frame on
+	// first allocation, a bytes frame on its first write (Frame.touch).
+	// A sweep that touches 30 frames of a 512-frame machine never pays
+	// for the other 482 pages, and a kernel pool page that is allocated
+	// but never written never pays at all. Unwritten frames read as zero
+	// (machine memory after power-on), exactly the contents an eager
+	// backing store would hold.
 	for i := range pm.frames {
 		f := &pm.frames[i]
 		f.id = FrameID(i)
@@ -330,10 +361,11 @@ func (pm *PhysMem) SetReclaimer(fn func(need int) int) { pm.reclaimer = fn }
 // injection.
 func (pm *PhysMem) SetAllocFault(fn func() bool) { pm.allocFault = fn }
 
-// alloc removes a frame from the free list and attaches it, lazily
-// materializing its backing store on first attach. It preserves the
-// frame's pristine flag so AllocZeroed can skip redundant clears; the
-// exported wrappers consume the flag before handing the frame out.
+// alloc removes a frame from the free list and attaches it, sizing it
+// (and on the symbolic plane materializing it) on first attach. It
+// preserves the frame's pristine flag so AllocZeroed can skip redundant
+// clears; the exported wrappers consume the flag before handing the
+// frame out.
 func (pm *PhysMem) alloc() (*Frame, error) {
 	if pm.allocFault != nil && pm.allocFault() {
 		pm.stats.FailedAllocs++
@@ -355,7 +387,7 @@ func (pm *PhysMem) alloc() (*Frame, error) {
 	pm.freeList = pm.freeList[:n-1]
 	pm.hwm.Set(len(pm.frames) - len(pm.freeList))
 	f := &pm.frames[id]
-	if f.data == nil && f.runs == nil {
+	if f.size == 0 {
 		pm.plane.materialize(f, pm.pageSize)
 		f.size = pm.pageSize
 		f.pristine = true
@@ -382,7 +414,7 @@ func (pm *PhysMem) Alloc() (*Frame, error) {
 // kernel must do before mapping a fresh page to user space. A freshly
 // materialized backing store is already zero, so the physical clear is
 // skipped (the count in Stats.Zeroed still advances — the page is
-// handed out zeroed either way).
+// handed out zeroed either way), and so is an unwritten bytes frame's.
 func (pm *PhysMem) AllocZeroed() (*Frame, error) {
 	f, err := pm.alloc()
 	if err != nil {

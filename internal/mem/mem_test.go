@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -358,6 +359,114 @@ func TestLazyMaterialization(t *testing.T) {
 		if pm.Frame(FrameID(i)).Data() != nil {
 			t.Fatalf("frame %d materialized without being allocated", i)
 		}
+	}
+}
+
+// A bytes-plane frame gets its backing store on its first write, not at
+// allocation: Alloc, AllocZeroed and reads leave it without one, and
+// WriteBuf, CopyFrom and Data each materialize it.
+func TestFramesMaterializeOnFirstWrite(t *testing.T) {
+	pm := New(8, 16)
+	frames := make([]*Frame, 5)
+	for i := range frames {
+		f, err := pm.Alloc()
+		if i%2 == 1 {
+			pm.Release(f)
+			f, err = pm.AllocZeroed()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames[i] = f
+	}
+	for _, f := range frames {
+		if f.data != nil || f.Size() != 16 {
+			t.Fatalf("%v: backing %d bytes, size %d after allocation; want none and 16", f, len(f.data), f.Size())
+		}
+	}
+	untouched := frames[4]
+	untouched.ReadBuf(0, 16)
+	untouched.ReadAt(make([]byte, 4), 2)
+	untouched.ClearRange(0, 16)
+	GatherFrames(frames[4:], 3, 9)
+	if untouched.data != nil {
+		t.Fatal("a read or clear materialized the backing store")
+	}
+
+	frames[0].WriteBuf(3, BufBytes([]byte{1, 2}))
+	frames[1].CopyFrom(frames[0])
+	frames[2].Data()
+	frames[3].CopyFrom(untouched)
+	for i, f := range frames[:3] {
+		if len(f.data) != 16 {
+			t.Errorf("frame %d: backing %d bytes after its first write, want 16", i, len(f.data))
+		}
+	}
+	if frames[3].data != nil {
+		t.Error("copying an untouched frame materialized the destination")
+	}
+	if got := frames[1].ReadBuf(0, 16).Resolve(); got[3] != 1 || got[4] != 2 {
+		t.Errorf("CopyFrom of a written frame = %v", got)
+	}
+}
+
+// An untouched frame reads as zeros through every accessor, including
+// into dirty destinations, and copying it over a written frame zeroes
+// that frame.
+func TestUntouchedFrameReadsZeros(t *testing.T) {
+	pm := New(4, 16)
+	dirty, _ := pm.Alloc()
+	untouched, _ := pm.Alloc()
+	copy(dirty.Data(), bytes.Repeat([]byte{0xAB}, 16))
+
+	zeros := make([]byte, 16)
+	p := bytes.Repeat([]byte{0xFF}, 10)
+	untouched.ReadAt(p, 5)
+	if !bytes.Equal(p, zeros[:10]) {
+		t.Errorf("ReadAt = %x", p)
+	}
+	if got := untouched.ReadBuf(2, 12).Resolve(); !bytes.Equal(got, zeros[:12]) {
+		t.Errorf("ReadBuf = %x", got)
+	}
+	got := GatherFrames([]*Frame{dirty, untouched}, 12, 8).Resolve()
+	if want := []byte{0xAB, 0xAB, 0xAB, 0xAB, 0, 0, 0, 0}; !bytes.Equal(got, want) {
+		t.Errorf("GatherFrames across written and untouched = %x, want %x", got, want)
+	}
+	dirty.CopyFrom(untouched)
+	if got := dirty.ReadBuf(0, 16).Resolve(); !bytes.Equal(got, zeros) {
+		t.Errorf("CopyFrom(untouched) left %x", got)
+	}
+	if d := untouched.Data(); !bytes.Equal(d, zeros) {
+		t.Errorf("Data of untouched frame = %x, want 16 zero bytes", d)
+	}
+}
+
+// Lazy backing stores change no allocation accounting: a scripted
+// sequence of plain and zeroed allocations over written, unwritten and
+// recycled frames counts the same Allocs, Frees and Zeroed as eager
+// backing stores did, and every zeroed frame reads zero.
+func TestLazyFrameStats(t *testing.T) {
+	pm := New(4, 16)
+	a, _ := pm.Alloc()       // frame 0
+	b, _ := pm.AllocZeroed() // frame 1, pristine
+	a.WriteAt(0, []byte{1, 2, 3})
+	pm.Release(a)
+	pm.Release(b)
+	c, _ := pm.AllocZeroed() // frame 1, never written
+	d, _ := pm.AllocZeroed() // frame 0, dirty: really cleared
+	for _, f := range []*Frame{c, d} {
+		if got := f.ReadBuf(0, 16).Resolve(); !bytes.Equal(got, make([]byte, 16)) {
+			t.Errorf("%v reads %x after AllocZeroed", f, got)
+		}
+	}
+	pm.Release(c)
+	e, _ := pm.Alloc() // frame 1 again
+	if e.ID() != 1 || d.ID() != 0 {
+		t.Fatalf("free-list order changed: e=%d d=%d", e.ID(), d.ID())
+	}
+	want := Stats{Allocs: 5, Frees: 3, Zeroed: 3}
+	if got := pm.Stats(); got != want {
+		t.Errorf("stats = %+v, want %+v", got, want)
 	}
 }
 

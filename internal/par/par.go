@@ -1,6 +1,7 @@
 // Package par holds the harness's three work-saving mechanisms: a
-// single-flight memo of simulated points (Memo), a free list of Reset
-// simulation objects (Recycler), and an index-claiming fan-out over
+// single-flight memo of simulated points (Memo), free lists of Reset
+// simulation objects that garbage collection never empties (Recycler),
+// and an index-claiming fan-out over
 // worker goroutines (Each). Every sweep recycles and fans out; only the
 // pairwise measurement path memoizes, because only there do generators
 // ask for the same point again.
@@ -135,42 +136,64 @@ type RecycleStats struct {
 	ResetFailures uint64 // objects Put dropped because Reset failed
 }
 
-// Recycler keeps free lists of Reset objects, one *sync.Pool per key, so
-// that an expensive object graph is built once per configuration and
-// reused. sync.Pool gives each P its own lock-free list and may drop
-// objects at any GC, so a Recycler only ever saves work. Reset must
-// return the object to a state indistinguishable from a fresh build.
-type Recycler[K comparable, T interface{ Reset() error }] struct {
+// Recycler keeps free lists of Reset objects, one per key, so that an
+// expensive object graph is built once per configuration and reused.
+// Reset must return the object to a state indistinguishable from a
+// fresh build.
+//
+// Each key's free set holds its objects by strong reference, so a Reset
+// object is never lost to garbage collection. A sync.Pool per key rides
+// alongside only as a locality hint: Get prefers the object the pool
+// hands back, which is usually one last used on the same P, and claims
+// it only if it is still in the free set. Objects the pool drops at a
+// GC, or still holds after the free set gave them out, cost nothing
+// but a retry.
+type Recycler[K comparable, T interface {
+	comparable
+	Reset() error
+}] struct {
 	mu    sync.Mutex
-	pools map[K]*sync.Pool
+	lists map[K]*freeList[T]
 
 	built, recycled, resetFailures atomic.Uint64
 }
 
-// pool returns the free list for key, creating it if create is set.
-func (r *Recycler[K, T]) pool(key K, create bool) *sync.Pool {
+// freeList is one key's free objects: the set is the source of truth,
+// the pool a per-P hint that may hold stale or duplicate entries.
+type freeList[T comparable] struct {
+	free map[T]struct{}
+	hint sync.Pool
+}
+
+// claim removes and returns a free object for key, preferring the one
+// the pool hint hands back.
+func (r *Recycler[K, T]) claim(key K) (T, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	p := r.pools[key]
-	if p == nil && create {
-		if r.pools == nil {
-			r.pools = make(map[K]*sync.Pool)
+	if l := r.lists[key]; l != nil {
+		for v := l.hint.Get(); v != nil; v = l.hint.Get() {
+			t := v.(T)
+			if _, free := l.free[t]; free {
+				delete(l.free, t)
+				return t, true
+			}
 		}
-		p = &sync.Pool{}
-		r.pools[key] = p
+		for t := range l.free {
+			delete(l.free, t)
+			return t, true
+		}
 	}
-	return p
+	var zero T
+	return zero, false
 }
 
 // Get returns a Reset object for key from the free list, or calls build
 // when none is free.
 func (r *Recycler[K, T]) Get(key K, build func() (T, error)) (T, error) {
 	if !recyclingOff.Load() {
-		if p := r.pool(key, false); p != nil {
-			if v := p.Get(); v != nil {
-				r.recycled.Add(1)
-				return v.(T), nil
-			}
+		if t, ok := r.claim(key); ok {
+			r.recycled.Add(1)
+			return t, nil
 		}
 	}
 	t, err := build()
@@ -191,7 +214,18 @@ func (r *Recycler[K, T]) Put(key K, t T) {
 		r.resetFailures.Add(1)
 		return
 	}
-	r.pool(key, true).Put(t)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	l := r.lists[key]
+	if l == nil {
+		if r.lists == nil {
+			r.lists = make(map[K]*freeList[T])
+		}
+		l = &freeList[T]{free: make(map[T]struct{})}
+		r.lists[key] = l
+	}
+	l.free[t] = struct{}{}
+	l.hint.Put(t)
 }
 
 // Stats returns the recycler's counters.
@@ -206,7 +240,7 @@ func (r *Recycler[K, T]) Stats() RecycleStats {
 // Reset drops every free list and zeroes the counters.
 func (r *Recycler[K, T]) Reset() {
 	r.mu.Lock()
-	r.pools = nil
+	r.lists = nil
 	r.mu.Unlock()
 	r.built.Store(0)
 	r.recycled.Store(0)

@@ -131,39 +131,97 @@ func (o *obj) Reset() error {
 	return nil
 }
 
-// A Put object comes back Reset from Get. sync.Pool may drop any Put
-// (under -race it drops a quarter of them on purpose), so the test
-// retries before declaring reuse broken.
+// A Put object comes back Reset from the next Get for its key, and
+// only for its key.
 func TestRecyclerReuse(t *testing.T) {
 	var r Recycler[string, *obj]
 	build := func() (*obj, error) { return &obj{}, nil }
-	gets := uint64(0)
-	for attempt := 0; attempt < 20; attempt++ {
-		o, err := r.Get("a", build)
-		gets++
-		if err != nil {
-			t.Fatal(err)
-		}
-		if o.dirty {
-			t.Fatal("Get returned an object that was not Reset")
-		}
-		if o.resets > 0 {
-			break
-		}
-		o.dirty = true
-		r.Put("a", o)
+	o, err := r.Get("a", build)
+	if err != nil {
+		t.Fatal(err)
 	}
-	st := r.Stats()
-	if st.Recycled == 0 {
-		t.Error("no object recycled across 20 Put/Get pairs")
+	o.dirty = true
+	r.Put("a", o)
+	again, err := r.Get("a", build)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.Built+st.Recycled != gets {
-		t.Errorf("built %d + recycled %d != %d gets", st.Built, st.Recycled, gets)
+	if again != o || again.dirty || again.resets != 1 {
+		t.Errorf("Get after Put = %p %+v, want the Put object %p Reset once", again, again, o)
+	}
+	if st := r.Stats(); st.Built != 1 || st.Recycled != 1 {
+		t.Errorf("built %d, recycled %d; want 1 and 1", st.Built, st.Recycled)
 	}
 	// Keys do not share free lists.
 	r.Put("a", &obj{})
 	if o, _ := r.Get("b", build); o.resets != 0 {
 		t.Error("key b served an object put under key a")
+	}
+}
+
+// TestRecyclerSurvivesGC: a free object is held by strong reference, so
+// the garbage collections that empty a sync.Pool cannot cost a rebuild.
+func TestRecyclerSurvivesGC(t *testing.T) {
+	var r Recycler[int, *obj]
+	put := &obj{}
+	r.Put(1, put)
+	runtime.GC()
+	runtime.GC()
+	got, err := r.Get(1, func() (*obj, error) { return &obj{}, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != put {
+		t.Error("Get after two GCs built a new object instead of recycling the Put one")
+	}
+	if st := r.Stats(); st.Recycled != 1 || st.Built != 0 {
+		t.Errorf("stats = %+v, want 1 recycled and 0 built", st)
+	}
+}
+
+// TestRecyclerExclusive races goroutines over one key: no object is ever
+// handed to two holders at once, and since a free object is never lost,
+// Get builds only when every object built so far is held — at most one
+// per goroutine.
+func TestRecyclerExclusive(t *testing.T) {
+	const (
+		workers = 8
+		rounds  = 1000
+	)
+	type held struct {
+		obj
+		busy atomic.Bool
+	}
+	var r Recycler[int, *held]
+	build := func() (*held, error) { return &held{}, nil }
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				h, err := r.Get(0, build)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !h.busy.CompareAndSwap(false, true) {
+					t.Error("Get handed out an object another goroutine holds")
+					return
+				}
+				h.dirty = true
+				h.busy.Store(false)
+				r.Put(0, h)
+			}
+		}()
+	}
+	wg.Wait()
+	st := r.Stats()
+	if st.Built+st.Recycled != workers*rounds {
+		t.Errorf("built %d + recycled %d != %d gets", st.Built, st.Recycled, workers*rounds)
+	}
+	if st.Built > workers {
+		t.Errorf("built %d objects for %d concurrent holders", st.Built, workers)
 	}
 }
 

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"reflect"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/core"
@@ -41,9 +42,7 @@ func regimeConfigs() map[string]Config {
 			Ops:       6,
 		},
 		// Three loads per depth so each cluster config has several reuse
-		// opportunities per run: under -race, sync.Pool randomly drops a
-		// quarter of Puts, and a two-point grid could plausibly see zero
-		// recycles.
+		// opportunities per run.
 		"faultarmed": {
 			Semantics: []core.Semantics{core.Copy},
 			Depths:    []int{4, 16},
@@ -112,6 +111,34 @@ func TestRegimesDigestIdentity(t *testing.T) {
 				t.Errorf("shard-parallel-3 run: %d cluster gets, want %d (one per grid point)", gets, points)
 			}
 		})
+	}
+}
+
+// TestClusterBuildsBoundedUnderGC: the default file-server grid at two
+// point workers holds at most two clusters of any configuration at
+// once, and the recycler never loses a free cluster to garbage
+// collection, so the sweep builds at most two clusters per distinct
+// cluster key however often the collector runs. The file server's key
+// varies only with depth (the kernel pool is sized from it).
+func TestClusterBuildsBoundedUnderGC(t *testing.T) {
+	setRegime(t, true)
+	defer debug.SetGCPercent(debug.SetGCPercent(1))
+	cfg, err := Config{}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pointWorkers = 2
+	if _, err := RunParallel(cfg, 1, pointWorkers); err != nil {
+		t.Fatal(err)
+	}
+	p := Perf()
+	if limit := uint64(len(cfg.Depths) * pointWorkers); p.ClustersBuilt > limit {
+		t.Errorf("built %d clusters, want at most %d (%d keys x %d point workers)",
+			p.ClustersBuilt, limit, len(cfg.Depths), pointWorkers)
+	}
+	points := uint64(len(cfg.Semantics) * len(cfg.Depths) * len(cfg.Loads))
+	if got := p.ClustersBuilt + p.ClustersRecycled; got != points {
+		t.Errorf("%d cluster gets, want one per grid point (%d)", got, points)
 	}
 }
 
