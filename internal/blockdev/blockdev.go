@@ -7,6 +7,16 @@
 // back is the same descriptor run — provenance survives the storage
 // path exactly as it survives the wire.
 //
+// Ownership: Write copies materialized bytes into block storage the
+// device owns (allocated at a block's first write, reused by later
+// writes and across Reset), so a writer may reuse its source as soon as
+// Write returns; symbolic payloads are kept by reference, since runs are
+// immutable. Load aliases the caller's content, and a later Write never
+// writes through that alias. ReadBlocks and Peek return borrowed views:
+// a block's view stays valid until the next Write to that block, so
+// callers consume it at once (load it into a frame, DMA it into a
+// target, compare it) or clone it.
+//
 // The device prices itself with its own Model rather than extending
 // cost.Model: the paper's cost model is the fingerprinted contract of
 // the network experiments, and disk parameters must not perturb its
@@ -72,10 +82,17 @@ type Device struct {
 	model     Model
 	blockSize int
 	nblocks   int
-	store     map[int]mem.Buf // block -> content (absent = zeros)
+	store     []media // indexed by block
+	zero      mem.Buf // one block of zeros: the content of unwritten blocks
 	busyUntil sim.Time
 	nextLBA   int // block following the previous request; -1 = unknown (seek)
 	stats     Stats
+}
+
+// media is one block of the device.
+type media struct {
+	content mem.Buf // exactly one block; the zero Buf means zeros
+	owned   []byte  // device-owned storage for materialized writes, nil until the first
 }
 
 // New builds a device of nblocks blocks of blockSize bytes each. Zero
@@ -89,7 +106,8 @@ func New(eng *sim.Engine, model Model, blockSize, nblocks int) (*Device, error) 
 		model:     model.normalized(),
 		blockSize: blockSize,
 		nblocks:   nblocks,
-		store:     make(map[int]mem.Buf),
+		store:     make([]media, nblocks),
+		zero:      mem.ZeroBuf(blockSize),
 		nextLBA:   -1,
 	}, nil
 }
@@ -115,23 +133,26 @@ func (d *Device) checkRange(block, count int) error {
 }
 
 // Load installs content for a block with no simulated cost — media
-// imaging for experiment setup. Content shorter than a block is
-// zero-padded.
+// imaging for experiment setup. The block aliases b (the caller keeps
+// it unchanged while the device holds it); a later Write to the block
+// stores into device-owned storage instead of writing through b.
+// Content shorter than a block is zero-padded.
 func (d *Device) Load(block int, b mem.Buf) error {
 	if err := d.checkRange(block, 1); err != nil {
 		return err
 	}
-	d.store[block] = d.pad(b)
+	d.store[block].content = d.pad(b)
 	return nil
 }
 
 // Peek returns a block's content with no simulated cost (tests and
-// verification oracles).
+// verification oracles). The view is borrowed: it is valid until the
+// next Write to the block. A block outside the device reads as zeros.
 func (d *Device) Peek(block int) mem.Buf {
-	if b, ok := d.store[block]; ok {
-		return b
+	if block >= 0 && block < d.nblocks && d.store[block].content.Len() > 0 {
+		return d.store[block].content
 	}
-	return mem.ZeroBuf(d.blockSize)
+	return d.zero
 }
 
 // pad extends content to exactly one block.
@@ -164,8 +185,9 @@ func (d *Device) service(block, count int) sim.Duration {
 // ReadBlocks reads count blocks starting at block as one request,
 // returning each block's content (element i is block+i, exactly one
 // block long) and the wait until the data is available. The contents
-// are the device's stored values, shared rather than copied: callers
-// load them into frames or targets and never write through them.
+// are borrowed views of the media, as from Peek: callers load them into
+// frames or targets before the next Write to those blocks and never
+// write through them.
 func (d *Device) ReadBlocks(block, count int) ([]mem.Buf, sim.Duration, error) {
 	if err := d.checkRange(block, count); err != nil {
 		return nil, 0, err
@@ -202,9 +224,11 @@ func (d *Device) Read(block, count int, target netsim.DMATarget) (sim.Duration, 
 }
 
 // Write stores data starting at block, returning the wait until the
-// transfer completes. Data covering a partial final block zero-pads it
-// (writes below block granularity belong to the page cache's
-// read-modify-write, not the device).
+// transfer completes. Materialized data is copied into device-owned
+// storage, so the caller may reuse or overwrite its source once Write
+// returns; symbolic data is kept by reference. Data covering a partial
+// final block zero-pads it (writes below block granularity belong to
+// the page cache's read-modify-write, not the device).
 func (d *Device) Write(block int, data mem.Buf) (sim.Duration, error) {
 	count := (data.Len() + d.blockSize - 1) / d.blockSize
 	if err := d.checkRange(block, count); err != nil {
@@ -215,17 +239,36 @@ func (d *Device) Write(block int, data mem.Buf) (sim.Duration, error) {
 	d.stats.BlocksWritten += uint64(count)
 	for i := 0; i < count; i++ {
 		n := min(d.blockSize, data.Len()-i*d.blockSize)
-		d.store[block+i] = d.pad(data.Slice(i*d.blockSize, n))
+		d.put(&d.store[block+i], data.Slice(i*d.blockSize, n))
 	}
 	return wait, nil
 }
 
+// put stores b (at most one block) as m's content: materialized bytes
+// are copied into m's owned storage and zero-padded, symbolic runs are
+// padded and kept by reference.
+func (d *Device) put(m *media, b mem.Buf) {
+	if b.Symbolic() {
+		m.content = d.pad(b)
+		return
+	}
+	if m.owned == nil {
+		m.owned = make([]byte, d.blockSize)
+	}
+	b.ReadAt(m.owned[:b.Len()], 0)
+	clear(m.owned[b.Len():])
+	m.content = mem.BufBytes(m.owned)
+}
+
 // Reset returns the device to its post-construction state: empty
-// media, idle arm, zeroed counters. Harness recycling calls it after
+// media (every block reads as zeros; owned block storage is kept for
+// reuse), idle arm, zeroed counters. Harness recycling calls it after
 // the engine clock rewinds so a recycled device schedules identically
 // to a fresh one.
 func (d *Device) Reset() {
-	clear(d.store)
+	for i := range d.store {
+		d.store[i].content = mem.Buf{}
+	}
 	d.busyUntil = 0
 	d.nextLBA = -1
 	d.stats = Stats{}

@@ -226,3 +226,109 @@ func TestReadClipsToTarget(t *testing.T) {
 		}
 	}
 }
+
+// Write copies materialized data: changing the source after the call
+// leaves the media unchanged.
+func TestWriteCopiesSource(t *testing.T) {
+	_, d := newDev(t, Model{})
+	src := pattern(4, 2*bs)
+	want := bytes.Clone(src)
+	if _, err := d.Write(7, mem.BufBytes(src)); err != nil {
+		t.Fatal(err)
+	}
+	for i := range src {
+		src[i] ^= 0xff
+	}
+	for i := 0; i < 2; i++ {
+		if !bytes.Equal(d.Peek(7+i).Resolve(), want[i*bs:(i+1)*bs]) {
+			t.Fatalf("block %d changed with the writer's source after Write returned", 7+i)
+		}
+	}
+}
+
+// Load aliases the caller's content, and a later Write to the block
+// stores into device-owned media instead of writing through that alias:
+// the caller's slice (a harness's file image) stays unchanged.
+func TestWriteNeverWritesThroughLoad(t *testing.T) {
+	_, d := newDev(t, Model{})
+	image := pattern(5, bs)
+	orig := bytes.Clone(image)
+	if err := d.Load(3, mem.BufBytes(image)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(d.Peek(3).Resolve(), orig) {
+		t.Fatal("loaded block does not read back its content")
+	}
+	next := pattern(6, bs)
+	if _, err := d.Write(3, mem.BufBytes(next)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(image, orig) {
+		t.Fatal("Write stored through the slice Load aliased")
+	}
+	if !bytes.Equal(d.Peek(3).Resolve(), next) {
+		t.Fatal("written block does not read back the write")
+	}
+	// Loading again re-aliases the image; the owned storage the write
+	// used is not the image.
+	if err := d.Load(3, mem.BufBytes(image)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Write(3, mem.BufBytes(pattern(7, 100))); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(image, orig) {
+		t.Fatal("second Write stored through the re-loaded slice")
+	}
+}
+
+// A Reset device reads zeros at blocks whose storage it kept, and a
+// write after Reset reads back exactly, padding included.
+func TestResetKeepsStorageReadsZeros(t *testing.T) {
+	_, d := newDev(t, Model{})
+	if _, err := d.Write(9, mem.BufBytes(pattern(8, bs))); err != nil {
+		t.Fatal(err)
+	}
+	d.Reset()
+	if !bytes.Equal(d.Peek(9).Resolve(), make([]byte, bs)) {
+		t.Fatal("Reset device reads stale media at a written block")
+	}
+	blocks, _, err := d.ReadBlocks(9, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(blocks[0].Resolve(), make([]byte, bs)) {
+		t.Fatal("Reset device serves stale media")
+	}
+	if _, err := d.Write(9, mem.BufBytes(pattern(9, 10))); err != nil {
+		t.Fatal(err)
+	}
+	got := d.Peek(9).Resolve()
+	if !bytes.Equal(got[:10], pattern(9, 10)) || !bytes.Equal(got[10:], make([]byte, bs-10)) {
+		t.Fatal("write into kept storage after Reset reads back wrong")
+	}
+}
+
+// A partial-block Write zero-pads its block even when the block's
+// owned storage holds an earlier full write, on both payload kinds.
+func TestPartialWriteZeroPads(t *testing.T) {
+	for _, sym := range []bool{false, true} {
+		_, d := newDev(t, Model{})
+		if _, err := d.Write(2, mem.BufBytes(pattern(10, 2*bs))); err != nil {
+			t.Fatal(err)
+		}
+		short := pattern(11, bs+300)
+		data := mem.BufBytes(short)
+		if sym {
+			data = mem.LiteralBuf(bytes.Clone(short))
+		}
+		if _, err := d.Write(2, data); err != nil {
+			t.Fatal(err)
+		}
+		got := append(bytes.Clone(d.Peek(2).Resolve()), d.Peek(3).Resolve()...)
+		want := append(bytes.Clone(short), make([]byte, bs-300)...)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("symbolic=%v: partial write over written media not zero-padded", sym)
+		}
+	}
+}

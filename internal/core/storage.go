@@ -92,6 +92,7 @@ type Storage struct {
 	dev   *blockdev.Device
 	cache *pagecache.Cache
 	stats StorageStats
+	stage []byte // bytes-plane FileWrite source, reused by every write
 }
 
 // NewStorage attaches a storage stack to a host. Construction
@@ -417,7 +418,7 @@ func (s *Storage) FileWrite(p *Process, sem Semantics, block, length int, va vm.
 
 	switch sem {
 	case Copy:
-		buf, err := p.as.PeekBuf(va, length)
+		buf, err := s.peekSource(p, va, length)
 		if err != nil {
 			return nil, err
 		}
@@ -431,7 +432,7 @@ func (s *Storage) FileWrite(p *Process, sem Semantics, block, length int, va vm.
 			return nil, err
 		}
 		p.as.RemoveWrite(va, length) // TCOW protection (Section 5.1)
-		content = ref.DMAReadBuf(0, length)
+		content = s.gatherSource(ref, length)
 		prep = []charge{{cost.Reference, length}, {cost.ReadOnly, length}}
 		dispose = func() []charge {
 			ref.Unreference()
@@ -444,7 +445,7 @@ func (s *Storage) FileWrite(p *Process, sem Semantics, block, length int, va vm.
 			return nil, err
 		}
 		g.wireFrames(ref)
-		content = ref.DMAReadBuf(0, length)
+		content = s.gatherSource(ref, length)
 		prep = []charge{{cost.Reference, length}, {cost.Wire, length}}
 		dispose = func() []charge {
 			g.unwireFrames(ref)
@@ -457,7 +458,7 @@ func (s *Storage) FileWrite(p *Process, sem Semantics, block, length int, va vm.
 		if err != nil {
 			return nil, err
 		}
-		content = ref.DMAReadBuf(0, length)
+		content = s.gatherSource(ref, length)
 		prep = []charge{{cost.Reference, length}}
 		dispose = func() []charge {
 			ref.Unreference()
@@ -496,7 +497,7 @@ func (s *Storage) FileWrite(p *Process, sem Semantics, block, length int, va vm.
 			p.as.Invalidate(r.Start(), r.Len())
 			prep = append(prep, charge{cost.Invalidate, length})
 		}
-		content = ref.DMAReadBuf(0, length)
+		content = s.gatherSource(ref, length)
 		dispose = func() []charge {
 			var ch []charge
 			if !sem.Emulated() {
@@ -538,6 +539,42 @@ func (s *Storage) FileWrite(p *Process, sem Semantics, block, length int, va vm.
 		op.Done = true
 	})
 	return op, nil
+}
+
+// writeStage returns s.stage sized to n bytes, growing it if needed.
+// On the bytes plane every FileWrite reads its source into this one
+// stage, which WriteRange consumes before FileWrite returns, so a
+// written byte is copied once into the stage and once into the cache
+// page; the symbolic plane gathers runs instead.
+func (s *Storage) writeStage(n int) []byte {
+	if cap(s.stage) < n {
+		s.stage = make([]byte, n)
+	}
+	return s.stage[:n]
+}
+
+// peekSource reads n bytes of the application's buffer at va with full
+// fault handling (the copyin source).
+func (s *Storage) peekSource(p *Process, va vm.Addr, n int) (mem.Buf, error) {
+	if s.g.sys.Phys().Symbolic() {
+		return p.as.PeekBuf(va, n)
+	}
+	stage := s.writeStage(n)
+	if err := p.as.Peek(va, stage); err != nil {
+		return mem.Buf{}, err
+	}
+	return mem.BufBytes(stage), nil
+}
+
+// gatherSource reads the first n referenced bytes (the in-place write
+// source).
+func (s *Storage) gatherSource(ref *vm.IORef, n int) mem.Buf {
+	if s.g.sys.Phys().Symbolic() {
+		return ref.DMAReadBuf(0, n)
+	}
+	stage := s.writeStage(n)
+	ref.DMARead(0, stage)
+	return mem.BufBytes(stage)
 }
 
 // Sendfile transmits length file bytes starting at block out of the

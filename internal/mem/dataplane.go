@@ -177,7 +177,9 @@ func runsLen(runs []Run) int {
 // matter what later happens to the frames the bytes were read from.
 // A bytes-backed Buf aliases the slice it was built from; producers
 // hand out freshly allocated slices on read paths, preserving the same
-// snapshot guarantee.
+// snapshot guarantee. The documented exceptions are borrowed views —
+// Frame.BorrowBuf and blockdev's Peek/ReadBlocks — which alias live
+// storage and must be consumed before that storage is next written.
 type Buf struct {
 	n     int
 	bytes []byte // materialized representation, nil when symbolic

@@ -182,6 +182,22 @@ func (f *Frame) ClearRange(off, n int) {
 // pageout path's copy to backing store).
 func (f *Frame) SnapshotBuf() Buf { return f.ReadBuf(0, f.size) }
 
+// BorrowBuf returns the whole page as a borrowed buffer, for a consumer
+// that copies it at once (the page cache's writeback into a device that
+// owns its media). On the bytes plane the result aliases the frame's
+// backing store and is valid only until the next write to or release of
+// the frame; a frame never written yet yields a zero buffer. On the
+// symbolic plane it is the same O(#runs) independent slice as ReadBuf.
+func (f *Frame) BorrowBuf() Buf {
+	if f.runs != nil {
+		return Buf{n: f.size, runs: sliceRuns(f.runs, 0, f.size)}
+	}
+	if f.data == nil {
+		return ZeroBuf(f.size)
+	}
+	return BufBytes(f.data)
+}
+
 // LoadBuf installs b as the frame's entire contents (the page-in path).
 func (f *Frame) LoadBuf(b Buf) {
 	if b.Len() != f.size {

@@ -70,6 +70,7 @@ type Cache struct {
 	head    *entry // most recently used
 	tail    *entry // least recently used
 	ndirty  int
+	flush   []int // flushDirty's block list, reused across bursts
 
 	counters   Counters
 	residentHW stats.HighWater
@@ -178,15 +179,15 @@ func (c *Cache) markDirty(e *entry) sim.Duration {
 // therefore every digest) independent of access history details like
 // map iteration.
 func (c *Cache) flushDirty() sim.Duration {
-	blocks := make([]int, 0, c.ndirty)
+	c.flush = c.flush[:0]
 	for b, e := range c.entries {
 		if e.dirty {
-			blocks = append(blocks, b)
+			c.flush = append(c.flush, b)
 		}
 	}
-	slices.Sort(blocks)
+	slices.Sort(c.flush)
 	var wait sim.Duration
-	for _, b := range blocks {
+	for _, b := range c.flush {
 		wait = c.writeBack(c.entries[b]) // sequential on the arm: the last write's wait covers all
 	}
 	c.gauge()
@@ -210,7 +211,8 @@ func (c *Cache) WriteBackRange(block, count int) {
 // writeBack writes a dirty page to the device and marks it clean,
 // returning the device wait. The caller re-levels the gauges.
 func (c *Cache) writeBack(e *entry) sim.Duration {
-	w, err := c.dev.Write(e.block, e.frame.SnapshotBuf())
+	// The device copies the borrowed page into media it owns.
+	w, err := c.dev.Write(e.block, e.frame.BorrowBuf())
 	if err != nil {
 		// Resident blocks are in device range by construction.
 		panic(fmt.Sprintf("pagecache: writeback of block %d: %v", e.block, err))
