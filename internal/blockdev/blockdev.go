@@ -15,7 +15,8 @@
 // writes through that alias. ReadBlocks and Peek return borrowed views:
 // a block's view stays valid until the next Write to that block, so
 // callers consume it at once (load it into a frame, DMA it into a
-// target, compare it) or clone it.
+// target, compare it) or clone it. ReadBlocks returns its views in a
+// slice the device reuses: the slice is valid until the next ReadBlocks.
 //
 // The device prices itself with its own Model rather than extending
 // cost.Model: the paper's cost model is the fingerprinted contract of
@@ -82,8 +83,9 @@ type Device struct {
 	model     Model
 	blockSize int
 	nblocks   int
-	store     []media // indexed by block
-	zero      mem.Buf // one block of zeros: the content of unwritten blocks
+	store     []media   // indexed by block
+	zero      mem.Buf   // one block of zeros: the content of unwritten blocks
+	views     []mem.Buf // ReadBlocks' result, reused by every call
 	busyUntil sim.Time
 	nextLBA   int // block following the previous request; -1 = unknown (seek)
 	stats     Stats
@@ -184,10 +186,11 @@ func (d *Device) service(block, count int) sim.Duration {
 
 // ReadBlocks reads count blocks starting at block as one request,
 // returning each block's content (element i is block+i, exactly one
-// block long) and the wait until the data is available. The contents
-// are borrowed views of the media, as from Peek: callers load them into
-// frames or targets before the next Write to those blocks and never
-// write through them.
+// block long) and the wait until the data is available. Both the slice
+// and the contents are borrowed: the slice is the device's own, reused
+// by the next ReadBlocks, and each content is a view of the media, as
+// from Peek, valid until the next Write to that block. Callers load the
+// views into frames or targets at once and never write through them.
 func (d *Device) ReadBlocks(block, count int) ([]mem.Buf, sim.Duration, error) {
 	if err := d.checkRange(block, count); err != nil {
 		return nil, 0, err
@@ -195,11 +198,11 @@ func (d *Device) ReadBlocks(block, count int) ([]mem.Buf, sim.Duration, error) {
 	wait := d.service(block, count)
 	d.stats.Reads++
 	d.stats.BlocksRead += uint64(count)
-	out := make([]mem.Buf, count)
-	for i := range out {
-		out[i] = d.Peek(block + i)
+	d.views = d.views[:0]
+	for i := 0; i < count; i++ {
+		d.views = append(d.views, d.Peek(block+i))
 	}
-	return out, wait, nil
+	return d.views, wait, nil
 }
 
 // Read DMAs count blocks starting at block into target (clipped to the

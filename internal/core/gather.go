@@ -84,7 +84,7 @@ func (p *Process) OutputV(port int, sem Semantics, segs []Segment) (*OutputOp, e
 			data = appendTrailer(data)
 		}
 		g.launchOutput(op, prep,
-			func() (mem.Buf, error) { return data, nil },
+			func() (mem.Buf, error) { return data, nil }, false,
 			func() []charge { return []charge{{cost.BufDeallocate, total}} })
 		return op, nil
 	}
@@ -139,6 +139,6 @@ func (p *Process) OutputV(port int, sem Semantics, segs []Segment) (*OutputOp, e
 		}
 		return ch
 	}
-	g.launchOutput(op, prep, payload, dispose)
+	g.launchOutput(op, prep, payload, false, dispose)
 	return op, nil
 }

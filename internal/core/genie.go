@@ -94,6 +94,11 @@ type Genie struct {
 	// single in-flight datagram is never delayed.
 	cpuFreeAt sim.Time
 
+	// stage is the bytes-plane copyout stage (gather): payload gathered
+	// from kernel or overlay frames lands here and is poked into the
+	// application buffer at once.
+	stage []byte
+
 	instr Instrumentation
 	stats Stats
 	tr    *trace.Tracer
@@ -311,14 +316,34 @@ func (b *kernelBuffer) DMAWrite(off int, data mem.Buf) {
 	mem.ScatterFrames(b.frames, b.off+off, data)
 }
 
-// readBuf gathers the first n payload bytes as a data-plane buffer.
-func (b *kernelBuffer) readBuf(n int) mem.Buf {
-	return mem.GatherFrames(b.frames, b.off, n)
+// readAll copies the first len(buf) payload bytes into buf.
+func (b *kernelBuffer) readAll(buf []byte) {
+	mem.ReadFrames(b.frames, b.off, buf)
 }
 
-// readAll copies the first n payload bytes into buf.
-func (b *kernelBuffer) readAll(buf []byte) {
-	b.readBuf(len(buf)).ReadAt(buf, 0)
+// gather returns n bytes starting at byte offset off of a kernel or
+// overlay frame run, the source of a copyout. On the bytes plane they
+// are read into the Genie's one stage, which is borrowed until the next
+// gather: the caller consumes the result at once (PokeBuf copies it).
+// On the symbolic plane the result is an O(#runs) gather, as before.
+func (g *Genie) gather(frames []*mem.Frame, off, n int) mem.Buf {
+	if n == 0 || frames[0].Symbolic() {
+		return mem.GatherFrames(frames, off, n)
+	}
+	stage := staged(&g.stage, n)
+	mem.ReadFrames(frames, off, stage)
+	return mem.BufBytes(stage)
+}
+
+// staged returns *stage resized to n bytes, growing its storage when it
+// is too small. A stage serves synchronous copies whose source is
+// consumed before the call that fills it returns: it has one owner, and
+// its content is borrowed until that owner's next staged call.
+func staged(stage *[]byte, n int) []byte {
+	if cap(*stage) < n {
+		*stage = make([]byte, n)
+	}
+	return (*stage)[:n]
 }
 
 // free returns all remaining frames to the pool.
@@ -332,21 +357,21 @@ func (b *kernelBuffer) free() {
 // wireFrames wires every frame of an I/O reference — how the
 // non-emulated semantics protect buffers from pageout.
 func (g *Genie) wireFrames(ref *vm.IORef) {
-	for _, f := range ref.Frames() {
-		g.sys.Phys().Wire(f)
+	for _, e := range ref.Extents() {
+		g.sys.Phys().Wire(e.Frame)
 	}
 	if g.tr != nil {
-		g.tr.Instant(trace.CatVM, "vm.wire", len(ref.Frames())*g.pageSize())
+		g.tr.Instant(trace.CatVM, "vm.wire", ref.Pages()*g.pageSize())
 	}
 }
 
 // unwireFrames undoes wireFrames.
 func (g *Genie) unwireFrames(ref *vm.IORef) {
-	for _, f := range ref.Frames() {
-		g.sys.Phys().Unwire(f)
+	for _, e := range ref.Extents() {
+		g.sys.Phys().Unwire(e.Frame)
 	}
 	if g.tr != nil {
-		g.tr.Instant(trace.CatVM, "vm.unwire", len(ref.Frames())*g.pageSize())
+		g.tr.Instant(trace.CatVM, "vm.unwire", ref.Pages()*g.pageSize())
 	}
 }
 

@@ -77,6 +77,10 @@ func (p *Process) Output(port int, sem Semantics, va vm.Addr, length int) (*Outp
 		prep    []charge
 		payload func() (mem.Buf, error) // runs at transmit time
 		dispose func() []charge         // runs at dispose time, returns its charges
+		// wire: payload hands the adapter a wire buffer (mem.GetWire),
+		// which the receiving adapter returns to the pool. A checksum
+		// trailer joins a fresh buffer instead.
+		wire = !withChecksum
 	)
 
 	switch op.Effective {
@@ -85,7 +89,7 @@ func (p *Process) Output(port int, sem Semantics, va vm.Addr, length int) (*Outp
 		// now, which is what gives copy semantics its integrity; on the
 		// symbolic plane the snapshot is a descriptor capture, not a byte
 		// copy (the charges are identical either way).
-		data, err := p.as.PeekBuf(va, length)
+		data, err := p.peekWire(va, length)
 		if err != nil {
 			return nil, err
 		}
@@ -162,8 +166,23 @@ func (p *Process) Output(port int, sem Semantics, va vm.Addr, length int) (*Outp
 		return nil, fmt.Errorf("%w: %v", ErrBadSemantics, sem)
 	}
 
-	g.launchOutput(op, prep, payload, dispose)
+	g.launchOutput(op, prep, payload, wire, dispose)
 	return op, nil
+}
+
+// peekWire is the copy-semantics output snapshot: length bytes at va,
+// read with full fault handling into a wire buffer on the bytes plane
+// (a run gather on the symbolic plane).
+func (p *Process) peekWire(va vm.Addr, length int) (mem.Buf, error) {
+	if p.g.sys.Phys().Symbolic() {
+		return p.as.PeekBuf(va, length)
+	}
+	buf := mem.GetWire(length)
+	if err := p.as.Peek(va, buf); err != nil {
+		mem.PutWire(buf)
+		return mem.Buf{}, err
+	}
+	return mem.BufBytes(buf), nil
 }
 
 // outputSystemAllocated handles the move-family output path: the buffer
@@ -236,14 +255,14 @@ func (p *Process) outputSystemAllocated(op *OutputOp, port int, va vm.Addr, leng
 		return ch
 	}
 
-	g.launchOutput(op, prep, payload, dispose)
+	g.launchOutput(op, prep, payload, true, dispose)
 	return op, nil
 }
 
 // refPayload builds the transmit-time payload reader for in-place
-// output: the device DMAs from the referenced pages when the frame is
-// serialized, so weak-integrity semantics observe application overwrites
-// up to that moment.
+// output: the device DMAs from the referenced pages into a wire buffer
+// when the frame is serialized, so weak-integrity semantics observe
+// application overwrites up to that moment.
 func refPayload(ref *vm.IORef, length int) func() (mem.Buf, error) {
 	return func() (mem.Buf, error) {
 		return ref.DMAReadBuf(0, length), nil
@@ -251,8 +270,10 @@ func refPayload(ref *vm.IORef, length int) func() (mem.Buf, error) {
 }
 
 // launchOutput charges prepare, schedules transmission after the prepare
-// latency, and hooks dispose to the adapter's completion callback.
-func (g *Genie) launchOutput(op *OutputOp, prep []charge, payload func() (mem.Buf, error), dispose func() []charge) {
+// latency, and hooks dispose to the adapter's completion callback. wire
+// reports that payload returns a wire buffer, handed to the adapter with
+// TransmitDatagramWire; otherwise it goes by TransmitDatagramBuf.
+func (g *Genie) launchOutput(op *OutputOp, prep []charge, payload func() (mem.Buf, error), wire bool, dispose func() []charge) {
 	if g.tr != nil {
 		op.span = g.tr.NewSpan()
 		g.tr.Emit(trace.Event{At: op.StartedAt, Phase: trace.Begin, Cat: trace.CatOp, Name: "output",
@@ -272,7 +293,7 @@ func (g *Genie) launchOutput(op *OutputOp, prep []charge, payload func() (mem.Bu
 			op.Done = true
 			return
 		}
-		err = g.nic.TransmitDatagramBuf(op.Port, data, func() {
+		sent := func() {
 			ch := dispose()
 			dispDur := g.chargeSet(StageDispose, op.octx(), ch, &op.SenderCPU)
 			op.SentAt = g.eng.Now()
@@ -287,7 +308,12 @@ func (g *Genie) launchOutput(op *OutputOp, prep []charge, payload func() (mem.Bu
 			if op.onDone != nil {
 				op.onDone(op)
 			}
-		})
+		}
+		if wire {
+			err = g.nic.TransmitDatagramWire(op.Port, data, sent)
+		} else {
+			err = g.nic.TransmitDatagramBuf(op.Port, data, sent)
+		}
 		if err != nil {
 			op.Err = err
 			op.Done = true

@@ -108,7 +108,7 @@ func (g *Genie) disposeEarlyDemux(in *InputOp) (sim.Duration, error) {
 			g.chargeSet(StageDispose, in.octx(), []charge{{cost.BufDeallocate, n}}, &in.ReceiverCPU)
 			return lat, verr
 		}
-		if err := p.as.PokeBuf(in.va, in.kbuf.readBuf(n)); err != nil {
+		if err := p.as.PokeBuf(in.va, g.gather(in.kbuf.frames, in.kbuf.off, n)); err != nil {
 			in.kbuf.free()
 			return 0, err
 		}
@@ -127,7 +127,8 @@ func (g *Genie) disposeEarlyDemux(in *InputOp) (sim.Duration, error) {
 			// a failed checksum never reaches the application buffer,
 			// preserving copy semantics (contrast ChecksumIntegrated
 			// with copy semantics, which cannot).
-			raw := readFrames(in.kbuf.frames, in.kbuf.off, n+checksumTrailerLen)
+			raw := make([]byte, n+checksumTrailerLen)
+			in.kbuf.readAll(raw)
 			data, sum := splitTrailer(raw)
 			verifyCh = []charge{{cost.ChecksumRead, n}}
 			if !checksumVerify(data, sum) {
@@ -228,8 +229,7 @@ func (g *Genie) disposePooled(in *InputOp, pkt netsim.Packet) (sim.Duration, err
 
 	switch in.Sem {
 	case Copy:
-		data := mem.GatherFrames(pkt.Overlay, pkt.OverlayOff, n)
-		if err := p.as.PokeBuf(in.va, data); err != nil {
+		if err := p.as.PokeBuf(in.va, g.gather(pkt.Overlay, pkt.OverlayOff, n)); err != nil {
 			pool.Put(pkt.Overlay...)
 			return 0, err
 		}
@@ -338,7 +338,7 @@ func (g *Genie) disposeOutboard(in *InputOp, pkt netsim.Packet) (sim.Duration, e
 			return 0, err
 		}
 		ob.DMAToHost(kbuf)
-		if err := p.as.PokeBuf(in.va, kbuf.readBuf(n)); err != nil {
+		if err := p.as.PokeBuf(in.va, g.gather(kbuf.frames, kbuf.off, n)); err != nil {
 			kbuf.free()
 			return 0, err
 		}
@@ -434,8 +434,7 @@ func (g *Genie) emcopyDispose(in *InputOp, frames []*mem.Frame, frameOff int, po
 		// everything is copied out.
 		g.stats.UnalignedInputs++
 		g.stats.FullCopyouts++
-		data := mem.GatherFrames(frames, frameOff, n)
-		if err := p.as.PokeBuf(va, data); err != nil {
+		if err := p.as.PokeBuf(va, g.gather(frames, frameOff, n)); err != nil {
 			pool.Put(frames...)
 			return nil, err
 		}
@@ -515,7 +514,7 @@ func (g *Genie) emcopyDispose(in *InputOp, frames []*mem.Frame, frameOff int, po
 		default:
 			// Short fill: plain copyout (item 1 of Figure 2).
 			fo := int(dataStart - pageVA)
-			if err := p.as.PokeBuf(dataStart, f.ReadBuf(fo, d)); err != nil {
+			if err := p.as.PokeBuf(dataStart, g.gather(frames[fi:], fo, d)); err != nil {
 				return fail(err)
 			}
 			copied += d
@@ -622,12 +621,6 @@ func (g *Genie) buildRegionFromOverlay(in *InputOp, pkt netsim.Packet, pool *net
 		{cost.RegionFillOverlayRefill, n}, {cost.RegionMap, n}, {cost.RegionMarkIn, 0},
 		{cost.OverlayDeallocate, n},
 	}, nil
-}
-
-// readFrames materializes n bytes starting at off within the first
-// frame (content-level paths: checksum verification).
-func readFrames(frames []*mem.Frame, off, n int) []byte {
-	return mem.GatherFrames(frames, off, n).Resolve()
 }
 
 func max64(a, b vm.Addr) vm.Addr {

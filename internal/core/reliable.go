@@ -92,13 +92,17 @@ type ReliableStats struct {
 	OrphanAcks     uint64 // acks for unknown (already completed) frames
 }
 
-// relPending is one unacknowledged data frame.
+// relPending is one unacknowledged data frame. Once the frame settles
+// (acked, given up or closed) the record and its frame slice go to the
+// Reliable's free list and carry a later frame: its timer is cancelled
+// or has fired by then, so nothing else still refers to it.
 type relPending struct {
 	seq      uint32
 	frame    []byte // full wire frame, reused verbatim by retransmits
 	attempts int
 	timer    sim.Handle
 	done     bool
+	fire     func() // the retransmit timer's callback, built once per record
 }
 
 // Reliable is one end of a reliable channel. Both ends are symmetric:
@@ -115,6 +119,9 @@ type Reliable struct {
 	onSettled func(seq uint32, acked bool)
 	closed    bool
 	stats     ReliableStats
+
+	free []*relPending      // settled records, reused by Send
+	ack  [relHeaderLen]byte // ack frame scratch: Endpoint.Send copies it at once
 }
 
 // NewReliableChannel connects two processes with a reliable message
@@ -173,10 +180,9 @@ func (r *Reliable) OnSettled(fn func(seq uint32, acked bool)) { r.onSettled = fn
 func (r *Reliable) Close() {
 	r.closed = true
 	for _, p := range r.sendQ {
-		p.done = true
 		p.timer.Cancel()
+		r.settle(p)
 	}
-	clear(r.sendQ)
 	r.ep.Close()
 }
 
@@ -192,11 +198,35 @@ func (r *Reliable) Send(payload []byte) (uint32, error) {
 	}
 	r.nextSeq++
 	seq := r.nextSeq
-	p := &relPending{seq: seq, frame: buildFrame(relData, seq, payload)}
+	p := r.pending()
+	p.seq = seq
+	p.frame = buildFrame(p.frame, relData, seq, payload)
 	r.sendQ[seq] = p
 	r.stats.Sent++
 	r.transmit(p)
 	return seq, nil
+}
+
+// pending returns a fresh record for a new frame, reusing a settled one
+// when the free list has any.
+func (r *Reliable) pending() *relPending {
+	if k := len(r.free) - 1; k >= 0 {
+		p := r.free[k]
+		r.free = r.free[:k]
+		p.attempts, p.done, p.timer = 0, false, sim.Handle{}
+		return p
+	}
+	p := &relPending{}
+	p.fire = func() { r.transmit(p) }
+	return p
+}
+
+// settle removes p from the send queue and frees it for reuse. The
+// caller has cancelled p's timer or is running from it.
+func (r *Reliable) settle(p *relPending) {
+	p.done = true
+	delete(r.sendQ, p.seq)
+	r.free = append(r.free, p)
 }
 
 // transmit performs one (re)transmission attempt for p and arms the
@@ -209,11 +239,11 @@ func (r *Reliable) transmit(p *relPending) {
 		return
 	}
 	if p.attempts >= r.cfg.MaxAttempts {
-		p.done = true
-		delete(r.sendQ, p.seq)
+		seq := p.seq
+		r.settle(p)
 		r.stats.GaveUp++
 		if r.onSettled != nil {
-			r.onSettled(p.seq, false)
+			r.onSettled(seq, false)
 		}
 		return
 	}
@@ -227,7 +257,7 @@ func (r *Reliable) transmit(p *relPending) {
 		r.stats.SendDeferrals++
 		next = r.cfg.RetryDelay
 	}
-	p.timer = r.eng.Schedule(next, func() { r.transmit(p) })
+	p.timer = r.eng.Schedule(next, p.fire)
 }
 
 // rto returns the bounded exponentially backed-off timeout for the
@@ -287,9 +317,8 @@ func (r *Reliable) onMessage(m *Message) {
 			r.stats.OrphanAcks++
 			return
 		}
-		p.done = true
 		p.timer.Cancel()
-		delete(r.sendQ, seq)
+		r.settle(p)
 		r.stats.Acked++
 		if r.onSettled != nil {
 			r.onSettled(seq, true)
@@ -315,7 +344,7 @@ func (r *Reliable) sendAck(seq uint32, attempt int) {
 	if r.closed {
 		return
 	}
-	if _, err := r.ep.Send(buildFrame(relAck, seq, nil)); err != nil {
+	if _, err := r.ep.Send(buildFrame(r.ack[:], relAck, seq, nil)); err != nil {
 		if attempt < sendAckRetryLimit {
 			r.eng.Schedule(sim.Duration(ackRetryUS), func() { r.sendAck(seq, attempt+1) })
 		}
@@ -331,12 +360,17 @@ func (r *Reliable) instant(name string, bytes int) {
 	}
 }
 
-// buildFrame assembles a wire frame: header (type, pad, checksum, seq,
-// length) plus payload, with the checksum computed over the whole frame
-// with its own field zeroed.
-func buildFrame(ftype byte, seq uint32, payload []byte) []byte {
-	f := make([]byte, relHeaderLen+len(payload))
-	f[0] = ftype
+// buildFrame assembles a wire frame in dst's storage (growing it when
+// too small): header (type, pad, checksum, seq, length) plus payload,
+// with the checksum computed over the whole frame with its own field
+// zeroed.
+func buildFrame(dst []byte, ftype byte, seq uint32, payload []byte) []byte {
+	n := relHeaderLen + len(payload)
+	if cap(dst) < n {
+		dst = make([]byte, n)
+	}
+	f := dst[:n]
+	f[0], f[1], f[2], f[3] = ftype, 0, 0, 0
 	binary.BigEndian.PutUint32(f[4:], seq)
 	binary.BigEndian.PutUint32(f[8:], uint32(len(payload)))
 	copy(f[relHeaderLen:], payload)

@@ -92,7 +92,12 @@ type Storage struct {
 	dev   *blockdev.Device
 	cache *pagecache.Cache
 	stats StorageStats
-	stage []byte // bytes-plane FileWrite source, reused by every write
+	// stage is the transfer stage (staged) of copy reads and
+	// bytes-plane write sources: a copyout read lands in it and is
+	// poked into the application buffer, a write source is read into
+	// it and spliced into the cache by WriteRange. Each byte is copied
+	// once into the stage and once into its destination.
+	stage []byte
 }
 
 // NewStorage attaches a storage stack to a host. Construction
@@ -220,11 +225,8 @@ func (s *Storage) FileRead(p *Process, sem Semantics, block, length int, va vm.A
 
 	switch sem {
 	case Copy:
-		buf, w, err := s.cache.ReadRange(block, 0, length)
+		w, err := s.readStaged(p, block, length, va)
 		if err != nil {
-			return nil, err
-		}
-		if err := p.as.PokeBuf(va, buf); err != nil {
 			return nil, err
 		}
 		wait = w
@@ -262,11 +264,8 @@ func (s *Storage) FileRead(p *Process, sem Semantics, block, length int, va vm.A
 			prep = append(prep, charge{cost.Swap, full * bs})
 		}
 		if tail := length - full*bs; tail > 0 {
-			buf, w, err := s.cache.ReadRange(block+full, 0, tail)
+			w, err := s.readStaged(p, block+full, tail, va+vm.Addr(full*bs))
 			if err != nil {
-				return nil, err
-			}
-			if err := p.as.PokeBuf(va+vm.Addr(full*bs), buf); err != nil {
 				return nil, err
 			}
 			wait += w
@@ -541,16 +540,17 @@ func (s *Storage) FileWrite(p *Process, sem Semantics, block, length int, va vm.
 	return op, nil
 }
 
-// writeStage returns s.stage sized to n bytes, growing it if needed.
-// On the bytes plane every FileWrite reads its source into this one
-// stage, which WriteRange consumes before FileWrite returns, so a
-// written byte is copied once into the stage and once into the cache
-// page; the symbolic plane gathers runs instead.
-func (s *Storage) writeStage(n int) []byte {
-	if cap(s.stage) < n {
-		s.stage = make([]byte, n)
+// readStaged is the copyout read: n cache bytes from block into the
+// stage, then into the application buffer at va. On the symbolic plane
+// the frames clone the staged bytes (copy-on-store), so the borrowed
+// stage never leaks into a result.
+func (s *Storage) readStaged(p *Process, block, n int, va vm.Addr) (sim.Duration, error) {
+	stage := staged(&s.stage, n)
+	wait, err := s.cache.ReadRange(block, 0, stage)
+	if err != nil {
+		return wait, err
 	}
-	return s.stage[:n]
+	return wait, p.as.PokeBuf(va, mem.BufBytes(stage))
 }
 
 // peekSource reads n bytes of the application's buffer at va with full
@@ -559,7 +559,7 @@ func (s *Storage) peekSource(p *Process, va vm.Addr, n int) (mem.Buf, error) {
 	if s.g.sys.Phys().Symbolic() {
 		return p.as.PeekBuf(va, n)
 	}
-	stage := s.writeStage(n)
+	stage := staged(&s.stage, n)
 	if err := p.as.Peek(va, stage); err != nil {
 		return mem.Buf{}, err
 	}
@@ -572,7 +572,7 @@ func (s *Storage) gatherSource(ref *vm.IORef, n int) mem.Buf {
 	if s.g.sys.Phys().Symbolic() {
 		return ref.DMAReadBuf(0, n)
 	}
-	stage := s.writeStage(n)
+	stage := staged(&s.stage, n)
 	ref.DMARead(0, stage)
 	return mem.BufBytes(stage)
 }
@@ -593,14 +593,18 @@ func (s *Storage) Sendfile(port, block, length int) (*FileOp, error) {
 	}
 	op := &FileOp{Sem: Share, Len: length, StartedAt: g.eng.Now()}
 	s.stats.Sendfiles++
-	buf, wait, err := s.cache.ReadRange(block, 0, length)
+	// The cache read is the frame's wire buffer: the receiving adapter
+	// hands it back to the pool once it has copied it out.
+	buf := mem.GetWire(length)
+	wait, err := s.cache.ReadRange(block, 0, buf)
 	if err != nil {
+		mem.PutWire(buf)
 		return nil, err
 	}
 	prepDur := g.chargeSet(StagePrepare, op.sctx(), []charge{{cost.Reference, length}}, &op.CPU)
 	op.DeviceWait = wait.Micros()
 	g.eng.Schedule(prepDur+wait, func() {
-		err := g.nic.TransmitDatagramBuf(port, buf, func() {
+		err := g.nic.TransmitDatagramWire(port, mem.BufBytes(buf), func() {
 			d := g.chargeSet(StageDispose, op.sctx(), []charge{{cost.Unreference, length}}, &op.CPU)
 			op.CompletedAt = g.eng.Now().Add(d)
 			op.Done = true

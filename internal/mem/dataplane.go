@@ -178,8 +178,11 @@ func runsLen(runs []Run) int {
 // A bytes-backed Buf aliases the slice it was built from; producers
 // hand out freshly allocated slices on read paths, preserving the same
 // snapshot guarantee. The documented exceptions are borrowed views —
-// Frame.BorrowBuf and blockdev's Peek/ReadBlocks — which alias live
-// storage and must be consumed before that storage is next written.
+// Frame.BorrowBuf, blockdev's Peek/ReadBlocks and the reusable stages
+// of the storage and copyout paths — which alias live storage and must
+// be consumed before that storage is next written, and wire buffers
+// (GetWire), which belong to their frame until the receiving adapter
+// has copied them out and hands them back.
 type Buf struct {
 	n     int
 	bytes []byte // materialized representation, nil when symbolic
@@ -427,25 +430,35 @@ func ScatterFrames(frames []*Frame, off int, b Buf) {
 	}
 }
 
+// ReadFrames resolves len(p) bytes starting at byte offset off of the
+// frame run into p, on either plane.
+func ReadFrames(frames []*Frame, off int, p []byte) {
+	if len(p) == 0 {
+		return
+	}
+	ps := frames[0].Size()
+	for pos := 0; pos < len(p); {
+		fi := (off + pos) / ps
+		po := (off + pos) % ps
+		k := min(ps-po, len(p)-pos)
+		frames[fi].ReadAt(p[pos:pos+k], po)
+		pos += k
+	}
+}
+
 // GatherFrames reads n bytes starting at byte offset off of the frame
-// run into one buffer.
+// run into one buffer: a fresh materialized copy on the bytes plane, an
+// O(#runs) gather on the symbolic plane.
 func GatherFrames(frames []*Frame, off, n int) Buf {
 	if n == 0 {
 		return Buf{}
 	}
-	ps := frames[0].Size()
 	if !frames[0].Symbolic() {
 		out := make([]byte, n)
-		pos := 0
-		for pos < n {
-			fi := (off + pos) / ps
-			po := (off + pos) % ps
-			k := min(ps-po, n-pos)
-			frames[fi].ReadAt(out[pos:pos+k], po)
-			pos += k
-		}
+		ReadFrames(frames, off, out)
 		return BufBytes(out)
 	}
+	ps := frames[0].Size()
 	var runs []Run
 	pos := 0
 	for pos < n {

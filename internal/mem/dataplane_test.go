@@ -107,23 +107,45 @@ func TestRunCoalescing(t *testing.T) {
 }
 
 // TestBufSnapshotIndependence: a Buf read from a symbolic frame is a
-// snapshot — later frame writes must not show through. This is the
-// invariant that makes scheduled-delivery closures and copy-semantics
-// snapshots safe.
+// snapshot — later frame writes must not show through, including the
+// whole-page writes and zeroing reallocations that reuse the frame's
+// run storage. This is the invariant that makes scheduled-delivery
+// closures and copy-semantics snapshots safe.
 func TestBufSnapshotIndependence(t *testing.T) {
-	pm := NewWithPlane(4, 64, Symbolic)
+	pm := NewWithPlane(1, 64, Symbolic)
 	f, err := pm.Alloc()
 	if err != nil {
 		t.Fatal(err)
 	}
 	src := NewPatternSource()
-	f.WriteBuf(0, PatternBuf(src, 0, 64))
-	snap := f.ReadBuf(16, 32)
-	want := append([]byte(nil), snap.Resolve()...)
-	f.WriteBuf(0, ZeroBuf(64))
-	if !bytes.Equal(snap.Resolve(), want) {
-		t.Error("frame write visible through a previously taken ReadBuf snapshot")
+	f.WriteBuf(0, PatternBuf(src, 0, 32).Append(LiteralBuf(bytes.Repeat([]byte{9}, 32))))
+	snaps := []Buf{f.ReadBuf(16, 32), f.ReadBuf(0, 64), f.BorrowBuf(), GatherFrames([]*Frame{f}, 0, 64)}
+	var want [][]byte
+	for _, b := range snaps {
+		want = append(want, append([]byte(nil), b.Resolve()...))
 	}
+	check := func(after string) {
+		t.Helper()
+		for i, b := range snaps {
+			if !bytes.Equal(b.Resolve(), want[i]) {
+				t.Errorf("%s visible through previously taken snapshot %d", after, i)
+			}
+		}
+	}
+	f.WriteBuf(0, ZeroBuf(64))
+	check("whole-page zero write")
+	written := PatternBuf(NewPatternSource(), 5, 16).Append(PatternBuf(src, 40, 48))
+	f.WriteBuf(0, written)
+	check("whole-page two-run write")
+	snaps = append(snaps, written)
+	want = append(want, append([]byte(nil), written.Resolve()...))
+	f.WriteBuf(0, LiteralBuf(bytes.Repeat([]byte{7}, 64)))
+	check("whole-page literal write")
+	pm.Release(f)
+	if f, err = pm.AllocZeroed(); err != nil {
+		t.Fatal(err)
+	}
+	check("zeroing reallocation")
 }
 
 // TestWriteBufClonesLiteralBytes: splicing a bytes-backed Buf into a

@@ -85,6 +85,8 @@ func (f *Frame) Symbolic() bool { return f.runs != nil }
 // plane it splices b's runs in. A materialized b written into a
 // symbolic frame is cloned (the caller may recycle its storage), while
 // run-backed buffers are spliced by reference — runs are immutable.
+// A frame's run list is its own (every reader gets a copy), so a
+// whole-page write reuses its storage.
 func (f *Frame) WriteBuf(off int, b Buf) {
 	n := b.Len()
 	if off < 0 || off+n > f.size {
@@ -101,6 +103,13 @@ func (f *Frame) WriteBuf(off int, b Buf) {
 	ins := b.runs
 	if b.bytes != nil {
 		ins = []Run{{Src: SrcLiteral, Len: n, lit: append([]byte(nil), b.bytes...)}}
+	}
+	if n == f.size {
+		f.runs = f.runs[:0]
+		for _, r := range ins {
+			f.runs = appendRun(f.runs, r)
+		}
+		return
 	}
 	f.runs = spliceRuns(f.runs, f.size, off, ins, n)
 }
@@ -438,7 +447,7 @@ func (pm *PhysMem) AllocZeroed() (*Frame, error) {
 	}
 	if !f.pristine {
 		if f.runs != nil {
-			f.runs = []Run{{Src: SrcZero, Len: f.size}}
+			f.runs = append(f.runs[:0], Run{Src: SrcZero, Len: f.size})
 		} else {
 			clear(f.data)
 		}

@@ -1,0 +1,65 @@
+package mem
+
+import (
+	"math/bits"
+	"sync"
+	"unsafe"
+)
+
+// Wire buffers: the bytes-plane snapshots a protocol stack hands to its
+// network adapter (an output's copy of the application buffer, a DMA
+// read of referenced pages, a sendfile cache read). Such a snapshot
+// must outlive the call that made it — it travels on the simulated wire
+// — but dies as soon as the receiving adapter has copied it out, so the
+// receiver hands it back here and the next snapshot of that size class
+// reuses it instead of allocating.
+//
+// The pool is one sync.Pool per power-of-two class, safe for concurrent
+// use: sender and receiver may run on different cluster shard
+// goroutines. A pooled slice keeps its old contents; GetWire's caller
+// overwrites every byte it returns before anyone reads them.
+
+const (
+	minWireShift = 6  // smallest class: 64 bytes
+	maxWireShift = 17 // largest class: 128 KB, above any AAL5 frame
+)
+
+// wirePools[c] holds free slices of capacity 1<<c, each stored as a
+// pointer to its first byte so Put and Get allocate nothing.
+var wirePools [maxWireShift + 1]sync.Pool
+
+// wireClass returns the class serving n bytes: the smallest power of
+// two at least n, and at least the minimum class.
+func wireClass(n int) int {
+	if n <= 1<<minWireShift {
+		return minWireShift
+	}
+	return bits.Len(uint(n - 1))
+}
+
+// GetWire returns an n-byte slice from the wire pool, allocating when
+// the pool has none free. Its contents are stale: the caller overwrites
+// all n bytes. Sizes above the largest class are plain allocations and
+// never enter the pool.
+func GetWire(n int) []byte {
+	c := wireClass(n)
+	if c > maxWireShift {
+		return make([]byte, n)
+	}
+	if p, ok := wirePools[c].Get().(*byte); ok {
+		return unsafe.Slice(p, 1<<c)[:n]
+	}
+	return make([]byte, n, 1<<c)
+}
+
+// PutWire returns a slice obtained from GetWire to the pool. The caller
+// must be its last holder: nothing may read or write p afterwards.
+// Slices whose capacity is not a class size are left to the garbage
+// collector.
+func PutWire(p []byte) {
+	c := bits.Len(uint(cap(p))) - 1
+	if c < minWireShift || c > maxWireShift || cap(p) != 1<<c {
+		return
+	}
+	wirePools[c].Put(unsafe.SliceData(p[:1]))
+}

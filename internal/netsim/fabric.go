@@ -124,10 +124,10 @@ func (f *Fabric) transmitOK(src *NIC, port int) error {
 	return nil
 }
 
-func (f *Fabric) deliverFrame(src *NIC, port int, payload mem.Buf, at sim.Time) {
+func (f *Fabric) deliverFrame(src *NIC, port int, payload mem.Buf, wire bool, at sim.Time) {
 	s := f.index[src]
 	d := f.routes[fabricKey{host: s, port: port}]
-	f.xpost(s, d, at, func() { f.forwardFrame(d, port, payload) })
+	f.xpost(s, d, at, func() { f.forwardFrame(d, port, payload, wire) })
 }
 
 func (f *Fabric) deliverFragment(src *NIC, frag fragment, at sim.Time) {
@@ -139,12 +139,12 @@ func (f *Fabric) deliverFragment(src *NIC, frag fragment, at sim.Time) {
 // forwardFrame runs on the destination shard when the frame reaches the
 // switch: it claims the egress port, serializes the frame through it,
 // and delivers to the NIC when the last byte has left the port.
-func (f *Fabric) forwardFrame(d, port int, payload mem.Buf) {
+func (f *Fabric) forwardFrame(d, port int, payload mem.Buf, wire bool) {
 	p := f.ports[d]
 	start := p.eng.Now().Max(p.busyUntil)
 	p.busyUntil = start.Add(sim.Duration(f.perByteUS * float64(payload.Len())))
 	nic := p.nic
-	p.eng.ScheduleAt(p.busyUntil, func() { nic.receive(port, payload) })
+	p.eng.ScheduleAt(p.busyUntil, func() { nic.receive(port, payload, wire) })
 }
 
 // forwardFragment is forwardFrame for one fragment of a datagram.

@@ -53,10 +53,25 @@ func (n *NIC) TransmitDatagram(port int, payload []byte, onSent func()) error {
 	return n.TransmitDatagramBuf(port, mem.BufBytes(payload), onSent)
 }
 
-// TransmitDatagramBuf is TransmitDatagram for a data-plane buffer.
+// TransmitDatagramBuf is TransmitDatagram for a data-plane buffer,
+// under TransmitBuf's contract.
 func (n *NIC) TransmitDatagramBuf(port int, payload mem.Buf, onSent func()) error {
+	return n.transmitDatagram(port, payload, false, onSent)
+}
+
+// TransmitDatagramWire is TransmitDatagramBuf for a wire buffer: a
+// bytes-plane payload whose storage came from mem.GetWire (a symbolic
+// payload is sent as by TransmitDatagramBuf). The buffer belongs to its
+// frame from this call on: the caller never touches it again, and the
+// receiving adapter returns it to the pool once it has copied it out
+// (NIC.handBack). A fragmented datagram's buffer is never returned.
+func (n *NIC) TransmitDatagramWire(port int, payload mem.Buf, onSent func()) error {
+	return n.transmitDatagram(port, payload, true, onSent)
+}
+
+func (n *NIC) transmitDatagram(port int, payload mem.Buf, wire bool, onSent func()) error {
 	if n.mtu <= 0 || payload.Len() <= n.mtu {
-		return n.TransmitBuf(port, payload, onSent)
+		return n.transmit(port, payload, wire, onSent)
 	}
 	if n.att == nil {
 		return ErrNotAttached

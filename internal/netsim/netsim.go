@@ -68,7 +68,9 @@ var (
 // buffer. DMA bypasses page tables and protections by definition.
 type DMATarget interface {
 	// DMAWrite stores data at byte offset off within the target. On the
-	// symbolic data plane the store is a descriptor splice.
+	// symbolic data plane the store is a descriptor splice. The target
+	// must not keep data's bytes after DMAWrite returns: the adapter
+	// hands a wire buffer back to the pool once it is copied out.
 	DMAWrite(off int, data mem.Buf)
 	// Len returns the target's capacity in bytes.
 	Len() int
@@ -133,8 +135,9 @@ type attachment interface {
 	// route; a link always can).
 	transmitOK(src *NIC, port int) error
 	// deliverFrame hands payload to the endpoint bound to (src, port)
-	// at absolute time at on the destination's clock.
-	deliverFrame(src *NIC, port int, payload mem.Buf, at sim.Time)
+	// at absolute time at on the destination's clock; wire reports
+	// that the payload is a wire buffer the sender handed over.
+	deliverFrame(src *NIC, port int, payload mem.Buf, wire bool, at sim.Time)
 	// deliverFragment does the same for one fragment of a datagram.
 	deliverFragment(src *NIC, f fragment, at sim.Time)
 }
@@ -379,10 +382,20 @@ func (n *NIC) Transmit(port int, payload []byte, onSent func()) error {
 	return n.TransmitBuf(port, mem.BufBytes(payload), onSent)
 }
 
-// TransmitBuf is Transmit for a data-plane buffer. The buffer must be
-// an independent snapshot (all producers in this codebase hand those
-// out): delivery happens later on the simulated clock.
+// TransmitBuf is Transmit for a data-plane buffer. Delivery happens
+// later on the simulated clock, so the caller must not change the
+// buffer's bytes afterwards; the adapter never writes through them
+// and never returns them to the wire pool.
 func (n *NIC) TransmitBuf(port int, payload mem.Buf, onSent func()) error {
+	return n.transmit(port, payload, false, onSent)
+}
+
+// transmit sends one unfragmented frame. wire hands a bytes-plane
+// payload drawn from mem.GetWire over to the frame, for the receiving
+// adapter to return (NIC.handBack); a sender with a fault injector or an
+// armed corruption keeps it out of the pool, since duplicates and
+// mangled copies leave more than one holder or none that copies it out.
+func (n *NIC) transmit(port int, payload mem.Buf, wire bool, onSent func()) error {
 	if n.att == nil {
 		return ErrNotAttached
 	}
@@ -392,16 +405,17 @@ func (n *NIC) TransmitBuf(port int, payload mem.Buf, onSent func()) error {
 	if payload.Len() > MaxFrame {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, payload.Len())
 	}
+	wire = wire && n.inj == nil && n.corruptAt < 0
 	payload = n.applyFault(payload)
 	n.stats.TxFrames++
 	n.stats.TxBytes += uint64(payload.Len())
 
 	start := n.eng.Now().Max(n.busyUntil)
-	wire := sim.Duration(n.att.wirePerByteUS() * float64(payload.Len()))
-	n.busyUntil = start.Add(wire)
+	ser := sim.Duration(n.att.wirePerByteUS() * float64(payload.Len()))
+	n.busyUntil = start.Add(ser)
 
 	if n.tr != nil {
-		n.tr.Emit(trace.Event{At: start, Dur: wire, Phase: trace.Complete, Cat: trace.CatNet,
+		n.tr.Emit(trace.Event{At: start, Dur: ser, Phase: trace.Complete, Cat: trace.CatNet,
 			Name: "net.tx", Port: port, Bytes: payload.Len()})
 		n.tr.Emit(trace.Event{At: n.busyUntil, Dur: sim.Duration(n.att.wireFixedUS()), Phase: trace.Complete,
 			Cat: trace.CatNet, Name: "net.deliver", Port: port, Bytes: payload.Len()})
@@ -414,9 +428,9 @@ func (n *NIC) TransmitBuf(port int, payload mem.Buf, onSent func()) error {
 	if !survives {
 		return nil
 	}
-	n.att.deliverFrame(n, port, payload, deliver)
+	n.att.deliverFrame(n, port, payload, wire, deliver)
 	if dup {
-		n.att.deliverFrame(n, port, payload, deliver.Add(sim.Duration(n.att.wireFixedUS())))
+		n.att.deliverFrame(n, port, payload, false, deliver.Add(sim.Duration(n.att.wireFixedUS())))
 	}
 	return nil
 }
@@ -431,12 +445,37 @@ const (
 )
 
 // receive runs at frame arrival and routes the payload according to the
-// input buffering architecture.
-func (n *NIC) receive(port int, payload mem.Buf) {
-	n.receiveAttempt(port, payload, 0)
+// input buffering architecture, then hands a wire payload back.
+func (n *NIC) receive(port int, payload mem.Buf, wire bool) {
+	n.handBack(payload, wire, n.receiveAttempt(port, payload, 0))
 }
 
-func (n *NIC) receiveAttempt(port int, payload mem.Buf, attempt int) {
+// handBack returns a delivered frame's wire buffer to mem's pool. It is
+// the one place a wire buffer re-enters the pool, and it does so only
+// when no one else can still see the bytes:
+//   - the sender handed the buffer over (wire: TransmitDatagramWire,
+//     no injector or armed corruption at the sender);
+//   - this adapter placed it (placed: an early-demultiplexed DMAWrite
+//     or a pooled ScatterFrames copied it, and both have finished);
+//   - no fault injector is attached here, so no deferred receive still
+//     holds it;
+//   - the adapter is not outboard: staging keeps the payload by
+//     reference (OutboardBuffer.writeAt aliases a full-length write).
+//
+// Fragmented datagrams never get here (receiveFragment), and slices
+// passed to Transmit or TransmitDatagram are never wire. Everything else
+// is left to the garbage collector.
+func (n *NIC) handBack(payload mem.Buf, wire, placed bool) {
+	if !wire || !placed || n.inj != nil || n.buffering == OutboardBuffering || payload.Symbolic() {
+		return
+	}
+	mem.PutWire(payload.Resolve())
+}
+
+// receiveAttempt places and delivers one frame, reporting whether it
+// was placed: copied into a posted target or overlay pages, or staged
+// outboard (by reference, which handBack rules out separately).
+func (n *NIC) receiveAttempt(port int, payload mem.Buf, attempt int) bool {
 	if attempt == 0 {
 		n.stats.RxFrames++
 		n.stats.RxBytes += uint64(payload.Len())
@@ -463,27 +502,27 @@ func (n *NIC) receiveAttempt(port int, payload mem.Buf, attempt int) {
 		// buffering if a pool exists (Section 6.2.2), else drop.
 		if n.pool == nil {
 			n.drop(port, payload.Len())
-			return
+			return false
 		}
 		if !n.intoPool(&pkt, port, payload, attempt) {
-			return
+			return false
 		}
 
 	case Pooled:
 		if !n.intoPool(&pkt, port, payload, attempt) {
-			return
+			return false
 		}
 
 	case OutboardBuffering:
 		if !n.intoOutboard(&pkt, port, payload, attempt) {
-			return
+			return false
 		}
 	}
 
 	if n.rx != nil {
 		n.stats.Delivered++
 		n.rx(pkt)
-		return
+		return true
 	}
 	// No protocol stack attached: return the staging resources so pool
 	// conservation holds on this drop branch too.
@@ -494,6 +533,7 @@ func (n *NIC) receiveAttempt(port int, payload mem.Buf, attempt int) {
 		pkt.Outboard.Free()
 	}
 	n.drop(port, payload.Len())
+	return true
 }
 
 // intoPool places the payload into overlay pages, reporting false when
@@ -621,9 +661,9 @@ func (l *Link) peerOf(src *NIC) *NIC {
 
 func (l *Link) transmitOK(*NIC, int) error { return nil }
 
-func (l *Link) deliverFrame(src *NIC, port int, payload mem.Buf, at sim.Time) {
+func (l *Link) deliverFrame(src *NIC, port int, payload mem.Buf, wire bool, at sim.Time) {
 	dst := l.peerOf(src)
-	l.eng.ScheduleAt(at, func() { dst.receive(port, payload) })
+	l.eng.ScheduleAt(at, func() { dst.receive(port, payload, wire) })
 }
 
 func (l *Link) deliverFragment(src *NIC, f fragment, at sim.Time) {

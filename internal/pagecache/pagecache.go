@@ -317,34 +317,29 @@ func (c *Cache) EnsureRange(block, count int) (sim.Duration, error) {
 	return wait, nil
 }
 
-// ReadRange returns n bytes starting at byte off within block's run,
-// filling misses, plus the device wait. Each byte is copied once: every
-// page reads straight into its slice of one n-byte result, materialized
-// on either data plane. Pages are
-// read as they are required, so a fill that evicts an earlier page of
-// the range cannot lose its bytes.
-func (c *Cache) ReadRange(block, off, n int) (mem.Buf, sim.Duration, error) {
-	if n <= 0 {
-		return mem.Buf{}, 0, nil
-	}
+// ReadRange reads len(dst) bytes starting at byte off within block's
+// run into dst, filling misses, and returns the device wait. Each byte
+// is copied once, from its cache page straight into the caller's slice,
+// on either data plane. Pages are read as they are required, so a fill
+// that evicts an earlier page of the range cannot lose its bytes.
+func (c *Cache) ReadRange(block, off int, dst []byte) (sim.Duration, error) {
 	bs := c.dev.BlockSize()
 	pos := block + off/bs
 	off %= bs
-	out := make([]byte, n)
 	var wait sim.Duration
-	for done := 0; done < n; {
+	for done := 0; done < len(dst); {
 		e, w, err := c.require(pos)
 		if err != nil {
-			return mem.Buf{}, wait, err
+			return wait, err
 		}
 		wait += w
-		k := min(bs-off, n-done)
-		e.frame.ReadAt(out[done:done+k], off)
+		k := min(bs-off, len(dst)-done)
+		e.frame.ReadAt(dst[done:done+k], off)
 		done += k
 		off = 0
 		pos++
 	}
-	return mem.BufBytes(out), wait, nil
+	return wait, nil
 }
 
 // WriteRange stores data at byte off within block's run with

@@ -42,6 +42,13 @@ func image(dev *blockdev.Device, t testing.TB, blocks int) {
 	}
 }
 
+// readRange reads n bytes at off within block's run into a fresh slice.
+func readRange(c *Cache, block, off, n int) ([]byte, sim.Duration, error) {
+	dst := make([]byte, n)
+	wait, err := c.ReadRange(block, off, dst)
+	return dst, wait, err
+}
+
 func wantBlock(b, off, n int) []byte {
 	p := make([]byte, n)
 	for i := range p {
@@ -55,11 +62,11 @@ func wantBlock(b, off, n int) []byte {
 func TestMissReadAheadHit(t *testing.T) {
 	_, dev, c := newCache(t, Config{Pages: 16, ReadAhead: 3})
 	image(dev, t, 8)
-	got, _, err := c.ReadRange(0, 0, pageSize)
+	got, _, err := readRange(c, 0, 0, pageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Resolve(), wantBlock(0, 0, pageSize)) {
+	if !bytes.Equal(got, wantBlock(0, 0, pageSize)) {
 		t.Fatal("content mismatch on miss fill")
 	}
 	ct := c.Counters()
@@ -69,14 +76,14 @@ func TestMissReadAheadHit(t *testing.T) {
 	// Blocks 1..3 were prefetched: all hits, no device traffic.
 	before := dev.Stats().BlocksRead
 	for b := 1; b <= 3; b++ {
-		got, wait, err := c.ReadRange(b, 0, pageSize)
+		got, wait, err := readRange(c, b, 0, pageSize)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if wait != 0 {
 			t.Fatalf("hit on block %d waited %v", b, wait)
 		}
-		if !bytes.Equal(got.Resolve(), wantBlock(b, 0, pageSize)) {
+		if !bytes.Equal(got, wantBlock(b, 0, pageSize)) {
 			t.Fatalf("block %d content mismatch", b)
 		}
 	}
@@ -100,10 +107,10 @@ func TestMissReadAheadHit(t *testing.T) {
 func TestReadAheadClipping(t *testing.T) {
 	_, dev, c := newCache(t, Config{Pages: 16, ReadAhead: 8})
 	image(dev, t, 128)
-	if _, _, err := c.ReadRange(5, 0, 1); err != nil { // resident island at 5
+	if _, _, err := readRange(c, 5, 0, 1); err != nil { // resident island at 5
 		t.Fatal(err)
 	}
-	if _, _, err := c.ReadRange(2, 0, 1); err != nil { // run 2..4 stops at 5
+	if _, _, err := readRange(c, 2, 0, 1); err != nil { // run 2..4 stops at 5
 		t.Fatal(err)
 	}
 	ct := c.Counters()
@@ -112,7 +119,7 @@ func TestReadAheadClipping(t *testing.T) {
 	}
 	// Device end: a miss at the last block reads exactly one.
 	before := dev.Stats().BlocksRead
-	if _, _, err := c.ReadRange(127, 0, 1); err != nil {
+	if _, _, err := readRange(c, 127, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if dev.Stats().BlocksRead != before+1 {
@@ -196,15 +203,15 @@ func TestEvictionLRU(t *testing.T) {
 		t.Fatal(err)
 	}
 	for b := 1; b < 4; b++ {
-		if _, _, err := c.ReadRange(b, 0, 1); err != nil {
+		if _, _, err := readRange(c, b, 0, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Touch 0 so 1 becomes LRU, then overflow.
-	if _, _, err := c.ReadRange(0, 0, 1); err != nil {
+	if _, _, err := readRange(c, 0, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.ReadRange(10, 0, 1); err != nil {
+	if _, _, err := readRange(c, 10, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	ct := c.Counters()
@@ -219,11 +226,11 @@ func TestEvictionLRU(t *testing.T) {
 	}
 	// Now make block 0 LRU and dirty; evicting it must write back.
 	for _, b := range []int{2, 3, 10} {
-		if _, _, err := c.ReadRange(b, 0, 1); err != nil {
+		if _, _, err := readRange(c, b, 0, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := c.ReadRange(11, 0, 1); err != nil {
+	if _, _, err := readRange(c, 11, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if dev.Stats().BlocksWritten != 1 {
@@ -257,7 +264,7 @@ func TestTakeFrameConsumes(t *testing.T) {
 		t.Fatalf("counters %+v", ct)
 	}
 	before := dev.Stats().BlocksRead
-	if _, _, err := c.ReadRange(2, 0, 1); err != nil {
+	if _, _, err := readRange(c, 2, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if dev.Stats().BlocksRead != before+1 {
@@ -286,7 +293,7 @@ func TestDropAndFrameConservation(t *testing.T) {
 	image(dev, t, 32)
 	base := sys.Phys().FreeFrames()
 	for b := 0; b < 20; b += 2 {
-		if _, _, err := c.ReadRange(b, 0, pageSize); err != nil {
+		if _, _, err := readRange(c, b, 0, pageSize); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := c.WriteRange(b, 8, mem.BufBytes([]byte{1})); err != nil {
@@ -326,7 +333,7 @@ func TestReacquireMatchesFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() []mem.FrameID {
-		if _, _, err := c.ReadRange(0, 0, 3*pageSize); err != nil {
+		if _, _, err := readRange(c, 0, 0, 3*pageSize); err != nil {
 			t.Fatal(err)
 		}
 		var ids []mem.FrameID
@@ -354,9 +361,10 @@ func TestReacquireMatchesFresh(t *testing.T) {
 	}
 }
 
-// The storage read path copies each byte once: a bytes-plane ReadRange
-// of resident pages allocates only its result, and a Device.Read into
-// referenced pages allocates only the list of block contents.
+// The storage read path copies each byte once and allocates nothing: a
+// bytes-plane ReadRange of resident pages reads straight into the
+// caller's slice, and a Device.Read into referenced pages lists the
+// block contents in the device's reused view slice.
 func TestReadPathAllocs(t *testing.T) {
 	sys, dev, c := newCache(t, Config{Pages: 32})
 	image(dev, t, 32)
@@ -364,13 +372,19 @@ func TestReadPathAllocs(t *testing.T) {
 	if _, err := c.EnsureRange(0, pages); err != nil {
 		t.Fatal(err)
 	}
+	dst := make([]byte, pages*pageSize)
 	readRange := func() {
-		if _, _, err := c.ReadRange(0, 0, pages*pageSize); err != nil {
+		if _, err := c.ReadRange(0, 0, dst); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if a := testing.AllocsPerRun(20, readRange); a > 1 {
-		t.Fatalf("%d-page ReadRange of resident blocks: %v allocs, want <= 1", pages, a)
+	if a := testing.AllocsPerRun(20, readRange); a != 0 {
+		t.Fatalf("%d-page ReadRange of resident blocks into a caller slice: %v allocs, want 0", pages, a)
+	}
+	for b := 0; b < pages; b++ {
+		if !bytes.Equal(dst[b*pageSize:(b+1)*pageSize], wantBlock(b, 0, pageSize)) {
+			t.Fatalf("block %d content mismatch after ReadRange", b)
+		}
 	}
 
 	as := sys.NewAddressSpace()
@@ -388,8 +402,8 @@ func TestReadPathAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if a := testing.AllocsPerRun(20, devRead); a > 1 {
-		t.Fatalf("%d-block Device.Read into an IORef: %v allocs, want <= 1", blocks, a)
+	if a := testing.AllocsPerRun(20, devRead); a != 0 {
+		t.Fatalf("%d-block Device.Read into an IORef: %v allocs, want 0", blocks, a)
 	}
 	got := make([]byte, blocks*pageSize)
 	ref.DMARead(0, got)
@@ -400,8 +414,6 @@ func TestReadPathAllocs(t *testing.T) {
 	}
 }
 
-var sinkBuf mem.Buf
-
 // BenchmarkReadRange reads a run of resident bytes-plane pages.
 func BenchmarkReadRange(b *testing.B) {
 	for _, pages := range []int{1, 4, 15} {
@@ -411,15 +423,14 @@ func BenchmarkReadRange(b *testing.B) {
 			if _, err := c.EnsureRange(0, pages); err != nil {
 				b.Fatal(err)
 			}
+			dst := make([]byte, pages*pageSize)
 			b.ReportAllocs()
 			b.SetBytes(int64(pages * pageSize))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				buf, _, err := c.ReadRange(0, 0, pages*pageSize)
-				if err != nil {
+				if _, err := c.ReadRange(0, 0, dst); err != nil {
 					b.Fatal(err)
 				}
-				sinkBuf = buf
 			}
 		})
 	}

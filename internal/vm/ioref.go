@@ -222,13 +222,16 @@ func (ref *IORef) DMARead(off int, buf []byte) {
 	}
 }
 
-// DMAReadBuf is DMARead returning a buffer: a fresh materialized copy
-// on the bytes plane, an O(#extents) run gather on the symbolic plane.
-// Either way the result is an independent snapshot — it stays valid
-// after the request's frames are released or overwritten.
+// DMAReadBuf is DMARead returning a buffer: a materialized copy in a
+// wire buffer (mem.GetWire) on the bytes plane, an O(#extents) run
+// gather on the symbolic plane. Either way the result is an independent
+// snapshot — it stays valid after the request's frames are released or
+// overwritten. A bytes-plane snapshot handed to the adapter as a wire
+// buffer returns to the pool once the receiver has copied it out; any
+// other holder simply leaves it to the garbage collector.
 func (ref *IORef) DMAReadBuf(off, n int) mem.Buf {
 	if len(ref.extents) == 0 || !ref.extents[0].Frame.Symbolic() {
-		out := make([]byte, n)
+		out := mem.GetWire(n)
 		ref.DMARead(off, out)
 		return mem.BufBytes(out)
 	}
