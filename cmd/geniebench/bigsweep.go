@@ -59,6 +59,9 @@ func runBigSweepCmd(args []string, stdout, stderr io.Writer) int {
 	if opts.stride < 1 {
 		return usageErrf(fs, stderr, "-stride must be at least 1, got %d", opts.stride)
 	}
+	if opts.errBound < 0 {
+		return usageErrf(fs, stderr, "-errbound must not be negative, got %g", opts.errBound)
+	}
 	experiments.SetParallelism(opts.parallel)
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

@@ -127,7 +127,7 @@ func (c *Cluster) Workers() int { return c.Sim.Workers() }
 func (c *Cluster) Injector(i int) *faults.Injector { return c.injs[i] }
 
 // Reset returns the whole cluster object graph to its post-construction
-// state without reallocating it: engine shards (clocks, wheels, arenas)
+// state without reallocating it: engine shards (clocks, heaps, arenas)
 // and staged cross-posts rewind, the fabric forgets its routes and
 // idles every egress port, and each host's physical memory, VM system,
 // adapter, and Genie instance are rewound exactly as Testbed.Reset

@@ -50,7 +50,7 @@ func checkClusterPristine(t *testing.T, c, fresh *Cluster) {
 // requires (a) every observable to match a freshly built cluster and
 // (b) the replayed script to produce a byte-identical digest on the
 // recycled cluster and on a fresh one. Any state leaking through Reset
-// (fabric egress timing, shard clocks or timer wheels, frame free-list
+// (fabric egress timing, shard clocks or event heaps, frame free-list
 // order, port numbering, pool occupancy, injector stream positions)
 // breaks one of the two.
 func TestClusterResetNoLeakage(t *testing.T) {

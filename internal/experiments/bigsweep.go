@@ -68,8 +68,8 @@ type BigSweepConfig struct {
 	// spot check; 0 means one in 4096, negative disables spot checks.
 	SpotCheckEvery int
 	// ErrBound is the acceptance bound on the worst spot-check relative
-	// error; 0 means 1e-9. The report records violations; enforcement
-	// (exit status) is the caller's.
+	// error, used as given: 0 demands bit-exact agreement. The report
+	// records violations; enforcement (exit status) is the caller's.
 	ErrBound float64
 	// Workers overrides the worker count; <= 0 takes the package default.
 	Workers int
@@ -152,10 +152,6 @@ func BigSweep(cfg BigSweepConfig) (BigSweepReport, error) {
 	if every > 0 {
 		spotThreshold = ^uint64(0) / uint64(every)
 	}
-	bound := cfg.ErrBound
-	if bound == 0 {
-		bound = 1e-9
-	}
 
 	// One combo = (model, scheme, sem, offset); each task sweeps every
 	// length for its combo, so the per-task work is large enough to
@@ -229,7 +225,7 @@ func BigSweep(cfg BigSweepConfig) (BigSweepReport, error) {
 		Points:     uint64(combos) * uint64(nL),
 		ElapsedSec: elapsed.Seconds(),
 		MaxRelErr:  ck.MaxErr(),
-		ErrBound:   bound,
+		ErrBound:   cfg.ErrBound,
 		WorstPoint: ck.Worst(),
 	}
 	var analyticNS, simulatedNS int64
@@ -239,7 +235,7 @@ func BigSweep(cfg BigSweepConfig) (BigSweepReport, error) {
 		analyticNS += accs[i].analyticNS
 		simulatedNS += accs[i].simulatedNS
 	}
-	rep.BoundOK = rep.MaxRelErr <= bound
+	rep.BoundOK = rep.MaxRelErr <= rep.ErrBound
 	if rep.ElapsedSec > 0 {
 		rep.PointsPerSec = float64(rep.Points) / rep.ElapsedSec
 	}

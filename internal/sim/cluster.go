@@ -73,9 +73,6 @@ func NewCluster(n int, lookahead Duration, workers int) (*Cluster, error) {
 	return c, nil
 }
 
-// Shards returns the number of shards.
-func (c *Cluster) Shards() int { return len(c.shards) }
-
 // Shard returns shard i's engine. Scheduling host-local events directly
 // on it is the normal way to drive a cluster; only cross-shard effects
 // must go through Post.
@@ -83,9 +80,6 @@ func (c *Cluster) Shard(i int) *Engine { return c.shards[i] }
 
 // Workers returns the worker count used per window.
 func (c *Cluster) Workers() int { return c.workers }
-
-// Lookahead returns the conservative window width.
-func (c *Cluster) Lookahead() Duration { return c.lookahead }
 
 // Now returns the maximum clock value across shards.
 func (c *Cluster) Now() Time {
@@ -111,52 +105,27 @@ func (c *Cluster) Post(src, dst int, at Time, fn func()) {
 // the final cluster time. It may be called repeatedly: application code
 // typically alternates quiescent app-time work (sends, receives, frees
 // — which may touch any host) with Run calls.
+//
+// Each window advances every shard to the bound, inline with one worker
+// or on a persistent pool of goroutines with more. Workers claim shards
+// off a shared atomic counter, so shard→worker assignment is
+// load-balanced and irrelevant to results: shards are independent
+// within a window, and the merge happens single-threaded in drain.
 func (c *Cluster) Run() Time {
 	// Posts staged at app time carry no in-window causality guarantee;
 	// drain them unchecked before the first window forms.
 	c.drain(0, false)
+	var work chan Time
+	var done chan struct{}
 	if c.workers > 1 {
-		c.runParallel()
-	} else {
-		for {
-			next, ok := c.nextEvent()
-			if !ok {
-				break
-			}
-			bound := next.Add(c.lookahead)
-			for _, s := range c.shards {
-				s.RunBefore(bound)
-			}
-			c.drain(bound, true)
+		work, done = make(chan Time), make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(c.workers)
+		for i := 0; i < c.workers; i++ {
+			go c.worker(work, done, &wg)
 		}
-	}
-	return c.Now()
-}
-
-// runParallel is Run's window loop with a persistent worker pool.
-// Workers claim shards off a shared atomic counter, so shard→worker
-// assignment is load-balanced and irrelevant to results: shards are
-// independent within a window, and the merge happens single-threaded
-// in drain.
-func (c *Cluster) runParallel() {
-	work := make(chan Time)
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(c.workers)
-	for i := 0; i < c.workers; i++ {
-		go func() {
-			defer wg.Done()
-			for bound := range work {
-				for {
-					s := int(c.claim.Add(1)) - 1
-					if s >= len(c.shards) {
-						break
-					}
-					c.shards[s].RunBefore(bound)
-				}
-				done <- struct{}{}
-			}
-		}()
+		defer wg.Wait()
+		defer close(work)
 	}
 	for {
 		next, ok := c.nextEvent()
@@ -165,21 +134,42 @@ func (c *Cluster) runParallel() {
 		}
 		bound := next.Add(c.lookahead)
 		c.claim.Store(0)
-		for i := 0; i < c.workers; i++ {
-			work <- bound
-		}
-		for i := 0; i < c.workers; i++ {
-			<-done
+		if work == nil {
+			c.advance(bound)
+		} else {
+			for i := 0; i < c.workers; i++ {
+				work <- bound
+			}
+			for i := 0; i < c.workers; i++ {
+				<-done
+			}
 		}
 		c.drain(bound, true)
 	}
-	close(work)
-	wg.Wait()
+	return c.Now()
+}
+
+// worker advances the shards it claims in each window whose bound it
+// receives on work, until work is closed.
+func (c *Cluster) worker(work <-chan Time, done chan<- struct{}, wg *sync.WaitGroup) {
+	defer wg.Done()
+	for bound := range work {
+		c.advance(bound)
+		done <- struct{}{}
+	}
+}
+
+// advance runs unclaimed shards to just before bound until every shard
+// of the window has been claimed.
+func (c *Cluster) advance(bound Time) {
+	for s := int(c.claim.Add(1)) - 1; s < len(c.shards); s = int(c.claim.Add(1)) - 1 {
+		c.shards[s].RunBefore(bound)
+	}
 }
 
 // Reset returns the cluster to its post-construction state: every shard
 // engine rewinds to time zero with no pending events (retaining its
-// event arena, free list, and wheel backings warm), and every staged
+// event arena, index heap and free list warm), and every staged
 // cross-shard post is discarded. Lookahead and worker count are
 // construction-time properties and survive. A Reset cluster advances a
 // subsequent simulation bit-identically to a freshly built one.

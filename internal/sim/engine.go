@@ -2,13 +2,17 @@ package sim
 
 import "fmt"
 
-// The engine stores events in a flat arena and orders them with a
-// min-heap of int32 indices into it. Compared to a container/heap of
-// *Event, sift operations move 4-byte indices instead of pointers, the
-// comparison loads stay within one contiguous slice (no per-event
-// pointer chase), and Reserve can pre-size arena and heap together.
-// Fired and discarded slots are recycled through a free list, so the
-// steady-state schedule/fire path allocates nothing.
+// The engine stores events in a flat arena and orders them with one
+// min-heap of int32 indices into it, keyed by (time, sequence).
+// Compared to a container/heap of *Event, sift operations move 4-byte
+// indices instead of pointers and the comparison loads stay within one
+// contiguous slice (no per-event pointer chase). Fired and discarded
+// slots are recycled through a free list, so the steady-state
+// schedule/fire path allocates nothing.
+//
+// Cancellation is lazy: Cancel only sets a flag, and a cancelled event
+// stays in the heap until it reaches the front, where front discards
+// and recycles it. Nothing is ever removed from the middle of the heap.
 //
 // Callers never hold event storage directly — the arena reallocates as
 // it grows, so Schedule and ScheduleAt return a Handle that names a slot
@@ -18,7 +22,6 @@ type event struct {
 	at     Time
 	seq    uint64
 	fn     func()
-	pos    int32 // heap position, -1 once removed
 	gen    uint32
 	cancel bool
 }
@@ -51,7 +54,9 @@ func (h Handle) Cancel() {
 // ample for one datagram transfer without growth.
 const initialQueueCap = 64
 
-// Engine is a deterministic discrete-event simulator.
+// Engine is a deterministic discrete-event simulator. Events fire in
+// (time, sequence) order, where the sequence number records scheduling
+// order, so events at equal times fire first-scheduled first.
 //
 // The zero value is ready to use, with the clock at time 0. An Engine is
 // not safe for concurrent use; independent simulations run in parallel by
@@ -60,43 +65,25 @@ type Engine struct {
 	now    Time
 	seq    uint64
 	events []event // arena; slots recycled through free
-	heap   []int32 // fire heap: arena indices ordered by (at, seq)
+	heap   []int32 // arena indices ordered by (at, seq)
 	free   []int32 // recycled slots, reused by ScheduleAt
-	w      wheel   // batched staging for near-future events (wheel.go)
-	far    []int32 // index heap for events beyond the wheel horizon
 	steps  uint64
 }
 
 // New returns a new engine with the clock at time zero.
 func New() *Engine {
-	e := &Engine{}
-	e.Reserve(initialQueueCap)
-	e.w.init()
-	return e
-}
-
-// Reserve grows the arena and index heap capacity so that at least n
-// more events can be pending without reallocation.
-func (e *Engine) Reserve(n int) {
-	if cap(e.events)-len(e.events) < n {
-		ev := make([]event, len(e.events), len(e.events)+n)
-		copy(ev, e.events)
-		e.events = ev
-	}
-	if cap(e.heap)-len(e.heap) < n {
-		h := make([]int32, len(e.heap), len(e.heap)+n)
-		copy(h, e.heap)
-		e.heap = h
+	return &Engine{
+		events: make([]event, 0, initialQueueCap),
+		heap:   make([]int32, 0, initialQueueCap),
 	}
 }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending returns the number of events waiting to fire (including
-// cancelled events not yet discarded), across the fire heap, the timer
-// wheel, and the far heap.
-func (e *Engine) Pending() int { return len(e.events) - len(e.free) }
+// Pending returns the number of events in the heap, including cancelled
+// events that have not yet reached the front and been discarded.
+func (e *Engine) Pending() int { return len(e.heap) }
 
 // Steps returns the number of events executed so far.
 func (e *Engine) Steps() uint64 { return e.steps }
@@ -119,11 +106,9 @@ func (e *Engine) siftUp(i int) {
 			break
 		}
 		e.heap[i] = e.heap[parent]
-		e.events[e.heap[i]].pos = int32(i)
 		i = parent
 	}
 	e.heap[i] = idx
-	e.events[idx].pos = int32(i)
 }
 
 // siftDown restores heap order downward from heap position i.
@@ -142,31 +127,20 @@ func (e *Engine) siftDown(i int) {
 			break
 		}
 		e.heap[i] = e.heap[child]
-		e.events[e.heap[i]].pos = int32(i)
 		i = child
 	}
 	e.heap[i] = idx
-	e.events[idx].pos = int32(i)
-}
-
-// heapPush appends an arena index to the fire heap and restores order.
-func (e *Engine) heapPush(idx int32) {
-	e.heap = append(e.heap, idx)
-	e.siftUp(len(e.heap) - 1)
 }
 
 // pop removes and returns the arena index of the earliest heap entry.
 func (e *Engine) pop() int32 {
 	idx := e.heap[0]
 	n := len(e.heap) - 1
-	last := e.heap[n]
+	e.heap[0] = e.heap[n]
 	e.heap = e.heap[:n]
 	if n > 0 {
-		e.heap[0] = last
-		e.events[last].pos = 0
 		e.siftDown(0)
 	}
-	e.events[idx].pos = -1
 	return idx
 }
 
@@ -199,7 +173,8 @@ func (e *Engine) ScheduleAt(t Time, fn func()) Handle {
 	ev.seq = e.seq
 	e.seq++
 	gen := ev.gen
-	e.place(idx, t)
+	e.heap = append(e.heap, idx)
+	e.siftUp(len(e.heap) - 1)
 	return Handle{e: e, idx: idx, gen: gen, at: t}
 }
 
@@ -209,7 +184,6 @@ func (e *Engine) release(idx int32) {
 	ev := &e.events[idx]
 	ev.gen++
 	ev.fn = nil
-	ev.pos = -1
 	e.free = append(e.free, idx)
 }
 
@@ -220,56 +194,49 @@ func (e *Engine) release(idx int32) {
 // Outstanding Handles become inert (their slots are recycled under new
 // generations), exactly as if they had fired.
 func (e *Engine) Reset() {
-	for n := len(e.heap); n > 0; n = len(e.heap) {
-		idx := e.heap[n-1]
-		e.heap = e.heap[:n-1]
+	for _, idx := range e.heap {
 		e.release(idx)
 	}
-	for n := len(e.far); n > 0; n = len(e.far) {
-		idx := e.far[n-1]
-		e.far = e.far[:n-1]
-		e.release(idx)
-	}
-	if e.w.l0n > 0 {
-		for s := range e.w.l0 {
-			for _, idx := range e.w.l0[s] {
-				e.release(idx)
-			}
-			e.w.l0[s] = e.w.l0[s][:0]
-		}
-	}
-	if e.w.l1n > 0 {
-		for s := range e.w.l1 {
-			for _, idx := range e.w.l1[s] {
-				e.release(idx)
-			}
-			e.w.l1[s] = e.w.l1[s][:0]
-		}
-	}
-	e.w.l0n, e.w.l1n, e.w.cursor = 0, 0, 0
+	e.heap = e.heap[:0]
 	e.now, e.seq, e.steps = 0, 0, 0
+}
+
+// front returns the arena index of the earliest live event, which is
+// then the heap's root. Cancelled events that reach the root on the
+// way are popped and recycled, each exactly once. It reports false when
+// no live event remains. This is the engine's only discard path.
+func (e *Engine) front() (int32, bool) {
+	for len(e.heap) > 0 {
+		idx := e.heap[0]
+		if !e.events[idx].cancel {
+			return idx, true
+		}
+		e.release(e.pop())
+	}
+	return 0, false
+}
+
+// fire pops the root event, advances the clock to its time and runs it.
+func (e *Engine) fire() {
+	idx := e.pop()
+	ev := &e.events[idx]
+	e.now = ev.at
+	e.steps++
+	// Capture fn before releasing: the callback may schedule new
+	// events, growing the arena and invalidating ev.
+	fn := ev.fn
+	e.release(idx)
+	fn()
 }
 
 // Step executes the single earliest pending event, advancing the clock to
 // its time. It reports whether an event was executed.
 func (e *Engine) Step() bool {
-	for len(e.heap) > 0 || e.prime() {
-		idx := e.pop()
-		ev := &e.events[idx]
-		if ev.cancel {
-			e.release(idx)
-			continue
-		}
-		e.now = ev.at
-		e.steps++
-		// Capture fn before releasing: the callback may schedule new
-		// events, growing the arena and invalidating ev.
-		fn := ev.fn
-		e.release(idx)
-		fn()
-		return true
+	if _, ok := e.front(); !ok {
+		return false
 	}
-	return false
+	e.fire()
+	return true
 }
 
 // Run executes events until none remain, returning the final clock value.
@@ -279,84 +246,33 @@ func (e *Engine) Run() Time {
 	return e.now
 }
 
-// RunUntil executes events with time <= t, then advances the clock to t.
-// Cancelled events encountered on the way are discarded in a single pass:
-// each one is popped and recycled exactly once.
-func (e *Engine) RunUntil(t Time) {
-	for len(e.heap) > 0 || e.prime() {
-		root := e.heap[0]
-		if e.events[root].cancel {
-			e.release(e.pop())
-			continue
-		}
-		if e.events[root].at > t {
-			break
-		}
-		idx := e.pop()
-		ev := &e.events[idx]
-		e.now = ev.at
-		e.steps++
-		fn := ev.fn
-		e.release(idx)
-		fn()
-	}
-	if e.now < t {
-		e.now = t
-	}
-}
-
-// RunSteps executes at most n events and reports how many actually ran.
-// It guards harness loops against runaway event storms.
-func (e *Engine) RunSteps(n int) int {
-	ran := 0
-	for ran < n && e.Step() {
-		ran++
-	}
-	return ran
-}
-
 // RunBefore executes every event with time strictly before t, advancing
-// the clock only as events fire — unlike RunUntil, it does not move the
-// clock to t afterward. It returns the number of events executed. This
-// is the shard-advance primitive for conservative parallel simulation:
-// a Cluster runs each shard up to (but excluding) the window bound,
-// then exchanges cross-shard messages that land at or after it.
+// the clock only as events fire: it does not move the clock to t
+// afterward. It returns the number of events executed. This is the
+// shard-advance primitive for conservative parallel simulation: a
+// Cluster runs each shard up to (but excluding) the window bound, then
+// exchanges cross-shard messages that land at or after it.
 func (e *Engine) RunBefore(t Time) int {
 	ran := 0
-	for len(e.heap) > 0 || e.prime() {
-		root := e.heap[0]
-		if e.events[root].cancel {
-			e.release(e.pop())
-			continue
+	for {
+		idx, ok := e.front()
+		if !ok || e.events[idx].at >= t {
+			return ran
 		}
-		if e.events[root].at >= t {
-			break
-		}
-		idx := e.pop()
-		ev := &e.events[idx]
-		e.now = ev.at
-		e.steps++
-		fn := ev.fn
-		e.release(idx)
-		fn()
+		e.fire()
 		ran++
 	}
-	return ran
 }
 
-// NextEventAt reports the time of the earliest live pending event.
-// Cancelled events encountered at the front are discarded on the way.
-// The second result is false when no live events remain.
+// NextEventAt reports the time of the earliest live pending event
+// without firing it. Cancelled events at the front are discarded on the
+// way. The second result is false when no live events remain.
 func (e *Engine) NextEventAt() (Time, bool) {
-	for len(e.heap) > 0 || e.prime() {
-		root := e.heap[0]
-		if e.events[root].cancel {
-			e.release(e.pop())
-			continue
-		}
-		return e.events[root].at, true
+	idx, ok := e.front()
+	if !ok {
+		return 0, false
 	}
-	return 0, false
+	return e.events[idx].at, true
 }
 
 func (e *Engine) String() string {

@@ -117,48 +117,6 @@ func TestScheduleAtPastClamped(t *testing.T) {
 	e.Run()
 }
 
-func TestRunUntil(t *testing.T) {
-	e := New()
-	var count int
-	for _, d := range []Duration{10, 20, 30, 40} {
-		e.Schedule(d, func() { count++ })
-	}
-	e.RunUntil(25)
-	if count != 2 {
-		t.Fatalf("count after RunUntil(25) = %d, want 2", count)
-	}
-	if e.Now() != 25 {
-		t.Fatalf("clock = %v, want 25", e.Now())
-	}
-	e.Run()
-	if count != 4 {
-		t.Fatalf("count after Run = %d, want 4", count)
-	}
-}
-
-func TestRunUntilAdvancesIdleClock(t *testing.T) {
-	e := New()
-	e.RunUntil(500)
-	if e.Now() != 500 {
-		t.Fatalf("clock = %v, want 500", e.Now())
-	}
-}
-
-func TestRunSteps(t *testing.T) {
-	e := New()
-	count := 0
-	for i := 0; i < 10; i++ {
-		e.Schedule(Duration(i), func() { count++ })
-	}
-	ran := e.RunSteps(3)
-	if ran != 3 || count != 3 {
-		t.Fatalf("ran=%d count=%d, want 3/3", ran, count)
-	}
-	if got := e.RunSteps(100); got != 7 {
-		t.Fatalf("second RunSteps ran %d, want 7", got)
-	}
-}
-
 func TestStepsCounter(t *testing.T) {
 	e := New()
 	for i := 0; i < 5; i++ {
@@ -240,10 +198,10 @@ func TestPropertyAllEventsFire(t *testing.T) {
 	}
 }
 
-// RunUntil must discard a run of cancelled events in a single pass —
+// RunBefore must discard a run of cancelled events in a single pass —
 // every cancelled event is popped and recycled exactly once — while
-// firing the surviving events in order and stopping at the horizon.
-func TestRunUntilSkipsCancelledSinglePass(t *testing.T) {
+// firing the surviving events in order and stopping at the bound.
+func TestRunBeforeSkipsCancelledSinglePass(t *testing.T) {
 	e := New()
 	var order []int
 	c1 := e.Schedule(5, func() { order = append(order, -1) })
@@ -256,24 +214,36 @@ func TestRunUntilSkipsCancelledSinglePass(t *testing.T) {
 	c2.Cancel()
 	c3.Cancel()
 
-	e.RunUntil(30)
+	if ran := e.RunBefore(30); ran != 2 {
+		t.Fatalf("RunBefore(30) ran %d events, want 2", ran)
+	}
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("order = %v, want [1 2]", order)
 	}
-	if e.Now() != 30 {
-		t.Fatalf("clock = %v, want 30", e.Now())
+	if e.Now() != 25 {
+		t.Fatalf("clock = %v, want 25", e.Now())
 	}
 	if e.Steps() != 2 {
 		t.Fatalf("Steps = %d, want 2 (cancelled events must not count)", e.Steps())
 	}
 	// The three cancelled events were discarded on the way; only the
-	// t=40 event remains.
+	// t=40 event remains, and every other slot is back on the free list.
 	if e.Pending() != 1 {
 		t.Fatalf("Pending = %d, want 1", e.Pending())
 	}
+	checkSlots(t, e)
 	e.Run()
 	if len(order) != 3 || order[2] != 3 {
 		t.Fatalf("order after Run = %v, want [1 2 3]", order)
+	}
+}
+
+// checkSlots fails unless every arena slot is either in the heap or on
+// the free list: a slot popped without release leaks out of both.
+func checkSlots(t *testing.T, e *Engine) {
+	t.Helper()
+	if len(e.events) != len(e.heap)+len(e.free) {
+		t.Fatalf("%d arena slots, but %d in the heap + %d free", len(e.events), len(e.heap), len(e.free))
 	}
 }
 
@@ -313,8 +283,9 @@ func TestEventPoolReuse(t *testing.T) {
 	}
 }
 
-// Cancelled events discarded by RunUntil must also return to the pool.
-func TestRunUntilRecyclesCancelledEvents(t *testing.T) {
+// Cancelled events discarded by RunBefore and NextEventAt must also
+// return to the pool.
+func TestRunBeforeRecyclesCancelledEvents(t *testing.T) {
 	e := New()
 	fn := func() {}
 	for i := 0; i < 4; i++ {
@@ -325,10 +296,95 @@ func TestRunUntilRecyclesCancelledEvents(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			e.Schedule(Duration(i+1), fn).Cancel()
 		}
-		e.RunUntil(e.Now() + 10)
+		e.RunBefore(e.Now() + 3)
+		if _, ok := e.NextEventAt(); ok {
+			t.Fatal("NextEventAt reported a cancelled event")
+		}
 	})
 	if allocs > 0 {
 		t.Fatalf("cancelled-event discard allocates %.1f times per run, want 0", allocs)
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("Pending = %d after discarding every event, want 0", e.Pending())
+	}
+	checkSlots(t, e)
+}
+
+// TestNextEventAt pins NextEventAt semantics: it reports the earliest
+// live event without firing it, discards cancelled fronts, and goes
+// empty-false only when nothing remains.
+func TestNextEventAt(t *testing.T) {
+	e := New()
+	if _, ok := e.NextEventAt(); ok {
+		t.Fatal("empty engine reported a next event")
+	}
+	h1 := e.Schedule(100, func() {})
+	e.Schedule(500_000, func() {})
+	if at, ok := e.NextEventAt(); !ok || at != 100 {
+		t.Fatalf("NextEventAt = %v, %v; want 100, true", at, ok)
+	}
+	if e.Now() != 0 {
+		t.Fatalf("NextEventAt advanced the clock to %v", e.Now())
+	}
+	h1.Cancel()
+	if at, ok := e.NextEventAt(); !ok || at != 500_000 {
+		t.Fatalf("NextEventAt after cancel = %v, %v; want 500000, true", at, ok)
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("Pending = %d after NextEventAt discarded the cancelled front, want 1", e.Pending())
+	}
+	e.Run()
+	if _, ok := e.NextEventAt(); ok {
+		t.Fatal("drained engine reported a next event")
+	}
+}
+
+// TestRunBeforeExcludesBound pins the strict inequality: an event
+// exactly at the bound stays pending, and the clock does not jump to
+// the bound.
+func TestRunBeforeExcludesBound(t *testing.T) {
+	e := New()
+	var fired []Time
+	e.Schedule(10, func() { fired = append(fired, e.Now()) })
+	e.Schedule(20, func() { fired = append(fired, e.Now()) })
+	e.Schedule(30, func() { fired = append(fired, e.Now()) })
+	if ran := e.RunBefore(20); ran != 1 {
+		t.Fatalf("RunBefore(20) ran %d events, want 1", ran)
+	}
+	if e.Now() != 10 {
+		t.Fatalf("clock at %v after RunBefore(20), want 10 (no jump to bound)", e.Now())
+	}
+	if e.Pending() != 2 {
+		t.Fatalf("%d pending after RunBefore, want 2", e.Pending())
+	}
+	e.Run()
+	if len(fired) != 3 || fired[2] != 30 {
+		t.Fatalf("fired = %v", fired)
+	}
+}
+
+// TestResetDrainsHeap schedules events from 1 µs to 10 s ahead, fires
+// one, and checks Reset recycles every remaining slot.
+func TestResetDrainsHeap(t *testing.T) {
+	e := New()
+	e.Schedule(1, func() {})
+	e.Schedule(50_000, func() {})
+	e.Schedule(10_000_000, func() {})
+	e.Step()
+	e.Schedule(2, func() {})
+	if e.Pending() != 3 {
+		t.Fatalf("pending = %d, want 3", e.Pending())
+	}
+	e.Reset()
+	if e.Pending() != 0 || e.Now() != 0 {
+		t.Fatalf("after Reset: pending=%d now=%v", e.Pending(), e.Now())
+	}
+	checkSlots(t, e)
+	fired := 0
+	e.Schedule(5, func() { fired++ })
+	e.Run()
+	if fired != 1 {
+		t.Fatalf("post-Reset engine fired %d events, want 1", fired)
 	}
 }
 
@@ -342,6 +398,34 @@ func BenchmarkEngineSchedule(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.Schedule(1, fn)
 		e.Step()
+	}
+}
+
+// BenchmarkRetransmitCancelHeavy models the reliable channel's timer
+// pattern: every frame arms a retransmit timer ~1 RTT out and the ACK
+// cancels almost all of them before they fire. Each timer costs one
+// sift on insert, and each cancelled one stays in the heap until it
+// reaches the front, where it is popped and recycled.
+func BenchmarkRetransmitCancelHeavy(b *testing.B) {
+	e := New()
+	const window = 64
+	const rto = Duration(900) // ~1 RTT for a 5 KB frame at OC-3
+	fn := func() {}
+	handles := make([]Handle, 0, window)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < window; j++ {
+			handles = append(handles, e.Schedule(rto+Duration(j), fn))
+		}
+		// ACKs arrive: cancel all but one timer, let the survivor fire.
+		for j, h := range handles {
+			if j != window/2 {
+				h.Cancel()
+			}
+		}
+		handles = handles[:0]
+		e.Run()
 	}
 }
 
@@ -360,7 +444,6 @@ func TestReset(t *testing.T) {
 	fired := false
 	e.Schedule(5, func() { fired = true })
 	stale := e.Schedule(10, func() { fired = true })
-	e.RunSteps(0) // leave both pending
 
 	e.Reset()
 	if e.Now() != 0 || e.Pending() != 0 || e.Steps() != 0 {

@@ -13,7 +13,7 @@ import (
 )
 
 // Cluster recycling: every sweep point needs a multi-host cluster —
-// fabric, engine shards with their timer wheels, and per host a
+// fabric, engine shards with their event heaps, and per host a
 // physical memory, VM system, adapter, kernel pool, and Genie instance
 // — and the serial sweep built that whole object graph only to throw
 // it away one operating point later. core.Cluster.Reset returns the
