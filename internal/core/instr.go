@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/cost"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -54,34 +53,6 @@ func (in *Instrumentation) Records() []OpRecord { return in.records }
 
 // Reset discards recorded operations.
 func (in *Instrumentation) Reset() { in.records = in.records[:0] }
-
-// FitOp least-squares fits latency versus byte count for one operation
-// across all records, recovering the operation's row of Table 6.
-func (in *Instrumentation) FitOp(op cost.Op) (stats.Fit, error) {
-	var xs, ys []float64
-	for _, r := range in.records {
-		if r.Op == op {
-			xs = append(xs, float64(r.Bytes))
-			ys = append(ys, r.Latency.Micros())
-		}
-	}
-	return stats.LinearFit(xs, ys)
-}
-
-// OpsSeen returns the distinct operations recorded, in cost.Op order.
-func (in *Instrumentation) OpsSeen() []cost.Op {
-	seen := make(map[cost.Op]bool)
-	for _, r := range in.records {
-		seen[r.Op] = true
-	}
-	var out []cost.Op
-	for _, op := range cost.Ops() {
-		if seen[op] {
-			out = append(out, op)
-		}
-	}
-	return out
-}
 
 // charge is one primitive operation applied to a byte count.
 type charge struct {

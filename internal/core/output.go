@@ -24,10 +24,13 @@ type OutputOp struct {
 	SentAt     sim.Time // when the last cell left the adapter (dispose)
 	SenderCPU  float64  // microseconds of CPU consumed at the sender
 
-	Done bool
-	Err  error
+	Done    bool
+	trailer bool // the payload carries a checksum trailer
+	wire    bool // the payload is one wire buffer
+	Err     error
 
-	span   uint64 // trace span correlation id (0 when tracing is off)
+	span   uint64  // trace span correlation id (0 when tracing is off)
+	src    *source // the held application buffer (nil under copy)
 	onDone func(*OutputOp)
 }
 
@@ -39,28 +42,59 @@ func (op *OutputOp) OnDone(fn func(*OutputOp)) { op.onDone = fn }
 // semantics by the short-data thresholds.
 func (op *OutputOp) Converted() bool { return op.Sem != op.Effective }
 
-// Output sends length bytes at va with the chosen semantics, following
-// the prepare/dispose operation sequences of Table 2. The call is
-// asynchronous on the simulated clock: prepare costs elapse before the
-// frame enters the wire, dispose runs when the last cell has left.
+// Segment is one piece of a gathered output buffer.
+type Segment struct {
+	VA  vm.Addr
+	Len int
+}
+
+// Output sends length bytes at va with the chosen semantics: OutputV
+// with one segment.
 func (p *Process) Output(port int, sem Semantics, va vm.Addr, length int) (*OutputOp, error) {
+	return p.OutputV(port, sem, []Segment{{va, length}})
+}
+
+// OutputV sends the segments as one datagram (writev), following the
+// prepare/dispose operation sequences of Table 2 — protocol headers
+// prepended to payloads being the classic gather case. The
+// application-allocated semantics apply per segment exactly as to a
+// single buffer: with emulated copy, every segment's pages are
+// referenced and TCOW-protected. The move family consumes a whole
+// moved-in region and so takes exactly one segment, the region's start.
+// The call is asynchronous on the simulated clock: prepare costs elapse
+// before the frame enters the wire, dispose runs when the last cell has
+// left. The receive side is unaffected (one datagram arrives).
+func (p *Process) OutputV(port int, sem Semantics, segs []Segment) (*OutputOp, error) {
 	g := p.g
 	if !sem.Valid() {
 		return nil, fmt.Errorf("%w: %d", ErrBadSemantics, int(sem))
 	}
-	if length <= 0 || length > netsim.MaxFrame {
-		return nil, fmt.Errorf("%w: length %d", ErrBadBuffer, length)
+	if len(segs) == 0 {
+		return nil, fmt.Errorf("%w: empty gather list", ErrBadBuffer)
 	}
-	op := &OutputOp{Sem: sem, Effective: sem, Port: port, Len: length, StartedAt: g.eng.Now()}
+	if sem.SystemAllocated() && len(segs) > 1 {
+		return nil, fmt.Errorf("%w: gather output with %v", ErrBadSemantics, sem)
+	}
+	total := 0
+	for _, s := range segs {
+		if s.Len <= 0 {
+			return nil, fmt.Errorf("%w: length %d", ErrBadBuffer, s.Len)
+		}
+		total += s.Len
+	}
+	if total > netsim.MaxFrame {
+		return nil, fmt.Errorf("%w: length %d", ErrBadBuffer, total)
+	}
+	op := &OutputOp{Sem: sem, Effective: sem, Port: port, Len: total, StartedAt: g.eng.Now()}
 
 	// Short-data conversion (Section 6): copy semantics is very
 	// efficient for short data, so emulated copy and emulated share
 	// convert automatically below their thresholds. The conversion is
 	// transparent: copy offers the same or stronger guarantees.
 	switch {
-	case sem == EmulatedCopy && length < g.cfg.EmCopyOutputThreshold:
+	case sem == EmulatedCopy && total < g.cfg.EmCopyOutputThreshold:
 		op.Effective = Copy
-	case sem == EmulatedShare && length < g.cfg.EmShareOutputThreshold:
+	case sem == EmulatedShare && total < g.cfg.EmShareOutputThreshold:
 		op.Effective = Copy
 	}
 	if op.Converted() {
@@ -72,101 +106,42 @@ func (p *Process) Output(port int, sem Semantics, va vm.Addr, length int) (*Outp
 	if err != nil {
 		return nil, err
 	}
+	// Integrated checksumming folds the checksum into the copyin (one
+	// combined pass); otherwise it is a separate read-only pass — for
+	// emulated copy over the TCOW-protected, hence stable, pages.
+	folded := withChecksum && op.Effective == Copy && g.cfg.Checksum == ChecksumIntegrated
 
 	var (
-		prep    []charge
-		payload func() (mem.Buf, error) // runs at transmit time
-		dispose func() []charge         // runs at dispose time, returns its charges
-		// wire: payload hands the adapter a wire buffer (mem.GetWire),
-		// which the receiving adapter returns to the pool. A checksum
-		// trailer joins a fresh buffer instead.
-		wire = !withChecksum
+		buf  [8]charge // prep's backing store, kept off the heap
+		prep = buf[:0]
+		snap mem.Buf
 	)
-
-	switch op.Effective {
-	case Copy:
+	if op.Effective == Copy {
 		// Prepare: snapshot into a system buffer. The snapshot happens
 		// now, which is what gives copy semantics its integrity; on the
 		// symbolic plane the snapshot is a descriptor capture, not a byte
 		// copy (the charges are identical either way).
-		data, err := p.peekWire(va, length)
-		if err != nil {
-			return nil, err
-		}
-		prep = []charge{{cost.BufAllocate, length}, {cost.Copyin, length}}
-		payload = func() (mem.Buf, error) { return data, nil }
-		if withChecksum {
-			if g.cfg.Checksum == ChecksumIntegrated {
-				// Checksum folded into the copyin: one combined pass.
-				prep = []charge{{cost.BufAllocate, length}, {cost.ChecksumCopy, length}}
-			} else {
-				prep = append(prep, charge{cost.ChecksumRead, length})
+		for _, s := range segs {
+			data, err := p.peekWire(s.VA, s.Len)
+			if err != nil {
+				return nil, err
 			}
-			payload = func() (mem.Buf, error) { return appendTrailer(data), nil }
+			snap = snap.Append(data)
 		}
-		dispose = func() []charge { return []charge{{cost.BufDeallocate, length}} }
-
-	case EmulatedCopy:
-		ref, err := p.as.ReferenceRange(va, length, false)
-		if err != nil {
-			return nil, err
+		copyin := cost.Copyin
+		if folded {
+			copyin = cost.ChecksumCopy
 		}
-		p.as.RemoveWrite(va, length) // TCOW protection (Section 5.1)
-		prep = []charge{{cost.Reference, length}, {cost.ReadOnly, length}}
-		payload = refPayload(ref, length)
-		if withChecksum {
-			// No copy exists to fold the checksum into: a separate
-			// read-only pass over the (TCOW-protected, hence stable)
-			// application pages.
-			prep = append(prep, charge{cost.ChecksumRead, length})
-			inner := payload
-			payload = func() (mem.Buf, error) {
-				data, err := inner()
-				if err != nil {
-					return mem.Buf{}, err
-				}
-				return appendTrailer(data), nil
-			}
-		}
-		dispose = func() []charge {
-			ref.Unreference()
-			return []charge{{cost.Unreference, length}}
-		}
-
-	case Share:
-		ref, err := p.as.ReferenceRange(va, length, false)
-		if err != nil {
-			return nil, err
-		}
-		g.wireFrames(ref)
-		prep = []charge{{cost.Reference, length}, {cost.Wire, length}}
-		payload = refPayload(ref, length)
-		dispose = func() []charge {
-			g.unwireFrames(ref)
-			ref.Unreference()
-			return []charge{{cost.Unwire, length}, {cost.Unreference, length}}
-		}
-
-	case EmulatedShare:
-		ref, err := p.as.ReferenceRange(va, length, false)
-		if err != nil {
-			return nil, err
-		}
-		prep = []charge{{cost.Reference, length}}
-		payload = refPayload(ref, length)
-		dispose = func() []charge {
-			ref.Unreference()
-			return []charge{{cost.Unreference, length}}
-		}
-
-	case Move, EmulatedMove, WeakMove, EmulatedWeakMove:
-		return p.outputSystemAllocated(op, port, va, length)
-
-	default:
-		return nil, fmt.Errorf("%w: %v", ErrBadSemantics, sem)
+		prep = append(prep, charge{cost.BufAllocate, total}, charge{copyin, total})
+	} else if op.src, prep, err = p.reference(op.Effective, segs, prep); err != nil {
+		return nil, err
 	}
-
-	g.launchOutput(op, prep, payload, wire, dispose)
+	if withChecksum && !folded {
+		prep = append(prep, charge{cost.ChecksumRead, total})
+	}
+	op.trailer = withChecksum
+	op.wire = len(segs) == 1 && !withChecksum
+	g.launchOutput(op, prep, snap)
 	return op, nil
 }
 
@@ -185,95 +160,151 @@ func (p *Process) peekWire(va vm.Addr, length int) (mem.Buf, error) {
 	return mem.BufBytes(buf), nil
 }
 
-// outputSystemAllocated handles the move-family output path: the buffer
-// must be an entire moved-in region, which the operation consumes.
-func (p *Process) outputSystemAllocated(op *OutputOp, port int, va vm.Addr, length int) (*OutputOp, error) {
-	g := p.g
-	r := p.as.FindRegion(va)
+// source is an application buffer held in place for a device: Table 2's
+// sender side for every semantics except copy, whose data leaves
+// through a system buffer instead. Output, OutputV and FileWrite share
+// it.
+type source struct {
+	p      *Process
+	sem    Semantics
+	refs   []*vm.IORef  // one per segment
+	one    [1]*vm.IORef // refs' backing store for one segment
+	region *vm.Region   // the region a move-family operation consumes
+}
+
+// reference is the prepare half, appending its charges to prep. Per
+// segment it references the pages, then TCOW-protects them (emulated
+// copy) or wires them (share). The move family takes exactly one
+// segment, the start of a moved-in region, which the operation
+// consumes. A failing segment releases the segments before it.
+func (p *Process) reference(sem Semantics, segs []Segment, prep []charge) (*source, []charge, error) {
+	src := &source{p: p, sem: sem}
+	src.refs = src.one[:0]
+	if sem.SystemAllocated() {
+		prep, err := src.moveOut(segs[0], prep)
+		if err != nil {
+			return nil, prep, err
+		}
+		return src, prep, nil
+	}
+	for _, s := range segs {
+		ref, err := p.as.ReferenceRange(s.VA, s.Len, false)
+		if err != nil {
+			src.release(nil)
+			return nil, prep, err
+		}
+		prep = src.hold(ref, s.Len, prep)
+		if sem == EmulatedCopy {
+			p.as.RemoveWrite(s.VA, s.Len) // TCOW protection (Section 5.1)
+			prep = append(prep, charge{cost.ReadOnly, s.Len})
+		}
+	}
+	return src, prep, nil
+}
+
+// moveOut references the moved-in region starting at s for a
+// move-family operation that consumes it.
+func (src *source) moveOut(s Segment, prep []charge) ([]charge, error) {
+	as := src.p.as
+	r := as.FindRegion(s.VA)
 	if r == nil {
-		return nil, fmt.Errorf("%w: no region at %#x", ErrBadBuffer, va)
+		return prep, fmt.Errorf("%w: no region at %#x", ErrBadBuffer, s.VA)
 	}
 	// Deallocating pieces of the heap or stack would open inconsistent
 	// gaps, so output is only allowed on moved-in regions (Section 2.1).
 	if r.State() == vm.Unmovable {
-		return nil, fmt.Errorf("%w: %v", ErrUnmovableOutput, r)
+		return prep, fmt.Errorf("%w: %v", ErrUnmovableOutput, r)
 	}
 	if r.State() != vm.MovedIn {
-		return nil, fmt.Errorf("%w: %v", ErrNotMovedIn, r)
+		return prep, fmt.Errorf("%w: %v", ErrNotMovedIn, r)
 	}
-	if va != r.Start() || length > r.Len() {
-		return nil, fmt.Errorf("%w: output [%#x,+%d) must start a region no larger than it", ErrBadBuffer, va, length)
+	if s.VA != r.Start() || s.Len > r.Len() {
+		return prep, fmt.Errorf("%w: [%#x,+%d) must start a region no larger than it", ErrBadBuffer, s.VA, s.Len)
 	}
 	if err := r.MarkMovingOut(); err != nil {
-		return nil, err
+		return prep, err
 	}
-	ref, err := p.as.ReferenceRegion(r, length, false)
+	ref, err := as.ReferenceRegion(r, s.Len, false)
 	if err != nil {
 		_ = r.AbortMoveOut() // roll back; the region was untouched
-		return nil, err
+		return prep, err
 	}
-
-	sem := op.Effective
-	prep := []charge{{cost.Reference, length}}
-	if sem == Move || sem == WeakMove {
-		g.wireFrames(ref)
-		prep = append(prep, charge{cost.Wire, length})
-	}
+	src.region = r
+	prep = src.hold(ref, s.Len, prep)
 	prep = append(prep, charge{cost.RegionMarkOut, 0})
-	if sem == Move || sem == EmulatedMove {
+	if !src.sem.WeakIntegrity() {
 		// Strong integrity: the application loses all access now.
-		p.as.Invalidate(r.Start(), r.Len())
-		prep = append(prep, charge{cost.Invalidate, length})
+		as.Invalidate(r.Start(), r.Len())
+		prep = append(prep, charge{cost.Invalidate, s.Len})
 	}
+	return prep, nil
+}
 
-	payload := refPayload(ref, length)
-	dispose := func() []charge {
-		var ch []charge
-		if sem == Move || sem == WeakMove {
-			g.unwireFrames(ref)
-			ch = append(ch, charge{cost.Unwire, length})
+// hold keeps n referenced bytes for the device, wiring them against
+// pageout under the non-emulated semantics (share, move, weak move).
+func (src *source) hold(ref *vm.IORef, n int, prep []charge) []charge {
+	src.refs = append(src.refs, ref)
+	prep = append(prep, charge{cost.Reference, n})
+	if !src.sem.Emulated() {
+		src.p.g.wireFrames(ref)
+		prep = append(prep, charge{cost.Wire, n})
+	}
+	return prep
+}
+
+// read is the device's DMA out of the held pages — one wire buffer for
+// one segment, a concatenation for several. Output reads at transmit
+// time, so weak-integrity semantics observe application overwrites up
+// to that moment.
+func (src *source) read() mem.Buf {
+	var data mem.Buf
+	for _, ref := range src.refs {
+		data = data.Append(ref.DMAReadBuf(0, ref.Len()))
+	}
+	return data
+}
+
+// release is the dispose half, appending its charges to ch: every
+// segment is unwired and unreferenced, then a move's region is removed
+// or hidden.
+func (src *source) release(ch []charge) []charge {
+	for _, ref := range src.refs {
+		n := ref.Len()
+		if !src.sem.Emulated() {
+			src.p.g.unwireFrames(ref)
+			ch = append(ch, charge{cost.Unwire, n})
 		}
 		ref.Unreference()
-		ch = append(ch, charge{cost.Unreference, length})
-		switch sem {
-		case Move:
-			// The region is genuinely removed; its pages are released
-			// (already unreferenced above, so immediately).
-			if err := p.as.RemoveRegion(r); err == nil {
-				ch = append(ch, charge{cost.RegionRemove, 0})
-			}
-		case EmulatedMove:
-			// Region hiding: keep the region, enqueue it for reuse.
-			if err := r.MarkMovedOut(); err == nil {
-				ch = append(ch, charge{cost.RegionMarkOut, 0})
-			}
-		case WeakMove, EmulatedWeakMove:
-			if err := r.MarkWeaklyMovedOut(); err == nil {
-				ch = append(ch, charge{cost.RegionMarkOut, 0})
-			}
+		ch = append(ch, charge{cost.Unreference, n})
+	}
+	r := src.region
+	switch src.sem {
+	case Move:
+		// The region is genuinely removed; its pages are released
+		// (already unreferenced above, so immediately).
+		if err := src.p.as.RemoveRegion(r); err == nil {
+			ch = append(ch, charge{cost.RegionRemove, 0})
 		}
-		return ch
+	case EmulatedMove:
+		// Region hiding: keep the region, enqueue it for reuse.
+		if err := r.MarkMovedOut(); err == nil {
+			ch = append(ch, charge{cost.RegionMarkOut, 0})
+		}
+	case WeakMove, EmulatedWeakMove:
+		if err := r.MarkWeaklyMovedOut(); err == nil {
+			ch = append(ch, charge{cost.RegionMarkOut, 0})
+		}
 	}
-
-	g.launchOutput(op, prep, payload, true, dispose)
-	return op, nil
+	return ch
 }
 
-// refPayload builds the transmit-time payload reader for in-place
-// output: the device DMAs from the referenced pages into a wire buffer
-// when the frame is serialized, so weak-integrity semantics observe
-// application overwrites up to that moment.
-func refPayload(ref *vm.IORef, length int) func() (mem.Buf, error) {
-	return func() (mem.Buf, error) {
-		return ref.DMAReadBuf(0, length), nil
-	}
-}
-
-// launchOutput charges prepare, schedules transmission after the prepare
-// latency, and hooks dispose to the adapter's completion callback. wire
-// reports that payload returns a wire buffer, handed to the adapter with
-// TransmitDatagramWire; otherwise it goes by TransmitDatagramBuf.
-func (g *Genie) launchOutput(op *OutputOp, prep []charge, payload func() (mem.Buf, error), wire bool, dispose func() []charge) {
+// launchOutput charges prepare and, after the prepare latency, hands the
+// adapter the payload — snap under copy, the held pages read now
+// otherwise — and hooks dispose to the adapter's completion callback.
+// A single-segment payload without a checksum trailer is a wire buffer,
+// handed over with TransmitDatagramWire; any other goes by
+// TransmitDatagramBuf.
+func (g *Genie) launchOutput(op *OutputOp, prep []charge, snap mem.Buf) {
 	if g.tr != nil {
 		op.span = g.tr.NewSpan()
 		g.tr.Emit(trace.Event{At: op.StartedAt, Phase: trace.Begin, Cat: trace.CatOp, Name: "output",
@@ -287,14 +318,21 @@ func (g *Genie) launchOutput(op *OutputOp, prep []charge, payload func() (mem.Bu
 			Port: op.Port, Bytes: op.Len, Span: op.span})
 	}
 	g.eng.Schedule(prepDur, func() {
-		data, err := payload()
-		if err != nil {
-			op.Err = err
-			op.Done = true
-			return
+		data := snap
+		if op.src != nil {
+			data = op.src.read()
+		}
+		if op.trailer {
+			data = appendTrailer(data)
 		}
 		sent := func() {
-			ch := dispose()
+			var buf [6]charge
+			var ch []charge
+			if op.src == nil {
+				ch = append(buf[:0], charge{cost.BufDeallocate, op.Len})
+			} else {
+				ch = op.src.release(buf[:0])
+			}
 			dispDur := g.chargeSet(StageDispose, op.octx(), ch, &op.SenderCPU)
 			op.SentAt = g.eng.Now()
 			if g.tr != nil {
@@ -309,7 +347,8 @@ func (g *Genie) launchOutput(op *OutputOp, prep []charge, payload func() (mem.Bu
 				op.onDone(op)
 			}
 		}
-		if wire {
+		var err error
+		if op.wire {
 			err = g.nic.TransmitDatagramWire(op.Port, data, sent)
 		} else {
 			err = g.nic.TransmitDatagramBuf(op.Port, data, sent)

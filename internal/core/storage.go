@@ -395,9 +395,11 @@ func (s *Storage) FileMap(p *Process, block, length int) (*FileOp, error) {
 }
 
 // FileWrite writes length bytes from the process to the file starting
-// at block, under the chosen semantics. For the move family, va must
-// be the start of a moved-in region, which the write consumes — the
-// storage twin of system-allocated output (Table 2).
+// at block, under the chosen semantics, with Table 2's sender-side
+// prepare/dispose sequences. Copy is the one exception: the cache page
+// is the system buffer, so a copyin is the whole cost and nothing is
+// disposed. For the move family, va must be the start of a moved-in
+// region, which the write consumes.
 func (s *Storage) FileWrite(p *Process, sem Semantics, block, length int, va vm.Addr) (*FileOp, error) {
 	g := s.g
 	if !sem.Valid() {
@@ -410,122 +412,23 @@ func (s *Storage) FileWrite(p *Process, sem Semantics, block, length int, va vm.
 	s.stats.Writes++
 
 	var (
+		buf     [6]charge // prep's backing store, kept off the heap
 		prep    []charge
 		content mem.Buf
-		dispose func() []charge
+		src     *source
+		err     error
 	)
-
-	switch sem {
-	case Copy:
-		buf, err := s.peekSource(p, va, length)
-		if err != nil {
+	if sem == Copy {
+		if content, err = s.peekSource(p, va, length); err != nil {
 			return nil, err
 		}
-		content = buf
-		prep = []charge{{cost.Copyin, length}}
-		dispose = func() []charge { return nil }
-
-	case EmulatedCopy:
-		ref, err := p.as.ReferenceRange(va, length, false)
-		if err != nil {
+		prep = append(buf[:0], charge{cost.Copyin, length})
+	} else {
+		if src, prep, err = p.reference(sem, []Segment{{va, length}}, buf[:0]); err != nil {
 			return nil, err
 		}
-		p.as.RemoveWrite(va, length) // TCOW protection (Section 5.1)
-		content = s.gatherSource(ref, length)
-		prep = []charge{{cost.Reference, length}, {cost.ReadOnly, length}}
-		dispose = func() []charge {
-			ref.Unreference()
-			return []charge{{cost.Unreference, length}}
-		}
-
-	case Share:
-		ref, err := p.as.ReferenceRange(va, length, false)
-		if err != nil {
-			return nil, err
-		}
-		g.wireFrames(ref)
-		content = s.gatherSource(ref, length)
-		prep = []charge{{cost.Reference, length}, {cost.Wire, length}}
-		dispose = func() []charge {
-			g.unwireFrames(ref)
-			ref.Unreference()
-			return []charge{{cost.Unwire, length}, {cost.Unreference, length}}
-		}
-
-	case EmulatedShare:
-		ref, err := p.as.ReferenceRange(va, length, false)
-		if err != nil {
-			return nil, err
-		}
-		content = s.gatherSource(ref, length)
-		prep = []charge{{cost.Reference, length}}
-		dispose = func() []charge {
-			ref.Unreference()
-			return []charge{{cost.Unreference, length}}
-		}
-
-	case Move, EmulatedMove, WeakMove, EmulatedWeakMove:
-		r := p.as.FindRegion(va)
-		if r == nil {
-			return nil, fmt.Errorf("%w: no region at %#x", ErrBadBuffer, va)
-		}
-		if r.State() == vm.Unmovable {
-			return nil, fmt.Errorf("%w: %v", ErrUnmovableOutput, r)
-		}
-		if r.State() != vm.MovedIn {
-			return nil, fmt.Errorf("%w: %v", ErrNotMovedIn, r)
-		}
-		if va != r.Start() || length > r.Len() {
-			return nil, fmt.Errorf("%w: write [%#x,+%d) must start a region no larger than it", ErrBadBuffer, va, length)
-		}
-		if err := r.MarkMovingOut(); err != nil {
-			return nil, err
-		}
-		ref, err := p.as.ReferenceRegion(r, length, false)
-		if err != nil {
-			_ = r.AbortMoveOut()
-			return nil, err
-		}
-		prep = []charge{{cost.Reference, length}}
-		if !sem.Emulated() {
-			g.wireFrames(ref)
-			prep = append(prep, charge{cost.Wire, length})
-		}
-		prep = append(prep, charge{cost.RegionMarkOut, 0})
-		if !sem.WeakIntegrity() {
-			p.as.Invalidate(r.Start(), r.Len())
-			prep = append(prep, charge{cost.Invalidate, length})
-		}
-		content = s.gatherSource(ref, length)
-		dispose = func() []charge {
-			var ch []charge
-			if !sem.Emulated() {
-				g.unwireFrames(ref)
-				ch = append(ch, charge{cost.Unwire, length})
-			}
-			ref.Unreference()
-			ch = append(ch, charge{cost.Unreference, length})
-			switch sem {
-			case Move:
-				if err := p.as.RemoveRegion(r); err == nil {
-					ch = append(ch, charge{cost.RegionRemove, 0})
-				}
-			case EmulatedMove:
-				if err := r.MarkMovedOut(); err == nil {
-					ch = append(ch, charge{cost.RegionMarkOut, 0})
-				}
-			case WeakMove, EmulatedWeakMove:
-				if err := r.MarkWeaklyMovedOut(); err == nil {
-					ch = append(ch, charge{cost.RegionMarkOut, 0})
-				}
-			}
-			return ch
-		}
-
-	default:
-		return nil, fmt.Errorf("%w: %v", ErrBadSemantics, sem)
+		content = s.gatherSource(src.refs[0], length)
 	}
-
 	wait, err := s.cache.WriteRange(block, 0, content)
 	if err != nil {
 		return nil, err
@@ -533,7 +436,12 @@ func (s *Storage) FileWrite(p *Process, sem Semantics, block, length int, va vm.
 	prepDur := g.chargeSet(StagePrepare, op.sctx(), prep, &op.CPU)
 	op.DeviceWait = wait.Micros()
 	g.eng.Schedule(prepDur+wait, func() {
-		d := g.chargeSet(StageDispose, op.sctx(), dispose(), &op.CPU)
+		var dispose []charge
+		if src != nil {
+			var ch [4]charge
+			dispose = src.release(ch[:0])
+		}
+		d := g.chargeSet(StageDispose, op.sctx(), dispose, &op.CPU)
 		op.CompletedAt = g.eng.Now().Add(d)
 		op.Done = true
 	})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cost"
@@ -96,6 +97,121 @@ func TestTables234Conformance(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// recordsOfStage extracts the charges one host recorded for a stage, in
+// execution order.
+func recordsOfStage(in *Instrumentation, stage Stage) []charge {
+	var out []charge
+	for _, r := range in.Records() {
+		if r.Stage == stage {
+			out = append(out, charge{r.Op, r.Bytes})
+		}
+	}
+	return out
+}
+
+// TestTable2SenderPaths: every path that sends data out of an
+// application buffer follows Table 2. FileWrite runs each semantics'
+// prepare/dispose sequence, except that copy's system buffer is the
+// cache page (a copyin and nothing to dispose). A two-segment OutputV
+// repeats the per-segment sequence for each in-place semantics, and
+// charges copy's once over the coalesced system buffer.
+func TestTable2SenderPaths(t *testing.T) {
+	const length = 4 * 4096
+	for _, sem := range AllSemantics() {
+		t.Run("FileWrite/"+sem.String(), func(t *testing.T) {
+			tb, err := NewTestbed(TestbedConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := NewStorage(tb.A, DiskConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := tb.A.Genie.NewProcess()
+			var va vm.Addr
+			if sem.SystemAllocated() {
+				r, err := p.AllocIOBuffer(length)
+				if err != nil {
+					t.Fatal(err)
+				}
+				va = r.Start()
+			} else {
+				va = mustBrk(t, p, length)
+			}
+			if err := p.Write(va, make([]byte, length)); err != nil {
+				t.Fatal(err)
+			}
+			in := tb.A.Genie.Instr()
+			in.Enabled = true
+			if _, err := s.FileWrite(p, sem, 0, length, va); err != nil {
+				t.Fatal(err)
+			}
+			tb.Run()
+			wantPrep, wantDisp := OutputPrepareOps(sem), OutputDisposeOps(sem)
+			if sem == Copy {
+				wantPrep, wantDisp = []cost.Op{cost.Copyin}, nil
+			}
+			if got := opsOfStage(in, StagePrepare); !sameOps(got, wantPrep) {
+				t.Errorf("prepare ops = %v, want %v", got, wantPrep)
+			}
+			if got := opsOfStage(in, StageDispose); !sameOps(got, wantDisp) {
+				t.Errorf("dispose ops = %v, want %v", got, wantDisp)
+			}
+		})
+	}
+	for _, sem := range []Semantics{Copy, EmulatedCopy, Share, EmulatedShare} {
+		t.Run("OutputV/"+sem.String(), func(t *testing.T) {
+			tb, err := NewTestbed(TestbedConfig{Buffering: netsim.EarlyDemux})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tx, rx := tb.A.Genie.NewProcess(), tb.B.Genie.NewProcess()
+			segs := []Segment{{mustBrk(t, tx, 4096), 4096}, {mustBrk(t, tx, 2*4096), 2 * 4096}}
+			total := 0
+			for _, sg := range segs {
+				if err := tx.Write(sg.VA, make([]byte, sg.Len)); err != nil {
+					t.Fatal(err)
+				}
+				total += sg.Len
+			}
+			if _, err := rx.Input(1, sem, mustBrk(t, rx, total), total); err != nil {
+				t.Fatal(err)
+			}
+			in := tb.A.Genie.Instr()
+			in.Enabled = true
+			out, err := tx.OutputV(1, sem, segs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tb.Run()
+			if out.Err != nil {
+				t.Fatal(out.Err)
+			}
+			var wantPrep, wantDisp []charge
+			expand := func(ops []cost.Op, n int) (ch []charge) {
+				for _, op := range ops {
+					ch = append(ch, charge{op, n})
+				}
+				return ch
+			}
+			if sem == Copy {
+				wantPrep, wantDisp = expand(OutputPrepareOps(sem), total), expand(OutputDisposeOps(sem), total)
+			} else {
+				for _, sg := range segs {
+					wantPrep = append(wantPrep, expand(OutputPrepareOps(sem), sg.Len)...)
+					wantDisp = append(wantDisp, expand(OutputDisposeOps(sem), sg.Len)...)
+				}
+			}
+			if got := recordsOfStage(in, StagePrepare); !slices.Equal(got, wantPrep) {
+				t.Errorf("prepare charges = %v, want %v", got, wantPrep)
+			}
+			if got := recordsOfStage(in, StageDispose); !slices.Equal(got, wantDisp) {
+				t.Errorf("dispose charges = %v, want %v", got, wantDisp)
+			}
+		})
 	}
 }
 
