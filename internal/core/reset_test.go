@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/netsim"
 	"repro/internal/vm"
 )
@@ -227,5 +228,26 @@ func TestTestbedResetDemandPaging(t *testing.T) {
 	pressure()
 	if tb.A.Sys.Stats().PageOuts == 0 {
 		t.Error("no pageouts after Reset: the pageout daemon was not re-armed")
+	}
+}
+
+// BenchmarkTestbedReset times Reset of an idle symbolic testbed under
+// early demux and pooled input buffering: the fixed cost a recycled
+// measurement pays before it simulates anything.
+func BenchmarkTestbedReset(b *testing.B) {
+	for _, scheme := range []netsim.InputBuffering{netsim.EarlyDemux, netsim.Pooled} {
+		b.Run(scheme.String(), func(b *testing.B) {
+			tb, err := NewTestbed(TestbedConfig{Buffering: scheme, Plane: mem.Symbolic})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := tb.Reset(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -218,6 +219,61 @@ func TestRecycleCounters(t *testing.T) {
 		}
 		if st.ResetFailures != 0 {
 			t.Errorf("reset failures = %d, want 0", st.ResetFailures)
+		}
+	})
+}
+
+// TestRecycledMeasureAllocs counts the heap allocations of one real
+// measurement on a warm recycled testbed: memo off, recycling on, early
+// demux, emulated copy, 61440 bytes. A recycled testbed keeps its frame
+// free list, pool slices, page tables and object page maps, so what
+// remains is the run's own work. The bound sits below 153, the count
+// when Reset discards the VM maps instead of reusing them. A warm
+// Testbed.Reset itself allocates nothing.
+func TestRecycledMeasureAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	const maxAllocs = 135
+	s := Setup{Scheme: netsim.EarlyDemux}
+	withPerfRegime(t, false, true, 1, func() {
+		measure := func() {
+			if _, err := Measure(s, core.EmulatedCopy, 61440); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 10 {
+			measure()
+		}
+		a := testing.AllocsPerRun(200, measure)
+		t.Logf("recycled Measure: %.1f allocations", a)
+		if a > maxAllocs {
+			t.Errorf("recycled Measure allocates %.1f times, want at most %d", a, maxAllocs)
+		}
+
+		// Reset after real runs, counting only the Reset calls.
+		tb, err := core.NewTestbed(measureTestbedConfig(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		var resetAllocs uint64
+		for i := range 20 {
+			if _, err := measureOn(tb, s, core.EmulatedCopy, 61440); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&before)
+			err := tb.Reset()
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i >= 2 { // the first Resets size the spare lists
+				resetAllocs += after.Mallocs - before.Mallocs
+			}
+		}
+		if resetAllocs != 0 {
+			t.Errorf("18 warm Testbed.Reset calls allocated %d times, want 0", resetAllocs)
 		}
 	})
 }

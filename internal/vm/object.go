@@ -21,9 +21,9 @@ type MemObject struct {
 	pages  map[int]*mem.Frame // page index within object -> frame
 	shadow *MemObject         // next object in the COW chain, or nil
 
-	inputRefs int            // pending in-place input references (Section 3.3)
+	inputRefs int             // pending in-place input references (Section 3.3)
 	backing   map[int]mem.Buf // simulated backing store for paged-out pages
-	refs      int            // regions referencing this object
+	refs      int             // regions referencing this object
 }
 
 func (sys *System) newObject() *MemObject {
@@ -31,7 +31,7 @@ func (sys *System) newObject() *MemObject {
 	o := &MemObject{
 		sys:   sys,
 		id:    sys.nextObjID,
-		pages: make(map[int]*mem.Frame),
+		pages: takeSpare(&sys.sparePages),
 	}
 	sys.objects[o.id] = o
 	return o

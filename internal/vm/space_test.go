@@ -3,6 +3,7 @@ package vm
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/mem"
@@ -354,4 +355,55 @@ func TestReadPhysSeesThroughProtections(t *testing.T) {
 	if string(got) != "hidden" {
 		t.Fatalf("ReadPhys = %q", got)
 	}
+}
+
+// TestSystemResetReusesMaps checks the map reuse behind a recycled
+// system: Reset clears the page tables and object page maps of the
+// live spaces and objects and hands them to the next NewAddressSpace
+// and newObject, ids restart from 1, and a space used after Reset
+// panics on its first write instead of aliasing a live one.
+func TestSystemResetReusesMaps(t *testing.T) {
+	sys := newTestSystem(32)
+	as := sys.NewAddressSpace()
+	r := mustRegion(t, as, 2*testPageSize, Unmovable)
+	data := bytes.Repeat([]byte{9}, 2*testPageSize)
+	if err := as.Poke(r.Start(), data); err != nil {
+		t.Fatal(err)
+	}
+	k := sys.NewKernelObject()
+	if _, err := sys.AllocFrameInto(k, 0); err != nil {
+		t.Fatal(err)
+	}
+	ptr := func(m any) uintptr { return reflect.ValueOf(m).Pointer() }
+	oldPT := ptr(as.pt)
+	oldPages := map[uintptr]bool{ptr(r.object.pages): true, ptr(k.pages): true}
+
+	sys.Phys().Reset()
+	sys.Reset()
+	if as.pt != nil || r.object.pages != nil || k.pages != nil {
+		t.Fatal("Reset left a stale space or object holding its map")
+	}
+
+	as2 := sys.NewAddressSpace()
+	if as2.ID() != 1 || len(as2.pt) != 0 || ptr(as2.pt) != oldPT {
+		t.Fatalf("space after Reset: id %d, %d page table entries, reused map %t; want id 1, empty, reused",
+			as2.ID(), len(as2.pt), ptr(as2.pt) == oldPT)
+	}
+	for want := 1; want <= 2; want++ {
+		o := sys.NewKernelObject()
+		if o.ID() != want || len(o.pages) != 0 || !oldPages[ptr(o.pages)] {
+			t.Fatalf("object after Reset: id %d, %d pages, reused map %t; want id %d, empty, reused",
+				o.ID(), len(o.pages), oldPages[ptr(o.pages)], want)
+		}
+	}
+	if o := sys.NewKernelObject(); o.pages == nil || oldPages[ptr(o.pages)] {
+		t.Fatal("object beyond the spare maps did not get a new map")
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("write through a space used after Reset did not panic")
+		}
+	}()
+	_ = as.Poke(r.Start(), data)
 }

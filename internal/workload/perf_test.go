@@ -114,6 +114,38 @@ func TestRegimesDigestIdentity(t *testing.T) {
 	}
 }
 
+// TestWorkloadDigestsPinned pins the committed digests of the three
+// default scenario sweeps (what `geniebench workload -scenario S
+// -workers 1,4` prints) at one and four shard workers, with cluster
+// recycling on and off. A recycled cluster that is not Reset exactly to
+// its post-construction state changes the recycled digests; a change
+// to what the simulation computes changes both.
+func TestWorkloadDigestsPinned(t *testing.T) {
+	pins := []struct{ scenario, digest string }{
+		{FileServer, "a2ca1b41bca7c3e3"},
+		{Stream, "ee671810a7406093"},
+		{FanOut, "d9778277ffb5721c"},
+	}
+	for _, recycle := range []bool{true, false} {
+		setRegime(t, recycle)
+		for _, pin := range pins {
+			for _, workers := range []int{1, 4} {
+				res, err := RunParallel(Config{Scenario: pin.scenario}, workers, 2)
+				if err != nil {
+					t.Fatalf("%s workers=%d recycle=%t: %v", pin.scenario, workers, recycle, err)
+				}
+				if res.Digest != pin.digest {
+					t.Errorf("%s workers=%d recycle=%t: digest %s, want the committed %s",
+						pin.scenario, workers, recycle, res.Digest, pin.digest)
+				}
+			}
+		}
+		if p := Perf(); recycle && p.ClustersRecycled == 0 {
+			t.Error("recycled regime never reused a cluster")
+		}
+	}
+}
+
 // TestClusterBuildsBoundedUnderGC: the default file-server grid at two
 // point workers holds at most two clusters of any configuration at
 // once, and the recycler never loses a free cluster to garbage
