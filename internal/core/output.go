@@ -190,7 +190,7 @@ func (p *Process) reference(sem Semantics, segs []Segment, prep []charge) (*sour
 	for _, s := range segs {
 		ref, err := p.as.ReferenceRange(s.VA, s.Len, false)
 		if err != nil {
-			src.release(nil)
+			src.abort()
 			return nil, prep, err
 		}
 		prep = src.hold(ref, s.Len, prep)
@@ -268,15 +268,7 @@ func (src *source) read() mem.Buf {
 // segment is unwired and unreferenced, then a move's region is removed
 // or hidden.
 func (src *source) release(ch []charge) []charge {
-	for _, ref := range src.refs {
-		n := ref.Len()
-		if !src.sem.Emulated() {
-			src.p.g.unwireFrames(ref)
-			ch = append(ch, charge{cost.Unwire, n})
-		}
-		ref.Unreference()
-		ch = append(ch, charge{cost.Unreference, n})
-	}
+	ch = src.unhold(ch)
 	r := src.region
 	switch src.sem {
 	case Move:
@@ -296,6 +288,35 @@ func (src *source) release(ch []charge) []charge {
 		}
 	}
 	return ch
+}
+
+// unhold unwires and unreferences every segment, appending the charges
+// to ch.
+func (src *source) unhold(ch []charge) []charge {
+	for _, ref := range src.refs {
+		n := ref.Len()
+		if !src.sem.Emulated() {
+			src.p.g.unwireFrames(ref)
+			ch = append(ch, charge{cost.Unwire, n})
+		}
+		ref.Unreference()
+		ch = append(ch, charge{cost.Unreference, n})
+	}
+	return ch
+}
+
+// abort rolls the prepare half back when no device will read the held
+// pages: every segment is unwired and unreferenced, and a move's region
+// returns to moved in with the application's access reinstated, so a
+// failed operation leaves the buffer as it found it.
+func (src *source) abort() {
+	src.unhold(nil)
+	if r := src.region; r != nil {
+		_ = r.AbortMoveOut()
+		if !src.sem.WeakIntegrity() {
+			src.p.as.Reinstate(r)
+		}
+	}
 }
 
 // launchOutput charges prepare and, after the prepare latency, hands the
