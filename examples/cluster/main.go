@@ -88,13 +88,13 @@ func run(sem genie.Semantics, n, steps, halo, workers int) (perStepUS float64, e
 			for j := range buf {
 				buf[j] = byte(step + i)
 			}
-			if _, err := l.fwd.Send(buf); err != nil {
+			if err := l.fwd.Send(buf); err != nil {
 				return 0, fmt.Errorf("step %d worker %d fwd send: %w", step, i, err)
 			}
 			for j := range buf {
 				buf[j] = byte(step + i + 128)
 			}
-			if _, err := l.rev.Send(buf); err != nil {
+			if err := l.rev.Send(buf); err != nil {
 				return 0, fmt.Errorf("step %d worker %d rev send: %w", step, (i+1)%n, err)
 			}
 		}

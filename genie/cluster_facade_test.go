@@ -35,10 +35,10 @@ func TestClusterFacadeRing(t *testing.T) {
 		for i, l := range links {
 			fwd := bytes.Repeat([]byte{byte(10*round + i)}, 1500)
 			rev := bytes.Repeat([]byte{byte(10*round + i + 100)}, 900)
-			if _, err := l.a.Send(fwd); err != nil {
+			if err := l.a.Send(fwd); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := l.b.Send(rev); err != nil {
+			if err := l.b.Send(rev); err != nil {
 				t.Fatal(err)
 			}
 		}

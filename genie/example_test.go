@@ -50,7 +50,7 @@ func ExampleNetwork_NewChannel() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := ea.Send([]byte("ping")); err != nil {
+	if err := ea.Send([]byte("ping")); err != nil {
 		log.Fatal(err)
 	}
 	net.Run()

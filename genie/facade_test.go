@@ -22,7 +22,7 @@ func TestChannelThroughFacade(t *testing.T) {
 	if ea.Credits() != 3 {
 		t.Fatalf("credits = %d, want 3", ea.Credits())
 	}
-	if _, err := ea.Send([]byte("facade message")); err != nil {
+	if err := ea.Send([]byte("facade message")); err != nil {
 		t.Fatal(err)
 	}
 	net.Run()

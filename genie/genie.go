@@ -84,9 +84,12 @@ const (
 // Re-exported operation types: see their methods for results.
 type (
 	// Endpoint is one end of a windowed message channel with
-	// credit-based flow control.
+	// credit-based flow control. Send reports only an error: the
+	// output record it runs in belongs to the endpoint, which reuses it.
 	Endpoint = core.Endpoint
-	// Message is a received channel message.
+	// Message is a received channel message, borrowed until Release;
+	// it must not be used afterwards, and a second Release reports
+	// ErrMessageReleased.
 	Message = core.Message
 	// RPCClient issues request-response calls over a channel.
 	RPCClient = core.RPCClient
@@ -165,6 +168,9 @@ const (
 
 // ErrChecksum reports a failed payload verification.
 var ErrChecksum = core.ErrChecksum
+
+// ErrMessageReleased reports a second Release of a channel Message.
+var ErrMessageReleased = core.ErrMessageReleased
 
 // ErrBadBuffer reports an invalid buffer range: a non-positive or
 // over-MTU length, or an address that does not start a usable region.

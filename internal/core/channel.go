@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/vm"
@@ -16,16 +17,20 @@ import (
 
 // Channel errors.
 var (
-	ErrChannelFull   = errors.New("core: channel send window full")
-	ErrMessageTooBig = errors.New("core: message exceeds channel buffer size")
+	ErrChannelFull     = errors.New("core: channel send window full")
+	ErrMessageTooBig   = errors.New("core: message exceeds channel buffer size")
+	ErrMessageReleased = errors.New("core: message already released")
 )
 
 // Message is one received datagram, borrowed from the channel until
-// Release is called (which reposts the receive buffer).
+// Release is called (which reposts the receive buffer). A Message lives
+// in its receive window slot and carries the slot's next datagram after
+// the repost, so it must not be used after Release: a second Release
+// reports ErrMessageReleased and reposts nothing.
 type Message struct {
-	ep   *Endpoint
-	in   *InputOp
-	data []byte
+	slot     *rxSlot
+	data     []byte
+	released bool
 }
 
 // Data returns the message payload, read out of the receive buffer so
@@ -37,20 +42,38 @@ func (m *Message) Data() []byte { return m.data }
 
 // CompletedAt returns the simulated time the message became available;
 // subtract the matching send's StartedAt for end-to-end latency.
-func (m *Message) CompletedAt() float64 { return float64(m.in.CompletedAt) }
+func (m *Message) CompletedAt() float64 { return float64(m.slot.in.CompletedAt) }
 
 // Err returns the message's delivery error, if any.
-func (m *Message) Err() error { return m.in.Err }
+func (m *Message) Err() error { return m.slot.in.Err }
 
 // Release returns the receive buffer to the channel window and the
-// payload slice to the endpoint; Data returns nil afterwards.
+// payload slice to the endpoint; Data returns nil afterwards. Only the
+// first Release reposts: later calls return ErrMessageReleased.
 func (m *Message) Release() error {
-	err := m.ep.repost(m.in)
+	if m.released {
+		return ErrMessageReleased
+	}
+	m.released = true
+	ep := m.slot.ep
+	err := ep.repost(m.slot)
 	if m.data != nil {
-		m.ep.spare = append(m.ep.spare, m.data)
+		ep.spare = append(ep.spare, m.data)
 		m.data = nil
 	}
 	return err
+}
+
+// rxSlot is one buffer of an endpoint's receive window: the input
+// posted on it and the message that input completes into. Releasing
+// the message reposts the same slot, so a steady channel allocates no
+// input or message records; the slot's completion callback is bound
+// once, when the endpoint is set up.
+type rxSlot struct {
+	ep  *Endpoint
+	va  vm.Addr // the application buffer (0 under system-allocated semantics)
+	in  InputOp
+	msg Message
 }
 
 // Endpoint is one end of a channel.
@@ -84,6 +107,8 @@ type Endpoint struct {
 	// spare holds the payload slices of released messages; completions
 	// read into one of them instead of allocating.
 	spare [][]byte
+	// idle holds output records whose send is done; Send reuses them.
+	idle []*OutputOp
 }
 
 // NewChannel connects two processes (normally on different hosts of a
@@ -125,39 +150,42 @@ func (e *Endpoint) setup() error {
 		}
 	}
 	for i := 0; i < e.window; i++ {
-		var va vm.Addr
+		s := &rxSlot{ep: e}
 		if !e.sem.SystemAllocated() {
-			va = e.rxBufs[i]
+			s.va = e.rxBufs[i]
 		}
-		if err := e.post(va); err != nil {
+		s.msg.slot = s
+		s.in.onComplete = s.complete
+		if err := e.post(s); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// post preposts one receive buffer on this endpoint's port.
-func (e *Endpoint) post(va vm.Addr) error {
-	in, err := e.p.Input(e.port, e.sem, va, e.bufSize)
-	if err != nil {
-		return err
+// post preposts the slot's receive buffer on this endpoint's port.
+func (e *Endpoint) post(s *rxSlot) error {
+	return e.p.input(&s.in, e.port, e.sem, s.va, e.bufSize)
+}
+
+// complete reads a completed input into a payload slice and hands the
+// slot's message to the application.
+func (s *rxSlot) complete(in *InputOp) {
+	e := s.ep
+	data := e.payloadSlice(in.N)
+	if in.Err == nil {
+		in.Err = e.p.Read(in.Addr, data)
 	}
-	in.OnComplete(func(in *InputOp) {
-		data := e.payloadSlice(in.N)
-		if in.Err == nil {
-			in.Err = e.p.Read(in.Addr, data)
-		}
-		if in.Err != nil {
-			clear(data) // an undelivered payload reads as zeros
-		}
-		m := &Message{ep: e, in: in, data: data}
-		if e.onMessage != nil {
-			e.onMessage(m)
-			return
-		}
-		e.completed = append(e.completed, m)
-	})
-	return nil
+	if in.Err != nil {
+		clear(data) // an undelivered payload reads as zeros
+	}
+	m := &s.msg
+	m.data, m.released = data, false
+	if e.onMessage != nil {
+		e.onMessage(m)
+		return
+	}
+	e.completed = append(e.completed, m)
 }
 
 // payloadSlice returns an n-byte slice for a completing message, reusing
@@ -179,24 +207,20 @@ func (e *Endpoint) OnMessage(fn func(*Message)) { e.onMessage = fn }
 
 // repost returns a consumed receive buffer to the window and a send
 // credit to the peer.
-func (e *Endpoint) repost(in *InputOp) error {
+func (e *Endpoint) repost(s *rxSlot) error {
 	if !e.noCredits {
 		e.peer.credits++
 	}
-	va := in.va
-	if e.sem.SystemAllocated() {
-		va = 0
-		// Recycle the system-allocated region through the region cache
-		// so the next input reuses it.
-		if in.Region != nil {
-			weak := e.sem.WeakIntegrity()
-			if err := e.p.RecycleIOBuffer(in.Region, weak); err != nil {
-				return err
-			}
+	// Recycle a system-allocated region through the region cache so the
+	// next input reuses it.
+	if e.sem.SystemAllocated() && s.in.Region != nil {
+		weak := e.sem.WeakIntegrity()
+		if err := e.p.RecycleIOBuffer(s.in.Region, weak); err != nil {
+			return err
 		}
 	}
-	if err := e.post(va); err != nil {
-		return e.deferPost(va, err, 1)
+	if err := e.post(s); err != nil {
+		return e.deferPost(s, err, 1)
 	}
 	return nil
 }
@@ -208,14 +232,14 @@ func (e *Endpoint) repost(in *InputOp) error {
 // injector the error surfaces immediately, preserving fault-free
 // behavior; with one the retry is bounded so a truly wedged host still
 // fails loudly via the retransmit layer's give-up accounting.
-func (e *Endpoint) deferPost(va vm.Addr, err error, attempt int) error {
+func (e *Endpoint) deferPost(s *rxSlot, err error, attempt int) error {
 	g := e.p.g
 	if g.nic.FaultInjector() == nil || attempt > repostAttempts {
 		return err
 	}
 	g.eng.Schedule(sim.Duration(repostRetryUS), func() {
-		if perr := e.post(va); perr != nil {
-			_ = e.deferPost(va, perr, attempt+1)
+		if perr := e.post(s); perr != nil {
+			_ = e.deferPost(s, perr, attempt+1)
 		}
 	})
 	return nil
@@ -235,19 +259,21 @@ func (e *Endpoint) Close() {
 // Send transmits data to the peer endpoint. The data is copied into one
 // of the channel's rotating send buffers first (the application-level
 // write the channel user would have done anyway); at most `window` sends
-// may be outstanding.
-func (e *Endpoint) Send(data []byte) (*OutputOp, error) {
+// may be outstanding. The output runs on the simulated clock in an
+// output record the endpoint owns and reuses once the send is done, so
+// Send reports only whether the output started.
+func (e *Endpoint) Send(data []byte) error {
 	if len(data) > e.bufSize {
-		return nil, fmt.Errorf("%w: %d > %d", ErrMessageTooBig, len(data), e.bufSize)
+		return fmt.Errorf("%w: %d > %d", ErrMessageTooBig, len(data), e.bufSize)
 	}
 	if !e.noCredits && e.credits <= 0 {
-		return nil, ErrChannelFull
+		return ErrChannelFull
 	}
 	var va vm.Addr
 	if e.sem.SystemAllocated() {
 		r, err := e.p.AllocIOBuffer(e.bufSize)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		va = r.Start()
 	} else {
@@ -255,7 +281,7 @@ func (e *Endpoint) Send(data []byte) (*OutputOp, error) {
 		e.txNext = (e.txNext + 1) % len(e.txBufs)
 	}
 	if err := e.p.Write(va, data); err != nil {
-		return nil, err
+		return err
 	}
 	// Pad system-allocated sends to the full buffer so region caching
 	// sizes stay uniform; application-allocated sends use exact lengths.
@@ -263,15 +289,32 @@ func (e *Endpoint) Send(data []byte) (*OutputOp, error) {
 	if e.sem.SystemAllocated() {
 		length = e.bufSize
 	}
-	out, err := e.p.Output(e.peer.port, e.sem, va, length)
-	if err != nil {
-		return nil, err
+	op := e.output()
+	seg := [1]Segment{{va, length}}
+	if err := e.p.outputV(op, e.peer.port, e.sem, seg[:]); err != nil {
+		e.reclaim(op)
+		return err
 	}
 	if !e.noCredits {
 		e.credits--
 	}
-	return out, nil
+	return nil
 }
+
+// output returns an idle output record, or a new one whose completion
+// callback hands it back to the idle list. The list holds at most as
+// many records as sends were ever in flight at once.
+func (e *Endpoint) output() *OutputOp {
+	if k := len(e.idle) - 1; k >= 0 {
+		op := e.idle[k]
+		e.idle = e.idle[:k]
+		return op
+	}
+	return &OutputOp{onDone: e.reclaim}
+}
+
+// reclaim returns a done output record to the idle list.
+func (e *Endpoint) reclaim(op *OutputOp) { e.idle = append(e.idle, op) }
 
 // Credits returns the endpoint's available send credits.
 func (e *Endpoint) Credits() int { return e.credits }
@@ -282,7 +325,7 @@ func (e *Endpoint) Recv() (*Message, bool) {
 		return nil, false
 	}
 	m := e.completed[0]
-	e.completed = e.completed[1:]
+	e.completed = slices.Delete(e.completed, 0, 1)
 	return m, true
 }
 

@@ -30,7 +30,7 @@ func TestChannelRoundTrip(t *testing.T) {
 		t.Run(sem.String(), func(t *testing.T) {
 			tb, ea, eb := channelPair(t, sem, 8192, 4)
 			msg := []byte("ping over " + sem.String())
-			if _, err := ea.Send(msg); err != nil {
+			if err := ea.Send(msg); err != nil {
 				t.Fatal(err)
 			}
 			tb.Run()
@@ -48,7 +48,7 @@ func TestChannelRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Reply on the same channel.
-			if _, err := eb.Send([]byte("pong")); err != nil {
+			if err := eb.Send([]byte("pong")); err != nil {
 				t.Fatal(err)
 			}
 			tb.Run()
@@ -80,7 +80,7 @@ func TestChannelWindowedStream(t *testing.T) {
 			for iter := 0; iter < 50 && received < total; iter++ {
 				for sent < total {
 					payload := bytes.Repeat([]byte{byte(sent)}, 512)
-					if _, err := ea.Send(payload); err != nil {
+					if err := ea.Send(payload); err != nil {
 						if errors.Is(err, ErrChannelFull) {
 							break
 						}
@@ -116,20 +116,20 @@ func TestChannelWindowedStream(t *testing.T) {
 
 func TestChannelBackpressure(t *testing.T) {
 	_, ea, _ := channelPair(t, EmulatedCopy, 4096, 2)
-	if _, err := ea.Send(make([]byte, 100)); err != nil {
+	if err := ea.Send(make([]byte, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ea.Send(make([]byte, 100)); err != nil {
+	if err := ea.Send(make([]byte, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ea.Send(make([]byte, 100)); !errors.Is(err, ErrChannelFull) {
+	if err := ea.Send(make([]byte, 100)); !errors.Is(err, ErrChannelFull) {
 		t.Fatalf("third send: err = %v, want ErrChannelFull", err)
 	}
 }
 
 func TestChannelMessageTooBig(t *testing.T) {
 	_, ea, _ := channelPair(t, Copy, 1024, 2)
-	if _, err := ea.Send(make([]byte, 2048)); !errors.Is(err, ErrMessageTooBig) {
+	if err := ea.Send(make([]byte, 2048)); !errors.Is(err, ErrMessageTooBig) {
 		t.Fatalf("err = %v, want ErrMessageTooBig", err)
 	}
 }
@@ -157,7 +157,7 @@ func TestChannelValidation(t *testing.T) {
 func TestChannelRegionRecycling(t *testing.T) {
 	tb, ea, eb := channelPair(t, EmulatedWeakMove, 4096, 2)
 	warm := func() {
-		if _, err := ea.Send(make([]byte, 4096)); err != nil {
+		if err := ea.Send(make([]byte, 4096)); err != nil {
 			t.Fatal(err)
 		}
 		tb.Run()
@@ -203,10 +203,10 @@ func TestChannelTwoChannelsSameHosts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := c1a.Send([]byte(fmt.Sprintf("ch1-%d", i))); err != nil {
+		if err := c1a.Send([]byte(fmt.Sprintf("ch1-%d", i))); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c2a.Send([]byte(fmt.Sprintf("ch2-%d", i))); err != nil {
+		if err := c2a.Send([]byte(fmt.Sprintf("ch2-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 		tb.Run()
@@ -229,4 +229,43 @@ func TestChannelTwoChannelsSameHosts(t *testing.T) {
 		}
 	}
 	_ = c2a
+}
+
+// TestMessageDoubleRelease checks that a Message is released once: a
+// second Release reports ErrMessageReleased and reposts nothing, so the
+// receive window and the peer's send credits stay at the window size.
+// A second repost would grow both by one per extra Release.
+func TestMessageDoubleRelease(t *testing.T) {
+	for _, sem := range AllSemantics() {
+		t.Run(sem.String(), func(t *testing.T) {
+			const window = 2
+			tb, ea, eb := channelPair(t, sem, 4096, window)
+			if err := ea.Send([]byte("once")); err != nil {
+				t.Fatal(err)
+			}
+			tb.Run()
+			m, ok := eb.Recv()
+			if !ok {
+				t.Fatal("no message delivered")
+			}
+			if err := m.Release(); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Release(); !errors.Is(err, ErrMessageReleased) {
+				t.Fatalf("second Release = %v, want ErrMessageReleased", err)
+			}
+			if m.Data() != nil {
+				t.Errorf("Data after Release = %d bytes, want nil", len(m.Data()))
+			}
+			if got := len(tb.B.Genie.recvQ[eb.Port()]); got != window {
+				t.Errorf("%d inputs posted on the receiver, want %d", got, window)
+			}
+			if got := tb.B.NIC.PostedInputs(eb.Port()); got != window {
+				t.Errorf("%d buffers posted on the receiving adapter, want %d", got, window)
+			}
+			if got := ea.Credits(); got != window {
+				t.Errorf("sender has %d credits, want %d", got, window)
+			}
+		})
+	}
 }

@@ -28,7 +28,7 @@ func TestClusterPairTransfer(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}
-	if _, err := ea.Send(payload); err != nil {
+	if err := ea.Send(payload); err != nil {
 		t.Fatal(err)
 	}
 	c.Run()
@@ -131,7 +131,7 @@ func clusterTrafficOn(t *testing.T, c *Cluster, cfg ClusterConfig, seed int64) s
 				for j := range payload {
 					payload[j] = byte(ci*31 + dir*17 + j + round)
 				}
-				if _, err := e.Send(payload); err != nil {
+				if err := e.Send(payload); err != nil {
 					t.Fatalf("round %d chan %d dir %d: %v", round, ci, dir, err)
 				}
 			}
@@ -222,7 +222,7 @@ func TestClusterFaultsDeterministicAcrossWorkers(t *testing.T) {
 		payload := make([]byte, 1500)
 		for round := 0; round < 4; round++ {
 			for _, e := range eps {
-				if _, err := e.Send(payload); err != nil {
+				if err := e.Send(payload); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -287,7 +287,10 @@ func (p *Process) ReadBuf(va vm.Addr, length int) (mem.Buf, error) {
 }
 
 // kernelBuffer is a system or aligned input buffer built from kernel
-// pool pages: payload occupies [off, off+length) across the frames.
+// pool pages: payload occupies [off, off+length) across the frames. It
+// lives in its InputOp, which keeps the frame slice's storage for the
+// record's next input; dispose steps that consume the frames truncate
+// the slice rather than dropping it.
 type kernelBuffer struct {
 	frames []*mem.Frame
 	off    int
@@ -295,17 +298,17 @@ type kernelBuffer struct {
 	pool   *netsim.OverlayPool
 }
 
-// allocKernelBuffer builds a buffer whose payload starts at byte offset
-// off within the first page — offset 0 for plain system buffers, the
-// application buffer's page offset for aligned buffers (system input
-// alignment, Section 5.2).
-func (g *Genie) allocKernelBuffer(off, length int) (*kernelBuffer, error) {
-	n := g.kpool.PagesFor(off + length)
-	frames, err := g.kpool.Get(n)
+// allocKernelBuffer fills b with pool pages for a buffer whose payload
+// starts at byte offset off within the first page — offset 0 for plain
+// system buffers, the application buffer's page offset for aligned
+// buffers (system input alignment, Section 5.2). b holds no frames.
+func (g *Genie) allocKernelBuffer(b *kernelBuffer, off, length int) error {
+	frames, err := g.kpool.GetAppend(b.frames[:0], g.kpool.PagesFor(off+length))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &kernelBuffer{frames: frames, off: off, length: length, pool: g.kpool}, nil
+	*b = kernelBuffer{frames: frames, off: off, length: length, pool: g.kpool}
+	return nil
 }
 
 // Len returns the payload capacity.
@@ -348,9 +351,9 @@ func staged(stage *[]byte, n int) []byte {
 
 // free returns all remaining frames to the pool.
 func (b *kernelBuffer) free() {
-	if b.frames != nil {
+	if len(b.frames) > 0 {
 		b.pool.Put(b.frames...)
-		b.frames = nil
+		b.frames = b.frames[:0]
 	}
 }
 

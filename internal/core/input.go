@@ -37,10 +37,20 @@ type InputOp struct {
 	// Internal plumbing.
 	proc   *Process
 	va     vm.Addr       // application buffer (application-allocated)
-	ref    *vm.IORef     // in-place page references, if any
+	ref    *vm.IORef     // in-place page references, if any (&ownRef)
 	wired  bool          // ref frames wired (non-emulated semantics)
-	kbuf   *kernelBuffer // system or aligned buffer, if any
+	kbuf   *kernelBuffer // system or aligned buffer, if any (&ownKbuf)
 	region *vm.Region    // system-allocated input region
+
+	// The record's own reference and kernel buffer; the buffer's frame
+	// slice keeps its storage across reuse.
+	ownRef  vm.IORef
+	ownKbuf kernelBuffer
+
+	// finish is the dispose-completion event, bound once per record;
+	// disposeErr is the error it reports.
+	finish     func()
+	disposeErr error
 }
 
 // OnComplete registers a callback invoked at dispose completion.
@@ -137,19 +147,34 @@ func (g *Genie) rebuildPostings(port int) {
 // and the network, consuming CPU but not end-to-end latency); ready and
 // dispose operations run at packet arrival.
 func (p *Process) Input(port int, sem Semantics, va vm.Addr, length int) (*InputOp, error) {
+	in := new(InputOp)
+	if err := p.input(in, port, sem, va, length); err != nil {
+		return nil, err
+	}
+	return in, nil
+}
+
+// input is Input's body. It fills the caller-owned record in, which a
+// channel slot reuses once the record's previous operation has ended:
+// the completion callbacks and the kernel buffer's frame slice survive,
+// every other field starts afresh. The record holds its page reference
+// and kernel buffer itself.
+func (p *Process) input(in *InputOp, port int, sem Semantics, va vm.Addr, length int) error {
 	g := p.g
 	if !sem.Valid() {
-		return nil, fmt.Errorf("%w: %d", ErrBadSemantics, int(sem))
+		return fmt.Errorf("%w: %d", ErrBadSemantics, int(sem))
 	}
 	if length <= 0 || length > netsim.MaxFrame {
-		return nil, fmt.Errorf("%w: length %d", ErrBadBuffer, length)
+		return fmt.Errorf("%w: length %d", ErrBadBuffer, length)
 	}
-	in := &InputOp{
+	*in = InputOp{
 		Sem: sem, Port: port, Want: length,
 		PostedAt: g.eng.Now(), proc: p, va: va,
+		onComplete: in.onComplete, finish: in.finish,
+		ownKbuf: kernelBuffer{frames: in.ownKbuf.frames[:0]},
 	}
 	if _, err := g.checksumApplies(sem); err != nil {
-		return nil, err
+		return err
 	}
 	g.stats.Inputs++
 	if g.tr != nil {
@@ -159,7 +184,8 @@ func (p *Process) Input(port int, sem Semantics, va vm.Addr, length int) (*Input
 	}
 
 	scheme := g.nic.Buffering()
-	var prep []charge
+	var buf [6]charge // prep's backing store, kept off the heap
+	prep := buf[:0]
 
 	switch sem {
 	case Copy:
@@ -167,13 +193,9 @@ func (p *Process) Input(port int, sem Semantics, va vm.Addr, length int) (*Input
 		// be posted before data arrives. Outboard allocates at arrival.
 		// With checksumming on, the buffer also has room for the trailer.
 		if scheme == netsim.EarlyDemux {
-			kbuf, err := g.allocKernelBuffer(0, length+g.trailerLen(sem))
-			if err != nil {
-				return nil, err
+			if err := in.postKernelBuffer(0, length+g.trailerLen(sem)); err != nil {
+				return err
 			}
-			in.kbuf = kbuf
-			g.nic.PostInput(port, kbuf)
-			g.chargeSet(StageReady, in.octx(), []charge{{cost.BufAllocate, length}}, &in.ReceiverCPU)
 		}
 
 	case EmulatedCopy:
@@ -186,71 +208,74 @@ func (p *Process) Input(port int, sem Semantics, va vm.Addr, length int) (*Input
 			if g.cfg.SystemAlignment {
 				off = int(va) % g.pageSize()
 			}
-			kbuf, err := g.allocKernelBuffer(off, length+g.trailerLen(sem))
-			if err != nil {
-				return nil, err
+			if err := in.postKernelBuffer(off, length+g.trailerLen(sem)); err != nil {
+				return err
 			}
-			in.kbuf = kbuf
-			g.nic.PostInput(port, kbuf)
-			g.chargeSet(StageReady, in.octx(), []charge{{cost.BufAllocate, length}}, &in.ReceiverCPU)
 		}
 
 	case Share, EmulatedShare:
 		// In-place input: reference (and for share, wire) the
 		// application's pages and hand them to the device.
-		ref, err := p.as.ReferenceRange(va, length, true)
-		if err != nil {
-			return nil, err
+		if err := p.as.ReferenceRangeInto(&in.ownRef, va, length, true); err != nil {
+			return err
 		}
-		in.ref = ref
+		in.ref = &in.ownRef
 		prep = append(prep, charge{cost.Reference, length})
 		if sem == Share {
-			g.wireFrames(ref)
+			g.wireFrames(in.ref)
 			in.wired = true
 			prep = append(prep, charge{cost.Wire, length})
 		}
 		if scheme == netsim.EarlyDemux {
-			g.nic.PostInput(port, ref)
+			g.nic.PostInput(port, in.ref)
 		}
 
 	case Move:
 		// Ready-time system buffer, as for copy; dispose maps it in.
 		if scheme == netsim.EarlyDemux {
-			kbuf, err := g.allocKernelBuffer(0, length)
-			if err != nil {
-				return nil, err
+			if err := in.postKernelBuffer(0, length); err != nil {
+				return err
 			}
-			in.kbuf = kbuf
-			g.nic.PostInput(port, kbuf)
-			g.chargeSet(StageReady, in.octx(), []charge{{cost.BufAllocate, length}}, &in.ReceiverCPU)
 		}
 
 	case EmulatedMove, WeakMove, EmulatedWeakMove:
-		r, ch, err := p.prepareCachedRegion(sem, length)
+		r, ch, err := p.prepareCachedRegion(sem, length, prep)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		in.region = r
-		prep = append(prep, ch...)
-		ref, err := p.as.ReferenceRegion(r, regionSpan(g, length), true)
-		if err != nil {
-			return nil, err
+		prep = append(ch, charge{cost.Reference, length})
+		if err := p.as.ReferenceRegionInto(&in.ownRef, r, regionSpan(g, length), true); err != nil {
+			return err
 		}
-		in.ref = ref
-		prep = append(prep, charge{cost.Reference, length})
+		in.ref = &in.ownRef
 		if sem == WeakMove {
-			g.wireFrames(ref)
+			g.wireFrames(in.ref)
 			in.wired = true
 			prep = append(prep, charge{cost.Wire, length})
 		}
 		if scheme == netsim.EarlyDemux {
-			g.nic.PostInput(port, ref)
+			g.nic.PostInput(port, in.ref)
 		}
 	}
 
 	g.chargeSet(StagePrepare, in.octx(), prep, &in.ReceiverCPU)
 	g.recvQ[port] = append(g.recvQ[port], in)
-	return in, nil
+	return nil
+}
+
+// postKernelBuffer allocates the input's system or aligned buffer of
+// size bytes at page offset off, posts it on the device and charges its
+// ready-time allocation.
+func (in *InputOp) postKernelBuffer(off, size int) error {
+	g := in.proc.g
+	if err := g.allocKernelBuffer(&in.ownKbuf, off, size); err != nil {
+		return err
+	}
+	in.kbuf = &in.ownKbuf
+	g.nic.PostInput(in.Port, in.kbuf)
+	g.chargeSet(StageReady, in.octx(), []charge{{cost.BufAllocate, in.Want}}, &in.ReceiverCPU)
+	return nil
 }
 
 // regionSpan returns the bytes a system-allocated input region must
@@ -267,25 +292,25 @@ func regionSpan(g *Genie, length int) int {
 
 // prepareCachedRegion implements region caching (Section 2.2): dequeue a
 // previously moved-out region of the right size, or allocate a fresh one
-// marked moving in.
-func (p *Process) prepareCachedRegion(sem Semantics, length int) (*vm.Region, []charge, error) {
+// marked moving in, appending the charges to prep.
+func (p *Process) prepareCachedRegion(sem Semantics, length int, prep []charge) (*vm.Region, []charge, error) {
 	g := p.g
 	weak := sem == WeakMove || sem == EmulatedWeakMove
 	span := regionSpan(g, length)
 	size := (span + g.pageSize() - 1) / g.pageSize() * g.pageSize()
 	if r := p.as.DequeueCached(size, weak); r != nil {
 		if err := r.MarkMovingIn(); err != nil {
-			return nil, nil, err
+			return nil, prep, err
 		}
 		g.stats.RegionsReused++
-		return r, nil, nil
+		return r, prep, nil
 	}
 	r, err := p.as.AllocRegion(size, vm.MovingIn)
 	if err != nil {
-		return nil, nil, err
+		return nil, prep, err
 	}
 	g.stats.RegionsAllocated++
-	return r, []charge{{cost.RegionCreate, 0}}, nil
+	return r, append(prep, charge{cost.RegionCreate, 0}), nil
 }
 
 // checkRegion verifies at dispose time that a cached region prepared for

@@ -30,8 +30,15 @@ type OutputOp struct {
 	Err     error
 
 	span   uint64  // trace span correlation id (0 when tracing is off)
-	src    *source // the held application buffer (nil under copy)
+	src    *source // the held application buffer (&held; nil under copy)
 	onDone func(*OutputOp)
+
+	g    *Genie
+	held source  // src's storage
+	snap mem.Buf // the copy-semantics snapshot, until transmit
+	// launch and sent are the transmit event and the adapter's
+	// completion callback, bound once per record.
+	launch, sent func()
 }
 
 // OnDone registers a callback invoked at dispose time (when the last
@@ -65,27 +72,41 @@ func (p *Process) Output(port int, sem Semantics, va vm.Addr, length int) (*Outp
 // before the frame enters the wire, dispose runs when the last cell has
 // left. The receive side is unaffected (one datagram arrives).
 func (p *Process) OutputV(port int, sem Semantics, segs []Segment) (*OutputOp, error) {
+	op := new(OutputOp)
+	if err := p.outputV(op, port, sem, segs); err != nil {
+		return nil, err
+	}
+	return op, nil
+}
+
+// outputV is OutputV's body. It fills the caller-owned record op, which
+// an endpoint reuses once the record's previous output is done: the
+// completion callbacks survive, every other field starts afresh.
+func (p *Process) outputV(op *OutputOp, port int, sem Semantics, segs []Segment) error {
 	g := p.g
 	if !sem.Valid() {
-		return nil, fmt.Errorf("%w: %d", ErrBadSemantics, int(sem))
+		return fmt.Errorf("%w: %d", ErrBadSemantics, int(sem))
 	}
 	if len(segs) == 0 {
-		return nil, fmt.Errorf("%w: empty gather list", ErrBadBuffer)
+		return fmt.Errorf("%w: empty gather list", ErrBadBuffer)
 	}
 	if sem.SystemAllocated() && len(segs) > 1 {
-		return nil, fmt.Errorf("%w: gather output with %v", ErrBadSemantics, sem)
+		return fmt.Errorf("%w: gather output with %v", ErrBadSemantics, sem)
 	}
 	total := 0
 	for _, s := range segs {
 		if s.Len <= 0 {
-			return nil, fmt.Errorf("%w: length %d", ErrBadBuffer, s.Len)
+			return fmt.Errorf("%w: length %d", ErrBadBuffer, s.Len)
 		}
 		total += s.Len
 	}
 	if total > netsim.MaxFrame {
-		return nil, fmt.Errorf("%w: length %d", ErrBadBuffer, total)
+		return fmt.Errorf("%w: length %d", ErrBadBuffer, total)
 	}
-	op := &OutputOp{Sem: sem, Effective: sem, Port: port, Len: total, StartedAt: g.eng.Now()}
+	*op = OutputOp{
+		Sem: sem, Effective: sem, Port: port, Len: total, StartedAt: g.eng.Now(),
+		g: g, onDone: op.onDone, launch: op.launch, sent: op.sent,
+	}
 
 	// Short-data conversion (Section 6): copy semantics is very
 	// efficient for short data, so emulated copy and emulated share
@@ -104,7 +125,7 @@ func (p *Process) OutputV(port int, sem Semantics, segs []Segment) (*OutputOp, e
 
 	withChecksum, err := g.checksumApplies(op.Effective)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Integrated checksumming folds the checksum into the copyin (one
 	// combined pass); otherwise it is a separate read-only pass — for
@@ -124,7 +145,7 @@ func (p *Process) OutputV(port int, sem Semantics, segs []Segment) (*OutputOp, e
 		for _, s := range segs {
 			data, err := p.peekWire(s.VA, s.Len)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			snap = snap.Append(data)
 		}
@@ -133,8 +154,11 @@ func (p *Process) OutputV(port int, sem Semantics, segs []Segment) (*OutputOp, e
 			copyin = cost.ChecksumCopy
 		}
 		prep = append(prep, charge{cost.BufAllocate, total}, charge{copyin, total})
-	} else if op.src, prep, err = p.reference(op.Effective, segs, prep); err != nil {
-		return nil, err
+	} else {
+		if prep, err = p.reference(&op.held, op.Effective, segs, prep); err != nil {
+			return err
+		}
+		op.src = &op.held
 	}
 	if withChecksum && !folded {
 		prep = append(prep, charge{cost.ChecksumRead, total})
@@ -142,7 +166,7 @@ func (p *Process) OutputV(port int, sem Semantics, segs []Segment) (*OutputOp, e
 	op.trailer = withChecksum
 	op.wire = len(segs) == 1 && !withChecksum
 	g.launchOutput(op, prep, snap)
-	return op, nil
+	return nil
 }
 
 // peekWire is the copy-semantics output snapshot: length bytes at va,
@@ -163,35 +187,35 @@ func (p *Process) peekWire(va vm.Addr, length int) (mem.Buf, error) {
 // source is an application buffer held in place for a device: Table 2's
 // sender side for every semantics except copy, whose data leaves
 // through a system buffer instead. Output, OutputV and FileWrite share
-// it.
+// it; an OutputOp keeps its source in the record.
 type source struct {
 	p      *Process
 	sem    Semantics
 	refs   []*vm.IORef  // one per segment
 	one    [1]*vm.IORef // refs' backing store for one segment
+	ownRef vm.IORef     // the first segment's reference
 	region *vm.Region   // the region a move-family operation consumes
 }
 
-// reference is the prepare half, appending its charges to prep. Per
-// segment it references the pages, then TCOW-protects them (emulated
-// copy) or wires them (share). The move family takes exactly one
-// segment, the start of a moved-in region, which the operation
+// reference is the prepare half, filling src and appending its charges
+// to prep. Per segment it references the pages, then TCOW-protects them
+// (emulated copy) or wires them (share). The move family takes exactly
+// one segment, the start of a moved-in region, which the operation
 // consumes. A failing segment releases the segments before it.
-func (p *Process) reference(sem Semantics, segs []Segment, prep []charge) (*source, []charge, error) {
-	src := &source{p: p, sem: sem}
+func (p *Process) reference(src *source, sem Semantics, segs []Segment, prep []charge) ([]charge, error) {
+	*src = source{p: p, sem: sem}
 	src.refs = src.one[:0]
 	if sem.SystemAllocated() {
-		prep, err := src.moveOut(segs[0], prep)
-		if err != nil {
-			return nil, prep, err
-		}
-		return src, prep, nil
+		return src.moveOut(segs[0], prep)
 	}
-	for _, s := range segs {
-		ref, err := p.as.ReferenceRange(s.VA, s.Len, false)
-		if err != nil {
+	for i, s := range segs {
+		ref := &src.ownRef
+		if i > 0 {
+			ref = new(vm.IORef)
+		}
+		if err := p.as.ReferenceRangeInto(ref, s.VA, s.Len, false); err != nil {
 			src.abort()
-			return nil, prep, err
+			return prep, err
 		}
 		prep = src.hold(ref, s.Len, prep)
 		if sem == EmulatedCopy {
@@ -199,7 +223,7 @@ func (p *Process) reference(sem Semantics, segs []Segment, prep []charge) (*sour
 			prep = append(prep, charge{cost.ReadOnly, s.Len})
 		}
 	}
-	return src, prep, nil
+	return prep, nil
 }
 
 // moveOut references the moved-in region starting at s for a
@@ -224,13 +248,12 @@ func (src *source) moveOut(s Segment, prep []charge) ([]charge, error) {
 	if err := r.MarkMovingOut(); err != nil {
 		return prep, err
 	}
-	ref, err := as.ReferenceRegion(r, s.Len, false)
-	if err != nil {
+	if err := as.ReferenceRegionInto(&src.ownRef, r, s.Len, false); err != nil {
 		_ = r.AbortMoveOut() // roll back; the region was untouched
 		return prep, err
 	}
 	src.region = r
-	prep = src.hold(ref, s.Len, prep)
+	prep = src.hold(&src.ownRef, s.Len, prep)
 	prep = append(prep, charge{cost.RegionMarkOut, 0})
 	if !src.sem.WeakIntegrity() {
 		// Strong integrity: the application loses all access now.
@@ -320,11 +343,8 @@ func (src *source) abort() {
 }
 
 // launchOutput charges prepare and, after the prepare latency, hands the
-// adapter the payload — snap under copy, the held pages read now
-// otherwise — and hooks dispose to the adapter's completion callback.
-// A single-segment payload without a checksum trailer is a wire buffer,
-// handed over with TransmitDatagramWire; any other goes by
-// TransmitDatagramBuf.
+// adapter the payload (transmit), with dispose hooked to the adapter's
+// completion callback.
 func (g *Genie) launchOutput(op *OutputOp, prep []charge, snap mem.Buf) {
 	if g.tr != nil {
 		op.span = g.tr.NewSpan()
@@ -338,48 +358,67 @@ func (g *Genie) launchOutput(op *OutputOp, prep []charge, snap mem.Buf) {
 			Name: "output.prepare", Sem: op.Effective.String(), Stage: StagePrepare.String(),
 			Port: op.Port, Bytes: op.Len, Span: op.span})
 	}
-	g.eng.Schedule(prepDur, func() {
-		data := snap
-		if op.src != nil {
-			data = op.src.read()
-		}
-		if op.trailer {
-			data = appendTrailer(data)
-		}
-		sent := func() {
-			var buf [6]charge
-			var ch []charge
-			if op.src == nil {
-				ch = append(buf[:0], charge{cost.BufDeallocate, op.Len})
-			} else {
-				ch = op.src.release(buf[:0])
-			}
-			dispDur := g.chargeSet(StageDispose, op.octx(), ch, &op.SenderCPU)
-			op.SentAt = g.eng.Now()
-			if g.tr != nil {
-				g.tr.Emit(trace.Event{At: op.SentAt, Dur: dispDur, Phase: trace.Complete, Cat: trace.CatOp,
-					Name: "output.dispose", Sem: op.Effective.String(), Stage: StageDispose.String(),
-					Port: op.Port, Bytes: op.Len, Span: op.span})
-				g.tr.Emit(trace.Event{At: op.SentAt, Phase: trace.End, Cat: trace.CatOp, Name: "output",
-					Sem: op.Effective.String(), Port: op.Port, Bytes: op.Len, Span: op.span})
-			}
-			op.Done = true
-			if op.onDone != nil {
-				op.onDone(op)
-			}
-		}
-		var err error
-		if op.wire {
-			err = g.nic.TransmitDatagramWire(op.Port, data, sent)
-		} else {
-			err = g.nic.TransmitDatagramBuf(op.Port, data, sent)
-		}
-		if err != nil {
-			op.Err = err
-			op.Done = true
-			if op.onDone != nil {
-				op.onDone(op)
-			}
-		}
-	})
+	op.snap = snap
+	if op.launch == nil {
+		op.launch, op.sent = op.transmit, op.dispose
+	}
+	g.eng.Schedule(prepDur, op.launch)
+}
+
+// transmit hands the adapter the payload — the snapshot under copy, the
+// held pages read now otherwise. A single-segment payload without a
+// checksum trailer is a wire buffer, handed over with
+// TransmitDatagramWire; any other goes by TransmitDatagramBuf.
+func (op *OutputOp) transmit() {
+	g := op.g
+	data := op.snap
+	op.snap = mem.Buf{}
+	if op.src != nil {
+		data = op.src.read()
+	}
+	if op.trailer {
+		data = appendTrailer(data)
+	}
+	var err error
+	if op.wire {
+		err = g.nic.TransmitDatagramWire(op.Port, data, op.sent)
+	} else {
+		err = g.nic.TransmitDatagramBuf(op.Port, data, op.sent)
+	}
+	if err != nil {
+		op.Err = err
+		op.finish()
+	}
+}
+
+// dispose runs Table 2's dispose half once the last cell has left the
+// adapter.
+func (op *OutputOp) dispose() {
+	g := op.g
+	var buf [6]charge
+	var ch []charge
+	if op.src == nil {
+		ch = append(buf[:0], charge{cost.BufDeallocate, op.Len})
+	} else {
+		ch = op.src.release(buf[:0])
+	}
+	dispDur := g.chargeSet(StageDispose, op.octx(), ch, &op.SenderCPU)
+	op.SentAt = g.eng.Now()
+	if g.tr != nil {
+		g.tr.Emit(trace.Event{At: op.SentAt, Dur: dispDur, Phase: trace.Complete, Cat: trace.CatOp,
+			Name: "output.dispose", Sem: op.Effective.String(), Stage: StageDispose.String(),
+			Port: op.Port, Bytes: op.Len, Span: op.span})
+		g.tr.Emit(trace.Event{At: op.SentAt, Phase: trace.End, Cat: trace.CatOp, Name: "output",
+			Sem: op.Effective.String(), Port: op.Port, Bytes: op.Len, Span: op.span})
+	}
+	op.finish()
+}
+
+// finish marks the output done and runs its callback, which may recycle
+// the record: nothing touches op afterwards.
+func (op *OutputOp) finish() {
+	op.Done = true
+	if op.onDone != nil {
+		op.onDone(op)
+	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cost"
 	"repro/internal/mem"
@@ -27,7 +28,7 @@ func (g *Genie) onReceive(pkt netsim.Packet) {
 		return
 	}
 	in := q[0]
-	g.recvQ[pkt.Port] = q[1:]
+	g.recvQ[pkt.Port] = slices.Delete(q, 0, 1) // in place: the queue keeps its capacity
 	in.ArrivedAt = pkt.Arrival
 	in.N = min(pkt.Length, in.Want)
 	cpuBefore := in.ReceiverCPU // prepare-time work already spent
@@ -64,18 +65,26 @@ func (g *Genie) onReceive(pkt netsim.Packet) {
 			Name: "input.dispose", Sem: in.Sem.String(), Stage: StageDispose.String(),
 			Port: in.Port, Bytes: in.N, Span: in.span})
 	}
-	g.eng.ScheduleAt(done, func() {
-		in.Err = err
-		in.Done = true
-		in.CompletedAt = g.eng.Now()
-		if g.tr != nil {
-			g.tr.Emit(trace.Event{At: in.CompletedAt, Phase: trace.End, Cat: trace.CatOp, Name: "input",
-				Sem: in.Sem.String(), Port: in.Port, Bytes: in.N, Span: in.span})
-		}
-		if in.onComplete != nil {
-			in.onComplete(in)
-		}
-	})
+	in.disposeErr = err
+	if in.finish == nil {
+		in.finish = in.complete
+	}
+	g.eng.ScheduleAt(done, in.finish)
+}
+
+// complete ends the input once its dispose latency has elapsed.
+func (in *InputOp) complete() {
+	g := in.proc.g
+	in.Err, in.disposeErr = in.disposeErr, nil
+	in.Done = true
+	in.CompletedAt = g.eng.Now()
+	if g.tr != nil {
+		g.tr.Emit(trace.Event{At: in.CompletedAt, Phase: trace.End, Cat: trace.CatOp, Name: "input",
+			Sem: in.Sem.String(), Port: in.Port, Bytes: in.N, Span: in.span})
+	}
+	if in.onComplete != nil {
+		in.onComplete(in)
+	}
 }
 
 // releasePacket frees device resources of an unmatched packet.
@@ -121,7 +130,8 @@ func (g *Genie) disposeEarlyDemux(in *InputOp) (sim.Duration, error) {
 		return lat, nil
 
 	case EmulatedCopy:
-		var verifyCh []charge
+		var buf [6]charge // the dispose charges' backing store, kept off the heap
+		ch := buf[:0]
 		if on, _ := g.checksumApplies(EmulatedCopy); on {
 			// Verify in the system-side aligned buffer before swapping:
 			// a failed checksum never reaches the application buffer,
@@ -130,22 +140,22 @@ func (g *Genie) disposeEarlyDemux(in *InputOp) (sim.Duration, error) {
 			raw := make([]byte, n+checksumTrailerLen)
 			in.kbuf.readAll(raw)
 			data, sum := splitTrailer(raw)
-			verifyCh = []charge{{cost.ChecksumRead, n}}
+			ch = append(ch, charge{cost.ChecksumRead, n})
 			if !checksumVerify(data, sum) {
 				in.Addr = in.va
-				lat := g.chargeSet(StageDispose, in.octx(), verifyCh, &in.ReceiverCPU)
+				lat := g.chargeSet(StageDispose, in.octx(), ch, &in.ReceiverCPU)
 				in.kbuf.free()
 				g.chargeSet(StageDispose, in.octx(), []charge{{cost.BufDeallocate, n}}, &in.ReceiverCPU)
 				return lat, ErrChecksum
 			}
 		}
-		ch, err := g.emcopyDispose(in, in.kbuf.frames, in.kbuf.off, g.kpool)
-		in.kbuf.frames = nil // ownership transferred by emcopyDispose, even on error
+		ch, err := g.emcopyDispose(in, in.kbuf.frames, in.kbuf.off, g.kpool, ch)
+		in.kbuf.frames = in.kbuf.frames[:0] // ownership transferred by emcopyDispose, even on error
 		if err != nil {
 			return 0, err
 		}
 		in.Addr = in.va
-		lat := g.chargeSet(StageDispose, in.octx(), append(verifyCh, ch...), &in.ReceiverCPU)
+		lat := g.chargeSet(StageDispose, in.octx(), ch, &in.ReceiverCPU)
 		g.chargeSet(StageDispose, in.octx(), []charge{{cost.BufDeallocate, n}}, &in.ReceiverCPU)
 		return lat, nil
 
@@ -163,7 +173,8 @@ func (g *Genie) disposeEarlyDemux(in *InputOp) (sim.Duration, error) {
 		return g.chargeSet(StageDispose, in.octx(), []charge{{cost.Unreference, n}}, &in.ReceiverCPU), nil
 
 	case Move:
-		ch, err := g.buildRegionFromKernelBuffer(in, in.kbuf, n)
+		var buf [5]charge
+		ch, err := g.buildRegionFromKernelBuffer(in, in.kbuf, n, buf[:0])
 		if err != nil {
 			return 0, err
 		}
@@ -241,7 +252,8 @@ func (g *Genie) disposePooled(in *InputOp, pkt netsim.Packet) (sim.Duration, err
 		return lat, nil
 
 	case EmulatedCopy:
-		ch, err := g.emcopyDispose(in, pkt.Overlay, pkt.OverlayOff, pool)
+		var buf [4]charge
+		ch, err := g.emcopyDispose(in, pkt.Overlay, pkt.OverlayOff, pool, buf[:0])
 		if err != nil {
 			return 0, err
 		}
@@ -250,24 +262,25 @@ func (g *Genie) disposePooled(in *InputOp, pkt netsim.Packet) (sim.Duration, err
 		return lat + g.chargeSet(StageDispose, in.octx(), ch, &in.ReceiverCPU), nil
 
 	case Share, EmulatedShare:
-		var ch []charge
+		var buf [6]charge
+		ch := buf[:0]
 		if in.Sem == Share {
 			g.unwireFrames(in.ref)
 			ch = append(ch, charge{cost.Unwire, n})
 		}
 		in.ref.Unreference()
 		ch = append(ch, charge{cost.Unreference, n})
-		moveCh, err := g.emcopyDispose(in, pkt.Overlay, pkt.OverlayOff, pool)
+		ch, err := g.emcopyDispose(in, pkt.Overlay, pkt.OverlayOff, pool, ch)
 		if err != nil {
 			return 0, err
 		}
 		in.Addr = in.va
-		ch = append(ch, moveCh...)
 		ch = append(ch, charge{cost.OverlayDeallocate, n})
 		return lat + g.chargeSet(StageDispose, in.octx(), ch, &in.ReceiverCPU), nil
 
 	case Move:
-		ch, err := g.buildRegionFromOverlay(in, pkt, pool)
+		var buf [6]charge
+		ch, err := g.buildRegionFromOverlay(in, pkt, pool, buf[:0])
 		if err != nil {
 			return 0, err
 		}
@@ -279,7 +292,8 @@ func (g *Genie) disposePooled(in *InputOp, pkt netsim.Packet) (sim.Duration, err
 			pool.Put(pkt.Overlay...)
 			return 0, err
 		}
-		var ch []charge
+		var buf [7]charge
+		ch := buf[:0]
 		if in.Sem == WeakMove {
 			g.unwireFrames(in.ref)
 			ch = append(ch, charge{cost.Unwire, n})
@@ -333,8 +347,8 @@ func (g *Genie) disposeOutboard(in *InputOp, pkt netsim.Packet) (sim.Duration, e
 
 	switch in.Sem {
 	case Copy:
-		kbuf, err := g.allocKernelBuffer(0, n)
-		if err != nil {
+		kbuf := &in.ownKbuf
+		if err := g.allocKernelBuffer(kbuf, 0, n); err != nil {
 			return 0, err
 		}
 		ob.DMAToHost(kbuf)
@@ -362,7 +376,8 @@ func (g *Genie) disposeOutboard(in *InputOp, pkt netsim.Packet) (sim.Duration, e
 
 	case Share, EmulatedShare:
 		ob.DMAToHost(in.ref)
-		ch := []charge{{cost.OutboardDMA, n}}
+		buf := [3]charge{{cost.OutboardDMA, n}}
+		ch := buf[:1]
 		if in.Sem == Share {
 			g.unwireFrames(in.ref)
 			ch = append(ch, charge{cost.Unwire, n})
@@ -373,16 +388,16 @@ func (g *Genie) disposeOutboard(in *InputOp, pkt netsim.Packet) (sim.Duration, e
 		return g.chargeSet(StageDispose, in.octx(), ch, &in.ReceiverCPU), nil
 
 	case Move:
-		kbuf, err := g.allocKernelBuffer(0, n)
-		if err != nil {
+		kbuf := &in.ownKbuf
+		if err := g.allocKernelBuffer(kbuf, 0, n); err != nil {
 			return 0, err
 		}
 		ob.DMAToHost(kbuf)
-		ch, err := g.buildRegionFromKernelBuffer(in, kbuf, n)
+		buf := [7]charge{{cost.BufAllocate, n}, {cost.OutboardDMA, n}}
+		ch, err := g.buildRegionFromKernelBuffer(in, kbuf, n, buf[:2])
 		if err != nil {
 			return 0, err
 		}
-		ch = append([]charge{{cost.BufAllocate, n}, {cost.OutboardDMA, n}}, ch...)
 		return g.chargeSet(StageDispose, in.octx(), ch, &in.ReceiverCPU), nil
 
 	case EmulatedMove, WeakMove, EmulatedWeakMove:
@@ -391,7 +406,8 @@ func (g *Genie) disposeOutboard(in *InputOp, pkt netsim.Packet) (sim.Duration, e
 		if err != nil {
 			return 0, err
 		}
-		ch := []charge{{cost.OutboardDMA, n}}
+		buf := [5]charge{{cost.OutboardDMA, n}}
+		ch := buf[:1]
 		switch in.Sem {
 		case EmulatedMove:
 			in.ref.Unreference()
@@ -421,8 +437,9 @@ func (g *Genie) disposeOutboard(in *InputOp, pkt netsim.Packet) (sim.Duration, e
 // pages are copied out if the fill is below the reverse copyout
 // threshold, otherwise completed from the application page and swapped.
 // Ownership of the frames transfers to this function: consumed frames
-// join the application's memory object, the rest return to pool.
-func (g *Genie) emcopyDispose(in *InputOp, frames []*mem.Frame, frameOff int, pool *netsim.OverlayPool) ([]charge, error) {
+// join the application's memory object, the rest return to pool. The
+// charges are appended to ch.
+func (g *Genie) emcopyDispose(in *InputOp, frames []*mem.Frame, frameOff int, pool *netsim.OverlayPool, ch []charge) ([]charge, error) {
 	p := in.proc
 	n := in.N
 	ps := g.pageSize()
@@ -439,17 +456,23 @@ func (g *Genie) emcopyDispose(in *InputOp, frames []*mem.Frame, frameOff int, po
 			return nil, err
 		}
 		pool.Put(frames...)
-		return []charge{{cost.Copyout, n}}, nil
+		return append(ch, charge{cost.Copyout, n}), nil
 	}
 
 	g.stats.AlignedInputs++
 	var swapped, copied, reversed int
-	consumed := make([]bool, len(frames))
-	// fail returns unconsumed frames to the pool before surfacing a
-	// mid-loop error, so a transiently failing copyout (injected
-	// allocation faults) cannot leak overlay or kernel pool pages.
-	fail := func(err error) ([]charge, error) {
-		var left []*mem.Frame
+	// The consumed flags and the leftover list live on the stack for
+	// the frames of any datagram up to 64 KB in 4 KB pages.
+	var consumedBuf [stackFrames]bool
+	var leftBuf [stackFrames]*mem.Frame
+	consumed := consumedBuf[:]
+	if len(frames) > len(consumed) {
+		consumed = make([]bool, len(frames))
+	}
+	// putLeftovers returns the frames not consumed to the pool, in one
+	// Put.
+	putLeftovers := func() {
+		left := leftBuf[:0]
 		for fi, f := range frames {
 			if !consumed[fi] {
 				left = append(left, f)
@@ -458,6 +481,12 @@ func (g *Genie) emcopyDispose(in *InputOp, frames []*mem.Frame, frameOff int, po
 		if len(left) > 0 {
 			pool.Put(left...)
 		}
+	}
+	// fail returns unconsumed frames to the pool before surfacing a
+	// mid-loop error, so a transiently failing copyout (injected
+	// allocation faults) cannot leak overlay or kernel pool pages.
+	fail := func(err error) ([]charge, error) {
+		putLeftovers()
 		return nil, err
 	}
 	pageVA := vm.Addr(ps) * (va / vm.Addr(ps)) // first overlapping page
@@ -521,17 +550,8 @@ func (g *Genie) emcopyDispose(in *InputOp, frames []*mem.Frame, frameOff int, po
 			g.stats.PartialCopyouts++
 		}
 	}
-	var leftovers []*mem.Frame
-	for fi, f := range frames {
-		if !consumed[fi] {
-			leftovers = append(leftovers, f)
-		}
-	}
-	if len(leftovers) > 0 {
-		pool.Put(leftovers...)
-	}
+	putLeftovers()
 
-	var ch []charge
 	if swapped > 0 {
 		ch = append(ch, charge{cost.Swap, swapped})
 	}
@@ -548,14 +568,15 @@ func (g *Genie) emcopyDispose(in *InputOp, frames []*mem.Frame, frameOff int, po
 // with early demultiplexed or outboard buffering (Table 3): the system
 // buffer's pages are zero-completed (protection: the application must
 // not see another process's stale data), attached to a fresh region, and
-// mapped moved in. Consumed kernel pool pages are replaced.
-func (g *Genie) buildRegionFromKernelBuffer(in *InputOp, kbuf *kernelBuffer, n int) ([]charge, error) {
+// mapped moved in. Consumed kernel pool pages are replaced. The charges
+// are appended to ch.
+func (g *Genie) buildRegionFromKernelBuffer(in *InputOp, kbuf *kernelBuffer, n int, ch []charge) ([]charge, error) {
 	p := in.proc
 	ps := g.pageSize()
 	k := (n + ps - 1) / ps
 	frames := kbuf.frames[:k]
 	leftover := kbuf.frames[k:]
-	kbuf.frames = nil
+	kbuf.frames = kbuf.frames[:0]
 	if len(leftover) > 0 {
 		g.kpool.Put(leftover...)
 	}
@@ -578,16 +599,17 @@ func (g *Genie) buildRegionFromKernelBuffer(in *InputOp, kbuf *kernelBuffer, n i
 		return nil, err
 	}
 	in.Region, in.Addr = r, r.Start()
-	return []charge{
-		{cost.RegionCreate, 0}, {cost.ZeroComplete, zeroed},
-		{cost.RegionFill, n}, {cost.RegionMap, n}, {cost.RegionMarkIn, 0},
-	}, nil
+	return append(ch,
+		charge{cost.RegionCreate, 0}, charge{cost.ZeroComplete, zeroed},
+		charge{cost.RegionFill, n}, charge{cost.RegionMap, n}, charge{cost.RegionMarkIn, 0},
+	), nil
 }
 
 // buildRegionFromOverlay implements move-semantics input dispose with
 // pooled buffering (Table 4): overlay pages become the region's pages
-// and the overlay pool is refilled with fresh frames.
-func (g *Genie) buildRegionFromOverlay(in *InputOp, pkt netsim.Packet, pool *netsim.OverlayPool) ([]charge, error) {
+// and the overlay pool is refilled with fresh frames. The charges are
+// appended to ch.
+func (g *Genie) buildRegionFromOverlay(in *InputOp, pkt netsim.Packet, pool *netsim.OverlayPool, ch []charge) ([]charge, error) {
 	p := in.proc
 	n := in.N
 	ps := g.pageSize()
@@ -616,12 +638,16 @@ func (g *Genie) buildRegionFromOverlay(in *InputOp, pkt netsim.Packet, pool *net
 		return nil, err
 	}
 	in.Region, in.Addr = r, r.Start()+vm.Addr(off)
-	return []charge{
-		{cost.RegionCreate, 0}, {cost.ZeroComplete, zeroed},
-		{cost.RegionFillOverlayRefill, n}, {cost.RegionMap, n}, {cost.RegionMarkIn, 0},
-		{cost.OverlayDeallocate, n},
-	}, nil
+	return append(ch,
+		charge{cost.RegionCreate, 0}, charge{cost.ZeroComplete, zeroed},
+		charge{cost.RegionFillOverlayRefill, n}, charge{cost.RegionMap, n}, charge{cost.RegionMarkIn, 0},
+		charge{cost.OverlayDeallocate, n},
+	), nil
 }
+
+// stackFrames bounds the frame runs emcopyDispose tracks on the stack:
+// a MaxFrame datagram at any page offset spans 17 pages of 4 KB.
+const stackFrames = 17
 
 func max64(a, b vm.Addr) vm.Addr {
 	if a > b {

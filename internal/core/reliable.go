@@ -253,7 +253,7 @@ func (r *Reliable) transmit(p *relPending) {
 		r.instant("retx.send", len(p.frame))
 	}
 	next := r.rto(p.attempts)
-	if _, err := r.ep.Send(p.frame); err != nil {
+	if err := r.ep.Send(p.frame); err != nil {
 		r.stats.SendDeferrals++
 		next = r.cfg.RetryDelay
 	}
@@ -344,7 +344,7 @@ func (r *Reliable) sendAck(seq uint32, attempt int) {
 	if r.closed {
 		return
 	}
-	if _, err := r.ep.Send(buildFrame(r.ack[:], relAck, seq, nil)); err != nil {
+	if err := r.ep.Send(buildFrame(r.ack[:], relAck, seq, nil)); err != nil {
 		if attempt < sendAckRetryLimit {
 			r.eng.Schedule(sim.Duration(ackRetryUS), func() { r.sendAck(seq, attempt+1) })
 		}

@@ -240,10 +240,10 @@ func TestRPCOrphanAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	client := NewRPCClient(ec)
-	if _, err := es.Send([]byte{1, 2, 3}); err != nil { // too short to correlate
+	if err := es.Send([]byte{1, 2, 3}); err != nil { // too short to correlate
 		t.Fatal(err)
 	}
-	if _, err := es.Send([]byte{0, 0, 0, 42, 0, 0, 0, 0}); err != nil { // unknown id 42
+	if err := es.Send([]byte{0, 0, 0, 42, 0, 0, 0, 0}); err != nil { // unknown id 42
 		t.Fatal(err)
 	}
 	tb.Run()
@@ -258,18 +258,19 @@ func TestRPCOrphanAccounting(t *testing.T) {
 	}
 }
 
-// reliableAllocsPerFrame runs rounds of window Copy-semantics reliable
-// frames of payload bytes over a warmed early-demultiplexed channel and
-// returns the bytes allocated per settled (acked) frame, with the data
-// frame's length. The timeout is long enough that no frame is sent
-// twice, so every frame's cost is one transmission.
-func reliableAllocsPerFrame(t *testing.T, payload, window, rounds int) (float64, int) {
+// reliableAllocsPerFrame runs rounds of window reliable frames of
+// payload bytes with semantics sem over a warmed early-demultiplexed
+// channel and returns the bytes and the mallocs allocated per settled
+// (acked) frame, with the data frame's length. The timeout is long
+// enough that no frame is sent twice, so every frame's cost is one
+// transmission and one ack.
+func reliableAllocsPerFrame(t *testing.T, sem Semantics, payload, window, rounds int) (bytesPer, mallocsPer float64, frame int) {
 	t.Helper()
 	tb, err := NewTestbed(TestbedConfig{Buffering: netsim.EarlyDemux, FramesPerHost: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, rb, err := NewReliableChannel(tb.A.Genie.NewProcess(), tb.B.Genie.NewProcess(), 80, Copy, payload, window, ReliableConfig{RTO: 1e6})
+	ra, rb, err := NewReliableChannel(tb.A.Genie.NewProcess(), tb.B.Genie.NewProcess(), 80, sem, payload, window, ReliableConfig{RTO: 1e6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +301,8 @@ func reliableAllocsPerFrame(t *testing.T, payload, window, rounds int) (float64,
 		t.Fatalf("acked %d frames (sum %d, %d outstanding, %d retransmits), want %d once each",
 			acked, sum, ra.Outstanding(), ra.Stats().Retransmits, rounds*window)
 	}
-	return float64(m1.TotalAlloc-m0.TotalAlloc) / float64(acked), payload + relHeaderLen
+	return float64(m1.TotalAlloc-m0.TotalAlloc) / float64(acked),
+		float64(m1.Mallocs-m0.Mallocs) / float64(acked), payload + relHeaderLen
 }
 
 // TestReliableReceiveAllocs pins the borrowed-payload receive path. On a
@@ -314,7 +316,7 @@ func reliableAllocsPerFrame(t *testing.T, payload, window, rounds int) (float64,
 // A fresh receive slice, a scratch copy for verification and a payload
 // copy would each add a frame.
 func TestReliableReceiveAllocs(t *testing.T) {
-	perFrame, frame := reliableAllocsPerFrame(t, 2048, 4, 50)
+	perFrame, _, frame := reliableAllocsPerFrame(t, Copy, 2048, 4, 50)
 	t.Logf("%.0f bytes allocated per delivered %d-byte frame", perFrame, frame)
 	if limit := float64(2 * frame); perFrame > limit {
 		t.Errorf("%.0f bytes allocated per delivered frame, want at most %.0f", perFrame, limit)
@@ -331,9 +333,36 @@ func TestReliableReceiveAllocs(t *testing.T) {
 // wire-pool class, so the race detector's sync.Pool, which drops a
 // quarter of the buffers put back, costs about a quarter frame.
 func TestReliableSendAllocs(t *testing.T) {
-	perFrame, frame := reliableAllocsPerFrame(t, netsim.MaxFrame-relHeaderLen, 4, 50)
+	perFrame, _, frame := reliableAllocsPerFrame(t, Copy, netsim.MaxFrame-relHeaderLen, 4, 50)
 	t.Logf("%.0f bytes allocated per settled %d-byte frame", perFrame, frame)
 	if limit := float64(frame) / 2; perFrame > limit {
 		t.Errorf("%.0f bytes allocated per settled frame, want at most %.0f", perFrame, limit)
+	}
+}
+
+// TestReliableFrameMallocs gates the per-frame bookkeeping of the
+// closed-loop path. On a warmed 2048-byte early-demultiplexed channel a
+// settled frame (the data frame and its ack) reuses its window slot,
+// its endpoint output record, its delivery records and its kernel
+// buffer, so what is left per frame is a handful of mallocs: at most 4
+// for every semantics but move, whose dispose builds a fresh region and
+// memory object, and at most 12 for move. Allocating any of those
+// records per frame again adds two or more mallocs per frame. Under
+// -race, sync.Pool drops a quarter of the records put back, so the
+// gate is skipped there.
+func TestReliableFrameMallocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under -race")
+	}
+	for _, sem := range AllSemantics() {
+		_, mallocs, frame := reliableAllocsPerFrame(t, sem, 2048, 4, 50)
+		limit := 4.0
+		if sem == Move {
+			limit = 12
+		}
+		t.Logf("%-18v %5.1f mallocs per settled %d-byte frame (limit %.0f)", sem, mallocs, frame, limit)
+		if mallocs > limit {
+			t.Errorf("%v: %.1f mallocs per settled frame, want at most %.0f", sem, mallocs, limit)
+		}
 	}
 }

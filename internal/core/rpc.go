@@ -78,7 +78,7 @@ func (c *RPCClient) Go(req []byte) (*Call, error) {
 	binary.BigEndian.PutUint32(msg[4:], uint32(len(req)))
 	copy(msg[rpcHeaderLen:], req)
 	call := &Call{ID: id}
-	if _, err := c.ep.Send(msg); err != nil {
+	if err := c.ep.Send(msg); err != nil {
 		return nil, err
 	}
 	c.pending[id] = call
@@ -138,7 +138,7 @@ func ServeRPC(ep *Endpoint, handler func(req []byte) []byte, errFn func(error)) 
 		binary.BigEndian.PutUint32(msg, id)
 		binary.BigEndian.PutUint32(msg[4:], uint32(len(resp)))
 		copy(msg[rpcHeaderLen:], resp)
-		if _, err := ep.Send(msg); err != nil {
+		if err := ep.Send(msg); err != nil {
 			report(fmt.Errorf("core: RPC response: %w", err))
 		}
 	})

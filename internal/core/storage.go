@@ -426,7 +426,8 @@ func (s *Storage) FileWrite(p *Process, sem Semantics, block, length int, va vm.
 		}
 		prep = append(buf[:0], charge{cost.Copyin, length})
 	} else {
-		if src, prep, err = p.reference(sem, []Segment{{va, length}}, buf[:0]); err != nil {
+		src = new(source)
+		if prep, err = p.reference(src, sem, []Segment{{va, length}}, buf[:0]); err != nil {
 			return nil, err
 		}
 		content = s.gatherSource(src.refs[0], length)

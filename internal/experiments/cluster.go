@@ -151,7 +151,7 @@ func runIncastOnce(cfg ClusterBenchConfig, workers int) (WorkerRun, float64, err
 	for round := 0; round < cfg.Rounds; round++ {
 		for i, e := range ends {
 			stamp(payload, round, i, 0)
-			if _, err := e.s.Send(payload); err != nil {
+			if err := e.s.Send(payload); err != nil {
 				return WorkerRun{}, 0, fmt.Errorf("cluster: incast round %d sender %d: %w", round, i, err)
 			}
 		}
@@ -211,11 +211,11 @@ func runRingOnce(cfg ClusterBenchConfig, workers int) (WorkerRun, float64, error
 	for round := 0; round < cfg.Rounds; round++ {
 		for i, l := range links {
 			stamp(payload, round, i, 0)
-			if _, err := l.a.Send(payload); err != nil {
+			if err := l.a.Send(payload); err != nil {
 				return WorkerRun{}, 0, fmt.Errorf("cluster: ring round %d link %d fwd: %w", round, i, err)
 			}
 			stamp(payload, round, i, 1)
-			if _, err := l.b.Send(payload); err != nil {
+			if err := l.b.Send(payload); err != nil {
 				return WorkerRun{}, 0, fmt.Errorf("cluster: ring round %d link %d rev: %w", round, i, err)
 			}
 		}

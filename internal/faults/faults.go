@@ -89,21 +89,30 @@ func (s Spec) String() string {
 }
 
 // ParseSpec parses "seed=N,drop=P,dup=P,reorder=P,corrupt=P,
-// allocfail=P,pooldeny=P" (any subset, any order) and validates the
-// result. The empty string parses to the zero Spec (injection off).
+// allocfail=P,pooldeny=P" (any subset, any order, each key at most
+// once) and validates the result. The empty string parses to the zero
+// Spec (injection off). Every error quotes the token it rejects: the
+// field, the key or the value.
 func ParseSpec(s string) (Spec, error) {
 	var out Spec
 	if strings.TrimSpace(s) == "" {
 		return out, nil
 	}
+	seen := make(map[*float64]bool)
+	seedSeen := false
 	for _, field := range strings.Split(s, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(field), "=")
+		field = strings.TrimSpace(field)
+		k, v, ok := strings.Cut(field, "=")
 		if !ok {
 			return Spec{}, fmt.Errorf("faults: %q is not key=value", field)
 		}
 		k = strings.TrimSpace(k)
 		v = strings.TrimSpace(v)
 		if k == "seed" {
+			if seedSeen {
+				return Spec{}, fmt.Errorf("faults: duplicate key %q", k)
+			}
+			seedSeen = true
 			seed, err := strconv.ParseUint(v, 10, 64)
 			if err != nil {
 				return Spec{}, fmt.Errorf("faults: seed %q: %w", v, err)
@@ -111,29 +120,35 @@ func ParseSpec(s string) (Spec, error) {
 			out.Seed = seed
 			continue
 		}
+		var rate *float64
+		switch k {
+		case "drop":
+			rate = &out.Drop
+		case "dup", "duplicate":
+			rate = &out.Duplicate
+		case "reorder":
+			rate = &out.Reorder
+		case "corrupt":
+			rate = &out.Corrupt
+		case "allocfail":
+			rate = &out.AllocFail
+		case "pooldeny":
+			rate = &out.PoolDeny
+		default:
+			return Spec{}, fmt.Errorf("faults: unknown key %q (want %s)", k, knownKeys())
+		}
+		if seen[rate] {
+			return Spec{}, fmt.Errorf("faults: duplicate key %q", k)
+		}
+		seen[rate] = true
 		p, err := strconv.ParseFloat(v, 64)
 		if err != nil {
 			return Spec{}, fmt.Errorf("faults: %s %q: %w", k, v, err)
 		}
-		switch k {
-		case "drop":
-			out.Drop = p
-		case "dup", "duplicate":
-			out.Duplicate = p
-		case "reorder":
-			out.Reorder = p
-		case "corrupt":
-			out.Corrupt = p
-		case "allocfail":
-			out.AllocFail = p
-		case "pooldeny":
-			out.PoolDeny = p
-		default:
-			return Spec{}, fmt.Errorf("faults: unknown key %q (want %s)", k, knownKeys())
+		if math.IsNaN(p) || p < 0 || p > maxRate {
+			return Spec{}, fmt.Errorf("faults: %s %q outside [0, %v]", k, v, maxRate)
 		}
-	}
-	if err := out.Validate(); err != nil {
-		return Spec{}, err
+		*rate = p
 	}
 	return out, nil
 }

@@ -46,6 +46,9 @@ func TestSpecParseErrors(t *testing.T) {
 		{"drop=1.5", "drop"},
 		{"corrupt=-0.1", "corrupt"},
 		{"seed=1,drop=NaN", "drop"},
+		{"drop=0.1,drop=0.2", "duplicate key"},
+		{"dup=0.1,duplicate=0.2", "duplicate key"},
+		{"seed=1,seed=2", "duplicate key"},
 	}
 	for _, c := range cases {
 		if _, err := ParseSpec(c.in); err == nil {

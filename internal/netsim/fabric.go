@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -124,10 +125,32 @@ func (f *Fabric) transmitOK(src *NIC, port int) error {
 	return nil
 }
 
+// fabricHop is one frame in flight through the switch. Its two
+// callbacks are bound once: forward runs on the destination shard when
+// the frame reaches the switch, deliver when it has left the egress
+// port. The record is taken on the sending shard and returned on the
+// destination shard, so it lives in a sync.Pool, which is safe across
+// shard goroutines; it drops its payload before going back.
+type fabricHop struct {
+	f       *Fabric
+	d, port int
+	payload mem.Buf
+	wire    bool
+	forward func()
+	deliver func()
+}
+
+var fabricHops sync.Pool
+
 func (f *Fabric) deliverFrame(src *NIC, port int, payload mem.Buf, wire bool, at sim.Time) {
 	s := f.index[src]
-	d := f.routes[fabricKey{host: s, port: port}]
-	f.xpost(s, d, at, func() { f.forwardFrame(d, port, payload, wire) })
+	h, _ := fabricHops.Get().(*fabricHop)
+	if h == nil {
+		h = &fabricHop{}
+		h.forward, h.deliver = h.forwardFrame, h.arrive
+	}
+	h.f, h.d, h.port, h.payload, h.wire = f, f.routes[fabricKey{host: s, port: port}], port, payload, wire
+	f.xpost(s, h.d, at, h.forward)
 }
 
 func (f *Fabric) deliverFragment(src *NIC, frag fragment, at sim.Time) {
@@ -139,12 +162,20 @@ func (f *Fabric) deliverFragment(src *NIC, frag fragment, at sim.Time) {
 // forwardFrame runs on the destination shard when the frame reaches the
 // switch: it claims the egress port, serializes the frame through it,
 // and delivers to the NIC when the last byte has left the port.
-func (f *Fabric) forwardFrame(d, port int, payload mem.Buf, wire bool) {
-	p := f.ports[d]
+func (h *fabricHop) forwardFrame() {
+	p := h.f.ports[h.d]
 	start := p.eng.Now().Max(p.busyUntil)
-	p.busyUntil = start.Add(sim.Duration(f.perByteUS * float64(payload.Len())))
-	nic := p.nic
-	p.eng.ScheduleAt(p.busyUntil, func() { nic.receive(port, payload, wire) })
+	p.busyUntil = start.Add(sim.Duration(h.f.perByteUS * float64(h.payload.Len())))
+	p.eng.ScheduleAt(p.busyUntil, h.deliver)
+}
+
+// arrive hands the frame to the destination adapter, returning the
+// record first.
+func (h *fabricHop) arrive() {
+	nic, port, payload, wire := h.f.ports[h.d].nic, h.port, h.payload, h.wire
+	h.f, h.payload = nil, mem.Buf{}
+	fabricHops.Put(h)
+	nic.receive(port, payload, wire)
 }
 
 // forwardFragment is forwardFrame for one fragment of a datagram.

@@ -23,6 +23,7 @@ package netsim
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/faults"
 	"repro/internal/mem"
@@ -305,7 +306,7 @@ func (n *NIC) UnpostInput(port int) bool {
 	if len(q) == 0 {
 		return false
 	}
-	n.posted[port] = q[1:]
+	n.posted[port] = slices.Delete(q, 0, 1)
 	return true
 }
 
@@ -486,7 +487,7 @@ func (n *NIC) receiveAttempt(port int, payload mem.Buf, attempt int) bool {
 	case EarlyDemux:
 		if q := n.posted[port]; len(q) > 0 {
 			post := q[0]
-			n.posted[port] = q[1:]
+			n.posted[port] = slices.Delete(q, 0, 1) // in place: the list keeps its capacity
 			limit := min(payload.Len(), post.target.Len())
 			post.target.DMAWrite(0, payload.Slice(0, limit))
 			if n.tr != nil {
@@ -633,6 +634,31 @@ type Link struct {
 	perByteUS float64 // serialization cost, us per payload byte
 	fixedUS   float64 // propagation + device + interrupt + OS fixed path
 	a, b      *NIC
+
+	idle []*linkHop // delivered frames' records, reused by deliverFrame
+}
+
+// linkHop is one frame in flight on a Link. Its delivery callback is
+// bound once; the record returns to the link's idle list when the frame
+// arrives, and drops the payload then. Everything runs on the link's
+// one engine, so the list needs no locking, and it holds at most as
+// many records as frames were ever in flight at once.
+type linkHop struct {
+	l       *Link
+	dst     *NIC
+	port    int
+	payload mem.Buf
+	wire    bool
+	fire    func()
+}
+
+// arrive hands the frame to the destination adapter after returning
+// the record, so the receive upcall's own sends can reuse it.
+func (h *linkHop) arrive() {
+	dst, port, payload, wire := h.dst, h.port, h.payload, h.wire
+	h.dst, h.payload = nil, mem.Buf{}
+	h.l.idle = append(h.l.idle, h)
+	dst.receive(port, payload, wire)
 }
 
 // NewLink creates a link with the given base-latency parameters (the
@@ -662,8 +688,16 @@ func (l *Link) peerOf(src *NIC) *NIC {
 func (l *Link) transmitOK(*NIC, int) error { return nil }
 
 func (l *Link) deliverFrame(src *NIC, port int, payload mem.Buf, wire bool, at sim.Time) {
-	dst := l.peerOf(src)
-	l.eng.ScheduleAt(at, func() { dst.receive(port, payload, wire) })
+	var h *linkHop
+	if k := len(l.idle) - 1; k >= 0 {
+		h = l.idle[k]
+		l.idle = l.idle[:k]
+	} else {
+		h = &linkHop{l: l}
+		h.fire = h.arrive
+	}
+	h.dst, h.port, h.payload, h.wire = l.peerOf(src), port, payload, wire
+	l.eng.ScheduleAt(at, h.fire)
 }
 
 func (l *Link) deliverFragment(src *NIC, f fragment, at sim.Time) {

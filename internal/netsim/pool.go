@@ -90,13 +90,17 @@ func (p *OverlayPool) Underflows() uint64 { return p.hwm.Underflows() }
 // cycles (move semantics) settle back to true occupancy.
 func (p *OverlayPool) gauge() { p.hwm.Set(p.total - len(p.free)) }
 
-// Get removes n pages from the pool.
-func (p *OverlayPool) Get(n int) ([]*mem.Frame, error) {
+// Get removes n pages from the pool into a new slice.
+func (p *OverlayPool) Get(n int) ([]*mem.Frame, error) { return p.GetAppend(nil, n) }
+
+// GetAppend removes n pages from the pool and appends them to dst, so a
+// caller that keeps one slice per buffer reuses its storage. On error
+// dst is returned unchanged.
+func (p *OverlayPool) GetAppend(dst []*mem.Frame, n int) ([]*mem.Frame, error) {
 	if n > len(p.free) {
-		return nil, fmt.Errorf("%w: need %d, have %d", ErrPoolDepleted, n, len(p.free))
+		return dst, fmt.Errorf("%w: need %d, have %d", ErrPoolDepleted, n, len(p.free))
 	}
-	frames := make([]*mem.Frame, n)
-	copy(frames, p.free[len(p.free)-n:])
+	frames := append(dst, p.free[len(p.free)-n:]...)
 	p.free = p.free[:len(p.free)-n]
 	p.gauge()
 	if p.tr != nil {

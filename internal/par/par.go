@@ -147,7 +147,10 @@ type RecycleStats struct {
 // hands back, which is usually one last used on the same P, and claims
 // it only if it is still in the free set. Objects the pool drops at a
 // GC, or still holds after the free set gave them out, cost nothing
-// but a retry.
+// but a retry. The pool holds each free object through a box that is
+// emptied when the object leaves the free set, by Get or by Reset: a
+// sync.Pool keeps what it holds for up to two collections, which must
+// not keep a dropped object graph alive.
 type Recycler[K comparable, T interface {
 	comparable
 	Reset() error
@@ -159,10 +162,25 @@ type Recycler[K comparable, T interface {
 }
 
 // freeList is one key's free objects: the set is the source of truth,
-// the pool a per-P hint that may hold stale or duplicate entries.
+// the pool a per-P hint that may hold stale boxes.
 type freeList[T comparable] struct {
-	free map[T]struct{}
+	free map[T]*hintBox[T] // each free object and its box in the pool
 	hint sync.Pool
+}
+
+// hintBox is what the hint pool holds for a free object; an emptied box
+// holds the zero T, which is never free.
+type hintBox[T any] struct{ t T }
+
+// take removes t from the free set and empties its box, reporting
+// whether t was free.
+func (l *freeList[T]) take(t T) bool {
+	b, free := l.free[t]
+	if free {
+		*b = hintBox[T]{}
+		delete(l.free, t)
+	}
+	return free
 }
 
 // claim removes and returns a free object for key, preferring the one
@@ -172,14 +190,12 @@ func (r *Recycler[K, T]) claim(key K) (T, bool) {
 	defer r.mu.Unlock()
 	if l := r.lists[key]; l != nil {
 		for v := l.hint.Get(); v != nil; v = l.hint.Get() {
-			t := v.(T)
-			if _, free := l.free[t]; free {
-				delete(l.free, t)
+			if t := v.(*hintBox[T]).t; l.take(t) {
 				return t, true
 			}
 		}
 		for t := range l.free {
-			delete(l.free, t)
+			l.take(t)
 			return t, true
 		}
 	}
@@ -221,11 +237,12 @@ func (r *Recycler[K, T]) Put(key K, t T) {
 		if r.lists == nil {
 			r.lists = make(map[K]*freeList[T])
 		}
-		l = &freeList[T]{free: make(map[T]struct{})}
+		l = &freeList[T]{free: make(map[T]*hintBox[T])}
 		r.lists[key] = l
 	}
-	l.free[t] = struct{}{}
-	l.hint.Put(t)
+	b := &hintBox[T]{t}
+	l.free[t] = b
+	l.hint.Put(b)
 }
 
 // Stats returns the recycler's counters.
@@ -237,9 +254,15 @@ func (r *Recycler[K, T]) Stats() RecycleStats {
 	}
 }
 
-// Reset drops every free list and zeroes the counters.
+// Reset drops every free list, emptying the boxes the hint pools may
+// still hold, and zeroes the counters.
 func (r *Recycler[K, T]) Reset() {
 	r.mu.Lock()
+	for _, l := range r.lists {
+		for t := range l.free {
+			l.take(t)
+		}
+	}
 	r.lists = nil
 	r.mu.Unlock()
 	r.built.Store(0)

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func identityHash(k int) uint64 { return uint64(k) }
@@ -176,6 +177,43 @@ func TestRecyclerSurvivesGC(t *testing.T) {
 	}
 	if st := r.Stats(); st.Recycled != 1 || st.Built != 0 {
 		t.Errorf("stats = %+v, want 1 recycled and 0 built", st)
+	}
+}
+
+// TestRecyclerResetReleasesObjects: Reset drops its free objects, and
+// the sync.Pool hint must not keep them alive for the two collections a
+// pool holds what it was given. After Reset and one collection, every
+// object Put before it, and one claimed from the hint and Put again,
+// is unreachable. A hint pool holding the objects themselves keeps
+// them through that collection.
+func TestRecyclerResetReleasesObjects(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under -race")
+	}
+	var r Recycler[int, *obj]
+	const n = 4
+	freed := make(chan int, n)
+	func() {
+		for i := 0; i < n; i++ {
+			o := &obj{resets: i}
+			runtime.SetFinalizer(o, func(o *obj) { freed <- o.resets })
+			r.Put(i%2, o)
+		}
+		o, err := r.Get(0, func() (*obj, error) { return nil, errors.New("built") })
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Put(0, o)
+	}()
+	r.Reset()
+	runtime.GC()
+	deadline := time.After(5 * time.Second)
+	for got := 0; got < n; got++ {
+		select {
+		case <-freed:
+		case <-deadline:
+			t.Fatalf("%d of %d objects still reachable after Reset and one collection", n-got, n)
+		}
 	}
 }
 

@@ -25,13 +25,29 @@ type refEntry struct {
 // IORef is the result of page referencing (Section 3.1): an I/O request
 // descriptor with the request's physical extents, holding input or
 // output references on every page it covers. Dropping the references via
-// Unreference completes any I/O-deferred deallocation.
+// Unreference completes any I/O-deferred deallocation. A one-page
+// request keeps its extent and entry in the IORef itself, so
+// referencing it allocates at most the IORef; an owner that holds one
+// request at a time embeds its IORef and refills it with the Into
+// variants, which allocate nothing for one page. An IORef points into
+// itself and must not be copied.
 type IORef struct {
 	sys     *System
 	input   bool
 	extents []Extent
 	entries []refEntry
 	done    bool
+
+	oneExtent [1]Extent   // extents' backing store for one page
+	oneEntry  [1]refEntry // entries' backing store for one page
+}
+
+// init empties ref for a new request whose first page is stored
+// inline.
+func (ref *IORef) init(sys *System, input bool) {
+	*ref = IORef{sys: sys, input: input}
+	ref.extents = ref.oneExtent[:0]
+	ref.entries = ref.oneEntry[:0]
 }
 
 // ReferenceRange performs Genie's page referencing on [va, va+length):
@@ -40,11 +56,23 @@ type IORef struct {
 // private writable copy, per Section 3.3), builds the physical extent
 // descriptor, and raises input or output reference counts.
 func (as *AddressSpace) ReferenceRange(va Addr, length int, input bool) (*IORef, error) {
-	sys := as.sys
-	if length <= 0 {
-		return nil, fmt.Errorf("vm: ReferenceRange(%#x, %d): empty range", va, length)
+	ref := new(IORef)
+	if err := as.ReferenceRangeInto(ref, va, length, input); err != nil {
+		return nil, err
 	}
-	ref := &IORef{sys: sys, input: input}
+	return ref, nil
+}
+
+// ReferenceRangeInto is ReferenceRange filling the caller's ref, whose
+// earlier references, if any, must have been dropped. On error ref
+// holds no references.
+func (as *AddressSpace) ReferenceRangeInto(ref *IORef, va Addr, length int, input bool) error {
+	sys := as.sys
+	ref.init(sys, input)
+	if length <= 0 {
+		ref.done = true
+		return fmt.Errorf("vm: ReferenceRange(%#x, %d): empty range", va, length)
+	}
 	off := 0
 	for off < length {
 		cur := va + Addr(off)
@@ -55,11 +83,11 @@ func (as *AddressSpace) ReferenceRange(va Addr, length int, input bool) (*IORef,
 		r := as.FindRegion(cur)
 		if r == nil || !r.state.Accessible() {
 			ref.rollback()
-			return nil, fmt.Errorf("%w: ReferenceRange at %#x", ErrFault, cur)
+			return fmt.Errorf("%w: ReferenceRange at %#x", ErrFault, cur)
 		}
 		if err := as.ensureMapped(pageVA, input); err != nil {
 			ref.rollback()
-			return nil, err
+			return err
 		}
 		pte := as.pt[pageVA]
 		if input {
@@ -73,14 +101,24 @@ func (as *AddressSpace) ReferenceRange(va Addr, length int, input bool) (*IORef,
 		ref.extents = append(ref.extents, Extent{Frame: pte.Frame, Off: pgOff, Len: n})
 		off += n
 	}
-	return ref, nil
+	return nil
 }
 
 // ReferenceRegion references a whole moved-in region for input reuse —
 // the prepare step of (emulated) (weak) move input.
 func (as *AddressSpace) ReferenceRegion(r *Region, length int, input bool) (*IORef, error) {
+	ref := new(IORef)
+	if err := as.ReferenceRegionInto(ref, r, length, input); err != nil {
+		return nil, err
+	}
+	return ref, nil
+}
+
+// ReferenceRegionInto is ReferenceRegion filling the caller's ref, under
+// ReferenceRangeInto's rules.
+func (as *AddressSpace) ReferenceRegionInto(ref *IORef, r *Region, length int, input bool) error {
 	sys := as.sys
-	ref := &IORef{sys: sys, input: input}
+	ref.init(sys, input)
 	ps := sys.pageSize
 	pages := sys.pageCount(r.start, length)
 	for i := 0; i < pages; i++ {
@@ -92,7 +130,7 @@ func (as *AddressSpace) ReferenceRegion(r *Region, length int, input bool) (*IOR
 			nf, err := allocPrivate(sys, r.object, pi, f)
 			if err != nil {
 				ref.rollback()
-				return nil, err
+				return err
 			}
 			f = nf
 		}
@@ -107,7 +145,7 @@ func (as *AddressSpace) ReferenceRegion(r *Region, length int, input bool) (*IOR
 		}
 		ref.extents = append(ref.extents, Extent{Frame: f, Off: 0, Len: n})
 	}
-	return ref, nil
+	return nil
 }
 
 // allocPrivate materializes page pi privately in obj, copying from a
