@@ -215,6 +215,64 @@ func TestTable2SenderPaths(t *testing.T) {
 	}
 }
 
+// TestTable34ReceiverPaths: FileRead, the receive side whose system
+// buffer is the page cache, charges the per-stage (op, bytes) sequence
+// fileReadCharges states for every semantics, at a page-aligned
+// destination with and without a partial tail and at an unaligned one
+// (where emulated copy cannot flip and copies everything out).
+func TestTable34ReceiverPaths(t *testing.T) {
+	const bs = 4096
+	shapes := []struct {
+		name      string
+		off, n    int
+		flippable bool
+	}{
+		{"aligned", 0, 4 * bs, true},
+		{"aligned+tail", 0, 2*bs + 300, true},
+		{"unaligned+tail", 100, 2*bs + 300, false},
+	}
+	for _, sh := range shapes {
+		for _, sem := range AllSemantics() {
+			t.Run(sh.name+"/"+sem.String(), func(t *testing.T) {
+				tb, s := storageBed(t, DiskConfig{CachePages: 32})
+				loadFile(t, s, 8)
+				p := tb.A.Genie.NewProcess()
+				var va vm.Addr
+				if !sem.SystemAllocated() {
+					va = mustBrk(t, p, sh.n+bs) + vm.Addr(sh.off)
+					if err := p.Write(va, make([]byte, sh.n)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				in := tb.A.Genie.Instr()
+				in.Enabled = true
+				op, err := s.FileRead(p, sem, 1, sh.n, va)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tb.Run()
+				if !op.Done || op.Err != nil {
+					t.Fatalf("read not done (err %v)", op.Err)
+				}
+				flipped := 0
+				if sh.flippable {
+					flipped = sh.n / bs * bs
+				}
+				wantPrep, wantDisp := fileReadCharges(sem, sh.n, flipped)
+				if got := recordsOfStage(in, StagePrepare); !slices.Equal(got, wantPrep) {
+					t.Errorf("prepare charges = %v, want %v", got, wantPrep)
+				}
+				if got := recordsOfStage(in, StageDispose); !slices.Equal(got, wantDisp) {
+					t.Errorf("dispose charges = %v, want %v", got, wantDisp)
+				}
+				if got := recordsOfStage(in, StageReady); len(got) != 0 {
+					t.Errorf("ready charges = %v, want none", got)
+				}
+			})
+		}
+	}
+}
+
 // TestTablesCoverAllSemantics: every semantics has a declared sequence
 // in every table.
 func TestTablesCoverAllSemantics(t *testing.T) {
