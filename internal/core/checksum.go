@@ -84,9 +84,6 @@ func (g *Genie) checksumApplies(sem Semantics) (bool, error) {
 	return true, nil
 }
 
-// checksumVerify is a local alias so the dispose paths read cleanly.
-func checksumVerify(data []byte, sum uint16) bool { return checksum.Verify(data, sum) }
-
 // appendTrailer attaches the payload checksum as a big-endian trailer.
 // Checksumming is an inherently content-touching operation, so the
 // payload is materialized here even on the symbolic plane (the model
@@ -103,37 +100,42 @@ func splitTrailer(data []byte) (payload []byte, sum uint16) {
 	return data[:n], uint16(data[n])<<8 | uint16(data[n+1])
 }
 
-// verifyCopyInput implements checksummed dispose for copy semantics with
-// early demultiplexing. It returns the charges and whether the payload
-// was delivered to the application buffer.
-func (g *Genie) verifyCopyInput(in *InputOp, data []byte, sum uint16) (ch []charge, delivered bool, err error) {
-	n := len(data)
-	switch g.cfg.Checksum {
-	case ChecksumSeparate:
-		// Verify in the system buffer first; only good data reaches the
-		// application.
-		ch = append(ch, charge{cost.ChecksumRead, n})
-		if !checksum.Verify(data, sum) {
-			return ch, false, ErrChecksum
-		}
-		if err := in.proc.as.Poke(in.va, data); err != nil {
-			return ch, false, err
-		}
-		ch = append(ch, charge{cost.Copyout, n})
-		return ch, true, nil
-
-	case ChecksumIntegrated:
+// verifyStaged is the one checksum-verify step of checksummed dispose
+// (early demultiplexing): the staged payload is read with its trailer
+// and verified before any data passing — under ChecksumSeparate, and
+// always for emulated copy, which has no copy to integrate into — or,
+// for copy semantics under ChecksumIntegrated, during the copyout.
+// Copy semantics delivers the payload here. The charges are appended to
+// ch; a failed verification returns ErrChecksum.
+func (g *Genie) verifyStaged(in *InputOp, b *kernelBuffer, ch []charge) ([]charge, error) {
+	n := in.N
+	raw := make([]byte, n+checksumTrailerLen)
+	b.readAll(raw)
+	data, sum := splitTrailer(raw)
+	if in.Sem == Copy && g.cfg.Checksum == ChecksumIntegrated {
 		// One pass: the copy happens regardless of the outcome. On
 		// failure the application buffer holds the faulty data — the
 		// semantic weakening the paper warns about, observable here.
 		if err := in.proc.as.Poke(in.va, data); err != nil {
-			return ch, false, err
+			return ch, err
 		}
 		ch = append(ch, charge{cost.ChecksumCopy, n})
 		if !checksum.Verify(data, sum) {
-			return ch, true, ErrChecksum
+			return ch, ErrChecksum
 		}
-		return ch, true, nil
+		return ch, nil
 	}
-	return nil, false, ErrChecksumUnsupported
+	// Verify in the system buffer first; only good data reaches the
+	// application.
+	ch = append(ch, charge{cost.ChecksumRead, n})
+	if !checksum.Verify(data, sum) {
+		return ch, ErrChecksum
+	}
+	if in.Sem != Copy {
+		return ch, nil
+	}
+	if err := in.proc.as.Poke(in.va, data); err != nil {
+		return ch, err
+	}
+	return append(ch, charge{cost.Copyout, n}), nil
 }

@@ -381,8 +381,14 @@ func (g *Genie) unwireFrames(ref *vm.IORef) {
 // recycleFrame returns a frame displaced by input page swapping to the
 // given pool — unless I/O references are still draining on it, in which
 // case its deallocation is deferred and the pool is refilled with a
-// fresh frame instead.
+// fresh frame instead. With no pool the frame is released.
 func (g *Genie) recycleFrame(pool *netsim.OverlayPool, f *mem.Frame) error {
+	if pool == nil {
+		if f != nil {
+			g.sys.Phys().Release(f)
+		}
+		return nil
+	}
 	if f == nil {
 		return g.refill(pool, 1)
 	}
@@ -392,6 +398,18 @@ func (g *Genie) recycleFrame(pool *netsim.OverlayPool, f *mem.Frame) error {
 	}
 	pool.Put(f)
 	return nil
+}
+
+// putFrames returns frames to pool in one Put, or releases them when
+// there is no pool.
+func (g *Genie) putFrames(pool *netsim.OverlayPool, frames []*mem.Frame) {
+	if pool != nil {
+		pool.Put(frames...)
+		return
+	}
+	for _, f := range frames {
+		g.sys.Phys().Release(f)
+	}
 }
 
 // Pool-refill retry bounds under injected allocation faults.

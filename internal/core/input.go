@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/cost"
+	"repro/internal/mem"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -37,14 +38,15 @@ type InputOp struct {
 	// Internal plumbing.
 	proc   *Process
 	va     vm.Addr       // application buffer (application-allocated)
-	ref    *vm.IORef     // in-place page references, if any (&ownRef)
-	wired  bool          // ref frames wired (non-emulated semantics)
 	kbuf   *kernelBuffer // system or aligned buffer, if any (&ownKbuf)
 	region *vm.Region    // system-allocated input region
+	// src holds the application pages the device writes in place (the
+	// share family, cached move-family regions, outboard emulated copy),
+	// referenced and wired exactly as output holds its source.
+	src source
 
-	// The record's own reference and kernel buffer; the buffer's frame
-	// slice keeps its storage across reuse.
-	ownRef  vm.IORef
+	// The record's own kernel buffer; its frame slice keeps its storage
+	// across reuse.
 	ownKbuf kernelBuffer
 
 	// finish is the dispose-completion event, bound once per record;
@@ -87,23 +89,13 @@ func (in *InputOp) Cancel() bool {
 	g.recvQ[in.Port] = append(q[:idx:idx], q[idx+1:]...)
 	g.rebuildPostings(in.Port)
 
-	if in.ref != nil {
-		if in.wired {
-			g.unwireFrames(in.ref)
-		}
-		in.ref.Unreference()
-	}
+	in.src.abort()
 	if in.kbuf != nil {
 		in.kbuf.free()
 	}
 	if in.region != nil && !in.region.Removed() {
 		// Return the cached region to its queue.
-		weak := in.Sem == WeakMove || in.Sem == EmulatedWeakMove
-		if weak {
-			_ = in.region.AbortMoveIn(true)
-		} else {
-			_ = in.region.AbortMoveIn(false)
-		}
+		_ = in.region.AbortMoveIn(in.Sem == WeakMove || in.Sem == EmulatedWeakMove)
 	}
 	in.Done = true
 	in.Err = ErrCancelled
@@ -126,8 +118,8 @@ func (g *Genie) rebuildPostings(port int) {
 	}
 	for _, in := range g.recvQ[port] {
 		switch {
-		case in.ref != nil:
-			g.nic.PostInput(port, in.ref)
+		case len(in.src.refs) > 0:
+			g.nic.PostInput(port, &in.src.ownRef)
 		case in.kbuf != nil:
 			g.nic.PostInput(port, in.kbuf)
 		}
@@ -173,6 +165,7 @@ func (p *Process) input(in *InputOp, port int, sem Semantics, va vm.Addr, length
 		onComplete: in.onComplete, finish: in.finish,
 		ownKbuf: kernelBuffer{frames: in.ownKbuf.frames[:0]},
 	}
+	in.src.init(p, sem)
 	if _, err := g.checksumApplies(sem); err != nil {
 		return err
 	}
@@ -216,18 +209,12 @@ func (p *Process) input(in *InputOp, port int, sem Semantics, va vm.Addr, length
 	case Share, EmulatedShare:
 		// In-place input: reference (and for share, wire) the
 		// application's pages and hand them to the device.
-		if err := p.as.ReferenceRangeInto(&in.ownRef, va, length, true); err != nil {
+		if err := p.as.ReferenceRangeInto(&in.src.ownRef, va, length, true); err != nil {
 			return err
 		}
-		in.ref = &in.ownRef
-		prep = append(prep, charge{cost.Reference, length})
-		if sem == Share {
-			g.wireFrames(in.ref)
-			in.wired = true
-			prep = append(prep, charge{cost.Wire, length})
-		}
+		prep = in.src.hold(&in.src.ownRef, length, prep)
 		if scheme == netsim.EarlyDemux {
-			g.nic.PostInput(port, in.ref)
+			g.nic.PostInput(port, &in.src.ownRef)
 		}
 
 	case Move:
@@ -244,18 +231,12 @@ func (p *Process) input(in *InputOp, port int, sem Semantics, va vm.Addr, length
 			return err
 		}
 		in.region = r
-		prep = append(ch, charge{cost.Reference, length})
-		if err := p.as.ReferenceRegionInto(&in.ownRef, r, regionSpan(g, length), true); err != nil {
+		if err := p.as.ReferenceRegionInto(&in.src.ownRef, r, regionSpan(g, length), true); err != nil {
 			return err
 		}
-		in.ref = &in.ownRef
-		if sem == WeakMove {
-			g.wireFrames(in.ref)
-			in.wired = true
-			prep = append(prep, charge{cost.Wire, length})
-		}
+		prep = in.src.hold(&in.src.ownRef, length, ch)
 		if scheme == netsim.EarlyDemux {
-			g.nic.PostInput(port, in.ref)
+			g.nic.PostInput(port, &in.src.ownRef)
 		}
 	}
 
@@ -318,17 +299,21 @@ func (p *Process) prepareCachedRegion(sem Semantics, length int, prep []charge) 
 // application (advertently or not) removed it mid-input, the in-flight
 // pages are mapped to a fresh region so the location returned to the
 // application is always valid (Section 6.2.1).
-func (g *Genie) checkRegion(p *Process, r *vm.Region, ref *vm.IORef, length int) (*vm.Region, error) {
+func (g *Genie) checkRegion(p *Process, r *vm.Region, ref *vm.IORef) (*vm.Region, error) {
 	if !r.Removed() {
 		return r, nil
 	}
 	g.stats.RegionsRemapped++
-	nr, err := p.as.AllocRegion(r.Len(), vm.MovingIn)
+	return p.adoptRegion(r.Len(), ref.Frames())
+}
+
+// adoptRegion allocates a fresh moving-in region of size bytes whose
+// first pages are frames — a removed cached region's in-flight pages, or
+// the cache pages a move-family FileRead donates.
+func (p *Process) adoptRegion(size int, frames []*mem.Frame) (*vm.Region, error) {
+	r, err := p.as.AllocRegion(size, vm.MovingIn)
 	if err != nil {
 		return nil, err
 	}
-	if err := nr.AdoptFrames(ref.Frames()); err != nil {
-		return nil, err
-	}
-	return nr, nil
+	return r, r.AdoptFrames(frames)
 }

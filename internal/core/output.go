@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cost"
 	"repro/internal/mem"
@@ -186,8 +187,9 @@ func (p *Process) peekWire(va vm.Addr, length int) (mem.Buf, error) {
 
 // source is an application buffer held in place for a device: Table 2's
 // sender side for every semantics except copy, whose data leaves
-// through a system buffer instead. Output, OutputV and FileWrite share
-// it; an OutputOp keeps its source in the record.
+// through a system buffer instead, and the receive side's in-place
+// pages. Output, OutputV, FileWrite, Input and FileRead share it; an
+// OutputOp and an InputOp keep theirs in the record.
 type source struct {
 	p      *Process
 	sem    Semantics
@@ -203,8 +205,7 @@ type source struct {
 // one segment, the start of a moved-in region, which the operation
 // consumes. A failing segment releases the segments before it.
 func (p *Process) reference(src *source, sem Semantics, segs []Segment, prep []charge) ([]charge, error) {
-	*src = source{p: p, sem: sem}
-	src.refs = src.one[:0]
+	src.init(p, sem)
 	if sem.SystemAllocated() {
 		return src.moveOut(segs[0], prep)
 	}
@@ -224,6 +225,12 @@ func (p *Process) reference(src *source, sem Semantics, segs []Segment, prep []c
 		}
 	}
 	return prep, nil
+}
+
+// init empties src for an operation of p under sem.
+func (src *source) init(p *Process, sem Semantics) {
+	*src = source{p: p, sem: sem}
+	src.refs = src.one[:0]
 }
 
 // moveOut references the moved-in region starting at s for a
@@ -291,7 +298,7 @@ func (src *source) read() mem.Buf {
 // segment is unwired and unreferenced, then a move's region is removed
 // or hidden.
 func (src *source) release(ch []charge) []charge {
-	ch = src.unhold(ch)
+	ch = src.unhold(ch, math.MaxInt)
 	r := src.region
 	switch src.sem {
 	case Move:
@@ -314,10 +321,12 @@ func (src *source) release(ch []charge) []charge {
 }
 
 // unhold unwires and unreferences every segment, appending the charges
-// to ch.
-func (src *source) unhold(ch []charge) []charge {
+// to ch. The charges cover at most limit bytes in all: an input charges
+// the bytes it received, not the buffer it posted.
+func (src *source) unhold(ch []charge, limit int) []charge {
 	for _, ref := range src.refs {
-		n := ref.Len()
+		n := min(ref.Len(), limit)
+		limit -= n
 		if !src.sem.Emulated() {
 			src.p.g.unwireFrames(ref)
 			ch = append(ch, charge{cost.Unwire, n})
@@ -333,7 +342,8 @@ func (src *source) unhold(ch []charge) []charge {
 // returns to moved in with the application's access reinstated, so a
 // failed operation leaves the buffer as it found it.
 func (src *source) abort() {
-	src.unhold(nil)
+	var scratch [2]charge
+	src.unhold(scratch[:0], 0)
 	if r := src.region; r != nil {
 		_ = r.AbortMoveOut()
 		if !src.sem.WeakIntegrity() {

@@ -13,10 +13,11 @@ import (
 )
 
 // onReceive is the protocol stack's upcall at frame arrival: it matches
-// the packet with the oldest posted input on its port, performs the
-// ready- and dispose-time operations for the input's semantics and the
-// device's buffering architecture, and completes the input after their
-// latency has elapsed on the simulated clock.
+// the packet with the oldest posted input on its port, stages the
+// payload where the device's buffering architecture leaves it, performs
+// the ready- and dispose-time operations for the input's semantics, and
+// completes the input after their latency has elapsed on the simulated
+// clock.
 func (g *Genie) onReceive(pkt netsim.Packet) {
 	q := g.recvQ[pkt.Port]
 	if len(q) == 0 {
@@ -32,16 +33,45 @@ func (g *Genie) onReceive(pkt netsim.Packet) {
 	in.ArrivedAt = pkt.Arrival
 	in.N = min(pkt.Length, in.Want)
 	cpuBefore := in.ReceiverCPU // prepare-time work already spent
+	n := in.N
 
-	var lat sim.Duration
-	var err error
+	var (
+		lat sim.Duration
+		err error
+		st  staging
+		ovl kernelBuffer // overlay pages, under pooled buffering
+		buf [12]charge   // the dispose charges' backing store, kept off the heap
+	)
 	switch {
 	case pkt.Direct:
-		lat, err = g.disposeEarlyDemux(in)
+		// Table 3: the payload was DMAed into the posted buffer, a
+		// system or aligned buffer or the application's own pages.
+		st = staging{buf: in.kbuf, posted: true}
+		lat, err = g.dispose(in, &st, buf[:0])
 	case pkt.Overlay != nil:
-		lat, err = g.disposePooled(in, pkt)
+		// Table 4: the payload sits in overlay pages from the device
+		// pool, and the ready stage contributes to latency as well.
+		ready := g.chargeSet(StageReady, in.octx(), []charge{
+			{cost.OverlayAllocate, n}, {cost.Overlay, n},
+		}, &in.ReceiverCPU)
+		ovl = kernelBuffer{frames: pkt.Overlay, off: pkt.OverlayOff, pool: g.nic.Pool()}
+		st = staging{buf: &ovl, pooled: true}
+		if lat, err = g.dispose(in, &st, buf[:0]); err == nil {
+			lat = ready + lat
+		}
 	case pkt.Outboard != nil:
-		lat, err = g.disposeOutboard(in, pkt)
+		// Section 6.2.3: the payload waits in adapter memory and is
+		// DMAed into its staging place at dispose time, which gives
+		// strong integrity for every semantics.
+		var ch []charge
+		if ch, err = g.stageOutboard(in, pkt.Outboard, &st, buf[:0]); err == nil {
+			lat, err = g.dispose(in, &st, ch)
+		}
+		if err != nil {
+			lat = 0
+		}
+		g.chargeSet(StageDispose, in.octx(), []charge{{cost.BufDeallocate, n}}, &in.ReceiverCPU)
+		pkt.Outboard.Free()
 	default:
 		err = fmt.Errorf("core: packet with no payload placement")
 	}
@@ -97,461 +127,149 @@ func (g *Genie) releasePacket(pkt netsim.Packet) {
 	}
 }
 
-// disposeEarlyDemux implements the dispose column of Table 3: the
-// payload was already DMAed into the posted buffer (the application's
-// own pages for in-place semantics, a system or aligned buffer for copy,
-// emulated copy, and move).
-func (g *Genie) disposeEarlyDemux(in *InputOp) (sim.Duration, error) {
-	p := in.proc
+// staging is where a received payload waits at dispose time. It is a
+// run of frames — a kernel buffer (early demultiplexing; outboard copy
+// and move after their DMA) or overlay pages (pooled buffering) — or,
+// with buf nil, the application's own pages, held in the input's
+// source (the in-place semantics and cached move-family regions, with
+// outboard DMAing into them first). The page cache is FileRead's
+// staging place, and adapter memory is only ever the source of
+// outboard's DMA.
+type staging struct {
+	buf *kernelBuffer // the frames holding the payload; nil: the application's pages
+	// posted marks the early-demultiplexed posted buffer: its frames
+	// return to the pool after the dispose charges, and its
+	// deallocation costs CPU but no latency — unless a move maps the
+	// buffer instead.
+	posted bool
+	// pooled marks overlay pages, whose deallocation (and a move's pool
+	// refill) Table 4 charges in latency.
+	pooled bool
+}
+
+// release returns the frames not yet consumed to their pool.
+func (st *staging) release() {
+	if st.buf != nil {
+		st.buf.free()
+	}
+}
+
+// stageOutboard DMAs the outboard payload into its staging place:
+// application-allocated in-place buffers receive it directly (emulated
+// copy references its buffer now), copy and move stage it in a fresh
+// kernel buffer. It appends the charges to ch.
+func (g *Genie) stageOutboard(in *InputOp, ob *netsim.OutboardBuffer, st *staging, ch []charge) ([]charge, error) {
 	n := in.N
+	var target netsim.DMATarget = &in.src.ownRef
+	switch in.Sem {
+	case Copy, Move:
+		if err := g.allocKernelBuffer(&in.ownKbuf, 0, n); err != nil {
+			return ch, err
+		}
+		st.buf, target = &in.ownKbuf, &in.ownKbuf
+		ch = append(ch, charge{cost.BufAllocate, n})
+	case EmulatedCopy:
+		// Strong integrity without an intermediate buffer: the adapter
+		// writes the application buffer only now.
+		if err := in.proc.as.ReferenceRangeInto(&in.src.ownRef, in.va, n, true); err != nil {
+			return ch, err
+		}
+		ch = in.src.hold(&in.src.ownRef, n, ch)
+	}
+	ob.DMAToHost(target)
+	return append(ch, charge{cost.OutboardDMA, n}), nil
+}
+
+// dispose is the dispose column of Tables 3 and 4 and Section 6.2.3 for
+// every staging place: one step per semantics, appending to ch (which
+// holds the charges staging already incurred) and charging the set. A
+// checksum failure is charged and reported like a delivery; any other
+// error returns no latency.
+func (g *Genie) dispose(in *InputOp, st *staging, ch []charge) (sim.Duration, error) {
+	n := in.N
+	var err error
 	switch in.Sem {
 	case Copy:
 		if on, _ := g.checksumApplies(Copy); on {
-			raw := make([]byte, n+checksumTrailerLen)
-			in.kbuf.readAll(raw)
-			data, sum := splitTrailer(raw)
-			ch, _, verr := g.verifyCopyInput(in, data, sum)
-			in.Addr = in.va
-			lat := g.chargeSet(StageDispose, in.octx(), ch, &in.ReceiverCPU)
-			in.kbuf.free()
-			g.chargeSet(StageDispose, in.octx(), []charge{{cost.BufDeallocate, n}}, &in.ReceiverCPU)
-			return lat, verr
+			ch, err = g.verifyStaged(in, st.buf, ch)
+		} else if perr := in.proc.as.PokeBuf(in.va, g.gather(st.buf.frames, st.buf.off, n)); perr != nil {
+			st.release()
+			return 0, perr
+		} else {
+			ch = append(ch, charge{cost.Copyout, n})
 		}
-		if err := p.as.PokeBuf(in.va, g.gather(in.kbuf.frames, in.kbuf.off, n)); err != nil {
-			in.kbuf.free()
-			return 0, err
+		if !st.posted {
+			st.release()
 		}
 		in.Addr = in.va
-		lat := g.chargeSet(StageDispose, in.octx(), []charge{{cost.Copyout, n}}, &in.ReceiverCPU)
-		// Buffer deallocation is deferred past app notification; it
-		// costs CPU but no latency.
-		in.kbuf.free()
-		g.chargeSet(StageDispose, in.octx(), []charge{{cost.BufDeallocate, n}}, &in.ReceiverCPU)
-		return lat, nil
 
-	case EmulatedCopy:
-		var buf [6]charge // the dispose charges' backing store, kept off the heap
-		ch := buf[:0]
-		if on, _ := g.checksumApplies(EmulatedCopy); on {
-			// Verify in the system-side aligned buffer before swapping:
-			// a failed checksum never reaches the application buffer,
-			// preserving copy semantics (contrast ChecksumIntegrated
-			// with copy semantics, which cannot).
-			raw := make([]byte, n+checksumTrailerLen)
-			in.kbuf.readAll(raw)
-			data, sum := splitTrailer(raw)
-			ch = append(ch, charge{cost.ChecksumRead, n})
-			if !checksumVerify(data, sum) {
-				in.Addr = in.va
-				lat := g.chargeSet(StageDispose, in.octx(), ch, &in.ReceiverCPU)
-				in.kbuf.free()
-				g.chargeSet(StageDispose, in.octx(), []charge{{cost.BufDeallocate, n}}, &in.ReceiverCPU)
-				return lat, ErrChecksum
+	case EmulatedCopy, Share, EmulatedShare:
+		// Verify in the system-side aligned buffer before swapping: a
+		// failed checksum never reaches the application buffer,
+		// preserving copy semantics.
+		if on, _ := g.checksumApplies(in.Sem); on {
+			ch, err = g.verifyStaged(in, st.buf, ch)
+		}
+		if err == nil {
+			ch = in.src.unhold(ch, n)
+			if st.buf != nil {
+				var serr error
+				if ch, serr = g.emcopyDispose(in, st.buf, ch); serr != nil {
+					return 0, serr
+				}
 			}
 		}
-		ch, err := g.emcopyDispose(in, in.kbuf.frames, in.kbuf.off, g.kpool, ch)
-		in.kbuf.frames = in.kbuf.frames[:0] // ownership transferred by emcopyDispose, even on error
-		if err != nil {
-			return 0, err
-		}
 		in.Addr = in.va
-		lat := g.chargeSet(StageDispose, in.octx(), ch, &in.ReceiverCPU)
-		g.chargeSet(StageDispose, in.octx(), []charge{{cost.BufDeallocate, n}}, &in.ReceiverCPU)
-		return lat, nil
-
-	case Share:
-		g.unwireFrames(in.ref)
-		in.ref.Unreference()
-		in.Addr = in.va
-		return g.chargeSet(StageDispose, in.octx(), []charge{
-			{cost.Unwire, n}, {cost.Unreference, n},
-		}, &in.ReceiverCPU), nil
-
-	case EmulatedShare:
-		in.ref.Unreference()
-		in.Addr = in.va
-		return g.chargeSet(StageDispose, in.octx(), []charge{{cost.Unreference, n}}, &in.ReceiverCPU), nil
 
 	case Move:
-		var buf [5]charge
-		ch, err := g.buildRegionFromKernelBuffer(in, in.kbuf, n, buf[:0])
-		if err != nil {
-			return 0, err
+		var merr error
+		if ch, merr = g.mapStaged(in, st, ch); merr != nil {
+			return 0, merr
 		}
-		return g.chargeSet(StageDispose, in.octx(), ch, &in.ReceiverCPU), nil
-
-	case EmulatedMove:
-		r, err := g.checkRegion(p, in.region, in.ref, in.Want)
-		if err != nil {
-			return 0, err
-		}
-		in.ref.Unreference()
-		p.as.Reinstate(r)
-		if err := r.MarkMovedIn(); err != nil {
-			return 0, err
-		}
-		in.Region, in.Addr = r, r.Start()
-		return g.chargeSet(StageDispose, in.octx(), []charge{
-			{cost.RegionCheckUnrefReinstateMarkIn, n},
-		}, &in.ReceiverCPU), nil
-
-	case WeakMove:
-		r, err := g.checkRegion(p, in.region, in.ref, in.Want)
-		if err != nil {
-			return 0, err
-		}
-		g.unwireFrames(in.ref)
-		in.ref.Unreference()
-		if err := r.MarkMovedIn(); err != nil {
-			return 0, err
-		}
-		in.Region, in.Addr = r, r.Start()
-		return g.chargeSet(StageDispose, in.octx(), []charge{
-			{cost.RegionCheck, 0}, {cost.Unwire, n}, {cost.Unreference, n}, {cost.RegionMarkIn, 0},
-		}, &in.ReceiverCPU), nil
-
-	case EmulatedWeakMove:
-		r, err := g.checkRegion(p, in.region, in.ref, in.Want)
-		if err != nil {
-			return 0, err
-		}
-		in.ref.Unreference()
-		if err := r.MarkMovedIn(); err != nil {
-			return 0, err
-		}
-		in.Region, in.Addr = r, r.Start()
-		return g.chargeSet(StageDispose, in.octx(), []charge{
-			{cost.RegionCheckUnrefMarkIn, n},
-		}, &in.ReceiverCPU), nil
-	}
-	return 0, fmt.Errorf("%w: %v", ErrBadSemantics, in.Sem)
-}
-
-// disposePooled implements the ready and dispose columns of Table 4:
-// the payload sits in overlay pages from the device pool, and both
-// stages contribute to end-to-end latency.
-func (g *Genie) disposePooled(in *InputOp, pkt netsim.Packet) (sim.Duration, error) {
-	p := in.proc
-	n := in.N
-	pool := g.nic.Pool()
-	lat := g.chargeSet(StageReady, in.octx(), []charge{
-		{cost.OverlayAllocate, n}, {cost.Overlay, n},
-	}, &in.ReceiverCPU)
-
-	switch in.Sem {
-	case Copy:
-		if err := p.as.PokeBuf(in.va, g.gather(pkt.Overlay, pkt.OverlayOff, n)); err != nil {
-			pool.Put(pkt.Overlay...)
-			return 0, err
-		}
-		pool.Put(pkt.Overlay...)
-		in.Addr = in.va
-		lat += g.chargeSet(StageDispose, in.octx(), []charge{
-			{cost.Copyout, n}, {cost.OverlayDeallocate, n},
-		}, &in.ReceiverCPU)
-		return lat, nil
-
-	case EmulatedCopy:
-		var buf [4]charge
-		ch, err := g.emcopyDispose(in, pkt.Overlay, pkt.OverlayOff, pool, buf[:0])
-		if err != nil {
-			return 0, err
-		}
-		in.Addr = in.va
-		ch = append(ch, charge{cost.OverlayDeallocate, n})
-		return lat + g.chargeSet(StageDispose, in.octx(), ch, &in.ReceiverCPU), nil
-
-	case Share, EmulatedShare:
-		var buf [6]charge
-		ch := buf[:0]
-		if in.Sem == Share {
-			g.unwireFrames(in.ref)
-			ch = append(ch, charge{cost.Unwire, n})
-		}
-		in.ref.Unreference()
-		ch = append(ch, charge{cost.Unreference, n})
-		ch, err := g.emcopyDispose(in, pkt.Overlay, pkt.OverlayOff, pool, ch)
-		if err != nil {
-			return 0, err
-		}
-		in.Addr = in.va
-		ch = append(ch, charge{cost.OverlayDeallocate, n})
-		return lat + g.chargeSet(StageDispose, in.octx(), ch, &in.ReceiverCPU), nil
-
-	case Move:
-		var buf [6]charge
-		ch, err := g.buildRegionFromOverlay(in, pkt, pool, buf[:0])
-		if err != nil {
-			return 0, err
-		}
-		return lat + g.chargeSet(StageDispose, in.octx(), ch, &in.ReceiverCPU), nil
 
 	case EmulatedMove, WeakMove, EmulatedWeakMove:
-		r, err := g.checkRegion(p, in.region, in.ref, in.Want)
-		if err != nil {
-			pool.Put(pkt.Overlay...)
-			return 0, err
+		var merr error
+		if ch, merr = g.moveIn(in, st, ch); merr != nil {
+			return 0, merr
 		}
-		var buf [7]charge
-		ch := buf[:0]
-		if in.Sem == WeakMove {
-			g.unwireFrames(in.ref)
-			ch = append(ch, charge{cost.Unwire, n})
-			ch = append(ch, charge{cost.RegionCheck, 0}, charge{cost.Unreference, n})
-		}
-		in.ref.Unreference()
-		// Swap the overlay pages into the (hidden) region, returning the
-		// region's old pages to the device pool.
-		ps := vm.Addr(g.pageSize())
-		for i, f := range pkt.Overlay {
-			old, err := p.as.KernelSwapPage(r.Start()+vm.Addr(i)*ps, f)
-			if err != nil {
-				pool.Put(pkt.Overlay[i:]...)
-				return 0, err
-			}
-			if err := g.recycleFrame(pool, old); err != nil {
-				return 0, err
-			}
-			g.stats.SwappedPages++
-		}
-		if in.Sem == EmulatedMove {
-			p.as.Reinstate(r)
-		}
-		if err := r.MarkMovedIn(); err != nil {
-			return 0, err
-		}
-		in.Region, in.Addr = r, r.Start()+vm.Addr(pkt.OverlayOff)
-		switch in.Sem {
-		case WeakMove:
-			ch = append(ch, charge{cost.Swap, n}, charge{cost.RegionMarkIn, 0})
-		default: // the fused emulated-move/emulated-weak-move dispose of Table 4
-			ch = append(ch, charge{cost.RegionCheck, 0}, charge{cost.Unreference, n},
-				charge{cost.Swap, n}, charge{cost.RegionMarkIn, 0})
-		}
+
+	default:
+		return 0, fmt.Errorf("%w: %v", ErrBadSemantics, in.Sem)
+	}
+	if st.pooled {
 		ch = append(ch, charge{cost.OverlayDeallocate, n})
-		return lat + g.chargeSet(StageDispose, in.octx(), ch, &in.ReceiverCPU), nil
 	}
-	return 0, fmt.Errorf("%w: %v", ErrBadSemantics, in.Sem)
+	lat := g.chargeSet(StageDispose, in.octx(), ch, &in.ReceiverCPU)
+	if st.posted && st.buf != nil && in.Sem != Move {
+		st.release()
+		g.chargeSet(StageDispose, in.octx(), []charge{{cost.BufDeallocate, n}}, &in.ReceiverCPU)
+	}
+	return lat, err
 }
 
-// disposeOutboard implements Section 6.2.3: the payload is staged in
-// adapter memory and DMAed into host buffers at dispose time, which
-// gives strong integrity for every semantics — emulated copy needs no
-// intermediate buffer at all and is handled much like emulated share.
-func (g *Genie) disposeOutboard(in *InputOp, pkt netsim.Packet) (sim.Duration, error) {
-	p := in.proc
-	n := in.N
-	ob := pkt.Outboard
-	defer ob.Free()
-	defer g.chargeSet(StageDispose, in.octx(), []charge{{cost.BufDeallocate, n}}, &in.ReceiverCPU)
-
-	switch in.Sem {
-	case Copy:
-		kbuf := &in.ownKbuf
-		if err := g.allocKernelBuffer(kbuf, 0, n); err != nil {
-			return 0, err
-		}
-		ob.DMAToHost(kbuf)
-		if err := p.as.PokeBuf(in.va, g.gather(kbuf.frames, kbuf.off, n)); err != nil {
-			kbuf.free()
-			return 0, err
-		}
-		kbuf.free()
-		in.Addr = in.va
-		return g.chargeSet(StageDispose, in.octx(), []charge{
-			{cost.BufAllocate, n}, {cost.OutboardDMA, n}, {cost.Copyout, n},
-		}, &in.ReceiverCPU), nil
-
-	case EmulatedCopy:
-		ref, err := p.as.ReferenceRange(in.va, n, true)
-		if err != nil {
-			return 0, err
-		}
-		ob.DMAToHost(ref)
-		ref.Unreference()
-		in.Addr = in.va
-		return g.chargeSet(StageDispose, in.octx(), []charge{
-			{cost.Reference, n}, {cost.OutboardDMA, n}, {cost.Unreference, n},
-		}, &in.ReceiverCPU), nil
-
-	case Share, EmulatedShare:
-		ob.DMAToHost(in.ref)
-		buf := [3]charge{{cost.OutboardDMA, n}}
-		ch := buf[:1]
-		if in.Sem == Share {
-			g.unwireFrames(in.ref)
-			ch = append(ch, charge{cost.Unwire, n})
-		}
-		in.ref.Unreference()
-		ch = append(ch, charge{cost.Unreference, n})
-		in.Addr = in.va
-		return g.chargeSet(StageDispose, in.octx(), ch, &in.ReceiverCPU), nil
-
-	case Move:
-		kbuf := &in.ownKbuf
-		if err := g.allocKernelBuffer(kbuf, 0, n); err != nil {
-			return 0, err
-		}
-		ob.DMAToHost(kbuf)
-		buf := [7]charge{{cost.BufAllocate, n}, {cost.OutboardDMA, n}}
-		ch, err := g.buildRegionFromKernelBuffer(in, kbuf, n, buf[:2])
-		if err != nil {
-			return 0, err
-		}
-		return g.chargeSet(StageDispose, in.octx(), ch, &in.ReceiverCPU), nil
-
-	case EmulatedMove, WeakMove, EmulatedWeakMove:
-		ob.DMAToHost(in.ref)
-		r, err := g.checkRegion(p, in.region, in.ref, in.Want)
-		if err != nil {
-			return 0, err
-		}
-		buf := [5]charge{{cost.OutboardDMA, n}}
-		ch := buf[:1]
-		switch in.Sem {
-		case EmulatedMove:
-			in.ref.Unreference()
-			p.as.Reinstate(r)
-			ch = append(ch, charge{cost.RegionCheckUnrefReinstateMarkIn, n})
-		case WeakMove:
-			g.unwireFrames(in.ref)
-			in.ref.Unreference()
-			ch = append(ch, charge{cost.RegionCheck, 0}, charge{cost.Unwire, n},
-				charge{cost.Unreference, n}, charge{cost.RegionMarkIn, 0})
-		case EmulatedWeakMove:
-			in.ref.Unreference()
-			ch = append(ch, charge{cost.RegionCheckUnrefMarkIn, n})
-		}
-		if err := r.MarkMovedIn(); err != nil {
-			return 0, err
-		}
-		in.Region, in.Addr = r, r.Start()
-		return g.chargeSet(StageDispose, in.octx(), ch, &in.ReceiverCPU), nil
-	}
-	return 0, fmt.Errorf("%w: %v", ErrBadSemantics, in.Sem)
-}
-
-// emcopyDispose passes data from system-side pages (an aligned kernel
-// buffer or overlay pages) to the application buffer with emulated copy
-// semantics (Section 5.2): full pages are swapped; partially filled
-// pages are copied out if the fill is below the reverse copyout
-// threshold, otherwise completed from the application page and swapped.
-// Ownership of the frames transfers to this function: consumed frames
-// join the application's memory object, the rest return to pool. The
-// charges are appended to ch.
-func (g *Genie) emcopyDispose(in *InputOp, frames []*mem.Frame, frameOff int, pool *netsim.OverlayPool, ch []charge) ([]charge, error) {
-	p := in.proc
-	n := in.N
-	ps := g.pageSize()
-	va := in.va
-	aligned := frameOff == int(va)%ps
-
-	if !aligned {
-		// Lack of alignment makes swapping impossible (Figure 2):
-		// everything is copied out.
+// emcopyDispose passes the staged frames to the application buffer with
+// emulated copy semantics (Section 5.2): aligned pages go through the
+// page-swap loop; without alignment everything is copied out (Figure 2).
+// Ownership of the frames transfers to this function. The charges are
+// appended to ch.
+func (g *Genie) emcopyDispose(in *InputOp, b *kernelBuffer, ch []charge) ([]charge, error) {
+	n, va := in.N, in.va
+	if b.off != int(va)%g.pageSize() {
 		g.stats.UnalignedInputs++
 		g.stats.FullCopyouts++
-		if err := p.as.PokeBuf(va, g.gather(frames, frameOff, n)); err != nil {
-			pool.Put(frames...)
+		err := in.proc.as.PokeBuf(va, g.gather(b.frames, b.off, n))
+		b.free()
+		if err != nil {
 			return nil, err
 		}
-		pool.Put(frames...)
 		return append(ch, charge{cost.Copyout, n}), nil
 	}
-
 	g.stats.AlignedInputs++
-	var swapped, copied, reversed int
-	// The consumed flags and the leftover list live on the stack for
-	// the frames of any datagram up to 64 KB in 4 KB pages.
-	var consumedBuf [stackFrames]bool
-	var leftBuf [stackFrames]*mem.Frame
-	consumed := consumedBuf[:]
-	if len(frames) > len(consumed) {
-		consumed = make([]bool, len(frames))
-	}
-	// putLeftovers returns the frames not consumed to the pool, in one
-	// Put.
-	putLeftovers := func() {
-		left := leftBuf[:0]
-		for fi, f := range frames {
-			if !consumed[fi] {
-				left = append(left, f)
-			}
-		}
-		if len(left) > 0 {
-			pool.Put(left...)
-		}
-	}
-	// fail returns unconsumed frames to the pool before surfacing a
-	// mid-loop error, so a transiently failing copyout (injected
-	// allocation faults) cannot leak overlay or kernel pool pages.
-	fail := func(err error) ([]charge, error) {
-		putLeftovers()
+	swapped, reversed, copied, err := g.swapIn(in.proc.as, va, n, b, false)
+	g.stats.SwappedPages += uint64(swapped / g.pageSize())
+	if err != nil {
 		return nil, err
 	}
-	pageVA := vm.Addr(ps) * (va / vm.Addr(ps)) // first overlapping page
-	for fi := 0; pageVA < va+vm.Addr(n); fi, pageVA = fi+1, pageVA+vm.Addr(ps) {
-		dataStart := max64(va, pageVA)
-		dataEnd := min64(va+vm.Addr(n), pageVA+vm.Addr(ps))
-		d := int(dataEnd - dataStart)
-		f := frames[fi]
-		switch {
-		case d == ps:
-			old, err := p.as.KernelSwapPage(pageVA, f)
-			if err != nil {
-				return fail(err)
-			}
-			consumed[fi] = true
-			if err := g.recycleFrame(pool, old); err != nil {
-				return fail(err)
-			}
-			swapped += ps
-			g.stats.SwappedPages++
-
-		case d >= g.cfg.ReverseCopyoutThreshold:
-			// Reverse copyout: complete the system page from the
-			// application page, then swap (items 3 and 4 of Figure 2).
-			head := int(dataStart - pageVA)
-			tail := int(pageVA + vm.Addr(ps) - dataEnd)
-			if head > 0 {
-				buf, err := p.as.PeekBuf(pageVA, head)
-				if err != nil {
-					return fail(err)
-				}
-				f.WriteBuf(0, buf)
-			}
-			if tail > 0 {
-				buf, err := p.as.PeekBuf(dataEnd, tail)
-				if err != nil {
-					return fail(err)
-				}
-				f.WriteBuf(ps-tail, buf)
-			}
-			old, err := p.as.KernelSwapPage(pageVA, f)
-			if err != nil {
-				return fail(err)
-			}
-			consumed[fi] = true
-			if err := g.recycleFrame(pool, old); err != nil {
-				return fail(err)
-			}
-			swapped += ps
-			reversed += head + tail
-			g.stats.ReverseCopyouts++
-			g.stats.SwappedPages++
-
-		default:
-			// Short fill: plain copyout (item 1 of Figure 2).
-			fo := int(dataStart - pageVA)
-			if err := p.as.PokeBuf(dataStart, g.gather(frames[fi:], fo, d)); err != nil {
-				return fail(err)
-			}
-			copied += d
-			g.stats.PartialCopyouts++
-		}
-	}
-	putLeftovers()
-
 	if swapped > 0 {
 		ch = append(ch, charge{cost.Swap, swapped})
 	}
@@ -564,57 +282,108 @@ func (g *Genie) emcopyDispose(in *InputOp, frames []*mem.Frame, frameOff int, po
 	return ch, nil
 }
 
-// buildRegionFromKernelBuffer implements move-semantics input dispose
-// with early demultiplexed or outboard buffering (Table 3): the system
-// buffer's pages are zero-completed (protection: the application must
-// not see another process's stale data), attached to a fresh region, and
-// mapped moved in. Consumed kernel pool pages are replaced. The charges
-// are appended to ch.
-func (g *Genie) buildRegionFromKernelBuffer(in *InputOp, kbuf *kernelBuffer, n int, ch []charge) ([]charge, error) {
-	p := in.proc
+// swapIn is the page-swap loop: it passes the n bytes staged in b to
+// [va, va+n) of as, whose page offset matches b's. Full pages are
+// swapped in. A partially filled page is completed from the
+// application page and swapped if its fill reaches the reverse copyout
+// threshold, and copied out otherwise — unless whole is set, when every
+// frame of b is swapped in regardless of fill (a hidden system-allocated
+// region has no neighbouring application data to preserve). Displaced
+// frames, and frames left unconsumed (also on error), return to b's
+// pool, or to physical memory when b has none. It returns the bytes
+// swapped, reverse-copied and copied out.
+func (g *Genie) swapIn(as *vm.AddressSpace, va vm.Addr, n int, b *kernelBuffer, whole bool) (swapped, reversed, copied int, err error) {
 	ps := g.pageSize()
-	k := (n + ps - 1) / ps
-	frames := kbuf.frames[:k]
-	leftover := kbuf.frames[k:]
-	kbuf.frames = kbuf.frames[:0]
-	if len(leftover) > 0 {
-		g.kpool.Put(leftover...)
+	frames := b.frames
+	// The consumed flags and the leftover list live on the stack for
+	// the frames of any datagram up to 64 KB in 4 KB pages.
+	var consumedBuf [stackFrames]bool
+	var leftBuf [stackFrames]*mem.Frame
+	consumed := consumedBuf[:]
+	if len(frames) > len(consumed) {
+		consumed = make([]bool, len(frames))
 	}
-
-	zeroed := 0
-	if tail := n % ps; tail != 0 {
-		frames[k-1].ClearRange(tail, ps-tail)
-		zeroed = ps - tail
+	end := va + vm.Addr(n)
+	pageVA := vm.Addr(ps) * (va / vm.Addr(ps)) // first overlapping page
+	for fi := 0; fi < len(frames) && (whole || pageVA < end); fi, pageVA = fi+1, pageVA+vm.Addr(ps) {
+		dataStart := max(va, pageVA)
+		dataEnd := min(end, pageVA+vm.Addr(ps))
+		d := int(dataEnd - dataStart)
+		f := frames[fi]
+		if d < ps && !whole && d < g.cfg.ReverseCopyoutThreshold {
+			// Short fill: plain copyout (item 1 of Figure 2).
+			if err = as.PokeBuf(dataStart, g.gather(frames[fi:], int(dataStart-pageVA), d)); err != nil {
+				break
+			}
+			copied += d
+			g.stats.PartialCopyouts++
+			continue
+		}
+		if d < ps && !whole {
+			// Reverse copyout: complete the system page from the
+			// application page, then swap (items 3 and 4 of Figure 2).
+			head := int(dataStart - pageVA)
+			tail := int(pageVA + vm.Addr(ps) - dataEnd)
+			if err = completePage(as, f, pageVA, 0, head); err != nil {
+				break
+			}
+			if err = completePage(as, f, dataEnd, ps-tail, tail); err != nil {
+				break
+			}
+			reversed += head + tail
+			g.stats.ReverseCopyouts++
+		}
+		var old *mem.Frame
+		if old, err = as.KernelSwapPage(pageVA, f); err != nil {
+			break
+		}
+		consumed[fi] = true
+		swapped += ps
+		if err = g.recycleFrame(b.pool, old); err != nil {
+			break
+		}
 	}
-	obj := g.sys.NewKernelObject()
-	for i, f := range frames {
-		obj.InsertKernelPage(i, f)
+	left := leftBuf[:0]
+	for fi, f := range frames {
+		if !consumed[fi] {
+			left = append(left, f)
+		}
 	}
-	r, err := p.as.MapObject(obj, k*ps, vm.MovedIn)
-	g.sys.ReleaseKernelObject(obj)
-	if err != nil {
-		return nil, err
+	b.frames = frames[:0]
+	if len(left) > 0 {
+		g.putFrames(b.pool, left)
 	}
-	if err := g.refill(g.kpool, k); err != nil {
-		return nil, err
-	}
-	in.Region, in.Addr = r, r.Start()
-	return append(ch,
-		charge{cost.RegionCreate, 0}, charge{cost.ZeroComplete, zeroed},
-		charge{cost.RegionFill, n}, charge{cost.RegionMap, n}, charge{cost.RegionMarkIn, 0},
-	), nil
+	return swapped, reversed, copied, err
 }
 
-// buildRegionFromOverlay implements move-semantics input dispose with
-// pooled buffering (Table 4): overlay pages become the region's pages
-// and the overlay pool is refilled with fresh frames. The charges are
-// appended to ch.
-func (g *Genie) buildRegionFromOverlay(in *InputOp, pkt netsim.Packet, pool *netsim.OverlayPool, ch []charge) ([]charge, error) {
-	p := in.proc
-	n := in.N
-	ps := g.pageSize()
-	frames := pkt.Overlay
-	off := pkt.OverlayOff
+// completePage copies the k application bytes at va into frame f at
+// offset off, completing a partially filled system page before a swap.
+func completePage(as *vm.AddressSpace, f *mem.Frame, va vm.Addr, off, k int) error {
+	if k == 0 {
+		return nil
+	}
+	buf, err := as.PeekBuf(va, k)
+	if err == nil {
+		f.WriteBuf(off, buf)
+	}
+	return err
+}
+
+// mapStaged is move-semantics input dispose from staged frames (Tables
+// 3 and 4): the pages holding the payload are zero-completed
+// (protection: the application must not see another process's stale
+// data), attached to a fresh region and mapped moved in; frames beyond
+// the payload return to the pool and consumed pool pages are replaced.
+// The charges are appended to ch.
+func (g *Genie) mapStaged(in *InputOp, st *staging, ch []charge) ([]charge, error) {
+	n, ps, b := in.N, g.pageSize(), st.buf
+	off := b.off
+	k := (off + n + ps - 1) / ps
+	frames := b.frames[:k]
+	if leftover := b.frames[k:]; len(leftover) > 0 {
+		b.pool.Put(leftover...)
+	}
+	b.frames = b.frames[:0]
 
 	zeroed := 0
 	if off > 0 {
@@ -622,43 +391,82 @@ func (g *Genie) buildRegionFromOverlay(in *InputOp, pkt netsim.Packet, pool *net
 		zeroed += off
 	}
 	if end := (off + n) % ps; end != 0 {
-		frames[len(frames)-1].ClearRange(end, ps-end)
+		frames[k-1].ClearRange(end, ps-end)
 		zeroed += ps - end
 	}
 	obj := g.sys.NewKernelObject()
 	for i, f := range frames {
 		obj.InsertKernelPage(i, f)
 	}
-	r, err := p.as.MapObject(obj, len(frames)*ps, vm.MovedIn)
+	r, err := in.proc.as.MapObject(obj, k*ps, vm.MovedIn)
 	g.sys.ReleaseKernelObject(obj)
 	if err != nil {
 		return nil, err
 	}
-	if err := g.refill(pool, len(frames)); err != nil {
+	if err := g.refill(b.pool, k); err != nil {
 		return nil, err
 	}
 	in.Region, in.Addr = r, r.Start()+vm.Addr(off)
-	return append(ch,
-		charge{cost.RegionCreate, 0}, charge{cost.ZeroComplete, zeroed},
-		charge{cost.RegionFillOverlayRefill, n}, charge{cost.RegionMap, n}, charge{cost.RegionMarkIn, 0},
-		charge{cost.OverlayDeallocate, n},
-	), nil
+	fill := cost.RegionFill
+	if st.pooled {
+		fill = cost.RegionFillOverlayRefill
+	}
+	return append(ch, charge{cost.RegionCreate, 0}, charge{cost.ZeroComplete, zeroed},
+		charge{fill, n}, charge{cost.RegionMap, n}, charge{cost.RegionMarkIn, 0}), nil
 }
 
-// stackFrames bounds the frame runs emcopyDispose tracks on the stack:
-// a MaxFrame datagram at any page offset spans 17 pages of 4 KB.
+// moveIn completes input into the cached region prepared for an
+// emulated move, weak move or emulated weak move: check the region is
+// still there, release the held pages, swap staged frames in (pooled
+// buffering; otherwise the payload is already in the region's pages),
+// reinstate access (emulated move) and mark the region moved in. The
+// charges are appended to ch. In place, the emulated variants charge
+// the fused operations Table 3 measures, and Table 4 charges a pooled
+// weak move's unwiring before the region check.
+func (g *Genie) moveIn(in *InputOp, st *staging, ch []charge) ([]charge, error) {
+	as, n := in.proc.as, in.N
+	r, err := g.checkRegion(in.proc, in.region, &in.src.ownRef)
+	if err != nil {
+		st.release()
+		return nil, err
+	}
+	var buf [2]charge
+	held := in.src.unhold(buf[:0], n)
+	fused := st.buf == nil && in.Sem.Emulated()
+	switch {
+	case fused && in.Sem == EmulatedMove:
+		ch = append(ch, charge{cost.RegionCheckUnrefReinstateMarkIn, n})
+	case fused:
+		ch = append(ch, charge{cost.RegionCheckUnrefMarkIn, n})
+	default:
+		if st.buf != nil && len(held) == 2 {
+			ch, held = append(ch, held[0]), held[1:]
+		}
+		ch = append(append(ch, charge{cost.RegionCheck, 0}), held...)
+	}
+	off := 0
+	if st.buf != nil {
+		off = st.buf.off
+		swapped, _, _, err := g.swapIn(as, r.Start(), n, st.buf, true)
+		g.stats.SwappedPages += uint64(swapped / g.pageSize())
+		if err != nil {
+			return nil, err
+		}
+		ch = append(ch, charge{cost.Swap, n})
+	}
+	if in.Sem == EmulatedMove {
+		as.Reinstate(r)
+	}
+	if err := r.MarkMovedIn(); err != nil {
+		return nil, err
+	}
+	if !fused {
+		ch = append(ch, charge{cost.RegionMarkIn, 0})
+	}
+	in.Region, in.Addr = r, r.Start()+vm.Addr(off)
+	return ch, nil
+}
+
+// stackFrames bounds the frame runs swapIn tracks on the stack: a
+// MaxFrame datagram at any page offset spans 17 pages of 4 KB.
 const stackFrames = 17
-
-func max64(a, b vm.Addr) vm.Addr {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b vm.Addr) vm.Addr {
-	if a < b {
-		return a
-	}
-	return b
-}

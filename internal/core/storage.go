@@ -177,16 +177,6 @@ type FileOp struct {
 // sctx returns the trace/instrumentation context of a storage op.
 func (op *FileOp) sctx() opCtx { return opCtx{sem: op.Sem.String(), port: -1} }
 
-// finish schedules the op's dispose charges and completion after the
-// prepare CPU and device wait have elapsed.
-func (s *Storage) finish(op *FileOp, elapsed sim.Duration, dispose []charge) {
-	s.g.eng.Schedule(elapsed, func() {
-		d := s.g.chargeSet(StageDispose, op.sctx(), dispose, &op.CPU)
-		op.CompletedAt = s.g.eng.Now().Add(d)
-		op.Done = true
-	})
-}
-
 // blockSpan returns the blocks covered by length bytes from block.
 func (s *Storage) blockSpan(length int) int {
 	bs := s.dev.BlockSize()
@@ -201,10 +191,12 @@ func (s *Storage) checkOp(block, length int) error {
 }
 
 // FileRead reads length bytes starting at file block into the process
-// under the chosen semantics. For application-allocated semantics the
-// data lands at va; for the move family va is ignored and the system
-// allocates the buffer (reported in op.Region/op.Addr). The call is
-// asynchronous on the simulated clock; run the engine to completion.
+// under the chosen semantics: the receive side with the page cache as
+// the staging place. For application-allocated semantics the data lands
+// at va; for the move family va is ignored and the system allocates the
+// buffer (reported in op.Region/op.Addr). The call is asynchronous on
+// the simulated clock; run the engine to completion. A read that fails
+// leaves the cache and the process as it found them.
 func (s *Storage) FileRead(p *Process, sem Semantics, block, length int, va vm.Addr) (*FileOp, error) {
 	g := s.g
 	if !sem.Valid() {
@@ -213,177 +205,127 @@ func (s *Storage) FileRead(p *Process, sem Semantics, block, length int, va vm.A
 	if err := s.checkOp(block, length); err != nil {
 		return nil, err
 	}
-	op := &FileOp{Sem: sem, Len: length, StartedAt: g.eng.Now()}
+	op := &FileOp{Sem: sem, Len: length, StartedAt: g.eng.Now(), Addr: va}
 	s.stats.Reads++
 	bs := s.dev.BlockSize()
 
 	var (
-		prep    []charge
-		wait    sim.Duration
-		dispose []charge
+		buf  [4]charge // prep's backing store, kept off the heap
+		prep = buf[:0]
+		wait sim.Duration
+		src  *source // the share family's held application pages
+		err  error
 	)
-
 	switch sem {
 	case Copy:
-		w, err := s.readStaged(p, block, length, va)
-		if err != nil {
-			return nil, err
-		}
-		wait = w
-		prep = []charge{{cost.Copyout, length}}
-		op.Addr = va
+		wait, err = s.readStaged(p, block, length, va)
+		prep = append(prep, charge{cost.Copyout, length})
 
 	case EmulatedCopy:
 		// Page flip: aligned destinations receive whole cache pages by
 		// swapping them into the application's address space — the
-		// storage twin of input page swapping (Section 5.2). The donated
-		// entry leaves the cache, so flipped reads trade hit ratio for
-		// copy avoidance. Unaligned destinations fall back to copyout.
+		// storage twin of input page swapping (Section 5.2), without
+		// reverse copyout. The donated entries leave the cache, so
+		// flipped reads trade hit ratio for copy avoidance. Unaligned
+		// destinations and the partial tail are copied out.
 		full := 0
 		if va%vm.Addr(bs) == 0 {
 			full = length / bs
 		}
-		for i := 0; i < full; i++ {
-			f, w, err := s.cache.TakeFrame(block + i)
-			if err != nil {
-				return nil, err
-			}
-			wait += w
-			old, err := p.as.KernelSwapPage(va+vm.Addr(i*bs), f)
-			if err != nil {
-				g.sys.Phys().Release(f)
-				return nil, err
-			}
-			if old != nil {
-				g.sys.Phys().Release(old)
-			}
-		}
-		op.Flipped = full
-		s.stats.PageFlips += uint64(full)
 		if full > 0 {
+			flip := kernelBuffer{frames: make([]*mem.Frame, full)}
+			if wait, err = s.cache.TakeFrames(block, flip.frames); err != nil {
+				return nil, err
+			}
+			if _, _, _, err = g.swapIn(p.as, va, full*bs, &flip, false); err != nil {
+				return nil, err
+			}
+			op.Flipped = full
+			s.stats.PageFlips += uint64(full)
 			prep = append(prep, charge{cost.Swap, full * bs})
 		}
 		if tail := length - full*bs; tail > 0 {
-			w, err := s.readStaged(p, block+full, tail, va+vm.Addr(full*bs))
-			if err != nil {
-				return nil, err
-			}
+			var w sim.Duration
+			w, err = s.readStaged(p, block+full, tail, va+vm.Addr(full*bs))
 			wait += w
 			prep = append(prep, charge{cost.Copyout, tail})
 		}
-		op.Addr = va
 
 	case Share, EmulatedShare:
 		// In-place file input: the device DMAs straight into referenced
 		// application pages, bypassing the cache — direct I/O. Share
 		// wires the pages (pageout protection); emulated share relies on
 		// the reference counts alone.
-		ref, err := p.as.ReferenceRange(va, length, true)
-		if err != nil {
+		src = new(source)
+		src.init(p, sem)
+		if err := p.as.ReferenceRangeInto(&src.ownRef, va, length, true); err != nil {
 			return nil, err
 		}
-		prep = []charge{{cost.Reference, length}}
-		if sem == Share {
-			g.wireFrames(ref)
-			prep = append(prep, charge{cost.Wire, length})
-		}
+		prep = src.hold(&src.ownRef, length, prep)
 		blocks := s.blockSpan(length)
 		// Direct I/O stays coherent with the cache: dirty cached pages
 		// of the range reach the media before the device serves it.
 		s.cache.WriteBackRange(block, blocks)
-		w, err := s.dev.Read(block, blocks, ref)
-		if err != nil {
-			ref.Unreference()
+		// The arm serializes: the read's wait covers the writebacks.
+		if wait, err = s.dev.Read(block, blocks, &src.ownRef); err != nil {
+			src.abort()
 			return nil, err
 		}
-		wait = w // the arm serializes: the read's wait covers the writebacks
 		s.stats.DirectReads++
 		s.stats.DirectBlocks += uint64(blocks)
-		op.Addr = va
-		wired := sem == Share
-		dispose = []charge{{cost.Unreference, length}}
-		if wired {
-			dispose = []charge{{cost.Unwire, length}, {cost.Unreference, length}}
-		}
-		prepDur := g.chargeSet(StagePrepare, op.sctx(), prep, &op.CPU)
-		op.DeviceWait = wait.Micros()
-		s.g.eng.Schedule(prepDur+wait, func() {
-			if wired {
-				g.unwireFrames(ref)
-			}
-			ref.Unreference()
-			d := g.chargeSet(StageDispose, op.sctx(), dispose, &op.CPU)
-			op.CompletedAt = g.eng.Now().Add(d)
-			op.Done = true
-		})
-		return op, nil
-
-	case Move, EmulatedMove, WeakMove, EmulatedWeakMove:
-		return s.readSystemAllocated(p, op, sem, block, length)
 
 	default:
-		return nil, fmt.Errorf("%w: %v", ErrBadSemantics, sem)
+		// The move family (the mmap-style operation): a fresh moved-in
+		// region built from pages donated straight out of the cache — no
+		// copy at any size, at the price of region bookkeeping and (for
+		// the non-emulated variants) wiring.
+		blocks := s.blockSpan(length)
+		donated := make([]*mem.Frame, blocks)
+		if wait, err = s.cache.TakeFrames(block, donated); err != nil {
+			return nil, err
+		}
+		r, err := p.adoptRegion(blocks*bs, donated)
+		if err != nil {
+			g.putFrames(nil, donated)
+			return nil, err
+		}
+		s.stats.Donations += uint64(blocks)
+		prep = append(prep, charge{cost.RegionCreate, 0}, charge{cost.Swap, length}, charge{cost.RegionMarkIn, 0})
+		if err := r.MarkMovedIn(); err != nil {
+			return nil, err
+		}
+		if !sem.Emulated() {
+			// Transient scaffolding: the non-emulated variants wire the
+			// pages against pageout while the fill is in flight, then
+			// hand the application a pageable moved-in region.
+			if err := p.as.WireRange(r.Start(), blocks*bs); err != nil {
+				return nil, err
+			}
+			prep = append(prep, charge{cost.Wire, length})
+			if err := p.as.UnwireRange(r.Start(), blocks*bs); err != nil {
+				return nil, err
+			}
+		}
+		op.Region, op.Addr = r, r.Start()
 	}
-
-	prepDur := g.chargeSet(StagePrepare, op.sctx(), prep, &op.CPU)
-	op.DeviceWait = wait.Micros()
-	s.finish(op, prepDur+wait, dispose)
-	return op, nil
-}
-
-// readSystemAllocated is the move-family read: a fresh moved-in region
-// whose pages are donated straight out of the cache — no copy at any
-// size, at the price of region bookkeeping and (for the non-emulated
-// variants) wiring. This is the mmap-style file operation; FileMap is
-// its named alias.
-func (s *Storage) readSystemAllocated(p *Process, op *FileOp, sem Semantics, block, length int) (*FileOp, error) {
-	g := s.g
-	bs := s.dev.BlockSize()
-	blocks := s.blockSpan(length)
-	r, err := p.as.AllocRegion(blocks*bs, vm.MovingIn)
 	if err != nil {
 		return nil, err
 	}
-	prep := []charge{{cost.RegionCreate, 0}}
-	frames := make([]*mem.Frame, blocks)
-	var wait sim.Duration
-	for i := 0; i < blocks; i++ {
-		f, w, err := s.cache.TakeFrame(block + i)
-		if err != nil {
-			return nil, err
-		}
-		frames[i] = f
-		wait += w
-	}
-	if err := r.AdoptFrames(frames); err != nil {
-		return nil, err
-	}
-	s.stats.Donations += uint64(blocks)
-	prep = append(prep, charge{cost.Swap, length}, charge{cost.RegionMarkIn, 0})
-	if err := r.MarkMovedIn(); err != nil {
-		return nil, err
-	}
-	if !sem.Emulated() {
-		// Transient scaffolding: the non-emulated variants wire the
-		// pages against pageout while the fill is in flight, then hand
-		// the application a pageable moved-in region.
-		if err := p.as.WireRange(r.Start(), blocks*bs); err != nil {
-			return nil, err
-		}
-		prep = append(prep, charge{cost.Wire, length})
-		if err := p.as.UnwireRange(r.Start(), blocks*bs); err != nil {
-			return nil, err
-		}
-	}
-	op.Region = r
-	op.Addr = r.Start()
 	prepDur := g.chargeSet(StagePrepare, op.sctx(), prep, &op.CPU)
 	op.DeviceWait = wait.Micros()
-	var dispose []charge
-	if !sem.Emulated() {
-		dispose = []charge{{cost.Unwire, length}}
-	}
-	s.finish(op, prepDur+wait, dispose)
+	g.eng.Schedule(prepDur+wait, func() {
+		var buf [2]charge
+		dispose := buf[:0]
+		switch {
+		case src != nil:
+			dispose = src.unhold(dispose, length)
+		case sem.SystemAllocated() && !sem.Emulated():
+			dispose = append(dispose, charge{cost.Unwire, length})
+		}
+		d := g.chargeSet(StageDispose, op.sctx(), dispose, &op.CPU)
+		op.CompletedAt = g.eng.Now().Add(d)
+		op.Done = true
+	})
 	return op, nil
 }
 

@@ -407,6 +407,34 @@ func (c *Cache) TakeFrame(block int) (*mem.Frame, sim.Duration, error) {
 	return e.frame, wait, nil
 }
 
+// TakeFrames takes the pages of len(frames) consecutive blocks from
+// block into frames, as TakeFrame does for each in turn, and returns
+// the summed device wait. It takes all or nothing: when a block cannot
+// be taken, the frames already taken return to the cache — resident,
+// clean, most recently used and no longer counted as consumed — so a
+// failed donation leaves no page owned by nobody.
+func (c *Cache) TakeFrames(block int, frames []*mem.Frame) (sim.Duration, error) {
+	var wait sim.Duration
+	for i := range frames {
+		f, w, err := c.TakeFrame(block + i)
+		if err != nil {
+			for j := i - 1; j >= 0; j-- {
+				c.evictFor(1)
+				c.obj.InsertKernelPage(block+j, frames[j])
+				e := &entry{block: block + j, frame: frames[j]}
+				c.entries[e.block] = e
+				c.lruFront(e)
+				c.counters.Consumed--
+			}
+			c.gauge()
+			return wait, err
+		}
+		wait += w
+		frames[i] = f
+	}
+	return wait, nil
+}
+
 // Sync writes every dirty page back, returning the device wait. After
 // Sync, Dirty() is zero.
 func (c *Cache) Sync() sim.Duration {

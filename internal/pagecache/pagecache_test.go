@@ -2,6 +2,7 @@ package pagecache
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -283,6 +284,50 @@ func TestTakeFrameConsumes(t *testing.T) {
 	sys.Phys().Release(f)
 	if err := c.CheckConservation(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TakeFrames takes all or nothing: a fill that fails mid-run returns
+// the frames already taken, so residency, free frames and the consumed
+// count are as before the call, and a retry takes the whole run.
+func TestTakeFramesAllOrNothing(t *testing.T) {
+	sys, dev, c := newCache(t, Config{Pages: 8})
+	image(dev, t, 8)
+	if _, _, err := readRange(c, 0, 0, 2*pageSize); err != nil {
+		t.Fatal(err)
+	}
+	free, resident, consumed := sys.Phys().FreeFrames(), c.Resident(), c.Counters().Consumed
+	armed := true
+	sys.Phys().SetAllocFault(func() bool { return armed })
+	frames := make([]*mem.Frame, 4)
+	if _, err := c.TakeFrames(0, frames); !errors.Is(err, mem.ErrOutOfMemory) {
+		t.Fatalf("TakeFrames with failing fill: err %v, want ErrOutOfMemory", err)
+	}
+	if got := sys.Phys().FreeFrames(); got != free {
+		t.Errorf("free frames %d after the failed take, want %d", got, free)
+	}
+	if c.Resident() != resident || c.Counters().Consumed != consumed {
+		t.Errorf("resident %d consumed %d after the failed take, want %d and %d",
+			c.Resident(), c.Counters().Consumed, resident, consumed)
+	}
+	if err := c.CheckConservation(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := readRange(c, 0, 0, 2*pageSize); err != nil {
+		t.Fatalf("re-read of returned blocks: %v", err)
+	}
+	armed = false
+	if _, err := c.TakeFrames(0, frames); err != nil {
+		t.Fatal(err)
+	}
+	for b, f := range frames {
+		if !bytes.Equal(f.ReadBuf(0, pageSize).Resolve(), wantBlock(b, 0, pageSize)) {
+			t.Fatalf("taken frame %d content mismatch", b)
+		}
+		sys.Phys().Release(f)
+	}
+	if c.Resident() != 0 {
+		t.Fatalf("resident %d after taking every block", c.Resident())
 	}
 }
 
