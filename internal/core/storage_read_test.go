@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"runtime"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/vm"
 )
 
@@ -108,6 +110,87 @@ func TestFileReadAllocs(t *testing.T) {
 		// The staged and pooled bytes reached their destination intact.
 		if got := readBack(t, op.p, op.va, op.n); !bytes.Equal(got, want(last, op.n)) {
 			t.Errorf("%s of block %d delivered wrong bytes", op.name, last)
+		}
+	}
+}
+
+// TestFileReadReleasesOnCacheError fails the cache fill of the second
+// block of a four-block read, with the first block resident. FileRead
+// must return the error and roll back what it took: the free-frame
+// count and cache residency return to their pre-op values, no moving-in
+// region is left behind, no frame holds an I/O reference or a wire, the
+// memory and cache audits pass, and a read after the fault is disarmed
+// delivers the file. The share family reads around the cache, so its
+// read succeeds and must leave the same state.
+func TestFileReadReleasesOnCacheError(t *testing.T) {
+	for _, sem := range AllSemantics() {
+		tb, s := storageBed(t, DiskConfig{CachePages: 32})
+		bs := s.Device().BlockSize()
+		n := 4 * bs
+		loadFile(t, s, 8)
+		p := tb.A.Genie.NewProcess()
+		var va vm.Addr
+		if !sem.SystemAllocated() {
+			va = mustBrk(t, p, n)
+			if err := p.Write(va, make([]byte, n)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.Cache().EnsureRange(0, 1); err != nil {
+			t.Fatal(err)
+		}
+		free, resident, regions := tb.A.Phys.FreeFrames(), s.Cache().Resident(), len(p.Space().Regions())
+
+		armed := true
+		tb.A.Phys.SetAllocFault(func() bool { return armed })
+		_, err := s.FileRead(p, sem, 0, n, va)
+		direct := sem == Share || sem == EmulatedShare
+		if direct && err != nil {
+			t.Fatalf("%v: direct read with failing cache allocation: %v", sem, err)
+		}
+		if !direct && !errors.Is(err, mem.ErrOutOfMemory) {
+			t.Fatalf("%v: FileRead with failing cache fill: err %v, want ErrOutOfMemory", sem, err)
+		}
+		armed = false
+		tb.Run()
+		if got := tb.A.Phys.FreeFrames(); got != free {
+			t.Errorf("%v: %d free frames after the failed read, want %d", sem, got, free)
+		}
+		if got := s.Cache().Resident(); got != resident {
+			t.Errorf("%v: %d resident cache pages after the failed read, want %d", sem, got, resident)
+		}
+		if got := len(p.Space().Regions()); got != regions {
+			t.Errorf("%v: %d regions after the failed read, want %d", sem, got, regions)
+		}
+		for _, r := range p.Space().Regions() {
+			if r.State() == vm.MovingIn {
+				t.Errorf("%v: region %v left moving in", sem, r)
+			}
+		}
+		for id := 0; id < tb.A.Phys.NumFrames(); id++ {
+			if f := tb.A.Phys.Frame(mem.FrameID(id)); f.Referenced() || f.WireCount() != 0 {
+				t.Fatalf("%v: frame still held after the failed read: %v", sem, f)
+			}
+		}
+		if err := tb.A.Phys.CheckInvariants(); err != nil {
+			t.Fatalf("%v: %v", sem, err)
+		}
+		if err := s.CheckConservation(); err != nil {
+			t.Fatalf("%v: %v", sem, err)
+		}
+
+		op, err := s.FileRead(p, sem, 0, n, va)
+		if err != nil {
+			t.Fatalf("%v: read after disarming: %v", sem, err)
+		}
+		tb.Run()
+		if !op.Done || op.Err != nil {
+			t.Fatalf("%v: read after disarming not done (err %v)", sem, op.Err)
+		}
+		for b := 0; b < 4; b++ {
+			if got := readBack(t, p, op.Addr+vm.Addr(b*bs), bs); !bytes.Equal(got, filePattern(b, bs)) {
+				t.Fatalf("%v: block %d read back wrong after disarming", sem, b)
+			}
 		}
 	}
 }

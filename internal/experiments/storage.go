@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"time"
@@ -143,6 +144,24 @@ func storageImage(b, n int) []byte {
 // storageOps is the per-point op count for each scenario leg.
 const storageOps = 4
 
+// checkReadBack is the sweep's read-back oracle: the len(want) bytes at
+// va in p must equal want. A mismatch names the first differing byte.
+// The check does not feed the digest.
+func checkReadBack(p *core.Process, va vm.Addr, want []byte) error {
+	got := make([]byte, len(want))
+	if err := p.Read(va, got); err != nil {
+		return err
+	}
+	if bytes.Equal(got, want) {
+		return nil
+	}
+	i := 0
+	for got[i] == want[i] {
+		i++
+	}
+	return fmt.Errorf("byte %d: got %d want %d", i, got[i], want[i])
+}
+
 // runStoragePoint simulates one grid point from a cold (or
 // indistinguishably recycled) storage stack; any error names the point.
 // The rig goes back to the free list after a clean run; a failed
@@ -174,11 +193,15 @@ func simulateStoragePoint(rig *storageRig, k storageKey) (StoragePoint, error) {
 	bs := s.Device().BlockSize()
 	span := (k.size + bs - 1) / bs
 	fileBlocks := 2 * storageOps * span
+	image := make([]byte, 0, fileBlocks*bs) // the file as loaded, for the read-back oracle
 	for b := 0; b < fileBlocks; b++ {
-		if err := s.Device().Load(b, mem.BufBytes(storageImage(b, bs))); err != nil {
+		image = append(image, storageImage(b, bs)...)
+		if err := s.Device().Load(b, mem.BufBytes(image[b*bs:(b+1)*bs])); err != nil {
 			return StoragePoint{}, err
 		}
 	}
+	// fileAt returns the k.size file bytes from block b on.
+	fileAt := func(b int) []byte { return image[b*bs : b*bs+k.size] }
 	p := tb.A.Genie.NewProcess()
 
 	pt := StoragePoint{
@@ -212,9 +235,13 @@ func simulateStoragePoint(rig *storageRig, k storageKey) (StoragePoint, error) {
 			if k.sem.SystemAllocated() {
 				va = 0
 			}
-			cpu, lat, err := runOp(s.FileRead(p, k.sem, i*span, k.size, va))
+			op, err := s.FileRead(p, k.sem, i*span, k.size, va)
+			cpu, lat, err := runOp(op, err)
+			if err == nil {
+				err = checkReadBack(p, op.Addr, fileAt(i*span))
+			}
 			if err != nil {
-				return StoragePoint{}, fmt.Errorf("read %v: %w", k.sem, err)
+				return StoragePoint{}, fmt.Errorf("read %v op %d pass %d: %w", k.sem, i, pass, err)
 			}
 			pt.ReadCPU += cpu
 			pt.ReadLatency += lat
@@ -270,6 +297,9 @@ func simulateStoragePoint(rig *storageRig, k storageKey) (StoragePoint, error) {
 			}
 			if !in.Done || in.Err != nil {
 				return StoragePoint{}, fmt.Errorf("sendfile %v: input incomplete: %v", k.sem, in.Err)
+			}
+			if err := checkReadBack(pB, in.Addr, fileAt(i*span)); err != nil {
+				return StoragePoint{}, fmt.Errorf("sendfile %v op %d: %w", k.sem, i, err)
 			}
 			pt.SendfileUS += lat
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -183,5 +184,33 @@ func TestRunStorageErrorNamesPoint(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q missing %q", err, want)
 		}
+	}
+}
+
+// The sweep's read-back oracle accepts the bytes it expects and rejects
+// one flipped byte, naming it.
+func TestCheckReadBackRejectsFlippedByte(t *testing.T) {
+	tb, err := core.NewTestbed(core.TestbedConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := tb.A.Genie.NewProcess()
+	want := storageImage(3, 5000)
+	va, err := p.Brk(len(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Write(va, want); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkReadBack(p, va, want); err != nil {
+		t.Fatalf("intact buffer rejected: %v", err)
+	}
+	if err := p.Write(va+4321, []byte{want[4321] ^ 0x40}); err != nil {
+		t.Fatal(err)
+	}
+	err = checkReadBack(p, va, want)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("byte 4321: got %d want %d", want[4321]^0x40, want[4321])) {
+		t.Fatalf("flipped byte 4321: err %v", err)
 	}
 }
