@@ -187,54 +187,42 @@ func (g *Genie) stageOutboard(in *InputOp, ob *netsim.OutboardBuffer, st *stagin
 // error returns no latency.
 func (g *Genie) dispose(in *InputOp, st *staging, ch []charge) (sim.Duration, error) {
 	n := in.N
-	var err error
+	var bad, err error // bad: a checksummed delivery that failed, charged as delivered
 	switch in.Sem {
 	case Copy:
 		if on, _ := g.checksumApplies(Copy); on {
-			ch, err = g.verifyStaged(in, st.buf, ch)
-		} else if perr := in.proc.as.PokeBuf(in.va, g.gather(st.buf.frames, st.buf.off, n)); perr != nil {
-			st.release()
-			return 0, perr
-		} else {
+			ch, bad = g.verifyStaged(in, st.buf, ch)
+		} else if err = in.proc.as.PokeBuf(in.va, g.gather(st.buf.frames, st.buf.off, n)); err == nil {
 			ch = append(ch, charge{cost.Copyout, n})
 		}
-		if !st.posted {
+		if err != nil || !st.posted {
 			st.release()
 		}
-		in.Addr = in.va
-
 	case EmulatedCopy, Share, EmulatedShare:
 		// Verify in the system-side aligned buffer before swapping: a
 		// failed checksum never reaches the application buffer,
 		// preserving copy semantics.
 		if on, _ := g.checksumApplies(in.Sem); on {
-			ch, err = g.verifyStaged(in, st.buf, ch)
+			ch, bad = g.verifyStaged(in, st.buf, ch)
 		}
-		if err == nil {
+		if bad == nil {
 			ch = in.src.unhold(ch, n)
 			if st.buf != nil {
-				var serr error
-				if ch, serr = g.emcopyDispose(in, st.buf, ch); serr != nil {
-					return 0, serr
-				}
+				ch, err = g.emcopyDispose(in, st.buf, ch)
 			}
 		}
-		in.Addr = in.va
-
 	case Move:
-		var merr error
-		if ch, merr = g.mapStaged(in, st, ch); merr != nil {
-			return 0, merr
-		}
-
+		ch, err = g.mapStaged(in, st, ch)
 	case EmulatedMove, WeakMove, EmulatedWeakMove:
-		var merr error
-		if ch, merr = g.moveIn(in, st, ch); merr != nil {
-			return 0, merr
-		}
-
+		ch, err = g.moveIn(in, st, ch)
 	default:
-		return 0, fmt.Errorf("%w: %v", ErrBadSemantics, in.Sem)
+		err = fmt.Errorf("%w: %v", ErrBadSemantics, in.Sem)
+	}
+	if err != nil {
+		return 0, err
+	}
+	if !in.Sem.SystemAllocated() {
+		in.Addr = in.va
 	}
 	if st.pooled {
 		ch = append(ch, charge{cost.OverlayDeallocate, n})
@@ -244,7 +232,7 @@ func (g *Genie) dispose(in *InputOp, st *staging, ch []charge) (sim.Duration, er
 		st.release()
 		g.chargeSet(StageDispose, in.octx(), []charge{{cost.BufDeallocate, n}}, &in.ReceiverCPU)
 	}
-	return lat, err
+	return lat, bad
 }
 
 // emcopyDispose passes the staged frames to the application buffer with
