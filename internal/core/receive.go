@@ -67,9 +67,6 @@ func (g *Genie) onReceive(pkt netsim.Packet) {
 		if ch, err = g.stageOutboard(in, pkt.Outboard, &st, buf[:0]); err == nil {
 			lat, err = g.dispose(in, &st, ch)
 		}
-		if err != nil {
-			lat = 0
-		}
 		g.chargeSet(StageDispose, in.octx(), []charge{{cost.BufDeallocate, n}}, &in.ReceiverCPU)
 		pkt.Outboard.Free()
 	default:
