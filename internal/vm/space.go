@@ -396,7 +396,7 @@ func (as *AddressSpace) KernelSwapPage(pageVA Addr, nf *mem.Frame) (*mem.Frame, 
 	}
 	pi := r.pageIndex(pageVA)
 	var old *mem.Frame
-	if _, ok := r.object.pages[pi]; ok {
+	if r.object.page(pi) != nil {
 		old = r.object.swapPage(pi, nf)
 	} else {
 		if r.object.backing != nil {

@@ -357,11 +357,12 @@ func TestReadPhysSeesThroughProtections(t *testing.T) {
 	}
 }
 
-// TestSystemResetReusesMaps checks the map reuse behind a recycled
-// system: Reset clears the page tables and object page maps of the
+// TestSystemResetReusesMaps checks the storage reuse behind a recycled
+// system: Reset clears the page tables and object page slots of the
 // live spaces and objects and hands them to the next NewAddressSpace
-// and newObject, ids restart from 1, and a space used after Reset
-// panics on its first write instead of aliasing a live one.
+// and newObject (an object beyond the spares gets new storage), ids
+// restart from 1, and a space or object used after Reset panics on its
+// first write instead of aliasing a live one.
 func TestSystemResetReusesMaps(t *testing.T) {
 	sys := newTestSystem(32)
 	as := sys.NewAddressSpace()
@@ -381,7 +382,7 @@ func TestSystemResetReusesMaps(t *testing.T) {
 	sys.Phys().Reset()
 	sys.Reset()
 	if as.pt != nil || r.object.pages != nil || k.pages != nil {
-		t.Fatal("Reset left a stale space or object holding its map")
+		t.Fatal("Reset left a stale space or object holding its storage")
 	}
 
 	as2 := sys.NewAddressSpace()
@@ -391,19 +392,29 @@ func TestSystemResetReusesMaps(t *testing.T) {
 	}
 	for want := 1; want <= 2; want++ {
 		o := sys.NewKernelObject()
-		if o.ID() != want || len(o.pages) != 0 || !oldPages[ptr(o.pages)] {
-			t.Fatalf("object after Reset: id %d, %d pages, reused map %t; want id %d, empty, reused",
-				o.ID(), len(o.pages), oldPages[ptr(o.pages)], want)
+		reused := cap(o.pages) > 0 && oldPages[ptr(o.pages)]
+		if o.ID() != want || len(o.pages) != 0 || o.ResidentPages() != 0 || !reused {
+			t.Fatalf("object after Reset: id %d, %d page slots, %d resident, reused slots %t; want id %d, empty, reused",
+				o.ID(), len(o.pages), o.ResidentPages(), reused, want)
 		}
 	}
-	if o := sys.NewKernelObject(); o.pages == nil || oldPages[ptr(o.pages)] {
-		t.Fatal("object beyond the spare maps did not get a new map")
+	o := sys.NewKernelObject()
+	if _, err := sys.AllocFrameInto(o, 0); err != nil {
+		t.Fatal(err)
+	}
+	if oldPages[ptr(o.pages)] {
+		t.Fatal("object beyond the spare page slots did not get new storage")
 	}
 
-	defer func() {
-		if recover() == nil {
-			t.Fatal("write through a space used after Reset did not panic")
-		}
-	}()
-	_ = as.Poke(r.Start(), data)
+	mustPanic := func(what string, write func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("write through a %s used after Reset did not panic", what)
+			}
+		}()
+		write()
+	}
+	mustPanic("space", func() { _ = as.Poke(r.Start(), data) })
+	mustPanic("kernel object", func() { _, _ = sys.AllocFrameInto(k, 0) })
 }
