@@ -266,6 +266,7 @@ type PhysMem struct {
 	allocFault func() bool
 	stats      Stats
 	hwm        stats.HighWater // frames off the free list, high-water tracked
+	onFree     []bool          // CheckInvariants' free-list membership by frame id, reused
 }
 
 // New creates a physical memory of numFrames frames of pageSize bytes
@@ -602,8 +603,15 @@ func (pm *PhysMem) CheckInvariants() error {
 			return fmt.Errorf("free list entry %d is %d, want untouched %v", i, id, f)
 		}
 	}
-	onFree := make(map[FrameID]bool, len(pm.freeList))
+	if len(pm.onFree) != n {
+		pm.onFree = make([]bool, n)
+	}
+	onFree := pm.onFree
+	clear(onFree)
 	for _, id := range pm.freeList {
+		if uint(id) >= uint(n) {
+			return fmt.Errorf("free list holds frame %d, outside %d frames", id, n)
+		}
 		if onFree[id] {
 			return fmt.Errorf("frame %d appears twice on free list", id)
 		}

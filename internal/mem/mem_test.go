@@ -573,3 +573,36 @@ func TestReset(t *testing.T) {
 		t.Fatal("AllocZeroed returned stale data after Reset")
 	}
 }
+
+// CheckInvariants catches a corrupt free list — a frame listed twice,
+// an id outside memory, a free flag the list disagrees with — and a
+// warm audit allocates nothing.
+func TestCheckInvariantsFreeList(t *testing.T) {
+	pm := New(4, 16)
+	f, err := pm.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(10, func() { _ = pm.CheckInvariants() }); a != 0 {
+		t.Fatalf("warm CheckInvariants: %v allocs, want 0", a)
+	}
+	list := pm.freeList
+	for _, tc := range []struct {
+		name    string
+		corrupt func()
+	}{
+		{"duplicate", func() { pm.freeList = append(list[:len(list):len(list)], list[len(list)-1]) }},
+		{"out of range", func() { pm.freeList = append(list[:len(list):len(list)], FrameID(pm.NumFrames())) }},
+		{"negative", func() { pm.freeList = append(list[:len(list):len(list)], -1) }},
+		{"free flag", func() { f.free = true }},
+	} {
+		tc.corrupt()
+		if pm.CheckInvariants() == nil {
+			t.Errorf("%s: CheckInvariants passed a corrupt free list", tc.name)
+		}
+		pm.freeList, f.free = list, false
+		if err := pm.CheckInvariants(); err != nil {
+			t.Fatalf("after restoring %s: %v", tc.name, err)
+		}
+	}
+}
