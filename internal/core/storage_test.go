@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 
@@ -464,5 +465,60 @@ func TestStorageResetDeterminism(t *testing.T) {
 	cpu2, t2 := run(tb, s)
 	if cpu1 != cpu2 || t1 != t2 {
 		t.Fatalf("recycled run diverged: cpu %v vs %v, t %v vs %v", cpu1, cpu2, t1, t2)
+	}
+}
+
+// The pageout daemon must not reclaim the page cache's frames: the
+// cache still indexes them, so a reclaimed frame would later serve the
+// application's bytes as file content, and Drop would release a frame
+// the application maps. Under memory pressure the cache gives pages
+// back only through its own LRU.
+func TestDemandPagingSparesCachePages(t *testing.T) {
+	tb, err := NewTestbed(TestbedConfig{DemandPaging: true, FramesPerHost: 160})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewStorage(tb.A, DiskConfig{CachePages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const blocks, appPages = 64, 40
+	loadFile(t, s, blocks)
+	if _, err := s.Cache().EnsureRange(0, blocks); err != nil {
+		t.Fatal(err)
+	}
+	bs := s.Device().BlockSize()
+	p := tb.A.Genie.NewProcess()
+	r, err := p.AllocIOBuffer(appPages * bs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Exhaust memory: the write either pages out application pages or
+	// runs out of memory, never takes a cache page.
+	err = p.Write(r.Start(), bytes.Repeat([]byte{0x5a}, appPages*bs))
+	switch {
+	case errors.Is(err, mem.ErrOutOfMemory):
+	case err != nil:
+		t.Fatalf("write under memory pressure: %v", err)
+	case tb.A.Sys.Stats().PageOuts == 0:
+		t.Fatal("the write paged nothing out: no memory pressure")
+	}
+	if err := s.CheckConservation(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.A.Sys.Phys().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Cache().Resident(); got != blocks {
+		t.Fatalf("%d cached blocks resident after the write, want %d", got, blocks)
+	}
+	got := make([]byte, bs)
+	for b := range blocks {
+		if _, err := s.Cache().ReadRange(b, 0, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, filePattern(b, bs)) {
+			t.Fatalf("cached block %d does not read back the file image", b)
+		}
 	}
 }

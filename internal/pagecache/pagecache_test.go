@@ -459,6 +459,82 @@ func TestReadPathAllocs(t *testing.T) {
 	}
 }
 
+// A warm full cache churns without allocating: entries, frames, page
+// slots, device media and the device's view slice are all reused. Each
+// case runs once to warm up before it is measured.
+func TestCacheChurnAllocs(t *testing.T) {
+	const pages = 8
+	sys, dev, c := newCache(t, Config{Pages: pages, ReadAhead: 2, DirtyThreshold: 4})
+	file := make([][]byte, 32)
+	for b := range file {
+		file[b] = wantBlock(b, 0, pageSize)
+	}
+	load := func() {
+		for b, p := range file {
+			if err := dev.Load(b, mem.BufBytes(p)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	load()
+	if _, err := c.EnsureRange(0, pages); err != nil {
+		t.Fatal(err)
+	}
+	data := mem.BufBytes(bytes.Repeat([]byte{7}, 4*pageSize))
+	pos := 0
+	write := func() { // evicts 4 pages, inserts 4, fires a burst
+		pos = (pos + 4) % 32
+		if _, err := c.WriteRange(pos, 0, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	take := func() { // donates a page, then refills it from the device
+		f, _, err := c.TakeFrame(pos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Phys().Release(f)
+		if _, err := c.EnsureRange(pos, 1); err != nil {
+			t.Fatal(err)
+		}
+		pos = (pos + 1) % 32
+	}
+	reacquire := func() { // a system reset and a reloaded file, then a full cache again
+		sys.Phys().Reset()
+		sys.Reset()
+		dev.Reset()
+		c.Reacquire()
+		load()
+		if _, err := c.EnsureRange(0, pages); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{{"full-page WriteRange", write}, {"TakeFrame and refill", take}, {"Reacquire and refill", reacquire}} {
+		before := c.Counters()
+		for range 8 {
+			tc.op() // warm: every block of the cycle has been touched
+		}
+		if a := testing.AllocsPerRun(20, tc.op); a != 0 {
+			t.Errorf("%s on a warm full cache: %v allocs, want 0", tc.name, a)
+		}
+		if c.Resident() != pages {
+			t.Fatalf("%s: %d pages resident, want a full cache of %d", tc.name, c.Resident(), pages)
+		}
+		if err := c.CheckConservation(); err != nil {
+			t.Fatal(err)
+		}
+		if tc.name == "full-page WriteRange" {
+			ct := c.Counters()
+			if ct.Evictions == before.Evictions || ct.Bursts == before.Bursts {
+				t.Fatalf("the write case neither evicted nor burst: %+v", ct)
+			}
+		}
+	}
+}
+
 // BenchmarkReadRange reads a run of resident bytes-plane pages.
 func BenchmarkReadRange(b *testing.B) {
 	for _, pages := range []int{1, 4, 15} {
