@@ -289,9 +289,10 @@ func Evaluate(p Point) (Estimate, error) {
 	}, nil
 }
 
-// earlyDemuxDispose replicates core's disposeEarlyDemux charge sets
-// (Table 3). The returned duration is the latency-bearing part; the
-// deferred buffer deallocations charge CPU only.
+// earlyDemuxDispose replicates the charge sets of core's dispose cases
+// for a payload staged by early demultiplexing (Table 3). The returned
+// duration is the latency-bearing part; the deferred buffer
+// deallocations charge CPU only.
 func earlyDemuxDispose(m *cost.Model, cfg core.Config, sem core.Semantics, n, appOff, ps int, cpu *float64) (sim.Duration, error) {
 	switch sem {
 	case core.Copy:
@@ -354,9 +355,10 @@ func earlyDemuxDispose(m *cost.Model, cfg core.Config, sem core.Semantics, n, ap
 	return 0, fmt.Errorf("%w: %v", core.ErrBadSemantics, sem)
 }
 
-// pooledDispose replicates core's disposePooled (Table 4): the ready
-// charges (overlay allocation) and the dispose charges both contribute
-// to latency, added as two chargeSet subtotals.
+// pooledDispose replicates core's dispose cases for a payload staged
+// in pooled overlay pages (Table 4): the ready charges (overlay
+// allocation) and the dispose charges both contribute to latency, added
+// as two chargeSet subtotals.
 func pooledDispose(m *cost.Model, cfg core.Config, sem core.Semantics, n, devOff, appOff, ps int, cpu *float64) (sim.Duration, error) {
 	lat := chargeTotal(m, []charge{
 		{cost.OverlayAllocate, n}, {cost.Overlay, n},
@@ -406,7 +408,8 @@ func pooledDispose(m *cost.Model, cfg core.Config, sem core.Semantics, n, devOff
 	return lat + chargeTotal(m, ch, cpu), nil
 }
 
-// outboardDispose replicates core's disposeOutboard (Section 6.2.3).
+// outboardDispose replicates core's stageOutboard and dispose cases for
+// a payload held in outboard memory (Section 6.2.3).
 func outboardDispose(m *cost.Model, sem core.Semantics, n, ps int, cpu *float64) (sim.Duration, error) {
 	var ch []charge
 	switch sem {

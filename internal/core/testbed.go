@@ -223,10 +223,10 @@ func (tb *Testbed) SetTracer(base *trace.Tracer) {
 // Reset's frame work is O(frames the run touched), not O(machine size):
 // physical memory re-initializes only the frames allocated since the
 // last Reset, and each pool takes its pages back in one call. The VM
-// systems keep their cleared page tables and object page maps for
-// reuse; clearing a map costs O(its peak capacity), which a Go map
-// never gives back (see vm.System.Reset). A warm Reset allocates
-// nothing.
+// systems keep their cleared page tables and object page slots for
+// reuse; clearing a page table costs O(its peak capacity), which a Go
+// map never gives back, and clearing an object's slots O(its peak page
+// index) (see vm.System.Reset). A warm Reset allocates nothing.
 func (tb *Testbed) Reset() error {
 	tb.Eng.Reset()
 	for _, h := range []*Host{tb.A, tb.B} {
