@@ -7,9 +7,12 @@
 //	geniebench chaos        # fault-injection recovery matrix
 //	geniebench workload     # closed-loop backpressure study: semantics x depth x load
 //	geniebench storage      # storage-path study: semantics x I/O size over block device + page cache
+//	geniebench trace        # per-event breakdown of one traced transfer
+//	geniebench plot         # the paper's Figures 3-7 as ASCII plots
 //
-// Every subcommand takes its own flags (see `geniebench <cmd> -h`). All
-// but chaos take -json <path> (machine-readable report). sweep, bigsweep
+// Every subcommand takes its own flags (see `geniebench <cmd> -h`).
+// sweep, bigsweep, cluster, workload and storage take -json <path>
+// (machine-readable report). sweep, bigsweep
 // and workload take -parallel N, the goroutines their independent points
 // fan across. cluster, workload and storage take -workers, the list of
 // worker counts whose digests must match, and share one rule for it:
@@ -95,6 +98,31 @@
 // count (point fan-out) and the digests must match bit for bit; exit
 // status is nonzero on divergence, or when -requirecrossover is set and
 // any configuration fails to locate a finite crossover.
+//
+// # trace
+//
+// Traces one datagram transfer through the structured event subsystem,
+// the cycle-counter instrumentation of the paper's Section 8 as a tool.
+// It prints every emitted event (data passing charges with their stage
+// and latency, VM faults and region transitions, adapter and link
+// activity), then the critical-path spans, whose sum equals the
+// end-to-end latency. -sem names one semantics (spaces or hyphens),
+// -bytes the datagram length, -scheme the input buffering (early,
+// pooled, outboard), -devoff and -appoff the device and application
+// buffer offsets, and -chrome also writes the trace as Chrome
+// trace_event JSON:
+//
+//	geniebench trace -sem "emulated copy" -bytes 61440 -scheme early
+//	geniebench trace -sem copy -bytes 2048 -scheme pooled -appoff 1000
+//	geniebench trace -sem move -bytes 16384 -scheme pooled -chrome out.json
+//
+// # plot
+//
+// Renders the paper's latency and utilization figures as ASCII plots
+// for a quick visual check of the curve shapes: the wide
+// copy-vs-everything gap of Figure 3, move's zeroing penalty in
+// Figure 5, and the three-band split of Figure 7. -fig N draws only
+// Figure N (3 to 7); the default 0 draws all five.
 package main
 
 import (
@@ -123,6 +151,8 @@ var subcommands = []struct {
 	{"chaos", "fault-injection recovery matrix", runChaosCmd},
 	{"workload", "closed-loop backpressure study: semantics x depth x load", runWorkloadCmd},
 	{"storage", "storage-path study: semantics x I/O size over block device + page cache", runStorageCmd},
+	{"trace", "per-event breakdown of one traced transfer", runTraceCmd},
+	{"plot", "the paper's Figures 3-7 as ASCII plots", runPlotCmd},
 }
 
 // run is the testable entry point: the first argument names the

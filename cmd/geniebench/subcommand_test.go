@@ -257,3 +257,68 @@ func TestParseSemanticsList(t *testing.T) {
 		t.Errorf("bad name not diagnosed: %v", err)
 	}
 }
+
+// trace and plot flag validation: each bad value is a usage error
+// (exit 2) naming its flag, before anything is simulated or printed.
+func TestCLITracePlotRejectBadFlags(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"unknown figure", []string{"plot", "-fig", "9"}, "-fig"},
+		{"unknown semantics", []string{"trace", "-sem", "telepathy"}, "-sem"},
+		{"no semantics", []string{"trace", "-sem", ""}, "-sem"},
+		{"two semantics", []string{"trace", "-sem", "copy,move"}, "-sem"},
+		{"unknown scheme", []string{"trace", "-scheme", "carrier-pigeon"}, "-scheme"},
+		{"zero bytes", []string{"trace", "-bytes", "0"}, "-bytes"},
+		{"negative bytes", []string{"trace", "-bytes", "-5"}, "-bytes"},
+		{"negative devoff", []string{"trace", "-devoff", "-1"}, "-devoff"},
+		{"negative appoff", []string{"trace", "-appoff", "-1"}, "-appoff"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			code, stdout, stderr := runCLI(t, tc.args...)
+			if code != 2 {
+				t.Fatalf("exit code %d, want 2; stderr:\n%s", code, stderr)
+			}
+			if !strings.Contains(stderr, tc.want) || !strings.Contains(stderr, "Usage") {
+				t.Errorf("stderr missing %q or usage:\n%s", tc.want, stderr)
+			}
+			if stdout != "" {
+				t.Errorf("printed on stdout:\n%s", stdout)
+			}
+		})
+	}
+}
+
+// -sem takes the same spellings as the other subcommands' semantics
+// lists: hyphens print the same trace as spaces.
+func TestCLITraceHyphenatedSemantics(t *testing.T) {
+	if a, b := stdoutDigest(t, "trace", "-sem", "emulated-copy"), stdoutDigest(t, "trace"); a != b {
+		t.Errorf("-sem emulated-copy: sha256 %s, default \"emulated copy\" %s", a, b)
+	}
+}
+
+// -chrome writes a trace_event document next to the printed breakdown,
+// and an unwritable path is a runtime failure.
+func TestCLITraceChrome(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.json")
+	code, _, stderr := runCLI(t, "trace", "-sem", "move", "-bytes", "16384", "-scheme", "pooled", "-chrome", path)
+	if code != 0 {
+		t.Fatalf("exit code %d\nstderr:\n%s", code, stderr)
+	}
+	var doc struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(buf, &doc); err != nil || len(doc.TraceEvents) == 0 {
+		t.Fatalf("bad Chrome trace (%v): %.200s", err, buf)
+	}
+	if code, _, _ := runCLI(t, "trace", "-chrome", t.TempDir()); code != 1 {
+		t.Errorf("-chrome at a directory: exit code %d, want 1", code)
+	}
+}

@@ -49,6 +49,19 @@ type report struct {
 	Results     []result              `json:"results"`
 }
 
+// paperFigures lists the paper's Figures 3-7 in order: sweep prints
+// them and writes them as CSV, and plot draws them.
+var paperFigures = []struct {
+	id  int
+	gen func(experiments.Setup) (experiments.Figure, error)
+}{
+	{3, experiments.Figure3},
+	{4, experiments.Figure4},
+	{5, experiments.Figure5},
+	{6, experiments.Figure6},
+	{7, experiments.Figure7},
+}
+
 // generators lists every figure, table, and ablation in print order.
 func generators() []generator {
 	fig := func(name string, f func(experiments.Setup) (experiments.Figure, error)) generator {
@@ -62,12 +75,11 @@ func generators() []generator {
 	tab := func(name, section string, f func() (experiments.Table, error)) generator {
 		return generator{name: name, section: section, tab: f}
 	}
-	return []generator{
-		fig("Figure 3", experiments.Figure3),
-		fig("Figure 4", experiments.Figure4),
-		fig("Figure 5", experiments.Figure5),
-		fig("Figure 6", experiments.Figure6),
-		fig("Figure 7", experiments.Figure7),
+	var gens []generator
+	for _, pf := range paperFigures {
+		gens = append(gens, fig(fmt.Sprintf("Figure %d", pf.id), pf.gen))
+	}
+	return append(gens,
 		fig("Outboard (predicted)", experiments.FigureOutboard),
 		tabS("Figure 3 (throughput)", "figures", experiments.Figure3Throughput),
 		tab("Table 1", "tables", func() (experiments.Table, error) { return experiments.Table1(), nil }),
@@ -89,7 +101,7 @@ func generators() []generator {
 		tab("Ablation: output protection", "ablations", experiments.AblationOutputProtection),
 		tab("Ablation: checksum", "ablations", experiments.AblationChecksum),
 		tab("Ablation: pageout", "ablations", experiments.AblationPageout),
-	}
+	)
 }
 
 // run executes one generator, timing its wall clock.
@@ -293,14 +305,7 @@ func writeTrace(path string, stderr io.Writer) error {
 			return fmt.Errorf("trace exemplar %q: %w", e.name, err)
 		}
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := exp.WriteTo(f); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeChrome(path, exp); err != nil {
 		return err
 	}
 	fmt.Fprintf(stderr, "geniebench: wrote %s (%d traced exemplars; load in chrome://tracing or Perfetto)\n",
@@ -313,19 +318,12 @@ func writeCSVs(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	gens := map[string]func(experiments.Setup) (experiments.Figure, error){
-		"figure3.csv": experiments.Figure3,
-		"figure4.csv": experiments.Figure4,
-		"figure5.csv": experiments.Figure5,
-		"figure6.csv": experiments.Figure6,
-		"figure7.csv": experiments.Figure7,
-	}
-	for name, gen := range gens {
-		fig, err := gen(experiments.Setup{})
+	for _, pf := range paperFigures {
+		fig, err := pf.gen(experiments.Setup{})
 		if err != nil {
 			return err
 		}
-		f, err := os.Create(filepath.Join(dir, name))
+		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("figure%d.csv", pf.id)))
 		if err != nil {
 			return err
 		}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/netsim"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -408,5 +409,19 @@ func TestAblations(t *testing.T) {
 	}
 	if po.Cell(2, 3) != "true" {
 		t.Error("pageout ablation corrupted data")
+	}
+}
+
+// A negative application offset is a caller error, reported by name
+// before any simulation, traced or not.
+func TestMeasureRejectsNegativeAppOffset(t *testing.T) {
+	for _, s := range []Setup{
+		{Scheme: netsim.EarlyDemux, AppOffset: -1},
+		{Scheme: netsim.Pooled, DevOff: 1000, AppOffset: -4096, Tracer: trace.New(trace.NewRing(16))},
+	} {
+		_, err := Measure(s, core.EmulatedCopy, 4097)
+		if err == nil || !strings.Contains(err.Error(), "AppOffset") {
+			t.Errorf("AppOffset %d: err %v, want one naming AppOffset", s.AppOffset, err)
+		}
 	}
 }

@@ -125,6 +125,9 @@ func (m Measurement) ThroughputMbps() float64 {
 // testbeds); both layers are transparent — output is byte-identical to
 // a cold Measure on a fresh testbed.
 func Measure(s Setup, sem core.Semantics, length int) (Measurement, error) {
+	if s.AppOffset < 0 {
+		return Measurement{}, fmt.Errorf("experiments: negative AppOffset %d", s.AppOffset)
+	}
 	// Traced runs bypass the memo: the caller wants the event stream,
 	// which only a real simulation produces.
 	if s.Tracer != nil {

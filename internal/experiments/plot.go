@@ -13,7 +13,7 @@ type PlotConfig struct {
 	Height int
 }
 
-// DefaultPlot is the geniefigs rendering size.
+// DefaultPlot is the `geniebench plot` rendering size.
 var DefaultPlot = PlotConfig{Width: 72, Height: 22}
 
 // Plot draws the figure as an ASCII scatter, one glyph per series in
