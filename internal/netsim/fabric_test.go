@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -49,7 +50,7 @@ func TestFabricRoutedDelivery(t *testing.T) {
 	nics[1].SetRxHandler(func(Packet) { t.Fatal("unrouted host received traffic") })
 
 	payload := []byte("switched frame")
-	if err := nics[0].Transmit(5, payload, nil); err != nil {
+	if err := nics[0].TransmitDatagramBuf(5, mem.BufBytes(payload), nil); err != nil {
 		t.Fatal(err)
 	}
 	c.Run()
@@ -74,7 +75,7 @@ func TestFabricRoutedDelivery(t *testing.T) {
 // installed circuit, and for out-of-range route installs.
 func TestFabricNoRoute(t *testing.T) {
 	_, f, nics := newFabricHosts(t, 2, 1, 0.05, 100)
-	if err := nics[0].Transmit(9, []byte("x"), nil); !errors.Is(err, ErrNoRoute) {
+	if err := nics[0].TransmitDatagramBuf(9, mem.BufBytes([]byte("x")), nil); !errors.Is(err, ErrNoRoute) {
 		t.Fatalf("err = %v, want ErrNoRoute", err)
 	}
 	if err := f.Route(0, 1, 7); err == nil {
@@ -88,7 +89,7 @@ func TestFabricNoRoute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lone.Transmit(0, []byte("x"), nil); !errors.Is(err, ErrNotAttached) {
+	if err := lone.TransmitDatagramBuf(0, mem.BufBytes([]byte("x")), nil); !errors.Is(err, ErrNotAttached) {
 		t.Fatalf("unattached err = %v, want ErrNotAttached", err)
 	}
 	if _, ok := f.HostOf(lone); ok {
@@ -117,7 +118,7 @@ func TestFabricIncastSerializesEgress(t *testing.T) {
 		nics[0].SetRxHandler(func(p Packet) { arrivals = append(arrivals, p.Arrival) })
 		payload := make([]byte, size)
 		for s := 1; s <= senders; s++ {
-			if err := nics[s].Transmit(s, payload, nil); err != nil {
+			if err := nics[s].TransmitDatagramBuf(s, mem.BufBytes(payload), nil); err != nil {
 				t.Fatal(err)
 			}
 		}

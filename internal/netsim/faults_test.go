@@ -80,7 +80,7 @@ func TestDropAccounting(t *testing.T) {
 			NICConfig{Name: "tx", Buffering: EarlyDemux},
 			NICConfig{Name: "rx", Buffering: EarlyDemux})
 		b.SetRxHandler(func(Packet) { t.Error("delivered without a posted buffer") })
-		if err := a.Transmit(1, make([]byte, 100), nil); err != nil {
+		if err := a.TransmitDatagramBuf(1, mem.BufBytes(make([]byte, 100)), nil); err != nil {
 			t.Fatal(err)
 		}
 		eng.Run()
@@ -101,7 +101,7 @@ func TestDropAccounting(t *testing.T) {
 		var delivered int
 		b.SetRxHandler(func(p Packet) { delivered++ }) // holds overlay pages forever
 		for i := 0; i < 2; i++ {
-			if err := a.Transmit(1, make([]byte, 100), nil); err != nil {
+			if err := a.TransmitDatagramBuf(1, mem.BufBytes(make([]byte, 100)), nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -124,7 +124,7 @@ func TestDropAccounting(t *testing.T) {
 		var delivered int
 		b.SetRxHandler(func(p Packet) { delivered++ }) // never frees the staging buffer
 		for i := 0; i < 2; i++ {
-			if err := a.Transmit(1, make([]byte, 100), nil); err != nil {
+			if err := a.TransmitDatagramBuf(1, mem.BufBytes(make([]byte, 100)), nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -144,7 +144,7 @@ func TestDropAccounting(t *testing.T) {
 			NICConfig{Name: "tx", Buffering: EarlyDemux},
 			NICConfig{Name: "rx", Buffering: Pooled, Pool: pool})
 		// No SetRxHandler: the frame stages into the pool, then drops.
-		if err := a.Transmit(1, make([]byte, 100), nil); err != nil {
+		if err := a.TransmitDatagramBuf(1, mem.BufBytes(make([]byte, 100)), nil); err != nil {
 			t.Fatal(err)
 		}
 		eng.Run()
@@ -172,7 +172,7 @@ func TestWireFaultCounters(t *testing.T) {
 		buf := &hostBuffer{data: make([]byte, 64)}
 		b.PostInput(1, buf)
 		b.PostInput(1, buf) // second posting absorbs an injected duplicate
-		if err := a.Transmit(1, make([]byte, 64), nil); err != nil {
+		if err := a.TransmitDatagramBuf(1, mem.BufBytes(make([]byte, 64)), nil); err != nil {
 			t.Fatal(err)
 		}
 		eng.Run()
@@ -207,7 +207,7 @@ func TestPayloadCorruptionChangesBytes(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		buf := &hostBuffer{data: make([]byte, 256)}
 		b.PostInput(1, buf)
-		if err := a.Transmit(1, payload, nil); err != nil {
+		if err := a.TransmitDatagramBuf(1, mem.BufBytes(payload), nil); err != nil {
 			t.Fatal(err)
 		}
 		eng.Run()
@@ -248,7 +248,7 @@ func TestPoolBackpressureRetry(t *testing.T) {
 		held = append(held, p.Overlay...)
 	})
 	for i := 0; i < 2; i++ {
-		if err := a.Transmit(1, make([]byte, 100), nil); err != nil {
+		if err := a.TransmitDatagramBuf(1, mem.BufBytes(make([]byte, 100)), nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,12 +8,12 @@ import (
 	"repro/internal/trace"
 )
 
-// Fragmentation support: with a nonzero MTU, Transmit splits a datagram
-// into MTU-sized packets, each carrying (offset, last) reassembly
-// metadata, like IP over an AAL5 virtual circuit. Fragments of one
-// datagram are sent back to back on the link; the paper's companion work
-// ("Copy Emulation in Checksummed, Multiple-Packet Communication")
-// studies exactly this multiple-packet regime.
+// Fragmentation support: with a nonzero MTU, TransmitDatagramBuf splits
+// a datagram into MTU-sized packets, each carrying (offset, last)
+// reassembly metadata, like IP over an AAL5 virtual circuit. Fragments
+// of one datagram are sent back to back on the link; the paper's
+// companion work ("Copy Emulation in Checksummed, Multiple-Packet
+// Communication") studies exactly this multiple-packet regime.
 //
 // Reassembly follows the receiving NIC's input architecture:
 //
@@ -46,15 +46,13 @@ type reassembly struct {
 	outboard *OutboardBuffer
 }
 
-// TransmitDatagram serializes a datagram, fragmenting at the NIC's MTU
-// if one is configured. onSent fires when the last fragment has left.
-// With MTU == 0 it is identical to Transmit.
-func (n *NIC) TransmitDatagram(port int, payload []byte, onSent func()) error {
-	return n.TransmitDatagramBuf(port, mem.BufBytes(payload), onSent)
-}
-
-// TransmitDatagramBuf is TransmitDatagram for a data-plane buffer,
-// under TransmitBuf's contract.
+// TransmitDatagramBuf serializes a datagram, fragmenting at the NIC's
+// MTU if one is configured, and invokes onSent (if non-nil) when the
+// last fragment has left the adapter; delivery to the peer includes the
+// link's fixed latency. With MTU == 0 the datagram goes out as one AAL5
+// frame. Delivery happens later on the simulated clock, so the caller
+// must not change the buffer's bytes afterwards; the adapter never
+// writes through them and never returns them to the wire pool.
 func (n *NIC) TransmitDatagramBuf(port int, payload mem.Buf, onSent func()) error {
 	return n.transmitDatagram(port, payload, false, onSent)
 }

@@ -39,7 +39,7 @@ func TestFragmentationEarlyDemux(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i * 31)
 	}
-	if err := a.TransmitDatagram(3, payload, nil); err != nil {
+	if err := a.TransmitDatagramBuf(3, mem.BufBytes(payload), nil); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -67,7 +67,7 @@ func TestFragmentationAddsOnlyTrailerTime(t *testing.T) {
 		b.PostInput(1, buf)
 		var at sim.Time
 		b.SetRxHandler(func(p Packet) { at = p.Arrival })
-		if err := a.TransmitDatagram(1, make([]byte, n), nil); err != nil {
+		if err := a.TransmitDatagramBuf(1, mem.BufBytes(make([]byte, n)), nil); err != nil {
 			t.Fatal(err)
 		}
 		eng.Run()
@@ -96,7 +96,7 @@ func TestFragmentationPooled(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}
-	if err := a.TransmitDatagram(1, payload, nil); err != nil {
+	if err := a.TransmitDatagramBuf(1, mem.BufBytes(payload), nil); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -126,7 +126,7 @@ func TestFragmentationOutboard(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	if err := a.TransmitDatagram(1, payload, nil); err != nil {
+	if err := a.TransmitDatagramBuf(1, mem.BufBytes(payload), nil); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -142,7 +142,7 @@ func TestFragmentationOutboard(t *testing.T) {
 func TestFragmentationDropWithoutPosting(t *testing.T) {
 	eng, a, b := newFragPair(t, 1000, NICConfig{Buffering: EarlyDemux})
 	b.SetRxHandler(func(Packet) { t.Fatal("unexpected delivery") })
-	if err := a.TransmitDatagram(5, make([]byte, 5000), nil); err != nil {
+	if err := a.TransmitDatagramBuf(5, mem.BufBytes(make([]byte, 5000)), nil); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -157,7 +157,7 @@ func TestFragmentationOnSentFiresOnce(t *testing.T) {
 	b.PostInput(1, buf)
 	b.SetRxHandler(func(Packet) {})
 	sent := 0
-	if err := a.TransmitDatagram(1, make([]byte, 5000), func() { sent++ }); err != nil {
+	if err := a.TransmitDatagramBuf(1, mem.BufBytes(make([]byte, 5000)), func() { sent++ }); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -184,7 +184,7 @@ func TestPropertyFragmentationIntegrity(t *testing.T) {
 		for i := range payload {
 			payload[i] = byte(int(seed) + i*13)
 		}
-		if err := a.TransmitDatagram(1, payload, nil); err != nil {
+		if err := a.TransmitDatagramBuf(1, mem.BufBytes(payload), nil); err != nil {
 			return false
 		}
 		eng.Run()

@@ -376,21 +376,6 @@ func (n *NIC) injectWire(port int, payload mem.Buf, deliver sim.Time) (mem.Buf, 
 // overtake the delayed one.
 const reorderDelayFactor = 2.5
 
-// Transmit serializes payload onto the link as one AAL5 frame and
-// invokes onSent (if non-nil) when the last cell has left the adapter.
-// Delivery to the peer includes the link's fixed latency.
-func (n *NIC) Transmit(port int, payload []byte, onSent func()) error {
-	return n.TransmitBuf(port, mem.BufBytes(payload), onSent)
-}
-
-// TransmitBuf is Transmit for a data-plane buffer. Delivery happens
-// later on the simulated clock, so the caller must not change the
-// buffer's bytes afterwards; the adapter never writes through them
-// and never returns them to the wire pool.
-func (n *NIC) TransmitBuf(port int, payload mem.Buf, onSent func()) error {
-	return n.transmit(port, payload, false, onSent)
-}
-
 // transmit sends one unfragmented frame. wire hands a bytes-plane
 // payload drawn from mem.GetWire over to the frame, for the receiving
 // adapter to return (NIC.handBack); a sender with a fault injector or an
@@ -463,8 +448,8 @@ func (n *NIC) receive(port int, payload mem.Buf, wire bool) {
 //   - the adapter is not outboard: staging keeps the payload by
 //     reference (OutboardBuffer.writeAt aliases a full-length write).
 //
-// Fragmented datagrams never get here (receiveFragment), and slices
-// passed to Transmit or TransmitDatagram are never wire. Everything else
+// Fragmented datagrams never get here (receiveFragment), and payloads
+// passed to TransmitDatagramBuf are never wire. Everything else
 // is left to the garbage collector.
 func (n *NIC) handBack(payload mem.Buf, wire, placed bool) {
 	if !wire || !placed || n.inj != nil || n.buffering == OutboardBuffering || payload.Symbolic() {

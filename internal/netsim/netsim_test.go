@@ -46,7 +46,7 @@ func TestEarlyDemuxDelivery(t *testing.T) {
 	b.SetRxHandler(func(p Packet) { got = p; delivered = true })
 
 	payload := []byte("early demultiplexed frame")
-	if err := a.Transmit(7, payload, nil); err != nil {
+	if err := a.TransmitDatagramBuf(7, mem.BufBytes(payload), nil); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -75,7 +75,7 @@ func TestEarlyDemuxPortIsolation(t *testing.T) {
 	b.PostInput(1, buf1)
 	b.PostInput(2, buf2)
 	b.SetRxHandler(func(Packet) {})
-	if err := a.Transmit(2, []byte("to-port-2"), nil); err != nil {
+	if err := a.TransmitDatagramBuf(2, mem.BufBytes([]byte("to-port-2")), nil); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -95,7 +95,7 @@ func TestEarlyDemuxDropsWithoutPosting(t *testing.T) {
 		NICConfig{Name: "tx", Buffering: EarlyDemux},
 		NICConfig{Name: "rx", Buffering: EarlyDemux})
 	b.SetRxHandler(func(Packet) { t.Fatal("unexpected delivery") })
-	if err := a.Transmit(9, []byte("orphan"), nil); err != nil {
+	if err := a.TransmitDatagramBuf(9, mem.BufBytes([]byte("orphan")), nil); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -115,7 +115,7 @@ func TestEarlyDemuxFallsBackToPool(t *testing.T) {
 		NICConfig{Name: "rx", Buffering: EarlyDemux, Pool: pool})
 	var got Packet
 	b.SetRxHandler(func(p Packet) { got = p })
-	if err := a.Transmit(3, []byte("unposted"), nil); err != nil {
+	if err := a.TransmitDatagramBuf(3, mem.BufBytes([]byte("unposted")), nil); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -140,7 +140,7 @@ func TestPooledDelivery(t *testing.T) {
 	b.SetRxHandler(func(p Packet) { got = p })
 
 	payload := bytes.Repeat([]byte{0xC3}, pageSize+100)
-	if err := a.Transmit(1, payload, nil); err != nil {
+	if err := a.TransmitDatagramBuf(1, mem.BufBytes(payload), nil); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -174,7 +174,7 @@ func TestPooledDepletionDrops(t *testing.T) {
 		NICConfig{Name: "tx", Buffering: EarlyDemux},
 		NICConfig{Name: "rx", Buffering: Pooled, Pool: pool})
 	b.SetRxHandler(func(Packet) {})
-	if err := a.Transmit(1, make([]byte, 3*pageSize), nil); err != nil {
+	if err := a.TransmitDatagramBuf(1, mem.BufBytes(make([]byte, 3*pageSize)), nil); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -192,7 +192,7 @@ func TestOutboardDelivery(t *testing.T) {
 	var got Packet
 	b.SetRxHandler(func(p Packet) { got = p })
 	payload := []byte("staged in outboard memory")
-	if err := a.Transmit(1, payload, nil); err != nil {
+	if err := a.TransmitDatagramBuf(1, mem.BufBytes(payload), nil); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -220,7 +220,7 @@ func TestOutboardExhaustion(t *testing.T) {
 		NICConfig{Name: "tx", Buffering: EarlyDemux},
 		NICConfig{Name: "rx", Buffering: OutboardBuffering, Outboard: ob})
 	b.SetRxHandler(func(Packet) {})
-	if err := a.Transmit(1, make([]byte, 100), nil); err != nil {
+	if err := a.TransmitDatagramBuf(1, mem.BufBytes(make([]byte, 100)), nil); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -240,7 +240,7 @@ func TestTransmitSerialization(t *testing.T) {
 		b.PostInput(1, buf)
 	}
 	for i := 0; i < 3; i++ {
-		if err := a.Transmit(1, make([]byte, 1000), nil); err != nil {
+		if err := a.TransmitDatagramBuf(1, mem.BufBytes(make([]byte, 1000)), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -265,13 +265,13 @@ func TestTransmitErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Transmit(1, []byte("x"), nil); err == nil {
+	if err := n.TransmitDatagramBuf(1, mem.BufBytes([]byte("x")), nil); err == nil {
 		t.Fatal("transmit without link succeeded")
 	}
 	_, a, _ := newPair(t,
 		NICConfig{Name: "tx", Buffering: EarlyDemux},
 		NICConfig{Name: "rx", Buffering: EarlyDemux})
-	if err := a.Transmit(1, make([]byte, MaxFrame+1), nil); err == nil {
+	if err := a.TransmitDatagramBuf(1, mem.BufBytes(make([]byte, MaxFrame+1)), nil); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }
@@ -297,7 +297,7 @@ func TestOnSentOrdering(t *testing.T) {
 	b.PostInput(1, buf)
 	var sentAt, rxAt sim.Time
 	b.SetRxHandler(func(p Packet) { rxAt = p.Arrival })
-	if err := a.Transmit(1, make([]byte, 16), func() { sentAt = eng.Now() }); err != nil {
+	if err := a.TransmitDatagramBuf(1, mem.BufBytes(make([]byte, 16)), func() { sentAt = eng.Now() }); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -368,11 +368,11 @@ func TestCorruptNextTx(t *testing.T) {
 
 	payload := bytes.Repeat([]byte{0xAA}, 16)
 	a.CorruptNextTx(5)
-	if err := a.Transmit(1, payload, nil); err != nil {
+	if err := a.TransmitDatagramBuf(1, mem.BufBytes(payload), nil); err != nil {
 		t.Fatal(err)
 	}
 	// Single-shot: the second frame is clean.
-	if err := a.Transmit(1, payload, nil); err != nil {
+	if err := a.TransmitDatagramBuf(1, mem.BufBytes(payload), nil); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -393,7 +393,7 @@ func TestCorruptNextTx(t *testing.T) {
 	a.CorruptNextTx(999)
 	buf3 := &hostBuffer{data: make([]byte, 16)}
 	b.PostInput(1, buf3)
-	if err := a.Transmit(1, payload, nil); err != nil {
+	if err := a.TransmitDatagramBuf(1, mem.BufBytes(payload), nil); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -415,7 +415,7 @@ func TestPropertyPayloadIntegrity(t *testing.T) {
 		buf := &hostBuffer{data: make([]byte, len(payload))}
 		b.PostInput(1, buf)
 		b.SetRxHandler(func(Packet) {})
-		if err := a.Transmit(1, payload, nil); err != nil {
+		if err := a.TransmitDatagramBuf(1, mem.BufBytes(payload), nil); err != nil {
 			return false
 		}
 		eng.Run()

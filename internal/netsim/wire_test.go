@@ -239,9 +239,9 @@ func TestWireBufferKeptWhenShared(t *testing.T) {
 	})
 }
 
-// TestTransmitSliceNeverPooled: a slice passed to Transmit or
-// TransmitDatagram stays the caller's, even when its capacity is a wire
-// class size and the receiver copies it out.
+// TestTransmitSliceNeverPooled: a slice passed to TransmitDatagramBuf
+// stays the caller's, even when its capacity is a wire class size and
+// the receiver copies it out.
 func TestTransmitSliceNeverPooled(t *testing.T) {
 	const n = 4096
 	eng, a, b := newPair(t,
@@ -250,13 +250,9 @@ func TestTransmitSliceNeverPooled(t *testing.T) {
 	b.SetRxHandler(func(Packet) {})
 	for i := 0; i < wireTrials; i++ {
 		payload := wirePattern(n, byte(i))
-		send := a.Transmit
-		if i%2 == 1 {
-			send = a.TransmitDatagram
-		}
 		target := &hostBuffer{data: make([]byte, n)}
 		b.PostInput(1, target)
-		if err := send(1, payload, nil); err != nil {
+		if err := a.TransmitDatagramBuf(1, mem.BufBytes(payload), nil); err != nil {
 			t.Fatal(err)
 		}
 		eng.Run()
