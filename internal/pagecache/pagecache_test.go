@@ -437,8 +437,8 @@ func TestReadPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := as.ReferenceRange(r.Start(), blocks*pageSize, true)
-	if err != nil {
+	ref := new(vm.IORef)
+	if err := as.ReferenceRangeInto(ref, r.Start(), blocks*pageSize, true); err != nil {
 		t.Fatal(err)
 	}
 	defer ref.Unreference()
@@ -589,8 +589,8 @@ func BenchmarkDeviceRead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ref, err := as.ReferenceRange(r.Start(), blocks*pageSize, true)
-	if err != nil {
+	ref := new(vm.IORef)
+	if err := as.ReferenceRangeInto(ref, r.Start(), blocks*pageSize, true); err != nil {
 		b.Fatal(err)
 	}
 	defer ref.Unreference()

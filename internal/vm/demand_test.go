@@ -48,8 +48,8 @@ func TestDemandPagingRespectsInputRefs(t *testing.T) {
 	sys.EnableDemandPaging(4)
 	as := sys.NewAddressSpace()
 	r := mustRegion(t, as, 4*testPageSize, Unmovable)
-	ref, err := as.ReferenceRange(r.Start(), 4*testPageSize, true)
-	if err != nil {
+	ref := new(IORef)
+	if err := as.ReferenceRangeInto(ref, r.Start(), 4*testPageSize, true); err != nil {
 		t.Fatal(err)
 	}
 	// All frames are input-referenced; no allocation can succeed.
@@ -84,8 +84,8 @@ func TestDemandPagingEvictsOutputPages(t *testing.T) {
 	if err := as.Poke(r.Start(), payload); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := as.ReferenceRange(r.Start(), 3*testPageSize, false)
-	if err != nil {
+	ref := new(IORef)
+	if err := as.ReferenceRangeInto(ref, r.Start(), 3*testPageSize, false); err != nil {
 		t.Fatal(err)
 	}
 	// One frame free; a second allocation triggers eviction of the

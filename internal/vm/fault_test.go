@@ -21,8 +21,8 @@ func TestTCOWCopyOnPendingOutput(t *testing.T) {
 	}
 
 	// Emulated copy output prepare: reference + read-only.
-	ref, err := as.ReferenceRange(r.Start(), 2*testPageSize, false)
-	if err != nil {
+	ref := new(IORef)
+	if err := as.ReferenceRangeInto(ref, r.Start(), 2*testPageSize, false); err != nil {
 		t.Fatal(err)
 	}
 	as.RemoveWrite(r.Start(), 2*testPageSize)
@@ -68,8 +68,8 @@ func TestTCOWReenableAfterOutput(t *testing.T) {
 	if err := as.Poke(r.Start(), []byte{1}); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := as.ReferenceRange(r.Start(), testPageSize, false)
-	if err != nil {
+	ref := new(IORef)
+	if err := as.ReferenceRangeInto(ref, r.Start(), testPageSize, false); err != nil {
 		t.Fatal(err)
 	}
 	as.RemoveWrite(r.Start(), testPageSize)
@@ -96,8 +96,8 @@ func TestTCOWRepeatedOutputs(t *testing.T) {
 		if err := as.Poke(r.Start(), payload); err != nil {
 			t.Fatal(err)
 		}
-		ref, err := as.ReferenceRange(r.Start(), testPageSize, false)
-		if err != nil {
+		ref := new(IORef)
+		if err := as.ReferenceRangeInto(ref, r.Start(), testPageSize, false); err != nil {
 			t.Fatal(err)
 		}
 		as.RemoveWrite(r.Start(), testPageSize)
@@ -129,8 +129,8 @@ func TestShareSemanticsExposesOverwrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Share output prepare: reference only, no RemoveWrite.
-	ref, err := as.ReferenceRange(r.Start(), testPageSize, false)
-	if err != nil {
+	ref := new(IORef)
+	if err := as.ReferenceRangeInto(ref, r.Start(), testPageSize, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := as.Poke(r.Start(), []byte("CLOBBER!")); err != nil {
@@ -218,8 +218,8 @@ func TestInputDisabledCOW(t *testing.T) {
 	}
 
 	// Pending in-place input on the source region.
-	inref, err := src.ReferenceRange(r.Start(), testPageSize, true)
-	if err != nil {
+	inref := new(IORef)
+	if err := src.ReferenceRangeInto(inref, r.Start(), testPageSize, true); err != nil {
 		t.Fatal(err)
 	}
 
@@ -247,7 +247,7 @@ func TestInputDisabledCOW(t *testing.T) {
 
 // TestCOWWithoutInputDisableWouldLeak demonstrates the hazard: with a
 // plain COW chain in place, a DMA input into the shared origin page is
-// visible through the copy. Genie's ReferenceRange(input) prevents this
+// visible through the copy. Genie's input ReferenceRangeInto prevents this
 // by faulting a private writable copy first (the reverse case of
 // Section 3.3).
 func TestInputReferenceResolvesCOWFirst(t *testing.T) {
@@ -265,8 +265,8 @@ func TestInputReferenceResolvesCOWFirst(t *testing.T) {
 
 	// Now the source posts an in-place input. Referencing for input
 	// verifies write access, which resolves the COW into a private page.
-	inref, err := src.ReferenceRange(r.Start(), testPageSize, true)
-	if err != nil {
+	inref := new(IORef)
+	if err := src.ReferenceRangeInto(inref, r.Start(), testPageSize, true); err != nil {
 		t.Fatal(err)
 	}
 	inref.DMAWrite(0, mem.BufBytes([]byte("DMAED!")))
@@ -298,8 +298,8 @@ func TestWriteToUnmappedPageUnderOutputCopies(t *testing.T) {
 	if err := as.Poke(r.Start(), orig); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := as.ReferenceRange(r.Start(), testPageSize, false)
-	if err != nil {
+	ref := new(IORef)
+	if err := as.ReferenceRangeInto(ref, r.Start(), testPageSize, false); err != nil {
 		t.Fatal(err)
 	}
 	// Invalidate the mapping entirely (as pageout would); then write.

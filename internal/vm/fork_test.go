@@ -95,8 +95,8 @@ func TestForkDuringPendingOutput(t *testing.T) {
 	if err := parent.Poke(r.Start(), orig); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := parent.ReferenceRange(r.Start(), testPageSize, false)
-	if err != nil {
+	ref := new(IORef)
+	if err := parent.ReferenceRangeInto(ref, r.Start(), testPageSize, false); err != nil {
 		t.Fatal(err)
 	}
 	parent.RemoveWrite(r.Start(), testPageSize)
@@ -139,8 +139,8 @@ func TestForkDuringPendingInput(t *testing.T) {
 	if err := parent.Poke(r.Start(), []byte("pre-input")); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := parent.ReferenceRange(r.Start(), testPageSize, true)
-	if err != nil {
+	ref := new(IORef)
+	if err := parent.ReferenceRangeInto(ref, r.Start(), testPageSize, true); err != nil {
 		t.Fatal(err)
 	}
 	child, err := parent.Fork()

@@ -50,22 +50,13 @@ func (ref *IORef) init(sys *System, input bool) {
 	ref.entries = ref.oneEntry[:0]
 }
 
-// ReferenceRange performs Genie's page referencing on [va, va+length):
-// it verifies access rights (faulting pages in as needed — for input
-// this demands write access, which automatically resolves COW into a
-// private writable copy, per Section 3.3), builds the physical extent
-// descriptor, and raises input or output reference counts.
-func (as *AddressSpace) ReferenceRange(va Addr, length int, input bool) (*IORef, error) {
-	ref := new(IORef)
-	if err := as.ReferenceRangeInto(ref, va, length, input); err != nil {
-		return nil, err
-	}
-	return ref, nil
-}
-
-// ReferenceRangeInto is ReferenceRange filling the caller's ref, whose
-// earlier references, if any, must have been dropped. On error ref
-// holds no references.
+// ReferenceRangeInto performs Genie's page referencing on
+// [va, va+length) into the caller's ref: it verifies access rights
+// (faulting pages in as needed — for input this demands write access,
+// which automatically resolves COW into a private writable copy, per
+// Section 3.3), builds the physical extent descriptor, and raises input
+// or output reference counts. ref's earlier references, if any, must
+// have been dropped. On error ref holds no references.
 func (as *AddressSpace) ReferenceRangeInto(ref *IORef, va Addr, length int, input bool) error {
 	sys := as.sys
 	ref.init(sys, input)
@@ -104,18 +95,9 @@ func (as *AddressSpace) ReferenceRangeInto(ref *IORef, va Addr, length int, inpu
 	return nil
 }
 
-// ReferenceRegion references a whole moved-in region for input reuse —
-// the prepare step of (emulated) (weak) move input.
-func (as *AddressSpace) ReferenceRegion(r *Region, length int, input bool) (*IORef, error) {
-	ref := new(IORef)
-	if err := as.ReferenceRegionInto(ref, r, length, input); err != nil {
-		return nil, err
-	}
-	return ref, nil
-}
-
-// ReferenceRegionInto is ReferenceRegion filling the caller's ref, under
-// ReferenceRangeInto's rules.
+// ReferenceRegionInto references a whole moved-in region for input
+// reuse — the prepare step of (emulated) (weak) move input — into the
+// caller's ref, under ReferenceRangeInto's rules.
 func (as *AddressSpace) ReferenceRegionInto(ref *IORef, r *Region, length int, input bool) error {
 	sys := as.sys
 	ref.init(sys, input)
@@ -197,9 +179,9 @@ func (ref *IORef) Len() int {
 	return n
 }
 
-// Unreference drops the references taken by ReferenceRange, completing
-// any deallocation deferred during the I/O. It is idempotent so error
-// paths can call it defensively.
+// Unreference drops the references taken by ReferenceRangeInto,
+// completing any deallocation deferred during the I/O. It is idempotent
+// so error paths can call it defensively.
 func (ref *IORef) Unreference() {
 	if ref.done {
 		return

@@ -16,8 +16,8 @@ func TestReferenceRangeExtents(t *testing.T) {
 	// Unaligned start, crossing three pages.
 	va := r.Start() + 300
 	length := 2*testPageSize + 100
-	ref, err := as.ReferenceRange(va, length, false)
-	if err != nil {
+	ref := new(IORef)
+	if err := as.ReferenceRangeInto(ref, va, length, false); err != nil {
 		t.Fatal(err)
 	}
 	defer ref.Unreference()
@@ -44,12 +44,12 @@ func TestReferenceCounts(t *testing.T) {
 	sys := newTestSystem(16)
 	as := sys.NewAddressSpace()
 	r := mustRegion(t, as, 2*testPageSize, Unmovable)
-	out, err := as.ReferenceRange(r.Start(), 2*testPageSize, false)
-	if err != nil {
+	out := new(IORef)
+	if err := as.ReferenceRangeInto(out, r.Start(), 2*testPageSize, false); err != nil {
 		t.Fatal(err)
 	}
-	in, err := as.ReferenceRange(r.Start(), testPageSize, true)
-	if err != nil {
+	in := new(IORef)
+	if err := as.ReferenceRangeInto(in, r.Start(), testPageSize, true); err != nil {
 		t.Fatal(err)
 	}
 	f0, _ := as.PTEAt(r.Start())
@@ -81,8 +81,8 @@ func TestReferenceRangeFaultsInPages(t *testing.T) {
 	as := sys.NewAddressSpace()
 	r := mustRegion(t, as, 2*testPageSize, Unmovable)
 	// No pages are resident yet; referencing must fault them in.
-	ref, err := as.ReferenceRange(r.Start(), 2*testPageSize, true)
-	if err != nil {
+	ref := new(IORef)
+	if err := as.ReferenceRangeInto(ref, r.Start(), 2*testPageSize, true); err != nil {
 		t.Fatal(err)
 	}
 	defer ref.Unreference()
@@ -101,7 +101,7 @@ func TestReferenceRangeRejectsHiddenRegion(t *testing.T) {
 	if err := r.MarkMovedOut(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := as.ReferenceRange(r.Start(), testPageSize, false); !errors.Is(err, ErrFault) {
+	if err := as.ReferenceRangeInto(new(IORef), r.Start(), testPageSize, false); !errors.Is(err, ErrFault) {
 		t.Fatalf("err = %v, want ErrFault", err)
 	}
 }
@@ -111,8 +111,7 @@ func TestReferenceRangeRollbackOnError(t *testing.T) {
 	as := sys.NewAddressSpace()
 	r := mustRegion(t, as, testPageSize, Unmovable)
 	// Range extends past the region into unmapped space.
-	_, err := as.ReferenceRange(r.Start(), 2*testPageSize, true)
-	if err == nil {
+	if err := as.ReferenceRangeInto(new(IORef), r.Start(), 2*testPageSize, true); err == nil {
 		t.Fatal("reference of partly unmapped range succeeded")
 	}
 	f, _ := as.PTEAt(r.Start())
@@ -148,8 +147,8 @@ func TestReferenceRegionForMoveReuse(t *testing.T) {
 	if err := r.MarkMovingIn(); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := as.ReferenceRegion(r, 2*testPageSize, true)
-	if err != nil {
+	ref := new(IORef)
+	if err := as.ReferenceRegionInto(ref, r, 2*testPageSize, true); err != nil {
 		t.Fatal(err)
 	}
 	ref.DMAWrite(0, mem.BufBytes([]byte("new datagram")))
@@ -174,8 +173,8 @@ func TestDMAWriteReadOffsets(t *testing.T) {
 	r := mustRegion(t, as, 3*testPageSize, Unmovable)
 	va := r.Start() + 100
 	length := 2 * testPageSize
-	ref, err := as.ReferenceRange(va, length, true)
-	if err != nil {
+	ref := new(IORef)
+	if err := as.ReferenceRangeInto(ref, va, length, true); err != nil {
 		t.Fatal(err)
 	}
 	defer ref.Unreference()
@@ -209,8 +208,8 @@ func TestDMAOverrunPanics(t *testing.T) {
 	sys := newTestSystem(8)
 	as := sys.NewAddressSpace()
 	r := mustRegion(t, as, testPageSize, Unmovable)
-	ref, err := as.ReferenceRange(r.Start(), 128, true)
-	if err != nil {
+	ref := new(IORef)
+	if err := as.ReferenceRangeInto(ref, r.Start(), 128, true); err != nil {
 		t.Fatal(err)
 	}
 	defer ref.Unreference()
@@ -234,8 +233,8 @@ func TestDeferredFreeAfterRegionRemovalDuringIO(t *testing.T) {
 	if err := as.Poke(r.Start(), payload); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := as.ReferenceRange(r.Start(), 2*testPageSize, false)
-	if err != nil {
+	ref := new(IORef)
+	if err := as.ReferenceRangeInto(ref, r.Start(), 2*testPageSize, false); err != nil {
 		t.Fatal(err)
 	}
 	frames := ref.Frames()

@@ -47,9 +47,6 @@ func (sys *System) register(o *MemObject) {
 // ID returns the object's identifier (unique within its System).
 func (o *MemObject) ID() int { return o.id }
 
-// Shadow returns the next object in the COW chain, or nil.
-func (o *MemObject) Shadow() *MemObject { return o.shadow }
-
 // InputRefs returns the object's pending in-place input reference count.
 func (o *MemObject) InputRefs() int { return o.inputRefs }
 

@@ -49,8 +49,8 @@ func TestInputDisabledPageout(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Pending input on the middle two pages.
-	ref, err := as.ReferenceRange(r.Start()+Addr(testPageSize), 2*testPageSize, true)
-	if err != nil {
+	ref := new(IORef)
+	if err := as.ReferenceRangeInto(ref, r.Start()+Addr(testPageSize), 2*testPageSize, true); err != nil {
 		t.Fatal(err)
 	}
 	d := NewPageoutDaemon(sys)
@@ -85,8 +85,8 @@ func TestPageoutAllowedDuringOutput(t *testing.T) {
 	if err := as.Poke(r.Start(), payload); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := as.ReferenceRange(r.Start(), testPageSize, false)
-	if err != nil {
+	ref := new(IORef)
+	if err := as.ReferenceRangeInto(ref, r.Start(), testPageSize, false); err != nil {
 		t.Fatal(err)
 	}
 	d := NewPageoutDaemon(sys)
@@ -163,7 +163,10 @@ func TestEvictableCount(t *testing.T) {
 	if got := d.Evictable(); got != 3 {
 		t.Fatalf("evictable = %d, want 3", got)
 	}
-	ref, _ := as.ReferenceRange(r.Start(), testPageSize, true)
+	ref := new(IORef)
+	if err := as.ReferenceRangeInto(ref, r.Start(), testPageSize, true); err != nil {
+		t.Fatal(err)
+	}
 	if got := d.Evictable(); got != 2 {
 		t.Fatalf("evictable = %d, want 2 with one input-referenced page", got)
 	}

@@ -72,8 +72,8 @@ func runPlaneScript(seed int64, plane mem.DataPlane) (planeRun, error) {
 			} else {
 				off := rng.Intn(pages) * testPageSize
 				n := (rng.Intn(pages-off/testPageSize) + 1) * testPageSize
-				ref, err := as.ReferenceRange(r.Start()+Addr(off), n, false)
-				if err != nil {
+				ref := new(IORef)
+				if err := as.ReferenceRangeInto(ref, r.Start()+Addr(off), n, false); err != nil {
 					return planeRun{}, fmt.Errorf("op %d: reference: %w", op, err)
 				}
 				as.RemoveWrite(r.Start()+Addr(off), n)

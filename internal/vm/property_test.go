@@ -57,8 +57,8 @@ func TestPropertyPokePeekMatchesShadowModel(t *testing.T) {
 				} else {
 					off := rng.Intn(regionPages) * testPageSize
 					n := (rng.Intn(regionPages-off/testPageSize) + 1) * testPageSize
-					ref, err := as.ReferenceRange(r.Start()+Addr(off), n, false)
-					if err != nil {
+					ref := new(IORef)
+					if err := as.ReferenceRangeInto(ref, r.Start()+Addr(off), n, false); err != nil {
 						t.Logf("seed %d op %d: reference: %v", seed, op, err)
 						return false
 					}
@@ -109,8 +109,8 @@ func TestPropertyOutputIntegrityUnderOverwrites(t *testing.T) {
 		if err := as.Poke(r.Start(), orig); err != nil {
 			return false
 		}
-		ref, err := as.ReferenceRange(r.Start(), len(orig), false)
-		if err != nil {
+		ref := new(IORef)
+		if err := as.ReferenceRangeInto(ref, r.Start(), len(orig), false); err != nil {
 			return false
 		}
 		as.RemoveWrite(r.Start(), len(orig))
@@ -148,8 +148,8 @@ func TestPropertyExtentsCoverRange(t *testing.T) {
 		}
 		off := int(offRaw) % (pages * testPageSize)
 		length := int(lenRaw)%(pages*testPageSize-off) + 1
-		ref, err := as.ReferenceRange(r.Start()+Addr(off), length, true)
-		if err != nil {
+		ref := new(IORef)
+		if err := as.ReferenceRangeInto(ref, r.Start()+Addr(off), length, true); err != nil {
 			return false
 		}
 		defer ref.Unreference()
@@ -229,8 +229,8 @@ func BenchmarkReferenceUnreference(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ref, err := as.ReferenceRange(r.Start(), 16*testPageSize, false)
-		if err != nil {
+		ref := new(IORef)
+		if err := as.ReferenceRangeInto(ref, r.Start(), 16*testPageSize, false); err != nil {
 			b.Fatal(err)
 		}
 		ref.Unreference()

@@ -348,39 +348,13 @@ func (as *AddressSpace) ensureMapped(va Addr, write bool) error {
 	return as.Fault(va, write)
 }
 
-// SwapInPage replaces the frame backing the full page at pageVA with nf,
-// returning the application's old frame. The caller must have input-
-// referenced the page (guaranteeing it is resident, private, writable).
-// This is the page-swapping step of emulated copy input (Section 5.2).
-func (as *AddressSpace) SwapInPage(pageVA Addr, nf *mem.Frame) (*mem.Frame, error) {
-	sys := as.sys
-	if pageVA != sys.pageFloor(pageVA) {
-		return nil, fmt.Errorf("vm: SwapInPage(%#x): unaligned", pageVA)
-	}
-	r := as.FindRegion(pageVA)
-	if r == nil {
-		return nil, fmt.Errorf("%w: SwapInPage at %#x", ErrFault, pageVA)
-	}
-	pte, ok := as.pt[pageVA]
-	if !ok || !pte.Prot.CanWrite() {
-		return nil, fmt.Errorf("vm: SwapInPage(%#x): page not writable/resident", pageVA)
-	}
-	pi := r.pageIndex(pageVA)
-	old := r.object.swapPage(pi, nf)
-	if old != pte.Frame {
-		return nil, fmt.Errorf("vm: SwapInPage(%#x): object/page-table disagree", pageVA)
-	}
-	as.pt[pageVA] = PTE{Frame: nf, Prot: pte.Prot}
-	return old, nil
-}
-
 // KernelSwapPage installs frame nf as the page backing pageVA, replacing
 // whatever the region's top object held there, and returns the replaced
-// frame (nil if the page was not resident in the top object). Unlike
-// SwapInPage this is a kernel path: it does not require an existing
-// writable mapping, and it works on hidden (moving-in) regions — it is
-// the mechanism behind input page swapping into cached regions and
-// unreferenced application buffers (Sections 5.2 and 6.2.2).
+// frame (nil if the page was not resident in the top object). It is a
+// kernel path: it does not require an existing writable mapping, and it
+// works on hidden (moving-in) regions — it is the mechanism behind
+// input page swapping into cached regions and unreferenced application
+// buffers (Sections 5.2 and 6.2.2).
 //
 // The entire page's contents are replaced, so a COW-shared lower copy is
 // simply shadowed by the new page, which is exactly the private-copy

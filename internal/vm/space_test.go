@@ -304,36 +304,6 @@ func TestMapObjectMoveInput(t *testing.T) {
 	checkAll(t, sys, as)
 }
 
-func TestSwapInPage(t *testing.T) {
-	sys := newTestSystem(8)
-	as := sys.NewAddressSpace()
-	r := mustRegion(t, as, testPageSize, Unmovable)
-	if err := as.Poke(r.Start(), bytes.Repeat([]byte{0xAA}, testPageSize)); err != nil {
-		t.Fatal(err)
-	}
-	nf, err := sys.Phys().Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(nf.Data(), bytes.Repeat([]byte{0x55}, testPageSize))
-	old, err := as.SwapInPage(r.Start(), nf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 2)
-	if err := as.Peek(r.Start(), got); err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 0x55 {
-		t.Fatal("application does not see swapped page")
-	}
-	if old.Data()[0] != 0xAA {
-		t.Fatal("old frame corrupted by swap")
-	}
-	sys.Phys().Release(old)
-	checkAll(t, sys, as)
-}
-
 func TestReadPhysSeesThroughProtections(t *testing.T) {
 	sys := newTestSystem(8)
 	as := sys.NewAddressSpace()
