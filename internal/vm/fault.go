@@ -1,6 +1,10 @@
 package vm
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/mem"
+)
 
 // Fault handles a VM fault at va. It implements, in one place, the
 // paper's three fault-handling contributions:
@@ -58,19 +62,7 @@ func (as *AddressSpace) Fault(va Addr, write bool) error {
 		if write && present && !pte.Prot.CanWrite() {
 			// TCOW write fault (Section 5.1).
 			if f.OutRefs() > 0 {
-				nf, err := sys.pm.Alloc()
-				if err != nil {
-					return err
-				}
-				nf.CopyFrom(f)
-				old := r.object.swapPage(pi, nf)
-				as.pt[pageVA] = PTE{Frame: nf, Prot: ProtRW}
-				// The old page now belongs solely to the pending output;
-				// its deallocation is I/O-deferred.
-				sys.pm.Release(old)
-				sys.stats.TCOWCopies++
-				sys.emit("vm.fault.tcow-copy", sys.pageSize)
-				return nil
+				return as.tcowCopy(r, pageVA, pi, f)
 			}
 			pte.Prot |= ProtWrite
 			as.pt[pageVA] = pte
@@ -87,17 +79,7 @@ func (as *AddressSpace) Fault(va Addr, write bool) error {
 		}
 		if write && f.OutRefs() > 0 && !present {
 			// Write to an unmapped page under pending output: TCOW copy.
-			nf, err := sys.pm.Alloc()
-			if err != nil {
-				return err
-			}
-			nf.CopyFrom(f)
-			old := r.object.swapPage(pi, nf)
-			as.pt[pageVA] = PTE{Frame: nf, Prot: ProtRW}
-			sys.pm.Release(old)
-			sys.stats.TCOWCopies++
-			sys.emit("vm.fault.tcow-copy", sys.pageSize)
-			return nil
+			return as.tcowCopy(r, pageVA, pi, f)
 		}
 		as.pt[pageVA] = PTE{Frame: f, Prot: prot}
 		return nil
@@ -117,6 +99,25 @@ func (as *AddressSpace) Fault(va Addr, write bool) error {
 		return nil
 	}
 	as.pt[pageVA] = PTE{Frame: f, Prot: ProtRead}
+	return nil
+}
+
+// tcowCopy resolves a write to page pi of r's top object, whose frame f
+// is still referenced by pending output: the application gets a private
+// writable copy and f belongs solely to the output, its deallocation
+// I/O-deferred.
+func (as *AddressSpace) tcowCopy(r *Region, pageVA Addr, pi int, f *mem.Frame) error {
+	sys := as.sys
+	nf, err := sys.pm.Alloc()
+	if err != nil {
+		return err
+	}
+	nf.CopyFrom(f)
+	old := r.object.swapPage(pi, nf)
+	as.pt[pageVA] = PTE{Frame: nf, Prot: ProtRW}
+	sys.pm.Release(old)
+	sys.stats.TCOWCopies++
+	sys.emit("vm.fault.tcow-copy", sys.pageSize)
 	return nil
 }
 
