@@ -156,9 +156,6 @@ func (g *Genie) Engine() *sim.Engine { return g.eng }
 // Model returns the cost model in use.
 func (g *Genie) Model() *cost.Model { return g.model }
 
-// VM returns the host's VM system.
-func (g *Genie) VM() *vm.System { return g.sys }
-
 // NIC returns the host's network adapter.
 func (g *Genie) NIC() *netsim.NIC { return g.nic }
 

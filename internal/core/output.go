@@ -42,10 +42,6 @@ type OutputOp struct {
 	launch, sent func()
 }
 
-// OnDone registers a callback invoked at dispose time (when the last
-// cell has left the adapter and Table 2's dispose operations have run).
-func (op *OutputOp) OnDone(fn func(*OutputOp)) { op.onDone = fn }
-
 // Converted reports whether the output was auto-converted to copy
 // semantics by the short-data thresholds.
 func (op *OutputOp) Converted() bool { return op.Sem != op.Effective }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -184,34 +183,6 @@ func TestReliableDeterministicReplay(t *testing.T) {
 	sa2, sb2 := run()
 	if sa1 != sa2 || sb1 != sb2 {
 		t.Errorf("same seed diverged:\n a: %+v vs %+v\n b: %+v vs %+v", sa1, sa2, sb1, sb2)
-	}
-}
-
-func TestReliableRPCUnderFaults(t *testing.T) {
-	tb, ra, rb := reliablePair(t, faults.Spec{Seed: 19, Drop: 0.3, Corrupt: 0.2}, EmulatedCopy, ReliableConfig{})
-	ServeReliableRPC(rb, func(req []byte) []byte {
-		return append([]byte("echo:"), req...)
-	}, func(err error) { t.Errorf("server: %v", err) })
-	client := NewReliableRPCClient(ra)
-	var calls []*Call
-	for i := 0; i < 3; i++ {
-		call, err := client.Go([]byte(fmt.Sprintf("req-%d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		calls = append(calls, call)
-	}
-	tb.Run()
-	for i, call := range calls {
-		if !call.Done {
-			t.Fatalf("call %d lost despite reliable transport", i)
-		}
-		if want := fmt.Sprintf("echo:req-%d", i); string(call.Reply) != want {
-			t.Fatalf("call %d reply %q, want %q", i, call.Reply, want)
-		}
-	}
-	if client.Outstanding() != 0 || client.Orphans() != 0 {
-		t.Errorf("outstanding %d, orphans %d", client.Outstanding(), client.Orphans())
 	}
 }
 

@@ -329,13 +329,6 @@ func (s *Storage) FileRead(p *Process, sem Semantics, block, length int, va vm.A
 	return op, nil
 }
 
-// FileMap is the mmap-style operation: an emulated-move read that hands
-// the application a system-allocated region backed by donated cache
-// pages.
-func (s *Storage) FileMap(p *Process, block, length int) (*FileOp, error) {
-	return s.FileRead(p, EmulatedMove, block, length, 0)
-}
-
 // FileWrite writes length bytes from the process to the file starting
 // at block, under the chosen semantics, with Table 2's sender-side
 // prepare/dispose sequences. Copy is the one exception: the cache page
