@@ -1,11 +1,12 @@
 // Package checksum implements the Internet ones-complement checksum
-// (RFC 1071) and its integration with data movement, the subject of the
+// (RFC 1071). Its integration with data movement is the subject of the
 // paper's Section 9 discussion of Clark & Tennenhouse-style integrated
 // layer processing: whether the TCP checksum should be folded into the
 // copy between system and application buffers, and what that does to
 // buffering semantics.
 //
-// Two facts drive Genie's position, both realized here:
+// Two facts drive Genie's position. The simulator charges both through
+// its cost model, and core's receive path verifies with this package:
 //
 //   - With VM-based data passing there is no copy to fold the checksum
 //     into; a separate read-only verification pass over swapped-in pages
@@ -73,32 +74,4 @@ func Fold(acc uint32) uint16 {
 // Verify reports whether data matches the given checksum.
 func Verify(data []byte, sum uint16) bool {
 	return Sum(data) == sum
-}
-
-// CopyAndSum copies src into dst and returns src's checksum, in one
-// pass — the integrated copy-and-checksum the paper discusses. dst must
-// be at least as long as src.
-func CopyAndSum(dst, src []byte) uint16 {
-	var acc uint32
-	i := 0
-	for ; i+1 < len(src); i += 2 {
-		dst[i], dst[i+1] = src[i], src[i+1]
-		acc += uint32(src[i])<<8 | uint32(src[i+1])
-	}
-	if i < len(src) {
-		dst[i] = src[i]
-		acc += uint32(src[i]) << 8
-	}
-	return Fold(acc)
-}
-
-// SumScattered checksums a message spread across several extents.
-// Extents after the first must begin at even offsets of the message,
-// which holds for page-grained scatter lists of any even page size.
-func SumScattered(extents [][]byte) uint16 {
-	var acc uint32
-	for _, e := range extents {
-		acc = Accumulate(acc, e)
-	}
-	return Fold(acc)
 }

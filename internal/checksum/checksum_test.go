@@ -1,7 +1,6 @@
 package checksum
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -44,30 +43,6 @@ func TestVerify(t *testing.T) {
 	data[3] ^= 0x40
 	if Verify(data, sum) {
 		t.Fatal("corrupted data verified")
-	}
-}
-
-func TestCopyAndSum(t *testing.T) {
-	src := []byte("integrate copy with checksumming!")
-	dst := make([]byte, len(src))
-	sum := CopyAndSum(dst, src)
-	if !bytes.Equal(dst, src) {
-		t.Fatal("CopyAndSum corrupted the copy")
-	}
-	if sum != Sum(src) {
-		t.Fatalf("CopyAndSum = %#04x, Sum = %#04x", sum, Sum(src))
-	}
-}
-
-func TestSumScattered(t *testing.T) {
-	whole := make([]byte, 10000)
-	for i := range whole {
-		whole[i] = byte(i * 11)
-	}
-	// Page-grained split (even offsets).
-	extents := [][]byte{whole[:4096], whole[4096:8192], whole[8192:]}
-	if got := SumScattered(extents); got != Sum(whole) {
-		t.Fatalf("scattered sum %#04x != whole sum %#04x", got, Sum(whole))
 	}
 }
 
@@ -116,18 +91,6 @@ func TestPropertySingleByteCorruptionDetected(t *testing.T) {
 // for documentation and future multi-byte corruption tests.
 func ambiguous(a, b byte) bool { return false }
 
-// Property: CopyAndSum always equals copy followed by Sum.
-func TestPropertyCopyAndSum(t *testing.T) {
-	prop := func(src []byte) bool {
-		dst := make([]byte, len(src))
-		sum := CopyAndSum(dst, src)
-		return bytes.Equal(dst, src) && sum == Sum(src)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // refSum is the naive reference the fuzz target checks against: the
 // ones-complement sum of data's big-endian 16-bit words (an odd tail
 // padded with a zero byte), the carry folded back after every add.
@@ -174,14 +137,5 @@ func BenchmarkSum60KB(b *testing.B) {
 	b.SetBytes(61440)
 	for i := 0; i < b.N; i++ {
 		Sum(data)
-	}
-}
-
-func BenchmarkCopyAndSum60KB(b *testing.B) {
-	src := make([]byte, 61440)
-	dst := make([]byte, 61440)
-	b.SetBytes(61440)
-	for i := 0; i < b.N; i++ {
-		CopyAndSum(dst, src)
 	}
 }
