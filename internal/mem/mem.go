@@ -375,9 +375,6 @@ func (pm *PhysMem) FreeFrames() int { return len(pm.freeList) }
 // stat-struct hashes from earlier benchmarks are unperturbed.
 func (pm *PhysMem) HighWater() int { return pm.hwm.High() }
 
-// ResetHighWater clears the high-water mark without touching frames.
-func (pm *PhysMem) ResetHighWater() { pm.hwm.Reset() }
-
 // Stats returns a snapshot of allocation statistics.
 func (pm *PhysMem) Stats() Stats { return pm.stats }
 

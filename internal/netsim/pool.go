@@ -76,10 +76,6 @@ func (p *OverlayPool) Total() int { return p.total }
 // digests (which hash those structs wholesale) are unperturbed.
 func (p *OverlayPool) HighWater() int { return p.hwm.High() }
 
-// ResetHighWater clears the high-water mark without touching the pool,
-// so a sweep can measure each operating point from a clean gauge.
-func (p *OverlayPool) ResetHighWater() { p.hwm.Reset() }
-
 // Underflows reports how often the occupancy gauge was driven below
 // zero — a double Put or unbalanced Refill. Conservation audits assert
 // it is zero alongside the free-count checks.
@@ -197,10 +193,6 @@ func (o *OutboardMemory) Capacity() int { return o.capacity }
 
 // HighWater returns the most outboard bytes ever simultaneously staged.
 func (o *OutboardMemory) HighWater() int { return o.hwm.High() }
-
-// ResetHighWater clears the high-water mark without touching staged
-// buffers.
-func (o *OutboardMemory) ResetHighWater() { o.hwm.Reset() }
 
 // Underflows reports how often the staged-bytes gauge was driven below
 // zero — a double Free of an outboard buffer.

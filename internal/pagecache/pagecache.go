@@ -119,9 +119,6 @@ func (c *Cache) Resident() int { return c.resident }
 // Dirty returns the number of dirty pages.
 func (c *Cache) Dirty() int { return c.ndirty }
 
-// ResidentHighWater returns the most pages ever simultaneously resident.
-func (c *Cache) ResidentHighWater() int { return c.residentHW.High() }
-
 // DirtyHighWater returns the most pages ever simultaneously dirty.
 func (c *Cache) DirtyHighWater() int { return c.dirtyHW.High() }
 
