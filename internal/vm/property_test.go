@@ -135,7 +135,7 @@ func TestPropertyOutputIntegrityUnderOverwrites(t *testing.T) {
 }
 
 // TestPropertyExtentsCoverRange: for any (offset, length) inside a
-// region, ReferenceRange produces contiguous extents covering exactly
+// region, ReferenceRangeInto produces contiguous extents covering exactly
 // the requested bytes.
 func TestPropertyExtentsCoverRange(t *testing.T) {
 	prop := func(offRaw, lenRaw uint16) bool {
