@@ -44,7 +44,7 @@ type clusterOptions struct {
 	jsonPath   string
 }
 
-// clusterDoc is the -json document of a cluster run (BENCH_pr7.json in
+// clusterDoc is the -json document of a cluster run (cluster.json in
 // CI): both workloads' reports, each with its per-worker-count runs,
 // determinism verdict and host environment.
 type clusterDoc struct {
