@@ -12,11 +12,11 @@
 //
 // Every subcommand takes its own flags (see `geniebench <cmd> -h`).
 // sweep, bigsweep, cluster, workload and storage take -json <path>
-// (machine-readable report). sweep, bigsweep
-// and workload take -parallel N, the goroutines their independent points
-// fan across. cluster, workload and storage take -workers, the list of
-// worker counts whose digests must match, and share one rule for it:
-// the default is 1,4, a repeated count runs once, the first run is the
+// (machine-readable report). sweep, bigsweep and workload take
+// -parallel N, the goroutines their independent points fan across.
+// cluster, workload and storage take -workers, the list of worker
+// counts whose digests must match, and share one rule for it: the
+// default is 1,4, a repeated count runs once, the first run is the
 // baseline, and a count below 1 or a non-number is a usage error. Each
 // prints one digest line per run (workers, digest, records, elapsed)
 // and one verdict line, and exits 1 when the digests diverge.
