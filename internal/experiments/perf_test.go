@@ -226,15 +226,18 @@ func TestRecycleCounters(t *testing.T) {
 // TestRecycledMeasureAllocs counts the heap allocations of one real
 // measurement on a warm recycled testbed: memo off, recycling on, early
 // demux, emulated copy, 61440 bytes. A recycled testbed keeps its frame
-// free list, pool slices, page tables and object page slots, so what
-// remains is the run's own work. The bound sits below 153, the count
-// when Reset discards the VM page tables and page maps instead of
-// reusing them. A warm Testbed.Reset itself allocates nothing.
+// free list, pool slices, page tables and object page slots, and the
+// symbolic plane gathers and scatters pages without a per-page Buf, so
+// what remains is the run's own work: 31 allocations. The bound leaves
+// about a quarter of headroom; a per-page Buf on the gathers alone
+// gives 61, on both sides 117, and discarding the VM page tables and
+// page maps at Reset instead of reusing them adds 36 more. A warm
+// Testbed.Reset itself allocates nothing.
 func TestRecycledMeasureAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under -race")
 	}
-	const maxAllocs = 135
+	const maxAllocs = 40
 	s := Setup{Scheme: netsim.EarlyDemux}
 	withPerfRegime(t, false, true, 1, func() {
 		measure := func() {

@@ -15,6 +15,7 @@ package mem
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sync/atomic"
 )
 
@@ -105,28 +106,24 @@ func appendRun(runs []Run, r Run) []Run {
 	return append(runs, r)
 }
 
-// sliceRuns returns the runs covering [off, off+n) of runs.
-func sliceRuns(runs []Run, off, n int) []Run {
-	if n == 0 {
-		return nil
-	}
-	out := make([]Run, 0, len(runs))
-	pos := 0
+// appendSlice appends the runs covering [off, off+n) of runs to out,
+// coalescing the first of them with out's last run. It is the
+// package's one run-window loop: slices, splices, gathers and windowed
+// reads are all built on it, so a window is cut in one pass straight
+// into whichever run list the caller owns.
+func appendSlice(out, runs []Run, off, n int) []Run {
 	for _, r := range runs {
 		if n == 0 {
 			break
 		}
-		end := pos + r.Len
-		if end <= off {
-			pos = end
+		if off >= r.Len {
+			off -= r.Len
 			continue
 		}
-		lo := max(off-pos, 0)
-		take := min(r.Len-lo, n)
-		out = appendRun(out, r.slice(lo, take))
-		off += take
+		take := min(r.Len-off, n)
+		out = appendRun(out, r.slice(off, take))
+		off = 0
 		n -= take
-		pos = end
 	}
 	if n != 0 {
 		panic(fmt.Sprintf("mem: run slice overruns buffer by %d bytes", n))
@@ -134,21 +131,29 @@ func sliceRuns(runs []Run, off, n int) []Run {
 	return out
 }
 
-// spliceRuns overwrites [off, off+insLen) of runs (covering total
-// bytes) with ins, returning the new run list.
-func spliceRuns(runs []Run, total, off int, ins []Run, insLen int) []Run {
-	out := make([]Run, 0, len(runs)+len(ins)+2)
-	for _, r := range sliceRuns(runs, 0, off) {
-		out = appendRun(out, r)
+// sliceRuns returns the runs covering [off, off+n) of runs in a fresh
+// list.
+func sliceRuns(runs []Run, off, n int) []Run {
+	if n == 0 {
+		return nil
 	}
-	for _, r := range ins {
-		out = appendRun(out, r)
-	}
-	for _, r := range sliceRuns(runs, off+insLen, total-off-insLen) {
-		out = appendRun(out, r)
-	}
-	return out
+	return appendSlice(make([]Run, 0, len(runs)), runs, off, n)
 }
+
+// stackRuns is the run count a splice or windowed read handles in a
+// stack array; a longer list spills to the heap.
+const stackRuns = 16
+
+// resolveWindow resolves bytes [off, off+len(p)) of runs into p,
+// cutting the window into a stack array rather than a fresh list.
+func resolveWindow(runs []Run, off int, p []byte) {
+	var w [stackRuns]Run
+	resolveRuns(appendSlice(w[:0], runs, off, len(p)), p)
+}
+
+// zeroRuns is an endless zero run: any window of it is zeros, so a
+// clear splices from it without building a buffer.
+var zeroRuns = []Run{{Src: SrcZero, Len: math.MaxInt}}
 
 // resolveRuns materializes runs into dst.
 func resolveRuns(runs []Run, dst []byte) {
@@ -245,8 +250,8 @@ func (b Buf) Slice(off, n int) Buf {
 }
 
 // Append returns the concatenation b + o. It joins two operands: a loop
-// of Append copies its whole prefix at every step, so a join of n parts
-// should size its result once and read each part into it.
+// of Append copies its whole prefix at every step, so a gather of n
+// pages builds its result once with AppendFrame instead.
 func (b Buf) Append(o Buf) Buf {
 	switch {
 	case o.n == 0:
@@ -260,13 +265,27 @@ func (b Buf) Append(o Buf) Buf {
 		return Buf{n: b.n + o.n, bytes: joined}
 	}
 	runs := make([]Run, 0, len(b.runs)+len(o.runs)+2)
-	for _, r := range b.Runs() {
-		runs = appendRun(runs, r)
-	}
-	for _, r := range o.Runs() {
-		runs = appendRun(runs, r)
-	}
+	runs = appendSlice(runs, b.Runs(), 0, b.n)
+	runs = appendSlice(runs, o.Runs(), 0, o.n)
 	return Buf{n: b.n + o.n, runs: runs}
+}
+
+// AppendFrame appends bytes [off, off+n) of the symbolic frame f to b,
+// the one-pass builder of a symbolic gather: each call cuts the frame's
+// window straight into b's own run list, coalescing at the seam, so a
+// contiguous gather of many pages allocates once. Coalescing extends
+// b's last run in place, so only b's owner may call it, on a Buf it
+// built from the zero value with AppendFrame alone and has not yet
+// handed out.
+func (b *Buf) AppendFrame(f *Frame, off, n int) {
+	if f.runs == nil || b.bytes != nil {
+		panic("mem: AppendFrame needs a symbolic frame and a symbolic buffer")
+	}
+	if off < 0 || n < 0 || off+n > f.size {
+		panic(fmt.Sprintf("mem: AppendFrame(%d..%d) overruns %d-byte frame", off, off+n, f.size))
+	}
+	b.runs = appendSlice(b.runs, f.runs, off, n)
+	b.n += n
 }
 
 // ReadAt resolves bytes [off, off+len(p)) of the buffer into p.
@@ -278,7 +297,7 @@ func (b Buf) ReadAt(p []byte, off int) {
 		copy(p, b.bytes[off:])
 		return
 	}
-	resolveRuns(sliceRuns(b.runs, off, len(p)), p)
+	resolveWindow(b.runs, off, p)
 }
 
 // Resolve materializes the buffer's contents. For a bytes-backed
@@ -425,7 +444,7 @@ func ScatterFrames(frames []*Frame, off int, b Buf) {
 		fi := (off + pos) / ps
 		po := (off + pos) % ps
 		n := min(ps-po, b.Len()-pos)
-		frames[fi].WriteBuf(po, b.Slice(pos, n))
+		frames[fi].WriteBufAt(po, b, pos, n)
 		pos += n
 	}
 }
@@ -448,7 +467,7 @@ func ReadFrames(frames []*Frame, off int, p []byte) {
 
 // GatherFrames reads n bytes starting at byte offset off of the frame
 // run into one buffer: a fresh materialized copy on the bytes plane, an
-// O(#runs) gather on the symbolic plane.
+// O(#runs) one-pass gather (AppendFrame) on the symbolic plane.
 func GatherFrames(frames []*Frame, off, n int) Buf {
 	if n == 0 {
 		return Buf{}
@@ -459,16 +478,13 @@ func GatherFrames(frames []*Frame, off, n int) Buf {
 		return BufBytes(out)
 	}
 	ps := frames[0].Size()
-	var runs []Run
-	pos := 0
-	for pos < n {
+	var out Buf
+	for pos := 0; pos < n; {
 		fi := (off + pos) / ps
 		po := (off + pos) % ps
 		k := min(ps-po, n-pos)
-		for _, r := range sliceRuns(frames[fi].runs, po, k) {
-			runs = appendRun(runs, r)
-		}
+		out.AppendFrame(frames[fi], po, k)
 		pos += k
 	}
-	return Buf{n: n, runs: runs}
+	return out
 }

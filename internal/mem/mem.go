@@ -12,6 +12,7 @@
 package mem
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -80,38 +81,56 @@ func (f *Frame) Size() int { return f.size }
 // of materialized bytes.
 func (f *Frame) Symbolic() bool { return f.runs != nil }
 
-// WriteBuf overwrites frame bytes [off, off+b.Len()) with b. On the
-// bytes plane this resolves b into the backing store; on the symbolic
-// plane it splices b's runs in. A materialized b written into a
-// symbolic frame is cloned (the caller may recycle its storage), while
-// run-backed buffers are spliced by reference — runs are immutable.
-// A frame's run list is its own (every reader gets a copy), so a
-// whole-page write reuses its storage.
-func (f *Frame) WriteBuf(off int, b Buf) {
-	n := b.Len()
-	if off < 0 || off+n > f.size {
+// WriteBuf overwrites frame bytes [off, off+b.Len()) with b.
+func (f *Frame) WriteBuf(off int, b Buf) { f.WriteBufAt(off, b, 0, b.Len()) }
+
+// WriteBufAt overwrites frame bytes [off, off+n) with bytes
+// [boff, boff+n) of b, so a scatter writes each page's window of its
+// source without slicing it first. On the bytes plane this resolves
+// the window into the backing store; on the symbolic plane it splices
+// the window's runs in. A materialized b written into a symbolic frame
+// is cloned (the caller may recycle its storage), while run-backed
+// buffers are spliced by reference — runs are immutable. A frame's run
+// list is its own (every reader gets a copy), so every write rebuilds
+// it in its existing storage.
+func (f *Frame) WriteBufAt(off int, b Buf, boff, n int) {
+	if off < 0 || n < 0 || off+n > f.size {
 		panic(fmt.Sprintf("mem: WriteBuf(%d..%d) overruns %d-byte frame", off, off+n, f.size))
+	}
+	if boff < 0 || boff+n > b.n {
+		panic(fmt.Sprintf("mem: WriteBuf of bytes %d..%d from %d-byte buffer", boff, boff+n, b.n))
 	}
 	if n == 0 {
 		return
 	}
 	if f.runs == nil {
 		f.touch()
-		b.ReadAt(f.data[off:off+n], 0)
+		b.ReadAt(f.data[off:off+n], boff)
 		return
 	}
-	ins := b.runs
 	if b.bytes != nil {
-		ins = []Run{{Src: SrcLiteral, Len: n, lit: append([]byte(nil), b.bytes...)}}
-	}
-	if n == f.size {
-		f.runs = f.runs[:0]
-		for _, r := range ins {
-			f.runs = appendRun(f.runs, r)
-		}
+		lit := [1]Run{{Src: SrcLiteral, Len: n, lit: bytes.Clone(b.bytes[boff : boff+n])}}
+		f.splice(off, n, lit[:], 0)
 		return
 	}
-	f.runs = spliceRuns(f.runs, f.size, off, ins, n)
+	f.splice(off, n, b.runs, boff)
+}
+
+// splice overwrites frame bytes [off, off+n) of a symbolic frame with
+// bytes [insOff, insOff+n) of the run list ins. The new list is built
+// in a stack array and copied into the frame's own run storage, so a
+// write that leaves the page at most stackRuns runs allocates nothing
+// once that storage has grown to fit.
+func (f *Frame) splice(off, n int, ins []Run, insOff int) {
+	if n == f.size {
+		f.runs = appendSlice(f.runs[:0], ins, insOff, n)
+		return
+	}
+	var w [stackRuns]Run
+	out := appendSlice(w[:0], f.runs, 0, off)
+	out = appendSlice(out, ins, insOff, n)
+	out = appendSlice(out, f.runs, off+n, f.size-off-n)
+	f.runs = append(f.runs[:0], out...)
 }
 
 // ReadBuf returns frame bytes [off, off+n) as a buffer. On the bytes
@@ -154,12 +173,13 @@ func (f *Frame) ReadAt(p []byte, off int) {
 		}
 		return
 	}
-	resolveRuns(sliceRuns(f.runs, off, len(p)), p)
+	resolveWindow(f.runs, off, p)
 }
 
 // CopyFrom replaces the frame's entire contents with src's (the page
 // copy of COW resolution). O(pageSize) on the bytes plane, O(#runs)
-// on the symbolic plane.
+// on the symbolic plane, where src's runs are copied into the frame's
+// own run storage.
 func (f *Frame) CopyFrom(src *Frame) {
 	if f.runs == nil {
 		if src.data == nil {
@@ -170,7 +190,7 @@ func (f *Frame) CopyFrom(src *Frame) {
 		copy(f.data, src.data)
 		return
 	}
-	f.runs = sliceRuns(src.runs, 0, src.size)
+	f.splice(0, f.size, src.runs, 0)
 }
 
 // ClearRange zeroes frame bytes [off, off+n).
@@ -184,7 +204,7 @@ func (f *Frame) ClearRange(off, n int) {
 		}
 		return
 	}
-	f.runs = spliceRuns(f.runs, f.size, off, []Run{{Src: SrcZero, Len: n}}, n)
+	f.splice(off, n, zeroRuns, 0)
 }
 
 // SnapshotBuf returns an independent snapshot of the whole page (the

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestNewLayout(t *testing.T) {
@@ -15,6 +16,19 @@ func TestNewLayout(t *testing.T) {
 	}
 	if err := pm.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFrameSize pins a Frame at 96 bytes on 64-bit platforms. Every
+// machine's frame array is sized by it, so symbolic writes rebuild a
+// frame's run list in its own storage rather than keeping a spare list
+// per frame.
+func TestFrameSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the pinned size is the 64-bit layout")
+	}
+	if got := unsafe.Sizeof(Frame{}); got != 96 {
+		t.Errorf("Frame is %d bytes, want 96", got)
 	}
 }
 

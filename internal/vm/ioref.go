@@ -212,7 +212,7 @@ func (ref *IORef) DMAWrite(off int, data mem.Buf) {
 		if off < pos+e.Len && remaining > 0 {
 			start := max(off-pos, 0)
 			n := min(e.Len-start, remaining)
-			e.Frame.WriteBuf(e.Off+start, data.Slice(dOff, n))
+			e.Frame.WriteBufAt(e.Off+start, data, dOff, n)
 			dOff += n
 			remaining -= n
 			off += n
@@ -243,25 +243,26 @@ func (ref *IORef) DMARead(off int, buf []byte) {
 }
 
 // DMAReadBuf is DMARead returning a buffer: a materialized copy in a
-// wire buffer (mem.GetWire) on the bytes plane, an O(#extents) run
-// gather on the symbolic plane. Either way the result is an independent
-// snapshot — it stays valid after the request's frames are released or
-// overwritten. A bytes-plane snapshot handed to the adapter as a wire
-// buffer returns to the pool once the receiver has copied it out; any
-// other holder simply leaves it to the garbage collector.
+// wire buffer (mem.GetWire) on the bytes plane, a one-pass O(#extents)
+// run gather (mem.Buf.AppendFrame) on the symbolic plane. Either way
+// the result is an independent snapshot — it stays valid after the
+// request's frames are released or overwritten. A bytes-plane snapshot
+// handed to the adapter as a wire buffer returns to the pool once the
+// receiver has copied it out; any other holder simply leaves it to the
+// garbage collector.
 func (ref *IORef) DMAReadBuf(off, n int) mem.Buf {
 	if len(ref.extents) == 0 || !ref.extents[0].Frame.Symbolic() {
 		out := mem.GetWire(n)
 		ref.DMARead(off, out)
 		return mem.BufBytes(out)
 	}
-	out := mem.Buf{}
+	var out mem.Buf
 	pos := 0
 	for _, e := range ref.extents {
 		if off < pos+e.Len && n > 0 {
 			start := max(off-pos, 0)
 			k := min(e.Len-start, n)
-			out = out.Append(e.Frame.ReadBuf(e.Off+start, k))
+			out.AppendFrame(e.Frame, e.Off+start, k)
 			n -= k
 			off += k
 		}

@@ -224,15 +224,16 @@ func (as *AddressSpace) PokeBuf(va Addr, b mem.Buf) error {
 			}
 			pte = as.pt[pageVA]
 		}
-		pte.Frame.WriteBuf(pgOff, b.Slice(off, n))
+		pte.Frame.WriteBufAt(pgOff, b, off, n)
 		off += n
 	}
 	return nil
 }
 
 // PeekBuf is Peek returning a data-plane buffer: an independent
-// materialized copy on the bytes plane, an O(#extents) run gather on
-// the symbolic plane. Fault handling is identical to Peek.
+// materialized copy on the bytes plane, a one-pass O(#extents) run
+// gather (mem.Buf.AppendFrame) on the symbolic plane. Fault handling
+// is identical to Peek.
 func (as *AddressSpace) PeekBuf(va Addr, length int) (mem.Buf, error) {
 	// Reachable from the public facade with a caller-supplied length; a
 	// negative value must be a returned error, not a make() panic.
@@ -247,7 +248,7 @@ func (as *AddressSpace) PeekBuf(va Addr, length int) (mem.Buf, error) {
 		return mem.BufBytes(buf), nil
 	}
 	sys := as.sys
-	out := mem.Buf{}
+	var out mem.Buf
 	off := 0
 	for off < length {
 		pageVA := sys.pageFloor(va + Addr(off))
@@ -260,7 +261,7 @@ func (as *AddressSpace) PeekBuf(va Addr, length int) (mem.Buf, error) {
 			}
 			pte = as.pt[pageVA]
 		}
-		out = out.Append(pte.Frame.ReadBuf(pgOff, n))
+		out.AppendFrame(pte.Frame, pgOff, n)
 		off += n
 	}
 	return out, nil
