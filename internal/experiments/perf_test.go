@@ -229,10 +229,10 @@ func TestRecycleCounters(t *testing.T) {
 // free list, pool slices, page tables and object page slots, and the
 // symbolic plane gathers and scatters pages without a per-page Buf, so
 // what remains is the run's own work: 31 allocations. The bound leaves
-// about a quarter of headroom; a per-page Buf on the gathers alone
-// gives 61, on both sides 117, and discarding the VM page tables and
-// page maps at Reset instead of reusing them adds 36 more. A warm
-// Testbed.Reset itself allocates nothing.
+// about a quarter of headroom. A per-page Buf on the gathers alone
+// gives 61 and on both sides 117, and discarding the VM page tables
+// and page maps at Reset made that 153. A warm Testbed.Reset itself
+// allocates nothing.
 func TestRecycledMeasureAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under -race")

@@ -164,15 +164,6 @@ func resolveRuns(runs []Run, dst []byte) {
 	}
 }
 
-// runsLen sums the run lengths.
-func runsLen(runs []Run) int {
-	n := 0
-	for _, r := range runs {
-		n += r.Len
-	}
-	return n
-}
-
 // Buf is a logical byte string in one of two representations:
 // materialized bytes (the Bytes plane) or a list of provenance runs
 // (the Symbolic plane). The zero value is an empty buffer.
