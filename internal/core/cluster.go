@@ -137,28 +137,23 @@ func (c *Cluster) Injector(i int) *faults.Injector { return c.injs[i] }
 // recycled cluster simulate bit-identically to a newly built one.
 // Processes, endpoints, and reliable channels created before the Reset
 // must not be used afterwards. Per-host fault injectors rewind last,
-// mirroring Testbed.Reset: component resets (pool Reacquire, kernel
-// pool rebuild) must never see injected failures, and the rewound PRNGs
-// replay the identical per-host fault scripts.
+// mirroring Testbed.Reset: component resets must never see injected
+// failures, and the rewound PRNGs replay the identical per-host fault
+// scripts. Like Testbed.Reset, it costs O(what the run touched): each
+// host's pools keep their construction pages and re-admit only those
+// they lent out, however large the pools, and it never fails.
 func (c *Cluster) Reset() error {
 	c.Sim.Reset()
 	c.Fabric.Reset()
 	c.nextPort = 0
-	for i, h := range c.Hosts {
+	for _, h := range c.Hosts {
 		h.Phys.Reset()
 		h.Sys.Reset()
 		if c.cfg.DemandPaging {
 			h.Sys.EnableDemandPaging(0)
 		}
-		// NIC before Genie: the overlay pool was constructed before the
-		// kernel pool, and identical frame assignment needs the same
-		// allocation order.
-		if err := h.NIC.Reset(); err != nil {
-			return fmt.Errorf("core: reset cluster host %d: %w", i, err)
-		}
-		if err := h.Genie.Reset(); err != nil {
-			return fmt.Errorf("core: reset cluster host %d: %w", i, err)
-		}
+		h.NIC.Reset()
+		h.Genie.Reset()
 	}
 	for i, inj := range c.injs {
 		if inj == nil {

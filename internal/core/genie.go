@@ -131,20 +131,16 @@ func NewGenie(name string, eng *sim.Engine, model *cost.Model, sys *vm.System, n
 // Reset returns the framework instance to its post-construction state:
 // no queued input operations, receiver CPU idle at time zero, zeroed
 // counters, instrumentation disabled and empty. The kernel buffer pool
-// is reacquired from physical memory, so the host's PhysMem (and any
-// pools constructed before this Genie, such as the NIC overlay pool)
-// must be reset first for frame assignment to match a fresh host.
-func (g *Genie) Reset() error {
+// re-admits the pages it lent out, so the host's PhysMem must be reset
+// first.
+func (g *Genie) Reset() {
 	clear(g.recvQ)
 	g.cpuFreeAt = 0
 	g.stats = Stats{}
 	g.instr.Enabled = false
 	g.instr.Reset()
 	g.SetTracer(nil)
-	if err := g.kpool.Reacquire(); err != nil {
-		return fmt.Errorf("core: reset %s kernel pool: %w", g.name, err)
-	}
-	return nil
+	g.kpool.Reacquire()
 }
 
 // Name returns the host name.

@@ -1,0 +1,284 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"repro/internal/mem"
+	"repro/internal/netsim"
+	"repro/internal/topo"
+	"repro/internal/vm"
+)
+
+// checkHostMatchesFresh compares a just-Reset host with a freshly built
+// one: every frame's state (free, attached, references, wires), the
+// physical memory's Stats and high-water mark, each pool's free list as
+// frame ids in order, and the physical free list in allocation order.
+// Failures name the host, pool and frame. It drains both hosts' free
+// lists and pools to read them, so the caller must Reset the recycled
+// host again before using it.
+func checkHostMatchesFresh(t *testing.T, label string, h, fresh *Host) {
+	t.Helper()
+	pm, fpm := h.Phys, fresh.Phys
+	for id := range pm.NumFrames() {
+		g, w := pm.Frame(mem.FrameID(id)), fpm.Frame(mem.FrameID(id))
+		if g.Free() != w.Free() || g.Attached() != w.Attached() || g.InRefs() != w.InRefs() ||
+			g.OutRefs() != w.OutRefs() || g.WireCount() != w.WireCount() {
+			t.Fatalf("%s host %s frame %d after Reset: %v; fresh host: %v", label, h.Name, id, g, w)
+		}
+	}
+	if g, w := pm.Stats(), fpm.Stats(); g != w {
+		t.Fatalf("%s host %s memory stats after Reset %+v, fresh host %+v", label, h.Name, g, w)
+	}
+	if g, w := pm.HighWater(), fpm.HighWater(); g != w {
+		t.Fatalf("%s host %s memory high-water mark after Reset %d, fresh host %d", label, h.Name, g, w)
+	}
+	type poolPair struct {
+		name        string
+		pool, fresh *netsim.OverlayPool
+	}
+	pools := []poolPair{{"kernel pool", h.Genie.KernelPool(), fresh.Genie.KernelPool()}}
+	if p := h.NIC.Pool(); p != nil {
+		pools = append(pools, poolPair{"overlay pool", p, fresh.NIC.Pool()})
+	}
+	for _, p := range pools {
+		g, err := p.pool.Get(p.pool.Free())
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := p.fresh.Get(p.fresh.Free())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i := firstDiff(frameIDs(g), frameIDs(w)); i >= 0 {
+			t.Fatalf("%s host %s %s free list after Reset %v, fresh host %v: first difference at entry %d",
+				label, h.Name, p.name, frameIDs(g), frameIDs(w), i)
+		}
+	}
+	g, err := pm.AllocN(nil, pm.FreeFrames())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := fpm.AllocN(nil, fpm.FreeFrames())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i := firstDiff(frameIDs(g), frameIDs(w)); i >= 0 {
+		t.Fatalf("%s host %s free list after Reset differs from a fresh host's at entry %d: frame %v, fresh frame %v",
+			label, h.Name, i, at(frameIDs(g), i), at(frameIDs(w), i))
+	}
+}
+
+func frameIDs(fs []*mem.Frame) []mem.FrameID {
+	ids := make([]mem.FrameID, len(fs))
+	for i, f := range fs {
+		ids[i] = f.ID()
+	}
+	return ids
+}
+
+// firstDiff returns the first index where a and b differ, -1 if equal.
+func firstDiff(a, b []mem.FrameID) int {
+	if slices.Equal(a, b) {
+		return -1
+	}
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}
+
+// at formats entry i of ids, or "none" past its end.
+func at(ids []mem.FrameID, i int) string {
+	if i < len(ids) {
+		return fmt.Sprint(ids[i])
+	}
+	return "none"
+}
+
+// echoInFlight has the receiver send its input buffer back to the
+// sender under the same semantics without running the engine, so a
+// Reset finds the buffer's pages referenced and, under the
+// non-emulated semantics, wired. After move input those pages are pool
+// pages mapped into the receiver's region, so this is how a run leaves
+// a pool page in a state its pool must repair on Reacquire.
+func echoInFlight(t *testing.T, receiver *Process, sem Semantics, in *InputOp) {
+	t.Helper()
+	if _, err := receiver.Output(2, sem, in.Addr, in.N); err != nil {
+		t.Fatalf("%v echo output: %v", sem, err)
+	}
+}
+
+// TestTestbedResetMatchesFresh is the recycled-vs-fresh oracle for the
+// pools' boot frames: under every input scheme and all eight semantics,
+// aligned and at offset 1000, it runs a transfer, starts an echo of the
+// received buffer without completing it, Resets the testbed and
+// requires each host to match a freshly built testbed frame by frame,
+// pool by pool and in its free list.
+func TestTestbedResetMatchesFresh(t *testing.T) {
+	const length = 3*4096 + 500
+	schemes := []netsim.InputBuffering{netsim.EarlyDemux, netsim.Pooled, netsim.OutboardBuffering}
+	for _, scheme := range schemes {
+		t.Run(scheme.String(), func(t *testing.T) {
+			cfg := TestbedConfig{Buffering: scheme, Plane: mem.Symbolic}
+			tb, err := NewTestbed(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sem := range AllSemantics() {
+				for _, off := range []int{0, 1000} {
+					label := fmt.Sprintf("%v offset %d:", sem, off)
+					transferThenEcho(t, tb, sem, off, length)
+					if err := tb.Reset(); err != nil {
+						t.Fatal(err)
+					}
+					for _, h := range []*Host{tb.A, tb.B} {
+						if err := h.Phys.CheckInvariants(); err != nil {
+							t.Fatalf("%s host %s memory invariants after Reset: %v", label, h.Name, err)
+						}
+					}
+					fresh, err := NewTestbed(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkHostMatchesFresh(t, label, tb.A, fresh.A)
+					checkHostMatchesFresh(t, label, tb.B, fresh.B)
+					if err := tb.Reset(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// transferThenEcho runs one transfer of length bytes from host A to
+// host B at the given buffer offset (application-allocated semantics;
+// system-allocated buffers start on a page) and leaves its echo in
+// flight.
+func transferThenEcho(t *testing.T, tb *Testbed, sem Semantics, off, length int) {
+	t.Helper()
+	sender := tb.A.Genie.NewProcess()
+	receiver := tb.B.Genie.NewProcess()
+	payload := make([]byte, length)
+	for i := range payload {
+		payload[i] = byte(i*7 + off)
+	}
+	var srcVA, dstVA vm.Addr
+	if sem.SystemAllocated() {
+		r, err := sender.AllocIOBuffer(length)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcVA = r.Start()
+	} else {
+		ps := tb.Model.Platform.PageSize
+		va, err := sender.Brk(length + 2*ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dva, err := receiver.Brk(length + 2*ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcVA, dstVA = va+vm.Addr(off), dva+vm.Addr(off)
+	}
+	if err := sender.Write(srcVA, payload); err != nil {
+		t.Fatal(err)
+	}
+	_, in, err := tb.Transfer(sender, receiver, 1, sem, srcVA, dstVA, length)
+	if err != nil {
+		t.Fatalf("%v offset %d transfer: %v", sem, off, err)
+	}
+	echoInFlight(t, receiver, sem, in)
+}
+
+// TestClusterResetMatchesFresh is the cluster half of the oracle: each
+// channel of a ring carries its own semantics (all eight in turn) under
+// every input scheme; after one completed round, a second round is
+// sent and left in flight, and each host of the Reset cluster must
+// match a freshly built one.
+func TestClusterResetMatchesFresh(t *testing.T) {
+	const hosts = 8
+	schemes := []netsim.InputBuffering{netsim.EarlyDemux, netsim.Pooled, netsim.OutboardBuffering}
+	for _, scheme := range schemes {
+		t.Run(scheme.String(), func(t *testing.T) {
+			cfg := ClusterConfig{
+				TestbedConfig: TestbedConfig{Buffering: scheme, Plane: mem.Symbolic, FramesPerHost: 256},
+				Topo:          topo.Ring(hosts),
+				Workers:       1,
+			}
+			c, err := NewCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for round := range 2 {
+				clusterRoundThenInFlight(t, c, cfg)
+				if err := c.Reset(); err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := NewCluster(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, h := range c.Hosts {
+					if err := h.Phys.CheckInvariants(); err != nil {
+						t.Fatalf("round %d host %d memory invariants after Reset: %v", round, i, err)
+					}
+					checkHostMatchesFresh(t, fmt.Sprintf("round %d:", round), h, fresh.Hosts[i])
+				}
+				if err := c.Reset(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// clusterRoundThenInFlight connects every ring pair with one of the
+// eight semantics, completes one round of sends both ways, then sends a
+// second round and leaves it in flight.
+func clusterRoundThenInFlight(t *testing.T, c *Cluster, cfg ClusterConfig) {
+	t.Helper()
+	procs := make([]*Process, cfg.Topo.Hosts)
+	for i := range procs {
+		procs[i] = c.Host(i).Genie.NewProcess()
+	}
+	sems := AllSemantics()
+	var eps []*Endpoint
+	for i, p := range cfg.Topo.Pairs {
+		ea, eb, err := c.Connect(procs[p[0]], procs[p[1]], sems[i%len(sems)], 3*4096, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps = append(eps, ea, eb)
+	}
+	send := func(round int) {
+		for i, e := range eps {
+			payload := make([]byte, 1000+i%8*1400+round)
+			for j := range payload {
+				payload[j] = byte(i + j + round)
+			}
+			if err := e.Send(payload); err != nil {
+				t.Fatalf("round %d endpoint %d: %v", round, i, err)
+			}
+		}
+	}
+	send(0)
+	c.Run()
+	for _, e := range eps {
+		for {
+			m, ok := e.Recv()
+			if !ok {
+				break
+			}
+			if err := m.Release(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	send(1)
+}

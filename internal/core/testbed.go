@@ -141,6 +141,7 @@ func buildHost(name string, eng *sim.Engine, cfg TestbedConfig) (*Host, error) {
 	if err != nil {
 		return nil, err
 	}
+	pm.Seal() // the pools' pages stay allocated across Reset
 	return &Host{Name: name, Phys: pm, Sys: sys, NIC: nic, Genie: g}, nil
 }
 
@@ -214,19 +215,22 @@ func (tb *Testbed) SetTracer(base *trace.Tracer) {
 // counters rewind to zero, each host's physical memory returns to its
 // canonical free list (keeping materialized frame data), the VM systems
 // drop every address space and object, and the NIC overlay and kernel
-// buffer pools reacquire their frames in construction order — so a
-// Reset testbed allocates the same frame ids, object ids, and address
-// space ids as a fresh one and any subsequent simulation is
+// buffer pools get back their construction pages in construction order
+// — so a Reset testbed allocates the same frame ids, object ids, and
+// address space ids as a fresh one and any subsequent simulation is
 // bit-identical to one on a newly built testbed. Processes and regions
 // created on the testbed before the Reset must not be used afterwards.
+// It never fails; the error result is the recycler's Reset contract.
 //
-// Reset's frame work is O(frames the run touched), not O(machine size):
-// physical memory re-initializes only the frames allocated since the
-// last Reset, and each pool takes its pages back in one call. The VM
-// systems keep their cleared page tables and object page slots for
-// reuse; clearing a page table costs O(its peak capacity), which a Go
-// map never gives back, and clearing an object's slots O(its peak page
-// index) (see vm.System.Reset). A warm Reset allocates nothing.
+// Reset's work is O(what the run touched), not O(machine size). The
+// pools' pages are boot frames (buildHost seals each PhysMem after the
+// last pool), which physical memory keeps allocated across its Reset;
+// it re-initializes only the other frames allocated since the last
+// Reset, and each pool re-admits only the pages it lent out. The VM
+// systems drop the page tables with their regions, walk only the
+// objects the run created, and clear an object's page slots in
+// O(its peak page index) (see vm.System.Reset). A warm Reset allocates
+// nothing.
 func (tb *Testbed) Reset() error {
 	tb.Eng.Reset()
 	for _, h := range []*Host{tb.A, tb.B} {
@@ -235,20 +239,12 @@ func (tb *Testbed) Reset() error {
 		if tb.cfg.DemandPaging {
 			h.Sys.EnableDemandPaging(0)
 		}
-		// NIC before Genie: the overlay pool was constructed before the
-		// kernel pool, and identical frame assignment needs the same
-		// allocation order.
-		if err := h.NIC.Reset(); err != nil {
-			return fmt.Errorf("core: reset testbed %s: %w", h.Name, err)
-		}
-		if err := h.Genie.Reset(); err != nil {
-			return fmt.Errorf("core: reset testbed %s: %w", h.Name, err)
-		}
+		h.NIC.Reset()
+		h.Genie.Reset()
 	}
-	// Re-arm fault injection last: component resets (pool Reacquire,
-	// kernel pool rebuild) must never see injected failures, and the
-	// rewound PRNG makes a recycled testbed replay the identical fault
-	// script a fresh one would.
+	// Re-arm fault injection last: component resets must never see
+	// injected failures, and the rewound PRNG makes a recycled testbed
+	// replay the identical fault script a fresh one would.
 	tb.inj.Reset()
 	tb.applyFaults()
 	return nil

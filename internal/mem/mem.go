@@ -280,8 +280,11 @@ type PhysMem struct {
 	pageSize   int
 	plane      DataPlane
 	frames     []Frame
-	freeList   []FrameID // LIFO
-	untouched  int       // bottom freeList entries no alloc has popped since Reset
+	freeList   []FrameID       // LIFO
+	untouched  int             // bottom freeList entries no alloc has popped since Reset
+	reserved   int             // boot frames [0, reserved), kept allocated across Reset (Seal)
+	bootStats  Stats           // Stats at Seal, restored by Reset
+	bootHWM    stats.HighWater // hwm at Seal, restored by Reset
 	reclaimer  func(need int) int
 	allocFault func() bool
 	stats      Stats
@@ -328,43 +331,73 @@ func NewWithPlane(numFrames, pageSize int, plane DataPlane) *PhysMem {
 	return pm
 }
 
-// pushCanonical pushes frames n-1 down to 0 onto the free list, so
-// frame 0 is allocated first. The list below holds frames N-1 down to
-// n, untouched, so the whole list is then canonical and every frame in
-// its post-Reset state. The order matters: a Reset PhysMem allocates
-// identically to a fresh one only because of it, and Reset's cost and
-// CheckInvariants' untouched-block check rely on the untouched frames
-// sitting at the bottom of the list in exactly this order.
+// pushCanonical pushes frames n-1 down to the first unreserved frame
+// onto the free list, so the lowest of them is allocated first. The
+// list below holds frames N-1 down to n, untouched, so the whole list
+// is then canonical and every frame on it in its post-Reset state. The
+// order matters: a Reset PhysMem allocates identically to a fresh one
+// only because of it, and Reset's cost and CheckInvariants' untouched-
+// block check rely on the untouched frames sitting at the bottom of the
+// list in exactly this order.
 func (pm *PhysMem) pushCanonical(n int) {
 	base := len(pm.freeList)
-	pm.freeList = pm.freeList[:base+n] // capacity is always N
+	pm.freeList = pm.freeList[:base+n-pm.reserved] // capacity is always N
 	pushed := pm.freeList[base:]
 	for i := range pushed {
 		pushed[i] = FrameID(n - 1 - i)
 	}
-	pm.untouched = len(pm.frames)
+	pm.untouched = len(pm.freeList)
+}
+
+// Seal makes the frames allocated so far boot memory: the pages a
+// host's pools take at construction, which a real kernel allocates once
+// at boot (the paper's overlay pages are "preallocated from physical
+// memory"). A canonical free list hands them out first, so they are
+// frames [0, k). Reset leaves them allocated and untouched, and
+// restores Stats and the high-water mark to their values at Seal; each
+// pool re-admits the pages it lent out (Readmit) in place of
+// allocating its whole complement again. Seal is called once, before
+// any frame is freed, and panics if the allocated frames are not
+// exactly [0, k), attached and without references or wires.
+func (pm *PhysMem) Seal() {
+	k := len(pm.frames) - pm.untouched
+	if pm.untouched != len(pm.freeList) {
+		panic(fmt.Sprintf("mem: Seal after a free: the allocated frames are not [0, %d)", k))
+	}
+	for i := range pm.frames[:k] {
+		if f := &pm.frames[i]; !f.attached || f.Referenced() || f.wired != 0 {
+			panic(fmt.Sprintf("mem: Seal of %v", f))
+		}
+	}
+	pm.reserved = k
+	pm.bootStats = pm.stats
+	pm.bootHWM = pm.hwm
 }
 
 // Reset returns the physical memory to its post-construction state: all
-// frames free in canonical allocation order, no I/O references or
-// wires, no reclaimer, zeroed statistics. Frame backing stores already
-// materialized are retained (their contents are stale, exactly like
-// real memory across a reboot), so a Reset machine allocates without
-// touching the allocator slow path again.
+// frames but the boot frames free in canonical allocation order, no
+// I/O references or wires on them, no reclaimer, statistics and
+// high-water mark as they stood at Seal (zero without one). Frame
+// backing stores already materialized are retained (their contents are
+// stale, exactly like real memory across a reboot), so a Reset machine
+// allocates without touching the allocator slow path again.
 //
 // Reset costs O(frames allocated since the last Reset), not O(frames).
 // The free list is LIFO and Reset leaves it canonical, so the frames no
 // allocation has popped since are always a contiguous block at its
 // bottom: ids N-1 down to N-u, in canonical order and still in their
 // post-Reset state. Reset keeps that block, re-initializes only frames
-// [0, N-u) and pushes them back on top of it.
+// [k, N-u) and pushes them back on top of it. It never touches the k
+// boot frames: a boot frame that left its pool during the run may be in
+// any state until the pool re-admits it (Readmit), and the Reset is
+// complete only then.
 func (pm *PhysMem) Reset() {
 	pm.reclaimer = nil
 	pm.allocFault = nil
-	pm.stats = Stats{}
-	pm.hwm.Reset()
+	pm.stats = pm.bootStats
+	pm.hwm = pm.bootHWM
 	touched := len(pm.frames) - pm.untouched
-	for i := range pm.frames[:touched] {
+	for i := pm.reserved; i < touched; i++ {
 		f := &pm.frames[i]
 		f.inRefs, f.outRefs, f.wired = 0, 0, 0
 		f.attached = false
@@ -373,6 +406,23 @@ func (pm *PhysMem) Reset() {
 	}
 	pm.freeList = pm.freeList[:pm.untouched]
 	pm.pushCanonical(touched)
+}
+
+// Readmit returns boot frame f to its state at Seal: attached, not
+// free, no I/O references or wires. A pool calls it after Reset for
+// each page it lent out since its last Reacquire; Reset itself leaves
+// boot frames alone, and a page that never left its pool is still in
+// that state. Readmit is valid only between a Reset and the next
+// allocation or release, when no boot frame is on the free list; it
+// panics on a frame that is not a boot frame.
+func (pm *PhysMem) Readmit(f *Frame) {
+	if int(f.id) >= pm.reserved {
+		panic(fmt.Sprintf("mem: Readmit of %v, not one of %d boot frames", f, pm.reserved))
+	}
+	f.inRefs, f.outRefs, f.wired = 0, 0, 0
+	f.free = false
+	f.attached = true
+	f.pristine = false
 }
 
 // PageSize returns the frame size in bytes.
@@ -496,8 +546,8 @@ func (pm *PhysMem) AllocZeroed() (*Frame, error) {
 // AllocN appends n frames to dst: n Alloc calls, so the frames, their
 // order, the statistics, the high-water mark and the fault-hook
 // consultations are exactly Alloc's. It is how the adapter and kernel
-// pools take their pages in one call. On failure it returns the frames
-// taken so far with the error.
+// pools take their pages at construction and on Refill. On failure it
+// returns the frames taken so far with the error.
 func (pm *PhysMem) AllocN(dst []*Frame, n int) ([]*Frame, error) {
 	for range n {
 		f, err := pm.Alloc()
@@ -609,10 +659,14 @@ func (pm *PhysMem) Unwire(f *Frame) {
 // operation sequence.
 func (pm *PhysMem) CheckInvariants() error {
 	// The untouched block Reset relies on: the bottom u free-list
-	// entries are frames N-1 down to N-u, free, with no counts.
+	// entries are frames N-1 down to N-u, free, with no counts, and
+	// never a boot frame (so none is on the free list after Reset).
 	n := len(pm.frames)
 	if pm.untouched < 0 || pm.untouched > len(pm.freeList) {
 		return fmt.Errorf("untouched count %d outside free list of %d", pm.untouched, len(pm.freeList))
+	}
+	if pm.untouched > n-pm.reserved {
+		return fmt.Errorf("untouched block of %d frames reaches into the %d boot frames", pm.untouched, pm.reserved)
 	}
 	for i, id := range pm.freeList[:pm.untouched] {
 		f := &pm.frames[n-1-i]

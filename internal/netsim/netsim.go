@@ -219,23 +219,20 @@ func NewNIC(eng *sim.Engine, cfg NICConfig) (*NIC, error) {
 // reacquired from physical memory — the caller must have Reset the
 // host's PhysMem first — and outboard staging memory is emptied. The
 // attached link, peer, and receive upcall are preserved.
-func (n *NIC) Reset() error {
+func (n *NIC) Reset() {
 	clear(n.posted)
 	clear(n.reasm)
 	n.busyUntil = 0
 	n.corruptAt = -1
 	n.stats = Stats{}
 	if n.pool != nil {
-		if err := n.pool.Reacquire(); err != nil {
-			return fmt.Errorf("netsim: reset NIC %q: %w", n.name, err)
-		}
+		n.pool.Reacquire()
 	}
 	if n.outboard != nil {
 		n.outboard.Reset()
 	}
 	n.SetTracer(nil)
 	n.inj = nil
-	return nil
 }
 
 // SetFaultInjector attaches deterministic fault injection to the

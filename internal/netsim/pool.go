@@ -15,10 +15,12 @@ import (
 // permanently (move maps them into the application), Refill replaces
 // them with freshly allocated frames to avoid pool depletion.
 type OverlayPool struct {
-	pm    *mem.PhysMem
-	free  []*mem.Frame
-	total int
-	hwm   stats.HighWater // occupancy (total - free), high-water tracked
+	pm        *mem.PhysMem
+	free      []*mem.Frame
+	base      mem.FrameID // the pages taken at construction are frames base, base+1, ...
+	untouched int         // bottom free entries no Get has popped since Reacquire: frames base, ..., base+untouched-1
+	total     int
+	hwm       stats.HighWater // occupancy (total - free), high-water tracked
 
 	// Tracing: event names are precomputed at SetTracer time so the hot
 	// path emits without concatenating strings.
@@ -43,13 +45,26 @@ func (p *OverlayPool) SetTracer(tr *trace.Tracer, cat trace.Category, name strin
 	}
 }
 
-// NewOverlayPool preallocates npages overlay pages.
+// NewOverlayPool preallocates npages overlay pages. They must be
+// consecutive frames, as a free list that has never had a frame
+// returned hands them out, so the pool's construction list is just its
+// first frame. A pool that is to be recycled (Reacquire) is built
+// before its PhysMem is sealed, so its pages are boot frames.
 func NewOverlayPool(pm *mem.PhysMem, npages int) (*OverlayPool, error) {
-	p := &OverlayPool{pm: pm, total: npages}
+	p := &OverlayPool{pm: pm, total: npages, untouched: npages}
 	var err error
 	if p.free, err = pm.AllocN(nil, npages); err != nil {
 		p.Destroy()
 		return nil, fmt.Errorf("netsim: overlay pool: %w", err)
+	}
+	for i, f := range p.free {
+		if f.ID() != p.free[0].ID()+mem.FrameID(i) {
+			p.Destroy()
+			return nil, fmt.Errorf("netsim: overlay pool: page %d is frame %d, not the frame after %d", i, f.ID(), p.free[i-1].ID())
+		}
+	}
+	if npages > 0 {
+		p.base = p.free[0].ID()
 	}
 	return p, nil
 }
@@ -98,6 +113,7 @@ func (p *OverlayPool) GetAppend(dst []*mem.Frame, n int) ([]*mem.Frame, error) {
 	}
 	frames := append(dst, p.free[len(p.free)-n:]...)
 	p.free = p.free[:len(p.free)-n]
+	p.untouched = min(p.untouched, len(p.free))
 	p.gauge()
 	if p.tr != nil {
 		p.tr.Instant(p.trCat, p.acqName, n*p.pm.PageSize())
@@ -142,20 +158,26 @@ func (p *OverlayPool) ConsumedBy(n int) {
 }
 
 // Reacquire rebuilds the pool after the underlying physical memory was
-// Reset wholesale: stale frame pointers are discarded and the full
-// complement of pages is allocated again, in construction order, so a
-// recycled pool holds exactly the frames a fresh one would. Callers
-// must sequence Reacquire calls in the same order the pools were
-// originally constructed for frame assignment to be identical. The
-// pages come in one PhysMem.AllocN call, into the free slice's own
-// storage, so a Reacquire allocates no Go memory.
-func (p *OverlayPool) Reacquire() error {
-	var err error
-	if p.free, err = p.pm.AllocN(p.free[:0], p.total); err != nil {
-		return fmt.Errorf("netsim: overlay pool reacquire: %w", err)
+// Reset wholesale, so a recycled pool holds exactly the frames a fresh
+// one would, in construction order. The pool's pages are boot frames,
+// which the Reset kept allocated (PhysMem.Seal), so nothing is
+// allocated again: Reacquire re-admits only the pages lent out since
+// its last call (PhysMem.Readmit) and rebuilds the free list from the
+// construction list. Get pops from the top, so the pages never lent
+// are exactly the bottom free entries no Get has popped, the unchanged
+// front of the construction list. Pages Refill added are ordinary
+// frames, which the Reset took back. A Reacquire allocates no Go memory
+// and costs O(pages lent) plus one pass over the page list.
+func (p *OverlayPool) Reacquire() {
+	for i := p.untouched; i < p.total; i++ {
+		p.pm.Readmit(p.pm.Frame(p.base + mem.FrameID(i)))
 	}
+	p.free = p.free[:p.total]
+	for i := range p.free {
+		p.free[i] = p.pm.Frame(p.base + mem.FrameID(i))
+	}
+	p.untouched = p.total
 	p.hwm.Reset()
-	return nil
 }
 
 // Destroy releases all pooled frames back to physical memory.

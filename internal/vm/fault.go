@@ -33,8 +33,10 @@ func (as *AddressSpace) Fault(va Addr, write bool) error {
 	}
 
 	pageVA := sys.pageFloor(va)
-	pi := r.pageIndex(va)
-	pte, present := as.pt[pageVA]
+	slot := r.slot(pageVA)
+	pi := slot + r.objOff
+	pte := r.pte(pageVA)
+	present := pte.Frame != nil
 	if present && pte.Prot.CanRead() && (!write || pte.Prot.CanWrite()) {
 		return nil // spurious: another path already resolved it
 	}
@@ -51,7 +53,7 @@ func (as *AddressSpace) Fault(va Addr, write bool) error {
 			return err
 		}
 		r.object.insertPage(pi, nf)
-		as.pt[pageVA] = PTE{Frame: nf, Prot: ProtRW}
+		r.setPTE(slot, PTE{Frame: nf, Prot: ProtRW})
 		sys.stats.ZeroFills++
 		sys.emit("vm.fault.zero-fill", sys.pageSize)
 		return nil
@@ -65,7 +67,7 @@ func (as *AddressSpace) Fault(va Addr, write bool) error {
 				return as.tcowCopy(r, pageVA, pi, f)
 			}
 			pte.Prot |= ProtWrite
-			as.pt[pageVA] = pte
+			r.setPTE(slot, pte)
 			sys.stats.TCOWReenables++
 			sys.emit("vm.fault.tcow-reenable", sys.pageSize)
 			return nil
@@ -81,7 +83,7 @@ func (as *AddressSpace) Fault(va Addr, write bool) error {
 			// Write to an unmapped page under pending output: TCOW copy.
 			return as.tcowCopy(r, pageVA, pi, f)
 		}
-		as.pt[pageVA] = PTE{Frame: f, Prot: prot}
+		r.setPTE(slot, PTE{Frame: f, Prot: prot})
 		return nil
 	}
 
@@ -93,12 +95,12 @@ func (as *AddressSpace) Fault(va Addr, write bool) error {
 		}
 		nf.CopyFrom(f)
 		r.object.insertPage(pi, nf)
-		as.pt[pageVA] = PTE{Frame: nf, Prot: ProtRW}
+		r.setPTE(slot, PTE{Frame: nf, Prot: ProtRW})
 		sys.stats.COWCopies++
 		sys.emit("vm.fault.cow-copy", sys.pageSize)
 		return nil
 	}
-	as.pt[pageVA] = PTE{Frame: f, Prot: ProtRead}
+	r.setPTE(slot, PTE{Frame: f, Prot: ProtRead})
 	return nil
 }
 
@@ -114,7 +116,7 @@ func (as *AddressSpace) tcowCopy(r *Region, pageVA Addr, pi int, f *mem.Frame) e
 	}
 	nf.CopyFrom(f)
 	old := r.object.swapPage(pi, nf)
-	as.pt[pageVA] = PTE{Frame: nf, Prot: ProtRW}
+	r.setPTE(r.slot(pageVA), PTE{Frame: nf, Prot: ProtRW})
 	sys.pm.Release(old)
 	sys.stats.TCOWCopies++
 	sys.emit("vm.fault.tcow-copy", sys.pageSize)
@@ -138,6 +140,6 @@ func (as *AddressSpace) pageIn(r *Region, pageVA Addr, pi int, holder *MemObject
 		// the COW rules apply.
 		return as.Fault(pageVA, write)
 	}
-	as.pt[pageVA] = PTE{Frame: nf, Prot: ProtRW}
+	r.setPTE(r.slot(pageVA), PTE{Frame: nf, Prot: ProtRW})
 	return nil
 }

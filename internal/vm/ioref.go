@@ -42,12 +42,17 @@ type IORef struct {
 	oneEntry  [1]refEntry // entries' backing store for one page
 }
 
-// init empties ref for a new request whose first page is stored
-// inline.
-func (ref *IORef) init(sys *System, input bool) {
+// init empties ref for a new request of the given number of pages,
+// sizing its lists once: a one-page request is stored inline.
+func (ref *IORef) init(sys *System, input bool, pages int) {
 	*ref = IORef{sys: sys, input: input}
-	ref.extents = ref.oneExtent[:0]
-	ref.entries = ref.oneEntry[:0]
+	if pages <= 1 {
+		ref.extents = ref.oneExtent[:0]
+		ref.entries = ref.oneEntry[:0]
+		return
+	}
+	ref.extents = make([]Extent, 0, pages)
+	ref.entries = make([]refEntry, 0, pages)
 }
 
 // ReferenceRangeInto performs Genie's page referencing on
@@ -59,7 +64,7 @@ func (ref *IORef) init(sys *System, input bool) {
 // have been dropped. On error ref holds no references.
 func (as *AddressSpace) ReferenceRangeInto(ref *IORef, va Addr, length int, input bool) error {
 	sys := as.sys
-	ref.init(sys, input)
+	ref.init(sys, input, sys.pageCount(va, length))
 	if length <= 0 {
 		ref.done = true
 		return fmt.Errorf("vm: ReferenceRange(%#x, %d): empty range", va, length)
@@ -76,11 +81,11 @@ func (as *AddressSpace) ReferenceRangeInto(ref *IORef, va Addr, length int, inpu
 			ref.rollback()
 			return fmt.Errorf("%w: ReferenceRange at %#x", ErrFault, cur)
 		}
-		if err := as.ensureMapped(pageVA, input); err != nil {
+		pte, err := as.ensureMapped(r, pageVA, input)
+		if err != nil {
 			ref.rollback()
 			return err
 		}
-		pte := as.pt[pageVA]
 		if input {
 			sys.pm.RefInput(pte.Frame)
 			r.object.refInput()
@@ -100,9 +105,9 @@ func (as *AddressSpace) ReferenceRangeInto(ref *IORef, va Addr, length int, inpu
 // caller's ref, under ReferenceRangeInto's rules.
 func (as *AddressSpace) ReferenceRegionInto(ref *IORef, r *Region, length int, input bool) error {
 	sys := as.sys
-	ref.init(sys, input)
 	ps := sys.pageSize
 	pages := sys.pageCount(r.start, length)
+	ref.init(sys, input, pages)
 	for i := 0; i < pages; i++ {
 		pi := r.objOff + i
 		f, holder := r.object.lookup(pi)

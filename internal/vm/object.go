@@ -39,9 +39,8 @@ func (sys *System) newObject() *MemObject {
 // register makes the zero object o live under the next id, with spare
 // page slots when Reset left any.
 func (sys *System) register(o *MemObject) {
-	sys.nextObjID++
-	o.sys, o.id, o.pages = sys, sys.nextObjID, takeSpare(&sys.sparePages)
-	sys.objects[o.id] = o
+	sys.objects = append(sys.objects, o)
+	o.sys, o.id, o.pages = sys, len(sys.objects), sys.takeSpare()
 }
 
 // ID returns the object's identifier (unique within its System).
@@ -177,7 +176,11 @@ func (o *MemObject) destroy() {
 		o.shadow.unref()
 		o.shadow = nil
 	}
-	delete(o.sys.objects, o.id)
+	// A stale object (dropped by Reset) must not clear a live one that
+	// took its id.
+	if objs, i := o.sys.objects, o.id-1; i < len(objs) && objs[i] == o {
+		objs[i] = nil
+	}
 }
 
 func (o *MemObject) ref() { o.refs++ }

@@ -1,10 +1,6 @@
 package vm
 
-import (
-	"sort"
-
-	"repro/internal/mem"
-)
+import "repro/internal/mem"
 
 // PageoutDaemon is the simulated pageout daemon. Its eviction rule is
 // the paper's input-disabled pageout (Section 3.2): pages with nonzero
@@ -51,14 +47,8 @@ func (d *PageoutDaemon) ScanOnce(target int) int {
 		return 0
 	}
 	var cands []candidate
-	ids := make([]int, 0, len(d.sys.objects))
-	for id := range d.sys.objects {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		obj := d.sys.objects[id]
-		if obj.noPageout {
+	for _, obj := range d.sys.objects {
+		if obj == nil || obj.noPageout {
 			continue
 		}
 		for pi, f := range obj.pages {
@@ -84,7 +74,7 @@ func (d *PageoutDaemon) ScanOnce(target int) int {
 func (d *PageoutDaemon) Evictable() int {
 	n := 0
 	for _, obj := range d.sys.objects {
-		if obj.noPageout {
+		if obj == nil || obj.noPageout {
 			continue
 		}
 		for _, f := range obj.pages {

@@ -14,7 +14,8 @@ type Region struct {
 	length  int // bytes, page multiple
 	state   RegionState
 	object  *MemObject
-	objOff  int // page index of region page 0 within the object
+	objOff  int   // page index of region page 0 within the object
+	pt      []PTE // page table entries by page, nil until the first mapping
 	removed bool
 }
 
@@ -51,8 +52,40 @@ func (r *Region) contains(va Addr) bool { return va >= r.start && va < r.End() }
 
 // pageIndex maps a virtual address inside the region to its page index
 // within the backing object.
-func (r *Region) pageIndex(va Addr) int {
-	return int((r.as.sys.pageFloor(va)-r.start)/Addr(r.as.sys.pageSize)) + r.objOff
+func (r *Region) pageIndex(va Addr) int { return r.slot(va) + r.objOff }
+
+// slot maps a virtual address inside the region to its page within the
+// region, the index of its page table entry.
+func (r *Region) slot(va Addr) int { return int((va - r.start) / Addr(r.as.sys.pageSize)) }
+
+// pte returns the entry mapping va, which lies in r; an unmapped page's
+// entry has a nil Frame. A nil region maps nothing.
+func (r *Region) pte(va Addr) PTE {
+	if r == nil || r.pt == nil {
+		return PTE{}
+	}
+	return r.pt[r.slot(va)]
+}
+
+// setPTE maps page i of the region, making the region's table on its
+// first mapping. Mapping a page of a space dropped by System.Reset
+// panics instead of aliasing a live one.
+func (r *Region) setPTE(i int, pte PTE) {
+	if r.pt == nil {
+		if r.as.stale {
+			panic(fmt.Sprintf("vm: address space %d used after System.Reset", r.as.id))
+		}
+		r.pt = make([]PTE, r.Pages())
+	}
+	r.pt[i] = pte
+}
+
+// clearPTE unmaps va's page, which lies in r (a nil region maps
+// nothing).
+func (r *Region) clearPTE(va Addr) {
+	if r != nil && r.pt != nil {
+		r.pt[r.slot(va)] = PTE{}
+	}
 }
 
 // setState transitions the region state, enforcing the legal transitions
@@ -157,10 +190,12 @@ func (as *AddressSpace) WireRange(va Addr, length int) error {
 	pages := sys.pageCount(va, length)
 	pageVA := sys.pageFloor(va)
 	for i := 0; i < pages; i++ {
-		if err := as.ensureMapped(pageVA, false); err != nil {
+		r := as.FindRegion(pageVA)
+		pte, err := as.ensureMapped(r, pageVA, false)
+		if err != nil {
 			return err
 		}
-		sys.pm.Wire(as.pt[pageVA].Frame)
+		sys.pm.Wire(pte.Frame)
 		pageVA += Addr(sys.pageSize)
 	}
 	return nil
@@ -172,8 +207,9 @@ func (as *AddressSpace) UnwireRange(va Addr, length int) error {
 	pages := sys.pageCount(va, length)
 	pageVA := sys.pageFloor(va)
 	for i := 0; i < pages; i++ {
-		pte, ok := as.pt[pageVA]
-		if !ok {
+		r := as.FindRegion(pageVA)
+		pte := r.pte(pageVA)
+		if pte.Frame == nil {
 			return fmt.Errorf("vm: unwire of unmapped page %#x", pageVA)
 		}
 		sys.pm.Unwire(pte.Frame)

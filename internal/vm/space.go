@@ -8,13 +8,14 @@ import (
 )
 
 // AddressSpace is one application's virtual address space: a sorted set
-// of regions plus a page table, and the per-space region caches used by
-// the (weak) move semantics.
+// of regions, each holding the page table entries of its own pages, and
+// the per-space region caches used by the (weak) move semantics.
 type AddressSpace struct {
 	sys     *System
 	id      int
 	regions []*Region // sorted by start
-	pt      map[Addr]PTE
+	last    *Region   // FindRegion's last hit, nil after its removal
+	stale   bool      // dropped by System.Reset: mapping a page panics
 
 	movedOutQ     []*Region
 	weakMovedOutQ []*Region
@@ -31,21 +32,26 @@ func (as *AddressSpace) System() *System { return as.sys }
 // Regions returns the regions currently mapped, sorted by address.
 func (as *AddressSpace) Regions() []*Region { return as.regions }
 
-// FindRegion returns the region containing va, or nil.
+// FindRegion returns the region containing va, or nil. It tries its
+// last hit first, so a walk over one region's pages searches once.
 func (as *AddressSpace) FindRegion(va Addr) *Region {
+	if r := as.last; r != nil && r.contains(va) {
+		return r
+	}
 	i := sort.Search(len(as.regions), func(i int) bool {
 		return as.regions[i].End() > va
 	})
 	if i < len(as.regions) && as.regions[i].contains(va) {
-		return as.regions[i]
+		as.last = as.regions[i]
+		return as.last
 	}
 	return nil
 }
 
 // PTEAt returns the page table entry mapping va's page.
 func (as *AddressSpace) PTEAt(va Addr) (PTE, bool) {
-	pte, ok := as.pt[as.sys.pageFloor(va)]
-	return pte, ok
+	pte := as.FindRegion(va).pte(va)
+	return pte, pte.Frame != nil
 }
 
 // roundUp rounds length up to a page multiple.
@@ -136,10 +142,9 @@ func (as *AddressSpace) MapObject(obj *MemObject, length int, state RegionState)
 	as.insertRegion(r)
 	// Eagerly map resident pages read-write: move-semantics input returns
 	// a buffer the application may immediately access.
-	ps := Addr(as.sys.pageSize)
 	for i := 0; i < r.Pages(); i++ {
 		if f, holder := obj.lookup(i); f != nil && holder == obj {
-			as.pt[r.start+Addr(i)*ps] = PTE{Frame: f, Prot: ProtRW}
+			r.setPTE(i, PTE{Frame: f, Prot: ProtRW})
 		}
 	}
 	return r, nil
@@ -160,10 +165,10 @@ func (as *AddressSpace) RemoveRegion(r *Region) error {
 		return fmt.Errorf("vm: RemoveRegion: %v not in space %d", r, as.id)
 	}
 	as.regions = append(as.regions[:i], as.regions[i+1:]...)
-	ps := Addr(as.sys.pageSize)
-	for va := r.start; va < r.End(); va += ps {
-		delete(as.pt, va)
+	if as.last == r {
+		as.last = nil
 	}
+	r.pt = nil
 	r.removed = true
 	r.object.unref()
 	return nil
@@ -189,13 +194,10 @@ func (as *AddressSpace) access(va Addr, buf []byte, write bool) error {
 		pageVA := sys.pageFloor(va + Addr(off))
 		pgOff := int(va + Addr(off) - pageVA)
 		n := min(sys.pageSize-pgOff, len(buf)-off)
-		pte, ok := as.pt[pageVA]
-		needs := !ok || !pte.Prot.CanRead() || (write && !pte.Prot.CanWrite())
-		if needs {
-			if err := as.Fault(pageVA, write); err != nil {
-				return err
-			}
-			pte = as.pt[pageVA]
+		r := as.FindRegion(pageVA)
+		pte, err := as.ensureMapped(r, pageVA, write)
+		if err != nil {
+			return err
 		}
 		if write {
 			pte.Frame.WriteAt(pgOff, buf[off:off+n])
@@ -217,12 +219,10 @@ func (as *AddressSpace) PokeBuf(va Addr, b mem.Buf) error {
 		pageVA := sys.pageFloor(va + Addr(off))
 		pgOff := int(va + Addr(off) - pageVA)
 		n := min(sys.pageSize-pgOff, b.Len()-off)
-		pte, ok := as.pt[pageVA]
-		if !ok || !pte.Prot.CanRead() || !pte.Prot.CanWrite() {
-			if err := as.Fault(pageVA, true); err != nil {
-				return err
-			}
-			pte = as.pt[pageVA]
+		r := as.FindRegion(pageVA)
+		pte, err := as.ensureMapped(r, pageVA, true)
+		if err != nil {
+			return err
 		}
 		pte.Frame.WriteBufAt(pgOff, b, off, n)
 		off += n
@@ -254,12 +254,10 @@ func (as *AddressSpace) PeekBuf(va Addr, length int) (mem.Buf, error) {
 		pageVA := sys.pageFloor(va + Addr(off))
 		pgOff := int(va + Addr(off) - pageVA)
 		n := min(sys.pageSize-pgOff, length-off)
-		pte, ok := as.pt[pageVA]
-		if !ok || !pte.Prot.CanRead() {
-			if err := as.Fault(pageVA, false); err != nil {
-				return mem.Buf{}, err
-			}
-			pte = as.pt[pageVA]
+		r := as.FindRegion(pageVA)
+		pte, err := as.ensureMapped(r, pageVA, false)
+		if err != nil {
+			return mem.Buf{}, err
 		}
 		out.AppendFrame(pte.Frame, pgOff, n)
 		off += n
@@ -303,9 +301,10 @@ func (as *AddressSpace) RemoveWrite(va Addr, length int) {
 	sys := as.sys
 	pageVA := sys.pageFloor(va)
 	for i := 0; i < sys.pageCount(va, length); i++ {
-		if pte, ok := as.pt[pageVA]; ok {
+		r := as.FindRegion(pageVA)
+		if pte := r.pte(pageVA); pte.Frame != nil {
 			pte.Prot &^= ProtWrite
-			as.pt[pageVA] = pte
+			r.setPTE(r.slot(pageVA), pte)
 		}
 		pageVA += Addr(sys.pageSize)
 	}
@@ -317,7 +316,8 @@ func (as *AddressSpace) Invalidate(va Addr, length int) {
 	sys := as.sys
 	pageVA := sys.pageFloor(va)
 	for i := 0; i < sys.pageCount(va, length); i++ {
-		delete(as.pt, pageVA)
+		r := as.FindRegion(pageVA)
+		r.clearPTE(pageVA)
 		pageVA += Addr(sys.pageSize)
 	}
 }
@@ -326,27 +326,29 @@ func (as *AddressSpace) Invalidate(va Addr, length int) {
 // region's range — the "reinstate page accesses" step of emulated move
 // input (Table 3), undoing region hiding without any page copying.
 func (as *AddressSpace) Reinstate(r *Region) {
-	ps := Addr(as.sys.pageSize)
 	for i := 0; i < r.Pages(); i++ {
-		va := r.start + Addr(i)*ps
 		if f, holder := r.object.lookup(i + r.objOff); f != nil {
 			prot := ProtRW
 			if holder != r.object {
 				prot = ProtRead // COW page: keep write-protected
 			}
-			as.pt[va] = PTE{Frame: f, Prot: prot}
+			r.setPTE(i, PTE{Frame: f, Prot: prot})
 		}
 	}
 }
 
-// ensureMapped guarantees va's page is resident and mapped (faulting it
-// in if needed), without requiring write access.
-func (as *AddressSpace) ensureMapped(va Addr, write bool) error {
-	pte, ok := as.pt[as.sys.pageFloor(va)]
-	if ok && pte.Prot.CanRead() && (!write || pte.Prot.CanWrite()) {
-		return nil
+// ensureMapped guarantees va's page is resident and mapped with read
+// access, and write access if write is set (faulting it in if needed),
+// and returns its entry. r is the region containing va, or nil.
+func (as *AddressSpace) ensureMapped(r *Region, va Addr, write bool) (PTE, error) {
+	pte := r.pte(va)
+	if pte.Frame != nil && pte.Prot.CanRead() && (!write || pte.Prot.CanWrite()) {
+		return pte, nil
 	}
-	return as.Fault(va, write)
+	if err := as.Fault(va, write); err != nil {
+		return PTE{}, err
+	}
+	return r.pte(va), nil
 }
 
 // KernelSwapPage installs frame nf as the page backing pageVA, replacing
@@ -380,16 +382,16 @@ func (as *AddressSpace) KernelSwapPage(pageVA Addr, nf *mem.Frame) (*mem.Frame, 
 		r.object.insertPage(pi, nf)
 	}
 	prot := ProtNone
-	if pte, ok := as.pt[pageVA]; ok {
+	if pte := r.pte(pageVA); pte.Frame != nil {
 		prot = pte.Prot
 	}
 	if r.state.Accessible() || prot != ProtNone {
 		if prot == ProtNone {
 			prot = ProtRW
 		}
-		as.pt[pageVA] = PTE{Frame: nf, Prot: prot | ProtRW}
+		r.setPTE(r.slot(pageVA), PTE{Frame: nf, Prot: prot | ProtRW})
 	} else {
-		delete(as.pt, pageVA)
+		r.clearPTE(pageVA)
 	}
 	return old, nil
 }
@@ -499,23 +501,13 @@ func (as *AddressSpace) Fork() (*AddressSpace, error) {
 	return child, nil
 }
 
-// relocate moves a region (and its PTEs) to a new base address.
+// relocate moves a region to a new base address. Its page table
+// entries are indexed by page within the region, so they move with it.
 func (as *AddressSpace) relocate(r *Region, newStart Addr) error {
 	for _, other := range as.regions {
 		if other != r && newStart < other.End() && other.start < newStart+Addr(r.length) {
 			return fmt.Errorf("vm: relocate: %v overlaps %v", r, other)
 		}
-	}
-	ps := Addr(as.sys.pageSize)
-	var moves [][2]Addr
-	for va := r.start; va < r.End(); va += ps {
-		if _, ok := as.pt[va]; ok {
-			moves = append(moves, [2]Addr{va, newStart + (va - r.start)})
-		}
-	}
-	for _, m := range moves {
-		as.pt[m[1]] = as.pt[m[0]]
-		delete(as.pt, m[0])
 	}
 	// Remove and reinsert to keep the region slice sorted.
 	for i, other := range as.regions {
@@ -531,20 +523,26 @@ func (as *AddressSpace) relocate(r *Region, newStart Addr) error {
 
 // CheckInvariants verifies page-table/object consistency for the space.
 func (as *AddressSpace) CheckInvariants() error {
-	for va, pte := range as.pt {
-		r := as.FindRegion(va)
-		if r == nil {
-			return fmt.Errorf("vm: PTE at %#x outside any region", va)
+	ps := Addr(as.sys.pageSize)
+	for _, r := range as.regions {
+		if r.pt != nil && len(r.pt) != r.Pages() {
+			return fmt.Errorf("vm: %v has %d page table entries for %d pages", r, len(r.pt), r.Pages())
 		}
-		if pte.Frame.Free() {
-			return fmt.Errorf("vm: PTE at %#x maps free frame %v", va, pte.Frame)
-		}
-		f, _ := r.object.lookup(r.pageIndex(va))
-		if f == nil {
-			return fmt.Errorf("vm: PTE at %#x maps frame absent from object chain", va)
-		}
-		if f != pte.Frame {
-			return fmt.Errorf("vm: PTE at %#x maps %v but chain holds %v", va, pte.Frame, f)
+		for i, pte := range r.pt {
+			if pte.Frame == nil {
+				continue
+			}
+			va := r.start + Addr(i)*ps
+			if pte.Frame.Free() {
+				return fmt.Errorf("vm: PTE at %#x maps free frame %v", va, pte.Frame)
+			}
+			f, _ := r.object.lookup(r.objOff + i)
+			if f == nil {
+				return fmt.Errorf("vm: PTE at %#x maps frame absent from object chain", va)
+			}
+			if f != pte.Frame {
+				return fmt.Errorf("vm: PTE at %#x maps %v but chain holds %v", va, pte.Frame, f)
+			}
 		}
 	}
 	for i := 1; i < len(as.regions); i++ {

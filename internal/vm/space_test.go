@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/mem"
@@ -327,38 +328,48 @@ func TestReadPhysSeesThroughProtections(t *testing.T) {
 	}
 }
 
-// TestSystemResetReusesMaps checks the storage reuse behind a recycled
-// system: Reset clears the page tables and object page slots of the
-// live spaces and objects and hands them to the next NewAddressSpace
-// and newObject (an object beyond the spares gets new storage), ids
-// restart from 1, and a space or object used after Reset panics on its
-// first write instead of aliasing a live one.
+// TestSystemResetReusesMaps checks the storage behind a recycled
+// system: Reset drops the live regions' page tables, clears the object
+// page slots of the live objects and hands them to the next newObject
+// (an object beyond the spares gets new storage), ids restart from 1, a
+// space or object used after Reset panics on its first write instead of
+// aliasing a live one, and a warm Reset allocates nothing.
 func TestSystemResetReusesMaps(t *testing.T) {
 	sys := newTestSystem(32)
-	as := sys.NewAddressSpace()
-	r := mustRegion(t, as, 2*testPageSize, Unmovable)
 	data := bytes.Repeat([]byte{9}, 2*testPageSize)
-	if err := as.Poke(r.Start(), data); err != nil {
-		t.Fatal(err)
+	// run builds what a short run leaves behind: a space with a mapped
+	// two-page region and a kernel object holding a page.
+	run := func() (*AddressSpace, *Region, *MemObject) {
+		as := sys.NewAddressSpace()
+		r := mustRegion(t, as, 2*testPageSize, Unmovable)
+		if err := as.Poke(r.Start(), data); err != nil {
+			t.Fatal(err)
+		}
+		k := sys.NewKernelObject()
+		if _, err := sys.AllocFrameInto(k, 0); err != nil {
+			t.Fatal(err)
+		}
+		return as, r, k
 	}
-	k := sys.NewKernelObject()
-	if _, err := sys.AllocFrameInto(k, 0); err != nil {
-		t.Fatal(err)
+	reset := func() {
+		sys.Phys().Reset()
+		sys.Reset()
 	}
-	ptr := func(m any) uintptr { return reflect.ValueOf(m).Pointer() }
-	oldPT := ptr(as.pt)
+	as, r, k := run()
+	if r.pt == nil {
+		t.Fatal("a mapped region holds no page table")
+	}
+	ptr := func(s any) uintptr { return reflect.ValueOf(s).Pointer() }
 	oldPages := map[uintptr]bool{ptr(r.object.pages): true, ptr(k.pages): true}
 
-	sys.Phys().Reset()
-	sys.Reset()
-	if as.pt != nil || r.object.pages != nil || k.pages != nil {
-		t.Fatal("Reset left a stale space or object holding its storage")
+	reset()
+	if r.pt != nil || r.object.pages != nil || k.pages != nil {
+		t.Fatal("Reset left a stale region or object holding its storage")
 	}
 
 	as2 := sys.NewAddressSpace()
-	if as2.ID() != 1 || len(as2.pt) != 0 || ptr(as2.pt) != oldPT {
-		t.Fatalf("space after Reset: id %d, %d page table entries, reused map %t; want id 1, empty, reused",
-			as2.ID(), len(as2.pt), ptr(as2.pt) == oldPT)
+	if as2.ID() != 1 || len(as2.Regions()) != 0 {
+		t.Fatalf("space after Reset: id %d, %d regions; want id 1, empty", as2.ID(), len(as2.Regions()))
 	}
 	for want := 1; want <= 2; want++ {
 		o := sys.NewKernelObject()
@@ -386,5 +397,25 @@ func TestSystemResetReusesMaps(t *testing.T) {
 		write()
 	}
 	mustPanic("space", func() { _ = as.Poke(r.Start(), data) })
+	mustPanic("space's new mapping", func() { _, _ = as.MapObject(o, testPageSize, MovedIn) })
 	mustPanic("kernel object", func() { _, _ = sys.AllocFrameInto(k, 0) })
+
+	if raceEnabled {
+		return
+	}
+	var before, after runtime.MemStats
+	var allocs uint64
+	for i := range 5 {
+		reset()
+		run()
+		runtime.ReadMemStats(&before)
+		reset()
+		runtime.ReadMemStats(&after)
+		if i > 0 { // the first Resets size the spare list
+			allocs += after.Mallocs - before.Mallocs
+		}
+	}
+	if allocs != 0 {
+		t.Errorf("4 warm Resets allocated %d times, want 0", allocs)
+	}
 }

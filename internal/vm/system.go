@@ -26,28 +26,22 @@ type SysStats struct {
 // System is the machine-wide VM state: physical memory, every address
 // space, and the memory-object registry.
 type System struct {
-	pm        *mem.PhysMem
-	pageSize  int
-	spaces    []*AddressSpace
-	objects   map[int]*MemObject
-	nextObjID int
-	nextASID  int
-	stats     SysStats
-	tr        *trace.Tracer
+	pm       *mem.PhysMem
+	pageSize int
+	spaces   []*AddressSpace
+	objects  []*MemObject // by id-1, nil once destroyed; ids are dense
+	nextASID int
+	stats    SysStats
+	tr       *trace.Tracer
 
-	// Cleared page tables and object page slots harvested by Reset,
-	// taken by NewAddressSpace and newObject before they make new ones.
-	sparePT    []map[Addr]PTE
+	// Cleared object page slots harvested by Reset, taken by newObject
+	// before it makes new ones.
 	sparePages [][]*mem.Frame
 }
 
 // NewSystem creates a VM system over the given physical memory.
 func NewSystem(pm *mem.PhysMem) *System {
-	return &System{
-		pm:       pm,
-		pageSize: pm.PageSize(),
-		objects:  make(map[int]*MemObject),
-	}
+	return &System{pm: pm, pageSize: pm.PageSize()}
 }
 
 // PageSize returns the system page size in bytes.
@@ -80,12 +74,8 @@ func (sys *System) NewAddressSpace() *AddressSpace {
 	as := &AddressSpace{
 		sys:   sys,
 		id:    sys.nextASID,
-		pt:    takeSpare(&sys.sparePT),
 		base:  Addr(sys.pageSize), // leave page 0 unmapped, as any sane kernel does
 		limit: Addr(1) << 40,
-	}
-	if as.pt == nil {
-		as.pt = make(map[Addr]PTE)
 	}
 	sys.spaces = append(sys.spaces, as)
 	return as
@@ -117,29 +107,30 @@ func (sys *System) DestroySpace(as *AddressSpace) {
 // Demand paging, if it was enabled, must be re-enabled afterwards (the
 // physical memory's reclaimer hook is cleared by its own Reset).
 //
-// The page tables of the live address spaces and the page slots of the
-// live objects are cleared and kept for the next NewAddressSpace and
-// newObject, so a recycled system does not regrow them from empty. A
-// stale space is left holding a nil page table and a stale object is
-// marked stale: either panics on its first write after Reset instead of
-// aliasing a live one. Page tables are Go maps, which keep their peak
-// capacity, so clearing one costs O(its peak capacity); an object's
-// page slots are a slice indexed by page, so clearing them costs
-// O(the object's peak page index). Either way this part of Reset (and a
-// later destroy of the object that takes the slots) is not O(entries
-// the run touched): a System that once held a large page table or a
-// high page index keeps paying for it. Spares are harvested in the
-// objects map's iteration order, so which object gets which spare
-// varies between runs; that changes speed only, never ids or results.
+// Reset walks only what the run created: the live spaces' regions and
+// the objects it registered. Page tables live in their regions, so the
+// live spaces' regions simply drop theirs, and a stale space panics on
+// its first mapping after Reset instead of aliasing a live one. The
+// page slots of the live objects are cleared and kept for the next
+// newObject, so a recycled system does not regrow them from empty, and
+// a stale object panics on its first page insert. An object's page
+// slots are a slice indexed by page, so clearing them costs O(the
+// object's peak page index), which a later destroy of the object that
+// takes them pays too. Spares are harvested in id order, so which
+// object takes which spare is the same on every run.
 func (sys *System) Reset() {
 	for _, as := range sys.spaces {
-		clear(as.pt)
-		sys.sparePT = append(sys.sparePT, as.pt)
-		as.pt = nil
+		for _, r := range as.regions {
+			r.pt = nil
+		}
+		as.last, as.stale = nil, true
 	}
 	clear(sys.spaces)
 	sys.spaces = sys.spaces[:0]
 	for _, o := range sys.objects {
+		if o == nil {
+			continue
+		}
 		if cap(o.pages) > 0 {
 			clear(o.pages)
 			sys.sparePages = append(sys.sparePages, o.pages[:0])
@@ -147,20 +138,22 @@ func (sys *System) Reset() {
 		o.pages, o.resident, o.stale = nil, 0, true
 	}
 	clear(sys.objects)
-	sys.nextObjID = 0
+	sys.objects = sys.objects[:0]
 	sys.nextASID = 0
 	sys.stats = SysStats{}
 	sys.tr = nil
 }
 
-// takeSpare pops the last entry off a spare list, or returns the zero
-// value (a nil map or slice) when the list is empty.
-func takeSpare[T any](spares *[]T) (spare T) {
-	if n := len(*spares); n > 0 {
-		spare = (*spares)[n-1]
-		clear((*spares)[n-1:])
-		*spares = (*spares)[:n-1]
+// takeSpare pops the last entry off the spare page slots, or returns
+// nil when there are none.
+func (sys *System) takeSpare() []*mem.Frame {
+	n := len(sys.sparePages)
+	if n == 0 {
+		return nil
 	}
+	spare := sys.sparePages[n-1]
+	sys.sparePages[n-1] = nil
+	sys.sparePages = sys.sparePages[:n-1]
 	return spare
 }
 
@@ -219,18 +212,26 @@ func (sys *System) pageCount(va Addr, length int) int {
 
 // invalidateFrame removes every page table entry in every address space
 // that maps frame f. Kernels keep reverse maps for this; the simulation
-// can afford a scan.
+// can afford a scan of every region's table.
 func (sys *System) invalidateFrame(f *mem.Frame) {
 	for _, as := range sys.spaces {
-		for vpn, pte := range as.pt {
-			if pte.Frame == f {
-				delete(as.pt, vpn)
+		for _, r := range as.regions {
+			for i := range r.pt {
+				if r.pt[i].Frame == f {
+					r.pt[i] = PTE{}
+				}
 			}
 		}
 	}
 }
 
 func (sys *System) String() string {
+	live := 0
+	for _, o := range sys.objects {
+		if o != nil {
+			live++
+		}
+	}
 	return fmt.Sprintf("vm.System(pageSize=%d spaces=%d objects=%d)",
-		sys.pageSize, len(sys.spaces), len(sys.objects))
+		sys.pageSize, len(sys.spaces), live)
 }
