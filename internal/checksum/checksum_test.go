@@ -2,6 +2,7 @@ package checksum
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -93,9 +94,13 @@ func ambiguous(a, b byte) bool { return false }
 
 // refSum is the naive reference the fuzz target checks against: the
 // ones-complement sum of data's big-endian 16-bit words (an odd tail
-// padded with a zero byte), the carry folded back after every add.
-func refSum(data []byte) uint16 {
-	var s uint32
+// padded with a zero byte) added to acc, the carry folded back after
+// every add. It is zero only when acc and every word are.
+func refSum(acc uint32, data []byte) uint16 {
+	s := acc
+	for s>>16 != 0 {
+		s = s&0xffff + s>>16
+	}
 	for i := 0; i < len(data); i += 2 {
 		w := uint32(data[i]) << 8
 		if i+1 < len(data) {
@@ -107,30 +112,56 @@ func refSum(data []byte) uint16 {
 	return uint16(s)
 }
 
-// FuzzAccumulate checks Accumulate, Sum and accumulation split at two
-// even offsets against refSum. The seed corpus in testdata/fuzz holds
-// the edge cases: empty and odd-length input, all zeros (+0), all 0xff
-// and a nonzero sum congruent to 0 mod 0xffff (-0), and a 60 KB frame.
+// FuzzAccumulate checks Accumulate from a starting accumulator acc,
+// Sum, and accumulation split at two even offsets against refSum,
+// Accumulate's own result exactly (so +0 and -0 stay apart). The seed
+// corpus in testdata/fuzz holds the edge cases: empty and odd-length
+// input, all zeros (+0), all 0xff and a nonzero sum congruent to 0 mod
+// 0xffff (-0), lengths on either side of the 32-byte step (31 to 33 and
+// 63 to 65 bytes, odd tails among them), nonzero accumulators wider
+// than 16 bits, and a 60 KB frame.
 func FuzzAccumulate(f *testing.F) {
-	f.Fuzz(func(t *testing.T, data []byte, cut1, cut2 uint16) {
-		want := ^refSum(data)
-		if got := Fold(Accumulate(0, data)); got != want {
-			t.Fatalf("Fold(Accumulate) = %#04x, reference %#04x", got, want)
+	f.Fuzz(func(t *testing.T, data []byte, cut1, cut2 uint16, acc uint32) {
+		if got, want := Accumulate(acc, data), uint32(refSum(acc, data)); got != want {
+			t.Fatalf("Accumulate(%#x) = %#04x, reference %#04x", acc, got, want)
 		}
+		want := ^refSum(0, data)
 		if got := Sum(data); got != want {
 			t.Fatalf("Sum = %#04x, reference %#04x", got, want)
 		}
 		a := int(cut1) % (len(data) + 1) &^ 1
 		b := int(cut2) % (len(data) + 1) &^ 1
 		a, b = min(a, b), max(a, b)
-		acc := Accumulate(0, data[:a])
-		acc = Accumulate(acc, data[a:b])
-		acc = Accumulate(acc, data[b:])
-		if got := Fold(acc); got != want {
-			t.Fatalf("split at %d,%d: %#04x, reference %#04x", a, b, got, want)
+		sum := Accumulate(acc, data[:a])
+		sum = Accumulate(sum, data[a:b])
+		sum = Accumulate(sum, data[b:])
+		if got, want := Fold(sum), ^refSum(acc, data); got != want {
+			t.Fatalf("acc %#x split at %d,%d: %#04x, reference %#04x", acc, a, b, got, want)
 		}
 	})
 }
+
+// BenchmarkAccumulate times the kernel on a reliable header (12 bytes),
+// a small request frame (44), a 2048-byte payload's frame (2060) and a
+// 60 KB frame.
+func BenchmarkAccumulate(b *testing.B) {
+	for _, n := range []int{12, 44, 2060, 61440} {
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = byte(i*7 + 3)
+		}
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			b.SetBytes(int64(n))
+			var acc uint32
+			for b.Loop() {
+				acc = Accumulate(acc, data)
+			}
+			sink = acc
+		})
+	}
+}
+
+var sink uint32
 
 func BenchmarkSum60KB(b *testing.B) {
 	data := make([]byte, 61440)

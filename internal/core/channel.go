@@ -48,7 +48,7 @@ func (m *Message) CompletedAt() float64 { return float64(m.slot.in.CompletedAt) 
 func (m *Message) Err() error { return m.slot.in.Err }
 
 // Release returns the receive buffer to the channel window and the
-// payload slice to the endpoint; Data returns nil afterwards. Only the
+// payload slice to the host; Data returns nil afterwards. Only the
 // first Release reposts: later calls return ErrMessageReleased.
 func (m *Message) Release() error {
 	if m.released {
@@ -58,7 +58,8 @@ func (m *Message) Release() error {
 	ep := m.slot.ep
 	err := ep.repost(m.slot)
 	if m.data != nil {
-		ep.spare = append(ep.spare, m.data)
+		recs := &ep.p.g.recs
+		recs.spare = append(recs.spare, m.data)
 		m.data = nil
 	}
 	return err
@@ -67,8 +68,9 @@ func (m *Message) Release() error {
 // rxSlot is one buffer of an endpoint's receive window: the input
 // posted on it and the message that input completes into. Releasing
 // the message reposts the same slot, so a steady channel allocates no
-// input or message records; the slot's completion callback is bound
-// once, when the endpoint is set up.
+// input or message records. Slots belong to the host (see
+// channelRecords): the slot's completion callbacks are bound once, when
+// the host makes it, and survive a Reset with the slot.
 type rxSlot struct {
 	ep  *Endpoint
 	va  vm.Addr // the application buffer (0 under system-allocated semantics)
@@ -76,7 +78,125 @@ type rxSlot struct {
 	msg Message
 }
 
-// Endpoint is one end of a channel.
+// reset returns the slot to the state the host made it in: no
+// endpoint, an empty input record that keeps its bound callbacks and
+// its kernel buffer's frame storage, and an unreleased message with no
+// payload.
+func (s *rxSlot) reset() {
+	frames := s.in.ownKbuf.frames[:0]
+	clear(frames[:cap(frames)])
+	s.in = InputOp{onComplete: s.in.onComplete, finish: s.in.finish, ownKbuf: kernelBuffer{frames: frames}}
+	s.ep, s.va = nil, 0
+	s.msg = Message{slot: s}
+}
+
+// channelRecords is a host's store of the per-frame records its channel
+// endpoints use: receive window slots, endpoint output records and
+// reliable send records, each with its callbacks bound once, plus the
+// payload slices of released messages. Endpoints on the host take
+// records from it instead of allocating; output and send records come
+// back as soon as their frame is done, window slots and payloads at the
+// host's next Reset, which returns every record to the state it was
+// made in. Each list holds at most as many records as the host's
+// endpoints used at once, so a recycled host starts a run with the
+// records its last run needed and a fresh host starts with none.
+type channelRecords struct {
+	slots     []*rxSlot // every window slot made on this host, in order
+	slotsUsed int       // slots[:slotsUsed] belong to endpoints opened since the last Reset
+
+	outs     []*OutputOp // every endpoint output record made on this host
+	idleOuts []*OutputOp // output records whose send is done
+	reclaim  func(*OutputOp)
+
+	rels     []*relPending // every reliable send record made on this host
+	idleRels []*relPending // settled send records
+
+	// spare holds the payload slices of released messages; completions
+	// read into one of them instead of allocating.
+	spare [][]byte
+}
+
+// slot hands e a window slot for the receive buffer at va, making one
+// when every slot is taken.
+func (rc *channelRecords) slot(e *Endpoint, va vm.Addr) *rxSlot {
+	if rc.slotsUsed == len(rc.slots) {
+		s := &rxSlot{}
+		s.msg.slot = s
+		s.in.onComplete, s.in.finish = s.complete, s.in.complete
+		rc.slots = append(rc.slots, s)
+	}
+	s := rc.slots[rc.slotsUsed]
+	rc.slotsUsed++
+	s.ep, s.va = e, va
+	return s
+}
+
+// output returns an idle output record, or a new one whose completion
+// hands it back to the idle list.
+func (rc *channelRecords) output() *OutputOp {
+	if k := len(rc.idleOuts) - 1; k >= 0 {
+		op := rc.idleOuts[k]
+		rc.idleOuts = rc.idleOuts[:k]
+		return op
+	}
+	if rc.reclaim == nil {
+		rc.reclaim = rc.putOutput
+	}
+	op := &OutputOp{onDone: rc.reclaim}
+	op.launch, op.sent = op.transmit, op.dispose
+	rc.outs = append(rc.outs, op)
+	return op
+}
+
+// putOutput returns a done output record to the idle list.
+func (rc *channelRecords) putOutput(op *OutputOp) { rc.idleOuts = append(rc.idleOuts, op) }
+
+// pending returns a send record for a new frame of r, reusing a settled
+// one when the idle list has any.
+func (rc *channelRecords) pending(r *Reliable) *relPending {
+	var p *relPending
+	if k := len(rc.idleRels) - 1; k >= 0 {
+		p = rc.idleRels[k]
+		rc.idleRels = rc.idleRels[:k]
+		p.reset()
+	} else {
+		p = &relPending{}
+		p.fire = p.transmit
+		rc.rels = append(rc.rels, p)
+	}
+	p.r = r
+	return p
+}
+
+// putPending returns a settled send record to the idle list.
+func (rc *channelRecords) putPending(p *relPending) { rc.idleRels = append(rc.idleRels, p) }
+
+// reset returns every record to the state it was made in and makes all
+// of them available again. The endpoints that held them are dead: the
+// host's engine, adapter and VM have been reset, so no event, frame or
+// mapping still refers to a record. Unreleased payloads join the spare
+// slices.
+func (rc *channelRecords) reset() {
+	for _, s := range rc.slots[:rc.slotsUsed] {
+		if s.msg.data != nil {
+			rc.spare = append(rc.spare, s.msg.data)
+		}
+		s.reset()
+	}
+	rc.slotsUsed = 0
+	for _, op := range rc.outs {
+		*op = OutputOp{onDone: op.onDone, launch: op.launch, sent: op.sent}
+	}
+	rc.idleOuts = append(rc.idleOuts[:0], rc.outs...)
+	for _, p := range rc.rels {
+		p.reset()
+	}
+	rc.idleRels = append(rc.idleRels[:0], rc.rels...)
+}
+
+// Endpoint is one end of a channel. Its window slots, output records
+// and payload slices come from its host's channel records and go back
+// there, so a channel opened on a recycled host allocates none of them.
 type Endpoint struct {
 	p       *Process
 	peer    *Endpoint
@@ -102,13 +222,7 @@ type Endpoint struct {
 	// recovers receiver-side overruns like any other drop.
 	noCredits bool
 
-	rxBufs    []vm.Addr // receive buffers (application-allocated)
 	completed []*Message
-	// spare holds the payload slices of released messages; completions
-	// read into one of them instead of allocating.
-	spare [][]byte
-	// idle holds output records whose send is done; Send reuses them.
-	idle []*OutputOp
 }
 
 // NewChannel connects two processes (normally on different hosts of a
@@ -133,29 +247,29 @@ func NewChannel(a, b *Process, basePort int, sem Semantics, bufSize, window int)
 	return ea, eb, nil
 }
 
-// setup allocates buffers and preposts the receive window.
+// setup allocates buffers, takes the window's slots from the host and
+// preposts the receive window.
 func (e *Endpoint) setup() error {
+	recs := &e.p.g.recs
+	first := recs.slotsUsed
 	if !e.sem.SystemAllocated() {
-		for i := 0; i < e.window; i++ {
+		e.txBufs = make([]vm.Addr, 0, e.window)
+	}
+	for i := 0; i < e.window; i++ {
+		var rx vm.Addr
+		if !e.sem.SystemAllocated() {
 			tx, err := e.p.Brk(e.bufSize)
 			if err != nil {
 				return err
 			}
 			e.txBufs = append(e.txBufs, tx)
-			rx, err := e.p.Brk(e.bufSize)
-			if err != nil {
+			if rx, err = e.p.Brk(e.bufSize); err != nil {
 				return err
 			}
-			e.rxBufs = append(e.rxBufs, rx)
 		}
+		recs.slot(e, rx)
 	}
-	for i := 0; i < e.window; i++ {
-		s := &rxSlot{ep: e}
-		if !e.sem.SystemAllocated() {
-			s.va = e.rxBufs[i]
-		}
-		s.msg.slot = s
-		s.in.onComplete = s.complete
+	for _, s := range recs.slots[first : first+e.window] {
 		if err := e.post(s); err != nil {
 			return err
 		}
@@ -189,13 +303,18 @@ func (s *rxSlot) complete(in *InputOp) {
 }
 
 // payloadSlice returns an n-byte slice for a completing message, reusing
-// a released message's slice when one is spare. Every slice has room
-// for bufSize bytes, the most an input posted by this endpoint receives.
+// a released message's slice when the host has one spare. Every slice
+// has room for bufSize bytes, the most an input posted by this endpoint
+// receives; a spare too small for that is dropped.
 func (e *Endpoint) payloadSlice(n int) []byte {
-	if k := len(e.spare) - 1; k >= 0 {
-		b := e.spare[k][:n]
-		e.spare = e.spare[:k]
-		return b
+	recs := &e.p.g.recs
+	if k := len(recs.spare) - 1; k >= 0 {
+		b := recs.spare[k]
+		recs.spare[k] = nil
+		recs.spare = recs.spare[:k]
+		if cap(b) >= e.bufSize {
+			return b[:n]
+		}
 	}
 	return make([]byte, n, e.bufSize)
 }
@@ -260,8 +379,8 @@ func (e *Endpoint) Close() {
 // of the channel's rotating send buffers first (the application-level
 // write the channel user would have done anyway); at most `window` sends
 // may be outstanding. The output runs on the simulated clock in an
-// output record the endpoint owns and reuses once the send is done, so
-// Send reports only whether the output started.
+// output record of the host's, which the host reuses once the send is
+// done, so Send reports only whether the output started.
 func (e *Endpoint) Send(data []byte) error {
 	if len(data) > e.bufSize {
 		return fmt.Errorf("%w: %d > %d", ErrMessageTooBig, len(data), e.bufSize)
@@ -289,10 +408,11 @@ func (e *Endpoint) Send(data []byte) error {
 	if e.sem.SystemAllocated() {
 		length = e.bufSize
 	}
-	op := e.output()
+	recs := &e.p.g.recs
+	op := recs.output()
 	seg := [1]Segment{{va, length}}
 	if err := e.p.outputV(op, e.peer.port, e.sem, seg[:]); err != nil {
-		e.reclaim(op)
+		recs.putOutput(op)
 		return err
 	}
 	if !e.noCredits {
@@ -300,21 +420,6 @@ func (e *Endpoint) Send(data []byte) error {
 	}
 	return nil
 }
-
-// output returns an idle output record, or a new one whose completion
-// callback hands it back to the idle list. The list holds at most as
-// many records as sends were ever in flight at once.
-func (e *Endpoint) output() *OutputOp {
-	if k := len(e.idle) - 1; k >= 0 {
-		op := e.idle[k]
-		e.idle = e.idle[:k]
-		return op
-	}
-	return &OutputOp{onDone: e.reclaim}
-}
-
-// reclaim returns a done output record to the idle list.
-func (e *Endpoint) reclaim(op *OutputOp) { e.idle = append(e.idle, op) }
 
 // Credits returns the endpoint's available send credits.
 func (e *Endpoint) Credits() int { return e.credits }

@@ -141,7 +141,12 @@ func (c *Cluster) Injector(i int) *faults.Injector { return c.injs[i] }
 // failures, and the rewound PRNGs replay the identical per-host fault
 // scripts. Like Testbed.Reset, it costs O(what the run touched): each
 // host's pools keep their construction pages and re-admit only those
-// they lent out, however large the pools, and it never fails.
+// they lent out, however large the pools, and it never fails. What a
+// host only stores for reuse survives, back in the state it was made
+// in: each Genie keeps the channel records its endpoints used (window
+// slots, output and send records, payload slices) and each VM system
+// its spare page tables and page slots, so the channels of the next
+// point on the cluster take those instead of allocating.
 func (c *Cluster) Reset() error {
 	c.Sim.Reset()
 	c.Fabric.Reset()

@@ -99,6 +99,10 @@ type Genie struct {
 	// application buffer at once.
 	stage []byte
 
+	// recs holds the per-frame records of the channels opened on this
+	// host; they survive Reset (see channelRecords).
+	recs channelRecords
+
 	instr Instrumentation
 	stats Stats
 	tr    *trace.Tracer
@@ -132,15 +136,24 @@ func NewGenie(name string, eng *sim.Engine, model *cost.Model, sys *vm.System, n
 // no queued input operations, receiver CPU idle at time zero, zeroed
 // counters, instrumentation disabled and empty. The kernel buffer pool
 // re-admits the pages it lent out, so the host's PhysMem must be reset
-// first.
+// first. What the host only stores for reuse survives: the per-port
+// input queues keep their storage, and the channel records (window
+// slots, output and send records, payload slices) return to the state
+// they were made in, so the next run's channels take them instead of
+// allocating. Endpoints and reliable channels opened before the Reset
+// must not be used afterwards.
 func (g *Genie) Reset() {
-	clear(g.recvQ)
+	for port, q := range g.recvQ {
+		clear(q)
+		g.recvQ[port] = q[:0]
+	}
 	g.cpuFreeAt = 0
 	g.stats = Stats{}
 	g.instr.Enabled = false
 	g.instr.Reset()
 	g.SetTracer(nil)
 	g.kpool.Reacquire()
+	g.recs.reset()
 }
 
 // Name returns the host name.

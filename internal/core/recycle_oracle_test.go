@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -33,6 +34,12 @@ func checkHostMatchesFresh(t *testing.T, label string, h, fresh *Host) {
 	}
 	if g, w := pm.HighWater(), fpm.HighWater(); g != w {
 		t.Fatalf("%s host %s memory high-water mark after Reset %d, fresh host %d", label, h.Name, g, w)
+	}
+	if g, w := h.Sys.String(), fresh.Sys.String(); g != w || h.Sys.Stats() != fresh.Sys.Stats() {
+		t.Fatalf("%s host %s VM after Reset %s %+v, fresh host %s %+v", label, h.Name, g, h.Sys.Stats(), w, fresh.Sys.Stats())
+	}
+	if err := h.Sys.CheckSpares(); err != nil {
+		t.Fatalf("%s host %s VM storage after Reset: %v", label, h.Name, err)
 	}
 	type poolPair struct {
 		name        string
@@ -198,9 +205,12 @@ func transferThenEcho(t *testing.T, tb *Testbed, sem Semantics, off, length int)
 
 // TestClusterResetMatchesFresh is the cluster half of the oracle: each
 // channel of a ring carries its own semantics (all eight in turn) under
-// every input scheme; after one completed round, a second round is
-// sent and left in flight, and each host of the Reset cluster must
-// match a freshly built one.
+// every input scheme. A reliable request/response point runs to
+// completion and leaves a second round of requests in flight, then one
+// round of plain channel sends completes and a second is left in
+// flight; each host of the Reset cluster must match a freshly built
+// one, and every channel record the host keeps for the next run must be
+// back in the state the host made it in.
 func TestClusterResetMatchesFresh(t *testing.T) {
 	const hosts = 8
 	schemes := []netsim.InputBuffering{netsim.EarlyDemux, netsim.Pooled, netsim.OutboardBuffering}
@@ -216,6 +226,7 @@ func TestClusterResetMatchesFresh(t *testing.T) {
 				t.Fatal(err)
 			}
 			for round := range 2 {
+				reliablePointThenInFlight(t, c, cfg)
 				clusterRoundThenInFlight(t, c, cfg)
 				if err := c.Reset(); err != nil {
 					t.Fatal(err)
@@ -224,11 +235,13 @@ func TestClusterResetMatchesFresh(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				label := fmt.Sprintf("round %d:", round)
 				for i, h := range c.Hosts {
 					if err := h.Phys.CheckInvariants(); err != nil {
 						t.Fatalf("round %d host %d memory invariants after Reset: %v", round, i, err)
 					}
-					checkHostMatchesFresh(t, fmt.Sprintf("round %d:", round), h, fresh.Hosts[i])
+					checkRecordsPristine(t, label, h)
+					checkHostMatchesFresh(t, label, h, fresh.Hosts[i])
 				}
 				if err := c.Reset(); err != nil {
 					t.Fatal(err)
@@ -236,6 +249,150 @@ func TestClusterResetMatchesFresh(t *testing.T) {
 			}
 		})
 	}
+}
+
+// reliablePointThenInFlight opens a reliable channel on every ring pair,
+// one of the eight semantics each, and runs a closed-loop exchange to
+// completion: every request is echoed as a response by the peer. Then
+// it sends a second round of requests and leaves it in flight, so the
+// Reset finds send records with armed timers, outputs on the wire and
+// window slots mid-receive.
+func reliablePointThenInFlight(t *testing.T, c *Cluster, cfg ClusterConfig) {
+	t.Helper()
+	procs := make([]*Process, cfg.Topo.Hosts)
+	for i := range procs {
+		procs[i] = c.Host(i).Genie.NewProcess()
+	}
+	sems := AllSemantics()
+	var clients []*Reliable
+	responses := 0
+	for i, p := range cfg.Topo.Pairs {
+		cli, srv, err := c.ConnectReliable(procs[p[0]], procs[p[1]], sems[i%len(sems)], 2048, 2, ReliableConfig{RTO: 1e6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.OnDeliver(func(_ uint32, payload []byte) {
+			if _, err := srv.Send(payload); err != nil {
+				t.Errorf("echo: %v", err)
+			}
+		})
+		cli.OnDeliver(func(uint32, []byte) { responses++ })
+		clients = append(clients, cli)
+	}
+	send := func(round int) {
+		for i, r := range clients {
+			for k := range 2 {
+				payload := make([]byte, 100+i*150+k*700+round)
+				for j := range payload {
+					payload[j] = byte(i + j + k + round)
+				}
+				if _, err := r.Send(payload); err != nil {
+					t.Fatalf("reliable round %d channel %d: %v", round, i, err)
+				}
+			}
+		}
+	}
+	send(0)
+	c.Run()
+	if want := 2 * len(clients); responses != want {
+		t.Fatalf("reliable point: %d responses, want %d", responses, want)
+	}
+	send(1)
+}
+
+// checkRecordsPristine requires every channel record host h keeps
+// across its Reset — window slots, output records, reliable send
+// records — to be back in the state the host made it in, each held
+// once, with its bound callbacks intact. Failures name the host and
+// the record.
+func checkRecordsPristine(t *testing.T, label string, h *Host) {
+	t.Helper()
+	rc := &h.Genie.recs
+	fail := func(kind string, i int, format string, args ...any) {
+		t.Helper()
+		t.Fatalf("%s host %s %s %d after Reset: %s", label, h.Name, kind, i, fmt.Sprintf(format, args...))
+	}
+	if len(rc.slots) == 0 || len(rc.outs) == 0 || len(rc.rels) == 0 {
+		t.Fatalf("%s host %s kept %d window slots, %d output and %d send records; the run made some of each",
+			label, h.Name, len(rc.slots), len(rc.outs), len(rc.rels))
+	}
+	if rc.slotsUsed != 0 {
+		t.Fatalf("%s host %s has %d window slots in use after Reset", label, h.Name, rc.slotsUsed)
+	}
+	for i, s := range rc.slots {
+		switch {
+		case s.ep != nil || s.va != 0:
+			fail("rxSlot", i, "still bound to an endpoint (buffer %#x)", s.va)
+		case s.msg.slot != s:
+			fail("rxSlot", i, "msg.slot does not point back at the slot")
+		case s.msg.released:
+			fail("rxSlot", i, "msg.released = true")
+		case s.msg.data != nil:
+			fail("rxSlot", i, "msg.data holds %d bytes", len(s.msg.data))
+		case s.in.onComplete == nil || s.in.finish == nil:
+			fail("rxSlot", i, "lost its bound completion")
+		}
+		in := s.in
+		if frames := in.ownKbuf.frames; len(frames) != 0 || slices.ContainsFunc(frames[:cap(frames)], func(f *mem.Frame) bool { return f != nil }) {
+			fail("rxSlot", i, "kernel buffer still lists frames %v", frames[:cap(frames)])
+		}
+		in.onComplete, in.finish, in.ownKbuf.frames = nil, nil, nil
+		if f := nonZeroField(in); f != "" {
+			fail("rxSlot", i, "in.%s is set", f)
+		}
+	}
+	checkIdle(t, label, h, "OutputOp", rc.outs, rc.idleOuts)
+	for i, op := range rc.outs {
+		if op.onDone == nil || op.launch == nil || op.sent == nil {
+			fail("OutputOp", i, "lost a bound callback")
+		}
+		o := *op
+		o.onDone, o.launch, o.sent = nil, nil, nil
+		if f := nonZeroField(o); f != "" {
+			fail("OutputOp", i, "%s is set", f)
+		}
+	}
+	checkIdle(t, label, h, "relPending", rc.rels, rc.idleRels)
+	for i, p := range rc.rels {
+		if p.fire == nil {
+			fail("relPending", i, "lost its bound retransmit callback")
+		}
+		if len(p.frame) != 0 {
+			fail("relPending", i, "frame holds %d bytes", len(p.frame))
+		}
+		q := *p
+		q.fire, q.frame = nil, nil
+		if f := nonZeroField(q); f != "" {
+			fail("relPending", i, "%s is set", f)
+		}
+	}
+}
+
+// checkIdle requires the idle list to hold every record exactly once.
+func checkIdle[T comparable](t *testing.T, label string, h *Host, kind string, all, idle []T) {
+	t.Helper()
+	if len(idle) != len(all) {
+		t.Fatalf("%s host %s has %d of %d %s records idle after Reset", label, h.Name, len(idle), len(all), kind)
+	}
+	seen := make(map[T]bool, len(idle))
+	for _, r := range idle {
+		if seen[r] || !slices.Contains(all, r) {
+			t.Fatalf("%s host %s idle %s list holds a record twice or one it never made", label, h.Name, kind)
+		}
+		seen[r] = true
+	}
+}
+
+// nonZeroField returns the name of v's first nonzero field, "" if
+// every field is zero.
+func nonZeroField(v any) string {
+	rv := reflect.ValueOf(v)
+	for i := range rv.NumField() {
+		if !rv.Field(i).IsZero() {
+			return rv.Type().Field(i).Name
+		}
+	}
+	return ""
 }
 
 // clusterRoundThenInFlight connects every ring pair with one of the

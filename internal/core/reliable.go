@@ -92,17 +92,29 @@ type ReliableStats struct {
 	OrphanAcks     uint64 // acks for unknown (already completed) frames
 }
 
-// relPending is one unacknowledged data frame. Once the frame settles
-// (acked, given up or closed) the record and its frame slice go to the
-// Reliable's free list and carry a later frame: its timer is cancelled
-// or has fired by then, so nothing else still refers to it.
+// relPending is one unacknowledged data frame. The record belongs to
+// the sender's host (see channelRecords): once the frame settles
+// (acked, given up or closed) the record and its frame slice go back
+// to the host and carry a later frame, of any reliable channel there.
+// Its timer is cancelled or has fired by then, so nothing else still
+// refers to it. Its retransmit callback is bound to the record, once.
 type relPending struct {
+	r        *Reliable // the channel end sending the frame
 	seq      uint32
 	frame    []byte // full wire frame, reused verbatim by retransmits
 	attempts int
 	timer    sim.Handle
 	done     bool
-	fire     func() // the retransmit timer's callback, built once per record
+	fire     func() // the retransmit timer's callback: transmit, bound once
+}
+
+// transmit is the record's retransmit timer event.
+func (p *relPending) transmit() { p.r.transmit(p) }
+
+// reset returns the record to the state the host made it in, keeping
+// its frame storage and its bound callback.
+func (p *relPending) reset() {
+	*p = relPending{frame: p.frame[:0], fire: p.fire}
 }
 
 // Reliable is one end of a reliable channel. Both ends are symmetric:
@@ -112,16 +124,109 @@ type Reliable struct {
 	eng *sim.Engine
 	cfg ReliableConfig
 
-	nextSeq   uint32
-	sendQ     map[uint32]*relPending
-	seen      map[uint32]bool
+	nextSeq uint32
+	// sendQ is the send window: sendQ[head+i] is the record of frame
+	// sendBase+i, nil once settled. Sequence numbers are consecutive,
+	// so an ack finds its record by subtraction; the window's front
+	// advances past settled frames.
+	sendQ       []*relPending
+	head        int
+	sendBase    uint32
+	outstanding int
+
+	dedup     dedup
 	onDeliver func(seq uint32, payload []byte)
 	onSettled func(seq uint32, acked bool)
 	closed    bool
 	stats     ReliableStats
 
-	free []*relPending      // settled records, reused by Send
-	ack  [relHeaderLen]byte // ack frame scratch: Endpoint.Send copies it at once
+	ack [relHeaderLen]byte // ack frame scratch: Endpoint.Send copies it at once
+}
+
+// dedup records which data frames have been delivered. The sender
+// numbers frames consecutively from 1, so every frame up to through
+// has been delivered and the few above it that arrived early are bits
+// of a bitmap: bit i of above[i/64] stands for frame base+i, where base
+// lies less than a word below through+1. The bitmap spans the
+// frames between the oldest undelivered one and the newest delivered
+// one, which reordering and retransmission keep within the sender's
+// window; a frame the sender abandoned after MaxAttempts is a gap that
+// never fills, and only then does the bitmap grow, by a bit per frame.
+// A number no sender would use yet — 0, or dedupSpan or more past
+// base, which only a corrupted frame whose checksum still matched can
+// carry — is kept in a map instead, so it cannot size the bitmap.
+type dedup struct {
+	through uint32
+	base    uint32
+	above   []uint64
+	early   int // bits set above through
+	far     map[uint32]bool
+}
+
+// dedupSpan bounds the bitmap: frames this far past its base go to the
+// map.
+const dedupSpan = 1 << 16
+
+// seen reports whether frame seq was delivered.
+func (d *dedup) seen(seq uint32) bool {
+	switch {
+	case d.far[seq]:
+		return true
+	case seq == 0:
+		return false
+	case seq <= d.through:
+		return true
+	}
+	i := seq - d.base
+	w := int(i / 64)
+	return w < len(d.above) && d.above[w]&(1<<(i%64)) != 0
+}
+
+// mark records the delivery of frame seq, which was not seen.
+func (d *dedup) mark(seq uint32) {
+	switch {
+	case seq == d.through+1 && len(d.above) == 0 && d.far == nil:
+		d.through++ // in order: no bitmap at all
+		d.base = d.through + 1
+		return
+	case seq == 0 || seq-d.base >= dedupSpan:
+		if d.far == nil {
+			d.far = make(map[uint32]bool)
+		}
+		d.far[seq] = true
+		return
+	}
+	i := seq - d.base
+	for int(i/64) >= len(d.above) {
+		d.above = append(d.above, 0)
+	}
+	d.above[i/64] |= 1 << (i % 64)
+	d.early++
+	for {
+		next := d.through + 1
+		j := next - d.base
+		if int(j/64) < len(d.above) && d.above[j/64]&(1<<(j%64)) != 0 {
+			d.early--
+		} else if d.far[next] {
+			delete(d.far, next)
+		} else {
+			break
+		}
+		d.through++
+	}
+	if d.early == 0 {
+		// Nothing above through: the bitmap empties.
+		clear(d.above)
+		d.above, d.base = d.above[:0], d.through+1
+		return
+	}
+	// Drop the words wholly at or below through.
+	if k := int((d.through + 1 - d.base) / 64); k > 0 {
+		n := copy(d.above, d.above[k:])
+		clear(d.above[n:])
+		d.above = d.above[:n]
+		d.base += 64 * uint32(k)
+	}
 }
 
 // NewReliableChannel connects two processes with a reliable message
@@ -145,8 +250,8 @@ func newReliable(ep *Endpoint, cfg ReliableConfig) *Reliable {
 		ep:    ep,
 		eng:   ep.p.g.eng,
 		cfg:   cfg.withDefaults(),
-		sendQ: make(map[uint32]*relPending),
-		seen:  make(map[uint32]bool),
+		sendQ: make([]*relPending, 0, ep.window),
+		dedup: dedup{base: 1},
 	}
 	ep.OnMessage(r.onMessage)
 	return r
@@ -160,7 +265,7 @@ func (r *Reliable) Stats() ReliableStats { return r.stats }
 
 // Outstanding reports data frames sent but not yet acknowledged or
 // abandoned.
-func (r *Reliable) Outstanding() int { return len(r.sendQ) }
+func (r *Reliable) Outstanding() int { return r.outstanding }
 
 // OnDeliver installs the exactly-once delivery upcall. The payload is
 // borrowed from the receive path for the duration of the upcall: it is
@@ -179,7 +284,8 @@ func (r *Reliable) OnSettled(fn func(seq uint32, acked bool)) { r.onSettled = fn
 // flight frames are abandoned without touching GaveUp.
 func (r *Reliable) Close() {
 	r.closed = true
-	for _, p := range r.sendQ {
+	for r.outstanding > 0 {
+		p := r.sendQ[r.head] // the front is never a settled frame
 		p.timer.Cancel()
 		r.settle(p)
 	}
@@ -198,35 +304,53 @@ func (r *Reliable) Send(payload []byte) (uint32, error) {
 	}
 	r.nextSeq++
 	seq := r.nextSeq
-	p := r.pending()
+	p := r.ep.p.g.recs.pending(r)
 	p.seq = seq
 	p.frame = buildFrame(p.frame, relData, seq, payload)
-	r.sendQ[seq] = p
+	r.enqueue(p)
 	r.stats.Sent++
 	r.transmit(p)
 	return seq, nil
 }
 
-// pending returns a fresh record for a new frame, reusing a settled one
-// when the free list has any.
-func (r *Reliable) pending() *relPending {
-	if k := len(r.free) - 1; k >= 0 {
-		p := r.free[k]
-		r.free = r.free[:k]
-		p.attempts, p.done, p.timer = 0, false, sim.Handle{}
-		return p
+// enqueue appends p, the record of the next frame, to the send window,
+// moving the window to the front of its storage rather than growing it
+// when settled frames left room there.
+func (r *Reliable) enqueue(p *relPending) {
+	if r.outstanding == 0 {
+		r.sendQ, r.head, r.sendBase = r.sendQ[:0], 0, p.seq
+	} else if r.head > 0 && len(r.sendQ) == cap(r.sendQ) {
+		n := copy(r.sendQ, r.sendQ[r.head:])
+		clear(r.sendQ[n:])
+		r.sendQ, r.head = r.sendQ[:n], 0
 	}
-	p := &relPending{}
-	p.fire = func() { r.transmit(p) }
-	return p
+	r.sendQ = append(r.sendQ, p)
+	r.outstanding++
 }
 
-// settle removes p from the send queue and frees it for reuse. The
-// caller has cancelled p's timer or is running from it.
+// queued returns the unsettled record of frame seq, or nil.
+func (r *Reliable) queued(seq uint32) *relPending {
+	if seq < r.sendBase {
+		return nil
+	}
+	i := r.head + int(seq-r.sendBase)
+	if i >= len(r.sendQ) {
+		return nil
+	}
+	return r.sendQ[i]
+}
+
+// settle removes p from the send window and returns it to the host for
+// reuse. The caller has cancelled p's timer or is running from it.
 func (r *Reliable) settle(p *relPending) {
 	p.done = true
-	delete(r.sendQ, p.seq)
-	r.free = append(r.free, p)
+	r.sendQ[r.head+int(p.seq-r.sendBase)] = nil
+	r.outstanding--
+	for r.head < len(r.sendQ) && r.sendQ[r.head] == nil {
+		r.head++
+		r.sendBase++
+	}
+	r.ep.p.g.recs.putPending(p)
 }
 
 // transmit performs one (re)transmission attempt for p and arms the
@@ -297,10 +421,10 @@ func (r *Reliable) onMessage(m *Message) {
 	}
 	switch ftype {
 	case relData:
-		if r.seen[seq] {
+		if r.dedup.seen(seq) {
 			r.stats.Duplicates++
 		} else {
-			r.seen[seq] = true
+			r.dedup.mark(seq)
 			r.stats.Delivered++
 			if r.onDeliver != nil {
 				r.onDeliver(seq, data[relHeaderLen:relHeaderLen+n:relHeaderLen+n])
@@ -312,7 +436,7 @@ func (r *Reliable) onMessage(m *Message) {
 		r.sendAck(seq, 1)
 	case relAck:
 		r.release(m)
-		p := r.sendQ[seq]
+		p := r.queued(seq)
 		if p == nil {
 			r.stats.OrphanAcks++
 			return

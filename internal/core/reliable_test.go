@@ -314,23 +314,22 @@ func TestReliableSendAllocs(t *testing.T) {
 // TestReliableFrameMallocs gates the per-frame bookkeeping of the
 // closed-loop path. On a warmed 2048-byte early-demultiplexed channel a
 // settled frame (the data frame and its ack) reuses its window slot,
-// its endpoint output record, its delivery records and its kernel
-// buffer, so what is left per frame is a handful of mallocs: at most 4
-// for every semantics but move, whose dispose builds a fresh region and
-// memory object, and at most 12 for move. Allocating any of those
-// records per frame again adds two or more mallocs per frame. Under
-// -race, sync.Pool drops a quarter of the records put back, so the
-// gate is skipped there.
+// its host's output and send records, its delivery records and its
+// kernel buffer, and a move's dispose takes its region's page table
+// and its object's page slots from the VM's spares and the region and
+// object records from slabs, so a settled frame makes less than one
+// malloc under every semantics (move about 0.1: a slab every 32
+// regions and objects). Allocating any of those records per frame
+// again adds at least one malloc per frame; a move that allocates its
+// region and object made 8. Under -race, sync.Pool drops a quarter of
+// the records put back, so the gate is skipped there.
 func TestReliableFrameMallocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under -race")
 	}
 	for _, sem := range AllSemantics() {
 		_, mallocs, frame := reliableAllocsPerFrame(t, sem, 2048, 4, 50)
-		limit := 4.0
-		if sem == Move {
-			limit = 12
-		}
+		const limit = 1.0
 		t.Logf("%-18v %5.1f mallocs per settled %d-byte frame (limit %.0f)", sem, mallocs, frame, limit)
 		if mallocs > limit {
 			t.Errorf("%v: %.1f mallocs per settled frame, want at most %.0f", sem, mallocs, limit)

@@ -227,10 +227,11 @@ func (tb *Testbed) SetTracer(base *trace.Tracer) {
 // last pool), which physical memory keeps allocated across its Reset;
 // it re-initializes only the other frames allocated since the last
 // Reset, and each pool re-admits only the pages it lent out. The VM
-// systems drop the page tables with their regions, walk only the
-// objects the run created, and clear an object's page slots in
-// O(its peak page index) (see vm.System.Reset). A warm Reset allocates
-// nothing.
+// systems walk only the live regions and the objects the run created,
+// and hand their page tables and page slots, cleared, to size-classed
+// spare lists (see vm.System.Reset); each Genie keeps the channel
+// records its endpoints used for the next run's channels (see
+// Genie.Reset). A warm Reset allocates nothing.
 func (tb *Testbed) Reset() error {
 	tb.Eng.Reset()
 	for _, h := range []*Host{tb.A, tb.B} {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/digest"
 	"repro/internal/faults"
 )
 
@@ -91,6 +92,42 @@ func TestZeroFaultIdentity(t *testing.T) {
 		}
 		if !reflect.DeepEqual(base, armed) {
 			t.Errorf("%dB: armed injector perturbed the measurement:\n%+v\nvs\n%+v", length, base, armed)
+		}
+	}
+}
+
+// TestChaosDedupCountsPinned pins the reliable layer's delivery
+// accounting on the two chaos seeds the CI smoke runs: per seed, the
+// receivers' Delivered and Duplicates totals and a digest of every
+// point's sender and receiver stats. The values were recorded with the
+// receiver's dedup state as a map of every delivered sequence number;
+// the cumulative counter and bitmap that replaced it must count the
+// same frames as delivered and as duplicates.
+func TestChaosDedupCountsPinned(t *testing.T) {
+	pins := map[uint64]struct {
+		delivered, duplicates uint64
+		stats                 string
+	}{
+		1:  {72, 58, "f0e15473240a6aed"},
+		42: {72, 55, "780f021a722c4d2d"},
+	}
+	for _, seed := range []uint64{1, 42} {
+		rep, err := RunChaos(ChaosConfig{Spec: chaosSpec(seed)})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		var delivered, duplicates uint64
+		d := digest.New()
+		for _, p := range rep.Points {
+			delivered += p.Receiver.Delivered
+			duplicates += p.Receiver.Duplicates
+			d.Addf("%s %+v %+v\n", p.Name(), p.Sender, p.Receiver)
+		}
+		want := pins[seed]
+		t.Logf("seed %d: delivered %d, duplicates %d, stats %s", seed, delivered, duplicates, d.Hex())
+		if delivered != want.delivered || duplicates != want.duplicates || d.Hex() != want.stats {
+			t.Errorf("seed %d: delivered %d, duplicates %d, stats digest %s; pinned %d, %d, %s",
+				seed, delivered, duplicates, d.Hex(), want.delivered, want.duplicates, want.stats)
 		}
 	}
 }

@@ -226,19 +226,20 @@ func TestRecycleCounters(t *testing.T) {
 // TestRecycledMeasureAllocs counts the heap allocations of one real
 // measurement on a warm recycled testbed: memo off, recycling on, early
 // demux, emulated copy, 61440 bytes. A recycled testbed keeps its frame
-// free list, pool pages and object page slots, the symbolic plane
-// gathers and scatters pages without a per-page Buf, and a multi-page
-// I/O reference sizes its lists once, so what remains is the run's own
-// work: 27 allocations, two of them the page tables of the run's two
-// regions. The bound leaves about a quarter of headroom. Growing the
-// reference lists page by page gives 33; a per-page Buf on the gathers
-// alone gave 61 and on both sides 117. A warm Testbed.Reset itself
-// allocates nothing.
+// free list, pool pages, page tables and object page slots, each host
+// carves its Region and MemObject records from one chunk per run, the
+// symbolic plane gathers and scatters pages without a per-page Buf, and
+// a multi-page I/O reference sizes its lists once, so what remains is
+// the run's own work: 23 allocations. The bound leaves about a quarter
+// of headroom. With a fresh Region, MemObject and page table per region
+// it made 27, and growing the reference lists page by page added 6; a
+// per-page Buf on the gathers alone gave 61 and on both sides 117. A warm Testbed.Reset
+// itself allocates nothing.
 func TestRecycledMeasureAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under -race")
 	}
-	const maxAllocs = 34
+	const maxAllocs = 29
 	s := Setup{Scheme: netsim.EarlyDemux}
 	withPerfRegime(t, false, true, 1, func() {
 		measure := func() {

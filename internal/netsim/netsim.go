@@ -218,9 +218,13 @@ func NewNIC(eng *sim.Engine, cfg NICConfig) (*NIC, error) {
 // armed fault injection, zeroed counters. The overlay pool (if any) is
 // reacquired from physical memory — the caller must have Reset the
 // host's PhysMem first — and outboard staging memory is emptied. The
-// attached link, peer, and receive upcall are preserved.
+// attached link, peer, and receive upcall are preserved, and each
+// port's posted list keeps its storage for the next run's postings.
 func (n *NIC) Reset() {
-	clear(n.posted)
+	for port, q := range n.posted {
+		clear(q)
+		n.posted[port] = q[:0]
+	}
 	clear(n.reasm)
 	n.busyUntil = 0
 	n.corruptAt = -1

@@ -116,12 +116,14 @@ func (m *Memo[K, V]) Stats() MemoStats {
 	return MemoStats{Hits: m.hits.Load(), Misses: m.misses.Load(), Waits: m.waits.Load()}
 }
 
-// Reset discards every entry and zeroes the counters.
+// Reset discards every entry and zeroes the counters. The stripes'
+// maps keep their tables, so a memo refilled to the same size after a
+// Reset does not regrow them.
 func (m *Memo[K, V]) Reset() {
 	for i := range m.stripes {
 		s := &m.stripes[i]
 		s.mu.Lock()
-		s.entries = make(map[K]*memoEntry[V])
+		clear(s.entries)
 		s.mu.Unlock()
 	}
 	m.hits.Store(0)

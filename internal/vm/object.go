@@ -2,7 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/mem"
 )
@@ -31,16 +30,15 @@ type MemObject struct {
 }
 
 func (sys *System) newObject() *MemObject {
-	o := new(MemObject)
+	o := sys.objectSlab.next()
 	sys.register(o)
 	return o
 }
 
-// register makes the zero object o live under the next id, with spare
-// page slots when Reset left any.
+// register makes the zero object o live under the next id.
 func (sys *System) register(o *MemObject) {
 	sys.objects = append(sys.objects, o)
-	o.sys, o.id, o.pages = sys, len(sys.objects), sys.takeSpare()
+	o.sys, o.id = sys, len(sys.objects)
 }
 
 // ID returns the object's identifier (unique within its System).
@@ -118,7 +116,9 @@ func (o *MemObject) InsertKernelPage(pi int, f *mem.Frame) { o.insertPage(pi, f)
 func (o *MemObject) RemoveKernelPage(pi int) *mem.Frame { return o.removePage(pi) }
 
 // insertPage attaches frame f as page pi of the object, growing the
-// page slots to cover pi. The frame must already be allocated
+// page slots to cover pi: slots past the length are nil up to the
+// capacity, and beyond it the slots move to a spare slice of the next
+// size class that covers pi. The frame must already be allocated
 // (attached) in physical memory.
 func (o *MemObject) insertPage(pi int, f *mem.Frame) {
 	if o.stale {
@@ -127,9 +127,13 @@ func (o *MemObject) insertPage(pi int, f *mem.Frame) {
 	if old := o.page(pi); old != nil {
 		panic(fmt.Sprintf("vm: object %d already has page %d (%v)", o.id, pi, old))
 	}
-	if pi >= len(o.pages) {
-		// Slots past len are nil: Reset and destroy clear what they drop.
-		o.pages = slices.Grow(o.pages, pi+1-len(o.pages))[:pi+1]
+	if pi >= cap(o.pages) {
+		grown := o.sys.pages.take(pi + 1)
+		copy(grown, o.pages)
+		o.sys.pages.put(o.pages)
+		o.pages = grown
+	} else if pi >= len(o.pages) {
+		o.pages = o.pages[:pi+1]
 	}
 	o.pages[pi] = f
 	o.resident++
@@ -160,9 +164,9 @@ func (o *MemObject) removePage(pi int) *mem.Frame {
 }
 
 // destroy releases every resident page of the object in ascending page
-// order (deferred while I/O references remain) and drops backing-store
-// copies. Shadow objects are released recursively when their reference
-// count drops to zero.
+// order (deferred while I/O references remain), returns its page slots
+// to the spare lists and drops backing-store copies. Shadow objects are
+// released recursively when their reference count drops to zero.
 func (o *MemObject) destroy() {
 	for pi, f := range o.pages {
 		if f != nil {
@@ -170,7 +174,8 @@ func (o *MemObject) destroy() {
 			o.sys.pm.Release(f)
 		}
 	}
-	o.resident = 0
+	o.sys.pages.put(o.pages)
+	o.pages, o.resident = nil, 0
 	o.backing = nil
 	if o.shadow != nil {
 		o.shadow.unref()

@@ -239,6 +239,9 @@ func (s *ptScript) check(t *testing.T, step int) {
 	if err := s.sys.Phys().CheckInvariants(); err != nil {
 		t.Fatalf("step %d: %v", step, err)
 	}
+	if err := s.sys.CheckSpares(); err != nil {
+		t.Fatalf("step %d: %v", step, err)
+	}
 }
 
 // FuzzPageTable checks the region-resident page tables against the
@@ -249,8 +252,9 @@ func (s *ptScript) check(t *testing.T, step int) {
 // regions copy-on-write between two spaces, runs the pageout daemon,
 // hides and reinstates regions, and Resets the whole system. After
 // every op PTEAt over every page of every region must equal the model,
-// which applies each op's page-table effect to a map, and the VM and
-// physical memory invariants must hold. The seed corpus in
+// which applies each op's page-table effect to a map, the VM and
+// physical memory invariants must hold, and every spare page table and
+// page slot array must be cleared. The seed corpus in
 // testdata/fuzz covers each op once, a Reset in mid-script, a COW copy
 // written on both sides, and a range mapped again after its region was
 // removed (FindRegion's last hit must forget a removed region). Scripts

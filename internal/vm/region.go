@@ -67,15 +67,15 @@ func (r *Region) pte(va Addr) PTE {
 	return r.pt[r.slot(va)]
 }
 
-// setPTE maps page i of the region, making the region's table on its
-// first mapping. Mapping a page of a space dropped by System.Reset
-// panics instead of aliasing a live one.
+// setPTE maps page i of the region, taking the region's table from the
+// system's spares on its first mapping. Mapping a page of a space
+// dropped by System.Reset panics instead of aliasing a live one.
 func (r *Region) setPTE(i int, pte PTE) {
 	if r.pt == nil {
 		if r.as.stale {
 			panic(fmt.Sprintf("vm: address space %d used after System.Reset", r.as.id))
 		}
-		r.pt = make([]PTE, r.Pages())
+		r.pt = r.as.sys.tables.take(r.Pages())
 	}
 	r.pt[i] = pte
 }

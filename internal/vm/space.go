@@ -122,7 +122,8 @@ func (as *AddressSpace) allocRegionAt(start Addr, size int, state RegionState) (
 	}
 	obj := as.sys.newObject()
 	obj.ref()
-	r := &Region{as: as, start: start, length: size, state: state, object: obj}
+	r := as.sys.regionSlab.next()
+	*r = Region{as: as, start: start, length: size, state: state, object: obj}
 	as.insertRegion(r)
 	return r, nil
 }
@@ -138,7 +139,8 @@ func (as *AddressSpace) MapObject(obj *MemObject, length int, state RegionState)
 		return nil, err
 	}
 	obj.ref()
-	r := &Region{as: as, start: start, length: size, state: state, object: obj}
+	r := as.sys.regionSlab.next()
+	*r = Region{as: as, start: start, length: size, state: state, object: obj}
 	as.insertRegion(r)
 	// Eagerly map resident pages read-write: move-semantics input returns
 	// a buffer the application may immediately access.
@@ -168,6 +170,7 @@ func (as *AddressSpace) RemoveRegion(r *Region) error {
 	if as.last == r {
 		as.last = nil
 	}
+	as.sys.tables.put(r.pt)
 	r.pt = nil
 	r.removed = true
 	r.object.unref()
@@ -445,7 +448,8 @@ func (as *AddressSpace) CopyRegionCOW(va Addr, length int, dst *AddressSpace) (*
 		dstShadow.unref()
 		return nil, err
 	}
-	nr := &Region{as: dst, start: start, length: size, state: Unmovable,
+	nr := sys.regionSlab.next()
+	*nr = Region{as: dst, start: start, length: size, state: Unmovable,
 		object: dstShadow, objOff: int((va - src.start) / Addr(sys.pageSize))}
 	dst.insertRegion(nr)
 	return nr, nil

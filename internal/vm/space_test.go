@@ -329,11 +329,13 @@ func TestReadPhysSeesThroughProtections(t *testing.T) {
 }
 
 // TestSystemResetReusesMaps checks the storage behind a recycled
-// system: Reset drops the live regions' page tables, clears the object
-// page slots of the live objects and hands them to the next newObject
-// (an object beyond the spares gets new storage), ids restart from 1, a
-// space or object used after Reset panics on its first write instead of
-// aliasing a live one, and a warm Reset allocates nothing.
+// system: Reset hands the live regions' page tables and the live
+// objects' page slots, cleared, to the size-classed spare lists, from
+// which the next run's first mapping and first page inserts of each
+// size take them (storage of a size with no spare left is new), ids
+// restart from 1, a space or object used after Reset panics on its
+// first write instead of aliasing a live one, and a warm Reset
+// allocates nothing.
 func TestSystemResetReusesMaps(t *testing.T) {
 	sys := newTestSystem(32)
 	data := bytes.Repeat([]byte{9}, 2*testPageSize)
@@ -360,31 +362,52 @@ func TestSystemResetReusesMaps(t *testing.T) {
 		t.Fatal("a mapped region holds no page table")
 	}
 	ptr := func(s any) uintptr { return reflect.ValueOf(s).Pointer() }
-	oldPages := map[uintptr]bool{ptr(r.object.pages): true, ptr(k.pages): true}
+	oldTable, oldRegionPages, oldKernelPages := ptr(r.pt), ptr(r.object.pages), ptr(k.pages)
 
 	reset()
 	if r.pt != nil || r.object.pages != nil || k.pages != nil {
 		t.Fatal("Reset left a stale region or object holding its storage")
+	}
+	if err := sys.CheckSpares(); err != nil {
+		t.Fatal(err)
 	}
 
 	as2 := sys.NewAddressSpace()
 	if as2.ID() != 1 || len(as2.Regions()) != 0 {
 		t.Fatalf("space after Reset: id %d, %d regions; want id 1, empty", as2.ID(), len(as2.Regions()))
 	}
-	for want := 1; want <= 2; want++ {
+	// Object 1 gets a two-page region's slots, object 2 a one-page
+	// object's; each takes the spare of its size.
+	for _, c := range []struct {
+		want, pi int
+		old      uintptr
+	}{{1, 1, oldRegionPages}, {2, 0, oldKernelPages}} {
+		want, pi := c.want, c.pi
 		o := sys.NewKernelObject()
-		reused := cap(o.pages) > 0 && oldPages[ptr(o.pages)]
-		if o.ID() != want || len(o.pages) != 0 || o.ResidentPages() != 0 || !reused {
-			t.Fatalf("object after Reset: id %d, %d page slots, %d resident, reused slots %t; want id %d, empty, reused",
-				o.ID(), len(o.pages), o.ResidentPages(), reused, want)
+		if o.ID() != want || o.pages != nil || o.ResidentPages() != 0 {
+			t.Fatalf("object after Reset: id %d, %d page slots, %d resident; want id %d, none",
+				o.ID(), len(o.pages), o.ResidentPages(), want)
+		}
+		if _, err := sys.AllocFrameInto(o, pi); err != nil {
+			t.Fatal(err)
+		}
+		if ptr(o.pages) != c.old {
+			t.Fatalf("object %d inserting page %d did not take the spare slots of its size", want, pi)
 		}
 	}
 	o := sys.NewKernelObject()
 	if _, err := sys.AllocFrameInto(o, 0); err != nil {
 		t.Fatal(err)
 	}
-	if oldPages[ptr(o.pages)] {
+	if p := ptr(o.pages); p == oldRegionPages || p == oldKernelPages {
 		t.Fatal("object beyond the spare page slots did not get new storage")
+	}
+	r2 := mustRegion(t, as2, 2*testPageSize, Unmovable)
+	if err := as2.Poke(r2.Start(), data[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if ptr(r2.pt) != oldTable {
+		t.Fatal("a two-page region's first mapping did not take the spare table")
 	}
 
 	mustPanic := func(what string, write func()) {
@@ -417,5 +440,51 @@ func TestSystemResetReusesMaps(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("4 warm Resets allocated %d times, want 0", allocs)
+	}
+}
+
+// TestSparesBoundedAcrossResets runs 60 short runs whose regions come
+// in a different mix of sizes each time, in a different order, and
+// Resets after each: every size class of spare page tables and page
+// slots must hold no more than the most that class had in use in any
+// one run, so the storage a recycled system keeps does not grow.
+func TestSparesBoundedAcrossResets(t *testing.T) {
+	sys := newTestSystem(256)
+	sizes := []int{1, 2, 3, 5, 8, 9, 17}
+	peak := map[int]int{}
+	for run := range 60 {
+		as := sys.NewAddressSpace()
+		live := map[int]int{}
+		for i := range 1 + run%5 {
+			pages := sizes[(run*3+i*5)%len(sizes)]
+			r := mustRegion(t, as, pages*testPageSize, Unmovable)
+			// The last page first: the object's page slots are sized once.
+			for _, va := range []Addr{r.End() - 1, r.Start()} {
+				if err := as.Poke(va, []byte{1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			live[sizeClass(pages)]++ // one page table and one page slot array
+		}
+		for k, n := range live {
+			peak[k] = max(peak[k], n)
+		}
+		sys.Phys().Reset()
+		sys.Reset()
+		if err := sys.CheckSpares(); err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		for k, class := range sys.tables {
+			if len(class) > peak[k] {
+				t.Fatalf("run %d: %d spare page tables of class %d, but at most %d were ever in use at once",
+					run, len(class), k, peak[k])
+			}
+		}
+		for k, class := range sys.pages {
+			if len(class) > peak[k] {
+				t.Fatalf("run %d: %d spare page slot arrays of class %d, but at most %d were ever in use at once",
+					run, len(class), k, peak[k])
+			}
+		}
 	}
 }

@@ -34,9 +34,13 @@ type System struct {
 	stats    SysStats
 	tr       *trace.Tracer
 
-	// Cleared object page slots harvested by Reset, taken by newObject
-	// before it makes new ones.
-	sparePages [][]*mem.Frame
+	// Storage kept for reuse across RemoveRegion, object destruction
+	// and Reset (see storage.go): cleared page tables and object page
+	// slots by size class, and the slabs records are carved from.
+	tables     spares[PTE]
+	pages      spares[*mem.Frame]
+	regionSlab slab[Region]
+	objectSlab slab[MemObject]
 }
 
 // NewSystem creates a VM system over the given physical memory.
@@ -108,19 +112,18 @@ func (sys *System) DestroySpace(as *AddressSpace) {
 // physical memory's reclaimer hook is cleared by its own Reset).
 //
 // Reset walks only what the run created: the live spaces' regions and
-// the objects it registered. Page tables live in their regions, so the
-// live spaces' regions simply drop theirs, and a stale space panics on
-// its first mapping after Reset instead of aliasing a live one. The
-// page slots of the live objects are cleared and kept for the next
-// newObject, so a recycled system does not regrow them from empty, and
-// a stale object panics on its first page insert. An object's page
-// slots are a slice indexed by page, so clearing them costs O(the
-// object's peak page index), which a later destroy of the object that
-// takes them pays too. Spares are harvested in id order, so which
-// object takes which spare is the same on every run.
+// the objects it registered. Page tables live in their regions; each
+// live region's table and each live object's page slots are cleared
+// and go to the size-classed spare lists, so a recycled system does not
+// regrow them from empty. A stale space panics on its first mapping
+// after Reset instead of aliasing a live one, and a stale object on its
+// first page insert. Clearing costs O(each region's pages and each
+// object's peak page index). The Region and MemObject slabs start new
+// chunks, so no chunk holds records of two runs.
 func (sys *System) Reset() {
 	for _, as := range sys.spaces {
 		for _, r := range as.regions {
+			sys.tables.put(r.pt)
 			r.pt = nil
 		}
 		as.last, as.stale = nil, true
@@ -131,30 +134,16 @@ func (sys *System) Reset() {
 		if o == nil {
 			continue
 		}
-		if cap(o.pages) > 0 {
-			clear(o.pages)
-			sys.sparePages = append(sys.sparePages, o.pages[:0])
-		}
+		sys.pages.put(o.pages)
 		o.pages, o.resident, o.stale = nil, 0, true
 	}
 	clear(sys.objects)
 	sys.objects = sys.objects[:0]
+	sys.regionSlab.reset()
+	sys.objectSlab.reset()
 	sys.nextASID = 0
 	sys.stats = SysStats{}
 	sys.tr = nil
-}
-
-// takeSpare pops the last entry off the spare page slots, or returns
-// nil when there are none.
-func (sys *System) takeSpare() []*mem.Frame {
-	n := len(sys.sparePages)
-	if n == 0 {
-		return nil
-	}
-	spare := sys.sparePages[n-1]
-	sys.sparePages[n-1] = nil
-	sys.sparePages = sys.sparePages[:n-1]
-	return spare
 }
 
 // NewKernelObject creates a memory object owned by the kernel (no

@@ -23,33 +23,44 @@ type foOp struct {
 	issuedAt float64
 	legs     int
 	failed   bool
+	pending  bool // issued, some leg not yet retired
 }
 
-// foClient is the single scattering client on host 0.
+// foClient is the single scattering client on host 0. Its
+// per-operation records are sized for the op budget up front and its
+// timer callback is bound once.
 type foClient struct {
 	eng  *sim.Engine
 	rels []*core.Reliable // client end per server
 	cfg  Config
 	load float64
 
-	nextOp   int
-	toIssue  int
-	pending  map[int]*foOp
-	inflight []map[uint32]int // per leg: request frame seq → op
+	nextOp  int
+	toIssue int
+	ops     []foOp
+	// inflight[leg][seq-1] is the op whose request on that leg is frame
+	// seq, until the frame settles (-1 after). Each op sends one request
+	// per leg, numbered consecutively from 1.
+	inflight [][]int
+	req      [fsRequestBytes]byte // request scratch: Send copies it at once
+	issueFn  func()               // issue, bound once
 	rec      clientRec
 }
 
 // start opens the pipeline of scattered operations.
 func (c *foClient) start() {
 	c.toIssue = c.cfg.Ops
-	c.pending = make(map[int]*foOp)
-	c.inflight = make([]map[uint32]int, len(c.rels))
+	c.ops = make([]foOp, c.cfg.Ops)
+	c.inflight = make([][]int, len(c.rels))
 	for i := range c.inflight {
-		c.inflight[i] = make(map[uint32]int)
+		c.inflight[i] = make([]int, 0, c.cfg.Ops)
 	}
+	c.rec.lat = make([]float64, 0, c.cfg.Ops)
+	c.rec.done = make([]float64, 0, c.cfg.Ops)
+	c.issueFn = c.issue
 	k := min(c.cfg.Pipeline, c.cfg.Ops)
 	for s := 0; s < k; s++ {
-		c.eng.Schedule(sim.Duration(thinkDelay(c.cfg, c.load, 0, s)/4), c.issue)
+		c.eng.Schedule(sim.Duration(thinkDelay(c.cfg, c.load, 0, s)/4), c.issueFn)
 	}
 }
 
@@ -61,18 +72,21 @@ func (c *foClient) issue() {
 	c.toIssue--
 	op := c.nextOp
 	c.nextOp++
-	o := &foOp{issuedAt: float64(c.eng.Now()), legs: len(c.rels)}
-	c.pending[op] = o
-	req := make([]byte, fsRequestBytes)
+	c.ops[op] = foOp{issuedAt: float64(c.eng.Now()), legs: len(c.rels), pending: true}
+	req := c.req[:]
+	clear(req)
 	for i, r := range c.rels {
 		encodeOp(req, i+1, op)
 		seq, err := r.Send(req)
 		if err != nil {
-			o.failed = true
+			c.ops[op].failed = true
 			c.leg(op)
 			continue
 		}
-		c.inflight[i][seq] = op
+		for int(seq) > len(c.inflight[i]) {
+			c.inflight[i] = append(c.inflight[i], -1)
+		}
+		c.inflight[i][seq-1] = op
 	}
 }
 
@@ -86,16 +100,17 @@ func (c *foClient) onResponse(payload []byte) {
 // legSettled turns an abandoned request frame into a failed leg; the
 // server almost surely never saw it, so no response is coming.
 func (c *foClient) legSettled(leg int, seq uint32, acked bool) {
-	op, ok := c.inflight[leg][seq]
-	if !ok {
+	i := int(seq) - 1
+	if i < 0 || i >= len(c.inflight[leg]) || c.inflight[leg][i] < 0 {
 		return
 	}
-	delete(c.inflight[leg], seq)
+	op := c.inflight[leg][i]
+	c.inflight[leg][i] = -1
 	if acked {
 		return
 	}
-	if o := c.pending[op]; o != nil {
-		o.failed = true
+	if c.ops[op].pending {
+		c.ops[op].failed = true
 		c.leg(op)
 	}
 }
@@ -103,15 +118,15 @@ func (c *foClient) legSettled(leg int, seq uint32, acked bool) {
 // leg accounts one retired leg; the last one completes the operation
 // and refills the pipeline slot after a think delay.
 func (c *foClient) leg(op int) {
-	o := c.pending[op]
-	if o == nil {
+	if op >= len(c.ops) || !c.ops[op].pending {
 		return
 	}
+	o := &c.ops[op]
 	o.legs--
 	if o.legs > 0 {
 		return
 	}
-	delete(c.pending, op)
+	o.pending = false
 	now := float64(c.eng.Now())
 	if o.failed {
 		c.rec.failed++
@@ -120,7 +135,7 @@ func (c *foClient) leg(op int) {
 		c.rec.done = append(c.rec.done, now)
 	}
 	if c.toIssue > 0 {
-		c.eng.Schedule(sim.Duration(thinkDelay(c.cfg, c.load, 0, op+c.cfg.Pipeline)), c.issue)
+		c.eng.Schedule(sim.Duration(thinkDelay(c.cfg, c.load, 0, op+c.cfg.Pipeline)), c.issueFn)
 	}
 }
 

@@ -28,7 +28,9 @@ import (
 const fsRequestBytes = 32
 
 // fsClient is one closed-loop client state machine, driven entirely by
-// shard-local timers and reliable-channel upcalls on its own host.
+// shard-local timers and reliable-channel upcalls on its own host. Its
+// per-operation records are sized for the op budget up front and its
+// timer callback is bound once, so a running client allocates nothing.
 type fsClient struct {
 	idx  int
 	eng  *sim.Engine
@@ -36,11 +38,42 @@ type fsClient struct {
 	cfg  Config
 	load float64
 
-	nextOp   int             // next operation index to issue
-	toIssue  int             // operations not yet issued
-	pending  map[int]float64 // op → issue time, awaiting its response
-	inflight map[uint32]int  // request frame seq → op, until settled
+	nextOp  int // next operation index to issue
+	toIssue int // operations not yet issued
+	// ops[op] is the operation's issue time while it awaits its
+	// response.
+	ops []fsOp
+	// inflight[seq-1] is the op whose request is frame seq, until the
+	// frame settles (-1 after). Each op sends one request, and the
+	// channel numbers frames consecutively from 1.
+	inflight []int
+	req      [fsRequestBytes]byte // request scratch: Send copies it at once
+	issueFn  func()               // issue, bound once
 	rec      clientRec
+}
+
+// fsOp is one operation's client-side state.
+type fsOp struct {
+	issuedAt float64
+	pending  bool // issued, awaiting its response
+}
+
+// init makes c client idx, with records for cfg.Ops operations.
+func (c *fsClient) init(idx int, eng *sim.Engine, rel *core.Reliable, cfg Config, load float64) {
+	*c = fsClient{
+		idx:      idx,
+		eng:      eng,
+		rel:      rel,
+		cfg:      cfg,
+		load:     load,
+		ops:      make([]fsOp, cfg.Ops),
+		inflight: make([]int, 0, cfg.Ops),
+		rec: clientRec{
+			lat:  make([]float64, 0, cfg.Ops),
+			done: make([]float64, 0, cfg.Ops),
+		},
+	}
+	c.issueFn = c.issue
 }
 
 // start opens the pipeline: up to Pipeline slots, each beginning at a
@@ -52,7 +85,7 @@ func (c *fsClient) start() {
 	c.toIssue = c.cfg.Ops
 	k := min(c.cfg.Pipeline, c.cfg.Ops)
 	for s := 0; s < k; s++ {
-		c.eng.Schedule(sim.Duration(thinkDelay(c.cfg, c.load, c.idx, s)/4), c.issue)
+		c.eng.Schedule(sim.Duration(thinkDelay(c.cfg, c.load, c.idx, s)/4), c.issueFn)
 	}
 }
 
@@ -64,19 +97,23 @@ func (c *fsClient) issue() {
 	c.toIssue--
 	op := c.nextOp
 	c.nextOp++
-	req := make([]byte, fsRequestBytes)
+	req := c.req[:]
+	clear(req)
 	encodeOp(req, c.idx+1, op)
-	c.pending[op] = float64(c.eng.Now())
+	c.ops[op] = fsOp{issuedAt: float64(c.eng.Now()), pending: true}
 	seq, err := c.rel.Send(req)
 	if err != nil {
 		// Closed or oversized — both are programming errors here; record
 		// the op as failed and stop issuing rather than panic mid-window.
-		delete(c.pending, op)
+		c.ops[op].pending = false
 		c.rec.failed++
 		c.toIssue = 0
 		return
 	}
-	c.inflight[seq] = op
+	for int(seq) > len(c.inflight) {
+		c.inflight = append(c.inflight, -1)
+	}
+	c.inflight[seq-1] = op
 }
 
 // onResponse completes one outstanding operation — matched by the
@@ -84,15 +121,14 @@ func (c *fsClient) issue() {
 // pipeline slot.
 func (c *fsClient) onResponse(payload []byte) {
 	op := decodeOp(payload)
-	issuedAt, ok := c.pending[op]
-	if !ok {
+	if op >= len(c.ops) || !c.ops[op].pending {
 		// A straggler response for an op already written off as failed
 		// (its request gave up but had in fact been delivered).
 		return
 	}
-	delete(c.pending, op)
+	c.ops[op].pending = false
 	now := float64(c.eng.Now())
-	c.rec.lat = append(c.rec.lat, now-issuedAt)
+	c.rec.lat = append(c.rec.lat, now-c.ops[op].issuedAt)
 	c.rec.done = append(c.rec.done, now)
 	c.rec.bytes += uint64(len(payload))
 	c.next(op)
@@ -104,25 +140,26 @@ func (c *fsClient) onResponse(payload []byte) {
 // saw the request — the op has failed, and the slot moves on instead
 // of waiting forever.
 func (c *fsClient) onReqSettled(seq uint32, acked bool) {
-	op, ok := c.inflight[seq]
-	if !ok {
+	i := int(seq) - 1
+	if i < 0 || i >= len(c.inflight) || c.inflight[i] < 0 {
 		return
 	}
-	delete(c.inflight, seq)
+	op := c.inflight[i]
+	c.inflight[i] = -1
 	if acked {
 		return
 	}
-	if _, ok := c.pending[op]; !ok {
+	if !c.ops[op].pending {
 		return
 	}
-	delete(c.pending, op)
+	c.ops[op].pending = false
 	c.rec.failed++
 	c.next(op)
 }
 
 func (c *fsClient) next(op int) {
 	if c.toIssue > 0 {
-		c.eng.Schedule(sim.Duration(thinkDelay(c.cfg, c.load, c.idx, op+c.cfg.Pipeline)), c.issue)
+		c.eng.Schedule(sim.Duration(thinkDelay(c.cfg, c.load, c.idx, op+c.cfg.Pipeline)), c.issueFn)
 	}
 }
 
@@ -138,7 +175,7 @@ func runFileServer(cfg Config, sem core.Semantics, depth int, load float64, work
 	resp := make([]byte, cfg.MsgBytes)
 	fillPayload(resp)
 
-	clients := make([]*fsClient, cfg.Clients)
+	clients := make([]fsClient, cfg.Clients)
 	rels := make([]*core.Reliable, 0, 2*cfg.Clients)
 	for i := range clients {
 		p := c.Host(i + 1).Genie.NewProcess()
@@ -148,15 +185,8 @@ func runFileServer(cfg Config, sem core.Semantics, depth int, load float64, work
 		if err != nil {
 			return nil, err
 		}
-		cl := &fsClient{
-			idx:      i,
-			eng:      c.Sim.Shard(i + 1),
-			rel:      rCli,
-			cfg:      cfg,
-			load:     load,
-			pending:  make(map[int]float64),
-			inflight: make(map[uint32]int),
-		}
+		cl := &clients[i]
+		cl.init(i, c.Sim.Shard(i+1), rCli, cfg, load)
 		// The server's reply runs inside the server shard's window; the
 		// response re-stamps the shared fill with the request's identity
 		// (Send copies synchronously, so one buffer serves every reply).
@@ -166,17 +196,16 @@ func runFileServer(cfg Config, sem core.Semantics, depth int, load float64, work
 		})
 		rCli.OnDeliver(func(_ uint32, payload []byte) { cl.onResponse(payload) })
 		rCli.OnSettled(cl.onReqSettled)
-		clients[i] = cl
 		rels = append(rels, rCli, rSrv)
 	}
-	for _, cl := range clients {
-		cl.start()
+	for i := range clients {
+		clients[i].start()
 	}
 	c.Run()
 
 	raw := &pointRaw{clients: make([]clientRec, cfg.Clients)}
-	for i, cl := range clients {
-		raw.clients[i] = cl.rec
+	for i := range clients {
+		raw.clients[i] = clients[i].rec
 	}
 	sumReliableStats(raw, rels...)
 	collectCluster(raw, c, 0)

@@ -1,0 +1,81 @@
+package workload
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/core"
+)
+
+// pointMallocs runs one file-server point on a warm recycled cluster
+// and returns the mallocs and bytes allocated per request: the point
+// runs twice first, so its cluster, channel records and VM storage are
+// all warm, and the third run is measured.
+func pointMallocs(t *testing.T, sem core.Semantics, depth int) (mallocs, bytes float64) {
+	t.Helper()
+	cfg, err := Config{Clients: 8, Ops: 24}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() *pointRaw {
+		raw, err := runFileServer(cfg, sem, depth, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	run()
+	run()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	raw := run()
+	runtime.ReadMemStats(&m1)
+	reqs := 0
+	for _, c := range raw.clients {
+		reqs += len(c.lat) + int(c.failed)
+	}
+	if reqs != cfg.Clients*cfg.Ops {
+		t.Fatalf("%v depth %d: %d requests settled, want %d", sem, depth, reqs, cfg.Clients*cfg.Ops)
+	}
+	return float64(m1.Mallocs-m0.Mallocs) / float64(reqs), float64(m1.TotalAlloc-m0.TotalAlloc) / float64(reqs)
+}
+
+// TestFileServerPointMallocs pins the allocations of a warm recycled
+// file-server point (8 clients x 24 ops, load 1) per request, for all
+// eight semantics at depths 1, 4 and 16. A recycled cluster's hosts keep
+// their channel records (window slots, output and send records, payload
+// slices) and their VM storage (page tables and page slots, by size
+// class) across Reset, Region and MemObject records are carved from
+// slabs, and each client binds its callbacks once and sizes its
+// per-operation records up front, so what is left is mostly the
+// point's fixed setup: processes, endpoints, reliable channels and
+// their closures, and the point's result. Before these, a point made
+// 7.4 to 30 mallocs per request, growing with depth, and a move
+// request 26 at depth 4 from the region and object its dispose builds.
+// Each bound is the measured value plus about a quarter. Under -race,
+// sync.Pool drops a quarter of the records put back, so the pin is
+// skipped there.
+func TestFileServerPointMallocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under -race")
+	}
+	// Bounds per request in core.AllSemantics order: copy, emulated
+	// copy, share, emulated share, move, emulated move, weak move,
+	// emulated weak move.
+	limits := map[int][8]float64{
+		1:  {2.7, 2.7, 2.7, 2.5, 2.9, 2.3, 2.4, 2.3},
+		4:  {2.0, 1.9, 1.9, 1.9, 2.5, 2.1, 2.1, 2.1},
+		16: {2.3, 2.1, 2.1, 2.1, 2.3, 2.3, 2.3, 2.3},
+	}
+	setRegime(t, true)
+	for _, depth := range []int{1, 4, 16} {
+		for i, sem := range core.AllSemantics() {
+			m, b := pointMallocs(t, sem, depth)
+			limit := limits[depth][i]
+			t.Logf("depth %2d %-18v %4.1f mallocs (limit %.1f) %5.0f bytes per request", depth, sem, m, limit, b)
+			if m > limit {
+				t.Errorf("depth %d %v: %.1f mallocs per request, want at most %.1f", depth, sem, m, limit)
+			}
+		}
+	}
+}

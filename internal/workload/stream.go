@@ -24,10 +24,13 @@ type streamSender struct {
 	rel *core.Reliable
 	cfg Config
 
-	depth       int
-	queue       []float64 // birth times of queued frames, FIFO
-	queueHWM    int
-	inflight    map[uint32]float64 // seq → birth time
+	depth    int
+	queue    []float64 // birth times of queued frames, FIFO
+	queueHWM int
+	// inflight[seq-1] is the birth time of frame seq until it settles
+	// (-1 after). Each admitted frame is one send, numbered
+	// consecutively from 1.
+	inflight    []float64
 	outstanding int
 	frame       []byte
 	nextIdx     int // stamp index for the next admitted frame
@@ -63,7 +66,10 @@ func (s *streamSender) pump() {
 			s.rec.failed++
 			continue
 		}
-		s.inflight[seq] = birth
+		for int(seq) > len(s.inflight) {
+			s.inflight = append(s.inflight, -1)
+		}
+		s.inflight[seq-1] = birth
 		s.outstanding++
 	}
 }
@@ -73,11 +79,12 @@ func (s *streamSender) pump() {
 // age of the frame when the sender learns it landed, which is the
 // quantity that goes bimodal when recovery kicks in.
 func (s *streamSender) onSettled(seq uint32, acked bool) {
-	birth, ok := s.inflight[seq]
-	if !ok {
+	i := int(seq) - 1
+	if i < 0 || i >= len(s.inflight) || s.inflight[i] < 0 {
 		return
 	}
-	delete(s.inflight, seq)
+	birth := s.inflight[i]
+	s.inflight[i] = -1
 	s.outstanding--
 	now := float64(s.eng.Now())
 	if acked {
@@ -105,13 +112,20 @@ func runStream(cfg Config, sem core.Semantics, depth int, load float64, workers 
 	if err != nil {
 		return nil, err
 	}
+	// The per-frame records are sized for the op budget up front: the
+	// queue's FIFO slides through at most Ops births.
 	s := &streamSender{
 		eng:      c.Sim.Shard(0),
 		rel:      rSnd,
 		cfg:      cfg,
 		depth:    depth,
-		inflight: make(map[uint32]float64),
+		queue:    make([]float64, 0, cfg.Ops),
+		inflight: make([]float64, 0, cfg.Ops),
 		frame:    make([]byte, cfg.MsgBytes),
+		rec: clientRec{
+			lat:  make([]float64, 0, cfg.Ops),
+			done: make([]float64, 0, cfg.Ops),
+		},
 	}
 	fillPayload(s.frame)
 	rSnd.OnSettled(s.onSettled)
@@ -124,8 +138,9 @@ func runStream(cfg Config, sem core.Semantics, depth int, load float64, workers 
 	// down because the network is congested — that asymmetry is the
 	// whole scenario).
 	interval := float64(cfg.MsgBytes) / (cfg.StreamMBps * load)
+	tick := s.tick
 	for i := 0; i < cfg.Ops; i++ {
-		s.eng.Schedule(sim.Duration(float64(i)*interval+1), s.tick)
+		s.eng.Schedule(sim.Duration(float64(i)*interval+1), tick)
 	}
 	c.Run()
 
