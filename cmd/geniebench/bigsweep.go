@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -59,8 +60,8 @@ func runBigSweepCmd(args []string, stdout, stderr io.Writer) int {
 	if opts.stride < 1 {
 		return usageErrf(fs, stderr, "-stride must be at least 1, got %d", opts.stride)
 	}
-	if opts.errBound < 0 {
-		return usageErrf(fs, stderr, "-errbound must not be negative, got %g", opts.errBound)
+	if opts.errBound < 0 || math.IsNaN(opts.errBound) {
+		return usageErrf(fs, stderr, "-errbound must be a number at least 0, got %g", opts.errBound)
 	}
 	experiments.SetParallelism(opts.parallel)
 	if *cpuprofile != "" {

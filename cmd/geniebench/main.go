@@ -231,12 +231,14 @@ func writeJSON(stderr io.Writer, path string, v any) error {
 	return nil
 }
 
-// parseWorkers parses a -workers list: a usage error unless every entry
-// is a count of at least 1.
+// parseWorkers parses a -workers list: a usage error, quoting the
+// entry, unless every entry is a count of at least 1.
 func parseWorkers(s string) ([]int, error) {
 	ws, err := parseIntList(s)
-	if err == nil {
-		err = experiments.CheckWorkers(ws)
+	for i, w := range ws {
+		if w < 1 {
+			return nil, fmt.Errorf("worker count %q < 1", strings.TrimSpace(strings.Split(s, ",")[i]))
+		}
 	}
 	return ws, err
 }

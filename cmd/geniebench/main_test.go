@@ -39,6 +39,7 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 		{"out-of-range fault rate", []string{"chaos", "-spec", "seed=1,drop=1.5"}, "-spec"},
 		{"empty fault spec", []string{"chaos", "-spec", "seed=0"}, "injects nothing"},
 		{"negative errbound", []string{"bigsweep", "-errbound", "-1"}, "-errbound"},
+		{"NaN errbound", []string{"bigsweep", "-errbound", "NaN"}, "-errbound"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -65,6 +65,19 @@ func runStorageCmd(args []string, stdout, stderr io.Writer) int {
 			return usageErrf(fs, stderr, "-sizes: length %d < 1", n)
 		}
 	}
+	for _, n := range cfg.CachePages {
+		if n < 0 {
+			return usageErrf(fs, stderr, "-cachepages: capacity %d < 0", n)
+		}
+	}
+	for _, n := range cfg.DirtyThresholds {
+		if n < 0 {
+			return usageErrf(fs, stderr, "-dirty: threshold %d < 0", n)
+		}
+	}
+	if *readAhead < 0 {
+		return usageErrf(fs, stderr, "-readahead must be at least 0, got %d", *readAhead)
+	}
 
 	rep, err := experiments.RunStorage(cfg)
 	if err != nil {

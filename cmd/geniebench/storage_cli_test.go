@@ -75,11 +75,17 @@ func TestCLIStorageRejectsBadFlags(t *testing.T) {
 		{"-sizes", "0"},
 		{"-workers", "0"},
 		{"-cachepages", "eight"},
+		{"-cachepages", "-1"},
+		{"-dirty", "-1"},
+		{"-readahead", "-1"},
 	}
 	for _, args := range cases {
 		code, _, stderr := runCLI(t, append([]string{"storage"}, args...)...)
 		if code != 2 {
 			t.Errorf("%v: exit code %d, want 2\nstderr:\n%s", args, code, stderr)
+		}
+		if !strings.Contains(stderr, args[0]) {
+			t.Errorf("%v: stderr does not name the flag:\n%s", args, stderr)
 		}
 	}
 }

@@ -223,10 +223,20 @@ func TestCLIWorkloadRejectsBadFlags(t *testing.T) {
 		{"malformed faults", []string{"-faults", "seed"}, "-faults"},
 		{"unknown scenario", []string{"-scenario", "torrent"}, "scenario"},
 		{"bad gate name", []string{"-requiretransition", "telepathy"}, "-requiretransition"},
+		{"NaN rto", []string{"-rto", "NaN"}, "-rto"},
+		{"NaN loads", []string{"-loads", "NaN"}, "-loads"},
+		{"infinite loads", []string{"-loads", "1,Inf"}, "-loads"},
+		{"NaN think", []string{"-think", "NaN"}, "-think"},
+		{"infinite stream rate", []string{"-streamrate", "+Inf"}, "-streamrate"},
+		{"negative clients", []string{"-clients", "-3"}, "-clients"},
+		{"negative ops", []string{"-ops", "-1"}, "-ops"},
+		{"negative msgbytes", []string{"-msgbytes", "-1"}, "-msgbytes"},
+		{"negative pipeline", []string{"-pipeline", "-1"}, "-pipeline"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			code, _, stderr := runCLI(t, append([]string{"workload"}, tc.args...)...)
+			args := append([]string{"workload", "-semantics", "copy", "-depths", "1", "-loads", "1"}, tc.args...)
+			code, _, stderr := runCLI(t, args...)
 			if code != 2 {
 				t.Fatalf("exit code %d, want 2; stderr:\n%s", code, stderr)
 			}

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -56,7 +57,8 @@ func parseIntList(s string) ([]int, error) {
 	}
 	var out []int
 	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
+		f = strings.TrimSpace(f)
+		n, err := strconv.Atoi(f)
 		if err != nil {
 			return nil, fmt.Errorf("bad count %q", f)
 		}
@@ -65,15 +67,16 @@ func parseIntList(s string) ([]int, error) {
 	return out, nil
 }
 
-// parseFloatList parses "0.5,1,2".
+// parseFloatList parses "0.5,1,2". NaN and infinities are refused.
 func parseFloatList(s string) ([]float64, error) {
 	if s == "" {
 		return nil, nil
 	}
 	var out []float64
 	for _, f := range strings.Split(s, ",") {
-		x, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil {
+		f = strings.TrimSpace(f)
+		x, err := strconv.ParseFloat(f, 64)
+		if err != nil || math.IsNaN(x) || math.IsInf(x, 0) {
 			return nil, fmt.Errorf("bad multiplier %q", f)
 		}
 		out = append(out, x)
@@ -122,6 +125,17 @@ func runWorkloadCmd(args []string, stdout, stderr io.Writer) int {
 	}
 	if *parallel < 0 {
 		return usageErrf(fs, stderr, "-parallel must be at least 0, got %d", *parallel)
+	}
+	for _, k := range []struct {
+		flag string
+		v    float64
+	}{
+		{"clients", float64(*clients)}, {"ops", float64(*ops)}, {"msgbytes", float64(*msgBytes)},
+		{"think", *think}, {"pipeline", float64(*pipeline)}, {"streamrate", *streamRate}, {"rto", *rto},
+	} {
+		if k.v < 0 || math.IsNaN(k.v) || math.IsInf(k.v, 0) {
+			return usageErrf(fs, stderr, "-%s must be finite and at least 0 (0 = default), got %v", k.flag, k.v)
+		}
 	}
 	defer par.SetRecycling(par.SetRecycling(!*noRecycle))
 

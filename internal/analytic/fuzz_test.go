@@ -1,0 +1,87 @@
+package analytic_test
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+
+	"repro/internal/analytic"
+	"repro/internal/core"
+	"repro/internal/experiments"
+	"repro/internal/netsim"
+	"repro/internal/par"
+)
+
+// FuzzEvaluateMatchesSimulation is the generated-input oracle for the
+// charge plans: for a drawn semantics, scheme, length, device and
+// application offsets, checksum mode, system alignment, reverse copyout
+// threshold and short-data thresholds, Evaluate must reproduce the
+// simulated Measurement bit for bit, and the simulator's plan check
+// must never fire. Where the combination is unsupported, both paths
+// must fail with the same sentinel error.
+func FuzzEvaluateMatchesSimulation(f *testing.F) {
+	// Every input simulates afresh on a fresh testbed: the memo and the
+	// testbed recycler, keyed by configuration, would only grow.
+	defer par.SetMemo(par.SetMemo(false))
+	defer par.SetRecycling(par.SetRecycling(false))
+	type seed struct {
+		sem, scheme              uint8
+		length, devOff, appOff   uint16
+		checksum                 uint8
+		align                    bool
+		reverse, emCopy, emShare uint16
+	}
+	for _, s := range []seed{
+		// A partial last page exactly at the reverse copyout threshold,
+		// and one byte short of it.
+		{uint8(core.EmulatedCopy), uint8(netsim.EarlyDemux), 4096 + 2178, 0, 0, 0, true, 2178, 1666, 280},
+		{uint8(core.EmulatedCopy), uint8(netsim.EarlyDemux), 4096 + 2177, 0, 0, 0, true, 2178, 1666, 280},
+		// Device placement misaligned with the application buffer.
+		{uint8(core.EmulatedCopy), uint8(netsim.Pooled), 8192, 24, 0, 0, true, 2178, 1666, 280},
+		{uint8(core.Move), uint8(netsim.Pooled), 4097, 4096, 0, 0, true, 2178, 1666, 280},
+		// A short emulated copy converted to copy.
+		{uint8(core.EmulatedCopy), uint8(netsim.EarlyDemux), 1000, 0, 24, 0, true, 2178, 1666, 280},
+		// Integrated checksumming, and an unsupported checksum.
+		{uint8(core.Copy), uint8(netsim.EarlyDemux), 4096, 0, 24, uint8(core.ChecksumIntegrated), true, 2178, 1666, 280},
+		{uint8(core.Share), uint8(netsim.Pooled), 4096, 0, 0, uint8(core.ChecksumSeparate), true, 2178, 1666, 280},
+	} {
+		f.Add(s.sem, s.scheme, s.length, s.devOff, s.appOff, s.checksum, s.align, s.reverse, s.emCopy, s.emShare)
+	}
+	schemes := []netsim.InputBuffering{netsim.EarlyDemux, netsim.Pooled, netsim.OutboardBuffering}
+	f.Fuzz(func(t *testing.T, sem, scheme uint8, length, devOff, appOff uint16, checksum uint8, align bool, reverse, emCopy, emShare uint16) {
+		cfg := core.DefaultConfig()
+		cfg.Checksum = core.ChecksumMode(checksum % 3)
+		cfg.SystemAlignment = align
+		cfg.ReverseCopyoutThreshold = int(reverse) % 4098
+		cfg.EmCopyOutputThreshold, cfg.EmShareOutputThreshold = int(emCopy), int(emShare)
+		s := experiments.Setup{
+			Scheme:    schemes[int(scheme)%len(schemes)],
+			DevOff:    int(devOff) % 4097,
+			AppOffset: int(appOff) % 4096,
+			Genie:     cfg,
+		}
+		n := max(1, int(length))
+		sm := core.Semantics(sem % 8)
+		desc := fmt.Sprintf("%v over scheme %d, %d bytes, devoff %d, appoff %d, %+v", sm, s.Scheme, n, s.DevOff, s.AppOffset, cfg)
+
+		want, simErr := experiments.Measure(s, sm, n)
+		if errors.Is(simErr, core.ErrPlanMismatch) {
+			t.Fatalf("%s: %v", desc, simErr)
+		}
+		got, anErr := analytic.Evaluate(analytic.Point{
+			Scheme: s.Scheme, Sem: sm, DevOff: s.DevOff, AppOffset: s.AppOffset, Length: n, Genie: cfg,
+		})
+		if simErr != nil || anErr != nil {
+			for _, sentinel := range []error{core.ErrChecksumUnsupported, core.ErrBadSemantics, core.ErrBadBuffer} {
+				if errors.Is(anErr, sentinel) && errors.Is(simErr, sentinel) {
+					return
+				}
+			}
+			t.Fatalf("%s: simulated err %v, analytic err %v", desc, simErr, anErr)
+		}
+		if got.LatencyUS != want.LatencyUS || got.RxCPUUS != want.RxCPUUS || got.TxCPUUS != want.TxCPUUS {
+			t.Fatalf("%s:\n  analytic  lat=%v rx=%v tx=%v\n  simulated lat=%v rx=%v tx=%v", desc,
+				got.LatencyUS, got.RxCPUUS, got.TxCPUUS, want.LatencyUS, want.RxCPUUS, want.TxCPUUS)
+		}
+	})
+}

@@ -4,9 +4,7 @@ import (
 	"errors"
 
 	"repro/internal/checksum"
-	"repro/internal/cost"
 	"repro/internal/mem"
-	"repro/internal/netsim"
 )
 
 // ChecksumMode selects end-to-end checksumming of datagram payloads —
@@ -63,25 +61,10 @@ const checksumTrailerLen = 2
 // trailerLen returns the extra buffer bytes needed for the checksum
 // trailer under the active mode for this semantics (0 when off).
 func (g *Genie) trailerLen(sem Semantics) int {
-	if ok, err := g.checksumApplies(sem); ok && err == nil {
+	if ok, _ := checksumApplies(g.cfg, sem, g.nic.Buffering()); ok {
 		return checksumTrailerLen
 	}
 	return 0
-}
-
-// checksumApplies reports whether the configured mode covers the
-// semantics/device combination, erroring for unsupported ones.
-func (g *Genie) checksumApplies(sem Semantics) (bool, error) {
-	if g.cfg.Checksum == ChecksumNone {
-		return false, nil
-	}
-	if sem != Copy && sem != EmulatedCopy {
-		return false, ErrChecksumUnsupported
-	}
-	if g.nic.Buffering() != netsim.EarlyDemux {
-		return false, ErrChecksumUnsupported
-	}
-	return true, nil
 }
 
 // appendTrailer attaches the payload checksum as a big-endian trailer.
@@ -105,11 +88,10 @@ func splitTrailer(data []byte) (payload []byte, sum uint16) {
 // and verified before any data passing — under ChecksumSeparate, and
 // always for emulated copy, which has no copy to integrate into — or,
 // for copy semantics under ChecksumIntegrated, during the copyout.
-// Copy semantics delivers the payload here. The charges are appended to
-// ch; a failed verification returns ErrChecksum.
-func (g *Genie) verifyStaged(in *InputOp, b *kernelBuffer, ch []charge) ([]charge, error) {
-	n := in.N
-	raw := make([]byte, n+checksumTrailerLen)
+// Copy semantics delivers the payload here. A failed verification
+// returns ErrChecksum.
+func (g *Genie) verifyStaged(in *InputOp, b *kernelBuffer) error {
+	raw := make([]byte, in.N+checksumTrailerLen)
 	b.readAll(raw)
 	data, sum := splitTrailer(raw)
 	if in.Sem == Copy && g.cfg.Checksum == ChecksumIntegrated {
@@ -117,25 +99,20 @@ func (g *Genie) verifyStaged(in *InputOp, b *kernelBuffer, ch []charge) ([]charg
 		// failure the application buffer holds the faulty data — the
 		// semantic weakening the paper warns about, observable here.
 		if err := in.proc.as.Poke(in.va, data); err != nil {
-			return ch, err
+			return err
 		}
-		ch = append(ch, charge{cost.ChecksumCopy, n})
 		if !checksum.Verify(data, sum) {
-			return ch, ErrChecksum
+			return ErrChecksum
 		}
-		return ch, nil
+		return nil
 	}
 	// Verify in the system buffer first; only good data reaches the
 	// application.
-	ch = append(ch, charge{cost.ChecksumRead, n})
 	if !checksum.Verify(data, sum) {
-		return ch, ErrChecksum
+		return ErrChecksum
 	}
 	if in.Sem != Copy {
-		return ch, nil
+		return nil
 	}
-	if err := in.proc.as.Poke(in.va, data); err != nil {
-		return ch, err
-	}
-	return append(ch, charge{cost.Copyout, n}), nil
+	return in.proc.as.Poke(in.va, data)
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/cost"
 	"repro/internal/mem"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -23,7 +22,6 @@ type InputOp struct {
 	N           int        // payload bytes received
 	Addr        vm.Addr    // where the data landed
 	Region      *vm.Region // the input region, for system-allocated semantics
-	Aligned     bool       // whether page swapping was possible
 	PostedAt    sim.Time
 	ArrivedAt   sim.Time
 	CompletedAt sim.Time
@@ -166,7 +164,8 @@ func (p *Process) input(in *InputOp, port int, sem Semantics, va vm.Addr, length
 		ownKbuf: kernelBuffer{frames: in.ownKbuf.frames[:0]},
 	}
 	in.src.init(p, sem)
-	if _, err := g.checksumApplies(sem); err != nil {
+	scheme := g.nic.Buffering()
+	if _, err := checksumApplies(g.cfg, sem, scheme); err != nil {
 		return err
 	}
 	g.stats.Inputs++
@@ -176,29 +175,18 @@ func (p *Process) input(in *InputOp, port int, sem Semantics, va vm.Addr, length
 			Sem: sem.String(), Port: port, Bytes: length, Span: in.span})
 	}
 
-	scheme := g.nic.Buffering()
-	var buf [6]charge // prep's backing store, kept off the heap
-	prep := buf[:0]
-
+	created := false // a fresh cached region: a region-cache miss
 	switch sem {
-	case Copy:
+	case Copy, EmulatedCopy, Move:
 		// Ready-time under early demultiplexing: the system buffer must
-		// be posted before data arrives. Outboard allocates at arrival.
-		// With checksumming on, the buffer also has room for the trailer.
-		if scheme == netsim.EarlyDemux {
-			if err := in.postKernelBuffer(0, length+g.trailerLen(sem)); err != nil {
-				return err
-			}
-		}
-
-	case EmulatedCopy:
-		// System input alignment (Section 5.2): the aligned buffer
-		// starts at the same page offset as the application buffer, so
-		// pages can be swapped at dispose. Outboard needs no buffer at
-		// all (Section 6.2.3).
+		// be posted before data arrives, with room for a checksum
+		// trailer; outboard and pooled devices stage at arrival. System
+		// input alignment (Section 5.2) starts emulated copy's buffer at
+		// the application buffer's page offset, so pages can be swapped
+		// at dispose; move maps its buffer in.
 		if scheme == netsim.EarlyDemux {
 			off := 0
-			if g.cfg.SystemAlignment {
+			if sem == EmulatedCopy && g.cfg.SystemAlignment {
 				off = int(va) % g.pageSize()
 			}
 			if err := in.postKernelBuffer(off, length+g.trailerLen(sem)); err != nil {
@@ -212,42 +200,36 @@ func (p *Process) input(in *InputOp, port int, sem Semantics, va vm.Addr, length
 		if err := p.as.ReferenceRangeInto(&in.src.ownRef, va, length, true); err != nil {
 			return err
 		}
-		prep = in.src.hold(&in.src.ownRef, length, prep)
+		in.src.hold(&in.src.ownRef)
 		if scheme == netsim.EarlyDemux {
 			g.nic.PostInput(port, &in.src.ownRef)
 		}
 
-	case Move:
-		// Ready-time system buffer, as for copy; dispose maps it in.
-		if scheme == netsim.EarlyDemux {
-			if err := in.postKernelBuffer(0, length); err != nil {
-				return err
-			}
-		}
-
 	case EmulatedMove, WeakMove, EmulatedWeakMove:
-		r, ch, err := p.prepareCachedRegion(sem, length, prep)
+		r, fresh, err := p.prepareCachedRegion(sem, length)
 		if err != nil {
 			return err
 		}
-		in.region = r
+		in.region, created = r, fresh
 		if err := p.as.ReferenceRegionInto(&in.src.ownRef, r, regionSpan(g, length), true); err != nil {
 			return err
 		}
-		prep = in.src.hold(&in.src.ownRef, length, ch)
+		in.src.hold(&in.src.ownRef)
 		if scheme == netsim.EarlyDemux {
 			g.nic.PostInput(port, &in.src.ownRef)
 		}
 	}
 
+	var buf [4]Charge // the plan's backing store, kept off the heap
+	ready, prep := planInput(buf[:0], scheme, sem, length, created)
+	g.chargeSet(StageReady, in.octx(), ready, &in.ReceiverCPU)
 	g.chargeSet(StagePrepare, in.octx(), prep, &in.ReceiverCPU)
 	g.recvQ[port] = append(g.recvQ[port], in)
 	return nil
 }
 
 // postKernelBuffer allocates the input's system or aligned buffer of
-// size bytes at page offset off, posts it on the device and charges its
-// ready-time allocation.
+// size bytes at page offset off and posts it on the device.
 func (in *InputOp) postKernelBuffer(off, size int) error {
 	g := in.proc.g
 	if err := g.allocKernelBuffer(&in.ownKbuf, off, size); err != nil {
@@ -255,7 +237,6 @@ func (in *InputOp) postKernelBuffer(off, size int) error {
 	}
 	in.kbuf = &in.ownKbuf
 	g.nic.PostInput(in.Port, in.kbuf)
-	g.chargeSet(StageReady, in.octx(), []charge{{cost.BufAllocate, in.Want}}, &in.ReceiverCPU)
 	return nil
 }
 
@@ -273,25 +254,24 @@ func regionSpan(g *Genie, length int) int {
 
 // prepareCachedRegion implements region caching (Section 2.2): dequeue a
 // previously moved-out region of the right size, or allocate a fresh one
-// marked moving in, appending the charges to prep.
-func (p *Process) prepareCachedRegion(sem Semantics, length int, prep []charge) (*vm.Region, []charge, error) {
+// marked moving in, reporting whether it did.
+func (p *Process) prepareCachedRegion(sem Semantics, length int) (r *vm.Region, created bool, err error) {
 	g := p.g
 	weak := sem == WeakMove || sem == EmulatedWeakMove
 	span := regionSpan(g, length)
 	size := (span + g.pageSize() - 1) / g.pageSize() * g.pageSize()
 	if r := p.as.DequeueCached(size, weak); r != nil {
 		if err := r.MarkMovingIn(); err != nil {
-			return nil, prep, err
+			return nil, false, err
 		}
 		g.stats.RegionsReused++
-		return r, prep, nil
+		return r, false, nil
 	}
-	r, err := p.as.AllocRegion(size, vm.MovingIn)
-	if err != nil {
-		return nil, prep, err
+	if r, err = p.as.AllocRegion(size, vm.MovingIn); err != nil {
+		return nil, false, err
 	}
 	g.stats.RegionsAllocated++
-	return r, append(prep, charge{cost.RegionCreate, 0}), nil
+	return r, true, nil
 }
 
 // checkRegion verifies at dispose time that a cached region prepared for

@@ -54,12 +54,6 @@ func (in *Instrumentation) Records() []OpRecord { return in.records }
 // Reset discards recorded operations.
 func (in *Instrumentation) Reset() { in.records = in.records[:0] }
 
-// charge is one primitive operation applied to a byte count.
-type charge struct {
-	op    cost.Op
-	bytes int
-}
-
 // opCtx carries the operation attributes trace events are tagged with:
 // the semantics name, the demultiplexing port, and the span correlation
 // id of the input or output operation the charges belong to. The zero
@@ -86,24 +80,21 @@ func (op *OutputOp) octx() opCtx {
 // installed, each charge is emitted as a Complete op event, tiled
 // sequentially from the current time so chrome://tracing renders the
 // charges of one stage side by side under the stage span.
-func (g *Genie) chargeSet(stage Stage, oc opCtx, charges []charge, cpu *float64) sim.Duration {
+func (g *Genie) chargeSet(stage Stage, oc opCtx, charges []Charge, cpu *float64) sim.Duration {
 	var total sim.Duration
 	now := g.eng.Now()
 	for _, c := range charges {
-		d := g.model.Cost(c.op, c.bytes)
-		if d < 0 {
-			d = 0 // the copyin fit's negative intercept never goes below zero in practice
-		}
+		d := c.cost(g.model)
 		total += d
 		if cpu != nil {
 			*cpu += d.Micros()
 		}
-		g.instr.record(OpRecord{Op: c.op, Bytes: c.bytes, Latency: d, Stage: stage, At: now})
+		g.instr.record(OpRecord{Op: c.Op, Bytes: c.Bytes, Latency: d, Stage: stage, At: now})
 		if g.tr != nil {
 			g.tr.Emit(trace.Event{
 				At: now.Add(total - d), Dur: d, Phase: trace.Complete, Cat: trace.CatOp,
-				Name: c.op.String(), Sem: oc.sem, Stage: stage.String(),
-				Port: oc.port, Bytes: c.bytes, Span: oc.span,
+				Name: c.Op.String(), Sem: oc.sem, Stage: stage.String(),
+				Port: oc.port, Bytes: c.Bytes, Span: oc.span,
 			})
 		}
 	}

@@ -40,7 +40,7 @@ func (p *Process) SendLocal(dst *Process, va vm.Addr, length int) (vm.Addr, erro
 		// write-protect the source mappings. Whether the VM layer chose
 		// the COW chain or a forced physical copy, the caller's API and
 		// guarantees are identical.
-		g.chargeSet(StagePrepare, opCtx{}, []charge{
+		g.chargeSet(StagePrepare, opCtx{}, []Charge{
 			{cost.RegionCreate, 0}, {cost.ReadOnly, length},
 		}, nil)
 		return nr.Start(), nil
@@ -60,7 +60,7 @@ func (p *Process) SendLocal(dst *Process, va vm.Addr, length int) (vm.Addr, erro
 		_ = dst.as.RemoveRegion(nr)
 		return 0, err
 	}
-	g.chargeSet(StagePrepare, opCtx{}, []charge{
+	g.chargeSet(StagePrepare, opCtx{}, []Charge{
 		{cost.RegionCreate, 0}, {cost.Copyin, length},
 	}, nil)
 	return nr.Start(), nil

@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math"
 
-	"repro/internal/cost"
 	"repro/internal/mem"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -33,6 +31,10 @@ type OutputOp struct {
 	span   uint64  // trace span correlation id (0 when tracing is off)
 	src    *source // the held application buffer (&held; nil under copy)
 	onDone func(*OutputOp)
+	// disp is the planned dispose set, held in dispBuf for up to three
+	// held segments.
+	disp    []Charge
+	dispBuf [6]Charge
 
 	g    *Genie
 	held source  // src's storage
@@ -105,35 +107,20 @@ func (p *Process) outputV(op *OutputOp, port int, sem Semantics, segs []Segment)
 		g: g, onDone: op.onDone, launch: op.launch, sent: op.sent,
 	}
 
-	// Short-data conversion (Section 6): copy semantics is very
-	// efficient for short data, so emulated copy and emulated share
-	// convert automatically below their thresholds. The conversion is
-	// transparent: copy offers the same or stronger guarantees.
-	switch {
-	case sem == EmulatedCopy && total < g.cfg.EmCopyOutputThreshold:
-		op.Effective = Copy
-	case sem == EmulatedShare && total < g.cfg.EmShareOutputThreshold:
-		op.Effective = Copy
-	}
+	op.Effective = g.cfg.outputSemantics(sem, total)
 	if op.Converted() {
 		g.stats.ConvertedToCopy++
 	}
 	g.stats.Outputs++
 
-	withChecksum, err := g.checksumApplies(op.Effective)
+	withChecksum, err := checksumApplies(g.cfg, op.Effective, g.nic.Buffering())
 	if err != nil {
 		return err
 	}
-	// Integrated checksumming folds the checksum into the copyin (one
-	// combined pass); otherwise it is a separate read-only pass — for
-	// emulated copy over the TCOW-protected, hence stable, pages.
-	folded := withChecksum && op.Effective == Copy && g.cfg.Checksum == ChecksumIntegrated
-
-	var (
-		buf  [8]charge // prep's backing store, kept off the heap
-		prep = buf[:0]
-		snap mem.Buf
-	)
+	var buf [8]Charge // prep's backing store, kept off the heap
+	prep := planOutputPrepare(buf[:0], g.cfg, op.Effective, withChecksum, segs)
+	op.disp = planOutputDispose(op.dispBuf[:0], op.Effective, segs)
+	var snap mem.Buf
 	if op.Effective == Copy {
 		// Prepare: snapshot into a system buffer. The snapshot happens
 		// now, which is what gives copy semantics its integrity; on the
@@ -146,19 +133,11 @@ func (p *Process) outputV(op *OutputOp, port int, sem Semantics, segs []Segment)
 			}
 			snap = snap.Append(data)
 		}
-		copyin := cost.Copyin
-		if folded {
-			copyin = cost.ChecksumCopy
-		}
-		prep = append(prep, charge{cost.BufAllocate, total}, charge{copyin, total})
 	} else {
-		if prep, err = p.reference(&op.held, op.Effective, segs, prep); err != nil {
+		if err := p.reference(&op.held, op.Effective, segs); err != nil {
 			return err
 		}
 		op.src = &op.held
-	}
-	if withChecksum && !folded {
-		prep = append(prep, charge{cost.ChecksumRead, total})
 	}
 	op.trailer = withChecksum
 	op.wire = len(segs) == 1 && !withChecksum
@@ -195,15 +174,15 @@ type source struct {
 	region *vm.Region   // the region a move-family operation consumes
 }
 
-// reference is the prepare half, filling src and appending its charges
-// to prep. Per segment it references the pages, then TCOW-protects them
-// (emulated copy) or wires them (share). The move family takes exactly
-// one segment, the start of a moved-in region, which the operation
-// consumes. A failing segment releases the segments before it.
-func (p *Process) reference(src *source, sem Semantics, segs []Segment, prep []charge) ([]charge, error) {
+// reference is the prepare half, filling src. Per segment it
+// references the pages, then TCOW-protects them (emulated copy) or
+// wires them (share). The move family takes exactly one segment, the
+// start of a moved-in region, which the operation consumes. A failing
+// segment releases the segments before it.
+func (p *Process) reference(src *source, sem Semantics, segs []Segment) error {
 	src.init(p, sem)
 	if sem.SystemAllocated() {
-		return src.moveOut(segs[0], prep)
+		return src.moveOut(segs[0])
 	}
 	for i, s := range segs {
 		ref := &src.ownRef
@@ -212,15 +191,14 @@ func (p *Process) reference(src *source, sem Semantics, segs []Segment, prep []c
 		}
 		if err := p.as.ReferenceRangeInto(ref, s.VA, s.Len, false); err != nil {
 			src.abort()
-			return prep, err
+			return err
 		}
-		prep = src.hold(ref, s.Len, prep)
+		src.hold(ref)
 		if sem == EmulatedCopy {
 			p.as.RemoveWrite(s.VA, s.Len) // TCOW protection (Section 5.1)
-			prep = append(prep, charge{cost.ReadOnly, s.Len})
 		}
 	}
-	return prep, nil
+	return nil
 }
 
 // init empties src for an operation of p under sem.
@@ -231,51 +209,46 @@ func (src *source) init(p *Process, sem Semantics) {
 
 // moveOut references the moved-in region starting at s for a
 // move-family operation that consumes it.
-func (src *source) moveOut(s Segment, prep []charge) ([]charge, error) {
+func (src *source) moveOut(s Segment) error {
 	as := src.p.as
 	r := as.FindRegion(s.VA)
 	if r == nil {
-		return prep, fmt.Errorf("%w: no region at %#x", ErrBadBuffer, s.VA)
+		return fmt.Errorf("%w: no region at %#x", ErrBadBuffer, s.VA)
 	}
 	// Deallocating pieces of the heap or stack would open inconsistent
 	// gaps, so output is only allowed on moved-in regions (Section 2.1).
 	if r.State() == vm.Unmovable {
-		return prep, fmt.Errorf("%w: %v", ErrUnmovableOutput, r)
+		return fmt.Errorf("%w: %v", ErrUnmovableOutput, r)
 	}
 	if r.State() != vm.MovedIn {
-		return prep, fmt.Errorf("%w: %v", ErrNotMovedIn, r)
+		return fmt.Errorf("%w: %v", ErrNotMovedIn, r)
 	}
 	if s.VA != r.Start() || s.Len > r.Len() {
-		return prep, fmt.Errorf("%w: [%#x,+%d) must start a region no larger than it", ErrBadBuffer, s.VA, s.Len)
+		return fmt.Errorf("%w: [%#x,+%d) must start a region no larger than it", ErrBadBuffer, s.VA, s.Len)
 	}
 	if err := r.MarkMovingOut(); err != nil {
-		return prep, err
+		return err
 	}
 	if err := as.ReferenceRegionInto(&src.ownRef, r, s.Len, false); err != nil {
 		_ = r.AbortMoveOut() // roll back; the region was untouched
-		return prep, err
+		return err
 	}
 	src.region = r
-	prep = src.hold(&src.ownRef, s.Len, prep)
-	prep = append(prep, charge{cost.RegionMarkOut, 0})
+	src.hold(&src.ownRef)
 	if !src.sem.WeakIntegrity() {
 		// Strong integrity: the application loses all access now.
 		as.Invalidate(r.Start(), r.Len())
-		prep = append(prep, charge{cost.Invalidate, s.Len})
 	}
-	return prep, nil
+	return nil
 }
 
-// hold keeps n referenced bytes for the device, wiring them against
+// hold keeps referenced bytes for the device, wiring them against
 // pageout under the non-emulated semantics (share, move, weak move).
-func (src *source) hold(ref *vm.IORef, n int, prep []charge) []charge {
+func (src *source) hold(ref *vm.IORef) {
 	src.refs = append(src.refs, ref)
-	prep = append(prep, charge{cost.Reference, n})
 	if !src.sem.Emulated() {
 		src.p.g.wireFrames(ref)
-		prep = append(prep, charge{cost.Wire, n})
 	}
-	return prep
 }
 
 // read is the device's DMA out of the held pages — one wire buffer for
@@ -290,47 +263,34 @@ func (src *source) read() mem.Buf {
 	return data
 }
 
-// release is the dispose half, appending its charges to ch: every
-// segment is unwired and unreferenced, then a move's region is removed
-// or hidden.
-func (src *source) release(ch []charge) []charge {
-	ch = src.unhold(ch, math.MaxInt)
+// release is the dispose half: every segment is unwired and
+// unreferenced, then a move's region is removed or hidden. It fails if
+// the application removed the region meanwhile.
+func (src *source) release() error {
+	src.unhold()
 	r := src.region
 	switch src.sem {
 	case Move:
 		// The region is genuinely removed; its pages are released
 		// (already unreferenced above, so immediately).
-		if err := src.p.as.RemoveRegion(r); err == nil {
-			ch = append(ch, charge{cost.RegionRemove, 0})
-		}
+		return src.p.as.RemoveRegion(r)
 	case EmulatedMove:
 		// Region hiding: keep the region, enqueue it for reuse.
-		if err := r.MarkMovedOut(); err == nil {
-			ch = append(ch, charge{cost.RegionMarkOut, 0})
-		}
+		return r.MarkMovedOut()
 	case WeakMove, EmulatedWeakMove:
-		if err := r.MarkWeaklyMovedOut(); err == nil {
-			ch = append(ch, charge{cost.RegionMarkOut, 0})
-		}
+		return r.MarkWeaklyMovedOut()
 	}
-	return ch
+	return nil
 }
 
-// unhold unwires and unreferences every segment, appending the charges
-// to ch. The charges cover at most limit bytes in all: an input charges
-// the bytes it received, not the buffer it posted.
-func (src *source) unhold(ch []charge, limit int) []charge {
+// unhold unwires and unreferences every segment.
+func (src *source) unhold() {
 	for _, ref := range src.refs {
-		n := min(ref.Len(), limit)
-		limit -= n
 		if !src.sem.Emulated() {
 			src.p.g.unwireFrames(ref)
-			ch = append(ch, charge{cost.Unwire, n})
 		}
 		ref.Unreference()
-		ch = append(ch, charge{cost.Unreference, n})
 	}
-	return ch
 }
 
 // abort rolls the prepare half back when no device will read the held
@@ -338,8 +298,7 @@ func (src *source) unhold(ch []charge, limit int) []charge {
 // returns to moved in with the application's access reinstated, so a
 // failed operation leaves the buffer as it found it.
 func (src *source) abort() {
-	var scratch [2]charge
-	src.unhold(scratch[:0], 0)
+	src.unhold()
 	if r := src.region; r != nil {
 		_ = r.AbortMoveOut()
 		if !src.sem.WeakIntegrity() {
@@ -351,7 +310,7 @@ func (src *source) abort() {
 // launchOutput charges prepare and, after the prepare latency, hands the
 // adapter the payload (transmit), with dispose hooked to the adapter's
 // completion callback.
-func (g *Genie) launchOutput(op *OutputOp, prep []charge, snap mem.Buf) {
+func (g *Genie) launchOutput(op *OutputOp, prep []Charge, snap mem.Buf) {
 	if g.tr != nil {
 		op.span = g.tr.NewSpan()
 		g.tr.Emit(trace.Event{At: op.StartedAt, Phase: trace.Begin, Cat: trace.CatOp, Name: "output",
@@ -401,14 +360,10 @@ func (op *OutputOp) transmit() {
 // adapter.
 func (op *OutputOp) dispose() {
 	g := op.g
-	var buf [6]charge
-	var ch []charge
-	if op.src == nil {
-		ch = append(buf[:0], charge{cost.BufDeallocate, op.Len})
-	} else {
-		ch = op.src.release(buf[:0])
+	if op.src != nil {
+		op.Err = op.src.release()
 	}
-	dispDur := g.chargeSet(StageDispose, op.octx(), ch, &op.SenderCPU)
+	dispDur := g.chargeSet(StageDispose, op.octx(), op.disp, &op.SenderCPU)
 	op.SentAt = g.eng.Now()
 	if g.tr != nil {
 		g.tr.Emit(trace.Event{At: op.SentAt, Dur: dispDur, Phase: trace.Complete, Cat: trace.CatOp,

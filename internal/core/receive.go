@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -40,34 +41,33 @@ func (g *Genie) onReceive(pkt netsim.Packet) {
 		err error
 		st  staging
 		ovl kernelBuffer // overlay pages, under pooled buffering
-		buf [12]charge   // the dispose charges' backing store, kept off the heap
+		buf [12]Charge   // the plan's backing store, kept off the heap
 	)
+	ps := g.pageSize()
+	rp := planReceive(buf[:0], g.cfg, g.nic.Buffering(), in.Sem, n, pkt.OverlayOff, int(in.va)%ps, ps)
 	switch {
 	case pkt.Direct:
 		// Table 3: the payload was DMAed into the posted buffer, a
 		// system or aligned buffer or the application's own pages.
 		st = staging{buf: in.kbuf, posted: true}
-		lat, err = g.dispose(in, &st, buf[:0])
+		lat, err = g.dispose(in, &st, &rp)
 	case pkt.Overlay != nil:
 		// Table 4: the payload sits in overlay pages from the device
 		// pool, and the ready stage contributes to latency as well.
-		ready := g.chargeSet(StageReady, in.octx(), []charge{
-			{cost.OverlayAllocate, n}, {cost.Overlay, n},
-		}, &in.ReceiverCPU)
+		ready := g.chargeSet(StageReady, in.octx(), rp.ready, &in.ReceiverCPU)
 		ovl = kernelBuffer{frames: pkt.Overlay, off: pkt.OverlayOff, pool: g.nic.Pool()}
-		st = staging{buf: &ovl, pooled: true}
-		if lat, err = g.dispose(in, &st, buf[:0]); err == nil {
+		st = staging{buf: &ovl}
+		if lat, err = g.dispose(in, &st, &rp); err == nil {
 			lat = ready + lat
 		}
 	case pkt.Outboard != nil:
 		// Section 6.2.3: the payload waits in adapter memory and is
 		// DMAed into its staging place at dispose time, which gives
 		// strong integrity for every semantics.
-		var ch []charge
-		if ch, err = g.stageOutboard(in, pkt.Outboard, &st, buf[:0]); err == nil {
-			lat, err = g.dispose(in, &st, ch)
+		if err = g.stageOutboard(in, pkt.Outboard, &st); err == nil {
+			lat, err = g.dispose(in, &st, &rp)
 		}
-		g.chargeSet(StageDispose, in.octx(), []charge{{cost.BufDeallocate, n}}, &in.ReceiverCPU)
+		g.chargeSet(StageDispose, in.octx(), rp.dealloc, &in.ReceiverCPU)
 		pkt.Outboard.Free()
 	default:
 		err = fmt.Errorf("core: packet with no payload placement")
@@ -135,13 +135,9 @@ func (g *Genie) releasePacket(pkt netsim.Packet) {
 type staging struct {
 	buf *kernelBuffer // the frames holding the payload; nil: the application's pages
 	// posted marks the early-demultiplexed posted buffer: its frames
-	// return to the pool after the dispose charges, and its
-	// deallocation costs CPU but no latency — unless a move maps the
-	// buffer instead.
+	// return to the pool after the dispose charges, followed by the
+	// plan's deferred deallocation.
 	posted bool
-	// pooled marks overlay pages, whose deallocation (and a move's pool
-	// refill) Table 4 charges in latency.
-	pooled bool
 }
 
 // release returns the frames not yet consumed to their pool.
@@ -154,43 +150,47 @@ func (st *staging) release() {
 // stageOutboard DMAs the outboard payload into its staging place:
 // application-allocated in-place buffers receive it directly (emulated
 // copy references its buffer now), copy and move stage it in a fresh
-// kernel buffer. It appends the charges to ch.
-func (g *Genie) stageOutboard(in *InputOp, ob *netsim.OutboardBuffer, st *staging, ch []charge) ([]charge, error) {
+// kernel buffer.
+func (g *Genie) stageOutboard(in *InputOp, ob *netsim.OutboardBuffer, st *staging) error {
 	n := in.N
 	var target netsim.DMATarget = &in.src.ownRef
 	switch in.Sem {
 	case Copy, Move:
 		if err := g.allocKernelBuffer(&in.ownKbuf, 0, n); err != nil {
-			return ch, err
+			return err
 		}
 		st.buf, target = &in.ownKbuf, &in.ownKbuf
-		ch = append(ch, charge{cost.BufAllocate, n})
 	case EmulatedCopy:
 		// Strong integrity without an intermediate buffer: the adapter
 		// writes the application buffer only now.
 		if err := in.proc.as.ReferenceRangeInto(&in.src.ownRef, in.va, n, true); err != nil {
-			return ch, err
+			return err
 		}
-		ch = in.src.hold(&in.src.ownRef, n, ch)
+		in.src.hold(&in.src.ownRef)
 	}
 	ob.DMAToHost(target)
-	return append(ch, charge{cost.OutboardDMA, n}), nil
+	return nil
 }
 
 // dispose is the dispose column of Tables 3 and 4 and Section 6.2.3 for
-// every staging place: one step per semantics, appending to ch (which
-// holds the charges staging already incurred) and charging the set. A
-// checksum failure is charged and reported like a delivery; any other
-// error returns no latency.
-func (g *Genie) dispose(in *InputOp, st *staging, ch []charge) (sim.Duration, error) {
-	n := in.N
-	var bad, err error // bad: a checksummed delivery that failed, charged as delivered
+// every staging place: one step per semantics, checked against the
+// plan's work and charged as the plan's dispose set. A checksum failure
+// charges the plan up to its verify charge and is reported like a
+// delivery; any other error returns no latency.
+func (g *Genie) dispose(in *InputOp, st *staging, rp *receivePlan) (sim.Duration, error) {
+	var (
+		done     vmWork
+		bad, err error // bad: a checksummed delivery that failed, charged as delivered
+	)
 	switch in.Sem {
 	case Copy:
-		if on, _ := g.checksumApplies(Copy); on {
-			ch, bad = g.verifyStaged(in, st.buf, ch)
-		} else if err = in.proc.as.PokeBuf(in.va, g.gather(st.buf.frames, st.buf.off, n)); err == nil {
-			ch = append(ch, charge{cost.Copyout, n})
+		if rp.verified > 0 {
+			err = g.verifyStaged(in, st.buf)
+		} else {
+			err = in.proc.as.PokeBuf(in.va, g.gather(st.buf.frames, st.buf.off, in.N))
+		}
+		if errors.Is(err, ErrChecksum) {
+			bad, err = err, nil
 		}
 		if err != nil || !st.posted {
 			st.release()
@@ -199,21 +199,24 @@ func (g *Genie) dispose(in *InputOp, st *staging, ch []charge) (sim.Duration, er
 		// Verify in the system-side aligned buffer before swapping: a
 		// failed checksum never reaches the application buffer,
 		// preserving copy semantics.
-		if on, _ := g.checksumApplies(in.Sem); on {
-			ch, bad = g.verifyStaged(in, st.buf, ch)
+		if rp.verified > 0 {
+			bad = g.verifyStaged(in, st.buf)
 		}
 		if bad == nil {
-			ch = in.src.unhold(ch, n)
+			in.src.unhold()
 			if st.buf != nil {
-				ch, err = g.emcopyDispose(in, st.buf, ch)
+				done, err = g.emcopyDispose(in, st.buf)
 			}
 		}
 	case Move:
-		ch, err = g.mapStaged(in, st, ch)
+		done, err = g.mapStaged(in, st)
 	case EmulatedMove, WeakMove, EmulatedWeakMove:
-		ch, err = g.moveIn(in, st, ch)
+		done, err = g.moveIn(in, st)
 	default:
 		err = fmt.Errorf("%w: %v", ErrBadSemantics, in.Sem)
+	}
+	if err == nil && bad == nil {
+		err = rp.work.check("input dispose", in.Sem, done)
 	}
 	if err != nil {
 		return 0, err
@@ -221,13 +224,14 @@ func (g *Genie) dispose(in *InputOp, st *staging, ch []charge) (sim.Duration, er
 	if !in.Sem.SystemAllocated() {
 		in.Addr = in.va
 	}
-	if st.pooled {
-		ch = append(ch, charge{cost.OverlayDeallocate, n})
+	ch := rp.dispose
+	if bad != nil {
+		ch = ch[:rp.verified]
 	}
 	lat := g.chargeSet(StageDispose, in.octx(), ch, &in.ReceiverCPU)
-	if st.posted && st.buf != nil && in.Sem != Move {
+	if st.posted {
 		st.release()
-		g.chargeSet(StageDispose, in.octx(), []charge{{cost.BufDeallocate, n}}, &in.ReceiverCPU)
+		g.chargeSet(StageDispose, in.octx(), rp.dealloc, &in.ReceiverCPU)
 	}
 	return lat, bad
 }
@@ -235,36 +239,20 @@ func (g *Genie) dispose(in *InputOp, st *staging, ch []charge) (sim.Duration, er
 // emcopyDispose passes the staged frames to the application buffer with
 // emulated copy semantics (Section 5.2): aligned pages go through the
 // page-swap loop; without alignment everything is copied out (Figure 2).
-// Ownership of the frames transfers to this function. The charges are
-// appended to ch.
-func (g *Genie) emcopyDispose(in *InputOp, b *kernelBuffer, ch []charge) ([]charge, error) {
+// Ownership of the frames transfers to this function.
+func (g *Genie) emcopyDispose(in *InputOp, b *kernelBuffer) (vmWork, error) {
 	n, va := in.N, in.va
 	if b.off != int(va)%g.pageSize() {
 		g.stats.UnalignedInputs++
 		g.stats.FullCopyouts++
 		err := in.proc.as.PokeBuf(va, g.gather(b.frames, b.off, n))
 		b.free()
-		if err != nil {
-			return nil, err
-		}
-		return append(ch, charge{cost.Copyout, n}), nil
+		return vmWork{copied: n}, err
 	}
 	g.stats.AlignedInputs++
-	swapped, reversed, copied, err := g.swapIn(in.proc.as, va, n, b, false)
-	g.stats.SwappedPages += uint64(swapped / g.pageSize())
-	if err != nil {
-		return nil, err
-	}
-	if swapped > 0 {
-		ch = append(ch, charge{cost.Swap, swapped})
-	}
-	if reversed > 0 {
-		ch = append(ch, charge{cost.Copyout, reversed})
-	}
-	if copied > 0 {
-		ch = append(ch, charge{cost.Copyout, copied})
-	}
-	return ch, nil
+	w, err := g.swapIn(in.proc.as, va, n, b, false)
+	g.stats.SwappedPages += uint64(w.swapped / g.pageSize())
+	return w, err
 }
 
 // swapIn is the page-swap loop: it passes the n bytes staged in b to
@@ -277,7 +265,7 @@ func (g *Genie) emcopyDispose(in *InputOp, b *kernelBuffer, ch []charge) ([]char
 // frames, and frames left unconsumed (also on error), return to b's
 // pool, or to physical memory when b has none. It returns the bytes
 // swapped, reverse-copied and copied out.
-func (g *Genie) swapIn(as *vm.AddressSpace, va vm.Addr, n int, b *kernelBuffer, whole bool) (swapped, reversed, copied int, err error) {
+func (g *Genie) swapIn(as *vm.AddressSpace, va vm.Addr, n int, b *kernelBuffer, whole bool) (w vmWork, err error) {
 	ps := g.pageSize()
 	frames := b.frames
 	// The consumed flags and the leftover list live on the stack for
@@ -300,7 +288,7 @@ func (g *Genie) swapIn(as *vm.AddressSpace, va vm.Addr, n int, b *kernelBuffer, 
 			if err = as.PokeBuf(dataStart, g.gather(frames[fi:], int(dataStart-pageVA), d)); err != nil {
 				break
 			}
-			copied += d
+			w.copied += d
 			g.stats.PartialCopyouts++
 			continue
 		}
@@ -315,7 +303,7 @@ func (g *Genie) swapIn(as *vm.AddressSpace, va vm.Addr, n int, b *kernelBuffer, 
 			if err = completePage(as, f, dataEnd, ps-tail, tail); err != nil {
 				break
 			}
-			reversed += head + tail
+			w.reversed += head + tail
 			g.stats.ReverseCopyouts++
 		}
 		var old *mem.Frame
@@ -323,7 +311,7 @@ func (g *Genie) swapIn(as *vm.AddressSpace, va vm.Addr, n int, b *kernelBuffer, 
 			break
 		}
 		consumed[fi] = true
-		swapped += ps
+		w.swapped += ps
 		if err = g.recycleFrame(b.pool, old); err != nil {
 			break
 		}
@@ -338,7 +326,7 @@ func (g *Genie) swapIn(as *vm.AddressSpace, va vm.Addr, n int, b *kernelBuffer, 
 	if len(left) > 0 {
 		g.putFrames(b.pool, left)
 	}
-	return swapped, reversed, copied, err
+	return w, err
 }
 
 // completePage copies the k application bytes at va into frame f at
@@ -359,8 +347,8 @@ func completePage(as *vm.AddressSpace, f *mem.Frame, va vm.Addr, off, k int) err
 // (protection: the application must not see another process's stale
 // data), attached to a fresh region and mapped moved in; frames beyond
 // the payload return to the pool and consumed pool pages are replaced.
-// The charges are appended to ch.
-func (g *Genie) mapStaged(in *InputOp, st *staging, ch []charge) ([]charge, error) {
+// It returns the bytes zero-completed.
+func (g *Genie) mapStaged(in *InputOp, st *staging) (w vmWork, err error) {
 	n, ps, b := in.N, g.pageSize(), st.buf
 	off := b.off
 	k := (off + n + ps - 1) / ps
@@ -370,14 +358,13 @@ func (g *Genie) mapStaged(in *InputOp, st *staging, ch []charge) ([]charge, erro
 	}
 	b.frames = b.frames[:0]
 
-	zeroed := 0
 	if off > 0 {
 		frames[0].ClearRange(0, off)
-		zeroed += off
+		w.zeroed += off
 	}
 	if end := (off + n) % ps; end != 0 {
 		frames[k-1].ClearRange(end, ps-end)
-		zeroed += ps - end
+		w.zeroed += ps - end
 	}
 	obj := g.sys.NewKernelObject()
 	for i, f := range frames {
@@ -386,70 +373,46 @@ func (g *Genie) mapStaged(in *InputOp, st *staging, ch []charge) ([]charge, erro
 	r, err := in.proc.as.MapObject(obj, k*ps, vm.MovedIn)
 	g.sys.ReleaseKernelObject(obj)
 	if err != nil {
-		return nil, err
+		return w, err
 	}
 	if err := g.refill(b.pool, k); err != nil {
-		return nil, err
+		return w, err
 	}
 	in.Region, in.Addr = r, r.Start()+vm.Addr(off)
-	fill := cost.RegionFill
-	if st.pooled {
-		fill = cost.RegionFillOverlayRefill
-	}
-	return append(ch, charge{cost.RegionCreate, 0}, charge{cost.ZeroComplete, zeroed},
-		charge{fill, n}, charge{cost.RegionMap, n}, charge{cost.RegionMarkIn, 0}), nil
+	return w, nil
 }
 
 // moveIn completes input into the cached region prepared for an
 // emulated move, weak move or emulated weak move: check the region is
 // still there, release the held pages, swap staged frames in (pooled
 // buffering; otherwise the payload is already in the region's pages),
-// reinstate access (emulated move) and mark the region moved in. The
-// charges are appended to ch. In place, the emulated variants charge
-// the fused operations Table 3 measures, and Table 4 charges a pooled
-// weak move's unwiring before the region check.
-func (g *Genie) moveIn(in *InputOp, st *staging, ch []charge) ([]charge, error) {
+// reinstate access (emulated move) and mark the region moved in. It
+// returns the bytes swapped.
+func (g *Genie) moveIn(in *InputOp, st *staging) (w vmWork, err error) {
 	as, n := in.proc.as, in.N
 	r, err := g.checkRegion(in.proc, in.region, &in.src.ownRef)
 	if err != nil {
 		st.release()
-		return nil, err
+		return w, err
 	}
-	var buf [2]charge
-	held := in.src.unhold(buf[:0], n)
-	fused := st.buf == nil && in.Sem.Emulated()
-	switch {
-	case fused && in.Sem == EmulatedMove:
-		ch = append(ch, charge{cost.RegionCheckUnrefReinstateMarkIn, n})
-	case fused:
-		ch = append(ch, charge{cost.RegionCheckUnrefMarkIn, n})
-	default:
-		if st.buf != nil && len(held) == 2 {
-			ch, held = append(ch, held[0]), held[1:]
-		}
-		ch = append(append(ch, charge{cost.RegionCheck, 0}), held...)
-	}
+	in.src.unhold()
 	off := 0
 	if st.buf != nil {
 		off = st.buf.off
-		swapped, _, _, err := g.swapIn(as, r.Start(), n, st.buf, true)
-		g.stats.SwappedPages += uint64(swapped / g.pageSize())
+		w, err = g.swapIn(as, r.Start(), n, st.buf, true)
+		g.stats.SwappedPages += uint64(w.swapped / g.pageSize())
 		if err != nil {
-			return nil, err
+			return w, err
 		}
-		ch = append(ch, charge{cost.Swap, n})
 	}
 	if in.Sem == EmulatedMove {
 		as.Reinstate(r)
 	}
 	if err := r.MarkMovedIn(); err != nil {
-		return nil, err
-	}
-	if !fused {
-		ch = append(ch, charge{cost.RegionMarkIn, 0})
+		return w, err
 	}
 	in.Region, in.Addr = r, r.Start()+vm.Addr(off)
-	return ch, nil
+	return w, nil
 }
 
 // stackFrames bounds the frame runs swapIn tracks on the stack: a

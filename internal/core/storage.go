@@ -210,16 +210,16 @@ func (s *Storage) FileRead(p *Process, sem Semantics, block, length int, va vm.A
 	bs := s.dev.BlockSize()
 
 	var (
-		buf  [4]charge // prep's backing store, kept off the heap
-		prep = buf[:0]
+		buf  [4]Charge // prep's backing store, kept off the heap
 		wait sim.Duration
+		done vmWork
 		src  *source // the share family's held application pages
 		err  error
 	)
+	prep, plan := planFileRead(buf[:0], sem, length, int(va)%bs, bs)
 	switch sem {
 	case Copy:
 		wait, err = s.readStaged(p, block, length, va)
-		prep = append(prep, charge{cost.Copyout, length})
 
 	case EmulatedCopy:
 		// Page flip: aligned destinations receive whole cache pages by
@@ -228,27 +228,23 @@ func (s *Storage) FileRead(p *Process, sem Semantics, block, length int, va vm.A
 		// reverse copyout. The donated entries leave the cache, so
 		// flipped reads trade hit ratio for copy avoidance. Unaligned
 		// destinations and the partial tail are copied out.
-		full := 0
-		if va%vm.Addr(bs) == 0 {
-			full = length / bs
-		}
+		full := plan.flipped
 		if full > 0 {
 			flip := kernelBuffer{frames: make([]*mem.Frame, full)}
 			if wait, err = s.cache.TakeFrames(block, flip.frames); err != nil {
 				return nil, err
 			}
-			if _, _, _, err = g.swapIn(p.as, va, full*bs, &flip, false); err != nil {
+			if done, err = g.swapIn(p.as, va, full*bs, &flip, false); err != nil {
 				return nil, err
 			}
-			op.Flipped = full
-			s.stats.PageFlips += uint64(full)
-			prep = append(prep, charge{cost.Swap, full * bs})
+			done.flipped = done.swapped / bs
+			op.Flipped = done.flipped
+			s.stats.PageFlips += uint64(done.flipped)
 		}
 		if tail := length - full*bs; tail > 0 {
 			var w sim.Duration
 			w, err = s.readStaged(p, block+full, tail, va+vm.Addr(full*bs))
 			wait += w
-			prep = append(prep, charge{cost.Copyout, tail})
 		}
 
 	case Share, EmulatedShare:
@@ -261,7 +257,7 @@ func (s *Storage) FileRead(p *Process, sem Semantics, block, length int, va vm.A
 		if err := p.as.ReferenceRangeInto(&src.ownRef, va, length, true); err != nil {
 			return nil, err
 		}
-		prep = src.hold(&src.ownRef, length, prep)
+		src.hold(&src.ownRef)
 		blocks := s.blockSpan(length)
 		// Direct I/O stays coherent with the cache: dirty cached pages
 		// of the range reach the media before the device serves it.
@@ -289,8 +285,8 @@ func (s *Storage) FileRead(p *Process, sem Semantics, block, length int, va vm.A
 			g.putFrames(nil, donated)
 			return nil, err
 		}
+		done.flipped = len(donated)
 		s.stats.Donations += uint64(blocks)
-		prep = append(prep, charge{cost.RegionCreate, 0}, charge{cost.Swap, length}, charge{cost.RegionMarkIn, 0})
 		if err := r.MarkMovedIn(); err != nil {
 			return nil, err
 		}
@@ -301,12 +297,14 @@ func (s *Storage) FileRead(p *Process, sem Semantics, block, length int, va vm.A
 			if err := p.as.WireRange(r.Start(), blocks*bs); err != nil {
 				return nil, err
 			}
-			prep = append(prep, charge{cost.Wire, length})
 			if err := p.as.UnwireRange(r.Start(), blocks*bs); err != nil {
 				return nil, err
 			}
 		}
 		op.Region, op.Addr = r, r.Start()
+	}
+	if err == nil {
+		err = plan.check("file read", sem, done)
 	}
 	if err != nil {
 		return nil, err
@@ -314,15 +312,11 @@ func (s *Storage) FileRead(p *Process, sem Semantics, block, length int, va vm.A
 	prepDur := g.chargeSet(StagePrepare, op.sctx(), prep, &op.CPU)
 	op.DeviceWait = wait.Micros()
 	g.eng.Schedule(prepDur+wait, func() {
-		var buf [2]charge
-		dispose := buf[:0]
-		switch {
-		case src != nil:
-			dispose = src.unhold(dispose, length)
-		case sem.SystemAllocated() && !sem.Emulated():
-			dispose = append(dispose, charge{cost.Unwire, length})
+		if src != nil {
+			src.unhold()
 		}
-		d := g.chargeSet(StageDispose, op.sctx(), dispose, &op.CPU)
+		var ch [2]Charge
+		d := g.chargeSet(StageDispose, op.sctx(), planFileReadDispose(ch[:0], sem, length), &op.CPU)
 		op.CompletedAt = g.eng.Now().Add(d)
 		op.Done = true
 	})
@@ -349,8 +343,8 @@ func (s *Storage) FileWrite(p *Process, sem Semantics, block, length int, va vm.
 	s.stats.Writes++
 
 	var (
-		buf     [6]charge // prep's backing store, kept off the heap
-		prep    []charge
+		buf     [6]Charge // prep's backing store, kept off the heap
+		prep    []Charge
 		content mem.Buf
 		src     *source
 		err     error
@@ -359,10 +353,12 @@ func (s *Storage) FileWrite(p *Process, sem Semantics, block, length int, va vm.
 		if content, err = s.peekSource(p, va, length); err != nil {
 			return nil, err
 		}
-		prep = append(buf[:0], charge{cost.Copyin, length})
+		prep = append(buf[:0], Charge{cost.Copyin, length})
 	} else {
+		segs := []Segment{{va, length}}
+		prep = planOutputPrepare(buf[:0], g.cfg, sem, false, segs)
 		src = new(source)
-		if prep, err = p.reference(src, sem, []Segment{{va, length}}, buf[:0]); err != nil {
+		if err = p.reference(src, sem, segs); err != nil {
 			return nil, err
 		}
 		content = s.gatherSource(src.refs[0], length)
@@ -377,10 +373,11 @@ func (s *Storage) FileWrite(p *Process, sem Semantics, block, length int, va vm.
 	prepDur := g.chargeSet(StagePrepare, op.sctx(), prep, &op.CPU)
 	op.DeviceWait = wait.Micros()
 	g.eng.Schedule(prepDur+wait, func() {
-		var dispose []charge
+		var dispose []Charge
 		if src != nil {
-			var ch [4]charge
-			dispose = src.release(ch[:0])
+			var ch [4]Charge
+			dispose = planOutputDispose(ch[:0], sem, []Segment{{va, length}})
+			op.Err = src.release()
 		}
 		d := g.chargeSet(StageDispose, op.sctx(), dispose, &op.CPU)
 		op.CompletedAt = g.eng.Now().Add(d)
@@ -450,11 +447,11 @@ func (s *Storage) Sendfile(port, block, length int) (*FileOp, error) {
 		mem.PutWire(buf)
 		return nil, err
 	}
-	prepDur := g.chargeSet(StagePrepare, op.sctx(), []charge{{cost.Reference, length}}, &op.CPU)
+	prepDur := g.chargeSet(StagePrepare, op.sctx(), []Charge{{cost.Reference, length}}, &op.CPU)
 	op.DeviceWait = wait.Micros()
 	g.eng.Schedule(prepDur+wait, func() {
 		err := g.nic.TransmitDatagramWire(port, mem.BufBytes(buf), func() {
-			d := g.chargeSet(StageDispose, op.sctx(), []charge{{cost.Unreference, length}}, &op.CPU)
+			d := g.chargeSet(StageDispose, op.sctx(), []Charge{{cost.Unreference, length}}, &op.CPU)
 			op.CompletedAt = g.eng.Now().Add(d)
 			op.Done = true
 		})

@@ -171,37 +171,3 @@ func InputDisposeOps(sem Semantics, scheme netsim.InputBuffering) []cost.Op {
 	}
 	return nil
 }
-
-// fileReadCharges returns the prepare and dispose charges of
-// Storage.FileRead, the receive side with the page cache as the system
-// buffer, for a read of n bytes of which flipped bytes are whole pages
-// at a page-aligned destination. Copy copies out of the cache; emulated
-// copy flips the whole pages (Swap) and copies out the rest; the share
-// family reads the device straight into referenced (share: wired)
-// application pages; the move family donates the cache pages to a fresh
-// region (Swap), wiring them for the fill under the non-emulated
-// variants. Region state transitions charge no bytes.
-func fileReadCharges(sem Semantics, n, flipped int) (prepare, dispose []charge) {
-	switch sem {
-	case Copy:
-		return []charge{{cost.Copyout, n}}, nil
-	case EmulatedCopy:
-		if flipped > 0 {
-			prepare = append(prepare, charge{cost.Swap, flipped})
-		}
-		if n > flipped {
-			prepare = append(prepare, charge{cost.Copyout, n - flipped})
-		}
-		return prepare, nil
-	case Share:
-		return []charge{{cost.Reference, n}, {cost.Wire, n}}, []charge{{cost.Unwire, n}, {cost.Unreference, n}}
-	case EmulatedShare:
-		return []charge{{cost.Reference, n}}, []charge{{cost.Unreference, n}}
-	case Move, WeakMove:
-		return []charge{{cost.RegionCreate, 0}, {cost.Swap, n}, {cost.RegionMarkIn, 0}, {cost.Wire, n}},
-			[]charge{{cost.Unwire, n}}
-	case EmulatedMove, EmulatedWeakMove:
-		return []charge{{cost.RegionCreate, 0}, {cost.Swap, n}, {cost.RegionMarkIn, 0}}, nil
-	}
-	return nil, nil
-}

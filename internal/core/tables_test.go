@@ -102,11 +102,11 @@ func TestTables234Conformance(t *testing.T) {
 
 // recordsOfStage extracts the charges one host recorded for a stage, in
 // execution order.
-func recordsOfStage(in *Instrumentation, stage Stage) []charge {
-	var out []charge
+func recordsOfStage(in *Instrumentation, stage Stage) []Charge {
+	var out []Charge
 	for _, r := range in.Records() {
 		if r.Stage == stage {
-			out = append(out, charge{r.Op, r.Bytes})
+			out = append(out, Charge{r.Op, r.Bytes})
 		}
 	}
 	return out
@@ -190,10 +190,10 @@ func TestTable2SenderPaths(t *testing.T) {
 			if out.Err != nil {
 				t.Fatal(out.Err)
 			}
-			var wantPrep, wantDisp []charge
-			expand := func(ops []cost.Op, n int) (ch []charge) {
+			var wantPrep, wantDisp []Charge
+			expand := func(ops []cost.Op, n int) (ch []Charge) {
 				for _, op := range ops {
-					ch = append(ch, charge{op, n})
+					ch = append(ch, Charge{op, n})
 				}
 				return ch
 			}
@@ -215,23 +215,58 @@ func TestTable2SenderPaths(t *testing.T) {
 	}
 }
 
+// fileReadTable is FileRead's charge table, written out independently of
+// the plan: per destination shape and semantics, the prepare and
+// dispose sequences. Copy copies out of the cache; emulated copy flips
+// the whole pages of a page-aligned destination and copies out the
+// rest; the share family holds the application's pages for the device;
+// the move family donates cache pages to a fresh region, wired for the
+// fill under the non-emulated variants.
+var fileReadTable = []struct {
+	name   string
+	off, n int
+	want   map[Semantics][2][]Charge // prepare, dispose
+}{
+	{"aligned", 0, 16384, map[Semantics][2][]Charge{
+		Copy:             {{{cost.Copyout, 16384}}, nil},
+		EmulatedCopy:     {{{cost.Swap, 16384}}, nil},
+		Share:            {{{cost.Reference, 16384}, {cost.Wire, 16384}}, {{cost.Unwire, 16384}, {cost.Unreference, 16384}}},
+		EmulatedShare:    {{{cost.Reference, 16384}}, {{cost.Unreference, 16384}}},
+		Move:             {{{cost.RegionCreate, 0}, {cost.Swap, 16384}, {cost.RegionMarkIn, 0}, {cost.Wire, 16384}}, {{cost.Unwire, 16384}}},
+		EmulatedMove:     {{{cost.RegionCreate, 0}, {cost.Swap, 16384}, {cost.RegionMarkIn, 0}}, nil},
+		WeakMove:         {{{cost.RegionCreate, 0}, {cost.Swap, 16384}, {cost.RegionMarkIn, 0}, {cost.Wire, 16384}}, {{cost.Unwire, 16384}}},
+		EmulatedWeakMove: {{{cost.RegionCreate, 0}, {cost.Swap, 16384}, {cost.RegionMarkIn, 0}}, nil},
+	}},
+	{"aligned+tail", 0, 8492, map[Semantics][2][]Charge{
+		Copy:             {{{cost.Copyout, 8492}}, nil},
+		EmulatedCopy:     {{{cost.Swap, 8192}, {cost.Copyout, 300}}, nil},
+		Share:            {{{cost.Reference, 8492}, {cost.Wire, 8492}}, {{cost.Unwire, 8492}, {cost.Unreference, 8492}}},
+		EmulatedShare:    {{{cost.Reference, 8492}}, {{cost.Unreference, 8492}}},
+		Move:             {{{cost.RegionCreate, 0}, {cost.Swap, 8492}, {cost.RegionMarkIn, 0}, {cost.Wire, 8492}}, {{cost.Unwire, 8492}}},
+		EmulatedMove:     {{{cost.RegionCreate, 0}, {cost.Swap, 8492}, {cost.RegionMarkIn, 0}}, nil},
+		WeakMove:         {{{cost.RegionCreate, 0}, {cost.Swap, 8492}, {cost.RegionMarkIn, 0}, {cost.Wire, 8492}}, {{cost.Unwire, 8492}}},
+		EmulatedWeakMove: {{{cost.RegionCreate, 0}, {cost.Swap, 8492}, {cost.RegionMarkIn, 0}}, nil},
+	}},
+	{"unaligned+tail", 100, 8492, map[Semantics][2][]Charge{
+		Copy:             {{{cost.Copyout, 8492}}, nil},
+		EmulatedCopy:     {{{cost.Copyout, 8492}}, nil},
+		Share:            {{{cost.Reference, 8492}, {cost.Wire, 8492}}, {{cost.Unwire, 8492}, {cost.Unreference, 8492}}},
+		EmulatedShare:    {{{cost.Reference, 8492}}, {{cost.Unreference, 8492}}},
+		Move:             {{{cost.RegionCreate, 0}, {cost.Swap, 8492}, {cost.RegionMarkIn, 0}, {cost.Wire, 8492}}, {{cost.Unwire, 8492}}},
+		EmulatedMove:     {{{cost.RegionCreate, 0}, {cost.Swap, 8492}, {cost.RegionMarkIn, 0}}, nil},
+		WeakMove:         {{{cost.RegionCreate, 0}, {cost.Swap, 8492}, {cost.RegionMarkIn, 0}, {cost.Wire, 8492}}, {{cost.Unwire, 8492}}},
+		EmulatedWeakMove: {{{cost.RegionCreate, 0}, {cost.Swap, 8492}, {cost.RegionMarkIn, 0}}, nil},
+	}},
+}
+
 // TestTable34ReceiverPaths: FileRead, the receive side whose system
 // buffer is the page cache, charges the per-stage (op, bytes) sequence
-// fileReadCharges states for every semantics, at a page-aligned
+// fileReadTable states for every semantics, at a page-aligned
 // destination with and without a partial tail and at an unaligned one
 // (where emulated copy cannot flip and copies everything out).
 func TestTable34ReceiverPaths(t *testing.T) {
 	const bs = 4096
-	shapes := []struct {
-		name      string
-		off, n    int
-		flippable bool
-	}{
-		{"aligned", 0, 4 * bs, true},
-		{"aligned+tail", 0, 2*bs + 300, true},
-		{"unaligned+tail", 100, 2*bs + 300, false},
-	}
-	for _, sh := range shapes {
+	for _, sh := range fileReadTable {
 		for _, sem := range AllSemantics() {
 			t.Run(sh.name+"/"+sem.String(), func(t *testing.T) {
 				tb, s := storageBed(t, DiskConfig{CachePages: 32})
@@ -254,16 +289,12 @@ func TestTable34ReceiverPaths(t *testing.T) {
 				if !op.Done || op.Err != nil {
 					t.Fatalf("read not done (err %v)", op.Err)
 				}
-				flipped := 0
-				if sh.flippable {
-					flipped = sh.n / bs * bs
+				want := sh.want[sem]
+				if got := recordsOfStage(in, StagePrepare); !slices.Equal(got, want[0]) {
+					t.Errorf("prepare charges = %v, want %v", got, want[0])
 				}
-				wantPrep, wantDisp := fileReadCharges(sem, sh.n, flipped)
-				if got := recordsOfStage(in, StagePrepare); !slices.Equal(got, wantPrep) {
-					t.Errorf("prepare charges = %v, want %v", got, wantPrep)
-				}
-				if got := recordsOfStage(in, StageDispose); !slices.Equal(got, wantDisp) {
-					t.Errorf("dispose charges = %v, want %v", got, wantDisp)
+				if got := recordsOfStage(in, StageDispose); !slices.Equal(got, want[1]) {
+					t.Errorf("dispose charges = %v, want %v", got, want[1])
 				}
 				if got := recordsOfStage(in, StageReady); len(got) != 0 {
 					t.Errorf("ready charges = %v, want none", got)

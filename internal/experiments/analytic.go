@@ -38,19 +38,6 @@ func inertFaults(f faults.Spec) bool {
 	return f == faults.Spec{Seed: f.Seed}
 }
 
-// analyticPoint converts a measurement point to the evaluator's input.
-func analyticPoint(s Setup, sem core.Semantics, length int) analytic.Point {
-	return analytic.Point{
-		Model:     s.Model,
-		Scheme:    s.Scheme,
-		Sem:       sem,
-		DevOff:    s.DevOff,
-		AppOffset: s.AppOffset,
-		Length:    length,
-		Genie:     s.Genie,
-	}
-}
-
 // EstimateAnalytic measures a point through the closed-form fast path
 // instead of the simulator. The returned Measurement carries the same
 // latency and CPU numbers Measure would produce (the analytic package's
@@ -68,7 +55,8 @@ func EstimateAnalytic(s Setup, sem core.Semantics, length int) (Measurement, err
 	if !inertFaults(s.Faults) {
 		return Measurement{}, fmt.Errorf("analytic estimate: fault injection needs the simulator")
 	}
-	e, err := analytic.Evaluate(analyticPoint(s, sem, length))
+	e, err := analytic.Evaluate(analytic.Point{Model: s.Model, Scheme: s.Scheme, Sem: sem,
+		DevOff: s.DevOff, AppOffset: s.AppOffset, Length: length, Genie: s.Genie})
 	if err != nil {
 		return Measurement{}, err
 	}

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/analytic"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/netsim"
@@ -51,6 +53,40 @@ func TestBigSweepSmall(t *testing.T) {
 	}
 	t.Logf("%d points, %d spot checks, %.0f points/sec, speedup %.0fx, max rel err %g",
 		rep.Points, rep.SpotChecks, rep.PointsPerSec, rep.Speedup, rep.MaxRelErr)
+}
+
+// TestBigSweepBoundCanFail: the spot-check bound guards the analytic
+// timing composition, so an evaluator whose wire term is off by 0.1% at
+// one point must fail it and be named as the worst point.
+func TestBigSweepBoundCanFail(t *testing.T) {
+	defer func(orig func(analytic.Point) (analytic.Estimate, error)) { evaluate = orig }(evaluate)
+	evaluate = func(p analytic.Point) (analytic.Estimate, error) {
+		if p.Scheme == netsim.Pooled && p.Sem == core.Share && p.Length == 4966 {
+			m := *cost.Baseline()
+			m.BasePerByte *= 1.001
+			p.Model = &m
+		}
+		return analytic.Evaluate(p)
+	}
+	rep, err := BigSweep(BigSweepConfig{
+		Axes: SweepAxes{
+			Schemes: []netsim.InputBuffering{netsim.EarlyDemux, netsim.Pooled},
+			Sems:    []core.Semantics{core.Copy, core.Share},
+			Lengths: []int{1, 332, 4966, 8276},
+		},
+		Seed:           1,
+		SpotCheckEvery: 1,
+		ErrBound:       1e-9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.BoundOK || rep.MaxRelErr <= rep.ErrBound {
+		t.Errorf("BoundOK = %t with MaxRelErr %g, bound %g: the perturbed point passed", rep.BoundOK, rep.MaxRelErr, rep.ErrBound)
+	}
+	if want := "scheme=1/share/dev=0/app=0/len=4966 "; !strings.Contains(rep.WorstPoint, want) {
+		t.Errorf("WorstPoint = %q, want the perturbed point %q", rep.WorstPoint, want)
+	}
 }
 
 // TestBigSweepDeterministicAcrossWorkers pins the worker-count

@@ -27,6 +27,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 
@@ -142,6 +143,23 @@ func (c Config) withDefaults() (Config, error) {
 		if l <= 0 {
 			return c, fmt.Errorf("workload: load multiplier %v <= 0", l)
 		}
+		if !finite(l) {
+			return c, fmt.Errorf("workload: load multiplier %v is not finite", l)
+		}
+	}
+	// 0 selects a knob's default; a negative or non-finite value is a
+	// mistake, not a request for the default.
+	for _, k := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"Clients", float64(c.Clients)}, {"Ops", float64(c.Ops)}, {"MsgBytes", float64(c.MsgBytes)},
+		{"ThinkUS", c.ThinkUS}, {"Pipeline", float64(c.Pipeline)}, {"StreamMBps", c.StreamMBps},
+		{"Window", float64(c.Window)}, {"RTOUS", c.RTOUS},
+	} {
+		if k.v < 0 || !finite(k.v) {
+			return c, fmt.Errorf("workload: %s %v: want a finite value >= 0 (0 = default)", k.name, k.v)
+		}
 	}
 	if c.Clients <= 0 {
 		c.Clients = 4
@@ -175,6 +193,9 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	return c, nil
 }
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Point is one operating point of the sweep: one (semantics, depth,
 // load) simulation and everything measured from it. Latencies are in

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -236,6 +237,44 @@ func TestConfigValidation(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			_, err := Run(c.cfg, 1)
+			if err == nil || !strings.Contains(strings.ToLower(err.Error()), c.want) {
+				t.Fatalf("err = %v, want mention of %q", err, c.want)
+			}
+		})
+	}
+}
+
+// TestConfigRejectsBadKnobs: a non-finite or negative knob is refused
+// before anything is simulated, never taken for its default or run as
+// given (a NaN RTO used to stall the cluster's lookahead and panic).
+func TestConfigRejectsBadKnobs(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"load NaN", Config{Loads: []float64{nan}}, "load multiplier nan is not finite"},
+		{"load +Inf", Config{Loads: []float64{1, inf}}, "load multiplier +inf is not finite"},
+		{"load 0", Config{Loads: []float64{0}}, "load multiplier 0 <= 0"},
+		{"think NaN", Config{ThinkUS: nan}, "thinkus nan"},
+		{"think -Inf", Config{ThinkUS: -inf}, "thinkus -inf"},
+		{"think negative", Config{ThinkUS: -1}, "thinkus -1"},
+		{"stream rate NaN", Config{StreamMBps: nan}, "streammbps nan"},
+		{"stream rate +Inf", Config{StreamMBps: inf}, "streammbps +inf"},
+		{"rto NaN", Config{RTOUS: nan}, "rtous nan"},
+		{"rto +Inf", Config{RTOUS: inf}, "rtous +inf"},
+		{"rto negative", Config{RTOUS: -5}, "rtous -5"},
+		{"clients", Config{Clients: -3}, "clients -3"},
+		{"ops", Config{Ops: -1}, "ops -1"},
+		{"msgbytes", Config{MsgBytes: -2048}, "msgbytes -2048"},
+		{"pipeline", Config{Pipeline: -4}, "pipeline -4"},
+		{"window", Config{Window: -2}, "window -2"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			c.cfg.Semantics, c.cfg.Depths = []core.Semantics{core.Copy}, []int{1}
 			_, err := Run(c.cfg, 1)
 			if err == nil || !strings.Contains(strings.ToLower(err.Error()), c.want) {
 				t.Fatalf("err = %v, want mention of %q", err, c.want)
