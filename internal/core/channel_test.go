@@ -257,7 +257,7 @@ func TestMessageDoubleRelease(t *testing.T) {
 			if m.Data() != nil {
 				t.Errorf("Data after Release = %d bytes, want nil", len(m.Data()))
 			}
-			if got := len(tb.B.Genie.recvQ[eb.Port()]); got != window {
+			if got := tb.B.Genie.PostedInputs(eb.Port()); got != window {
 				t.Errorf("%d inputs posted on the receiver, want %d", got, window)
 			}
 			if got := tb.B.NIC.PostedInputs(eb.Port()); got != window {

@@ -120,52 +120,91 @@ func echoInFlight(t *testing.T, receiver *Process, sem Semantics, in *InputOp) {
 }
 
 // TestTestbedResetMatchesFresh is the recycled-vs-fresh oracle for the
-// pools' boot frames: under every input scheme and all eight semantics,
-// aligned and at offset 1000, it runs a transfer, starts an echo of the
-// received buffer without completing it, Resets the testbed and
-// requires each host to match a freshly built testbed frame by frame,
-// pool by pool and in its free list.
+// pools' boot frames and the port records: under every input scheme and
+// all eight semantics, aligned and at offset 1000, unfragmented and at
+// a 4096-byte MTU, it runs a transfer, posts an input for an echo of the
+// received buffer and starts the echo without completing it (with an
+// MTU, until a reassembly is pending), Resets the testbed and requires
+// each host to match a freshly built testbed frame by frame, pool by
+// pool, in its free list and port by port.
 func TestTestbedResetMatchesFresh(t *testing.T) {
 	const length = 3*4096 + 500
 	schemes := []netsim.InputBuffering{netsim.EarlyDemux, netsim.Pooled, netsim.OutboardBuffering}
 	for _, scheme := range schemes {
 		t.Run(scheme.String(), func(t *testing.T) {
-			cfg := TestbedConfig{Buffering: scheme, Plane: mem.Symbolic}
-			tb, err := NewTestbed(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, sem := range AllSemantics() {
-				for _, off := range []int{0, 1000} {
-					label := fmt.Sprintf("%v offset %d:", sem, off)
-					transferThenEcho(t, tb, sem, off, length)
-					if err := tb.Reset(); err != nil {
-						t.Fatal(err)
-					}
-					for _, h := range []*Host{tb.A, tb.B} {
-						if err := h.Phys.CheckInvariants(); err != nil {
-							t.Fatalf("%s host %s memory invariants after Reset: %v", label, h.Name, err)
-						}
-					}
-					fresh, err := NewTestbed(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					checkHostMatchesFresh(t, label, tb.A, fresh.A)
-					checkHostMatchesFresh(t, label, tb.B, fresh.B)
-					if err := tb.Reset(); err != nil {
-						t.Fatal(err)
-					}
-				}
+			for _, mtu := range []int{0, 4096} {
+				testbedResetMatchesFresh(t, TestbedConfig{Buffering: scheme, Plane: mem.Symbolic, MTU: mtu}, length)
 			}
 		})
 	}
 }
 
+func testbedResetMatchesFresh(t *testing.T, cfg TestbedConfig, length int) {
+	t.Helper()
+	tb, err := NewTestbed(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sem := range AllSemantics() {
+		for _, off := range []int{0, 1000} {
+			label := fmt.Sprintf("MTU %d %v offset %d:", cfg.MTU, sem, off)
+			transferThenEcho(t, tb, sem, off, length)
+			if err := tb.Reset(); err != nil {
+				t.Fatal(err)
+			}
+			for _, h := range []*Host{tb.A, tb.B} {
+				if err := h.Phys.CheckInvariants(); err != nil {
+					t.Fatalf("%s host %s memory invariants after Reset: %v", label, h.Name, err)
+				}
+			}
+			fresh, err := NewTestbed(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkPortsMatchFresh(t, label, tb.A, fresh.A)
+			checkPortsMatchFresh(t, label, tb.B, fresh.B)
+			checkHostMatchesFresh(t, label, tb.A, fresh.A)
+			checkHostMatchesFresh(t, label, tb.B, fresh.B)
+			if err := tb.Reset(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// checkPortsMatchFresh compares a just-Reset host's port records with a
+// fresh host's, port by port over every port either has seen: the
+// buffers posted on the adapter, the inputs queued in Genie, and no
+// reassembly pending. The recycled host keeps its records, so it must
+// have some.
+func checkPortsMatchFresh(t *testing.T, label string, h, fresh *Host) {
+	t.Helper()
+	ports := h.NIC.Ports()
+	for _, pq := range h.Genie.ports {
+		ports = append(ports, pq.port)
+	}
+	ports = append(ports, fresh.NIC.Ports()...)
+	if len(ports) == 0 {
+		t.Fatalf("%s host %s kept no port records; the run used ports", label, h.Name)
+	}
+	for _, p := range ports {
+		if g, w := h.NIC.PostedInputs(p), fresh.NIC.PostedInputs(p); g != w {
+			t.Fatalf("%s host %s port %d: %d buffers posted on the adapter after Reset, fresh host %d", label, h.Name, p, g, w)
+		}
+		if g, w := h.Genie.PostedInputs(p), fresh.Genie.PostedInputs(p); g != w {
+			t.Fatalf("%s host %s port %d: %d inputs queued after Reset, fresh host %d", label, h.Name, p, g, w)
+		}
+		if h.NIC.ReassemblyPending(p) {
+			t.Fatalf("%s host %s port %d: a reassembly is pending after Reset", label, h.Name, p)
+		}
+	}
+}
+
 // transferThenEcho runs one transfer of length bytes from host A to
 // host B at the given buffer offset (application-allocated semantics;
-// system-allocated buffers start on a page) and leaves its echo in
-// flight.
+// system-allocated buffers start on a page), posts an input for the
+// echo on host A's port 2 and leaves the echo in flight: with an MTU,
+// run until host A is reassembling it.
 func transferThenEcho(t *testing.T, tb *Testbed, sem Semantics, off, length int) {
 	t.Helper()
 	sender := tb.A.Genie.NewProcess()
@@ -200,7 +239,21 @@ func transferThenEcho(t *testing.T, tb *Testbed, sem Semantics, off, length int)
 	if err != nil {
 		t.Fatalf("%v offset %d transfer: %v", sem, off, err)
 	}
+	if _, err := sender.Input(2, sem, srcVA, in.N); err != nil {
+		t.Fatalf("%v offset %d echo input: %v", sem, off, err)
+	}
 	echoInFlight(t, receiver, sem, in)
+	if tb.A.NIC.MTU() == 0 {
+		if tb.A.Genie.PostedInputs(2) != 1 {
+			t.Fatalf("%v offset %d: the echo's input is not queued", sem, off)
+		}
+		return
+	}
+	for !tb.A.NIC.ReassemblyPending(2) {
+		if !tb.Eng.Step() {
+			t.Fatalf("%v offset %d: the echo never started reassembling", sem, off)
+		}
+	}
 }
 
 // TestClusterResetMatchesFresh is the cluster half of the oracle: each
@@ -209,8 +262,8 @@ func transferThenEcho(t *testing.T, tb *Testbed, sem Semantics, off, length int)
 // completion and leaves a second round of requests in flight, then one
 // round of plain channel sends completes and a second is left in
 // flight; each host of the Reset cluster must match a freshly built
-// one, and every channel record the host keeps for the next run must be
-// back in the state the host made it in.
+// one, port by port too, and every channel record the host keeps for
+// the next run must be back in the state the host made it in.
 func TestClusterResetMatchesFresh(t *testing.T) {
 	const hosts = 8
 	schemes := []netsim.InputBuffering{netsim.EarlyDemux, netsim.Pooled, netsim.OutboardBuffering}
@@ -241,6 +294,7 @@ func TestClusterResetMatchesFresh(t *testing.T) {
 						t.Fatalf("round %d host %d memory invariants after Reset: %v", round, i, err)
 					}
 					checkRecordsPristine(t, label, h)
+					checkPortsMatchFresh(t, label, h, fresh.Hosts[i])
 					checkHostMatchesFresh(t, label, h, fresh.Hosts[i])
 				}
 				if err := c.Reset(); err != nil {
