@@ -70,8 +70,11 @@ func (p *Process) Output(port int, sem Semantics, va vm.Addr, length int) (*Outp
 // The call is asynchronous on the simulated clock: prepare costs elapse
 // before the frame enters the wire, dispose runs when the last cell has
 // left. The receive side is unaffected (one datagram arrives).
+//
+// The record belongs to the host and is valid until its Genie's next
+// Reset, which reuses it for a later run's output.
 func (p *Process) OutputV(port int, sem Semantics, segs []Segment) (*OutputOp, error) {
-	op := new(OutputOp)
+	op := p.g.ops.output()
 	if err := p.outputV(op, port, sem, segs); err != nil {
 		return nil, err
 	}
@@ -146,11 +149,15 @@ func (p *Process) outputV(op *OutputOp, port int, sem Semantics, segs []Segment)
 }
 
 // peekWire is the copy-semantics output snapshot: length bytes at va,
-// read with full fault handling into a wire buffer on the bytes plane
-// (a run gather on the symbolic plane).
+// read with full fault handling into a wire buffer (on the symbolic
+// plane a run gather into a wire run list).
 func (p *Process) peekWire(va vm.Addr, length int) (mem.Buf, error) {
 	if p.g.sys.Phys().Symbolic() {
-		return p.as.PeekBuf(va, length)
+		buf := mem.GetWireBuf(length/p.g.pageSize() + 2)
+		if err := p.as.PeekBufInto(&buf, va, length); err != nil {
+			return mem.Buf{}, err
+		}
+		return buf, nil
 	}
 	buf := mem.GetWire(length)
 	if err := p.as.Peek(va, buf); err != nil {
@@ -324,9 +331,6 @@ func (g *Genie) launchOutput(op *OutputOp, prep []Charge, snap mem.Buf) {
 			Port: op.Port, Bytes: op.Len, Span: op.span})
 	}
 	op.snap = snap
-	if op.launch == nil {
-		op.launch, op.sent = op.transmit, op.dispose
-	}
 	g.eng.Schedule(prepDur, op.launch)
 }
 

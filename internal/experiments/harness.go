@@ -87,6 +87,10 @@ func getBuf(n int) []byte {
 // putBuf recycles a buffer obtained from getBuf.
 func putBuf(b []byte) { bufPool.Put(&b) }
 
+// runBufPool recycles the symbolic plane's verification buffers, whose
+// run lists the read-back gathers into.
+var runBufPool = sync.Pool{New: func() any { return new(mem.Buf) }}
+
 // Measurement is the outcome of one datagram transfer. Measurements
 // returned by Measure may be shared by reference across callers (the
 // measurement cache memoizes them), so the Records slice must be
@@ -243,8 +247,10 @@ func measureOn(tb *core.Testbed, s Setup, sem core.Semantics, length int) (Measu
 	// plane a vectorized comparison replaces the old per-byte loop, with
 	// the first mismatching offset recovered only on failure.
 	if symbolic {
-		got, err := receiver.ReadBuf(in.Addr, in.N)
-		if err != nil {
+		got := runBufPool.Get().(*mem.Buf)
+		defer runBufPool.Put(got)
+		got.Reset()
+		if err := receiver.Space().PeekBufInto(got, in.Addr, in.N); err != nil {
 			return Measurement{}, err
 		}
 		if !got.Equal(payloadBuf.Slice(0, in.N)) {

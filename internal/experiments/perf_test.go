@@ -224,61 +224,77 @@ func TestRecycleCounters(t *testing.T) {
 }
 
 // TestRecycledMeasureAllocs counts the heap allocations of one real
-// measurement on a warm recycled testbed: memo off, recycling on, early
-// demux, emulated copy, 61440 bytes. A recycled testbed keeps its frame
-// free list, pool pages, page tables and object page slots, each host
-// carves its Region and MemObject records from one chunk per run, the
-// symbolic plane gathers and scatters pages without a per-page Buf, and
-// a multi-page I/O reference sizes its lists once, so what remains is
-// the run's own work: 23 allocations. The bound leaves about a quarter
-// of headroom. With a fresh Region, MemObject and page table per region
-// it made 27, and growing the reference lists page by page added 6; a
-// per-page Buf on the gathers alone gave 61 and on both sides 117. A warm Testbed.Reset
-// itself allocates nothing.
+// measurement on a warm recycled testbed, memo off and recycling on, at
+// every grid point: each input scheme, all eight semantics, aligned and
+// at AppOffset 1000, 3000 and 61440 bytes. A recycled testbed keeps its
+// frame free list, pool pages, page tables, object page slots, region
+// lists and reference lists, port records and Process-API operation
+// records; the symbolic plane gathers into stages and wire run lists
+// the receiver hands back. What remains are the records callers keep,
+// which stay fresh so that a stale one never aliases a live one: per
+// host one Process, one AddressSpace, one chunk of Region records and
+// one chunk of MemObject records, 8 in all. Outboard buffering adds a
+// ninth, the sender's wire run list, which the adapter stages by
+// reference and so never hands back. The parent of this gate made
+// 20-27 (a fresh Input/Output record and its callbacks, reference and
+// region lists, run lists and overlay and outboard records each time).
+// A warm Testbed.Reset itself allocates nothing under any scheme.
 func TestRecycledMeasureAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under -race")
 	}
-	const maxAllocs = 29
-	s := Setup{Scheme: netsim.EarlyDemux}
+	const maxAllocs = 10
+	schemes := []netsim.InputBuffering{netsim.EarlyDemux, netsim.Pooled, netsim.OutboardBuffering}
 	withPerfRegime(t, false, true, 1, func() {
-		measure := func() {
-			if _, err := Measure(s, core.EmulatedCopy, 61440); err != nil {
-				t.Fatal(err)
+		for _, scheme := range schemes {
+			for _, sem := range core.AllSemantics() {
+				for _, off := range []int{0, 1000} {
+					for _, length := range []int{3000, 61440} {
+						s := Setup{Scheme: scheme, AppOffset: off}
+						measure := func() {
+							if _, err := Measure(s, sem, length); err != nil {
+								t.Fatal(err)
+							}
+						}
+						for range 5 {
+							measure()
+						}
+						if a := testing.AllocsPerRun(50, measure); a > maxAllocs {
+							t.Errorf("%v %v AppOffset %d %d bytes: a recycled Measure allocates %.1f times, want at most %d",
+								scheme, sem, off, length, a, maxAllocs)
+						}
+					}
+				}
 			}
-		}
-		for range 10 {
-			measure()
-		}
-		a := testing.AllocsPerRun(200, measure)
-		t.Logf("recycled Measure: %.1f allocations", a)
-		if a > maxAllocs {
-			t.Errorf("recycled Measure allocates %.1f times, want at most %d", a, maxAllocs)
 		}
 
 		// Reset after real runs, counting only the Reset calls.
-		tb, err := core.NewTestbed(measureTestbedConfig(s))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var before, after runtime.MemStats
-		var resetAllocs uint64
-		for i := range 20 {
-			if _, err := measureOn(tb, s, core.EmulatedCopy, 61440); err != nil {
-				t.Fatal(err)
-			}
-			runtime.ReadMemStats(&before)
-			err := tb.Reset()
-			runtime.ReadMemStats(&after)
+		for _, scheme := range schemes {
+			s := Setup{Scheme: scheme}
+			tb, err := core.NewTestbed(measureTestbedConfig(s))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if i >= 2 { // the first Resets size the spare lists
-				resetAllocs += after.Mallocs - before.Mallocs
+			var before, after runtime.MemStats
+			var resetAllocs uint64
+			for i := range 20 {
+				sem := core.AllSemantics()[i%8]
+				if _, err := measureOn(tb, s, sem, 61440-i*1000); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&before)
+				err := tb.Reset()
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i >= 8 { // the first Resets size the spare lists
+					resetAllocs += after.Mallocs - before.Mallocs
+				}
 			}
-		}
-		if resetAllocs != 0 {
-			t.Errorf("18 warm Testbed.Reset calls allocated %d times, want 0", resetAllocs)
+			if resetAllocs != 0 {
+				t.Errorf("%v: 12 warm Testbed.Reset calls allocated %d times, want 0", scheme, resetAllocs)
+			}
 		}
 	})
 }

@@ -229,10 +229,15 @@ func (b Buf) Runs() []Run {
 	return b.runs
 }
 
-// Slice returns the sub-buffer [off, off+n).
+// Slice returns the sub-buffer [off, off+n). The whole buffer's slice
+// is b itself, sharing its storage as Append's empty-operand results
+// do.
 func (b Buf) Slice(off, n int) Buf {
 	if off < 0 || n < 0 || off+n > b.n {
 		panic(fmt.Sprintf("mem: Buf.Slice(%d, %d) of %d-byte buffer", off, n, b.n))
+	}
+	if off == 0 && n == b.n {
+		return b
 	}
 	if b.bytes != nil {
 		return Buf{n: n, bytes: b.bytes[off : off+n : off+n]}
@@ -277,6 +282,31 @@ func (b *Buf) AppendFrame(f *Frame, off, n int) {
 	}
 	b.runs = appendSlice(b.runs, f.runs, off, n)
 	b.n += n
+}
+
+// AppendFrames appends bytes [off, off+n) of the symbolic frame run
+// frames (frame 0 holds bytes [0, pageSize), frame 1 the next page, and
+// so on) to b, under AppendFrame's rules.
+func (b *Buf) AppendFrames(frames []*Frame, off, n int) {
+	if n == 0 {
+		return
+	}
+	ps := frames[0].Size()
+	for pos := 0; pos < n; {
+		fi := (off + pos) / ps
+		po := (off + pos) % ps
+		k := min(ps-po, n-pos)
+		b.AppendFrame(frames[fi], po, k)
+		pos += k
+	}
+}
+
+// Reset empties b and keeps its run storage, for an owner that gathers
+// into the same Buf again: a stage whose content is borrowed until the
+// owner's next gather. Every Buf handed out from b must be dead.
+func (b *Buf) Reset() {
+	clear(b.runs)
+	*b = Buf{runs: b.runs[:0]}
 }
 
 // ReadAt resolves bytes [off, off+len(p)) of the buffer into p.
@@ -468,14 +498,7 @@ func GatherFrames(frames []*Frame, off, n int) Buf {
 		ReadFrames(frames, off, out)
 		return BufBytes(out)
 	}
-	ps := frames[0].Size()
 	var out Buf
-	for pos := 0; pos < n; {
-		fi := (off + pos) / ps
-		po := (off + pos) % ps
-		k := min(ps-po, n-pos)
-		out.AppendFrame(frames[fi], po, k)
-		pos += k
-	}
+	out.AppendFrames(frames, off, n)
 	return out
 }

@@ -52,6 +52,48 @@ func GetWire(n int) []byte {
 	return make([]byte, n, 1<<c)
 }
 
+// Symbolic wire buffers: a symbolic snapshot's runs are immutable
+// values, but its run list is storage like a bytes snapshot's slice,
+// and the receiving adapter splices the runs into its frames' own
+// lists. GetWireBuf and PutWireBuf pool run lists by power-of-two
+// capacity the same way.
+const (
+	minWireRunShift = 2 // smallest class: 4 runs
+	maxWireRunShift = 6 // largest class: 64 runs
+)
+
+// wireRunPools[c] holds free run lists of capacity 1<<c, each stored as
+// a pointer to its first run.
+var wireRunPools [maxWireRunShift + 1]sync.Pool
+
+// GetWireBuf returns an empty symbolic buffer whose run storage, room
+// for at least runs runs, comes from the wire pool. Its owner builds a
+// gather into it with AppendFrame; a gather that outgrows the storage
+// gets a larger list as append gives one.
+func GetWireBuf(runs int) Buf {
+	c := max(minWireRunShift, bits.Len(uint(max(runs, 1)-1)))
+	if c > maxWireRunShift {
+		return Buf{runs: make([]Run, 0, runs)}
+	}
+	if p, ok := wireRunPools[c].Get().(*Run); ok {
+		return Buf{runs: unsafe.Slice(p, 1<<c)[:0]}
+	}
+	return Buf{runs: make([]Run, 0, 1<<c)}
+}
+
+// PutWireBuf returns a symbolic buffer's run list to the pool. The
+// caller must be the last holder of b and of every Buf sliced from it.
+// Bytes-backed buffers and lists whose capacity is not a class size are
+// left to the garbage collector.
+func PutWireBuf(b Buf) {
+	c := bits.Len(uint(cap(b.runs))) - 1
+	if b.bytes != nil || c < minWireRunShift || c > maxWireRunShift || cap(b.runs) != 1<<c {
+		return
+	}
+	clear(b.runs) // literal runs must not keep their bytes alive
+	wireRunPools[c].Put(unsafe.SliceData(b.runs[:1]))
+}
+
 // PutWire returns a slice obtained from GetWire to the pool. The caller
 // must be its last holder: nothing may read or write p afterwards.
 // Slices whose capacity is not a class size are left to the garbage

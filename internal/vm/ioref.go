@@ -26,10 +26,11 @@ type refEntry struct {
 // descriptor with the request's physical extents, holding input or
 // output references on every page it covers. Dropping the references via
 // Unreference completes any I/O-deferred deallocation. A one-page
-// request keeps its extent and entry in the IORef itself, so
-// referencing it allocates at most the IORef; an owner that holds one
-// request at a time embeds its IORef and refills it with the Into
-// variants, which allocate nothing for one page. An IORef points into
+// request keeps its extent and entry in the IORef itself; a longer one
+// takes its lists from the VM system's size-classed spares and
+// Unreference hands them back, so a warm system references any request
+// without allocating. An owner that holds one request at a time embeds
+// its IORef and refills it with the Into variants. An IORef points into
 // itself and must not be copied.
 type IORef struct {
 	sys     *System
@@ -43,7 +44,8 @@ type IORef struct {
 }
 
 // init empties ref for a new request of the given number of pages,
-// sizing its lists once: a one-page request is stored inline.
+// sizing its lists once: a one-page request is stored inline, a longer
+// one in lists from sys's spares.
 func (ref *IORef) init(sys *System, input bool, pages int) {
 	*ref = IORef{sys: sys, input: input}
 	if pages <= 1 {
@@ -51,8 +53,8 @@ func (ref *IORef) init(sys *System, input bool, pages int) {
 		ref.entries = ref.oneEntry[:0]
 		return
 	}
-	ref.extents = make([]Extent, 0, pages)
-	ref.entries = make([]refEntry, 0, pages)
+	ref.extents = sys.extents.take(pages)[:0]
+	ref.entries = sys.entries.take(pages)[:0]
 }
 
 // ReferenceRangeInto performs Genie's page referencing on
@@ -185,8 +187,9 @@ func (ref *IORef) Len() int {
 }
 
 // Unreference drops the references taken by ReferenceRangeInto,
-// completing any deallocation deferred during the I/O. It is idempotent
-// so error paths can call it defensively.
+// completing any deallocation deferred during the I/O, and ends the
+// request: its extents are gone and lists taken from the spares go
+// back. It is idempotent so error paths can call it defensively.
 func (ref *IORef) Unreference() {
 	if ref.done {
 		return
@@ -200,6 +203,11 @@ func (ref *IORef) Unreference() {
 			ref.sys.pm.UnrefOutput(e.frame)
 		}
 	}
+	if cap(ref.extents) > 1 { // not the inline one-page store
+		ref.sys.extents.put(ref.extents)
+		ref.sys.entries.put(ref.entries)
+	}
+	ref.extents, ref.entries = nil, nil
 }
 
 // rollback undoes a partially constructed reference set.
@@ -249,19 +257,19 @@ func (ref *IORef) DMARead(off int, buf []byte) {
 
 // DMAReadBuf is DMARead returning a buffer: a materialized copy in a
 // wire buffer (mem.GetWire) on the bytes plane, a one-pass O(#extents)
-// run gather (mem.Buf.AppendFrame) on the symbolic plane. Either way
-// the result is an independent snapshot — it stays valid after the
-// request's frames are released or overwritten. A bytes-plane snapshot
-// handed to the adapter as a wire buffer returns to the pool once the
-// receiver has copied it out; any other holder simply leaves it to the
-// garbage collector.
+// run gather (mem.Buf.AppendFrame) into a wire run list
+// (mem.GetWireBuf) on the symbolic plane. Either way the result is an
+// independent snapshot — it stays valid after the request's frames are
+// released or overwritten. A snapshot handed to the adapter as a wire
+// buffer returns to the pool once the receiver has copied it out; any
+// other holder simply leaves it to the garbage collector.
 func (ref *IORef) DMAReadBuf(off, n int) mem.Buf {
 	if len(ref.extents) == 0 || !ref.extents[0].Frame.Symbolic() {
 		out := mem.GetWire(n)
 		ref.DMARead(off, out)
 		return mem.BufBytes(out)
 	}
-	var out mem.Buf
+	out := mem.GetWireBuf(len(ref.extents))
 	pos := 0
 	for _, e := range ref.extents {
 		if off < pos+e.Len && n > 0 {

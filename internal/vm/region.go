@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/mem"
 )
@@ -111,7 +112,8 @@ func (r *Region) MarkMovedOut() error {
 	if err := r.setState(MovingOut, MovedOut); err != nil {
 		return err
 	}
-	r.as.movedOutQ = append(r.as.movedOutQ, r)
+	r.as.movedOutQ = r.as.sys.regions.grow(r.as.movedOutQ)
+	r.as.movedOutQ[len(r.as.movedOutQ)-1] = r
 	return nil
 }
 
@@ -122,7 +124,8 @@ func (r *Region) MarkWeaklyMovedOut() error {
 	if err := r.setState(MovingOut, WeaklyMovedOut); err != nil {
 		return err
 	}
-	r.as.weakMovedOutQ = append(r.as.weakMovedOutQ, r)
+	r.as.weakMovedOutQ = r.as.sys.regions.grow(r.as.weakMovedOutQ)
+	r.as.weakMovedOutQ[len(r.as.weakMovedOutQ)-1] = r
 	return nil
 }
 
@@ -232,7 +235,7 @@ func (as *AddressSpace) DequeueCached(length int, weak bool) *Region {
 			continue
 		}
 		if r.length == length {
-			*q = append((*q)[:i], (*q)[i+1:]...)
+			*q = slices.Delete(*q, i, i+1)
 			// Compact any removed regions left at the front.
 			return r
 		}

@@ -54,6 +54,18 @@ func (s *spares[T]) put(b []T) {
 	(*s)[k] = append((*s)[k], b[:0])
 }
 
+// grow returns b one element longer, the new last element zero. A full
+// b moves to a slice of the next class and goes back to its own.
+func (s *spares[T]) grow(b []T) []T {
+	if len(b) < cap(b) {
+		return b[:len(b)+1]
+	}
+	nb := s.take(len(b) + 1)
+	copy(nb, b)
+	s.put(b)
+	return nb
+}
+
 // check reports the first spare slice that is not a cleared slice of
 // its class's capacity.
 func (s spares[T]) check(what string) error {
@@ -107,12 +119,21 @@ func (s *slab[T]) reset() {
 }
 
 // CheckSpares verifies the storage the system keeps for reuse: every
-// spare page table and page slot slice is cleared over its whole
-// capacity, which is its size class's. Recycled-host oracles call it
-// after Reset.
+// spare page table, page slot, region list and I/O reference list slice
+// is cleared over its whole capacity, which is its size class's.
+// Recycled-host oracles call it after Reset.
 func (sys *System) CheckSpares() error {
 	if err := sys.tables.check("page table"); err != nil {
 		return err
 	}
-	return sys.pages.check("page slots")
+	if err := sys.pages.check("page slots"); err != nil {
+		return err
+	}
+	if err := sys.regions.check("region list"); err != nil {
+		return err
+	}
+	if err := sys.extents.check("extent list"); err != nil {
+		return err
+	}
+	return sys.entries.check("reference list")
 }

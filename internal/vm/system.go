@@ -34,11 +34,15 @@ type System struct {
 	stats    SysStats
 	tr       *trace.Tracer
 
-	// Storage kept for reuse across RemoveRegion, object destruction
-	// and Reset (see storage.go): cleared page tables and object page
-	// slots by size class, and the slabs records are carved from.
+	// Storage kept for reuse across RemoveRegion, object destruction,
+	// Unreference and Reset (see storage.go): cleared page tables,
+	// object page slots, region lists and I/O reference lists by size
+	// class, and the slabs records are carved from.
 	tables     spares[PTE]
 	pages      spares[*mem.Frame]
+	regions    spares[*Region]
+	extents    spares[Extent]
+	entries    spares[refEntry]
 	regionSlab slab[Region]
 	objectSlab slab[MemObject]
 }
@@ -93,7 +97,7 @@ func (sys *System) DestroySpace(as *AddressSpace) {
 	for len(as.regions) > 0 {
 		_ = as.RemoveRegion(as.regions[len(as.regions)-1])
 	}
-	as.movedOutQ, as.weakMovedOutQ = nil, nil
+	as.dropLists()
 	for i, s := range sys.spaces {
 		if s == as {
 			sys.spaces = append(sys.spaces[:i], sys.spaces[i+1:]...)
@@ -113,9 +117,10 @@ func (sys *System) DestroySpace(as *AddressSpace) {
 //
 // Reset walks only what the run created: the live spaces' regions and
 // the objects it registered. Page tables live in their regions; each
-// live region's table and each live object's page slots are cleared
-// and go to the size-classed spare lists, so a recycled system does not
-// regrow them from empty. A stale space panics on its first mapping
+// live region's table, each live space's region list and moved-out
+// queues, and each live object's page slots are cleared and go to the
+// size-classed spare lists, so a recycled system does not regrow them
+// from empty. A stale space panics on its first mapping
 // after Reset instead of aliasing a live one, and a stale object on its
 // first page insert. Clearing costs O(each region's pages and each
 // object's peak page index). The Region and MemObject slabs start new
@@ -126,6 +131,7 @@ func (sys *System) Reset() {
 			sys.tables.put(r.pt)
 			r.pt = nil
 		}
+		as.dropLists()
 		as.last, as.stale = nil, true
 	}
 	clear(sys.spaces)
