@@ -18,12 +18,14 @@ import (
 // threshold and short-data thresholds, Evaluate must reproduce the
 // simulated Measurement bit for bit, and the simulator's plan check
 // must never fire. Where the combination is unsupported, both paths
-// must fail with the same sentinel error.
+// must fail with the same sentinel error. Each input is measured twice
+// with the memo off and recycling on: the second run takes the testbed
+// the first one put back, so a recycled testbed must reproduce a
+// fresh one on drawn configurations too. The testbed recycler keeps a
+// bounded number of configurations, so a long run's memory stays flat.
 func FuzzEvaluateMatchesSimulation(f *testing.F) {
-	// Every input simulates afresh on a fresh testbed: the memo and the
-	// testbed recycler, keyed by configuration, would only grow.
 	defer par.SetMemo(par.SetMemo(false))
-	defer par.SetRecycling(par.SetRecycling(false))
+	defer par.SetRecycling(par.SetRecycling(true))
 	type seed struct {
 		sem, scheme              uint8
 		length, devOff, appOff   uint16
@@ -67,6 +69,12 @@ func FuzzEvaluateMatchesSimulation(f *testing.F) {
 		want, simErr := experiments.Measure(s, sm, n)
 		if errors.Is(simErr, core.ErrPlanMismatch) {
 			t.Fatalf("%s: %v", desc, simErr)
+		}
+		again, againErr := experiments.Measure(s, sm, n)
+		if fmt.Sprint(againErr) != fmt.Sprint(simErr) || again.LatencyUS != want.LatencyUS ||
+			again.RxCPUUS != want.RxCPUUS || again.TxCPUUS != want.TxCPUUS {
+			t.Fatalf("%s: measured again on a recycled testbed lat=%v rx=%v tx=%v err %v, first lat=%v rx=%v tx=%v err %v",
+				desc, again.LatencyUS, again.RxCPUUS, again.TxCPUUS, againErr, want.LatencyUS, want.RxCPUUS, want.TxCPUUS, simErr)
 		}
 		got, anErr := analytic.Evaluate(analytic.Point{
 			Scheme: s.Scheme, Sem: sm, DevOff: s.DevOff, AppOffset: s.AppOffset, Length: n, Genie: cfg,
