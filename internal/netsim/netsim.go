@@ -499,7 +499,7 @@ const (
 // receive runs at frame arrival and routes the payload according to the
 // input buffering architecture, then hands a wire payload back.
 func (n *NIC) receive(port int, payload mem.Buf, wire bool) {
-	n.handBack(payload, wire, n.receiveAttempt(port, payload, 0))
+	n.handBack(payload, wire, n.receiveAttempt(port, payload, wire, 0))
 }
 
 // handBack returns a delivered frame's wire buffer to mem's pool: its
@@ -512,16 +512,21 @@ func (n *NIC) receive(port int, payload mem.Buf, wire bool) {
 //     or a pooled ScatterFrames copied it, and both have finished);
 //   - no fault injector is attached here, so no deferred receive still
 //     holds it;
-//   - the adapter is not outboard: staging keeps the payload by
-//     reference (OutboardBuffer.writeAt aliases a full-length write).
+//   - the adapter is not outboard: staging keeps the whole payload by
+//     reference, and the staged buffer returns it at Free instead.
 //
 // Fragmented datagrams never get here (receiveFragment), and payloads
 // passed to TransmitDatagramBuf are never wire. Everything else
 // is left to the garbage collector.
 func (n *NIC) handBack(payload mem.Buf, wire, placed bool) {
-	if !wire || !placed || n.inj != nil || n.buffering == OutboardBuffering {
-		return
+	if wire && placed && n.inj == nil && n.buffering != OutboardBuffering {
+		putWire(payload)
 	}
+}
+
+// putWire returns a wire buffer's bytes (mem.PutWire) or, on the
+// symbolic plane, its run list (mem.PutWireBuf) to mem's pool.
+func putWire(payload mem.Buf) {
 	if payload.Symbolic() {
 		mem.PutWireBuf(payload)
 		return
@@ -531,8 +536,9 @@ func (n *NIC) handBack(payload mem.Buf, wire, placed bool) {
 
 // receiveAttempt places and delivers one frame, reporting whether it
 // was placed: copied into a posted target or overlay pages, or staged
-// outboard (by reference, which handBack rules out separately).
-func (n *NIC) receiveAttempt(port int, payload mem.Buf, attempt int) bool {
+// outboard by reference. A staged wire buffer goes back to the pool
+// when the staged buffer is freed, so handBack skips outboard adapters.
+func (n *NIC) receiveAttempt(port int, payload mem.Buf, wire bool, attempt int) bool {
 	if attempt == 0 {
 		n.stats.RxFrames++
 		n.stats.RxBytes += uint64(payload.Len())
@@ -569,7 +575,7 @@ func (n *NIC) receiveAttempt(port int, payload mem.Buf, attempt int) bool {
 		}
 
 	case OutboardBuffering:
-		if !n.intoOutboard(&pkt, port, payload, attempt) {
+		if !n.intoOutboard(&pkt, port, payload, wire, attempt) {
 			return false
 		}
 	}
@@ -618,7 +624,7 @@ func (n *NIC) intoPool(pkt *Packet, port int, payload mem.Buf, attempt int) bool
 
 // intoOutboard stages the payload in outboard memory, reporting false
 // when the frame was consumed by a drop or a deferred redelivery.
-func (n *NIC) intoOutboard(pkt *Packet, port int, payload mem.Buf, attempt int) bool {
+func (n *NIC) intoOutboard(pkt *Packet, port int, payload mem.Buf, wire bool, attempt int) bool {
 	var buf *OutboardBuffer
 	err := ErrOutboardFull
 	if n.inj.DenyPool() {
@@ -634,6 +640,7 @@ func (n *NIC) intoOutboard(pkt *Packet, port int, payload mem.Buf, attempt int) 
 		return false
 	}
 	buf.writeAt(0, payload)
+	buf.wire = wire && n.inj == nil
 	pkt.Outboard = buf
 	return true
 }
@@ -653,7 +660,7 @@ func (n *NIC) deferReceive(port int, payload mem.Buf, attempt int) bool {
 			Name: "net.rx.retry", Port: port, Bytes: payload.Len()})
 	}
 	n.eng.Schedule(sim.Duration(rxRetryDelayUS*float64(attempt+1)), func() {
-		n.receiveAttempt(port, payload, attempt+1)
+		n.receiveAttempt(port, payload, false, attempt+1)
 	})
 	return true
 }

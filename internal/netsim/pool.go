@@ -263,6 +263,7 @@ type OutboardBuffer struct {
 	mem     *OutboardMemory
 	n       int
 	content mem.Buf // nil until the first write: n zero bytes
+	wire    bool    // content is a whole wire buffer, returned at Free
 	freed   bool
 }
 
@@ -306,12 +307,16 @@ func (b *OutboardBuffer) Buf() mem.Buf {
 	return b.content
 }
 
-// Free returns the buffer's space to the adapter.
+// Free returns the buffer's space to the adapter, and a staged wire
+// buffer to mem's pool.
 func (b *OutboardBuffer) Free() {
 	if b.freed {
 		panic("netsim: double free of outboard buffer")
 	}
 	b.freed = true
+	if b.wire {
+		putWire(b.content)
+	}
 	b.mem.used -= b.n
 	b.mem.hwm.Set(b.mem.used)
 	b.content = mem.Buf{}

@@ -147,9 +147,10 @@ func TestWireBufferReturnedAfterCopy(t *testing.T) {
 }
 
 // TestWireBufferKeptWhenShared: an outboard adapter stages the payload
-// by reference, an injector may duplicate a frame or defer its receive,
-// and a fragmented datagram is copied piecewise; none of them ever
-// returns the buffer, and what the adapter staged stays intact.
+// by reference and returns it only when the staged buffer is freed; an
+// injector may duplicate a frame or defer its receive, and a fragmented
+// datagram is copied piecewise, and none of those ever returns the
+// buffer. What the adapter staged stays intact.
 func TestWireBufferKeptWhenShared(t *testing.T) {
 	const n = 3000
 	t.Run("outboard", func(t *testing.T) {
@@ -158,6 +159,7 @@ func TestWireBufferKeptWhenShared(t *testing.T) {
 			NICConfig{Name: "rx", Buffering: OutboardBuffering, Outboard: NewOutboardMemory(1 << 20)})
 		var got Packet
 		b.SetRxHandler(func(p Packet) { got = p })
+		returned := 0
 		for i := 0; i < wireTrials; i++ {
 			buf := sendWire(t, a, 1, n, byte(i))
 			eng.Run()
@@ -169,6 +171,12 @@ func TestWireBufferKeptWhenShared(t *testing.T) {
 				t.Fatalf("trial %d: staged outboard bytes changed", i)
 			}
 			got.Outboard.Free()
+			if inPool(buf, 8) {
+				returned++
+			}
+		}
+		if returned == 0 {
+			t.Fatalf("no wire buffer returned to the pool in %d freed outboard buffers", wireTrials)
 		}
 	})
 	t.Run("duplicating sender", func(t *testing.T) {
