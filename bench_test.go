@@ -255,9 +255,9 @@ func BenchmarkMeasureColdVsRecycled(b *testing.B) {
 		recycle bool
 	}{{"cold", false}, {"recycled", true}} {
 		b.Run(arm.name, func(b *testing.B) {
-			memoWas, recycleWas := par.SetMemo(false), par.SetRecycling(arm.recycle)
+			memoWas, recycleWas := experiments.SetMemo(false), par.SetRecycling(arm.recycle)
 			defer func() {
-				par.SetMemo(memoWas)
+				experiments.SetMemo(memoWas)
 				par.SetRecycling(recycleWas)
 				experiments.ResetPerf()
 			}()
@@ -315,9 +315,9 @@ func BenchmarkFullRunCachedVsUncached(b *testing.B) {
 		on   bool
 	}{{"uncached", false}, {"cached", true}} {
 		b.Run(arm.name, func(b *testing.B) {
-			memoWas, recycleWas := par.SetMemo(arm.on), par.SetRecycling(arm.on)
+			memoWas, recycleWas := experiments.SetMemo(arm.on), par.SetRecycling(arm.on)
 			defer func() {
-				par.SetMemo(memoWas)
+				experiments.SetMemo(memoWas)
 				par.SetRecycling(recycleWas)
 				experiments.ResetPerf()
 			}()
@@ -358,9 +358,9 @@ func BenchmarkTracingOverhead(b *testing.B) {
 		{"on", trace.New(discardSink{})},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
-			memoWas := par.SetMemo(false)
+			memoWas := experiments.SetMemo(false)
 			defer func() {
-				par.SetMemo(memoWas)
+				experiments.SetMemo(memoWas)
 				experiments.ResetPerf()
 			}()
 			experiments.ResetPerf()
@@ -396,9 +396,9 @@ func BenchmarkSweepSymbolicVsBytes(b *testing.B) {
 		plane mem.DataPlane
 	}{{"bytes", mem.Bytes}, {"symbolic", mem.Symbolic}} {
 		b.Run(arm.name, func(b *testing.B) {
-			memoWas := par.SetMemo(false)
+			memoWas := experiments.SetMemo(false)
 			defer func() {
-				par.SetMemo(memoWas)
+				experiments.SetMemo(memoWas)
 				experiments.ResetPerf()
 			}()
 			experiments.ResetPerf()
@@ -424,9 +424,9 @@ func TestSymbolicPlaneFasterAtMaxDatagram(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timed comparison in -short mode")
 	}
-	memoWas := par.SetMemo(false)
+	memoWas := experiments.SetMemo(false)
 	defer func() {
-		par.SetMemo(memoWas)
+		experiments.SetMemo(memoWas)
 		experiments.ResetPerf()
 	}()
 	timePlane := func(plane mem.DataPlane) float64 {

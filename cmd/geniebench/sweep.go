@@ -171,7 +171,7 @@ func runSweepCmd(args []string, stdout, stderr io.Writer) int {
 	all := !*figures && !*tables && !*ablations && *tracePath == ""
 
 	experiments.SetParallelism(*parallel)
-	defer par.SetMemo(par.SetMemo(!*nomemo))
+	defer experiments.SetMemo(experiments.SetMemo(!*nomemo))
 	defer par.SetRecycling(par.SetRecycling(!*norecycle))
 	experiments.SetDataPlane(plane)
 
@@ -246,9 +246,8 @@ func runSweepCmd(args []string, stdout, stderr io.Writer) int {
 	// The performance summary goes to stderr so stdout stays
 	// byte-comparable across memo/recycle/parallelism settings.
 	fmt.Fprintf(stderr,
-		"geniebench: cache %d hits / %d misses / %d single-flight waits; testbeds %d recycled / %d built\n",
-		perf.CacheHits, perf.CacheMisses, perf.CacheWaits,
-		perf.TestbedsRecycled, perf.TestbedsBuilt)
+		"geniebench: cache %d hits / %d misses; testbeds %d recycled / %d built\n",
+		perf.CacheHits, perf.CacheMisses, perf.TestbedsRecycled, perf.TestbedsBuilt)
 	if perf.ResetFailures > 0 {
 		fmt.Fprintf(stderr, "geniebench: WARNING: %d testbed resets failed (state leak?)\n",
 			perf.ResetFailures)

@@ -24,7 +24,7 @@ import (
 // fresh one on drawn configurations too. The testbed recycler keeps a
 // bounded number of configurations, so a long run's memory stays flat.
 func FuzzEvaluateMatchesSimulation(f *testing.F) {
-	defer par.SetMemo(par.SetMemo(false))
+	defer experiments.SetMemo(experiments.SetMemo(false))
 	defer par.SetRecycling(par.SetRecycling(true))
 	type seed struct {
 		sem, scheme              uint8

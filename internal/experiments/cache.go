@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -53,28 +55,74 @@ func measureKey(s Setup, sem core.Semantics, length int) cacheKey {
 	}
 }
 
-// cacheKeyHash spreads cache keys over the memo's stripes (FNV-1a over
-// the key's discriminating fields). Equality is still decided by the
-// full key.
-func cacheKeyHash(k cacheKey) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime
-			v >>= 8
-		}
+// SetMemo turns Measure's memo on or off and returns the previous
+// setting; the memo defaults to on. While off, Measure simulates every
+// call and memoizes nothing; entries made before stay and serve again
+// once the memo is back on.
+func SetMemo(on bool) (was bool) { return !memoOff.Swap(!on) }
+
+var memoOff atomic.Bool
+
+// memoResult is one memoized Measure result. Errors are memoized like
+// measurements, because the simulation is deterministic.
+type memoResult struct {
+	m   Measurement
+	err error
+}
+
+// memo is a map of Measure results under one lock, with its counters.
+// A miss simulates outside the lock, so workers that miss on one point
+// at once each simulate it; determinism makes their results equal, and
+// the paper-pairwise traffic does that in about 0.1% of its calls.
+type memo struct {
+	mu           sync.Mutex
+	results      map[cacheKey]memoResult
+	hits, misses uint64
+}
+
+// lookup returns the memoized result for key, counting a hit or a miss.
+// While the memo is off every call is a miss.
+func (c *memo) lookup(key cacheKey) (r memoResult, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !memoOff.Load() {
+		r, ok = c.results[key]
 	}
-	mix(k.model)
-	mix(uint64(k.scheme)<<32 | uint64(k.sem))
-	mix(uint64(k.length))
-	mix(uint64(k.devOff)<<20 | uint64(k.appOffset))
-	for i := 0; i < len(k.plane); i++ {
-		h ^= uint64(k.plane[i])
-		h *= prime
+	if ok {
+		c.hits++
+	} else {
+		c.misses++
 	}
-	return h
+	return r, ok
+}
+
+// store memoizes key's result unless the memo is off.
+func (c *memo) store(key cacheKey, r memoResult) {
+	if memoOff.Load() {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.results == nil {
+		c.results = map[cacheKey]memoResult{}
+	}
+	c.results[key] = r
+}
+
+// counts returns the hit and miss counters.
+func (c *memo) counts() (hits, misses uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hits, c.misses
+}
+
+// reset discards every entry and zeroes the counters. The map keeps its
+// table, so a memo refilled to the same size does not regrow it.
+func (c *memo) reset() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	clear(c.results)
+	c.hits, c.misses = 0, 0
 }
 
 // measureMemo memoizes Measure. Across a full geniebench run the figure
@@ -86,7 +134,7 @@ func cacheKeyHash(k cacheKey) uint64 {
 // (including their Records slices) must be treated as immutable. The
 // paper's thesis is that redundant data handling dominates I/O cost;
 // the harness takes its own advice.
-var measureMemo = par.NewMemo[cacheKey, Measurement](cacheKeyHash)
+var measureMemo memo
 
 // testbeds recycles Measure's testbeds, keyed by their configuration.
 // A miss needs two hosts of 512 frames plus engine, VM and netsim set-up
@@ -98,12 +146,13 @@ var testbeds par.Recycler[core.TestbedConfig, *core.Testbed]
 // the pairwise measurement memo, the recyclers of the pairwise, workload
 // and storage sweeps, and the analytic fast path.
 type PerfStats struct {
-	// CacheHits counts Measure calls satisfied by a completed memo.
+	// CacheHits counts Measure calls served by the memo.
 	CacheHits uint64 `json:"cache_hits"`
 	// CacheMisses counts Measure calls that simulated the point.
 	CacheMisses uint64 `json:"cache_misses"`
-	// CacheWaits counts Measure calls that blocked on another worker
-	// computing the same point (single-flight dedupe).
+	// CacheWaits is always zero: concurrent misses on one point each
+	// simulate it, and no call waits on another. The field stays
+	// because the benchmark harness in bench/ reads it.
 	CacheWaits uint64 `json:"cache_waits"`
 	// TestbedsBuilt counts testbeds constructed from scratch.
 	TestbedsBuilt uint64 `json:"testbeds_built"`
@@ -144,12 +193,12 @@ type PerfStats struct {
 
 // Perf returns a snapshot of the package-wide performance counters.
 func Perf() PerfStats {
-	memo, tbs, rigs := measureMemo.Stats(), testbeds.Stats(), storageRigs.Stats()
+	tbs, rigs := testbeds.Stats(), storageRigs.Stats()
 	wl := workload.Perf()
+	hits, misses := measureMemo.counts()
 	return PerfStats{
-		CacheHits:               memo.Hits,
-		CacheMisses:             memo.Misses,
-		CacheWaits:              memo.Waits,
+		CacheHits:               hits,
+		CacheMisses:             misses,
 		TestbedsBuilt:           tbs.Built,
 		TestbedsRecycled:        tbs.Recycled,
 		ResetFailures:           tbs.ResetFailures,
@@ -167,11 +216,10 @@ func Perf() PerfStats {
 
 // ResetPerf discards the measurement memo's contents and every free
 // list, here and in the workload package, and zeroes all performance
-// counters. The
-// switches (par.SetMemo, par.SetRecycling) keep their settings. Tests and
-// benchmarks use it to measure from a cold start.
+// counters. The switches (SetMemo, par.SetRecycling) keep their
+// settings. Tests and benchmarks use it to measure from a cold start.
 func ResetPerf() {
-	measureMemo.Reset()
+	measureMemo.reset()
 	testbeds.Reset()
 	storageRigs.Reset()
 	analyticPoints.Store(0)

@@ -137,9 +137,13 @@ func Measure(s Setup, sem core.Semantics, length int) (Measurement, error) {
 	if s.Tracer != nil {
 		return measureUncached(s, sem, length)
 	}
-	return measureMemo.Do(measureKey(s, sem, length), func() (Measurement, error) {
-		return measureUncached(s, sem, length)
-	})
+	key := measureKey(s, sem, length)
+	if r, ok := measureMemo.lookup(key); ok {
+		return r.m, r.err
+	}
+	m, err := measureUncached(s, sem, length)
+	measureMemo.store(key, memoResult{m, err})
+	return m, err
 }
 
 // measureTestbedConfig is the testbed configuration Measure uses for a

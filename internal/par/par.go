@@ -1,16 +1,12 @@
-// Package par holds the harness's three work-saving mechanisms: a
-// single-flight memo of simulated points (Memo), free lists of Reset
-// simulation objects that garbage collection never empties (Recycler),
-// and an index-claiming fan-out over
-// worker goroutines (Each). Every sweep recycles and fans out; only the
-// pairwise measurement path memoizes, because only there do generators
-// ask for the same point again.
+// Package par holds the work-saving mechanisms that more than one
+// package uses: free lists of Reset simulation objects that garbage
+// collection never empties (Recycler, switched by SetRecycling), and an
+// index-claiming fan-out over worker goroutines (Each).
 //
-// None of them may change a result. A simulated point is a pure function
-// of its key, a Reset object simulates bit-identically to a fresh one,
-// and Each reports the error the serial loop would have returned, so
-// every sweep prints the same bytes with the memo and recycling on or
-// off (SetMemo, SetRecycling) and at any worker count.
+// Neither may change a result. A Reset object simulates bit-identically
+// to a fresh one, and Each reports the error the serial loop would have
+// returned, so every sweep prints the same bytes with recycling on or
+// off and at any worker count.
 package par
 
 import (
@@ -19,117 +15,12 @@ import (
 	"sync/atomic"
 )
 
-// The process-wide switches, one per mechanism; both default to on.
-var memoOff, recyclingOff atomic.Bool
-
-// SetMemo turns every Memo on or off and returns the previous setting.
-// While off, Do computes every call and memoizes nothing; entries made
-// before stay and serve again once the memo is back on.
-func SetMemo(on bool) (was bool) { return !memoOff.Swap(!on) }
+// recyclingOff is the process-wide recycling switch; it defaults to on.
+var recyclingOff atomic.Bool
 
 // SetRecycling turns every Recycler on or off and returns the previous
 // setting. While off, Get always builds and Put drops its object.
 func SetRecycling(on bool) (was bool) { return !recyclingOff.Swap(!on) }
-
-// MemoStats counts Memo.Do calls by how they were served.
-type MemoStats struct {
-	Hits   uint64 // served by a completed entry
-	Misses uint64 // computed the value (every call while the memo is off)
-	Waits  uint64 // blocked on another caller computing the same key
-}
-
-// A Memo has 1<<memoStripeBits lock-striped segments; 32 keep contention
-// negligible at any worker count while each map stays dense.
-const (
-	memoStripeBits = 5
-	memoStripes    = 1 << memoStripeBits
-)
-
-// memoEntry is one memoized value. done is closed once v and err are
-// final; until then, later callers for the same key block on it.
-type memoEntry[V any] struct {
-	done chan struct{}
-	v    V
-	err  error
-}
-
-type memoStripe[K comparable, V any] struct {
-	mu      sync.Mutex
-	entries map[K]*memoEntry[V]
-}
-
-// Memo is a lock-striped, single-flight memo: the first caller for a key
-// computes the value, concurrent callers for that key wait for it, and
-// later callers share it. Errors are memoized like values, because the
-// computations it serves are deterministic. Memoized values are shared
-// by reference and must be treated as immutable. A Memo is safe for
-// concurrent use.
-type Memo[K comparable, V any] struct {
-	hash    func(K) uint64
-	stripes [memoStripes]memoStripe[K, V]
-
-	hits, misses, waits atomic.Uint64
-}
-
-// NewMemo returns an empty memo. hash spreads keys over the stripes; it
-// need not be well mixed, and equal keys must hash equally. Equality is
-// decided by the full key.
-func NewMemo[K comparable, V any](hash func(K) uint64) *Memo[K, V] {
-	m := &Memo[K, V]{hash: hash}
-	for i := range m.stripes {
-		m.stripes[i].entries = make(map[K]*memoEntry[V])
-	}
-	return m
-}
-
-// Do returns the memoized value for key, calling compute on a miss.
-func (m *Memo[K, V]) Do(key K, compute func() (V, error)) (V, error) {
-	if memoOff.Load() {
-		m.misses.Add(1)
-		return compute()
-	}
-	// Fibonacci hashing: the top bits of the product pick the stripe.
-	s := &m.stripes[(m.hash(key)*0x9E3779B97F4A7C15)>>(64-memoStripeBits)]
-	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
-		s.mu.Unlock()
-		select {
-		case <-e.done:
-			m.hits.Add(1)
-		default:
-			m.waits.Add(1)
-			<-e.done
-		}
-		return e.v, e.err
-	}
-	e := &memoEntry[V]{done: make(chan struct{})}
-	s.entries[key] = e
-	s.mu.Unlock()
-	m.misses.Add(1)
-	e.v, e.err = compute()
-	close(e.done)
-	return e.v, e.err
-}
-
-// Stats returns the memo's counters.
-func (m *Memo[K, V]) Stats() MemoStats {
-	return MemoStats{Hits: m.hits.Load(), Misses: m.misses.Load(), Waits: m.waits.Load()}
-}
-
-// Reset discards every entry and zeroes the counters. The stripes'
-// maps keep their tables, so a memo refilled to the same size after a
-// Reset does not regrow them.
-func (m *Memo[K, V]) Reset() {
-	for i := range m.stripes {
-		s := &m.stripes[i]
-		s.mu.Lock()
-		clear(s.entries)
-		s.mu.Unlock()
-	}
-	m.hits.Store(0)
-	m.misses.Store(0)
-	m.waits.Store(0)
-}
 
 // RecycleStats counts Recycler traffic.
 type RecycleStats struct {

@@ -10,112 +10,6 @@ import (
 	"time"
 )
 
-func identityHash(k int) uint64 { return uint64(k) }
-
-// TestMemoSingleFlight asserts that concurrent callers asking for the
-// same key compute it exactly once: one miss, and every other caller
-// either waits on the in-flight computation or hits the completed
-// entry. Run under -race this also locks in the entry lifecycle.
-func TestMemoSingleFlight(t *testing.T) {
-	const workers = 16
-	m := NewMemo[int, []int](identityHash)
-	var computed atomic.Int32
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	results := make([][]int, workers)
-	errs := make([]error, workers)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = m.Do(7, func() ([]int, error) {
-				computed.Add(1)
-				<-release
-				return []int{7, 49}, nil
-			})
-		}(i)
-	}
-	close(release)
-	wg.Wait()
-	for i := 0; i < workers; i++ {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		if &results[i][0] != &results[0][0] {
-			t.Fatalf("worker %d got its own value, want the shared one", i)
-		}
-	}
-	if got := computed.Load(); got != 1 {
-		t.Errorf("computed %d times, want 1 (single-flight)", got)
-	}
-	st := m.Stats()
-	if st.Misses != 1 {
-		t.Errorf("misses = %d, want 1", st.Misses)
-	}
-	if st.Hits+st.Waits != workers-1 {
-		t.Errorf("hits+waits = %d, want %d", st.Hits+st.Waits, workers-1)
-	}
-}
-
-// A failing computation is deterministic, so its error is memoized like
-// a value; distinct keys stay distinct.
-func TestMemoMemoizesErrors(t *testing.T) {
-	m := NewMemo[int, int](identityHash)
-	boom := errors.New("boom")
-	calls := 0
-	fail := func() (int, error) { calls++; return 0, boom }
-	for i := 0; i < 3; i++ {
-		if _, err := m.Do(1, fail); !errors.Is(err, boom) {
-			t.Fatalf("probe %d: err = %v, want %v", i, err, boom)
-		}
-	}
-	if v, err := m.Do(2, func() (int, error) { calls++; return 4, nil }); err != nil || v != 4 {
-		t.Fatalf("key 2 = %d, %v", v, err)
-	}
-	if calls != 2 {
-		t.Errorf("computed %d times, want once per key", calls)
-	}
-	if st := m.Stats(); st != (MemoStats{Hits: 2, Misses: 2}) {
-		t.Errorf("stats = %+v", st)
-	}
-	m.Reset()
-	if st := m.Stats(); st != (MemoStats{}) {
-		t.Errorf("stats after Reset = %+v", st)
-	}
-	if _, err := m.Do(1, func() (int, error) { calls++; return 1, nil }); err != nil || calls != 3 {
-		t.Errorf("Reset kept the memoized error: err %v, calls %d", err, calls)
-	}
-}
-
-// With the memo switched off every call computes and counts a miss, and
-// entries made before the switch serve again once it is back on.
-func TestMemoSwitchOffBypasses(t *testing.T) {
-	m := NewMemo[int, int](identityHash)
-	calls := 0
-	compute := func() (int, error) { calls++; return calls, nil }
-	if v, _ := m.Do(5, compute); v != 1 {
-		t.Fatalf("first Do = %d", v)
-	}
-	was := SetMemo(false)
-	if !was {
-		t.Fatal("memo was off before the test")
-	}
-	for want := 2; want <= 3; want++ {
-		if v, _ := m.Do(5, compute); v != want {
-			t.Errorf("memo off: Do = %d, want a fresh computation %d", v, want)
-		}
-	}
-	if SetMemo(true) {
-		t.Error("SetMemo(false) did not switch the memo off")
-	}
-	if v, _ := m.Do(5, compute); v != 1 {
-		t.Errorf("memo back on: Do = %d, want the entry made before (1)", v)
-	}
-	if st := m.Stats(); st != (MemoStats{Hits: 1, Misses: 3}) {
-		t.Errorf("stats = %+v, want 1 hit and 3 misses", st)
-	}
-}
-
 // obj is a recyclable test object.
 type obj struct {
 	dirty   bool
