@@ -103,9 +103,6 @@ func (c *memo) store(key cacheKey, r memoResult) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.results == nil {
-		c.results = map[cacheKey]memoResult{}
-	}
 	c.results[key] = r
 }
 
@@ -134,7 +131,7 @@ func (c *memo) reset() {
 // (including their Records slices) must be treated as immutable. The
 // paper's thesis is that redundant data handling dominates I/O cost;
 // the harness takes its own advice.
-var measureMemo memo
+var measureMemo = memo{results: map[cacheKey]memoResult{}}
 
 // testbeds recycles Measure's testbeds, keyed by their configuration.
 // A miss needs two hosts of 512 frames plus engine, VM and netsim set-up
