@@ -1,28 +1,17 @@
 package genie
 
 import (
-	"fmt"
-
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/topo"
 )
 
 // Topology describes an N-host network shape: a host count plus the set
-// of host pairs that may open channels through the switch fabric. Use
-// the constructors below, or build one directly for a custom shape.
+// of host pairs that may open channels through the switch fabric.
 type Topology = topo.Spec
 
-// Ring connects host i to host (i+1) mod n — the halo-exchange shape of
+// RingTopology connects host i to host (i+1) mod n — the halo-exchange shape of
 // bulk-parallel applications.
 func RingTopology(n int) Topology { return topo.Ring(n) }
-
-// Incast connects hosts 1..n-1 to host 0 — the fan-in shape where many
-// senders converge on one receiver's ports and buffer pools.
-func IncastTopology(n int) Topology { return topo.Incast(n) }
-
-// FullMesh connects every host pair.
-func FullMeshTopology(n int) Topology { return topo.FullMesh(n) }
 
 // Cluster is a simulated N-host network: every host configured like a
 // testbed host, attached to a store-and-forward switch fabric, each
@@ -36,25 +25,11 @@ type Cluster struct {
 // NewCluster builds an N-host network with the given topology. workers
 // is the number of goroutines advancing engine shards (values below 1
 // mean serial; the simulated result never depends on it). The usual
-// options apply per host; WithTracer is rejected, since a trace sink is
-// a single unsynchronized stream and shards run concurrently.
+// options apply per host.
 func NewCluster(t Topology, workers int, opts ...Option) (*Cluster, error) {
 	var o options
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if o.sink != nil {
-		return nil, fmt.Errorf("genie: NewCluster does not support WithTracer: a trace sink is one unsynchronized stream, but cluster shards run concurrently")
-	}
-	if o.modelSet {
-		p, nt := o.platform, o.network
-		if p.Name == "" {
-			p = cost.MicronP166
-		}
-		if nt.Name == "" {
-			nt = cost.CreditNetOC3
-		}
-		o.cfg.Model = cost.NewModel(p, nt)
 	}
 	c, err := core.NewCluster(core.ClusterConfig{
 		TestbedConfig: o.cfg,
@@ -67,17 +42,8 @@ func NewCluster(t Topology, workers int, opts ...Option) (*Cluster, error) {
 	return &Cluster{c: c}, nil
 }
 
-// Size returns the number of hosts.
-func (c *Cluster) Size() int { return c.c.Size() }
-
-// Workers returns the shard-advance worker count.
-func (c *Cluster) Workers() int { return c.c.Workers() }
-
 // Host returns host i of the topology.
 func (c *Cluster) Host(i int) *Host { return &Host{c.c.Host(i)} }
-
-// PageSize returns the hosts' page size in bytes.
-func (c *Cluster) PageSize() int { return c.c.Model.Platform.PageSize }
 
 // Run advances the whole cluster until no events remain, returning the
 // final simulated time.

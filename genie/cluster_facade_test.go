@@ -15,9 +15,6 @@ func TestClusterFacadeRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Size() != hosts || c.Workers() != 2 {
-		t.Fatalf("size=%d workers=%d", c.Size(), c.Workers())
-	}
 	procs := make([]*genie.Process, hosts)
 	for i := range procs {
 		procs[i] = c.Host(i).NewProcess()
@@ -63,41 +60,38 @@ func TestClusterFacadeRing(t *testing.T) {
 	if c.Now() <= 0 {
 		t.Fatal("cluster clock did not advance")
 	}
-	if c.PageSize() <= 0 {
-		t.Fatal("page size not exposed")
-	}
 }
 
-// TestClusterFacadeOptions checks per-host options flow through and the
-// tracer rejection.
+// TestClusterFacadeOptions checks that per-host options flow through
+// and that bad shapes are refused.
 func TestClusterFacadeOptions(t *testing.T) {
-	c, err := genie.NewCluster(genie.IncastTopology(3), 1,
-		genie.WithPlatform(genie.AlphaStation255),
-		genie.WithMemory(128))
-	if err != nil {
-		t.Fatal(err)
+	// written reports whether host 1 of a 3-host ring with the given
+	// memory size takes a 160-page application write.
+	written := func(frames int) bool {
+		c, err := genie.NewCluster(genie.RingTopology(3), 1, genie.WithMemory(frames))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := c.Host(1).NewProcess()
+		va, err := p.Brk(160 * 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Write(va, make([]byte, 160*4096)) == nil
 	}
-	if got := c.PageSize(); got != genie.AlphaStation255.PageSize {
-		t.Fatalf("page size = %d, want Alpha's %d", got, genie.AlphaStation255.PageSize)
-	}
-	if free := c.Host(1).FreeFrames(); free <= 0 || free > 128 {
-		t.Fatalf("host free frames = %d with 128 configured", free)
-	}
-	ring := &traceRing{}
-	if _, err := genie.NewCluster(genie.RingTopology(2), 1, genie.WithTracer(ring)); err == nil {
-		t.Fatal("WithTracer accepted on a cluster")
+	if written(128) || !written(1024) {
+		t.Fatal("WithMemory did not bound a cluster host's physical memory")
 	}
 	if _, err := genie.NewCluster(genie.Topology{Hosts: 0}, 1); err == nil {
 		t.Fatal("empty topology accepted")
 	}
-	p0 := c.Host(1).NewProcess()
+	c, err := genie.NewCluster(genie.RingTopology(4), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p0 := c.Host(0).NewProcess()
 	p2 := c.Host(2).NewProcess()
 	if _, _, err := c.Connect(p0, p2, genie.Copy, 4096, 1); err == nil {
-		t.Fatal("non-adjacent connect accepted (incast spokes are not connected)")
+		t.Fatal("non-adjacent connect accepted (a 4-host ring has no 0-2 pair)")
 	}
 }
-
-// traceRing is a throwaway Sink for the rejection test.
-type traceRing struct{}
-
-func (r *traceRing) Emit(genie.Event) {}

@@ -77,3 +77,29 @@ func ExampleSemantics() {
 	// emulated move: system-allocated=true weak-integrity=false emulated=true
 	// share: system-allocated=false weak-integrity=true emulated=false
 }
+
+// ExampleAllSemantics walks the taxonomy in order: each of the eight
+// semantics is one constant an application passes to Input, Output,
+// Transfer or NewChannel.
+func ExampleAllSemantics() {
+	named := []genie.Semantics{
+		genie.Copy, genie.EmulatedCopy, genie.Share, genie.EmulatedShare,
+		genie.Move, genie.EmulatedMove, genie.WeakMove, genie.EmulatedWeakMove,
+	}
+	for i, sem := range genie.AllSemantics() {
+		if sem != named[i] {
+			log.Fatalf("AllSemantics()[%d] = %v, want %v", i, sem, named[i])
+		}
+		fmt.Printf("%-18s system-allocated=%-5t weak-integrity=%t\n",
+			sem, sem.SystemAllocated(), sem.WeakIntegrity())
+	}
+	// Output:
+	// copy               system-allocated=false weak-integrity=false
+	// emulated copy      system-allocated=false weak-integrity=false
+	// share              system-allocated=false weak-integrity=true
+	// emulated share     system-allocated=false weak-integrity=true
+	// move               system-allocated=true  weak-integrity=false
+	// emulated move      system-allocated=true  weak-integrity=false
+	// weak move          system-allocated=true  weak-integrity=true
+	// emulated weak move system-allocated=true  weak-integrity=true
+}

@@ -70,77 +70,36 @@ func TestChecksumThroughFacade(t *testing.T) {
 	}
 }
 
-func TestMTUThroughFacade(t *testing.T) {
-	net, err := genie.New(genie.WithMTU(9180))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx := net.HostA().NewProcess()
-	rx := net.HostB().NewProcess()
-	const n = 15 * 4096
-	src, _ := tx.Brk(n)
-	dst, _ := rx.Brk(n)
-	payload := make([]byte, n)
-	for i := range payload {
-		payload[i] = byte(i * 3)
-	}
-	if err := tx.Write(src, payload); err != nil {
-		t.Fatal(err)
-	}
-	_, in, err := net.Transfer(tx, rx, 1, genie.EmulatedCopy, src, dst, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, n)
-	if err := rx.Read(in.Addr, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("fragmented transfer corrupted")
-	}
-}
-
-func TestDemandPagingThroughFacade(t *testing.T) {
-	net, err := genie.New(genie.WithDemandPaging(), genie.WithMemory(96))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := net.HostA().NewProcess()
-	// More data than memory: must succeed via pageout.
-	va, err := p.Brk(64 * 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, 64*4096)
-	for i := range data {
-		data[i] = byte(i * 13)
-	}
-	if err := p.Write(va, data); err != nil {
-		t.Fatalf("write under pressure: %v", err)
-	}
-	got := make([]byte, len(data))
-	if err := p.Read(va, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("demand-paged data corrupted")
-	}
-}
-
+// TestProcessExitThroughFacade: an exiting process returns its frames,
+// so a second process can fill the same memory the first one filled.
 func TestProcessExitThroughFacade(t *testing.T) {
-	net, err := genie.New()
+	net, err := genie.New(genie.WithMemory(256))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := net.HostA().NewProcess()
-	free := net.HostA().FreeFrames()
-	va, _ := p.Brk(8 * 4096)
-	if err := p.Write(va, make([]byte, 8*4096)); err != nil {
-		t.Fatal(err)
+	page := make([]byte, 4096)
+	// fill writes pages into p until a write fails (at most limit
+	// pages) and returns how many it wrote.
+	fill := func(p *genie.Process, limit int) int {
+		for n := 0; n < limit; n++ {
+			va, err := p.Brk(len(page))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Write(va, page) != nil {
+				return n
+			}
+		}
+		return limit
 	}
-	p.Exit()
-	if got := net.HostA().FreeFrames(); got != free {
-		t.Fatalf("frames not reclaimed on exit: %d vs %d", got, free)
+	first := net.HostA().NewProcess()
+	n := fill(first, 512)
+	if n == 0 || n == 512 {
+		t.Fatalf("first process wrote %d pages into a 256-frame host", n)
+	}
+	first.Exit()
+	if got := fill(net.HostA().NewProcess(), n); got != n {
+		t.Fatalf("frames not reclaimed on exit: second process wrote %d of the %d pages the first one held", got, n)
 	}
 }
 
@@ -165,5 +124,78 @@ func TestSendLocalThroughFacade(t *testing.T) {
 	}
 	if string(got) != "ipc via facade" {
 		t.Fatalf("got %q", got)
+	}
+}
+
+// TestNegativeConfigErrors: misuse reachable through the public facade
+// must surface as returned errors, never as panics (the mem/vm panic
+// audit keeps panics for internal invariants only).
+func TestNegativeConfigErrors(t *testing.T) {
+	if _, err := genie.New(genie.WithMemory(-1)); err == nil {
+		t.Fatal("negative memory size accepted")
+	}
+	if _, err := genie.NewCluster(genie.RingTopology(3), 1, genie.WithMemory(-1)); err == nil {
+		t.Fatal("negative memory size accepted by a cluster")
+	}
+}
+
+// TestBadLengthThroughFacade: an empty, negative or over-frame length
+// is a returned error through the facade, never a panic (core's
+// TestSystemAllocatedOutputErrors checks the same lengths for
+// ErrBadBuffer).
+func TestBadLengthThroughFacade(t *testing.T) {
+	net, err := genie.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := net.HostA().NewProcess()
+	va, _ := p.Brk(4096)
+	for _, n := range []int{0, -1, 1 << 30} {
+		if _, err := p.Output(1, genie.EmulatedCopy, va, n); err == nil {
+			t.Errorf("Output length %d accepted", n)
+		}
+		if _, err := p.Input(1, genie.Copy, va, n); err == nil {
+			t.Errorf("Input length %d accepted", n)
+		}
+	}
+}
+
+// TestUnmatchedPortDropsThroughFacade: under early demultiplexing a
+// datagram with no posted input never reaches the framework — the
+// adapter has nowhere to place it and drops it — so an input posted on
+// that port afterwards receives the next datagram, not the dropped one.
+func TestUnmatchedPortDropsThroughFacade(t *testing.T) {
+	net, err := genie.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := net.HostA().NewProcess()
+	rx := net.HostB().NewProcess()
+	va, _ := tx.Brk(4096)
+	if err := tx.Write(va, []byte("nobody listens")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Output(9, genie.EmulatedCopy, va, 4096); err != nil {
+		t.Fatal(err)
+	}
+	net.Run()
+
+	if err := tx.Write(va, []byte("second datagram")); err != nil {
+		t.Fatal(err)
+	}
+	dst, _ := rx.Brk(4096)
+	_, in, err := net.Transfer(tx, rx, 9, genie.EmulatedCopy, va, dst, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 15)
+	if err := rx.Read(in.Addr, got); err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "second datagram" {
+		t.Errorf("input on the unmatched port got %q, want the second datagram", got)
+	}
+	if s := net.HostB().Stats(); s.Inputs != 1 {
+		t.Errorf("receiver completed %d inputs, want 1", s.Inputs)
 	}
 }

@@ -30,12 +30,7 @@ package genie
 
 import (
 	"repro/internal/core"
-	"repro/internal/cost"
-	"repro/internal/faults"
-	"repro/internal/mem"
-	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
@@ -67,36 +62,16 @@ const (
 // AllSemantics returns the eight semantics in taxonomy order.
 func AllSemantics() []Semantics { return core.AllSemantics() }
 
-// Buffering selects the device input buffering architecture.
-type Buffering = netsim.InputBuffering
-
-// Device input buffering architectures.
-const (
-	// EarlyDemux keeps per-connection buffer lists on the adapter and
-	// DMAs data directly into preposted buffers.
-	EarlyDemux = netsim.EarlyDemux
-	// Pooled allocates fixed-size overlay pages from a device pool.
-	Pooled = netsim.Pooled
-	// Outboard stages data in adapter memory (store-and-forward).
-	Outboard = netsim.OutboardBuffering
-)
-
 // Re-exported operation types: see their methods for results.
 type (
 	// Endpoint is one end of a windowed message channel with
 	// credit-based flow control. Send reports only an error: the
 	// output record it runs in belongs to the endpoint, which reuses it.
 	Endpoint = core.Endpoint
-	// Message is a received channel message, borrowed until Release;
-	// it must not be used afterwards, and a second Release reports
-	// ErrMessageReleased.
-	Message = core.Message
 	// RPCClient issues request-response calls over a channel.
 	RPCClient = core.RPCClient
 	// Call is one outstanding RPC.
 	Call = core.Call
-	// Segment is one piece of a gather (writev-style) output.
-	Segment = core.Segment
 	// Process is an application address space on a host.
 	Process = core.Process
 	// OutputOp tracks an output through prepare and dispose.
@@ -107,38 +82,12 @@ type (
 	Config = core.Config
 	// Addr is a simulated virtual address.
 	Addr = vm.Addr
-	// Region is a virtual memory region (system-allocated buffers).
-	Region = vm.Region
-	// Platform describes a machine from the paper's Table 5.
-	Platform = cost.Platform
-	// Net describes a link technology (name and line rate).
-	Net = cost.Network
 	// Time is a point on the simulated clock, in microseconds.
 	Time = sim.Time
-	// Duration is a span of simulated time, in microseconds.
-	Duration = sim.Duration
 	// Stats counts a host's data path events (outputs, inputs,
 	// conversions, copyouts, swaps, drops).
 	Stats = core.Stats
-	// FaultSpec configures seeded deterministic fault injection
-	// (WithFaults). Rates are per-decision probabilities; the zero spec
-	// disables injection.
-	FaultSpec = faults.Spec
-	// Reliable is one end of a reliable channel: sequence numbers,
-	// checksums, acknowledgements, and sim-clock retransmission recover
-	// injected drops, duplicates, reorderings, and corruptions.
-	Reliable = core.Reliable
-	// ReliableConfig tunes the retransmit machinery (zero value:
-	// defaults).
-	ReliableConfig = core.ReliableConfig
-	// ReliableStats counts the recovery machinery's work.
-	ReliableStats = core.ReliableStats
 )
-
-// ParseFaultSpec parses the geniebench fault-spec syntax (chaos -spec,
-// workload -faults), e.g.
-// "seed=1,drop=0.2,corrupt=0.05".
-func ParseFaultSpec(s string) (FaultSpec, error) { return faults.ParseSpec(s) }
 
 // NoAddr is the destination address for input under the
 // system-allocated semantics (the move family), where the system — not
@@ -156,8 +105,6 @@ type ChecksumMode = core.ChecksumMode
 
 // Checksum modes.
 const (
-	// ChecksumNone disables checksumming.
-	ChecksumNone = core.ChecksumNone
 	// ChecksumSeparate verifies with a distinct read pass, preserving
 	// copy semantics on failure.
 	ChecksumSeparate = core.ChecksumSeparate
@@ -169,79 +116,13 @@ const (
 // ErrChecksum reports a failed payload verification.
 var ErrChecksum = core.ErrChecksum
 
-// ErrMessageReleased reports a second Release of a channel Message.
-var ErrMessageReleased = core.ErrMessageReleased
-
-// ErrBadBuffer reports an invalid buffer range: a non-positive or
-// over-MTU length, or an address that does not start a usable region.
-var ErrBadBuffer = core.ErrBadBuffer
-
-// ErrOutOfMemory reports exhausted physical memory on a host built
-// without WithDemandPaging (with it, the system pages out instead).
-var ErrOutOfMemory = mem.ErrOutOfMemory
-
-// Platforms from the paper's Table 5.
-var (
-	MicronP166      = cost.MicronP166
-	GatewayP5_90    = cost.GatewayP5_90
-	AlphaStation255 = cost.AlphaStation255
-)
-
-// Link technologies.
-var (
-	// OC3 is the Credit Net ATM link at OC-3 (155 Mbps), the paper's
-	// measured configuration and the default.
-	OC3 = cost.CreditNetOC3
-	// OC12 is the ATM link at OC-12 (622 Mbps), the paper's
-	// extrapolation.
-	OC12 = cost.CreditNetOC12
-)
-
-// NetAt describes a custom link running at rateMbps.
-func NetAt(rateMbps float64) Net { return Net{Name: "custom", RateMbps: rateMbps} }
-
 // options collects the functional options for New.
 type options struct {
-	cfg      core.TestbedConfig
-	platform Platform
-	network  Net
-	modelSet bool
-	sink     Sink
+	cfg core.TestbedConfig
 }
 
 // Option configures the simulated network built by New.
 type Option func(*options)
-
-// WithBuffering selects the adapters' input architecture (default:
-// early demultiplexing).
-func WithBuffering(b Buffering) Option {
-	return func(o *options) { o.cfg.Buffering = b }
-}
-
-// WithPlatform selects the host machine model (default: Micron P166).
-// Composes with WithNetwork; the two axes are independent.
-func WithPlatform(p Platform) Option {
-	return func(o *options) {
-		o.platform = p
-		o.modelSet = true
-	}
-}
-
-// WithNetwork selects the link technology (default: OC3). Composes with
-// WithPlatform.
-func WithNetwork(n Net) Option {
-	return func(o *options) {
-		o.network = n
-		o.modelSet = true
-	}
-}
-
-// WithDeviceOffset sets the payload placement offset within the first
-// input page (unstripped headers under pooled buffering). Applications
-// discover it with Host.PreferredAlignment.
-func WithDeviceOffset(off int) Option {
-	return func(o *options) { o.cfg.OverlayOff = off }
-}
 
 // WithConfig overrides the framework tunables.
 func WithConfig(c Config) Option {
@@ -253,35 +134,9 @@ func WithMemory(frames int) Option {
 	return func(o *options) { o.cfg.FramesPerHost = frames }
 }
 
-// WithMTU fragments datagrams into MTU-sized packets on the wire,
-// reassembled per the receiving adapter's input architecture (under
-// early demultiplexing, fragments DMA straight into the posted buffer
-// at their offsets — no reassembly buffer exists).
-func WithMTU(mtu int) Option {
-	return func(o *options) { o.cfg.MTU = mtu }
-}
-
-// WithDemandPaging lets memory pressure trigger the pageout daemon
-// instead of failing allocations. Input-referenced and wired pages are
-// never evicted (input-disabled pageout).
-func WithDemandPaging() Option {
-	return func(o *options) { o.cfg.DemandPaging = true }
-}
-
-// WithFaults arms seeded deterministic fault injection on both hosts:
-// wire drops, duplicates, reorderings, payload corruption, transient
-// allocation failures, and pool admission denials, each at its spec
-// rate. The same spec always replays the same fault script. A
-// seed-only spec attaches an armed injector that never fires, leaving
-// the simulation bit-identical to an uninjected one.
-func WithFaults(s FaultSpec) Option {
-	return func(o *options) { o.cfg.Faults = s }
-}
-
 // Network is a simulated pair of hosts connected by an ATM link.
 type Network struct {
 	tb *core.Testbed
-	tr *Trace
 }
 
 // New builds the two-host testbed of the paper's Section 7.
@@ -290,32 +145,12 @@ func New(opts ...Option) (*Network, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.modelSet {
-		p, nt := o.platform, o.network
-		if p.Name == "" {
-			p = cost.MicronP166
-		}
-		if nt.Name == "" {
-			nt = cost.CreditNetOC3
-		}
-		o.cfg.Model = cost.NewModel(p, nt)
-	}
 	tb, err := core.NewTestbed(o.cfg)
 	if err != nil {
 		return nil, err
 	}
-	n := &Network{tb: tb}
-	if o.sink != nil {
-		n.tr = trace.New(o.sink)
-		tb.SetTracer(n.tr)
-	}
-	return n, nil
+	return &Network{tb: tb}, nil
 }
-
-// Tracer returns the network's tracing handle: nil when the network was
-// built without WithTracer. The handle (and every *Trace) is nil-safe,
-// so it can be passed around without guarding.
-func (n *Network) Tracer() *Trace { return n.tr }
 
 // Host is one machine of the pair.
 type Host struct {
@@ -334,9 +169,6 @@ func (n *Network) Run() Time { return n.tb.Run() }
 // Now returns the current virtual time.
 func (n *Network) Now() Time { return n.tb.Eng.Now() }
 
-// PageSize returns the hosts' page size in bytes.
-func (n *Network) PageSize() int { return n.tb.Model.Platform.PageSize }
-
 // Transfer posts an input on the receiver, performs an output on the
 // sender, runs the simulation to completion, and returns both
 // operations. For system-allocated semantics dstVA is ignored and the
@@ -353,13 +185,6 @@ func (n *Network) NewChannel(a, b *Process, basePort int, sem Semantics, bufSize
 	return core.NewChannel(a, b, basePort, sem, bufSize, window)
 }
 
-// NewReliableChannel connects two processes with a reliable message
-// channel: payloads up to bufSize bytes are delivered exactly once with
-// verified integrity, surviving any faults injected via WithFaults.
-func (n *Network) NewReliableChannel(a, b *Process, basePort int, sem Semantics, bufSize, window int, cfg ReliableConfig) (*Reliable, *Reliable, error) {
-	return core.NewReliableChannel(a, b, basePort, sem, bufSize, window, cfg)
-}
-
 // NewRPCClient wraps a channel endpoint as an RPC client.
 func NewRPCClient(ep *Endpoint) *RPCClient { return core.NewRPCClient(ep) }
 
@@ -369,19 +194,8 @@ func ServeRPC(ep *Endpoint, handler func(req []byte) []byte, errFn func(error)) 
 	core.ServeRPC(ep, handler, errFn)
 }
 
-// Name returns the host name.
-func (h *Host) Name() string { return h.h.Name }
-
 // NewProcess creates an application on the host.
 func (h *Host) NewProcess() *Process { return h.h.Genie.NewProcess() }
-
-// PreferredAlignment reports the device's preferred input alignment —
-// the query interface of Section 5.2 that applications use for
-// application input alignment.
-func (h *Host) PreferredAlignment() int { return h.h.Genie.PreferredAlignment() }
-
-// FreeFrames returns the host's free physical page frames.
-func (h *Host) FreeFrames() int { return h.h.Phys.FreeFrames() }
 
 // CorruptNextTx arms single-shot fault injection on the host's adapter:
 // one byte of the next transmitted frame is flipped on the wire

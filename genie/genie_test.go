@@ -43,77 +43,70 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 }
 
+// TestOptions checks that the facade's options reach the testbed:
+// WithMemory bounds each host's physical memory, and WithConfig's
+// tunables decide whether an emulated-copy output converts to copy.
 func TestOptions(t *testing.T) {
-	net, err := genie.New(
-		genie.WithBuffering(genie.Pooled),
-		genie.WithPlatform(genie.AlphaStation255),
-		genie.WithDeviceOffset(40),
-		genie.WithMemory(256),
-		genie.WithConfig(genie.DefaultConfig()),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if net.PageSize() != 8192 {
-		t.Fatalf("Alpha page size = %d, want 8192", net.PageSize())
-	}
-	if net.HostB().PreferredAlignment() != 40 {
-		t.Fatal("device offset not propagated")
-	}
-	if net.HostA().Name() == net.HostB().Name() {
-		t.Fatal("hosts share a name")
-	}
-	if net.HostA().FreeFrames() <= 0 {
-		t.Fatal("no free frames")
-	}
-
-	sender := net.HostA().NewProcess()
-	receiver := net.HostB().NewProcess()
-	payload := bytes.Repeat([]byte{0x42}, 8192)
-	buf, _ := sender.Brk(len(payload))
-	if err := sender.Write(buf, payload); err != nil {
-		t.Fatal(err)
-	}
-	dst, _ := receiver.Brk(2 * len(payload))
-	_, in, err := net.Transfer(sender, receiver, 9, genie.EmulatedShare, buf, dst, len(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, len(payload))
-	if err := receiver.Read(in.Addr, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("payload corrupted on Alpha/pooled path")
-	}
-}
-
-func TestOC12Option(t *testing.T) {
-	slow, err := genie.New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := genie.New(genie.WithNetwork(genie.OC12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(n *genie.Network) float64 {
-		s := n.HostA().NewProcess()
-		r := n.HostB().NewProcess()
-		const length = 15 * 4096
-		buf, _ := s.Brk(length)
-		if err := s.Write(buf, make([]byte, length)); err != nil {
-			t.Fatal(err)
+	// fillPages writes one page at a time into a fresh process on host A
+	// until a write fails, and returns how many pages fit.
+	fillPages := func(net *genie.Network, limit int) int {
+		p := net.HostA().NewProcess()
+		for n := 0; n < limit; n++ {
+			va, err := p.Brk(4096)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Write(va, bytes.Repeat([]byte{1}, 4096)); err != nil {
+				return n
+			}
 		}
-		dst, _ := r.Brk(length)
-		out, in, err := n.Transfer(s, r, 1, genie.EmulatedCopy, buf, dst, length)
+		return limit
+	}
+	small, err := genie.New(genie.WithMemory(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := fillPages(small, 512); n == 0 || n >= 256 {
+		t.Fatalf("a 256-frame host took %d application pages, want between 1 and 255", n)
+	}
+	large, err := genie.New(genie.WithMemory(1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := fillPages(large, 512); n != 512 {
+		t.Fatalf("a 1024-frame host took only %d of 512 application pages", n)
+	}
+
+	converted := func(opts ...genie.Option) bool {
+		net, err := genie.New(opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return in.CompletedAt.Sub(out.StartedAt).Micros()
+		sender := net.HostA().NewProcess()
+		receiver := net.HostB().NewProcess()
+		payload := bytes.Repeat([]byte{0x42}, 8192)
+		buf, _ := sender.Brk(len(payload))
+		if err := sender.Write(buf, payload); err != nil {
+			t.Fatal(err)
+		}
+		dst, _ := receiver.Brk(len(payload))
+		out, in, err := net.Transfer(sender, receiver, 9, genie.EmulatedCopy, buf, dst, len(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(payload))
+		if err := receiver.Read(in.Addr, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatal("payload corrupted")
+		}
+		return out.Converted()
 	}
-	if l3, l12 := run(slow), run(fast); l12 >= l3*0.5 {
-		t.Fatalf("OC-12 latency %.0f not well below OC-3's %.0f", l12, l3)
+	cfg := genie.DefaultConfig()
+	cfg.EmCopyOutputThreshold = 65536
+	if converted(genie.WithConfig(genie.DefaultConfig())) || !converted(genie.WithConfig(cfg)) {
+		t.Fatal("WithConfig's emulated-copy output threshold did not decide the conversion to copy")
 	}
 }
 
@@ -188,5 +181,35 @@ func TestAllSemanticsThroughFacade(t *testing.T) {
 				t.Fatal("payload corrupted")
 			}
 		})
+	}
+}
+
+func TestNoAddrSystemAllocated(t *testing.T) {
+	net, err := genie.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := net.HostA().NewProcess()
+	rx := net.HostB().NewProcess()
+	r, err := tx.AllocIOBuffer(8192)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Write(r.Start(), []byte("system placed")); err != nil {
+		t.Fatal(err)
+	}
+	_, in, err := net.Transfer(tx, rx, 1, genie.EmulatedMove, r.Start(), genie.NoAddr, 8192)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.Addr == genie.NoAddr {
+		t.Fatal("system-allocated input reported NoAddr as its landing address")
+	}
+	got := make([]byte, 13)
+	if err := rx.Read(in.Addr, got); err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "system placed" {
+		t.Fatalf("got %q", got)
 	}
 }

@@ -1,9 +1,6 @@
 package genie
 
-import (
-	"repro/internal/blockdev"
-	"repro/internal/experiments"
-)
+import "repro/internal/experiments"
 
 // The storage surface: sweep the buffering-semantics taxonomy over the
 // simulated storage data path — a seek/transfer-cost block device under
@@ -16,22 +13,12 @@ import (
 // simulation, bit-identical at any worker count; the returned stats
 // carry the per-run digests proving it.
 
-type (
-	// StorageStats is a full storage sweep outcome: per-point
-	// measurements, located copy-vs-move crossovers, and the
-	// per-worker-count runs that verified determinism.
-	StorageStats = experiments.StorageReport
-	// StoragePoint is one (semantics, size, cache, threshold) grid
-	// point's measurements.
-	StoragePoint = experiments.StoragePoint
-	// StorageCrossover is one cache configuration's located
-	// copy-vs-move break-even on the read path (Bytes 0 = no crossing
-	// inside the swept sizes).
-	StorageCrossover = experiments.StorageCrossover
-	// DiskModel is the block device's cost model: seek, fixed per-op,
-	// and per-byte transfer time in simulated microseconds.
-	DiskModel = blockdev.Model
-)
+// StorageStats is a full storage sweep outcome: per-point measurements
+// (Points), the located copy-vs-move break-even on the read path for
+// each cache configuration (Crossovers, Bytes 0 = no crossing inside
+// the swept sizes), and the per-worker-count runs that verified
+// determinism.
+type StorageStats = experiments.StorageReport
 
 // storageOptions collects the functional options for RunStorage.
 type storageOptions struct {
@@ -63,18 +50,6 @@ func WithCachePages(pages ...int) StorageOption {
 // (0 = flush only on sync). Default {0, 4}.
 func WithDirtyThresholds(thresholds ...int) StorageOption {
 	return func(o *storageOptions) { o.cfg.DirtyThresholds = thresholds }
-}
-
-// WithReadAhead sets the page-cache read-ahead depth in pages for
-// every point. Default 0.
-func WithReadAhead(pages int) StorageOption {
-	return func(o *storageOptions) { o.cfg.ReadAhead = pages }
-}
-
-// WithDiskModel overrides the block device's cost model. The zero
-// model selects the defaults (10ms seek, 300µs fixed, 0.1µs/byte).
-func WithDiskModel(m DiskModel) StorageOption {
-	return func(o *storageOptions) { o.cfg.Disk = m }
 }
 
 // WithStorageWorkers sets the point-fan-out worker counts the sweep is

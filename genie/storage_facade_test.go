@@ -39,30 +39,3 @@ func TestStorageFacade(t *testing.T) {
 		t.Fatalf("no finite crossover located: %+v", stats.Crossovers)
 	}
 }
-
-// The disk-model option flows through: a slower per-byte device
-// stretches read latency without touching charged CPU.
-func TestStorageFacadeDiskModel(t *testing.T) {
-	run := func(perByte float64) *genie.StorageStats {
-		t.Helper()
-		stats, err := genie.RunStorage(
-			genie.WithStorageSemantics(genie.Copy),
-			genie.WithStorageSizes(8192),
-			genie.WithCachePages(16),
-			genie.WithDiskModel(genie.DiskModel{SeekUS: 100, FixedUS: 10, PerByteUS: perByte}),
-			genie.WithStorageWorkers(1),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats
-	}
-	fast, slow := run(0.001), run(0.1)
-	fp, sp := fast.Points[0], slow.Points[0]
-	if sp.ReadLatency <= fp.ReadLatency {
-		t.Errorf("slow disk latency %v not above fast disk %v", sp.ReadLatency, fp.ReadLatency)
-	}
-	if sp.ReadCPU != fp.ReadCPU {
-		t.Errorf("device speed leaked into charged CPU: %v vs %v", sp.ReadCPU, fp.ReadCPU)
-	}
-}

@@ -340,6 +340,16 @@ func TestSystemAllocatedOutputErrors(t *testing.T) {
 	if _, err := sender.Input(1, Copy, heap, -1); !errors.Is(err, ErrBadBuffer) {
 		t.Errorf("negative input length: err = %v", err)
 	}
+	// Empty, negative and over-frame lengths, for an emulated output
+	// and a copy input alike.
+	for _, n := range []int{0, -1, 1 << 30} {
+		if _, err := sender.Output(1, EmulatedCopy, heap, n); !errors.Is(err, ErrBadBuffer) {
+			t.Errorf("emulated copy output length %d: err = %v, want ErrBadBuffer", n, err)
+		}
+		if _, err := sender.Input(1, Copy, heap, n); !errors.Is(err, ErrBadBuffer) {
+			t.Errorf("copy input length %d: err = %v, want ErrBadBuffer", n, err)
+		}
+	}
 }
 
 // TestFrameConservation runs many transfers under every semantics and

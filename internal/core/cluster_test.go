@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/mem"
 	"repro/internal/topo"
 )
@@ -77,6 +78,28 @@ func TestClusterConnectValidation(t *testing.T) {
 	}
 	if _, err := NewCluster(ClusterConfig{Topo: topo.Spec{Hosts: 2, Pairs: [][2]int{{0, 5}}}}); err == nil {
 		t.Fatal("invalid topology accepted")
+	}
+}
+
+// TestTestbedConfigValidation: a negative size or offset and an
+// out-of-range fault rate are construction errors, for a testbed and
+// for a cluster built from the same host configuration.
+func TestTestbedConfigValidation(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  TestbedConfig
+	}{
+		{"memory", TestbedConfig{FramesPerHost: -1}},
+		{"mtu", TestbedConfig{MTU: -4096}},
+		{"device offset", TestbedConfig{OverlayOff: -1}},
+		{"drop rate", TestbedConfig{Faults: faults.Spec{Seed: 1, Drop: 1.5}}},
+	} {
+		if _, err := NewTestbed(c.cfg); err == nil {
+			t.Errorf("testbed accepted a bad %s", c.name)
+		}
+		if _, err := NewCluster(ClusterConfig{TestbedConfig: c.cfg, Topo: topo.Ring(3)}); err == nil {
+			t.Errorf("cluster accepted a bad %s", c.name)
+		}
 	}
 }
 

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/netsim"
 	"repro/internal/vm"
 )
@@ -86,6 +88,31 @@ func TestTransferUnderMemoryPressure(t *testing.T) {
 	}
 	if err := tb.A.Phys.CheckInvariants(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestWritePastMemory: without demand paging, writing more pages than
+// a host has free frames fails with mem.ErrOutOfMemory; with it, the
+// same write succeeds by paging out.
+func TestWritePastMemory(t *testing.T) {
+	for _, paging := range []bool{false, true} {
+		tb, err := NewTestbed(TestbedConfig{FramesPerHost: 96, DemandPaging: paging})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := tb.A.Genie.NewProcess()
+		pages := tb.A.Phys.FreeFrames() + 8
+		va, err := p.Brk(pages * 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = p.Write(va, make([]byte, pages*4096))
+		switch {
+		case paging && err != nil:
+			t.Errorf("write of %d pages under demand paging: %v", pages, err)
+		case !paging && !errors.Is(err, mem.ErrOutOfMemory):
+			t.Errorf("write of %d pages without demand paging: err = %v, want ErrOutOfMemory", pages, err)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/blockdev"
 	"repro/internal/core"
 )
 
@@ -128,6 +129,32 @@ func TestRunStorageCachePressure(t *testing.T) {
 	}
 	if big.Evictions != 0 {
 		t.Fatalf("unpressured cache evicted %d times", big.Evictions)
+	}
+}
+
+// The disk model sets device time only: a slower per-byte device
+// stretches read latency and leaves the charged CPU unchanged.
+func TestRunStorageDiskModel(t *testing.T) {
+	run := func(perByteUS float64) StoragePoint {
+		t.Helper()
+		rep, err := RunStorage(StorageConfig{
+			Semantics:  []core.Semantics{core.Copy},
+			Sizes:      []int{8192},
+			CachePages: []int{16},
+			Disk:       blockdev.Model{SeekUS: 100, FixedUS: 10, PerByteUS: perByteUS},
+			Workers:    []int{1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Points[0]
+	}
+	fast, slow := run(0.001), run(0.1)
+	if slow.ReadLatency <= fast.ReadLatency {
+		t.Errorf("slow disk read latency %v not above fast disk %v", slow.ReadLatency, fast.ReadLatency)
+	}
+	if slow.ReadCPU != fast.ReadCPU {
+		t.Errorf("device speed leaked into charged CPU: %v vs %v", slow.ReadCPU, fast.ReadCPU)
 	}
 }
 

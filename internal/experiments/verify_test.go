@@ -55,4 +55,7 @@ func TestVerifyWorkersRule(t *testing.T) {
 	if _, err := RunStorage(StorageConfig{Workers: []int{0}}); err == nil {
 		t.Error("RunStorage accepted worker count 0")
 	}
+	if _, err := RunWorkload(WorkloadConfig{Workers: []int{0}}); err == nil {
+		t.Error("RunWorkload accepted worker count 0")
+	}
 }
