@@ -243,7 +243,7 @@ func TestRecycledMeasureAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under -race")
 	}
-	const maxAllocs = 9
+	const maxAllocs = 8
 	schemes := []netsim.InputBuffering{netsim.EarlyDemux, netsim.Pooled, netsim.OutboardBuffering}
 	withPerfRegime(t, false, true, 1, func() {
 		for _, scheme := range schemes {
