@@ -244,10 +244,17 @@ func runSweepCmd(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// The performance summary goes to stderr so stdout stays
-	// byte-comparable across memo/recycle/parallelism settings.
+	// byte-comparable across memo/recycle/parallelism settings. Hits and
+	// misses are exact at any -parallel; the testbed split depends on
+	// which point worker frees a testbed first unless the sweep is
+	// serial, so the label says when it cannot be quoted as a figure.
+	split := " (varies with worker timing; exact at -parallel 1)"
+	if *parallel == 1 || *norecycle {
+		split = ""
+	}
 	fmt.Fprintf(stderr,
-		"geniebench: cache %d hits / %d misses; testbeds %d recycled / %d built\n",
-		perf.CacheHits, perf.CacheMisses, perf.TestbedsRecycled, perf.TestbedsBuilt)
+		"geniebench: cache %d hits / %d misses; testbeds %d recycled / %d built%s\n",
+		perf.CacheHits, perf.CacheMisses, perf.TestbedsRecycled, perf.TestbedsBuilt, split)
 	if perf.ResetFailures > 0 {
 		fmt.Fprintf(stderr, "geniebench: WARNING: %d testbed resets failed (state leak?)\n",
 			perf.ResetFailures)

@@ -60,8 +60,7 @@ func integrity(sem genie.Semantics) {
 	switch {
 	case bytes.Equal(got, orig):
 		fmt.Printf("%-20s receiver got the ORIGINAL data (strong integrity", sem)
-		if s := net.HostA().Stats(); sem == genie.EmulatedCopy {
-			_ = s
+		if sem == genie.EmulatedCopy {
 			fmt.Print(": TCOW copied the touched pages")
 		}
 		fmt.Println(")")

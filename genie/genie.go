@@ -67,6 +67,8 @@ type (
 	// Endpoint is one end of a windowed message channel with
 	// credit-based flow control. Send reports only an error: the
 	// output record it runs in belongs to the endpoint, which reuses it.
+	// A message from Recv is borrowed until its Release and must not be
+	// used afterwards.
 	Endpoint = core.Endpoint
 	// RPCClient issues request-response calls over a channel.
 	RPCClient = core.RPCClient
@@ -103,7 +105,8 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 // package's Section 9 discussion).
 type ChecksumMode = core.ChecksumMode
 
-// Checksum modes.
+// Checksum modes. The zero ChecksumMode, the default, disables
+// checksumming.
 const (
 	// ChecksumSeparate verifies with a distinct read pass, preserving
 	// copy semantics on failure.
