@@ -191,7 +191,11 @@ func TestFacadeEntriesHaveCallers(t *testing.T) {
 					if star, ok := recv.(*ast.StarExpr); ok {
 						recv = star.X
 					}
-					key = recv.(*ast.Ident).Name + "." + key
+					recvName := recv.(*ast.Ident).Name
+					if !ast.IsExported(recvName) {
+						continue // not in the facade's API
+					}
+					key = recvName + "." + key
 					parts = append(parts, recv)
 				}
 				entries[key], sigs[key] = d.Name.Pos(), parts

@@ -77,28 +77,13 @@ func TestProcessExitThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	page := make([]byte, 4096)
-	// fill writes pages into p until a write fails (at most limit
-	// pages) and returns how many it wrote.
-	fill := func(p *genie.Process, limit int) int {
-		for n := 0; n < limit; n++ {
-			va, err := p.Brk(len(page))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if p.Write(va, page) != nil {
-				return n
-			}
-		}
-		return limit
-	}
 	first := net.HostA().NewProcess()
-	n := fill(first, 512)
+	n := fillPages(t, first, 512)
 	if n == 0 || n == 512 {
 		t.Fatalf("first process wrote %d pages into a 256-frame host", n)
 	}
 	first.Exit()
-	if got := fill(net.HostA().NewProcess(), n); got != n {
+	if got := fillPages(t, net.HostA().NewProcess(), n); got != n {
 		t.Fatalf("frames not reclaimed on exit: second process wrote %d of the %d pages the first one held", got, n)
 	}
 }

@@ -43,37 +43,39 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 }
 
+// fillPages writes one page at a time into p until a write fails, at
+// most limit pages, and returns how many it wrote.
+func fillPages(t *testing.T, p *genie.Process, limit int) int {
+	t.Helper()
+	page := make([]byte, 4096)
+	for n := 0; n < limit; n++ {
+		va, err := p.Brk(len(page))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Write(va, page) != nil {
+			return n
+		}
+	}
+	return limit
+}
+
 // TestOptions checks that the facade's options reach the testbed:
 // WithMemory bounds each host's physical memory, and WithConfig's
 // tunables decide whether an emulated-copy output converts to copy.
 func TestOptions(t *testing.T) {
-	// fillPages writes one page at a time into a fresh process on host A
-	// until a write fails, and returns how many pages fit.
-	fillPages := func(net *genie.Network, limit int) int {
-		p := net.HostA().NewProcess()
-		for n := 0; n < limit; n++ {
-			va, err := p.Brk(4096)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := p.Write(va, bytes.Repeat([]byte{1}, 4096)); err != nil {
-				return n
-			}
-		}
-		return limit
-	}
 	small, err := genie.New(genie.WithMemory(256))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := fillPages(small, 512); n == 0 || n >= 256 {
+	if n := fillPages(t, small.HostA().NewProcess(), 512); n == 0 || n >= 256 {
 		t.Fatalf("a 256-frame host took %d application pages, want between 1 and 255", n)
 	}
 	large, err := genie.New(genie.WithMemory(1024))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := fillPages(large, 512); n != 512 {
+	if n := fillPages(t, large.HostA().NewProcess(), 512); n != 512 {
 		t.Fatalf("a 1024-frame host took only %d of 512 application pages", n)
 	}
 
