@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"hash/maphash"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -70,56 +71,148 @@ type memoResult struct {
 	err error
 }
 
-// memo is a map of Measure results under one lock, with its counters.
-// A miss simulates outside the lock, so workers that miss on one point
-// at once each simulate it; determinism makes their results equal, and
-// the paper-pairwise traffic does that in about 0.1% of its calls.
+// memo is an open-addressing table of Measure results that lookups
+// probe without a lock. Entries are immutable and published by atomic
+// pointer stores; only a miss's store takes the writer mutex, and a
+// store that would fill the table past half publishes a copy twice the
+// size. A lookup that starts after a store has returned sees that
+// store, so serial call sequences count the same hits and misses every
+// run. A miss simulates outside any lock, so workers that miss on one
+// point at once each simulate it; determinism makes their results
+// equal, the first stored serves, and the paper-pairwise traffic does
+// that in about 0.1% of its calls.
 type memo struct {
-	mu           sync.Mutex
-	results      map[cacheKey]memoResult
-	hits, misses uint64
+	// shards hold the counters, picked by key hash, one cache line
+	// each, so calls on different points rarely write one line.
+	shards [memoShards]struct {
+		hits, misses atomic.Uint64
+		_            [cacheLine - 16]byte
+	}
+	table atomic.Pointer[memoTable] // replaced by a doubling or a reset
+	seed  maphash.Seed
+	_     [cacheLine - 16]byte // keeps the writer's words off the readers' line
+	mu    sync.Mutex           // serializes stores and reset
+	used  int                  // entries in table; written under mu
 }
 
-// lookup returns the memoized result for key, counting a hit or a miss.
-// While the memo is off every call is a miss.
-func (c *memo) lookup(key cacheKey) (r memoResult, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+const (
+	memoShardBits = 5
+	memoShards    = 1 << memoShardBits
+	cacheLine     = 64
+	memoMinSlots  = 64
+)
+
+// memoTable is a power-of-two array of slots probed linearly from the
+// key's hash. A slot goes from nil to an entry and never changes again;
+// the table is at most half full, so every probe ends at a nil slot or
+// at its key.
+type memoTable []atomic.Pointer[memoEntry]
+
+// memoEntry is one immutable memo entry with its key's hash.
+type memoEntry struct {
+	hash uint64
+	key  cacheKey
+	r    memoResult
+}
+
+func newMemo() *memo {
+	c := &memo{seed: maphash.MakeSeed()}
+	c.table.Store(newMemoTable(memoMinSlots))
+	return c
+}
+
+func newMemoTable(slots int) *memoTable {
+	t := make(memoTable, slots)
+	return &t
+}
+
+// hash returns key's hash, which agrees with == on cacheKey.
+func (c *memo) hash(key cacheKey) uint64 { return maphash.Comparable(c.seed, key) }
+
+// find returns the entry for key, whose hash is h, or nil.
+func (t memoTable) find(h uint64, key cacheKey) *memoEntry {
+	mask := uint64(len(t) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		if e := t[i].Load(); e == nil || e.hash == h && e.key == key {
+			return e
+		}
+	}
+}
+
+// insert publishes e in the first free slot of its probe sequence.
+// Callers hold memo.mu and have made room.
+func (t memoTable) insert(e *memoEntry) {
+	mask := uint64(len(t) - 1)
+	i := e.hash & mask
+	for t[i].Load() != nil {
+		i = (i + 1) & mask
+	}
+	t[i].Store(e)
+}
+
+// lookup returns the memoized result for key, counting a hit or a miss,
+// and key's hash for the store that follows a miss. While the memo is
+// off every call is a miss.
+func (c *memo) lookup(key cacheKey) (r memoResult, h uint64, ok bool) {
+	h = c.hash(key)
+	n := &c.shards[h>>(64-memoShardBits)]
 	if !memoOff.Load() {
-		r, ok = c.results[key]
+		if e := c.table.Load().find(h, key); e != nil {
+			n.hits.Add(1)
+			return e.r, h, true
+		}
 	}
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
-	}
-	return r, ok
+	n.misses.Add(1)
+	return memoResult{}, h, false
 }
 
-// store memoizes key's result unless the memo is off.
-func (c *memo) store(key cacheKey, r memoResult) {
+// store memoizes key's result unless the memo is off or a concurrent
+// miss stored it first; h is key's hash from lookup.
+func (c *memo) store(key cacheKey, h uint64, r memoResult) {
 	if memoOff.Load() {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.results[key] = r
+	t := c.table.Load()
+	if t.find(h, key) != nil {
+		return
+	}
+	if 2*(c.used+1) > len(*t) {
+		grown := newMemoTable(2 * len(*t))
+		for i := range *t {
+			if e := (*t)[i].Load(); e != nil {
+				grown.insert(e)
+			}
+		}
+		c.table.Store(grown)
+		t = grown
+	}
+	t.insert(&memoEntry{h, key, r})
+	c.used++
 }
 
-// counts returns the hit and miss counters.
+// counts returns the hit and miss counters, summed over their shards.
 func (c *memo) counts() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
+	for i := range c.shards {
+		hits += c.shards[i].hits.Load()
+		misses += c.shards[i].misses.Load()
+	}
+	return hits, misses
 }
 
-// reset discards every entry and zeroes the counters. The map keeps its
-// table, so a memo refilled to the same size does not regrow it.
+// reset discards every entry and zeroes the counters. The new empty
+// table has the old one's size, so a memo refilled to the same size
+// does not regrow it.
 func (c *memo) reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	clear(c.results)
-	c.hits, c.misses = 0, 0
+	c.table.Store(newMemoTable(len(*c.table.Load())))
+	c.used = 0
+	for i := range c.shards {
+		c.shards[i].hits.Store(0)
+		c.shards[i].misses.Store(0)
+	}
 }
 
 // measureMemo memoizes Measure. Across a full geniebench run the figure
@@ -131,7 +224,7 @@ func (c *memo) reset() {
 // (including their Records slices) must be treated as immutable. The
 // paper's thesis is that redundant data handling dominates I/O cost;
 // the harness takes its own advice.
-var measureMemo = memo{results: map[cacheKey]memoResult{}}
+var measureMemo = newMemo()
 
 // testbeds recycles Measure's testbeds, keyed by their configuration.
 // A miss needs two hosts of 512 frames plus engine, VM and netsim set-up
@@ -154,7 +247,7 @@ type PerfStats struct {
 	// TestbedsBuilt counts testbeds constructed from scratch.
 	TestbedsBuilt uint64 `json:"testbeds_built"`
 	// TestbedsRecycled counts measurements served by a Reset testbed
-	// from a free list instead of a fresh construction.
+	// from a recycler shelf instead of a fresh construction.
 	TestbedsRecycled uint64 `json:"testbeds_recycled"`
 	// ResetFailures counts testbeds dropped because Reset failed; always
 	// zero unless a simulation leaked state.
@@ -172,7 +265,7 @@ type PerfStats struct {
 	// for workload sweep points.
 	ClustersBuilt uint64 `json:"clusters_built,omitempty"`
 	// ClustersRecycled counts workload sweep points served by a Reset
-	// cluster from a free list instead of a fresh construction.
+	// cluster from a recycler shelf instead of a fresh construction.
 	ClustersRecycled uint64 `json:"clusters_recycled,omitempty"`
 	// ClusterResetFailures counts clusters dropped because Reset failed;
 	// always zero unless a simulation leaked state.
@@ -181,7 +274,7 @@ type PerfStats struct {
 	// scratch for storage sweep points.
 	StorageRigsBuilt uint64 `json:"storage_rigs_built,omitempty"`
 	// StorageRigsRecycled counts storage sweep points served by a Reset
-	// rig from a free list instead of a fresh construction.
+	// rig from a recycler shelf instead of a fresh construction.
 	StorageRigsRecycled uint64 `json:"storage_rigs_recycled,omitempty"`
 	// StorageRigResetFailures counts storage rigs dropped because Reset
 	// failed; always zero unless a simulation leaked state.
@@ -211,9 +304,9 @@ func Perf() PerfStats {
 	}
 }
 
-// ResetPerf discards the measurement memo's contents and every free
-// list, here and in the workload package, and zeroes all performance
-// counters. The switches (SetMemo, par.SetRecycling) keep their
+// ResetPerf discards the measurement memo's contents and every
+// recycled object, here and in the workload package, and zeroes all
+// performance counters. The switches (SetMemo, par.SetRecycling) keep their
 // settings. Tests and benchmarks use it to measure from a cold start.
 func ResetPerf() {
 	measureMemo.reset()

@@ -138,11 +138,12 @@ func Measure(s Setup, sem core.Semantics, length int) (Measurement, error) {
 		return measureUncached(s, sem, length)
 	}
 	key := measureKey(s, sem, length)
-	if r, ok := measureMemo.lookup(key); ok {
+	r, h, ok := measureMemo.lookup(key)
+	if ok {
 		return r.m, r.err
 	}
 	m, err := measureUncached(s, sem, length)
-	measureMemo.store(key, memoResult{m, err})
+	measureMemo.store(key, h, memoResult{m, err})
 	return m, err
 }
 
@@ -161,7 +162,7 @@ func measureTestbedConfig(s Setup) core.TestbedConfig {
 }
 
 // measureUncached simulates the point, on a recycled testbed when one
-// is free. Testbeds are returned to the free list only after a clean
+// is free. Testbeds are returned to the recycler only after a clean
 // measurement; a failed point's testbed is in an unknown state and is
 // dropped.
 func measureUncached(s Setup, sem core.Semantics, length int) (Measurement, error) {

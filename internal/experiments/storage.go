@@ -164,7 +164,7 @@ func checkReadBack(p *core.Process, va vm.Addr, want []byte) error {
 
 // runStoragePoint simulates one grid point from a cold (or
 // indistinguishably recycled) storage stack; any error names the point.
-// The rig goes back to the free list after a clean run; a failed
+// The rig goes back to the recycler after a clean run; a failed
 // point's rig is in an unknown state and is dropped.
 func runStoragePoint(k storageKey) (StoragePoint, error) {
 	disk := core.DiskConfig{

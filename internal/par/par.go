@@ -1,5 +1,5 @@
 // Package par holds the work-saving mechanisms that more than one
-// package uses: free lists of Reset simulation objects that garbage
+// package uses: per-P shelves of Reset simulation objects that garbage
 // collection never empties (Recycler, switched by SetRecycling), and an
 // index-claiming fan-out over worker goroutines (Each).
 //
@@ -25,129 +25,69 @@ func SetRecycling(on bool) (was bool) { return !recyclingOff.Swap(!on) }
 // RecycleStats counts Recycler traffic.
 type RecycleStats struct {
 	Built         uint64 // objects constructed by Get
-	Recycled      uint64 // Get calls served from a free list
+	Recycled      uint64 // Get calls served by a shelved object
 	ResetFailures uint64 // objects Put dropped because Reset failed
 }
 
-// Recycler keeps free lists of Reset objects, one per key, so that an
-// expensive object graph is built once per configuration and reused.
-// Reset must return the object to a state indistinguishable from a
-// fresh build.
+// Recycler keeps Reset objects for reuse, keyed by configuration, so
+// that an expensive object graph is built once per configuration and
+// reused. Reset must return the object to a state indistinguishable
+// from a fresh build.
 //
-// At most maxRecycleKeys keys keep a free list: a Put under a new key
-// beyond that drops the list of the key least recently got or put,
-// emptying its boxes, so a process that visits ever new configurations
-// holds a bounded number of objects.
+// Free objects wait on shelves: short lists of (key, object) pairs, at
+// most maxRecycleKeys each, newest last. A shelf belongs to whoever
+// wins its busy flag, and is held only to scan or edit its list, never
+// across a build or a Reset. A sync.Pool hands each Get and Put a
+// shelf, usually the one last used on the same P, so a worker gets back
+// the object it put last and the per-call path takes no shared lock and
+// writes no shared cache line: each shelf keeps its own counters, which
+// Stats sums.
 //
-// Each key's free set holds its objects by strong reference, so a Reset
-// object is never lost to garbage collection. A sync.Pool per key rides
-// alongside only as a locality hint: Get prefers the object the pool
-// hands back, which is usually one last used on the same P, and claims
-// it only if it is still in the free set. Objects the pool drops at a
-// GC, or still holds after the free set gave them out, cost nothing
-// but a retry. The pool holds each free object through a box that is
-// emptied when the object leaves the free set, by Get or by Reset: a
-// sync.Pool keeps what it holds for up to two collections, which must
-// not keep a dropped object graph alive. Emptied boxes are kept for the
-// key's next Put; a stale copy the pool still holds then points at an
-// object that is free again, and a hint that claims a free object is
-// as good as any.
-type Recycler[K comparable, T interface {
-	comparable
-	Reset() error
-}] struct {
-	mu    sync.Mutex
-	lists map[K]*freeList[T]
-	tick  uint64 // counts list uses, ordering them for eviction
-
-	built, recycled, resetFailures atomic.Uint64
+// The pool is only a locality hint. The registry holds every shelf by
+// strong reference, so a Reset object is never lost to garbage
+// collection, and Get searches every other shelf before it builds. A
+// Put beyond a shelf's bound drops the shelf's oldest pair, so a
+// process that visits ever new configurations holds a bounded number of
+// objects per shelf, and shelves are made only when every registered
+// one is busy.
+type Recycler[K comparable, T interface{ Reset() error }] struct {
+	pool    sync.Pool                      // *shelf[K, T], per-P
+	mu      sync.Mutex                     // serializes registry growth
+	shelves atomic.Pointer[[]*shelf[K, T]] // every shelf made; only grows
 }
 
-// maxRecycleKeys bounds the keys that keep a free list. It covers every
+// maxRecycleKeys bounds the pairs one shelf keeps. It covers every
 // configuration one geniebench subcommand recycles (bigsweep, the
-// widest, uses 53), so none of their recycle counts depend on it.
+// widest, uses 53), so none of their serial recycle counts depend on
+// it.
 const maxRecycleKeys = 64
 
-// freeList is one key's free objects: the set is the source of truth,
-// the pool a per-P hint that may hold stale boxes.
-type freeList[T comparable] struct {
-	free  map[T]*hintBox[T] // each free object and its box in the pool
-	hint  sync.Pool
-	boxes []*hintBox[T] // emptied boxes, for the next Put
-	used  uint64        // the Recycler's tick at the list's last use
+// shelf is one list of free objects and the counters of the calls that
+// used it.
+type shelf[K comparable, T any] struct {
+	busy atomic.Bool
+	// puts counts the Puts that added to free; a search that sees no
+	// shelf's count move knows it missed no object.
+	puts                           atomic.Uint64
+	built, recycled, resetFailures atomic.Uint64
+	free                           []pair[K, T] // least recently put first
+	_                              [64]byte     // keeps shelves' hot words on their own cache lines
 }
 
-// hintBox is what the hint pool holds for a free object; an emptied box
-// holds the zero T, which is never free.
-type hintBox[T any] struct{ t T }
-
-// take removes t from the free set and empties its box, reporting
-// whether t was free.
-func (l *freeList[T]) take(t T) bool {
-	b, free := l.free[t]
-	if free {
-		*b = hintBox[T]{}
-		delete(l.free, t)
-		l.boxes = append(l.boxes, b)
-	}
-	return free
+type pair[K comparable, T any] struct {
+	key K
+	t   T
 }
 
-// list returns key's free list, marking it used; with create it makes a
-// missing one, first dropping the least recently used list if the
-// Recycler is at its bound. Callers hold r.mu.
-func (r *Recycler[K, T]) list(key K, create bool) *freeList[T] {
-	r.tick++
-	l := r.lists[key]
-	switch {
-	case l != nil:
-	case !create:
-		return nil
-	default:
-		if len(r.lists) >= maxRecycleKeys {
-			r.evict()
-		}
-		if r.lists == nil {
-			r.lists = map[K]*freeList[T]{}
-		}
-		l = &freeList[T]{free: map[T]*hintBox[T]{}}
-		r.lists[key] = l
-	}
-	l.used = r.tick
-	return l
-}
-
-// evict drops the least recently used free list, emptying its boxes.
-// Callers hold r.mu.
-func (r *Recycler[K, T]) evict() {
-	var (
-		oldest K
-		lru    *freeList[T]
-	)
-	for k, l := range r.lists {
-		if lru == nil || l.used < lru.used {
-			oldest, lru = k, l
-		}
-	}
-	for t := range lru.free {
-		lru.take(t)
-	}
-	delete(r.lists, oldest)
-}
-
-// claim removes and returns a free object for key, preferring the one
-// the pool hint hands back.
-func (r *Recycler[K, T]) claim(key K) (T, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if l := r.list(key, false); l != nil {
-		for v := l.hint.Get(); v != nil; v = l.hint.Get() {
-			if t := v.(*hintBox[T]).t; l.take(t) {
-				return t, true
-			}
-		}
-		for t := range l.free {
-			l.take(t)
+// take removes and returns the newest free object for key. The caller
+// owns s.
+func (s *shelf[K, T]) take(key K) (T, bool) {
+	for i := len(s.free) - 1; i >= 0; i-- {
+		if s.free[i].key == key {
+			t := s.free[i].t
+			n := copy(s.free[i:], s.free[i+1:])
+			s.free[i+n] = pair[K, T]{}
+			s.free = s.free[:i+n]
 			return t, true
 		}
 	}
@@ -155,73 +95,155 @@ func (r *Recycler[K, T]) claim(key K) (T, bool) {
 	return zero, false
 }
 
-// Get returns a Reset object for key from the free list, or calls build
-// when none is free.
-func (r *Recycler[K, T]) Get(key K, build func() (T, error)) (T, error) {
-	if !recyclingOff.Load() {
-		if t, ok := r.claim(key); ok {
-			r.recycled.Add(1)
-			return t, nil
+// put adds t under key, dropping the oldest pair if s is full. The
+// caller owns s.
+func (s *shelf[K, T]) put(key K, t T) {
+	s.puts.Add(1)
+	if n := len(s.free); n == maxRecycleKeys {
+		copy(s.free, s.free[1:])
+		s.free[n-1] = pair[K, T]{}
+		s.free = s.free[:n-1]
+	}
+	s.free = append(s.free, pair[K, T]{key, t})
+}
+
+// lock spins until the caller owns s; owners hold a shelf only for a
+// list scan.
+func (s *shelf[K, T]) lock() {
+	for !s.busy.CompareAndSwap(false, true) {
+		runtime.Gosched()
+	}
+}
+
+// list returns every registered shelf.
+func (r *Recycler[K, T]) list() []*shelf[K, T] {
+	if l := r.shelves.Load(); l != nil {
+		return *l
+	}
+	return nil
+}
+
+// own returns a shelf the caller owns: the pool's, or else any idle
+// registered one, or else a new one.
+func (r *Recycler[K, T]) own() *shelf[K, T] {
+	if s, _ := r.pool.Get().(*shelf[K, T]); s != nil && s.busy.CompareAndSwap(false, true) {
+		return s
+	}
+	for _, s := range r.list() {
+		if s.busy.CompareAndSwap(false, true) {
+			return s
 		}
+	}
+	s := new(shelf[K, T])
+	s.busy.Store(true)
+	r.mu.Lock()
+	old := r.list()
+	l := append(old[:len(old):len(old)], s)
+	r.shelves.Store(&l)
+	r.mu.Unlock()
+	return s
+}
+
+// release gives up s and hands it to this P's pool.
+func (r *Recycler[K, T]) release(s *shelf[K, T]) {
+	s.busy.Store(false)
+	r.pool.Put(s)
+}
+
+// search claims a free object for key from any shelf. A pass that finds
+// none repeats until no shelf's put count, nor the registry, moved
+// during it: every object built so far is then held by a caller, so a
+// build never exceeds the peak number of concurrent holders.
+func (r *Recycler[K, T]) search(key K) (T, bool) {
+	for {
+		l := r.list()
+		var puts uint64
+		for _, s := range l {
+			s.lock()
+			puts += s.puts.Load()
+			t, ok := s.take(key)
+			s.busy.Store(false)
+			if ok {
+				return t, true
+			}
+		}
+		now := r.list()
+		for _, s := range now {
+			puts -= s.puts.Load()
+		}
+		if puts == 0 && len(now) == len(l) {
+			var zero T
+			return zero, false
+		}
+	}
+}
+
+// Get returns a Reset object for key from a shelf, or calls build when
+// none is free.
+func (r *Recycler[K, T]) Get(key K, build func() (T, error)) (T, error) {
+	s := r.own()
+	var (
+		t  T
+		ok bool
+	)
+	on := !recyclingOff.Load()
+	if on {
+		t, ok = s.take(key)
+	}
+	r.release(s)
+	if on && !ok {
+		t, ok = r.search(key)
+	}
+	if ok {
+		s.recycled.Add(1)
+		return t, nil
 	}
 	t, err := build()
 	if err == nil {
-		r.built.Add(1)
+		s.built.Add(1)
 	}
 	return t, err
 }
 
-// Put resets t and adds it to the free list for key. An object whose
-// Reset fails is dropped and counted; while recycling is off, Put drops
-// every object.
+// Put resets t and shelves it under key. An object whose Reset fails is
+// dropped and counted; while recycling is off, Put drops every object.
 func (r *Recycler[K, T]) Put(key K, t T) {
 	if recyclingOff.Load() {
 		return
 	}
-	if err := t.Reset(); err != nil {
-		r.resetFailures.Add(1)
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	l := r.list(key, true)
-	var b *hintBox[T]
-	if k := len(l.boxes) - 1; k >= 0 {
-		b = l.boxes[k]
-		l.boxes[k] = nil
-		l.boxes = l.boxes[:k]
+	err := t.Reset()
+	s := r.own()
+	if err != nil {
+		s.resetFailures.Add(1)
 	} else {
-		b = new(hintBox[T])
+		s.put(key, t)
 	}
-	b.t = t
-	l.free[t] = b
-	l.hint.Put(b)
+	r.release(s)
 }
 
-// Stats returns the recycler's counters.
+// Stats returns the recycler's counters, summed over its shelves.
 func (r *Recycler[K, T]) Stats() RecycleStats {
-	return RecycleStats{
-		Built:         r.built.Load(),
-		Recycled:      r.recycled.Load(),
-		ResetFailures: r.resetFailures.Load(),
+	var st RecycleStats
+	for _, s := range r.list() {
+		st.Built += s.built.Load()
+		st.Recycled += s.recycled.Load()
+		st.ResetFailures += s.resetFailures.Load()
 	}
+	return st
 }
 
-// Reset drops every free list, emptying the boxes the hint pools may
-// still hold, and zeroes the counters.
+// Reset empties every shelf, so the objects it held become garbage, and
+// zeroes the counters.
 func (r *Recycler[K, T]) Reset() {
-	r.mu.Lock()
-	for _, l := range r.lists {
-		for t := range l.free {
-			l.take(t)
-		}
+	for _, s := range r.list() {
+		s.lock()
+		clear(s.free)
+		s.free = s.free[:0]
+		s.built.Store(0)
+		s.recycled.Store(0)
+		s.resetFailures.Store(0)
+		s.busy.Store(false)
 	}
-	r.lists = nil
-	r.tick = 0
-	r.mu.Unlock()
-	r.built.Store(0)
-	r.recycled.Store(0)
-	r.resetFailures.Store(0)
 }
 
 // Each calls fn(i) for every i in [0, n) across workers goroutines that
@@ -247,31 +269,27 @@ func Each(n, workers int, fn func(i int) error) error {
 
 	var (
 		next   atomic.Int64
-		mu     sync.Mutex
-		errIdx = n
+		errIdx atomic.Int64 // the lowest failing index so far; only falls
+		mu     sync.Mutex   // serializes failures
 		first  error
 		wg     sync.WaitGroup
 	)
 	next.Store(-1)
+	errIdx.Store(int64(n))
 	wg.Add(workers)
 	for k := 0; k < workers; k++ {
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1))
-				if i >= n {
+				i := next.Add(1)
+				if i >= int64(n) || i > errIdx.Load() {
 					return
 				}
-				mu.Lock()
-				abandoned := i > errIdx
-				mu.Unlock()
-				if abandoned {
-					return
-				}
-				if err := fn(i); err != nil {
+				if err := fn(int(i)); err != nil {
 					mu.Lock()
-					if i < errIdx {
-						errIdx, first = i, err
+					if i < errIdx.Load() {
+						errIdx.Store(i)
+						first = err
 					}
 					mu.Unlock()
 				}

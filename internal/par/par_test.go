@@ -75,15 +75,12 @@ func TestRecyclerSurvivesGC(t *testing.T) {
 }
 
 // TestRecyclerResetReleasesObjects: Reset drops its free objects, and
-// the sync.Pool hint must not keep them alive for the two collections a
-// pool holds what it was given. After Reset and one collection, every
-// object Put before it, and one claimed from the hint and Put again,
-// is unreachable. A hint pool holding the objects themselves keeps
+// the sync.Pool that hands out shelves must not keep them alive for the
+// two collections a pool holds what it was given. After Reset and one
+// collection, every object Put before it, and one claimed and Put
+// again, is unreachable. A pool holding the objects themselves keeps
 // them through that collection.
 func TestRecyclerResetReleasesObjects(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops puts at random under -race")
-	}
 	var r Recycler[int, *obj]
 	const n = 4
 	freed := make(chan int, n)
@@ -157,12 +154,65 @@ func TestRecyclerExclusive(t *testing.T) {
 	}
 }
 
-// TestRecyclerBounded puts objects under 1,000 distinct keys, two each:
-// only maxRecycleKeys keys keep free lists, so the retained count stays
-// within two objects per key of the bound after every Put. Eviction is
-// least recently used: key 0, got and put back before every new key,
-// keeps its objects to the end, while key 1 is dropped and its object,
-// no longer held by its emptied box, is collected.
+// TestRecyclerSearchesOtherShelves runs more goroutines than Ps over
+// one key, with at most three holding an object at once and each
+// yielding while it holds, so objects are put on one shelf and wanted
+// from another. Get finds a free object on any shelf before it builds,
+// so Built never exceeds the peak number of concurrent holders. A
+// holder counts from before its Get until its Put returns.
+func TestRecyclerSearchesOtherShelves(t *testing.T) {
+	const (
+		maxHolders = 3
+		rounds     = 300
+	)
+	goroutines := 4 * runtime.GOMAXPROCS(0)
+	var (
+		r             Recycler[int, *obj]
+		holders, peak atomic.Int64
+		slots         = make(chan struct{}, maxHolders)
+		wg            sync.WaitGroup
+	)
+	build := func() (*obj, error) { return &obj{}, nil }
+	wg.Add(goroutines)
+	for range goroutines {
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				slots <- struct{}{}
+				n := holders.Add(1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+				o, err := r.Get(0, build)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				runtime.Gosched()
+				r.Put(0, o)
+				holders.Add(-1)
+				<-slots
+			}
+		}()
+	}
+	wg.Wait()
+	st := r.Stats()
+	if st.Built+st.Recycled != uint64(goroutines*rounds) {
+		t.Errorf("built %d + recycled %d != %d gets", st.Built, st.Recycled, goroutines*rounds)
+	}
+	if p := uint64(peak.Load()); st.Built > p {
+		t.Errorf("built %d objects for a peak of %d concurrent holders", st.Built, p)
+	}
+	if len(r.list()) < 2 {
+		t.Logf("only %d shelf was made; the cross-shelf search went untested", len(r.list()))
+	}
+}
+
+// TestRecyclerBounded puts objects under 1,000 distinct keys, two each,
+// from one goroutine: a shelf keeps at most maxRecycleKeys pairs, so the
+// count its shelves retain stays within two objects per key of the bound
+// after every Put. Eviction is least recently used: key 0, got and put
+// back before every new key, keeps its objects to the end, while key 1
+// is dropped and its object, no longer held by its shelf, is collected.
 func TestRecyclerBounded(t *testing.T) {
 	const keys = 1000
 	var r Recycler[int, *obj]
@@ -184,8 +234,8 @@ func TestRecyclerBounded(t *testing.T) {
 		r.Put(k, &obj{})
 		r.Put(k, &obj{})
 		n := 0
-		for _, l := range r.lists {
-			n += len(l.free)
+		for _, sh := range r.list() {
+			n += len(sh.free)
 		}
 		if n > 2*maxRecycleKeys {
 			t.Fatalf("after key %d the recycler retains %d objects, want at most %d (%d keys)", k, n, 2*maxRecycleKeys, maxRecycleKeys)
@@ -202,9 +252,6 @@ func TestRecyclerBounded(t *testing.T) {
 	}
 	if st := r.Stats(); st.Built != 1 {
 		t.Errorf("built %d objects, want 1 (key 1's evicted object gone)", st.Built)
-	}
-	if raceEnabled {
-		return // sync.Pool drops puts at random under -race
 	}
 	runtime.GC()
 	select {

@@ -14,9 +14,9 @@ import (
 // — and the serial sweep built that whole object graph only to throw
 // it away one operating point later. core.Cluster.Reset returns the
 // graph to its post-construction state without reallocating frame
-// backing stores or event arenas, so the sweep keeps free lists of
-// Reset clusters, one per distinct configuration, and points reuse them
-// instead of rebuilding (see par.Recycler). A Reset cluster simulates
+// backing stores or event arenas, so the sweep keeps Reset clusters,
+// keyed by configuration, and points reuse them instead of rebuilding
+// (see par.Recycler). A Reset cluster simulates
 // bit-identically to a fresh one, so recycling cannot perturb the sweep
 // digest.
 
@@ -74,7 +74,7 @@ func Perf() PerfStats {
 	}
 }
 
-// ResetPerf discards the cluster free lists and zeroes the counters; the
+// ResetPerf discards the free clusters and zeroes the counters; the
 // recycling switch (par.SetRecycling) keeps its setting. Tests and
 // benchmarks use it to measure from a cold start.
 func ResetPerf() { clusters.Reset() }
