@@ -10,8 +10,8 @@ package digest
 
 import (
 	"fmt"
-	"hash"
-	"hash/fnv"
+	"math"
+	"strconv"
 )
 
 // Digest folds formatted records into an FNV-64a hash and counts how
@@ -19,20 +19,101 @@ import (
 // cluster bench counts deliveries, the workload engine counts
 // completed operations).
 type Digest struct {
-	h       hash.Hash64
+	h       uint64 // FNV-64a state
 	records uint64
+	buf     []byte // Addf's formatted record, reused
 }
+
+// FNV-64a parameters (hash/fnv).
+const (
+	offset64 = 14695981039346656037
+	prime64  = 1099511628211
+)
 
 // New returns an empty digest.
 func New() *Digest {
-	return &Digest{h: fnv.New64a()}
+	return &Digest{h: offset64}
 }
 
-// Addf folds a formatted record into the hash. Use %x for floats:
-// decimal formatting is exact for IEEE doubles only at absurd widths,
-// while the hex form is bit-faithful and compact.
+// Addf folds a formatted record into the hash: exactly the bytes
+// fmt.Sprintf(format, args...) makes. Use %x for floats: decimal
+// formatting is exact for IEEE doubles only at absurd widths, while the
+// hex form is bit-faithful and compact.
+//
+// The formats records use are formatted here, with strconv into a
+// buffer the digest reuses: literal text, %% and the verbs %d and %x of
+// an int or a uint64, %x of a finite float64 and %s of a string. Any
+// other format — a flag, a width, another verb, another type (a named
+// one included), a NaN or an infinity, too few or too many arguments —
+// goes to fmt whole.
 func (d *Digest) Addf(format string, args ...any) {
-	fmt.Fprintf(d.h, format, args...)
+	buf, ok := appendRecord(d.buf[:0], format, args)
+	if !ok {
+		buf = fmt.Appendf(d.buf[:0], format, args...)
+	}
+	h := d.h
+	for _, c := range buf {
+		h = (h ^ uint64(c)) * prime64
+	}
+	d.h, d.buf = h, buf
+}
+
+// appendRecord appends format's expansion to buf when every verb in it
+// is one Addf formats itself, and reports whether it was.
+func appendRecord(buf []byte, format string, args []any) ([]byte, bool) {
+	next := 0
+	for i := 0; i < len(format); i++ {
+		c := format[i]
+		if c != '%' {
+			buf = append(buf, c)
+			continue
+		}
+		if i++; i == len(format) {
+			return buf, false
+		}
+		verb := format[i]
+		if verb == '%' {
+			buf = append(buf, '%')
+			continue
+		}
+		if next == len(args) {
+			return buf, false
+		}
+		switch a := args[next].(type) {
+		case int:
+			switch verb {
+			case 'd':
+				buf = strconv.AppendInt(buf, int64(a), 10)
+			case 'x':
+				buf = strconv.AppendInt(buf, int64(a), 16)
+			default:
+				return buf, false
+			}
+		case uint64:
+			switch verb {
+			case 'd':
+				buf = strconv.AppendUint(buf, a, 10)
+			case 'x':
+				buf = strconv.AppendUint(buf, a, 16)
+			default:
+				return buf, false
+			}
+		case float64:
+			if verb != 'x' || math.IsNaN(a) || math.IsInf(a, 0) {
+				return buf, false
+			}
+			buf = strconv.AppendFloat(buf, a, 'x', -1, 64)
+		case string:
+			if verb != 's' {
+				return buf, false
+			}
+			buf = append(buf, a...)
+		default:
+			return buf, false
+		}
+		next++
+	}
+	return buf, next == len(args)
 }
 
 // Record advances the record counter by one.
@@ -42,11 +123,11 @@ func (d *Digest) Record() { d.records++ }
 func (d *Digest) Records() uint64 { return d.records }
 
 // Sum64 returns the current hash value.
-func (d *Digest) Sum64() uint64 { return d.h.Sum64() }
+func (d *Digest) Sum64() uint64 { return d.h }
 
 // Hex returns the hash as a fixed-width hex string, the form reports
 // and JSON blocks carry.
-func (d *Digest) Hex() string { return fmt.Sprintf("%016x", d.h.Sum64()) }
+func (d *Digest) Hex() string { return fmt.Sprintf("%016x", d.h) }
 
 // PayloadSum is the sampling checksum folded per delivered payload: an
 // FNV-32a over a fixed sample of byte positions. The sampled set is the

@@ -154,3 +154,14 @@ func TestPayloadSumFinalByteSingleMix(t *testing.T) {
 		t.Fatalf("PayloadSum(nil) = %08x, want FNV offset basis", got)
 	}
 }
+
+// BenchmarkAddf folds the pairwise benchmark's per-point record: three
+// floats in hex.
+func BenchmarkAddf(b *testing.B) {
+	d := New()
+	x, y, z := 1234.5678, 0.1, 99.0
+	b.ReportAllocs()
+	for range b.N {
+		d.Addf("%x %x %x\n", x, y, z)
+	}
+}

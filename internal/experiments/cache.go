@@ -1,8 +1,8 @@
 package experiments
 
 import (
-	"hash/maphash"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -89,10 +89,9 @@ type memo struct {
 		_            [cacheLine - 16]byte
 	}
 	table atomic.Pointer[memoTable] // replaced by a doubling or a reset
-	seed  maphash.Seed
-	_     [cacheLine - 16]byte // keeps the writer's words off the readers' line
-	mu    sync.Mutex           // serializes stores and reset
-	used  int                  // entries in table; written under mu
+	_     [cacheLine - 8]byte       // keeps the writer's words off the readers' line
+	mu    sync.Mutex                // serializes stores and reset
+	used  int                       // entries in table; written under mu
 }
 
 const (
@@ -116,7 +115,7 @@ type memoEntry struct {
 }
 
 func newMemo() *memo {
-	c := &memo{seed: maphash.MakeSeed()}
+	c := &memo{}
 	c.table.Store(newMemoTable(memoMinSlots))
 	return c
 }
@@ -126,8 +125,48 @@ func newMemoTable(slots int) *memoTable {
 	return &t
 }
 
-// hash returns key's hash, which agrees with == on cacheKey.
-func (c *memo) hash(key cacheKey) uint64 { return maphash.Comparable(c.seed, key) }
+// hash returns key's hash, which agrees with == on cacheKey: it mixes
+// every field, each fault rate with -0 taken as +0 (the two are ==),
+// and the plane name by its length and first and last bytes. Fields are
+// mixed in pairs by independent 128-bit multiplies, which then fold
+// into one word whose bits all depend on every field, since the table
+// indexes by the low bits and the counters by the high ones. A field
+// added to cacheKey must be mixed here (TestMemoKeyIdentity).
+func (c *memo) hash(key cacheKey) uint64 {
+	flags := uint64(len(key.plane)) << 2
+	if n := len(key.plane); n > 0 {
+		flags |= uint64(key.plane[0])<<32 | uint64(key.plane[n-1])<<40
+	}
+	if key.genie.SystemAlignment {
+		flags |= 1
+	}
+	if key.instrument {
+		flags |= 2
+	}
+	g, f := key.genie, key.faults
+	l0 := mum(key.model, uint64(key.scheme))
+	l1 := mum(uint64(key.devOff), uint64(key.appOffset))
+	l2 := mum(uint64(g.EmCopyOutputThreshold), uint64(g.EmShareOutputThreshold))
+	l3 := mum(uint64(g.ReverseCopyoutThreshold), uint64(g.KernelPoolPages))
+	l4 := mum(uint64(g.Checksum), flags)
+	l5 := mum(f.Seed, 0)
+	l6 := mum(rate(f.Drop), rate(f.Duplicate))
+	l7 := mum(rate(f.Reorder), rate(f.Corrupt))
+	l8 := mum(rate(f.AllocFail), rate(f.PoolDeny))
+	l9 := mum(uint64(key.sem), uint64(key.length))
+	return mum(mum(l0^l1, l2^l3)^mum(l4^l5, l6^l7), l8^l9)
+}
+
+// rate returns a fault rate's bits with -0 taken as +0: -0 + 0 is +0.
+func rate(r float64) uint64 { return math.Float64bits(r + 0) }
+
+// mum mixes two words into one: the high and low halves of their
+// product, each offset by a constant first (the mixing step of
+// wyhash).
+func mum(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a^0xa0761d6478bd642f, b^0xe7037ed1a0b428db)
+	return hi ^ lo
+}
 
 // find returns the entry for key, whose hash is h, or nil.
 func (t memoTable) find(h uint64, key cacheKey) *memoEntry {

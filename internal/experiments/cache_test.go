@@ -253,9 +253,11 @@ func TestMeasureMemoGrowsConcurrently(t *testing.T) {
 // nested structs, and for each leaf makes a key that differs from a
 // base key in that leaf alone. The two keys must never share an entry:
 // each finds its own result, by its own hash and under a forced hash
-// collision. A field of a kind the walk cannot vary fails the test
-// until the walk handles it. Keys equal under == hash equally, +0 and
-// -0 fault rates included.
+// collision, and the two hashes differ, so a field the hand-written
+// hash leaves out fails. A field of a kind the walk cannot vary fails
+// the test until the walk handles it. Keys equal under == hash
+// equally: a key whose fault rate is -0 where the stored key's is +0,
+// in any rate, hashes the same and hits the stored entry.
 func TestMemoKeyIdentity(t *testing.T) {
 	base := measureKey(Setup{Scheme: netsim.Pooled, Faults: faults.Spec{Seed: 3, Drop: 0.25}}, core.Copy, 4096)
 	type variant struct {
@@ -303,6 +305,9 @@ func TestMemoKeyIdentity(t *testing.T) {
 		}
 		c := newMemo()
 		hb := c.hash(base)
+		if c.hash(v.key) == hb {
+			t.Errorf("a key differing in %s alone hashes like the base: the hash leaves the field out", v.name)
+		}
 		c.store(base, hb, result(1))
 		if r, _, ok := c.lookup(v.key); ok {
 			t.Errorf("a key differing in %s alone found the base's entry %+v", v.name, r)
@@ -332,10 +337,24 @@ func TestMemoKeyIdentity(t *testing.T) {
 		t.Errorf("walked %d leaves, want at least one per cacheKey field", len(variants))
 	}
 
-	negZero := base
-	negZero.faults.Duplicate = math.Copysign(0, -1)
-	if c := newMemo(); negZero != base || c.hash(negZero) != c.hash(base) {
-		t.Error("keys equal under == hash differently (-0 against +0)")
+	zero := base
+	zero.faults = faults.Spec{Seed: base.faults.Seed}
+	rates := reflect.ValueOf(&zero.faults).Elem()
+	for i := range rates.NumField() {
+		if rates.Field(i).Kind() != reflect.Float64 {
+			continue
+		}
+		negZero := zero
+		reflect.ValueOf(&negZero.faults).Elem().Field(i).SetFloat(math.Copysign(0, -1))
+		name := rates.Type().Field(i).Name
+		c := newMemo()
+		if negZero != zero || c.hash(negZero) != c.hash(zero) {
+			t.Errorf("keys equal under == hash differently (%s -0 against +0)", name)
+		}
+		c.store(zero, c.hash(zero), result(1))
+		if r, _, ok := c.lookup(negZero); !ok || r.m.Bytes != 1 {
+			t.Errorf("a key with %s -0 missed the entry stored with +0: %+v, %v", name, r, ok)
+		}
 	}
 }
 

@@ -276,21 +276,37 @@ type Stats struct {
 }
 
 // PhysMem is a simulated bank of physical memory.
+//
+// A frame's record is built the first time the frame is handed out (by
+// an allocation or by Frame), in chunks of RecordChunk records so a
+// *Frame never moves, and the free list keeps its untouched bottom
+// block as a count: a machine pays Go memory only for the frames a run
+// touches, and New costs O(1) whatever the frame count. A frame without
+// a record is in the state its record would be built in: taken by
+// AllocBlock (attached) if it lies below blocked, free and never sized
+// otherwise.
 type PhysMem struct {
 	pageSize   int
 	plane      DataPlane
-	frames     []Frame
-	freeList   []FrameID       // LIFO
-	untouched  int             // bottom freeList entries no alloc has popped since Reset
-	reserved   int             // boot frames [0, reserved), kept allocated across Reset (Seal)
-	bootStats  Stats           // Stats at Seal, restored by Reset
-	bootHWM    stats.HighWater // hwm at Seal, restored by Reset
+	numFrames  int
+	chunks     []*[RecordChunk]Frame // records by id/RecordChunk; nil until a frame in the chunk is first used
+	records    int                   // records built, for Records
+	freeList   []FrameID             // LIFO, above the untouched block
+	untouched  int                   // bottom free-list block, frames N-1 down to N-untouched, no alloc has popped since Reset
+	blocked    int                   // frames below it without a record were taken by AllocBlock
+	reserved   int                   // boot frames [0, reserved), kept allocated across Reset (Seal)
+	bootStats  Stats                 // Stats at Seal, restored by Reset
+	bootHWM    stats.HighWater       // hwm at Seal, restored by Reset
 	reclaimer  func(need int) int
 	allocFault func() bool
 	stats      Stats
 	hwm        stats.HighWater // frames off the free list, high-water tracked
-	onFree     []bool          // CheckInvariants' free-list membership by frame id, reused
+	listed     []uint64        // CheckInvariants' free-list membership, one word per chunk, reused
 }
+
+// RecordChunk is the number of frame records a PhysMem builds at once:
+// one allocation of 6 KiB, a whole size class.
+const RecordChunk = 64
 
 // New creates a physical memory of numFrames frames of pageSize bytes
 // each, on the materialized Bytes plane. It panics if either argument
@@ -302,6 +318,16 @@ func New(numFrames, pageSize int) *PhysMem {
 
 // NewWithPlane is New with an explicit data plane. A nil plane means
 // Bytes.
+//
+// Nothing per frame is built here: every frame starts in the untouched
+// block of the free list, which is a count, and gets its record when it
+// is first handed out. Frame backing stores are materialized lazily
+// too: a symbolic frame on first allocation, a bytes frame on its first
+// write (Frame.touch). A sweep that touches 30 frames of a 512-frame
+// machine never pays for the other 482, and a kernel pool page that is
+// allocated but never written never pays for its backing store.
+// Unwritten frames read as zero (machine memory after power-on),
+// exactly the contents an eager backing store would hold.
 func NewWithPlane(numFrames, pageSize int, plane DataPlane) *PhysMem {
 	if numFrames <= 0 || pageSize <= 0 {
 		panic(fmt.Sprintf("mem.New(%d, %d): nonpositive size", numFrames, pageSize))
@@ -309,45 +335,68 @@ func NewWithPlane(numFrames, pageSize int, plane DataPlane) *PhysMem {
 	if plane == nil {
 		plane = Bytes
 	}
-	pm := &PhysMem{
-		pageSize: pageSize,
-		plane:    plane,
-		frames:   make([]Frame, numFrames),
-		freeList: make([]FrameID, 0, numFrames),
+	return &PhysMem{
+		pageSize:  pageSize,
+		plane:     plane,
+		numFrames: numFrames,
+		untouched: numFrames,
 	}
-	// Frame backing stores are materialized lazily: a symbolic frame on
-	// first allocation, a bytes frame on its first write (Frame.touch).
-	// A sweep that touches 30 frames of a 512-frame machine never pays
-	// for the other 482 pages, and a kernel pool page that is allocated
-	// but never written never pays at all. Unwritten frames read as zero
-	// (machine memory after power-on), exactly the contents an eager
-	// backing store would hold.
-	for i := range pm.frames {
-		f := &pm.frames[i]
-		f.id = FrameID(i)
-		f.free = true
-	}
-	pm.pushCanonical(numFrames)
-	return pm
 }
 
-// pushCanonical pushes frames n-1 down to the first unreserved frame
-// onto the free list, so the lowest of them is allocated first. The
-// list below holds frames N-1 down to n, untouched, so the whole list
-// is then canonical and every frame on it in its post-Reset state. The
-// order matters: a Reset PhysMem allocates identically to a fresh one
-// only because of it, and Reset's cost and CheckInvariants' untouched-
-// block check rely on the untouched frames sitting at the bottom of the
-// list in exactly this order.
-func (pm *PhysMem) pushCanonical(n int) {
-	base := len(pm.freeList)
-	pm.freeList = pm.freeList[:base+n-pm.reserved] // capacity is always N
-	pushed := pm.freeList[base:]
-	for i := range pushed {
-		pushed[i] = FrameID(n - 1 - i)
+// record returns frame id's record, building its chunk if no frame in
+// it has been used yet. Each record of a new chunk is built in the state
+// the frame is in: taken by AllocBlock below blocked (attached, sized,
+// never handed out, so not pristine), free and unsized above it. An
+// allocation takes a frame with a record or the untouched block's next
+// one, which is never below blocked, so the record it builds is free.
+func (pm *PhysMem) record(id FrameID) *Frame {
+	if c := uint(id) / RecordChunk; c < uint(len(pm.chunks)) && pm.chunks[c] != nil {
+		return &pm.chunks[c][uint(id)%RecordChunk]
 	}
-	pm.untouched = len(pm.freeList)
+	return pm.build(id)
 }
+
+// build builds the chunk of frame id's record and returns the record.
+func (pm *PhysMem) build(id FrameID) *Frame {
+	c := int(id) / RecordChunk
+	if c >= len(pm.chunks) {
+		pm.chunks = append(pm.chunks, make([]*[RecordChunk]Frame, c+1-len(pm.chunks))...)
+	}
+	lo := c * RecordChunk
+	n := min(RecordChunk, pm.numFrames-lo) // the last chunk's tail has no frames
+	chunk := new([RecordChunk]Frame)
+	for i := range n {
+		f := &chunk[i]
+		f.id = FrameID(lo + i)
+		if lo+i < pm.blocked {
+			pm.plane.materialize(f, pm.pageSize)
+			f.size = pm.pageSize
+			f.attached = true
+		} else {
+			f.free = true
+		}
+	}
+	pm.chunks[c] = chunk
+	pm.records += n
+	return &chunk[int(id)%RecordChunk]
+}
+
+// builtIn returns chunk c's records with ids in [lo, hi): none if the
+// chunk was never built. A walk over the records of [lo, hi) calls it
+// for c from lo/RecordChunk while c*RecordChunk < hi, and so builds no
+// chunk.
+func (pm *PhysMem) builtIn(c, lo, hi int) []Frame {
+	chunk := pm.chunks[c]
+	if chunk == nil {
+		return nil
+	}
+	base := c * RecordChunk
+	return chunk[max(lo-base, 0):min(hi-base, RecordChunk)]
+}
+
+// Records returns the number of frame records built so far: the frames
+// handed out since construction, rounded out to whole chunks.
+func (pm *PhysMem) Records() int { return pm.records }
 
 // Seal makes the frames allocated so far boot memory: the pages a
 // host's pools take at construction, which a real kernel allocates once
@@ -358,15 +407,20 @@ func (pm *PhysMem) pushCanonical(n int) {
 // pool re-admits the pages it lent out (Readmit) in place of
 // allocating its whole complement again. Seal is called once, before
 // any frame is freed, and panics if the allocated frames are not
-// exactly [0, k), attached and without references or wires.
+// exactly [0, k), attached and without references or wires. It checks
+// only the records built; a boot frame without one is attached and
+// untouched by construction.
 func (pm *PhysMem) Seal() {
-	k := len(pm.frames) - pm.untouched
-	if pm.untouched != len(pm.freeList) {
+	k := pm.numFrames - pm.untouched
+	if len(pm.freeList) != 0 {
 		panic(fmt.Sprintf("mem: Seal after a free: the allocated frames are not [0, %d)", k))
 	}
-	for i := range pm.frames[:k] {
-		if f := &pm.frames[i]; !f.attached || f.Referenced() || f.wired != 0 {
-			panic(fmt.Sprintf("mem: Seal of %v", f))
+	for c := 0; c < len(pm.chunks) && c*RecordChunk < k; c++ {
+		recs := pm.builtIn(c, 0, k)
+		for i := range recs {
+			if f := &recs[i]; !f.attached || f.Referenced() || f.wired != 0 {
+				panic(fmt.Sprintf("mem: Seal of %v", f))
+			}
 		}
 	}
 	pm.reserved = k
@@ -378,34 +432,41 @@ func (pm *PhysMem) Seal() {
 // frames but the boot frames free in canonical allocation order, no
 // I/O references or wires on them, no reclaimer, statistics and
 // high-water mark as they stood at Seal (zero without one). Frame
-// backing stores already materialized are retained (their contents are
-// stale, exactly like real memory across a reboot), so a Reset machine
-// allocates without touching the allocator slow path again.
+// records and the backing stores already materialized are retained
+// (their contents are stale, exactly like real memory across a reboot),
+// so a Reset machine allocates without touching the allocator slow path
+// again.
 //
 // Reset costs O(frames allocated since the last Reset), not O(frames).
 // The free list is LIFO and Reset leaves it canonical, so the frames no
 // allocation has popped since are always a contiguous block at its
 // bottom: ids N-1 down to N-u, in canonical order and still in their
-// post-Reset state. Reset keeps that block, re-initializes only frames
-// [k, N-u) and pushes them back on top of it. It never touches the k
-// boot frames: a boot frame that left its pool during the run may be in
-// any state until the pool re-admits it (Readmit), and the Reset is
-// complete only then.
+// post-Reset state. That block is a count, so Reset re-initializes only
+// the records of frames [k, N-u) and makes every frame from k up
+// untouched again. It never touches the k boot frames: a boot frame
+// that left its pool during the run may be in any state until the pool
+// re-admits it (Readmit), and the Reset is complete only then. A
+// non-boot frame AllocBlock took without building its record is free
+// again by the same count.
 func (pm *PhysMem) Reset() {
 	pm.reclaimer = nil
 	pm.allocFault = nil
 	pm.stats = pm.bootStats
 	pm.hwm = pm.bootHWM
-	touched := len(pm.frames) - pm.untouched
-	for i := pm.reserved; i < touched; i++ {
-		f := &pm.frames[i]
-		f.inRefs, f.outRefs, f.wired = 0, 0, 0
-		f.attached = false
-		f.pristine = false
-		f.free = true
+	touched := pm.numFrames - pm.untouched
+	for c := pm.reserved / RecordChunk; c < len(pm.chunks) && c*RecordChunk < touched; c++ {
+		recs := pm.builtIn(c, pm.reserved, touched)
+		for i := range recs {
+			f := &recs[i]
+			f.inRefs, f.outRefs, f.wired = 0, 0, 0
+			f.attached = false
+			f.pristine = false
+			f.free = true
+		}
 	}
-	pm.freeList = pm.freeList[:pm.untouched]
-	pm.pushCanonical(touched)
+	pm.freeList = pm.freeList[:0]
+	pm.untouched = pm.numFrames - pm.reserved
+	pm.blocked = min(pm.blocked, pm.reserved)
 }
 
 // Readmit returns boot frame f to its state at Seal: attached, not
@@ -435,10 +496,10 @@ func (pm *PhysMem) Plane() DataPlane { return pm.plane }
 func (pm *PhysMem) Symbolic() bool { return pm.plane.Symbolic() }
 
 // NumFrames returns the total number of frames.
-func (pm *PhysMem) NumFrames() int { return len(pm.frames) }
+func (pm *PhysMem) NumFrames() int { return pm.numFrames }
 
 // FreeFrames returns the number of frames currently on the free list.
-func (pm *PhysMem) FreeFrames() int { return len(pm.freeList) }
+func (pm *PhysMem) FreeFrames() int { return pm.untouched + len(pm.freeList) }
 
 // HighWater returns the most frames ever simultaneously off the free
 // list — the machine-wide memory high-water mark. Kept outside Stats so
@@ -448,14 +509,15 @@ func (pm *PhysMem) HighWater() int { return pm.hwm.High() }
 // Stats returns a snapshot of allocation statistics.
 func (pm *PhysMem) Stats() Stats { return pm.stats }
 
-// Frame returns the frame with the given id. It panics on an invalid id;
-// frame ids only originate from this PhysMem, so an invalid id is memory
+// Frame returns the frame with the given id, building its record if
+// the frame has not been used yet. It panics on an invalid id; frame
+// ids only originate from this PhysMem, so an invalid id is memory
 // corruption in the simulation itself.
 func (pm *PhysMem) Frame(id FrameID) *Frame {
-	if int(id) < 0 || int(id) >= len(pm.frames) {
+	if uint(id) >= uint(pm.numFrames) {
 		panic(fmt.Sprintf("mem: invalid frame id %d", id))
 	}
-	return &pm.frames[id]
+	return pm.record(id)
 }
 
 // SetReclaimer installs a callback invoked when Alloc finds the free
@@ -471,33 +533,48 @@ func (pm *PhysMem) SetReclaimer(fn func(need int) int) { pm.reclaimer = fn }
 // injection.
 func (pm *PhysMem) SetAllocFault(fn func() bool) { pm.allocFault = fn }
 
-// alloc removes a frame from the free list and attaches it, sizing it
-// (and on the symbolic plane materializing it) on first attach. It
-// preserves the frame's pristine flag so AllocZeroed can skip redundant
-// clears; the exported wrappers consume the flag before handing the
-// frame out.
-func (pm *PhysMem) alloc() (*Frame, error) {
+// take removes the top free-list entry, as every allocation does:
+// after consulting the fault hook, and the reclaimer if the list is
+// empty. It counts the allocation and moves the high-water mark.
+func (pm *PhysMem) take() (FrameID, error) {
 	if pm.allocFault != nil && pm.allocFault() {
 		pm.stats.FailedAllocs++
-		return nil, ErrOutOfMemory
+		return 0, ErrOutOfMemory
 	}
-	if len(pm.freeList) == 0 && pm.reclaimer != nil {
+	if pm.FreeFrames() == 0 && pm.reclaimer != nil {
 		pm.stats.ReclaimRuns++
 		fn := pm.reclaimer
 		pm.reclaimer = nil // guard against reentrant reclaim
 		fn(1)
 		pm.reclaimer = fn
 	}
-	n := len(pm.freeList)
-	if n == 0 {
+	var id FrameID
+	if n := len(pm.freeList); n > 0 {
+		id = pm.freeList[n-1]
+		pm.freeList = pm.freeList[:n-1]
+	} else if pm.untouched > 0 {
+		id = FrameID(pm.numFrames - pm.untouched)
+		pm.untouched--
+	} else {
 		pm.stats.FailedAllocs++
-		return nil, ErrOutOfMemory
+		return 0, ErrOutOfMemory
 	}
-	id := pm.freeList[n-1]
-	pm.freeList = pm.freeList[:n-1]
-	pm.untouched = min(pm.untouched, n-1)
-	pm.hwm.Set(len(pm.frames) - len(pm.freeList))
-	f := &pm.frames[id]
+	pm.hwm.Set(pm.numFrames - pm.FreeFrames())
+	pm.stats.Allocs++
+	return id, nil
+}
+
+// alloc removes a frame from the free list and attaches it, sizing it
+// (and on the symbolic plane materializing it) on first attach. It
+// preserves the frame's pristine flag so AllocZeroed can skip redundant
+// clears; the exported wrappers consume the flag before handing the
+// frame out.
+func (pm *PhysMem) alloc() (*Frame, error) {
+	id, err := pm.take()
+	if err != nil {
+		return nil, err
+	}
+	f := pm.record(id)
 	if f.size == 0 {
 		pm.plane.materialize(f, pm.pageSize)
 		f.size = pm.pageSize
@@ -505,7 +582,6 @@ func (pm *PhysMem) alloc() (*Frame, error) {
 	}
 	f.free = false
 	f.attached = true
-	pm.stats.Allocs++
 	return f, nil
 }
 
@@ -546,8 +622,8 @@ func (pm *PhysMem) AllocZeroed() (*Frame, error) {
 // AllocN appends n frames to dst: n Alloc calls, so the frames, their
 // order, the statistics, the high-water mark and the fault-hook
 // consultations are exactly Alloc's. It is how the adapter and kernel
-// pools take their pages at construction and on Refill. On failure it
-// returns the frames taken so far with the error.
+// pools take their pages on Refill. On failure it returns the frames
+// taken so far with the error.
 func (pm *PhysMem) AllocN(dst []*Frame, n int) ([]*Frame, error) {
 	for range n {
 		f, err := pm.Alloc()
@@ -557,6 +633,36 @@ func (pm *PhysMem) AllocN(dst []*Frame, n int) ([]*Frame, error) {
 		dst = append(dst, f)
 	}
 	return dst, nil
+}
+
+// AllocBlock takes frames first, first+1, ..., first+n-1 for a pool at
+// construction without building their records: n Alloc calls, so the
+// statistics, the high-water mark and the fault-hook consultations are
+// exactly AllocN's, but each frame's record is built, attached, only
+// when Frame is first asked for it. The frames are the next n the
+// untouched block hands out. If it holds fewer, or a released
+// frame is on the free list, AllocBlock takes nothing and returns an
+// error wrapping ErrOutOfMemory; if the fault hook fails an allocation,
+// it releases the frames it took, in order, as a pool that could not be
+// built returns its pages.
+func (pm *PhysMem) AllocBlock(n int) (first FrameID, err error) {
+	first = FrameID(pm.numFrames - pm.untouched)
+	if n > pm.untouched || len(pm.freeList) != 0 {
+		pm.stats.FailedAllocs++
+		return first, fmt.Errorf("%w: no block of %d frames (%d untouched, %d released)",
+			ErrOutOfMemory, n, pm.untouched, len(pm.freeList))
+	}
+	for i := range n {
+		if _, err := pm.take(); err != nil {
+			pm.blocked = int(first) + i
+			for j := range i {
+				pm.Release(pm.Frame(first + FrameID(j)))
+			}
+			return first, err
+		}
+	}
+	pm.blocked = int(first) + n
+	return first, nil
 }
 
 // Release detaches the frame from its owner (the system page deallocation
@@ -580,7 +686,7 @@ func (pm *PhysMem) pushFree(f *Frame) {
 	f.free = true
 	pm.freeList = append(pm.freeList, f.id)
 	pm.stats.Frees++
-	pm.hwm.Set(len(pm.frames) - len(pm.freeList))
+	pm.hwm.Set(pm.numFrames - pm.FreeFrames())
 }
 
 // Reattach rescues a pending-free frame back into the attached state.
@@ -656,51 +762,69 @@ func (pm *PhysMem) Unwire(f *Frame) {
 
 // CheckInvariants verifies the global frame-state invariants and returns
 // an error describing the first violation. Tests call it after every
-// operation sequence.
+// operation sequence. It walks only the records built and the free
+// list above the untouched block, builds no record, and allocates
+// nothing once its membership words cover the chunks built.
 func (pm *PhysMem) CheckInvariants() error {
-	// The untouched block Reset relies on: the bottom u free-list
-	// entries are frames N-1 down to N-u, free, with no counts, and
-	// never a boot frame (so none is on the free list after Reset).
-	n := len(pm.frames)
-	if pm.untouched < 0 || pm.untouched > len(pm.freeList) {
-		return fmt.Errorf("untouched count %d outside free list of %d", pm.untouched, len(pm.freeList))
+	// The untouched block Reset relies on: frames N-1 down to N-u, free,
+	// with no counts, and never a boot frame (so none is on the free list
+	// after Reset). Every frame below it has been handed out since the
+	// last Reset, so it has a record unless AllocBlock took it.
+	n := pm.numFrames
+	if pm.untouched < 0 || pm.untouched > n-pm.reserved {
+		return fmt.Errorf("untouched block of %d frames outside the %d frames above the %d boot frames", pm.untouched, n-pm.reserved, pm.reserved)
 	}
-	if pm.untouched > n-pm.reserved {
-		return fmt.Errorf("untouched block of %d frames reaches into the %d boot frames", pm.untouched, pm.reserved)
+	touched := n - pm.untouched
+	if pm.blocked < 0 || pm.blocked > touched {
+		return fmt.Errorf("AllocBlock frames end at %d, above the %d frames handed out", pm.blocked, touched)
 	}
-	for i, id := range pm.freeList[:pm.untouched] {
-		f := &pm.frames[n-1-i]
-		if id != f.id || !f.free || f.attached || f.pristine || f.Referenced() || f.wired != 0 {
-			return fmt.Errorf("free list entry %d is %d, want untouched %v", i, id, f)
+	for c := pm.blocked / RecordChunk; pm.blocked < touched && c*RecordChunk < touched; c++ {
+		if c >= len(pm.chunks) || pm.chunks[c] == nil {
+			return fmt.Errorf("frame %d was handed out but has no record", max(c*RecordChunk, pm.blocked))
 		}
 	}
-	if len(pm.onFree) != n {
-		pm.onFree = make([]bool, n)
+	for c := touched / RecordChunk; c < len(pm.chunks); c++ {
+		recs := pm.builtIn(c, touched, n)
+		for i := range recs {
+			if f := &recs[i]; !f.free || f.attached || f.pristine || f.Referenced() || f.wired != 0 {
+				return fmt.Errorf("untouched %v (pristine %t)", f, f.pristine)
+			}
+		}
 	}
-	onFree := pm.onFree
-	clear(onFree)
+	if len(pm.listed) < len(pm.chunks) {
+		pm.listed = make([]uint64, len(pm.chunks))
+	}
+	listed := pm.listed[:len(pm.chunks)]
+	clear(listed)
 	for _, id := range pm.freeList {
-		if uint(id) >= uint(n) {
-			return fmt.Errorf("free list holds frame %d, outside %d frames", id, n)
+		if id < 0 || int(id) >= touched {
+			return fmt.Errorf("free list holds frame %d, outside the %d frames below the untouched block", id, touched)
 		}
-		if onFree[id] {
+		c, bit := int(id)/RecordChunk, uint64(1)<<(int(id)%RecordChunk)
+		if c >= len(pm.chunks) || pm.chunks[c] == nil {
+			return fmt.Errorf("free list holds frame %d, which AllocBlock took and nothing released", id)
+		}
+		if listed[c]&bit != 0 {
 			return fmt.Errorf("frame %d appears twice on free list", id)
 		}
-		onFree[id] = true
+		listed[c] |= bit
 	}
-	for i := range pm.frames {
-		f := &pm.frames[i]
-		if f.free != onFree[f.id] {
-			return fmt.Errorf("%v: free flag disagrees with free list", f)
-		}
-		if f.free && f.attached {
-			return fmt.Errorf("%v: free frame still attached", f)
-		}
-		if f.free && f.Referenced() {
-			return fmt.Errorf("%v: free frame has I/O references", f)
-		}
-		if f.inRefs < 0 || f.outRefs < 0 || f.wired < 0 {
-			return fmt.Errorf("%v: negative count", f)
+	for c := 0; c < len(pm.chunks) && c*RecordChunk < touched; c++ {
+		recs, bits := pm.builtIn(c, 0, touched), listed[c]
+		for i := range recs {
+			f := &recs[i]
+			if f.free != (bits>>i&1 != 0) {
+				return fmt.Errorf("%v: free flag disagrees with free list", f)
+			}
+			if f.free && f.attached {
+				return fmt.Errorf("%v: free frame still attached", f)
+			}
+			if f.free && f.Referenced() {
+				return fmt.Errorf("%v: free frame has I/O references", f)
+			}
+			if f.inRefs|f.outRefs|f.wired < 0 {
+				return fmt.Errorf("%v: negative count", f)
+			}
 		}
 	}
 	return nil

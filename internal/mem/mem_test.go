@@ -2,8 +2,10 @@ package mem
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -20,15 +22,129 @@ func TestNewLayout(t *testing.T) {
 }
 
 // TestFrameSize pins a Frame at 96 bytes on 64-bit platforms. Every
-// machine's frame array is sized by it, so symbolic writes rebuild a
-// frame's run list in its own storage rather than keeping a spare list
-// per frame.
+// record chunk a machine builds for the frames it touches is 64 of
+// them, one 6 KiB allocation, so symbolic writes rebuild a frame's run
+// list in its own storage rather than keeping a spare list per frame.
 func TestFrameSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the pinned size is the 64-bit layout")
 	}
 	if got := unsafe.Sizeof(Frame{}); got != 96 {
 		t.Errorf("Frame is %d bytes, want 96", got)
+	}
+}
+
+// TestNewIsConstant: a machine of 1<<20 frames costs one small
+// allocation to build, whatever its size, because frame records are
+// built on first use and the untouched free list is a count.
+func TestNewIsConstant(t *testing.T) {
+	var pm *PhysMem
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	const runs = 10
+	for range runs {
+		pm = New(1<<20, 4096)
+	}
+	runtime.ReadMemStats(&m1)
+	if a, b := float64(m1.Mallocs-m0.Mallocs)/runs, float64(m1.TotalAlloc-m0.TotalAlloc)/runs; a > 1 || b > 512 {
+		t.Errorf("New(1<<20, 4096) allocates %.1f times, %.0f bytes; want at most 1 and 512", a, b)
+	}
+	if pm.Records() != 0 || pm.FreeFrames() != 1<<20 {
+		t.Errorf("fresh PhysMem: %d records, %d free frames; want 0 and %d", pm.Records(), pm.FreeFrames(), 1<<20)
+	}
+}
+
+// TestRecordsFollowUse: a machine builds the record chunks of the
+// frames it hands out and no others. AllocBlock builds none, Frame and
+// an allocation build their frame's chunk, and Seal, Reset, Readmit and
+// CheckInvariants build nothing. A record built for a block frame is
+// attached; one built above the frames handed out is free.
+func TestRecordsFollowUse(t *testing.T) {
+	pm := New(1<<20, 4096)
+	first, err := pm.AllocBlock(1000)
+	if err != nil || first != 0 {
+		t.Fatalf("AllocBlock(1000) = %d, %v; want frame 0", first, err)
+	}
+	pm.Seal()
+	check := func(when string, want int) {
+		t.Helper()
+		if err := pm.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		if got := pm.Records(); got != want {
+			t.Fatalf("%s: %d records built, want %d", when, got, want)
+		}
+	}
+	check("after AllocBlock and Seal", 0)
+	if f := pm.Frame(999); !f.Attached() || f.Free() || f.Size() != 4096 {
+		t.Fatalf("block frame's record built as %v, size %d", f, f.Size())
+	}
+	check("after Frame(999)", RecordChunk) // chunk [960, 1024)
+	fs, err := pm.AllocN(nil, 30)
+	if err != nil || fs[0].ID() != 1000 || fs[29].ID() != 1029 {
+		t.Fatalf("AllocN(30) after the block: %v, %v", fs, err)
+	}
+	check("after 30 allocations", 2*RecordChunk) // and [1024, 1088)
+	if f := pm.Frame(1087); !f.Free() || f.Attached() || f.Size() != 0 {
+		t.Fatalf("record above the frames handed out built as %v, size %d", f, f.Size())
+	}
+	pm.Readmit(pm.Frame(999))
+	pm.Reset()
+	check("after Reset", 2*RecordChunk)
+	if f, err := pm.Alloc(); err != nil || f.ID() != 1000 {
+		t.Fatalf("first allocation after Reset: %v, %v; want frame 1000", f, err)
+	}
+	check("after an allocation", 2*RecordChunk)
+	if a := testing.AllocsPerRun(10, func() { _ = pm.CheckInvariants() }); a != 0 {
+		t.Fatalf("warm CheckInvariants: %v allocs, want 0", a)
+	}
+}
+
+// TestAllocBlockMatchesAllocN: a block takes the frames, statistics,
+// high-water mark and fault-hook consultations of as many Alloc calls,
+// and one the fault hook fails releases what it took.
+func TestAllocBlockMatchesAllocN(t *testing.T) {
+	for _, fail := range []int{0, 3} {
+		run := func(take func(pm *PhysMem) error) (*PhysMem, int, error) {
+			pm := New(200, 64)
+			calls := 0
+			pm.SetAllocFault(func() bool { calls++; return calls == fail })
+			err := take(pm)
+			return pm, calls, err
+		}
+		a, ca, ea := run(func(pm *PhysMem) error { _, err := pm.AllocBlock(100); return err })
+		b, cb, eb := run(func(pm *PhysMem) error {
+			fs, err := pm.AllocN(nil, 100)
+			if err != nil {
+				for _, f := range fs {
+					pm.Release(f)
+				}
+			}
+			return err
+		})
+		if (ea == nil) != (eb == nil) || ca != cb || a.Stats() != b.Stats() || a.HighWater() != b.HighWater() || a.FreeFrames() != b.FreeFrames() {
+			t.Fatalf("fail at %d: AllocBlock: %v, %d hook calls, %+v, high water %d, %d free; AllocN: %v, %d, %+v, %d, %d free",
+				fail, ea, ca, a.Stats(), a.HighWater(), a.FreeFrames(), eb, cb, b.Stats(), b.HighWater(), b.FreeFrames())
+		}
+		for range a.FreeFrames() {
+			f, _ := a.Alloc()
+			g, _ := b.Alloc()
+			if f.ID() != g.ID() {
+				t.Fatalf("fail at %d: next frame %d after AllocBlock, %d after AllocN", fail, f.ID(), g.ID())
+			}
+		}
+		if err := a.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pm := New(8, 64)
+	if _, err := pm.AllocBlock(9); !errors.Is(err, ErrOutOfMemory) || pm.FreeFrames() != 8 {
+		t.Fatalf("AllocBlock(9) of 8 frames: %v with %d free; want ErrOutOfMemory, nothing taken", err, pm.FreeFrames())
+	}
+	f, _ := pm.Alloc()
+	pm.Release(f)
+	if _, err := pm.AllocBlock(2); err == nil || pm.FreeFrames() != 8 {
+		t.Fatalf("AllocBlock over a released frame: %v with %d free; want an error, nothing taken", err, pm.FreeFrames())
 	}
 }
 
@@ -589,14 +705,19 @@ func TestReset(t *testing.T) {
 }
 
 // CheckInvariants catches a corrupt free list — a frame listed twice,
-// an id outside memory, a free flag the list disagrees with — and a
-// warm audit allocates nothing.
+// an id outside memory or in the untouched block, a free flag the list
+// disagrees with — and a warm audit allocates nothing.
 func TestCheckInvariantsFreeList(t *testing.T) {
 	pm := New(4, 16)
 	f, err := pm.Alloc()
 	if err != nil {
 		t.Fatal(err)
 	}
+	g, err := pm.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm.Release(g) // the list above the untouched block is [1]
 	if a := testing.AllocsPerRun(10, func() { _ = pm.CheckInvariants() }); a != 0 {
 		t.Fatalf("warm CheckInvariants: %v allocs, want 0", a)
 	}
@@ -607,6 +728,7 @@ func TestCheckInvariantsFreeList(t *testing.T) {
 	}{
 		{"duplicate", func() { pm.freeList = append(list[:len(list):len(list)], list[len(list)-1]) }},
 		{"out of range", func() { pm.freeList = append(list[:len(list):len(list)], FrameID(pm.NumFrames())) }},
+		{"untouched", func() { pm.freeList = append(list[:len(list):len(list)], FrameID(pm.NumFrames()-1)) }},
 		{"negative", func() { pm.freeList = append(list[:len(list):len(list)], -1) }},
 		{"free flag", func() { f.free = true }},
 	} {

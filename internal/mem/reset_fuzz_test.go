@@ -29,12 +29,15 @@ const (
 // checks after every Reset that it equals a fresh PhysMem of the same
 // geometry and the same boot frames: the same free list, every frame in
 // the same state (free, attached, pristine, references, wires), the
-// same statistics and high-water mark, and the same ids from
-// allocating every free frame. The first byte picks the frame count (1-64,
-// low six bits) and the plane (bit 6); with bit 7 set, the next byte
+// same statistics and high-water mark, the same ids from allocating
+// every free frame, and as many frame records built as a fresh PhysMem
+// that is handed the same frames (so Reset, Readmit and CheckInvariants
+// build none). The first byte's low six bits v pick the frame count,
+// 1+v below 32 and 8v-223 (33-281) from 32 up, so scripts cross the
+// record chunks; bit 6 picks the plane. With bit 7 set, the next byte
 // picks k (mod frame count + 1) and the script first takes k frames
 // and seals them, as a host does with its pools' pages
-// (AllocN, then Seal). After every Reset the script re-admits each
+// (AllocBlock, then Seal). After every Reset the script re-admits each
 // boot frame an op changed since the last one, as the pools do, and an
 // opReadmit re-admits one more while no op has run since. Ops that
 // would break a documented precondition (and so panic) are skipped.
@@ -43,13 +46,19 @@ const (
 // after Reset, runs after every op. A final Reset ends every script.
 // The seed corpus in testdata/fuzz covers an empty script, allocating
 // every frame, releasing in reverse, deferred frees through I/O
-// references, two Resets in a row, sealing every frame and none, and a
-// boot frame released or wired before a Reset.
+// references, two Resets in a row, sealing every frame and none, a boot
+// frame released or wired before a Reset, and a 97-frame script
+// that seals 70 and allocates, releases and resets across chunks, on
+// both planes, and two 281-frame scripts, one sealing 200 frames, that
+// leave most record chunks unbuilt.
 func FuzzResetMatchesFresh(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script []byte) {
 		n, plane, k, seal := 8, Bytes, 0, false
 		if len(script) > 0 {
 			n = 1 + int(script[0]&63)
+			if n > 32 {
+				n = 8*n - 231
+			}
 			if script[0]&64 != 0 {
 				plane = Symbolic
 			}
@@ -63,26 +72,46 @@ func FuzzResetMatchesFresh(f *testing.F) {
 		fresh := func() *PhysMem {
 			pm := NewWithPlane(n, pageSize, plane)
 			if seal {
-				if _, err := pm.AllocN(nil, k); err != nil {
+				if _, err := pm.AllocBlock(k); err != nil {
 					t.Fatal(err)
 				}
 				pm.Seal()
 			}
 			return pm
 		}
-		s := &resetScript{pm: fresh(), lent: make([]bool, k), quiet: true}
+		s := &resetScript{pm: fresh(), lent: make([]bool, k), used: make([]bool, n), quiet: true}
+		// check compares the script's PhysMem, just Reset, with a fresh
+		// one, and its records with those of a fresh one handed the frames
+		// the script has used.
+		check := func() {
+			t.Helper()
+			handed := fresh()
+			for id, used := range s.used {
+				if used {
+					handed.Frame(FrameID(id))
+				}
+			}
+			if got, want := s.pm.Records(), handed.Records(); got != want {
+				t.Fatalf("%d frame records built, a fresh PhysMem handed the same frames has %d", got, want)
+			}
+			checkMatchesFresh(t, s.pm, fresh())
+		}
 		for i := 0; i+1 < len(script); i += 2 {
 			op, arg := script[i]%numOps, int(script[i+1])
 			s.op(op, arg)
+			before := s.pm.Records()
 			if err := s.pm.CheckInvariants(); err != nil {
 				t.Fatalf("op %d (%d, %d): %v", i/2, op, arg, err)
 			}
+			if s.pm.Records() != before {
+				t.Fatalf("op %d: CheckInvariants built %d frame records", i/2, s.pm.Records()-before)
+			}
 			if op == opReset {
-				checkMatchesFresh(t, s.pm, fresh())
+				check()
 			}
 		}
 		s.op(opReset, 0)
-		checkMatchesFresh(t, s.pm, fresh())
+		check()
 	})
 }
 
@@ -90,14 +119,21 @@ func FuzzResetMatchesFresh(f *testing.F) {
 type resetScript struct {
 	pm    *PhysMem
 	lent  []bool // boot frames an op changed since the last Reset
+	used  []bool // frames the script allocated or looked up
 	quiet bool   // no op but Reset, Readmit or Fault since the last Reset
+}
+
+// frame looks frame id up, as the script's ops do.
+func (s *resetScript) frame(id int) *Frame {
+	s.used[id] = true
+	return s.pm.Frame(FrameID(id))
 }
 
 // op applies one script op, skipping ops whose preconditions do not
 // hold. A Reset is followed by the Readmits of the lent boot frames.
 func (s *resetScript) op(op byte, arg int) {
 	pm := s.pm
-	f := pm.Frame(FrameID(arg % pm.NumFrames()))
+	f := s.frame(arg % pm.NumFrames())
 	quiet := s.quiet
 	s.quiet = false
 	changed := true
@@ -109,6 +145,7 @@ func (s *resetScript) op(op byte, arg int) {
 	case opAllocN:
 		fs, _ := pm.AllocN(nil, arg%(pm.NumFrames()+1))
 		for _, g := range fs {
+			s.used[g.ID()] = true
 			s.lend(g)
 		}
 		f = nil
@@ -156,7 +193,7 @@ func (s *resetScript) op(op byte, arg int) {
 		pm.Reset()
 		for id, lent := range s.lent {
 			if lent {
-				pm.Readmit(pm.Frame(FrameID(id)))
+				pm.Readmit(s.frame(id))
 			}
 		}
 		clear(s.lent)
@@ -178,11 +215,12 @@ func (s *resetScript) op(op byte, arg int) {
 	case opReadmit:
 		s.quiet = quiet
 		if quiet && len(s.lent) > 0 {
-			pm.Readmit(pm.Frame(FrameID(arg % len(s.lent))))
+			pm.Readmit(s.frame(arg % len(s.lent)))
 		}
 		return
 	}
 	if changed && f != nil {
+		s.used[f.ID()] = true
 		s.lend(f)
 	}
 }
@@ -197,14 +235,15 @@ func (s *resetScript) lend(f *Frame) {
 // checkMatchesFresh compares a just-Reset PhysMem with a fresh one.
 func checkMatchesFresh(t *testing.T, pm, fresh *PhysMem) {
 	t.Helper()
-	if !slices.Equal(pm.freeList, fresh.freeList) {
-		t.Fatalf("free list after Reset %v, fresh %v", pm.freeList, fresh.freeList)
+	if pm.untouched != fresh.untouched || !slices.Equal(pm.freeList, fresh.freeList) {
+		t.Fatalf("free list after Reset %v above %d untouched, fresh %v above %d",
+			pm.freeList, pm.untouched, fresh.freeList, fresh.untouched)
 	}
-	for i := range pm.frames {
-		g, w := &pm.frames[i], &fresh.frames[i]
+	for id := range FrameID(pm.NumFrames()) {
+		g, w := peek(pm, id), peek(fresh, id)
 		if g.free != w.free || g.attached != w.attached || g.pristine != w.pristine ||
 			g.inRefs != w.inRefs || g.outRefs != w.outRefs || g.wired != w.wired {
-			t.Fatalf("after Reset %v (pristine %t), fresh %v (pristine %t)", g, g.pristine, w, w.pristine)
+			t.Fatalf("after Reset %v (pristine %t), fresh %v (pristine %t)", &g, g.pristine, &w, w.pristine)
 		}
 	}
 	if pm.Stats() != fresh.Stats() || pm.HighWater() != fresh.HighWater() {
@@ -214,8 +253,15 @@ func checkMatchesFresh(t *testing.T, pm, fresh *PhysMem) {
 	// Allocate every frame from a copy, so the script goes on from the
 	// Reset state.
 	clone := *pm
-	clone.frames = slices.Clone(pm.frames)
+	clone.chunks = make([]*[RecordChunk]Frame, len(pm.chunks))
+	for c, chunk := range pm.chunks {
+		if chunk != nil {
+			copied := *chunk
+			clone.chunks[c] = &copied
+		}
+	}
 	clone.freeList = slices.Clone(pm.freeList)
+	clone.listed = nil
 	for range pm.FreeFrames() {
 		g, err := clone.Alloc()
 		if err != nil {
@@ -229,4 +275,16 @@ func checkMatchesFresh(t *testing.T, pm, fresh *PhysMem) {
 			t.Fatalf("alloc after Reset returned frame %d, fresh frame %d", g.ID(), w.ID())
 		}
 	}
+}
+
+// peek returns a copy of frame id's record without building it: a frame
+// without a record is attached if AllocBlock took it and free otherwise.
+func peek(pm *PhysMem, id FrameID) Frame {
+	if c := int(id) / RecordChunk; c < len(pm.chunks) && pm.chunks[c] != nil {
+		return pm.chunks[c][int(id)%RecordChunk]
+	}
+	if int(id) < pm.blocked {
+		return Frame{id: id, size: pm.pageSize, attached: true}
+	}
+	return Frame{id: id, free: true}
 }

@@ -14,11 +14,16 @@ import (
 // returns them after dispose. When a semantics consumes overlay pages
 // permanently (move maps them into the application), Refill replaces
 // them with freshly allocated frames to avoid pool depletion.
+//
+// The free list's bottom block, the boot pages no Get has popped since
+// the last Reacquire, is a count over the pool's frame range: a page's
+// frame record is built when the page is first lent, so a pool pays Go
+// memory only for the pages a run uses.
 type OverlayPool struct {
 	pm        *mem.PhysMem
-	free      []*mem.Frame
-	base      mem.FrameID // the pages taken at construction are frames base, base+1, ...
-	untouched int         // bottom free entries no Get has popped since Reacquire: frames base, ..., base+untouched-1
+	free      []*mem.Frame // free list above the untouched block
+	base      mem.FrameID  // the pages taken at construction are frames base, base+1, ...
+	untouched int          // bottom free entries no Get has popped since Reacquire: frames base, ..., base+untouched-1
 	total     int
 	hwm       stats.HighWater // occupancy (total - free), high-water tracked
 
@@ -45,28 +50,17 @@ func (p *OverlayPool) SetTracer(tr *trace.Tracer, cat trace.Category, name strin
 	}
 }
 
-// NewOverlayPool preallocates npages overlay pages. They must be
-// consecutive frames, as a free list that has never had a frame
-// returned hands them out, so the pool's construction list is just its
-// first frame. A pool that is to be recycled (Reacquire) is built
+// NewOverlayPool preallocates npages overlay pages: consecutive frames
+// taken as one block (PhysMem.AllocBlock), so the pool's construction
+// list is just its first frame and no page's record is built before
+// the page is lent. A pool that is to be recycled (Reacquire) is built
 // before its PhysMem is sealed, so its pages are boot frames.
 func NewOverlayPool(pm *mem.PhysMem, npages int) (*OverlayPool, error) {
-	p := &OverlayPool{pm: pm, total: npages, untouched: npages}
-	var err error
-	if p.free, err = pm.AllocN(nil, npages); err != nil {
-		p.Destroy()
+	base, err := pm.AllocBlock(npages)
+	if err != nil {
 		return nil, fmt.Errorf("netsim: overlay pool: %w", err)
 	}
-	for i, f := range p.free {
-		if f.ID() != p.free[0].ID()+mem.FrameID(i) {
-			p.Destroy()
-			return nil, fmt.Errorf("netsim: overlay pool: page %d is frame %d, not the frame after %d", i, f.ID(), p.free[i-1].ID())
-		}
-	}
-	if npages > 0 {
-		p.base = p.free[0].ID()
-	}
-	return p, nil
+	return &OverlayPool{pm: pm, base: base, total: npages, untouched: npages}, nil
 }
 
 // PageSize returns the overlay page size.
@@ -79,7 +73,7 @@ func (p *OverlayPool) PagesFor(n int) int {
 }
 
 // Free returns the number of available overlay pages.
-func (p *OverlayPool) Free() int { return len(p.free) }
+func (p *OverlayPool) Free() int { return p.untouched + len(p.free) }
 
 // Total returns the pool's configured size.
 func (p *OverlayPool) Total() int { return p.total }
@@ -99,21 +93,29 @@ func (p *OverlayPool) Underflows() uint64 { return p.hwm.Underflows() }
 // gauge re-levels the occupancy gauge from the free count. Called after
 // every mutation of free; Set is self-correcting, so consume/refill
 // cycles (move semantics) settle back to true occupancy.
-func (p *OverlayPool) gauge() { p.hwm.Set(p.total - len(p.free)) }
+func (p *OverlayPool) gauge() { p.hwm.Set(p.total - p.Free()) }
 
 // Get removes n pages from the pool into a new slice.
 func (p *OverlayPool) Get(n int) ([]*mem.Frame, error) { return p.GetAppend(nil, n) }
 
 // GetAppend removes n pages from the pool and appends them to dst, so a
 // caller that keeps one slice per buffer reuses its storage. On error
-// dst is returned unchanged.
+// dst is returned unchanged. The pages are the top n of the free list,
+// in list order: pages the untouched block gives up come first, from
+// its top, then the whole list above it.
 func (p *OverlayPool) GetAppend(dst []*mem.Frame, n int) ([]*mem.Frame, error) {
-	if n > len(p.free) {
-		return dst, fmt.Errorf("%w: need %d, have %d", ErrPoolDepleted, n, len(p.free))
+	if n > p.Free() {
+		return dst, fmt.Errorf("%w: need %d, have %d", ErrPoolDepleted, n, p.Free())
 	}
-	frames := append(dst, p.free[len(p.free)-n:]...)
-	p.free = p.free[:len(p.free)-n]
-	p.untouched = min(p.untouched, len(p.free))
+	above := min(n, len(p.free)) // pages from the list above the untouched block
+	lo := p.untouched - (n - above)
+	frames := dst
+	for i := lo; i < p.untouched; i++ {
+		frames = append(frames, p.pm.Frame(p.base+mem.FrameID(i)))
+	}
+	p.untouched = lo
+	frames = append(frames, p.free[len(p.free)-above:]...)
+	p.free = p.free[:len(p.free)-above]
 	p.gauge()
 	if p.tr != nil {
 		p.tr.Instant(p.trCat, p.acqName, n*p.pm.PageSize())
@@ -124,8 +126,8 @@ func (p *OverlayPool) GetAppend(dst []*mem.Frame, n int) ([]*mem.Frame, error) {
 // Put returns pages to the pool after the input is disposed.
 func (p *OverlayPool) Put(frames ...*mem.Frame) {
 	p.free = append(p.free, frames...)
-	if len(p.free) > p.total {
-		panic(fmt.Sprintf("netsim: overlay pool overfilled: %d > %d", len(p.free), p.total))
+	if p.Free() > p.total {
+		panic(fmt.Sprintf("netsim: overlay pool overfilled: %d > %d", p.Free(), p.total))
 	}
 	p.gauge()
 	if p.tr != nil {
@@ -162,30 +164,30 @@ func (p *OverlayPool) ConsumedBy(n int) {
 // one would, in construction order. The pool's pages are boot frames,
 // which the Reset kept allocated (PhysMem.Seal), so nothing is
 // allocated again: Reacquire re-admits only the pages lent out since
-// its last call (PhysMem.Readmit) and rebuilds the free list from the
-// construction list. Get pops from the top, so the pages never lent
-// are exactly the bottom free entries no Get has popped, the unchanged
-// front of the construction list: Put and Refill only append above
-// them. Only the entries from there up are rewritten. Pages Refill
+// its last call (PhysMem.Readmit) and makes every page untouched again.
+// Get pops from the top, so the pages never lent are exactly the
+// untouched block: Put and Refill only append above it. Pages Refill
 // added are ordinary frames, which the Reset took back. A Reacquire
 // allocates no Go memory and costs O(pages lent).
 func (p *OverlayPool) Reacquire() {
-	p.free = p.free[:p.total]
 	for i := p.untouched; i < p.total; i++ {
-		f := p.pm.Frame(p.base + mem.FrameID(i))
-		p.pm.Readmit(f)
-		p.free[i] = f
+		p.pm.Readmit(p.pm.Frame(p.base + mem.FrameID(i)))
 	}
+	p.free = p.free[:0]
 	p.untouched = p.total
 	p.hwm.Reset()
 }
 
-// Destroy releases all pooled frames back to physical memory.
+// Destroy releases all pooled frames back to physical memory, the
+// untouched block first, in list order.
 func (p *OverlayPool) Destroy() {
+	for i := range p.untouched {
+		p.pm.Release(p.pm.Frame(p.base + mem.FrameID(i)))
+	}
 	for _, f := range p.free {
 		p.pm.Release(f)
 	}
-	p.free = nil
+	p.untouched, p.free = 0, nil
 }
 
 // OutboardMemory is the staging memory of a store-and-forward adapter

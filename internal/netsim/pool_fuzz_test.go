@@ -25,8 +25,12 @@ const (
 // Refill, consumed pages and referenced or wired pages. After every
 // PhysMem.Reset and Reacquire, and after a final one, the pool must
 // equal a freshly built, sealed pool: the same free list (frame ids in
-// order), Free, Total and HighWater, and every pool page in the same
-// frame state. The first byte picks the pool size (1-16) and the spare
+// order), Free, Total and HighWater, and the same frame state on every
+// page lent so far, and on every pool page after the final one. Its
+// PhysMem must have built as many frame records as a fresh one handed
+// the frames the pool lent or took on Refill, so Reacquire builds none
+// for the pages it never lent. The first byte picks the pool size (1-16, times 9 from
+// bit 3 of the spare count, so pools span record chunks) and the spare
 // frames Refill draws on (0-15). Ops that would break a documented
 // precondition are skipped.
 func FuzzPoolReacquire(f *testing.F) {
@@ -40,6 +44,9 @@ func FuzzPoolReacquire(f *testing.F) {
 		pages, spare := 6, 4
 		if len(script) > 0 {
 			pages, spare = 1+int(script[0]&15), int(script[0]>>4)
+			if spare&8 != 0 {
+				pages *= 9
+			}
 			script = script[1:]
 		}
 		const pageSize = 64
@@ -55,12 +62,23 @@ func FuzzPoolReacquire(f *testing.F) {
 		pm, p := build()
 		var held []*mem.Frame
 		consumed := 0
-		reset := func(step int) {
+		used := map[mem.FrameID]bool{} // frames the pool has lent or taken on Refill
+		reset := func(step int, final bool) {
 			pm.Reset()
 			p.Reacquire()
 			held, consumed = nil, 0
-			_, want := build()
-			if err := samePool(p, want); err != nil {
+			fpm, want := build()
+			for id := range used {
+				fpm.Frame(id)
+			}
+			if got, want := pm.Records(), fpm.Records(); got != want {
+				t.Fatalf("after op %d: %d frame records built, a fresh PhysMem handed the same frames has %d", step, got, want)
+			}
+			pages := used
+			if final {
+				pages = nil // every pool page
+			}
+			if err := samePool(p, want, pages); err != nil {
 				t.Fatalf("after op %d: %v", step, err)
 			}
 		}
@@ -72,6 +90,9 @@ func FuzzPoolReacquire(f *testing.F) {
 					var err error
 					if held, err = p.GetAppend(held, n); err != nil {
 						t.Fatalf("op %d: GetAppend(%d) with %d free: %v", i/2, n, p.Free(), err)
+					}
+					for _, f := range held[len(held)-n:] {
+						used[f.ID()] = true
 					}
 				}
 			case poolPut:
@@ -95,6 +116,9 @@ func FuzzPoolReacquire(f *testing.F) {
 					if err := p.Refill(n); err != nil {
 						t.Fatalf("op %d: Refill(%d): %v", i/2, n, err)
 					}
+					for _, f := range p.free[len(p.free)-n:] {
+						used[f.ID()] = true
+					}
 					consumed -= n
 				}
 			case poolRef:
@@ -106,33 +130,39 @@ func FuzzPoolReacquire(f *testing.F) {
 					}
 				}
 			case poolReset:
-				reset(i / 2)
+				reset(i/2, false)
 			}
 		}
-		reset(len(script) / 2)
+		reset(len(script)/2, true)
 	})
 }
 
 // samePool reports the first difference between a recycled pool and a
-// fresh one: the free list entry by entry, the counts, then each pool
-// page's frame state.
-func samePool(got, want *OverlayPool) error {
+// fresh one: the free list entry by entry, the counts, then the frame
+// state of each pool page in pages, or of every pool page if pages is
+// nil. It looks up only the frames it compares.
+func samePool(got, want *OverlayPool, pages map[mem.FrameID]bool) error {
 	if got.Free() != want.Free() || got.Total() != want.Total() || got.HighWater() != want.HighWater() {
 		return fmt.Errorf("pool has free %d, total %d, high water %d; fresh pool has %d, %d, %d",
 			got.Free(), got.Total(), got.HighWater(), want.Free(), want.Total(), want.HighWater())
 	}
-	if got.untouched != want.untouched {
-		return fmt.Errorf("untouched count %d, fresh pool %d", got.untouched, want.untouched)
+	if got.untouched != want.untouched || got.base != want.base || len(got.free) != len(want.free) {
+		return fmt.Errorf("untouched count %d from frame %d under %d entries, fresh pool %d from %d under %d",
+			got.untouched, got.base, len(got.free), want.untouched, want.base, len(want.free))
 	}
 	for i, f := range got.free {
 		if f.ID() != want.free[i].ID() {
-			return fmt.Errorf("free list entry %d is frame %d, fresh pool has frame %d", i, f.ID(), want.free[i].ID())
+			return fmt.Errorf("free list entry %d is frame %d, fresh pool has frame %d", got.untouched+i, f.ID(), want.free[i].ID())
 		}
 	}
 	for i := range got.total {
-		g, w := got.pm.Frame(got.base+mem.FrameID(i)), want.pm.Frame(want.base+mem.FrameID(i))
+		id := got.base + mem.FrameID(i)
+		if pages != nil && !pages[id] {
+			continue
+		}
+		g, w := got.pm.Frame(id), want.pm.Frame(id)
 		if frameState(g) != frameState(w) {
-			return fmt.Errorf("pool page %d (free list entry %d): frame state %+v, fresh pool %+v", g.ID(), i, frameState(g), frameState(w))
+			return fmt.Errorf("pool page %d: frame state %+v, fresh pool %+v", id, frameState(g), frameState(w))
 		}
 	}
 	return nil

@@ -165,12 +165,17 @@ func (c *fsClient) next(op int) {
 
 // runFileServer executes one file-server operating point.
 func runFileServer(cfg Config, sem core.Semantics, depth int, load float64, workers int) (*pointRaw, error) {
-	hosts := cfg.Clients + 1
-	c, release, err := clusterFor(cfg, depth, cfg.Clients, topo.Incast(hosts), workers)
+	c, release, err := clusterFor(cfg, depth, cfg.Clients, topo.Incast(cfg.Clients+1), workers)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
+	return fileServerOn(c, cfg, sem, depth, load)
+}
+
+// fileServerOn runs one file-server operating point on c, an incast
+// cluster of cfg.Clients+1 hosts from clusterFor.
+func fileServerOn(c *core.Cluster, cfg Config, sem core.Semantics, depth int, load float64) (*pointRaw, error) {
 	server := c.Host(0).Genie.NewProcess()
 	resp := make([]byte, cfg.MsgBytes)
 	fillPayload(resp)

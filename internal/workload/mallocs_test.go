@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mem"
+	"repro/internal/topo"
 )
 
 // pointMallocs runs one file-server point on a warm recycled cluster
@@ -81,4 +83,66 @@ func TestFileServerPointMallocs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFileServerPointRecords: a host pays Go memory only for the frames
+// a run touches. Each warm recycled file-server point below (depth 16,
+// every semantics, on one cluster the recycler hands back every time)
+// lends kernel-pool pages from the top of the pool, frames [0, KP) of
+// its host, and allocates frames from KP up. So every frame handed out
+// lies in [KP - pool high water, frames high water), and each host's
+// PhysMem may have built records only for the RecordChunk-sized chunks
+// that range covers: never one for a pool page no run lent or for a
+// frame above the highest one allocated.
+func TestFileServerPointRecords(t *testing.T) {
+	cfg, err := Config{Clients: 8, Ops: 24}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	setRegime(t, true)
+	const depth = 16
+	hosts := cfg.Clients + 1
+	lo, hi := make([]int, hosts), make([]int, hosts) // frames handed out, over every run
+	var cluster *core.Cluster
+	for run := range 2 {
+		for _, sem := range core.AllSemantics() {
+			c, release, err := clusterFor(cfg, depth, cfg.Clients, topo.Incast(hosts), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cluster == nil {
+				cluster = c
+				for i := range hosts {
+					lo[i] = c.Host(i).Genie.KernelPool().Total()
+				}
+			} else if c != cluster {
+				t.Fatalf("run %d %v: the recycler built a second cluster", run, sem)
+			}
+			if _, err := fileServerOn(c, cfg, sem, depth, 1); err != nil {
+				t.Fatal(err)
+			}
+			for i := range hosts {
+				h := c.Host(i)
+				if h.NIC.Pool() != nil {
+					t.Fatalf("host %d has an adapter pool: the kernel pool is not frames [0, KP)", i)
+				}
+				kp := h.Genie.KernelPool()
+				lo[i] = min(lo[i], kp.Total()-kp.HighWater())
+				hi[i] = max(hi[i], h.Phys.HighWater())
+			}
+			release()
+		}
+	}
+	built, frames := 0, 0
+	for i := range hosts {
+		pm := cluster.Host(i).Phys
+		chunks := (hi[i]-1)/mem.RecordChunk - lo[i]/mem.RecordChunk + 1
+		if got, limit := pm.Records(), chunks*mem.RecordChunk; got > limit {
+			t.Errorf("host %d built %d frame records; frames [%d, %d) were handed out, %d records in whole chunks",
+				i, got, lo[i], hi[i], limit)
+		}
+		built += pm.Records()
+		frames += pm.NumFrames()
+	}
+	t.Logf("%d of %d frame records built over %d hosts", built, frames, hosts)
 }
