@@ -79,25 +79,21 @@ func appendRecord(buf []byte, format string, args []any) ([]byte, bool) {
 		if next == len(args) {
 			return buf, false
 		}
+		base := 10
+		if verb == 'x' {
+			base = 16
+		}
 		switch a := args[next].(type) {
 		case int:
-			switch verb {
-			case 'd':
-				buf = strconv.AppendInt(buf, int64(a), 10)
-			case 'x':
-				buf = strconv.AppendInt(buf, int64(a), 16)
-			default:
+			if verb != 'd' && verb != 'x' {
 				return buf, false
 			}
+			buf = strconv.AppendInt(buf, int64(a), base)
 		case uint64:
-			switch verb {
-			case 'd':
-				buf = strconv.AppendUint(buf, a, 10)
-			case 'x':
-				buf = strconv.AppendUint(buf, a, 16)
-			default:
+			if verb != 'd' && verb != 'x' {
 				return buf, false
 			}
+			buf = strconv.AppendUint(buf, a, base)
 		case float64:
 			if verb != 'x' || math.IsNaN(a) || math.IsInf(a, 0) {
 				return buf, false
