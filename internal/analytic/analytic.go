@@ -23,9 +23,9 @@
 // point-for-point against seeded simulation spot-checks.
 //
 // The evaluator covers exactly the regime of experiments.Measure: one
-// datagram on a fresh (or Reset) two-host testbed, no fragmentation, no
-// fault injection. Everything else (back-to-back traffic, chaos runs,
-// traces) still needs the simulator.
+// datagram on a fresh (or Reset) two-host testbed, no fault injection.
+// Everything else (back-to-back traffic, chaos runs, traces) still needs
+// the simulator.
 package analytic
 
 import (

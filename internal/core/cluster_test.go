@@ -90,7 +90,7 @@ func TestTestbedConfigValidation(t *testing.T) {
 		cfg  TestbedConfig
 	}{
 		{"memory", TestbedConfig{FramesPerHost: -1}},
-		{"mtu", TestbedConfig{MTU: -4096}},
+		{"pool", TestbedConfig{PoolPages: -1}},
 		{"device offset", TestbedConfig{OverlayOff: -1}},
 		{"drop rate", TestbedConfig{Faults: faults.Spec{Seed: 1, Drop: 1.5}}},
 	} {

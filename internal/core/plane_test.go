@@ -56,52 +56,56 @@ func planeTransfer(t *testing.T, cfg TestbedConfig, sem Semantics, appOff, lengt
 	return got, in.CompletedAt.Sub(out.StartedAt).Micros()
 }
 
-// TestFragReassemblyIdenticalAcrossPlanes drives fragmented datagrams
-// through non-page-aligned device placement and a misaligned
-// application buffer — the layout that exercises every splice boundary:
-// fragments land at arbitrary datagram offsets, overlay pages carry a
-// leading device offset, and the copyout path gathers across page
-// boundaries. Pooled and outboard buffering both must deliver identical
-// contents with identical latency on the bytes and symbolic planes.
-func TestFragReassemblyIdenticalAcrossPlanes(t *testing.T) {
+// TestOverlayOffsetIdenticalAcrossPlanes drives datagrams that are not
+// a page multiple through a device placement offset of 1000 bytes, into
+// an application buffer at the same offset (aligned) and at another one
+// (misaligned) — the layouts that exercise every splice boundary:
+// overlay pages carry a leading device offset, aligned input swaps or
+// splices pages, and the copyout path gathers across page boundaries.
+// Pooled and outboard buffering both must deliver identical contents
+// with identical latency on the bytes and symbolic planes.
+func TestOverlayOffsetIdenticalAcrossPlanes(t *testing.T) {
 	const (
-		mtu    = 9180  // multiple fragments per datagram
-		appOff = 1000  // misaligned application buffer: forces copyout
-		length = 20000 // 3 fragments, not a page multiple
+		devOff = 1000
+		length = 20000 // five pages and part of a sixth
 	)
 	schemes := []struct {
-		name   string
-		buf    netsim.InputBuffering
-		devOff int
+		name string
+		buf  netsim.InputBuffering
 	}{
-		{"pooled", netsim.Pooled, 312}, // non-page-aligned device placement
-		{"outboard", netsim.OutboardBuffering, 0},
+		{"pooled", netsim.Pooled},
+		{"outboard", netsim.OutboardBuffering},
+	}
+	appOffs := []struct {
+		name string
+		off  int
+	}{
+		{"aligned", devOff},
+		{"misaligned", 24},
 	}
 	for _, scheme := range schemes {
-		for _, sem := range []Semantics{Copy, EmulatedCopy} {
-			t.Run(scheme.name+"/"+sem.String(), func(t *testing.T) {
-				cfg := TestbedConfig{
-					Buffering:  scheme.buf,
-					OverlayOff: scheme.devOff,
-					MTU:        mtu,
-				}
-				cfgBytes, cfgSym := cfg, cfg
-				cfgBytes.Plane = mem.Bytes
-				cfgSym.Plane = mem.Symbolic
-				gotBytes, latBytes := planeTransfer(t, cfgBytes, sem, appOff, length)
-				gotSym, latSym := planeTransfer(t, cfgSym, sem, appOff, length)
-				if !bytes.Equal(gotBytes, gotSym) {
-					i := 0
-					for i < len(gotBytes) && gotBytes[i] == gotSym[i] {
-						i++
+		for _, app := range appOffs {
+			for _, sem := range []Semantics{Copy, EmulatedCopy, Share, EmulatedShare} {
+				t.Run(scheme.name+"/"+app.name+"/"+sem.String(), func(t *testing.T) {
+					cfg := TestbedConfig{Buffering: scheme.buf, OverlayOff: devOff}
+					cfgBytes, cfgSym := cfg, cfg
+					cfgBytes.Plane = mem.Bytes
+					cfgSym.Plane = mem.Symbolic
+					gotBytes, latBytes := planeTransfer(t, cfgBytes, sem, app.off, length)
+					gotSym, latSym := planeTransfer(t, cfgSym, sem, app.off, length)
+					if !bytes.Equal(gotBytes, gotSym) {
+						i := 0
+						for i < len(gotBytes) && gotBytes[i] == gotSym[i] {
+							i++
+						}
+						t.Errorf("delivered contents differ across planes at byte %d: bytes %#02x, symbolic %#02x",
+							i, gotBytes[i], gotSym[i])
 					}
-					t.Errorf("delivered contents differ across planes at byte %d: bytes %#02x, symbolic %#02x",
-						i, gotBytes[i], gotSym[i])
-				}
-				if latBytes != latSym {
-					t.Errorf("latency differs across planes: bytes %.3f us, symbolic %.3f us", latBytes, latSym)
-				}
-			})
+					if latBytes != latSym {
+						t.Errorf("latency differs across planes: bytes %.3f us, symbolic %.3f us", latBytes, latSym)
+					}
+				})
+			}
 		}
 	}
 }

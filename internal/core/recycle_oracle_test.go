@@ -121,20 +121,17 @@ func echoInFlight(t *testing.T, receiver *Process, sem Semantics, in *InputOp) {
 
 // TestTestbedResetMatchesFresh is the recycled-vs-fresh oracle for the
 // pools' boot frames and the port records: under every input scheme and
-// all eight semantics, aligned and at offset 1000, unfragmented and at
-// a 4096-byte MTU, it runs a transfer, posts an input for an echo of the
-// received buffer and starts the echo without completing it (with an
-// MTU, until a reassembly is pending), Resets the testbed and requires
-// each host to match a freshly built testbed frame by frame, pool by
-// pool, in its free list and port by port.
+// all eight semantics, aligned and at offset 1000, it runs a transfer,
+// posts an input for an echo of the received buffer and starts the echo
+// without completing it, Resets the testbed and requires each host to
+// match a freshly built testbed frame by frame, pool by pool, in its
+// free list and port by port.
 func TestTestbedResetMatchesFresh(t *testing.T) {
 	const length = 3*4096 + 500
 	schemes := []netsim.InputBuffering{netsim.EarlyDemux, netsim.Pooled, netsim.OutboardBuffering}
 	for _, scheme := range schemes {
 		t.Run(scheme.String(), func(t *testing.T) {
-			for _, mtu := range []int{0, 4096} {
-				testbedResetMatchesFresh(t, TestbedConfig{Buffering: scheme, Plane: mem.Symbolic, MTU: mtu}, length)
-			}
+			testbedResetMatchesFresh(t, TestbedConfig{Buffering: scheme, Plane: mem.Symbolic}, length)
 		})
 	}
 }
@@ -147,7 +144,7 @@ func testbedResetMatchesFresh(t *testing.T, cfg TestbedConfig, length int) {
 	}
 	for _, sem := range AllSemantics() {
 		for _, off := range []int{0, 1000} {
-			label := fmt.Sprintf("MTU %d %v offset %d:", cfg.MTU, sem, off)
+			label := fmt.Sprintf("%v offset %d:", sem, off)
 			transferThenEcho(t, tb, sem, off, length)
 			if err := tb.Reset(); err != nil {
 				t.Fatal(err)
@@ -174,9 +171,8 @@ func testbedResetMatchesFresh(t *testing.T, cfg TestbedConfig, length int) {
 
 // checkPortsMatchFresh compares a just-Reset host's port records with a
 // fresh host's, port by port over every port either has seen: the
-// buffers posted on the adapter, the inputs queued in Genie, and no
-// reassembly pending. The recycled host keeps its records, so it must
-// have some.
+// buffers posted on the adapter and the inputs queued in Genie. The
+// recycled host keeps its records, so it must have some.
 func checkPortsMatchFresh(t *testing.T, label string, h, fresh *Host) {
 	t.Helper()
 	ports := h.NIC.Ports()
@@ -194,17 +190,13 @@ func checkPortsMatchFresh(t *testing.T, label string, h, fresh *Host) {
 		if g, w := h.Genie.PostedInputs(p), fresh.Genie.PostedInputs(p); g != w {
 			t.Fatalf("%s host %s port %d: %d inputs queued after Reset, fresh host %d", label, h.Name, p, g, w)
 		}
-		if h.NIC.ReassemblyPending(p) {
-			t.Fatalf("%s host %s port %d: a reassembly is pending after Reset", label, h.Name, p)
-		}
 	}
 }
 
 // transferThenEcho runs one transfer of length bytes from host A to
 // host B at the given buffer offset (application-allocated semantics;
 // system-allocated buffers start on a page), posts an input for the
-// echo on host A's port 2 and leaves the echo in flight: with an MTU,
-// run until host A is reassembling it.
+// echo on host A's port 2 and leaves the echo in flight.
 func transferThenEcho(t *testing.T, tb *Testbed, sem Semantics, off, length int) {
 	t.Helper()
 	sender := tb.A.Genie.NewProcess()
@@ -243,16 +235,8 @@ func transferThenEcho(t *testing.T, tb *Testbed, sem Semantics, off, length int)
 		t.Fatalf("%v offset %d echo input: %v", sem, off, err)
 	}
 	echoInFlight(t, receiver, sem, in)
-	if tb.A.NIC.MTU() == 0 {
-		if tb.A.Genie.PostedInputs(2) != 1 {
-			t.Fatalf("%v offset %d: the echo's input is not queued", sem, off)
-		}
-		return
-	}
-	for !tb.A.NIC.ReassemblyPending(2) {
-		if !tb.Eng.Step() {
-			t.Fatalf("%v offset %d: the echo never started reassembling", sem, off)
-		}
+	if tb.A.Genie.PostedInputs(2) != 1 {
+		t.Fatalf("%v offset %d: the echo's input is not queued", sem, off)
 	}
 }
 

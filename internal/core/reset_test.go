@@ -169,68 +169,6 @@ func TestTestbedResetNoLeakage(t *testing.T) {
 	}
 }
 
-// TestTestbedResetDemandPaging asserts Reset re-arms the pageout daemon
-// so a recycled testbed still survives memory pressure.
-func TestTestbedResetDemandPaging(t *testing.T) {
-	genie := DefaultConfig()
-	genie.KernelPoolPages = 20
-	cfg := TestbedConfig{
-		Buffering:     netsim.EarlyDemux,
-		FramesPerHost: 36, // exactly the kernel pool + cold set: the hot path must evict
-		Genie:         genie,
-		DemandPaging:  true,
-	}
-	tb, err := NewTestbed(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// One round of the pressure workload: the sender holds cold buffers
-	// so the transfer path has to evict to allocate.
-	pressure := func() {
-		t.Helper()
-		sender := tb.A.Genie.NewProcess()
-		receiver := tb.B.Genie.NewProcess()
-		const length = 4 * 4096
-		for i := 0; i < 8; i++ {
-			va, err := sender.Brk(2 * 4096)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sender.Write(va, make([]byte, 2*4096)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		srcVA, err := sender.Brk(length)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dstVA, err := receiver.Brk(length)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sender.Write(srcVA, make([]byte, length)); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := tb.Transfer(sender, receiver, 1, Copy, srcVA, dstVA, length); err != nil {
-			t.Fatalf("transfer under pressure: %v", err)
-		}
-	}
-
-	pressure()
-	if tb.A.Sys.Stats().PageOuts == 0 {
-		t.Fatal("configuration did not create memory pressure; test proves nothing")
-	}
-	if err := tb.Reset(); err != nil {
-		t.Fatalf("Reset: %v", err)
-	}
-	// Without a re-armed reclaimer this run fails with out-of-memory.
-	pressure()
-	if tb.A.Sys.Stats().PageOuts == 0 {
-		t.Error("no pageouts after Reset: the pageout daemon was not re-armed")
-	}
-}
-
 // BenchmarkTestbedReset times Reset of an idle symbolic testbed under
 // early demux and pooled input buffering: the fixed cost a recycled
 // measurement pays before it simulates anything.

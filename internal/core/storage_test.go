@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"math"
 	"testing"
 
@@ -468,13 +467,15 @@ func TestStorageResetDeterminism(t *testing.T) {
 	}
 }
 
-// The pageout daemon must not reclaim the page cache's frames: the
-// cache still indexes them, so a reclaimed frame would later serve the
-// application's bytes as file content, and Drop would release a frame
-// the application maps. Under memory pressure the cache gives pages
+// TestPageoutSparesCachePages: the pageout daemon must not reclaim the
+// page cache's frames. The cache still indexes them, so a reclaimed
+// frame would later serve the application's bytes as file content, and
+// Drop would release a frame the application maps. With the cache full
+// and an application buffer resident beside it, the daemon evicts only
+// the application's pages, however hard it scans; the cache gives pages
 // back only through its own LRU.
-func TestDemandPagingSparesCachePages(t *testing.T) {
-	tb, err := NewTestbed(TestbedConfig{DemandPaging: true, FramesPerHost: 160})
+func TestPageoutSparesCachePages(t *testing.T) {
+	tb, err := NewTestbed(TestbedConfig{FramesPerHost: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,24 +494,28 @@ func TestDemandPagingSparesCachePages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Exhaust memory: the write either pages out application pages or
-	// runs out of memory, never takes a cache page.
-	err = p.Write(r.Start(), bytes.Repeat([]byte{0x5a}, appPages*bs))
-	switch {
-	case errors.Is(err, mem.ErrOutOfMemory):
-	case err != nil:
-		t.Fatalf("write under memory pressure: %v", err)
-	case tb.A.Sys.Stats().PageOuts == 0:
-		t.Fatal("the write paged nothing out: no memory pressure")
-	}
-	if err := s.CheckConservation(); err != nil {
+	app := bytes.Repeat([]byte{0x5a}, appPages*bs)
+	if err := p.Write(r.Start(), app); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.A.Sys.Phys().CheckInvariants(); err != nil {
-		t.Fatal(err)
+	d := vm.NewPageoutDaemon(tb.A.Sys)
+	if got := d.Evictable(); got != appPages {
+		t.Fatalf("daemon would evict %d pages, want the application's %d", got, appPages)
 	}
-	if got := s.Cache().Resident(); got != blocks {
-		t.Fatalf("%d cached blocks resident after the write, want %d", got, blocks)
+	for scan := range 3 {
+		n := d.ScanOnce(tb.A.Phys.NumFrames())
+		if want := appPages * (1 - min(scan, 1)); n != want {
+			t.Fatalf("scan %d paged out %d pages, want %d", scan, n, want)
+		}
+		if got := s.Cache().Resident(); got != blocks {
+			t.Fatalf("scan %d: %d cached blocks resident, want %d", scan, got, blocks)
+		}
+		if err := s.CheckConservation(); err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.A.Phys.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	got := make([]byte, bs)
 	for b := range blocks {
@@ -520,5 +525,12 @@ func TestDemandPagingSparesCachePages(t *testing.T) {
 		if !bytes.Equal(got, filePattern(b, bs)) {
 			t.Fatalf("cached block %d does not read back the file image", b)
 		}
+	}
+	back := make([]byte, len(app))
+	if err := p.Read(r.Start(), back); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back, app) {
+		t.Fatal("the application's paged-out buffer does not read back")
 	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/analytic"
@@ -105,6 +106,27 @@ type BigSweepReport struct {
 	// deterministic aggregate that pins the sweep's full output: two
 	// runs over the same axes must report the identical sum.
 	LatencySumUS float64 `json:"latency_sum_us"`
+}
+
+// analyticPoints counts measurement points served by the closed-form
+// evaluator; simulatedSpotchecks counts the seeded oracle simulations
+// BigSweep ran against it; analyticMaxRelErr holds the worst relative
+// disagreement observed (as math.Float64bits, monotone under CAS-max
+// because non-negative floats order like their bit patterns).
+var (
+	analyticPoints      atomic.Uint64
+	simulatedSpotchecks atomic.Uint64
+	analyticMaxRelErr   atomic.Uint64
+)
+
+// recordAnalyticErr folds a spot-check error into the package counter.
+func recordAnalyticErr(bits uint64) {
+	for {
+		cur := analyticMaxRelErr.Load()
+		if bits <= cur || analyticMaxRelErr.CompareAndSwap(cur, bits) {
+			return
+		}
+	}
 }
 
 // evaluate is BigSweep's closed-form evaluator. Tests swap it for a

@@ -138,44 +138,3 @@ func TestBigSweepRejectsEmptyLengths(t *testing.T) {
 		t.Fatal("axes with models but no lengths accepted")
 	}
 }
-
-func TestEstimateAnalyticMatchesMeasure(t *testing.T) {
-	s := Setup{Scheme: netsim.EarlyDemux, AppOffset: 24}
-	for _, sem := range core.AllSemantics() {
-		for _, n := range []int{64, 1666, 8192} {
-			want, err := Measure(s, sem, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := EstimateAnalytic(s, sem, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.LatencyUS != want.LatencyUS || got.RxCPUUS != want.RxCPUUS || got.TxCPUUS != want.TxCPUUS {
-				t.Errorf("%v/%d: analytic (%v,%v,%v) != simulated (%v,%v,%v)",
-					sem, n, got.LatencyUS, got.RxCPUUS, got.TxCPUUS,
-					want.LatencyUS, want.RxCPUUS, want.TxCPUUS)
-			}
-			if len(got.Records) != 0 {
-				t.Errorf("%v/%d: analytic estimate carries %d records", sem, n, len(got.Records))
-			}
-		}
-	}
-}
-
-func TestEstimateAnalyticRefusesSimulationOnlySetups(t *testing.T) {
-	if _, err := EstimateAnalytic(Setup{Instrument: true}, core.Copy, 64); err == nil {
-		t.Error("instrumented setup accepted")
-	}
-	bad := Setup{}
-	bad.Faults.Drop = 0.1
-	if _, err := EstimateAnalytic(bad, core.Copy, 64); err == nil {
-		t.Error("fault-injecting setup accepted")
-	}
-	// A seed-only spec never fires, so it is fine analytically.
-	inert := Setup{}
-	inert.Faults.Seed = 42
-	if _, err := EstimateAnalytic(inert, core.Copy, 64); err != nil {
-		t.Errorf("seed-only fault spec refused: %v", err)
-	}
-}

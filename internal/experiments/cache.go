@@ -292,7 +292,7 @@ type PerfStats struct {
 	// zero unless a simulation leaked state.
 	ResetFailures uint64 `json:"reset_failures,omitempty"`
 	// AnalyticPoints counts measurement points served by the closed-form
-	// evaluator (EstimateAnalytic and BigSweep) instead of the simulator.
+	// evaluator (BigSweep) instead of the simulator.
 	AnalyticPoints uint64 `json:"analytic_points,omitempty"`
 	// SimulatedSpotchecks counts the seeded oracle simulations BigSweep
 	// ran to validate the analytic path.

@@ -264,8 +264,6 @@ func runChaosPoint(tb *core.Testbed, cfg ChaosConfig, scheme netsim.InputBufferi
 	rb.Close()
 	sender.Exit()
 	receiver.Exit()
-	tb.A.NIC.FlushReassemblies()
-	tb.B.NIC.FlushReassemblies()
 	tb.Run() // drain anything teardown unblocked
 
 	if n := tb.Eng.Pending(); n != 0 {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analytic"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/netsim"
@@ -158,23 +159,38 @@ func TestTable7AgainstPaper(t *testing.T) {
 			t.Errorf("%v %s: intercept %.0f, paper %.0f", sem, label, fit.Intercept, pf.Fixed)
 		}
 	}
+	// analyticFit is latencyFit with every point evaluated in closed
+	// form: the same least-squares line over the same lengths.
+	analyticFit := func(s Setup, sem core.Semantics) (stats.Fit, error) {
+		xs := make([]float64, len(lengths))
+		ys := make([]float64, len(lengths))
+		for i, n := range lengths {
+			e, err := analytic.Evaluate(analytic.Point{Model: s.Model, Scheme: s.Scheme, Sem: sem,
+				DevOff: s.DevOff, AppOffset: s.AppOffset, Length: n, Genie: s.Genie})
+			if err != nil {
+				return stats.Fit{}, err
+			}
+			xs[i], ys[i] = float64(e.Bytes), e.LatencyUS
+		}
+		return stats.LinearFit(xs, ys)
+	}
 	early := Setup{Scheme: netsim.EarlyDemux}
 	aligned := Setup{Scheme: netsim.Pooled}
 	unaligned := Setup{Scheme: netsim.Pooled, AppOffset: 1000}
 	for _, row := range PaperTable7 {
-		fitE, err := analyticLatencyFit(early, row.Sem, lengths)
+		fitE, err := analyticFit(early, row.Sem)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fitCheck(fitE, row.EarlyE, row.Sem, "early (analytic)")
-		fitP, err := analyticLatencyFit(aligned, row.Sem, lengths)
+		fitP, err := analyticFit(aligned, row.Sem)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fitCheck(fitP, row.AlignedE, row.Sem, "aligned pooled (analytic)")
 		// System-allocated semantics ignore application placement, so
 		// the unaligned setup reproduces the aligned column for them.
-		fitU, err := analyticLatencyFit(unaligned, row.Sem, lengths)
+		fitU, err := analyticFit(unaligned, row.Sem)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -79,67 +79,3 @@ func TestThroughputErrors(t *testing.T) {
 		t.Fatal("count=2 accepted")
 	}
 }
-
-// TestThroughputWithFragmentation: streaming over an MTU-limited path
-// still sustains near link rate (fragment trailers cost ~1% here).
-func TestThroughputWithFragmentation(t *testing.T) {
-	tb, err := core.NewTestbed(core.TestbedConfig{
-		Buffering:     netsim.EarlyDemux,
-		MTU:           9180,
-		FramesPerHost: 2048,
-		Genie: func() core.Config {
-			c := core.DefaultConfig()
-			c.KernelPoolPages = 512
-			return c
-		}(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sender := tb.A.Genie.NewProcess()
-	receiver := tb.B.Genie.NewProcess()
-	const bytes = 61440
-	src, _ := sender.Brk(bytes)
-	if err := sender.Write(src, make([]byte, bytes)); err != nil {
-		t.Fatal(err)
-	}
-	dst, _ := receiver.Brk(bytes)
-
-	const count = 8
-	var last, first float64
-	done := 0
-	for i := 0; i < count; i++ {
-		in, err := receiver.Input(1, core.EmulatedCopy, dst, bytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		in.OnComplete(func(in *core.InputOp) {
-			if done == 0 {
-				first = float64(in.CompletedAt)
-			}
-			last = float64(in.CompletedAt)
-			done++
-		})
-	}
-	var issue func(i int)
-	issue = func(i int) {
-		if i >= count {
-			return
-		}
-		out, err := sender.Output(1, core.EmulatedCopy, src, bytes)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		tb.Eng.ScheduleAt(out.PreparedAt, func() { issue(i + 1) })
-	}
-	issue(0)
-	tb.Run()
-	if done != count {
-		t.Fatalf("completed %d of %d", done, count)
-	}
-	rate := float64((count-1)*bytes) * 8 / (last - first)
-	if !almost(rate, 133, 3) {
-		t.Errorf("fragmented streaming rate %.0f Mbps, want ~133", rate)
-	}
-}

@@ -27,8 +27,8 @@ import (
 type Spec struct {
 	// Seed initializes the deterministic PRNG stream.
 	Seed uint64
-	// Drop is the per-frame probability that a transmitted frame (or
-	// fragment) is lost on the wire.
+	// Drop is the per-frame probability that a transmitted frame is lost
+	// on the wire.
 	Drop float64
 	// Duplicate is the per-frame probability of a second delivery.
 	Duplicate float64

@@ -8,7 +8,7 @@
 // verification, checksum computation, fault injection — and can
 // represent everything else as (source, offset, length) extents, the
 // same observation that drives fbufs and IO-Lite. A copy, a DMA
-// transfer, a fragmentation reassembly, or a COW resolution becomes an
+// transfer, an outboard staging, or a COW resolution becomes an
 // O(#extents) descriptor splice instead of an O(bytes) copy.
 package mem
 

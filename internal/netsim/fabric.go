@@ -153,12 +153,6 @@ func (f *Fabric) deliverFrame(src *NIC, port int, payload mem.Buf, wire bool, at
 	f.xpost(s, h.d, at, h.forward)
 }
 
-func (f *Fabric) deliverFragment(src *NIC, frag fragment, at sim.Time) {
-	s := f.index[src]
-	d := f.routes[fabricKey{host: s, port: frag.port}]
-	f.xpost(s, d, at, func() { f.forwardFragment(d, frag) })
-}
-
 // forwardFrame runs on the destination shard when the frame reaches the
 // switch: it claims the egress port, serializes the frame through it,
 // and delivers to the NIC when the last byte has left the port.
@@ -176,13 +170,4 @@ func (h *fabricHop) arrive() {
 	h.f, h.payload = nil, mem.Buf{}
 	fabricHops.Put(h)
 	nic.receive(port, payload, wire)
-}
-
-// forwardFragment is forwardFrame for one fragment of a datagram.
-func (f *Fabric) forwardFragment(d int, frag fragment) {
-	p := f.ports[d]
-	start := p.eng.Now().Max(p.busyUntil)
-	p.busyUntil = start.Add(sim.Duration(f.perByteUS * float64(frag.data.Len())))
-	nic := p.nic
-	p.eng.ScheduleAt(p.busyUntil, func() { nic.receiveFragment(frag) })
 }

@@ -105,8 +105,7 @@ type Packet struct {
 // Stats counts NIC events. At quiescence the receive side balances:
 // RxFrames == Delivered + Dropped, and across an idle unidirectional
 // link sender.TxFrames - sender.WireDrops + sender.WireDups ==
-// receiver.RxFrames (single-frame mode; fragmentation counts datagrams,
-// not fragments, in TxFrames/RxFrames).
+// receiver.RxFrames.
 type Stats struct {
 	TxFrames, RxFrames uint64
 	TxBytes, RxBytes   uint64
@@ -141,8 +140,6 @@ type attachment interface {
 	// at absolute time at on the destination's clock; wire reports
 	// that the payload is a wire buffer the sender handed over.
 	deliverFrame(src *NIC, port int, payload mem.Buf, wire bool, at sim.Time)
-	// deliverFragment does the same for one fragment of a datagram.
-	deliverFragment(src *NIC, f fragment, at sim.Time)
 }
 
 // NIC is a simulated network adapter.
@@ -154,12 +151,11 @@ type NIC struct {
 
 	pool       *OverlayPool
 	overlayOff int          // placement offset of payload within the first overlay page
-	overlay    []*mem.Frame // Packet.Overlay's storage for unfragmented frames
+	overlay    []*mem.Frame // Packet.Overlay's storage
 	outboard   *OutboardMemory
 
 	ports []*nicPort // every port seen since construction, in first-use order
 	rx    func(Packet)
-	mtu   int
 
 	busyUntil sim.Time // transmit-side serialization
 	corruptAt int      // fault injection: flip this payload byte next tx
@@ -181,9 +177,6 @@ type NICConfig struct {
 	OverlayOff int
 	// Outboard provides staging memory; required for OutboardBuffering.
 	Outboard *OutboardMemory
-	// MTU fragments datagrams larger than this into multiple packets
-	// (0 = no fragmentation; single AAL5 frames, the paper's regime).
-	MTU int
 }
 
 // NewNIC creates an adapter on the simulation engine.
@@ -208,13 +201,12 @@ func NewNIC(eng *sim.Engine, cfg NICConfig) (*NIC, error) {
 		pool:       cfg.Pool,
 		overlayOff: cfg.OverlayOff,
 		outboard:   cfg.Outboard,
-		mtu:        cfg.MTU,
 		corruptAt:  -1,
 	}, nil
 }
 
 // Reset returns the adapter to its post-construction state: no posted
-// inputs, no partial reassemblies, transmit path idle at time zero, no
+// inputs, transmit path idle at time zero, no
 // armed fault injection, zeroed counters. The overlay pool (if any) is
 // reacquired from physical memory — the caller must have Reset the
 // host's PhysMem first — and outboard staging memory is emptied. The
@@ -225,7 +217,6 @@ func (n *NIC) Reset() {
 	for _, p := range n.ports {
 		clear(p.posted)
 		p.posted = p.posted[:0]
-		p.reasm = reassembly{}
 	}
 	n.busyUntil = 0
 	n.corruptAt = -1
@@ -264,9 +255,6 @@ func (n *NIC) SetTracer(tr *trace.Tracer) {
 	}
 }
 
-// MTU returns the fragmentation threshold (0 = none).
-func (n *NIC) MTU() int { return n.mtu }
-
 // Name returns the NIC name.
 func (n *NIC) Name() string { return n.name }
 
@@ -296,8 +284,8 @@ func (n *NIC) Stats() Stats { return n.stats }
 func (n *NIC) SetRxHandler(fn func(Packet)) { n.rx = fn }
 
 // nicPort is one port's receive state: the early-demultiplexing
-// buffers posted on it, oldest first, and its in-progress datagram
-// reassembly. A NIC keeps one record per port it has seen, found by a
+// buffers posted on it, oldest first. A NIC keeps one record per port
+// it has seen, found by a
 // linear search (a host uses a handful of ports), so posting and
 // arrival touch no map and memory grows with the number of ports, not
 // with their values. Records and their posted lists' storage survive
@@ -305,7 +293,6 @@ func (n *NIC) SetRxHandler(fn func(Packet)) { n.rx = fn }
 type nicPort struct {
 	port   int
 	posted []postedInput
-	reasm  reassembly
 }
 
 // port returns port's record, or nil if the adapter has never seen
@@ -360,13 +347,6 @@ func (n *NIC) PostedInputs(port int) int {
 		return len(p.posted)
 	}
 	return 0
-}
-
-// ReassemblyPending reports whether a fragmented datagram is partly
-// received on port.
-func (n *NIC) ReassemblyPending(port int) bool {
-	p := n.port(port)
-	return p != nil && p.reasm.pending
 }
 
 // Ports returns the ports the adapter has seen since construction, in
@@ -442,11 +422,31 @@ func (n *NIC) injectWire(port int, payload mem.Buf, deliver sim.Time) (mem.Buf, 
 // overtake the delayed one.
 const reorderDelayFactor = 2.5
 
-// transmit sends one unfragmented frame. wire hands a bytes-plane
-// payload drawn from mem.GetWire over to the frame, for the receiving
-// adapter to return (NIC.handBack); a sender with a fault injector or an
-// armed corruption keeps it out of the pool, since duplicates and
-// mangled copies leave more than one holder or none that copies it out.
+// TransmitDatagramBuf serializes a datagram as one AAL5 frame and
+// invokes onSent (if non-nil) when it has left the adapter; delivery to
+// the peer includes the link's fixed latency. Delivery happens later on
+// the simulated clock, so the caller must not change the buffer's bytes
+// afterwards; the adapter never writes through them and never returns
+// them to the wire pool.
+func (n *NIC) TransmitDatagramBuf(port int, payload mem.Buf, onSent func()) error {
+	return n.transmit(port, payload, false, onSent)
+}
+
+// TransmitDatagramWire is TransmitDatagramBuf for a wire buffer: a
+// payload whose storage came from mem.GetWire (bytes plane) or whose
+// run list came from mem.GetWireBuf (symbolic plane). The buffer
+// belongs to its frame from this call on: the caller never touches it
+// again, and the receiving adapter returns it to the pool once it has
+// copied it out (NIC.handBack).
+func (n *NIC) TransmitDatagramWire(port int, payload mem.Buf, onSent func()) error {
+	return n.transmit(port, payload, true, onSent)
+}
+
+// transmit sends one frame. wire hands a payload drawn from mem.GetWire
+// or mem.GetWireBuf over to the frame, for the receiving adapter to
+// return (NIC.handBack); a sender with a fault injector or an armed
+// corruption keeps it out of the pool, since duplicates and mangled
+// copies leave more than one holder or none that copies it out.
 func (n *NIC) transmit(port int, payload mem.Buf, wire bool, onSent func()) error {
 	if n.att == nil {
 		return ErrNotAttached
@@ -515,9 +515,8 @@ func (n *NIC) receive(port int, payload mem.Buf, wire bool) {
 //   - the adapter is not outboard: staging keeps the whole payload by
 //     reference, and the staged buffer returns it at Free instead.
 //
-// Fragmented datagrams never get here (receiveFragment), and payloads
-// passed to TransmitDatagramBuf are never wire. Everything else
-// is left to the garbage collector.
+// Payloads passed to TransmitDatagramBuf are never wire. Everything
+// else is left to the garbage collector.
 func (n *NIC) handBack(payload mem.Buf, wire, placed bool) {
 	if wire && placed && n.inj == nil && n.buffering != OutboardBuffering {
 		putWire(payload)
@@ -639,7 +638,7 @@ func (n *NIC) intoOutboard(pkt *Packet, port int, payload mem.Buf, wire bool, at
 		n.drop(port, payload.Len())
 		return false
 	}
-	buf.writeAt(0, payload)
+	buf.content = payload
 	buf.wire = wire && n.inj == nil
 	pkt.Outboard = buf
 	return true
@@ -760,9 +759,4 @@ func (l *Link) deliverFrame(src *NIC, port int, payload mem.Buf, wire bool, at s
 	}
 	h.dst, h.port, h.payload, h.wire = l.peerOf(src), port, payload, wire
 	l.eng.ScheduleAt(at, h.fire)
-}
-
-func (l *Link) deliverFragment(src *NIC, f fragment, at sim.Time) {
-	dst := l.peerOf(src)
-	l.eng.ScheduleAt(at, func() { dst.receiveFragment(f) })
 }

@@ -255,37 +255,21 @@ func (o *OutboardMemory) Alloc(n int) (*OutboardBuffer, error) {
 }
 
 // OutboardBuffer is a staged frame in adapter memory. Its contents are
-// held as a data-plane buffer: staging a bytes-plane payload splices a
-// literal run, a symbolic payload splices descriptors — either way the
-// adapter never materializes a second copy of the datagram. Until the
-// first write the contents are n zero bytes. A freed buffer's record
-// goes back to its memory for a later Alloc, so a holder must not use
-// it after Free.
+// the arriving payload itself, held by reference on either data plane,
+// so the adapter never materializes a second copy of the datagram.
+// Until the payload is stored the contents are n zero bytes. A freed
+// buffer's record goes back to its memory for a later Alloc, so a
+// holder must not use it after Free.
 type OutboardBuffer struct {
 	mem     *OutboardMemory
 	n       int
-	content mem.Buf // nil until the first write: n zero bytes
+	content mem.Buf // the staged payload; empty until stored: n zero bytes
 	wire    bool    // content is a whole wire buffer, returned at Free
 	freed   bool
 }
 
 // Len returns the staged payload length.
 func (b *OutboardBuffer) Len() int { return b.n }
-
-// writeAt stages data at byte offset off (fragment reassembly lands
-// fragments at their datagram offsets).
-func (b *OutboardBuffer) writeAt(off int, data mem.Buf) {
-	if off == 0 && data.Len() == b.n {
-		b.content = data
-		return
-	}
-	if b.content.Len() == 0 {
-		b.content = mem.ZeroBuf(b.n)
-	}
-	head := b.content.Slice(0, off)
-	tail := b.content.Slice(off+data.Len(), b.n-off-data.Len())
-	b.content = head.Append(data).Append(tail)
-}
 
 // DMAToHost transfers the staged payload into a host target — the
 // dispose-time DMA of outboard input.

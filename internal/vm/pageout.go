@@ -17,21 +17,6 @@ type PageoutDaemon struct {
 // NewPageoutDaemon returns a daemon for the system.
 func NewPageoutDaemon(sys *System) *PageoutDaemon { return &PageoutDaemon{sys: sys} }
 
-// EnableDemandPaging wires a pageout daemon into the physical memory
-// allocator: when the free list runs dry, the daemon reclaims a batch of
-// pages (never input-referenced or wired ones) before the allocation
-// fails. Returns the daemon for inspection.
-func (sys *System) EnableDemandPaging(batch int) *PageoutDaemon {
-	if batch <= 0 {
-		batch = 8
-	}
-	d := NewPageoutDaemon(sys)
-	sys.pm.SetReclaimer(func(need int) int {
-		return d.ScanOnce(max(need, batch))
-	})
-	return d
-}
-
 // candidate is an evictable page.
 type candidate struct {
 	obj *MemObject

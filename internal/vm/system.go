@@ -112,8 +112,6 @@ func (sys *System) DestroySpace(as *AddressSpace) {
 // (deterministic pageout scan order depends on object ids). The caller
 // owns the underlying physical memory and must reset it first; Reset
 // drops every reference into it without releasing frames one by one.
-// Demand paging, if it was enabled, must be re-enabled afterwards (the
-// physical memory's reclaimer hook is cleared by its own Reset).
 //
 // Reset walks only what the run created: the live spaces' regions and
 // the objects it registered. Page tables live in their regions; each
