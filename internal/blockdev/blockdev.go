@@ -7,16 +7,26 @@
 // back is the same descriptor run — provenance survives the storage
 // path exactly as it survives the wire.
 //
-// Ownership: Write copies materialized bytes into block storage the
-// device owns (allocated at a block's first write, reused by later
-// writes and across Reset), so a writer may reuse its source as soon as
-// Write returns; symbolic payloads are kept by reference, since runs are
-// immutable. Load aliases the caller's content, and a later Write never
-// writes through that alias. ReadBlocks and Peek return borrowed views:
-// a block's view stays valid until the next Write to that block, so
-// callers consume it at once (load it into a frame, DMA it into a
+// Ownership: a writer hands the device whole pages with Share, which
+// keeps them by reference and copies nothing. A shared materialized page
+// stays the writer's storage: the writer leaves it unchanged until it
+// ends the share with Unshare, which makes the page's storage the
+// block's own and returns the block's former storage, so the writer
+// takes that in exchange and neither side allocates or copies. Each
+// block holds at most one such storage (kept across Reset), and each
+// store belongs to one block or one writer's page at a time. Symbolic
+// pages are kept by reference and need no Unshare, since runs are
+// immutable. Load aliases the caller's content; Share never writes
+// through that alias, and Unshare never hands it out. A Load or Reset
+// ends a block's share: the page is the writer's alone again, and a
+// later Unshare of it returns it unchanged.
+//
+// ReadBlocks and Peek return borrowed views of the media: a block's
+// view stays valid until that block is next shared, loaded or reset,
+// so callers consume it at once (load it into a frame, DMA it into a
 // target, compare it) or clone it. ReadBlocks returns its views in a
-// slice the device reuses: the slice is valid until the next ReadBlocks.
+// slice the device reuses: the slice is valid until the next
+// ReadBlocks.
 //
 // The device prices itself with its own Model rather than extending
 // cost.Model: the paper's cost model is the fingerprinted contract of
@@ -94,7 +104,7 @@ type Device struct {
 // media is one block of the device.
 type media struct {
 	content mem.Buf // exactly one block; the zero Buf means zeros
-	owned   []byte  // device-owned storage for materialized writes, nil until the first
+	owned   []byte  // the block's own storage, nil until its first Unshare
 }
 
 // New builds a device of nblocks blocks of blockSize bytes each. Zero
@@ -136,9 +146,9 @@ func (d *Device) checkRange(block, count int) error {
 
 // Load installs content for a block with no simulated cost — media
 // imaging for experiment setup. The block aliases b (the caller keeps
-// it unchanged while the device holds it); a later Write to the block
-// stores into device-owned storage instead of writing through b.
-// Content shorter than a block is zero-padded.
+// it unchanged while the device holds it), and the device never writes
+// through b or hands it out. Content shorter than a block is
+// zero-padded. Loading a shared block ends its share.
 func (d *Device) Load(block int, b mem.Buf) error {
 	if err := d.checkRange(block, 1); err != nil {
 		return err
@@ -149,7 +159,8 @@ func (d *Device) Load(block int, b mem.Buf) error {
 
 // Peek returns a block's content with no simulated cost (tests and
 // verification oracles). The view is borrowed: it is valid until the
-// next Write to the block. A block outside the device reads as zeros.
+// block is next shared, loaded or reset. A block outside the device
+// reads as zeros.
 func (d *Device) Peek(block int) mem.Buf {
 	if block >= 0 && block < d.nblocks && d.store[block].content.Len() > 0 {
 		return d.store[block].content
@@ -189,8 +200,9 @@ func (d *Device) service(block, count int) sim.Duration {
 // block long) and the wait until the data is available. Both the slice
 // and the contents are borrowed: the slice is the device's own, reused
 // by the next ReadBlocks, and each content is a view of the media, as
-// from Peek, valid until the next Write to that block. Callers load the
-// views into frames or targets at once and never write through them.
+// from Peek, valid until that block is next shared, loaded or reset.
+// Callers load the views into frames or targets at once and never write
+// through them.
 func (d *Device) ReadBlocks(block, count int) ([]mem.Buf, sim.Duration, error) {
 	if err := d.checkRange(block, count); err != nil {
 		return nil, 0, err
@@ -226,48 +238,52 @@ func (d *Device) Read(block, count int, target netsim.DMATarget) (sim.Duration, 
 	return wait, nil
 }
 
-// Write stores data starting at block, returning the wait until the
-// transfer completes. Materialized data is copied into device-owned
-// storage, so the caller may reuse or overwrite its source once Write
-// returns; symbolic data is kept by reference. Data covering a partial
-// final block zero-pads it (writes below block granularity belong to
-// the page cache's read-modify-write, not the device).
-func (d *Device) Write(block int, data mem.Buf) (sim.Duration, error) {
-	count := (data.Len() + d.blockSize - 1) / d.blockSize
-	if err := d.checkRange(block, count); err != nil {
+// Share writes page, exactly one block, to block as one request,
+// returning the wait until the transfer completes. The device keeps the
+// page by reference and copies nothing: a materialized page is the
+// writer's storage, which the writer leaves unchanged until it ends the
+// share with Unshare (or a Load or Reset of the block ends it).
+// Sub-block writes belong to the page cache's read-modify-write, so a
+// page of any other length is an error.
+func (d *Device) Share(block int, page mem.Buf) (sim.Duration, error) {
+	if err := d.checkRange(block, 1); err != nil {
 		return 0, err
 	}
-	wait := d.service(block, count)
-	d.stats.Writes++
-	d.stats.BlocksWritten += uint64(count)
-	for i := 0; i < count; i++ {
-		n := min(d.blockSize, data.Len()-i*d.blockSize)
-		d.put(&d.store[block+i], data.Slice(i*d.blockSize, n))
+	if page.Len() != d.blockSize {
+		return 0, fmt.Errorf("blockdev: share of %d bytes into a %d-byte block", page.Len(), d.blockSize)
 	}
+	wait := d.service(block, 1)
+	d.stats.Writes++
+	d.stats.BlocksWritten++
+	d.store[block].content = page
 	return wait, nil
 }
 
-// put stores b (at most one block) as m's content: materialized bytes
-// are copied into m's owned storage and zero-padded, symbolic runs are
-// padded and kept by reference.
-func (d *Device) put(m *media, b mem.Buf) {
-	if b.Symbolic() {
-		m.content = d.pad(b)
-		return
+// Unshare ends block's share of the materialized page store with no
+// simulated cost. The block keeps the bytes by taking store as its own
+// storage, and Unshare returns the storage the block held before (nil
+// if none), which the writer takes in place of store; so ending a share
+// never copies or allocates. When the block does not share store (its
+// share already ended, or it never began), Unshare takes nothing and
+// returns store.
+func (d *Device) Unshare(block int, store []byte) []byte {
+	if block < 0 || block >= d.nblocks || len(store) == 0 {
+		return store
 	}
-	if m.owned == nil {
-		m.owned = make([]byte, d.blockSize)
+	m := &d.store[block]
+	if m.content.Symbolic() || &m.content.Resolve()[0] != &store[0] {
+		return store
 	}
-	b.ReadAt(m.owned[:b.Len()], 0)
-	clear(m.owned[b.Len():])
-	m.content = mem.BufBytes(m.owned)
+	old := m.owned
+	m.owned = store
+	return old
 }
 
 // Reset returns the device to its post-construction state: empty
-// media (every block reads as zeros; owned block storage is kept for
-// reuse), idle arm, zeroed counters. Harness recycling calls it after
-// the engine clock rewinds so a recycled device schedules identically
-// to a fresh one.
+// media (every block reads as zeros; each block's own storage is kept
+// for its next Unshare), idle arm, zeroed counters. It ends every
+// share. Harness recycling calls it after the engine clock rewinds so a
+// recycled device schedules identically to a fresh one.
 func (d *Device) Reset() {
 	for i := range d.store {
 		d.store[i].content = mem.Buf{}

@@ -28,13 +28,15 @@ func pattern(seed, n int) []byte {
 	return p
 }
 
-// Content round-trips through write/read, unwritten blocks read as
-// zeros, and short writes zero-pad their block.
+// Content round-trips through share/read, and unshared and unwritten
+// blocks read as zeros.
 func TestContentRoundTrip(t *testing.T) {
 	_, d := newDev(t, Model{})
 	want := pattern(1, 2*bs)
-	if _, err := d.Write(3, mem.BufBytes(want)); err != nil {
-		t.Fatal(err)
+	for i := range 2 {
+		if _, err := d.Share(3+i, mem.BufBytes(want[i*bs:(i+1)*bs])); err != nil {
+			t.Fatal(err)
+		}
 	}
 	got, _, err := d.ReadBlocks(3, 2)
 	if err != nil {
@@ -55,12 +57,12 @@ func TestContentRoundTrip(t *testing.T) {
 	if len(zero) != 1 || !bytes.Equal(zero[0].Resolve(), make([]byte, bs)) {
 		t.Fatal("unwritten block not zero")
 	}
-	if _, err := d.Write(5, mem.BufBytes(pattern(2, 100))); err != nil {
-		t.Fatal(err)
+	// Unsharing keeps the bytes: the block now owns the page's storage.
+	if spare := d.Unshare(3, want[:bs]); spare != nil {
+		t.Fatalf("first Unshare of block 3 returned %d bytes of storage, want none", len(spare))
 	}
-	short := d.Peek(5).Resolve()
-	if !bytes.Equal(short[:100], pattern(2, 100)) || !bytes.Equal(short[100:], make([]byte, bs-100)) {
-		t.Fatal("short write not zero-padded")
+	if !bytes.Equal(d.Peek(3).Resolve(), pattern(1, bs)) {
+		t.Fatal("unshared block does not read back its page")
 	}
 }
 
@@ -69,7 +71,7 @@ func TestContentRoundTrip(t *testing.T) {
 func TestSeekAccounting(t *testing.T) {
 	m := Model{SeekUS: 1000, FixedUS: 100, PerByteUS: 0.01}
 	_, d := newDev(t, m)
-	w1, err := d.Write(0, mem.ZeroBuf(bs))
+	w1, err := d.Share(0, mem.ZeroBuf(bs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +80,7 @@ func TestSeekAccounting(t *testing.T) {
 		t.Fatalf("first write wait %v, want %v", w1.Micros(), want1)
 	}
 	// Contiguous follow-up: no seek, but queued behind the busy arm.
-	w2, err := d.Write(1, mem.ZeroBuf(bs))
+	w2, err := d.Share(1, mem.ZeroBuf(bs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,12 +106,12 @@ func TestSeekAccounting(t *testing.T) {
 func TestArmIdleGap(t *testing.T) {
 	m := Model{SeekUS: 10, FixedUS: 10, PerByteUS: 0}
 	eng, d := newDev(t, m)
-	w1, _ := d.Write(0, mem.ZeroBuf(bs))
+	w1, _ := d.Share(0, mem.ZeroBuf(bs))
 	if w1.Micros() != 20 {
 		t.Fatalf("w1 = %v", w1)
 	}
 	eng.Schedule(1000, func() {
-		w2, _ := d.Write(1, mem.ZeroBuf(bs))
+		w2, _ := d.Share(1, mem.ZeroBuf(bs))
 		if w2.Micros() != 10 { // idle arm, contiguous: fixed only
 			t.Errorf("w2 = %v, want 10", w2)
 		}
@@ -123,7 +125,7 @@ func TestRangeAndReset(t *testing.T) {
 	if _, _, err := d.ReadBlocks(63, 2); err == nil {
 		t.Fatal("overrun read accepted")
 	}
-	if _, err := d.Write(-1, mem.ZeroBuf(bs)); err == nil {
+	if _, err := d.Share(-1, mem.ZeroBuf(bs)); err == nil {
 		t.Fatal("negative block accepted")
 	}
 	if err := d.Load(2, mem.BufBytes(pattern(3, bs))); err != nil {
@@ -227,28 +229,41 @@ func TestReadClipsToTarget(t *testing.T) {
 	}
 }
 
-// Write copies materialized data: changing the source after the call
-// leaves the media unchanged.
+// A shared block never changes when its page is rewritten: the writer
+// ends the share first, the block keeps the page's storage, and the
+// writer rewrites the storage Unshare handed back. A view of the block
+// taken while it was shared stays valid through all of it.
 func TestWriteCopiesSource(t *testing.T) {
 	_, d := newDev(t, Model{})
-	src := pattern(4, 2*bs)
-	want := bytes.Clone(src)
-	if _, err := d.Write(7, mem.BufBytes(src)); err != nil {
-		t.Fatal(err)
-	}
-	for i := range src {
-		src[i] ^= 0xff
-	}
-	for i := 0; i < 2; i++ {
-		if !bytes.Equal(d.Peek(7+i).Resolve(), want[i*bs:(i+1)*bs]) {
-			t.Fatalf("block %d changed with the writer's source after Write returned", 7+i)
+	page := pattern(4, bs)
+	want := bytes.Clone(page)
+	for round := range 3 {
+		if _, err := d.Share(7, mem.BufBytes(page)); err != nil {
+			t.Fatal(err)
 		}
+		view := d.Peek(7)
+		next := d.Unshare(7, page)
+		if next == nil {
+			next = make([]byte, bs) // the block had no storage of its own to hand back
+		}
+		if &next[0] == &page[0] {
+			t.Fatalf("round %d: Unshare handed back the page the block shares", round)
+		}
+		copy(next, page) // a partial rewrite keeps the old bytes ...
+		for i := range 100 {
+			next[i] ^= 0xff // ... and changes some
+		}
+		if !bytes.Equal(d.Peek(7).Resolve(), want) || !bytes.Equal(view.Resolve(), want) {
+			t.Fatalf("round %d: block 7 changed when its page was rewritten", round)
+		}
+		page = next
+		want = bytes.Clone(page)
 	}
 }
 
-// Load aliases the caller's content, and a later Write to the block
-// stores into device-owned media instead of writing through that alias:
-// the caller's slice (a harness's file image) stays unchanged.
+// Load aliases the caller's content, and neither a share of the block
+// nor Unshare writes through that alias or hands it out: the caller's
+// slice (a harness's file image) stays unchanged.
 func TestWriteNeverWritesThroughLoad(t *testing.T) {
 	_, d := newDev(t, Model{})
 	image := pattern(5, bs)
@@ -259,36 +274,43 @@ func TestWriteNeverWritesThroughLoad(t *testing.T) {
 	if !bytes.Equal(d.Peek(3).Resolve(), orig) {
 		t.Fatal("loaded block does not read back its content")
 	}
-	next := pattern(6, bs)
-	if _, err := d.Write(3, mem.BufBytes(next)); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(image, orig) {
-		t.Fatal("Write stored through the slice Load aliased")
-	}
-	if !bytes.Equal(d.Peek(3).Resolve(), next) {
-		t.Fatal("written block does not read back the write")
-	}
-	// Loading again re-aliases the image; the owned storage the write
-	// used is not the image.
-	if err := d.Load(3, mem.BufBytes(image)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Write(3, mem.BufBytes(pattern(7, 100))); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(image, orig) {
-		t.Fatal("second Write stored through the re-loaded slice")
+	page := pattern(6, bs)
+	for round := range 3 {
+		if _, err := d.Share(3, mem.BufBytes(page)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(d.Peek(3).Resolve(), page) {
+			t.Fatalf("round %d: shared block does not read back its page", round)
+		}
+		next := d.Unshare(3, page)
+		if next == nil {
+			next = make([]byte, bs)
+		}
+		for i := range next {
+			next[i] = byte(round) // the writer owns what Unshare returned
+		}
+		if !bytes.Equal(image, orig) {
+			t.Fatalf("round %d: the device handed out or wrote through the slice Load aliased", round)
+		}
+		// Loading again re-aliases the image and ends nothing the
+		// writer holds: the next page is the storage it was handed.
+		if err := d.Load(3, mem.BufBytes(image)); err != nil {
+			t.Fatal(err)
+		}
+		page = next
 	}
 }
 
-// A Reset device reads zeros at blocks whose storage it kept, and a
-// write after Reset reads back exactly, padding included.
+// A Reset device reads zeros at blocks whose storage it kept and ends
+// every share: Unshare then returns the writer's page unchanged. The
+// kept storage comes back at the block's next Unshare.
 func TestResetKeepsStorageReadsZeros(t *testing.T) {
 	_, d := newDev(t, Model{})
-	if _, err := d.Write(9, mem.BufBytes(pattern(8, bs))); err != nil {
+	kept := pattern(8, bs)
+	if _, err := d.Share(9, mem.BufBytes(kept)); err != nil {
 		t.Fatal(err)
 	}
+	d.Unshare(9, kept)
 	d.Reset()
 	if !bytes.Equal(d.Peek(9).Resolve(), make([]byte, bs)) {
 		t.Fatal("Reset device reads stale media at a written block")
@@ -300,35 +322,47 @@ func TestResetKeepsStorageReadsZeros(t *testing.T) {
 	if !bytes.Equal(blocks[0].Resolve(), make([]byte, bs)) {
 		t.Fatal("Reset device serves stale media")
 	}
-	if _, err := d.Write(9, mem.BufBytes(pattern(9, 10))); err != nil {
+	page := pattern(9, bs)
+	if _, err := d.Share(9, mem.BufBytes(page)); err != nil {
 		t.Fatal(err)
 	}
-	got := d.Peek(9).Resolve()
-	if !bytes.Equal(got[:10], pattern(9, 10)) || !bytes.Equal(got[10:], make([]byte, bs-10)) {
-		t.Fatal("write into kept storage after Reset reads back wrong")
+	if !bytes.Equal(d.Peek(9).Resolve(), page) {
+		t.Fatal("share after Reset reads back wrong")
+	}
+	d.Reset()
+	if got := d.Unshare(9, page); &got[0] != &page[0] {
+		t.Fatal("Unshare after Reset took the page: Reset ends every share")
+	}
+	if _, err := d.Share(9, mem.BufBytes(page)); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Unshare(9, page); got == nil || &got[0] != &kept[0] {
+		t.Fatal("Unshare did not hand back the storage the block kept across Reset")
 	}
 }
 
-// A partial-block Write zero-pads its block even when the block's
-// owned storage holds an earlier full write, on both payload kinds.
-func TestPartialWriteZeroPads(t *testing.T) {
+// Share takes exactly one block, on both payload kinds: a shorter or
+// longer page fails without a request and leaves the media alone.
+func TestShareNeedsWholeBlock(t *testing.T) {
 	for _, sym := range []bool{false, true} {
 		_, d := newDev(t, Model{})
-		if _, err := d.Write(2, mem.BufBytes(pattern(10, 2*bs))); err != nil {
+		if _, err := d.Share(2, mem.BufBytes(pattern(10, bs))); err != nil {
 			t.Fatal(err)
 		}
-		short := pattern(11, bs+300)
-		data := mem.BufBytes(short)
-		if sym {
-			data = mem.LiteralBuf(bytes.Clone(short))
+		for _, n := range []int{0, 1, bs - 1, bs + 1, 2 * bs} {
+			data := mem.BufBytes(pattern(11, n))
+			if sym {
+				data = mem.LiteralBuf(pattern(11, n))
+			}
+			if _, err := d.Share(2, data); err == nil {
+				t.Fatalf("symbolic=%v: share of %d bytes accepted", sym, n)
+			}
 		}
-		if _, err := d.Write(2, data); err != nil {
-			t.Fatal(err)
+		if st := d.Stats(); st.Writes != 1 || st.BlocksWritten != 1 {
+			t.Fatalf("symbolic=%v: refused shares counted: %+v", sym, st)
 		}
-		got := append(bytes.Clone(d.Peek(2).Resolve()), d.Peek(3).Resolve()...)
-		want := append(bytes.Clone(short), make([]byte, bs-300)...)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("symbolic=%v: partial write over written media not zero-padded", sym)
+		if !bytes.Equal(d.Peek(2).Resolve(), pattern(10, bs)) {
+			t.Fatalf("symbolic=%v: a refused share changed the media", sym)
 		}
 	}
 }

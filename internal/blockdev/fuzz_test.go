@@ -29,9 +29,10 @@ func (r *scriptReader) next() int {
 
 // payload decodes a payload of n bytes of one of four kinds —
 // materialized bytes, a pattern run, a literal run, zeros — and returns
-// it with its resolved bytes and, for materialized bytes, the source
-// slice (which the script scribbles on after a Write to check the copy).
-func (r *scriptReader) payload(n int) (b mem.Buf, want, src []byte) {
+// it with its resolved bytes and, for materialized bytes, its storage:
+// store when it is n bytes long (storage the writer got back from the
+// device), a new slice otherwise.
+func (r *scriptReader) payload(n int, store []byte) (b mem.Buf, want, src []byte) {
 	kind, seed := r.next()%4, r.next()
 	want = make([]byte, n)
 	for i := range want {
@@ -40,6 +41,10 @@ func (r *scriptReader) payload(n int) (b mem.Buf, want, src []byte) {
 	switch kind {
 	case 0:
 		src = bytes.Clone(want)
+		if len(store) == n {
+			src = store
+			copy(src, want)
+		}
 		return mem.BufBytes(src), want, src
 	case 1:
 		for i := range want {
@@ -54,21 +59,26 @@ func (r *scriptReader) payload(n int) (b mem.Buf, want, src []byte) {
 }
 
 // held is a borrowed view the script keeps, with the bytes it must
-// still show: views stay valid until the next Write to their block.
+// still show: views stay valid until their block is next shared, loaded
+// or reset.
 type held struct {
 	view mem.Buf
 	want []byte
 }
 
-// FuzzDeviceScript runs decoded scripts of Load, full and partial Write,
-// ReadBlocks, Peek and Reset against a naive map[int][]byte model of
-// the media. Every read must equal the model, every out-of-range
-// request must return an error (never panic), a Write's materialized
-// source may be overwritten once Write returns, and a Load alias is
-// never written through.
+// FuzzDeviceScript runs decoded scripts of Load, Share (of a whole block
+// or of a wrong length), Unshare, ReadBlocks, Peek and Reset against a
+// naive map[int][]byte model of the media, with a writer that follows
+// the sharing contract: it leaves a shared page alone until Unshare, a
+// Load or a Reset ends the share, and then scribbles on every store it
+// gets back. After every step every block must read as the model, and
+// every request outside the device must return an error (never panic),
+// so the device never keeps a store it handed back, never hands out a
+// store it still reads, and never writes through a Load alias.
 func FuzzDeviceScript(f *testing.F) {
 	f.Add([]byte{1, 3, 1, 0, 9, 3, 3, 2, 0})
 	f.Add([]byte{0, 5, 64, 0, 7, 2, 5, 1, 1, 2, 9, 4, 5})
+	f.Add([]byte{1, 2, 1, 0, 3, 2, 2, 0, 1, 2, 1, 0, 8, 2, 2, 0, 5, 0, 0, 1, 2, 1, 0, 4, 2, 2, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		d, err := New(sim.New(), Model{}, fuzzBS, fuzzBlocks)
 		if err != nil {
@@ -85,13 +95,38 @@ func FuzzDeviceScript(f *testing.F) {
 		views := map[int]held{}
 		type alias struct{ src, want []byte }
 		var loaded []alias
+		shared := map[int][]byte{} // the page each block shares, left alone until the share ends
+		var spares [][]byte        // block-sized storage the writer got back
+		giveBack := func(p []byte) {
+			if len(p) != fuzzBS {
+				return // a refused page of another length is the writer's garbage
+			}
+			for i := range p {
+				p[i] ^= 0x5a
+			}
+			spares = append(spares, p)
+		}
+		spare := func() []byte {
+			if len(spares) == 0 {
+				return nil
+			}
+			p := spares[len(spares)-1]
+			spares = spares[:len(spares)-1]
+			return p
+		}
+		endShare := func(b int) {
+			if p, ok := shared[b]; ok {
+				delete(shared, b)
+				giveBack(p)
+			}
+		}
 		r := &scriptReader{p: script}
 		for step := 0; len(r.p) > 0 && step < 64; step++ {
 			op, block, count := r.next()%6, r.next()%(fuzzBlocks+8)-4, r.next()%4
 			switch op {
 			case 0: // Load: short content pads, long content clips
 				n := fuzzBS - 8 + r.next()%17
-				b, want, src := r.payload(n)
+				b, want, src := r.payload(n, nil)
 				err := d.Load(block, b)
 				if ok := inRange(block, 1); ok != (err == nil) {
 					t.Fatalf("step %d: Load(%d) err %v", step, block, err)
@@ -102,30 +137,52 @@ func FuzzDeviceScript(f *testing.F) {
 				c := make([]byte, fuzzBS)
 				copy(c, want)
 				ref[block] = c
+				delete(views, block)
+				endShare(block)
 				if src != nil {
 					loaded = append(loaded, alias{src, bytes.Clone(src)})
 				}
-			case 1, 2: // Write, full or with a partial final block
-				n := count * fuzzBS
-				if op == 2 && n > 0 {
-					n -= 1 + r.next()%(fuzzBS-1)
+			case 1: // Share: one whole block, or a length the device refuses
+				n := fuzzBS
+				if count != 1 {
+					n = count*fuzzBS + r.next()%3 - 1
 				}
-				b, want, src := r.payload(n)
-				_, err := d.Write(block, b)
-				if ok := inRange(block, count); ok != (err == nil) {
-					t.Fatalf("step %d: Write(%d, %d bytes) err %v", step, block, n, err)
+				b, want, src := r.payload(max(n, 0), spare())
+				_, err := d.Share(block, b)
+				if ok := inRange(block, 1) && n == fuzzBS; ok != (err == nil) {
+					t.Fatalf("step %d: Share(%d, %d bytes) err %v", step, block, n, err)
 				}
 				if err != nil {
+					if src != nil {
+						giveBack(src)
+					}
 					break
 				}
-				for i := 0; i < count; i++ {
-					c := make([]byte, fuzzBS)
-					copy(c, want[i*fuzzBS:min(n, (i+1)*fuzzBS)])
-					ref[block+i] = c
-					delete(views, block+i)
+				ref[block] = want
+				delete(views, block)
+				endShare(block)
+				if src != nil {
+					shared[block] = src
 				}
-				for i := range src {
-					src[i] ^= 0x5a
+			case 2: // Unshare the block's page, or a page it does not share
+				page, ok := shared[block]
+				if !ok {
+					if page = spare(); page == nil {
+						page = make([]byte, fuzzBS)
+					}
+				}
+				got := d.Unshare(block, page)
+				if !ok && (got == nil || &got[0] != &page[0]) {
+					t.Fatalf("step %d: Unshare(%d) took a page the block does not share", step, block)
+				}
+				if ok {
+					delete(shared, block) // the block keeps the page
+					if got != nil && &got[0] == &page[0] {
+						t.Fatalf("step %d: Unshare(%d) handed back the page the block shares", step, block)
+					}
+				}
+				if got != nil {
+					giveBack(got)
 				}
 			case 3: // ReadBlocks
 				got, _, err := d.ReadBlocks(block, count)
@@ -155,10 +212,19 @@ func FuzzDeviceScript(f *testing.F) {
 			case 5:
 				d.Reset()
 				clear(ref)
+				clear(views)
+				for b := range shared {
+					endShare(b)
+				}
+			}
+			for b := range fuzzBlocks {
+				if !bytes.Equal(d.Peek(b).Resolve(), read(b)) {
+					t.Fatalf("step %d: media of block %d differs from the model", step, b)
+				}
 			}
 			for b, h := range views {
 				if !bytes.Equal(h.view.Resolve(), h.want) {
-					t.Fatalf("step %d: borrowed view of block %d changed without a Write to it", step, b)
+					t.Fatalf("step %d: borrowed view of block %d changed before the block was shared, loaded or reset", step, b)
 				}
 			}
 			for _, a := range loaded {

@@ -92,12 +92,14 @@ type Storage struct {
 	dev   *blockdev.Device
 	cache *pagecache.Cache
 	stats StorageStats
-	// stage is the transfer stage (staged) of copy reads and
-	// bytes-plane write sources: a copyout read lands in it and is
-	// poked into the application buffer, a write source is read into
-	// it and spliced into the cache by WriteRange. Each byte is copied
-	// once into the stage and once into its destination.
+	// stage is the transfer stage (staged) of copy reads: a copyout
+	// read lands in it and is poked into the application buffer, so
+	// each byte is copied once into the stage and once into its
+	// destination. Writes need no stage (writeSource).
 	stage []byte
+	// extents holds a bytes-plane copy write's source windows, reused
+	// by every write.
+	extents []vm.Extent
 }
 
 // NewStorage attaches a storage stack to a host. Construction
@@ -343,27 +345,21 @@ func (s *Storage) FileWrite(p *Process, sem Semantics, block, length int, va vm.
 	s.stats.Writes++
 
 	var (
-		buf     [6]Charge // prep's backing store, kept off the heap
-		prep    []Charge
-		content mem.Buf
-		src     *source
-		err     error
+		buf  [6]Charge // prep's backing store, kept off the heap
+		prep []Charge
+		src  *source
 	)
 	if sem == Copy {
-		if content, err = s.peekSource(p, va, length); err != nil {
-			return nil, err
-		}
 		prep = append(buf[:0], Charge{cost.Copyin, length})
 	} else {
 		segs := []Segment{{va, length}}
 		prep = planOutputPrepare(buf[:0], g.cfg, sem, false, segs)
 		src = new(source)
-		if err = p.reference(src, sem, segs); err != nil {
+		if err := p.reference(src, sem, segs); err != nil {
 			return nil, err
 		}
-		content = s.gatherSource(src.refs[0], length)
 	}
-	wait, err := s.cache.WriteRange(block, 0, content)
+	wait, err := s.writeSource(p, src, block, va, length)
 	if err != nil {
 		if src != nil {
 			src.abort() // no device will read the held pages
@@ -399,28 +395,55 @@ func (s *Storage) readStaged(p *Process, block, n int, va vm.Addr) (sim.Duration
 	return wait, p.as.PokeBuf(va, mem.BufBytes(stage))
 }
 
-// peekSource reads n bytes of the application's buffer at va with full
-// fault handling (the copyin source).
-func (s *Storage) peekSource(p *Process, va vm.Addr, n int) (mem.Buf, error) {
+// writeSource stores the n source bytes of a FileWrite in the cache
+// from block on: the referenced pages of src, or for a copy (src nil)
+// the application's buffer at va. On the bytes plane each byte goes
+// straight from its application frame into its cache page
+// (WriteGather); on the symbolic plane the source's runs are gathered
+// and spliced in. A copy source is faulted in whole before the cache
+// changes, so a fault fails the write and leaves the cache as it was.
+func (s *Storage) writeSource(p *Process, src *source, block int, va vm.Addr, n int) (sim.Duration, error) {
 	if s.g.sys.Phys().Symbolic() {
-		return p.as.PeekBuf(va, n)
+		var content mem.Buf
+		if src != nil {
+			content = src.refs[0].DMAReadBuf(0, n)
+		} else {
+			var err error
+			if content, err = p.as.PeekBuf(va, n); err != nil {
+				return 0, err
+			}
+		}
+		return s.cache.WriteRange(block, 0, content)
 	}
-	stage := staged(&s.stage, n)
-	if err := p.as.Peek(va, stage); err != nil {
-		return mem.Buf{}, err
+	if src != nil {
+		return s.cache.WriteGather(block, 0, src.refs[0].Extents())
 	}
-	return mem.BufBytes(stage), nil
+	if err := s.faultSource(p, va, n); err != nil {
+		return 0, err
+	}
+	return s.cache.WriteGather(block, 0, s.extents)
 }
 
-// gatherSource reads the first n referenced bytes (the in-place write
-// source).
-func (s *Storage) gatherSource(ref *vm.IORef, n int) mem.Buf {
-	if s.g.sys.Phys().Symbolic() {
-		return ref.DMAReadBuf(0, n)
+// faultSource faults in the n bytes of the application's buffer at va
+// with an application read's fault handling, page by page in address
+// order as a copyin's read does (a one-byte Peek of each page), and
+// records in s.extents the frame windows that hold them.
+func (s *Storage) faultSource(p *Process, va vm.Addr, n int) error {
+	ps := s.dev.BlockSize()
+	s.extents = s.extents[:0]
+	var probe [1]byte
+	for off := 0; off < n; {
+		a := va + vm.Addr(off)
+		pgOff := int(a % vm.Addr(ps))
+		k := min(ps-pgOff, n-off)
+		if err := p.as.Peek(a, probe[:]); err != nil {
+			return err
+		}
+		pte, _ := p.as.PTEAt(a)
+		s.extents = append(s.extents, vm.Extent{Frame: pte.Frame, Off: pgOff, Len: k})
+		off += k
 	}
-	stage := staged(&s.stage, n)
-	ref.DMARead(0, stage)
-	return mem.BufBytes(stage)
+	return nil
 }
 
 // Sendfile transmits length file bytes starting at block out of the

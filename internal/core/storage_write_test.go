@@ -159,9 +159,9 @@ func TestFileWriteCrossPlane(t *testing.T) {
 // TestFileWriteAllocs pins the write path's copy-once contract. A warmed
 // bytes-plane rig (the write-script stack) runs rounds of copy and share
 // writes of 512, 16384 and 61440 bytes, enough for threshold bursts and dirty
-// evictions. Each write reads its source into the storage's reusable
-// stage, the cache page takes the second copy and the device copies the
-// borrowed page into media it owns, so bytes allocated per written-back
+// evictions. Each write reads its source straight into the cache pages,
+// writeback shares each page with the device, and ending a share trades
+// the page's storage for the block's, so bytes allocated per written-back
 // page stay far below one page: a fresh source snapshot per write and a
 // fresh page snapshot per writeback would each cost at least a page.
 func TestFileWriteAllocs(t *testing.T) {
@@ -301,6 +301,84 @@ func TestFileWriteReleasesOnCacheError(t *testing.T) {
 		}
 		if err := s.CheckConservation(); err != nil {
 			t.Fatalf("%v: %v", sem, err)
+		}
+	}
+}
+
+// A bytes-plane FileWrite whose source runs into an unmapped page fails
+// with the fault and leaves everything below it as it was: for a copy,
+// whose source is faulted in whole before the cache changes, and for
+// emulated copy, whose source is referenced first. The write's target
+// range holds dirty, clean and device-shared pages when it fails; the
+// residency, dirty count, cache and device counters, every media block
+// and the source buffer must be unchanged.
+func TestFileWriteSourceFaultChangesNothing(t *testing.T) {
+	const blocks = 16
+	for _, sem := range []Semantics{Copy, EmulatedCopy} {
+		tb, s := storageBed(t, DiskConfig{DiskBlocks: blocks, CachePages: 8})
+		bs := s.Device().BlockSize()
+		loadFile(t, s, blocks)
+		p := tb.A.Genie.NewProcess()
+		va, err := p.Brk(2 * bs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Read(va+vm.Addr(2*bs), make([]byte, 1)); err == nil {
+			t.Fatalf("%v: the page after the buffer is mapped", sem)
+		}
+		src := filePattern(40, 2*bs)
+		if err := p.Write(va, src); err != nil {
+			t.Fatal(err)
+		}
+		write := func(block, n int) {
+			t.Helper()
+			op, err := s.FileWrite(p, Copy, block, n, va)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tb.Run()
+			if !op.Done || op.Err != nil {
+				t.Fatalf("%v: priming write not done (err %v)", sem, op.Err)
+			}
+		}
+		write(0, 2*bs) // blocks 0 and 1, shared with the device after Sync
+		s.Sync()
+		write(1, 100) // block 1 dirty again
+		// Blocks 2 and 3 resident and clean.
+		if _, err := s.Cache().EnsureRange(2, 2); err != nil {
+			t.Fatal(err)
+		}
+
+		resident, dirty := s.Cache().Resident(), s.Cache().Dirty()
+		counters, dev := s.Cache().Counters(), s.Device().Stats()
+		var media [][]byte
+		for b := range blocks {
+			media = append(media, bytes.Clone(s.Device().Peek(b).Resolve()))
+		}
+		if _, err := s.FileWrite(p, sem, 0, 3*bs, va); !errors.Is(err, vm.ErrFault) {
+			t.Fatalf("%v: FileWrite over an unmapped source page: err %v, want vm.ErrFault", sem, err)
+		}
+		tb.Run()
+		if r, d := s.Cache().Resident(), s.Cache().Dirty(); r != resident || d != dirty {
+			t.Errorf("%v: after the failed write %d resident, %d dirty; before %d and %d", sem, r, d, resident, dirty)
+		}
+		if c := s.Cache().Counters(); c != counters {
+			t.Errorf("%v: cache counters %+v after the failed write, %+v before", sem, c, counters)
+		}
+		if d := s.Device().Stats(); d != dev {
+			t.Errorf("%v: device stats %+v after the failed write, %+v before", sem, d, dev)
+		}
+		for b := range blocks {
+			if !bytes.Equal(s.Device().Peek(b).Resolve(), media[b]) {
+				t.Errorf("%v: media block %d changed by the failed write", sem, b)
+			}
+		}
+		got := make([]byte, 2*bs)
+		if err := p.Read(va, got); err != nil || !bytes.Equal(got, src) {
+			t.Errorf("%v: source buffer unreadable or changed by the failed write (err %v)", sem, err)
+		}
+		if err := s.CheckConservation(); err != nil {
+			t.Errorf("%v: %v", sem, err)
 		}
 	}
 }

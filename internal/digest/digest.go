@@ -40,9 +40,10 @@ func New() *Digest {
 // formatting is exact for IEEE doubles only at absurd widths, while the
 // hex form is bit-faithful and compact.
 //
-// The formats records use are formatted here, with strconv into a
-// buffer the digest reuses: literal text, %% and the verbs %d and %x of
-// an int or a uint64, %x of a finite float64 and %s of a string. Any
+// The formats records use are formatted here, into a buffer the digest
+// reuses: literal text, %% and the verbs %d and %x of an int or a
+// uint64 (with strconv), %x of a finite float64 (from its bits) and %s
+// of a string. Any
 // other format — a flag, a width, another verb, another type (a named
 // one included), a NaN or an infinity, too few or too many arguments —
 // goes to fmt whole.
@@ -98,7 +99,7 @@ func appendRecord(buf []byte, format string, args []any) ([]byte, bool) {
 			if verb != 'x' || math.IsNaN(a) || math.IsInf(a, 0) {
 				return buf, false
 			}
-			buf = strconv.AppendFloat(buf, a, 'x', -1, 64)
+			buf = appendHexFloat(buf, a)
 		case string:
 			if verb != 's' {
 				return buf, false
@@ -110,6 +111,49 @@ func appendRecord(buf []byte, format string, args []any) ([]byte, bool) {
 		next++
 	}
 	return buf, next == len(args)
+}
+
+// appendHexFloat appends finite f in the %x form, straight from its
+// bits: exactly the bytes of strconv.AppendFloat(buf, f, 'x', -1, 64),
+// that is -0x1.hhhp±dd with the shortest hex fraction (none for a power
+// of two) and at least two exponent digits, and ±0x0p+00 for zero.
+// Subnormals are normalized to a leading 1 with the exponent lowered.
+func appendHexFloat(buf []byte, f float64) []byte {
+	const hexDigits = "0123456789abcdef"
+	bits := math.Float64bits(f)
+	if bits>>63 != 0 {
+		buf = append(buf, '-')
+	}
+	exp := int(bits>>52) & 0x7ff
+	mant := bits & (1<<52 - 1)
+	switch {
+	case exp == 0 && mant == 0:
+		return append(buf, "0x0p+00"...)
+	case exp == 0: // subnormal: shift the leading 1 up to the implicit bit
+		exp = 1
+		for mant&(1<<52) == 0 {
+			mant <<= 1
+			exp--
+		}
+		mant &= 1<<52 - 1
+	}
+	exp -= 1023
+	buf = append(buf, "0x1"...)
+	if mant != 0 {
+		buf = append(buf, '.')
+		for mant <<= 12; mant != 0; mant <<= 4 { // the fraction's 13 hex digits, top first
+			buf = append(buf, hexDigits[mant>>60])
+		}
+	}
+	buf = append(buf, 'p', '+')
+	if exp < 0 {
+		buf[len(buf)-1] = '-'
+		exp = -exp
+	}
+	if exp < 10 {
+		buf = append(buf, '0')
+	}
+	return strconv.AppendInt(buf, int64(exp), 10)
 }
 
 // Record advances the record counter by one.

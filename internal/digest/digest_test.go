@@ -3,6 +3,8 @@ package digest
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
+	"strconv"
 	"testing"
 )
 
@@ -163,5 +165,27 @@ func BenchmarkAddf(b *testing.B) {
 	b.ReportAllocs()
 	for range b.N {
 		d.Addf("%x %x %x\n", x, y, z)
+	}
+}
+
+// appendHexFloat is byte-exact with strconv's %x form at the values
+// whose form has a corner (signed zeros, the subnormal range, powers of
+// two, two-, three- and four-digit exponents) and at random finite bit
+// patterns.
+func TestAppendHexFloatMatchesStrconv(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, 2, 1024, 0.1, -1.5,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 2.2250738585072e-310,
+		0x1p-1022, 0x1.fffffffffffffp-1023, math.MaxFloat64, -math.MaxFloat64,
+		1e100, 1e-100, 3.5e-200, 0x1p-1000, 0x1p-999, 0x1p+999, 0x1p+1000, 0x1p-10, 0x1p-9}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for range 100000 {
+		if f := math.Float64frombits(rng.Uint64()); !math.IsNaN(f) && !math.IsInf(f, 0) {
+			vals = append(vals, f)
+		}
+	}
+	for _, f := range vals {
+		if got, want := appendHexFloat(nil, f), strconv.AppendFloat(nil, f, 'x', -1, 64); string(got) != string(want) {
+			t.Fatalf("appendHexFloat(%v) = %q, strconv has %q", f, got, want)
+		}
 	}
 }

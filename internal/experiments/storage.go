@@ -162,6 +162,30 @@ func checkReadBack(p *core.Process, va vm.Addr, want []byte) error {
 	return fmt.Errorf("byte %d: got %d want %d", i, got[i], want[i])
 }
 
+// checkMedia is the sweep's media oracle: after Sync, every block of
+// dev must hold the bytes of shadow, the file image with the sweep's
+// writes applied. A mismatch names the block and its first differing
+// byte. The check does not feed the digest.
+func checkMedia(dev *blockdev.Device, shadow []byte) error {
+	bs := dev.BlockSize()
+	for b := 0; b*bs < len(shadow); b++ {
+		got, want := dev.Peek(b).Resolve(), shadow[b*bs:(b+1)*bs]
+		if bytes.Equal(got, want) {
+			continue
+		}
+		i := 0
+		for got[i] == want[i] {
+			i++
+		}
+		return fmt.Errorf("media block %d byte %d: got %d want %d", b, i, got[i], want[i])
+	}
+	return nil
+}
+
+// testHookStorageShadow, when a test sets it, sees each point's shadow
+// image before the media check, so the test can corrupt it.
+var testHookStorageShadow func(shadow []byte)
+
 // runStoragePoint simulates one grid point from a cold (or
 // indistinguishably recycled) storage stack; any error names the point.
 // The rig goes back to the recycler after a clean run; a failed
@@ -200,6 +224,7 @@ func simulateStoragePoint(rig *storageRig, k storageKey) (StoragePoint, error) {
 			return StoragePoint{}, err
 		}
 	}
+	shadow := bytes.Clone(image) // the file with the write leg applied, for the media oracle
 	// fileAt returns the k.size file bytes from block b on.
 	fileAt := func(b int) []byte { return image[b*bs : b*bs+k.size] }
 	p := tb.A.Genie.NewProcess()
@@ -269,6 +294,7 @@ func simulateStoragePoint(rig *storageRig, k storageKey) (StoragePoint, error) {
 		if err != nil {
 			return StoragePoint{}, fmt.Errorf("write %v: %w", k.sem, err)
 		}
+		copy(shadow[(storageOps+i)*span*bs:], wdata)
 		pt.WriteCPU += cpu
 		pt.WriteLatency += lat
 	}
@@ -307,6 +333,12 @@ func simulateStoragePoint(rig *storageRig, k storageKey) (StoragePoint, error) {
 	}
 
 	s.Sync()
+	if testHookStorageShadow != nil {
+		testHookStorageShadow(shadow)
+	}
+	if err := checkMedia(s.Device(), shadow); err != nil {
+		return StoragePoint{}, err
+	}
 	if err := s.CheckConservation(); err != nil {
 		return StoragePoint{}, err
 	}

@@ -241,3 +241,31 @@ func TestCheckReadBackRejectsFlippedByte(t *testing.T) {
 		t.Fatalf("flipped byte 4321: err %v", err)
 	}
 }
+
+// The sweep's media oracle checks every block after Sync against a
+// shadow image of the point's writes: with one shadow byte flipped, the
+// point fails with an error that names it and the block.
+func TestRunStorageMediaCheckNamesBlock(t *testing.T) {
+	cfg := StorageConfig{
+		Semantics:       []core.Semantics{core.EmulatedCopy},
+		Sizes:           []int{16384},
+		CachePages:      []int{8},
+		DirtyThresholds: []int{4},
+		Workers:         []int{1},
+	}
+	if _, err := RunStorage(cfg); err != nil {
+		t.Fatalf("intact point: %v", err)
+	}
+	// Block 18 is the write leg's third write (blocks 16-19 at 4 pages a write).
+	testHookStorageShadow = func(shadow []byte) { shadow[18*4096+77] ^= 0x10 }
+	t.Cleanup(func() { testHookStorageShadow = nil })
+	_, err := RunStorage(cfg)
+	if err == nil {
+		t.Fatal("point with a flipped shadow byte passed the media check")
+	}
+	for _, want := range []string{"emulated copy", "size=16384", "cache=8pg", "dirty=4", "media block 18 byte 77"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q missing %q", err, want)
+		}
+	}
+}

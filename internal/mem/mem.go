@@ -212,12 +212,13 @@ func (f *Frame) ClearRange(off, n int) {
 // pageout path's copy to backing store).
 func (f *Frame) SnapshotBuf() Buf { return f.ReadBuf(0, f.size) }
 
-// BorrowBuf returns the whole page as a borrowed buffer, for a consumer
-// that copies it at once (the page cache's writeback into a device that
-// owns its media). On the bytes plane the result aliases the frame's
-// backing store and is valid only until the next write to or release of
-// the frame; a frame never written yet yields a zero buffer. On the
-// symbolic plane it is the same O(#runs) independent slice as ReadBuf.
+// BorrowBuf returns the whole page as a borrowed buffer (the page
+// cache's writeback, which a block device shares). On the bytes plane
+// the result aliases the frame's backing store and is valid only until
+// the next write to or release of the frame, or until ExchangeData
+// hands that store to another owner; a frame never written yet yields a
+// zero buffer. On the symbolic plane it is the same O(#runs)
+// independent slice as ReadBuf.
 func (f *Frame) BorrowBuf() Buf {
 	if f.runs != nil {
 		return Buf{n: f.size, runs: sliceRuns(f.runs, 0, f.size)}
@@ -226,6 +227,23 @@ func (f *Frame) BorrowBuf() Buf {
 		return ZeroBuf(f.size)
 	}
 	return BufBytes(f.data)
+}
+
+// ExchangeData installs p as a bytes-plane frame's backing store and
+// returns the store it replaces, nil if the frame was never written.
+// It moves a page's storage between owners without copying: the page
+// cache hands a written-back page's store to the block device that
+// shares it and takes the block's former storage in exchange. p is nil
+// (the frame reads as zeros until its next write) or exactly one page,
+// and its contents become the frame's; the caller gives up p and owns
+// the returned store.
+func (f *Frame) ExchangeData(p []byte) []byte {
+	if f.runs != nil || (p != nil && len(p) != f.size) {
+		panic(fmt.Sprintf("mem: ExchangeData of %d bytes into %v (size %d, symbolic %t)", len(p), f, f.size, f.runs != nil))
+	}
+	old := f.data
+	f.data = p
+	return old
 }
 
 // LoadBuf installs b as the frame's entire contents (the page-in path).

@@ -624,6 +624,50 @@ func TestUntouchedFrameReadsZeros(t *testing.T) {
 	}
 }
 
+// ExchangeData moves backing stores between owners without copying: the
+// frame takes the given store as its contents (nil reads as zeros until
+// the next write) and hands back the one it had, and it refuses a store
+// of another size and a symbolic frame.
+func TestExchangeData(t *testing.T) {
+	pm := New(2, 16)
+	f, _ := pm.Alloc()
+	if old := f.ExchangeData(nil); old != nil {
+		t.Fatalf("unwritten frame handed back %d bytes", len(old))
+	}
+	f.WriteAt(0, bytes.Repeat([]byte{1}, 16))
+	store := bytes.Repeat([]byte{2}, 16)
+	old := f.ExchangeData(store)
+	if !bytes.Equal(old, bytes.Repeat([]byte{1}, 16)) {
+		t.Fatalf("handed back %x, want the frame's written store", old)
+	}
+	if got := f.ReadBuf(0, 16).Resolve(); !bytes.Equal(got, store) {
+		t.Fatalf("frame reads %x after the exchange, want %x", got, store)
+	}
+	f.WriteAt(3, []byte{9})
+	if store[3] != 9 || old[3] != 1 {
+		t.Fatal("a write after the exchange did not land in the installed store alone")
+	}
+	if f.ExchangeData(nil); !bytes.Equal(f.ReadBuf(0, 16).Resolve(), make([]byte, 16)) {
+		t.Fatal("frame with no store does not read zeros")
+	}
+	for name, fn := range map[string]func(){
+		"short store": func() { f.ExchangeData(make([]byte, 15)) },
+		"symbolic": func() {
+			g, _ := NewWithPlane(1, 16, Symbolic).Alloc()
+			g.ExchangeData(nil)
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: ExchangeData did not panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
 // Lazy backing stores change no allocation accounting: a scripted
 // sequence of plain and zeroed allocations over written, unwritten and
 // recycled frames counts the same Allocs, Frees and Zeroed as eager

@@ -292,13 +292,18 @@ func (m *cacheModel) drop() {
 
 // FuzzCacheScript runs decoded scripts of ReadRange, partial and
 // full-page WriteRange, EnsureRange, TakeFrames, WriteBackRange, Sync,
-// Drop and a system reset followed by Reacquire against cacheModel.
-// After every step the cache must match the model in all seven
-// counters, the resident blocks in LRU order, which of them are dirty
-// and their contents, the device's request, block and seek counts
-// (which pin the writeback order) and its media; every read must return the
-// file image, every request outside the device must fail without a
-// panic, and the cache and physical memory audits must pass.
+// Drop, a system reset followed by Reacquire, a rewrite of a resident
+// page the device shares (one written back and still clean), and
+// TakeFrames followed by writes into the donated frames before they are
+// released, against cacheModel. After every step the cache must match
+// the model in all seven counters, the resident blocks in LRU order,
+// which of them are dirty and their contents, the device's request,
+// block and seek counts (which pin the writeback order) and its media,
+// so a page the device still shares that changes or leaves without its
+// share ending shows as a media mismatch naming the block; every read
+// must return the file image, every request outside the device must
+// fail without a panic, and the cache and physical memory audits must
+// pass.
 func FuzzCacheScript(f *testing.F) {
 	f.Add([]byte{3, 2, 2, 7, 1, 5, 0, 9, 2, 3, 1, 4, 2, 1, 2, 8, 6})
 	f.Add([]byte{5, 0, 0, 1, 4, 2, 5, 2, 6, 0, 14, 5})
@@ -331,7 +336,7 @@ func FuzzCacheScript(f *testing.F) {
 		}
 		load(r.next())
 		for step := 0; len(r.p) > 0 && step < 64; step++ {
-			op, block := r.next()%9, r.next()%(fuzzBlocks+4)-2
+			op, block := r.next()%11, r.next()%(fuzzBlocks+4)-2
 			var err error
 			ok := true
 			switch op {
@@ -359,13 +364,17 @@ func FuzzCacheScript(f *testing.F) {
 				for i := 0; ok && i < count; i++ {
 					_, ok = m.require(block + i)
 				}
-			case 4: // TakeFrames; the frames go back to memory afterwards
+			case 4, 10: // TakeFrames; the frames go back to memory afterwards,
+				// written first by their new owner in op 10
 				frames := make([]*mem.Frame, 1+r.next()%4)
 				_, err = c.TakeFrames(block, frames)
 				if ok = m.takeFrames(block, len(frames)); ok && err == nil {
 					for i, fr := range frames {
 						if got := fr.ReadBuf(0, fuzzBS).Resolve(); !bytes.Equal(got, m.file[block+i]) {
 							t.Fatalf("step %d: taken frame of block %d differs from the file image", step, block+i)
+						}
+						if op == 10 {
+							fr.WriteAt(i, pattern(block+i+101, fuzzBS-i))
 						}
 						pm.Release(fr)
 					}
@@ -388,6 +397,25 @@ func FuzzCacheScript(f *testing.F) {
 				c.Reacquire()
 				*m = cacheModel{cfg: cfg, pages: map[int]*modelPage{}, nextLBA: -1}
 				load(r.next())
+			case 9: // rewrite a shared page, whole or in part; the block byte is unused
+				var shared []int
+				for e := c.head; e != nil; e = e.next {
+					if e.shared {
+						shared = append(shared, e.block)
+					}
+				}
+				pick, off, n := r.next(), 0, fuzzBS
+				if r.next()%2 == 1 {
+					off = r.next() % fuzzBS
+					n = 1 + r.next()%(fuzzBS-off)
+				}
+				data := pattern(r.next(), n)
+				if len(shared) == 0 {
+					break
+				}
+				block = shared[pick%len(shared)]
+				_, err = c.WriteRange(block, off, mem.BufBytes(data))
+				ok = m.writeRange(block, off, data)
 			}
 			if ok != (err == nil) {
 				t.Fatalf("step %d: op %d at block %d returned %v, model ok %t", step, op, block, err, ok)
@@ -409,7 +437,7 @@ func checkAgainstModel(t *testing.T, step int, c *Cache, dev *blockdev.Device, p
 	}
 	p := m.head
 	for e := c.head; e != nil || p != nil; e, p = e.next, p.next {
-		if e == nil || p == nil || e.block != p.block || e.dirty != p.dirty {
+		if e == nil || p == nil || e.block != p.block || c.isDirty(e) != p.dirty {
 			t.Fatalf("step %d: LRU order or dirty set differs from the model", step)
 		}
 		if got := e.frame.ReadBuf(0, fuzzBS).Resolve(); !bytes.Equal(got, m.file[e.block]) {

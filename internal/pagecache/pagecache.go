@@ -11,10 +11,25 @@
 // One cache block is one page: the cache's unit of residency, dirty
 // tracking, and donation is exactly the VM page, so page-flip reads
 // and move-family donation need no partial-page cases.
+//
+// Writes copy each byte once on the host. A write lands straight in its
+// cache page (WriteGather reads a bytes-plane source from the
+// application's frames, with no stage), and writeback hands the device
+// the page itself (blockdev's Share): a clean resident page and its
+// device block share one backing store until one side moves on. Every
+// path that changes or gives away a shared page ends the share first
+// (unshare): the block takes the page's store as its own and the frame
+// takes the block's former storage in exchange (mem's ExchangeData),
+// so eviction and Drop copy nothing, while a partial rewrite or a
+// donation copies the page once into its new storage. Reacquire follows
+// a device Reset, which ends every share, so it just forgets them. Dirty pages
+// are tracked in a per-block bitmap, so writeback walks the dirty
+// blocks in ascending order without scanning the block index.
 package pagecache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/blockdev"
 	"repro/internal/mem"
@@ -53,7 +68,7 @@ type Counters struct {
 type entry struct {
 	block      int
 	frame      *mem.Frame
-	dirty      bool
+	shared     bool   // clean, and its device block shares the frame's bytes-plane store
 	prev, next *entry // LRU list, most recent at head
 }
 
@@ -65,13 +80,14 @@ type Cache struct {
 	dev *blockdev.Device
 	cfg Config
 
-	obj      *vm.MemObject
-	index    []*entry // resident entry by block, nil when not resident
-	resident int
-	idle     *entry // unlinked entries kept for reuse
-	head     *entry // most recently used
-	tail     *entry // least recently used
-	ndirty   int
+	obj       *vm.MemObject
+	index     []*entry // resident entry by block, nil when not resident
+	dirtyBits []uint64 // bit b%64 of word b/64 is set when block b's page is resident and dirty
+	resident  int
+	idle      *entry // unlinked entries kept for reuse
+	head      *entry // most recently used
+	tail      *entry // least recently used
+	ndirty    int
 
 	counters   Counters
 	residentHW stats.HighWater
@@ -82,7 +98,7 @@ type Cache struct {
 // page size. Construction allocates no frames (pages materialize on
 // first use), so a cache built on a recycled system is frame-for-frame
 // identical to one built fresh. The block index holds one pointer per
-// device block.
+// device block, and the dirty bitmap one bit.
 func New(sys *vm.System, dev *blockdev.Device, cfg Config) (*Cache, error) {
 	if dev.BlockSize() != sys.PageSize() {
 		return nil, fmt.Errorf("pagecache: block size %d != page size %d", dev.BlockSize(), sys.PageSize())
@@ -99,11 +115,12 @@ func New(sys *vm.System, dev *blockdev.Device, cfg Config) (*Cache, error) {
 	obj := sys.NewKernelObject()
 	obj.ExcludeFromPageout()
 	return &Cache{
-		sys:   sys,
-		dev:   dev,
-		cfg:   cfg,
-		obj:   obj,
-		index: make([]*entry, dev.NumBlocks()),
+		sys:       sys,
+		dev:       dev,
+		cfg:       cfg,
+		obj:       obj,
+		index:     make([]*entry, dev.NumBlocks()),
+		dirtyBits: make([]uint64, (dev.NumBlocks()+63)/64),
 	}, nil
 }
 
@@ -207,12 +224,17 @@ func (c *Cache) gauge() {
 	c.dirtyHW.Set(c.ndirty)
 }
 
+// isDirty reports whether e's page is dirty.
+func (c *Cache) isDirty(e *entry) bool {
+	return c.dirtyBits[e.block/64]&(1<<(e.block%64)) != 0
+}
+
 // markDirty transitions an entry to dirty and fires the writeback
 // burst when the threshold is reached. Returns the burst wait (zero
 // when no burst fired).
 func (c *Cache) markDirty(e *entry) sim.Duration {
-	if !e.dirty {
-		e.dirty = true
+	if !c.isDirty(e) {
+		c.dirtyBits[e.block/64] |= 1 << (e.block % 64)
 		c.ndirty++
 		c.gauge()
 	}
@@ -225,15 +247,9 @@ func (c *Cache) markDirty(e *entry) sim.Duration {
 
 // flushDirty writes every dirty page back in ascending block order —
 // the canonical order that keeps the device's seek accounting (and
-// therefore every digest) independent of access history. It scans the
-// block index upward and stops at the last dirty page.
+// therefore every digest) independent of access history.
 func (c *Cache) flushDirty() sim.Duration {
-	var wait sim.Duration
-	for b := 0; c.ndirty > 0 && b < len(c.index); b++ {
-		if e := c.index[b]; e != nil && e.dirty {
-			wait = c.writeBack(e) // sequential on the arm: the last write's wait covers all
-		}
-	}
+	wait := c.writeBackDirty(0, len(c.index))
 	c.gauge()
 	return wait
 }
@@ -244,27 +260,70 @@ func (c *Cache) flushDirty() sim.Duration {
 // so the device never serves media older than the cache's own writes;
 // the device queues the writes, so that read's wait already covers them.
 func (c *Cache) WriteBackRange(block, count int) {
-	for b := max(block, 0); b < min(block+count, len(c.index)); b++ {
-		if e := c.index[b]; e != nil && e.dirty {
-			c.writeBack(e)
-		}
-	}
+	c.writeBackDirty(max(block, 0), min(block+count, len(c.index)))
 	c.gauge()
 }
 
+// writeBackDirty writes back the dirty pages of blocks [lo, hi) in
+// ascending block order, reading the dirty bitmap a word at a time, and
+// returns the last write's wait: sequential on the arm, it covers all.
+func (c *Cache) writeBackDirty(lo, hi int) sim.Duration {
+	var wait sim.Duration
+	for w := lo / 64; w*64 < hi && c.ndirty > 0; w++ {
+		word := c.dirtyBits[w]
+		if n := lo - w*64; n > 0 {
+			word &^= 1<<n - 1
+		}
+		if n := hi - w*64; n < 64 {
+			word &= 1<<n - 1
+		}
+		for ; word != 0; word &= word - 1 {
+			wait = c.writeBack(c.index[w*64+bits.TrailingZeros64(word)])
+		}
+	}
+	return wait
+}
+
 // writeBack writes a dirty page to the device and marks it clean,
-// returning the device wait. The caller re-levels the gauges.
+// returning the device wait. The device shares the page rather than
+// copying it, so a bytes-plane page leaves shared. The caller re-levels
+// the gauges.
 func (c *Cache) writeBack(e *entry) sim.Duration {
-	// The device copies the borrowed page into media it owns.
-	w, err := c.dev.Write(e.block, e.frame.BorrowBuf())
+	page := e.frame.BorrowBuf()
+	w, err := c.dev.Share(e.block, page)
 	if err != nil {
 		// Resident blocks are in device range by construction.
 		panic(fmt.Sprintf("pagecache: writeback of block %d: %v", e.block, err))
 	}
-	e.dirty = false
+	e.shared = !page.Symbolic()
+	c.dirtyBits[e.block/64] &^= 1 << (e.block % 64)
 	c.ndirty--
 	c.counters.Writebacks++
 	return w
+}
+
+// unshare ends e's share with its device block before the page changes
+// or leaves: the block takes the page's store as its own, and the frame
+// takes the block's former storage in exchange. keep copies the page's
+// bytes into that storage, for a page that stays in use with its
+// content (a partial rewrite, a donation); a page about to be freed or
+// overwritten whole keeps whatever the storage held, so ending its
+// share copies nothing.
+func (c *Cache) unshare(e *entry, keep bool) {
+	page := e.frame.Data()
+	e.frame.ExchangeData(c.dev.Unshare(e.block, page))
+	if keep {
+		e.frame.WriteAt(0, page)
+	}
+	e.shared = false
+}
+
+// release unlinks e and frees its frame, ending any share first.
+func (c *Cache) release(e *entry) {
+	if e.shared {
+		c.unshare(e, false)
+	}
+	c.sys.Phys().Release(c.unlink(e))
 }
 
 // evictFor evicts least-recently-used pages until need more pages fit
@@ -273,10 +332,10 @@ func (c *Cache) evictFor(need int) sim.Duration {
 	var wait sim.Duration
 	for c.resident+need > c.cfg.Pages && c.tail != nil {
 		e := c.tail
-		if e.dirty {
+		if c.isDirty(e) {
 			wait = c.writeBack(e)
 		}
-		c.sys.Phys().Release(c.unlink(e))
+		c.release(e)
 		c.counters.Evictions++
 	}
 	c.gauge()
@@ -387,17 +446,56 @@ func (c *Cache) ReadRange(block, off int, dst []byte) (sim.Duration, error) {
 // pages accumulate until the threshold fires a writeback burst; the
 // returned wait covers any fills and bursts this call caused.
 func (c *Cache) WriteRange(block, off int, data mem.Buf) (sim.Duration, error) {
+	return c.write(block, off, data.Len(), func(f *mem.Frame, off, soff, n int) {
+		f.WriteBufAt(off, data, soff, n)
+	})
+}
+
+// WriteGather is WriteRange on the bytes plane with the data read
+// straight out of the frame windows src, in order: an application
+// buffer's referenced or faulted-in pages. Each byte is copied once,
+// from its source frame into its cache page, with no stage. The source
+// frames must stay mapped and unchanged for the call, which allocates
+// and frees only cache pages.
+func (c *Cache) WriteGather(block, off int, src []vm.Extent) (sim.Duration, error) {
+	n := 0
+	for _, x := range src {
+		n += x.Len
+	}
+	i, pos := 0, 0 // the next source byte: src[i].Off+pos in src[i].Frame
+	return c.write(block, off, n, func(f *mem.Frame, off, _, k int) {
+		dst := f.Data()[off : off+k]
+		for len(dst) > 0 {
+			x := src[i]
+			k := min(x.Len-pos, len(dst))
+			x.Frame.ReadAt(dst[:k], x.Off+pos)
+			dst = dst[k:]
+			if pos += k; pos == x.Len {
+				i, pos = i+1, 0
+			}
+		}
+	})
+}
+
+// write is the page loop of WriteRange and WriteGather: it brings each
+// page of the n bytes at byte off within block's run resident, ends its
+// share, and calls put to store source bytes [soff, soff+k) at page
+// offset off, in ascending source order, before marking it dirty.
+func (c *Cache) write(block, off, n int, put func(f *mem.Frame, off, soff, k int)) (sim.Duration, error) {
 	bs := c.dev.BlockSize()
 	var wait sim.Duration
 	pos := block + off/bs
 	off %= bs
-	for data.Len() > 0 {
-		k := min(bs-off, data.Len())
+	for done := 0; done < n; {
+		k := min(bs-off, n-done)
 		e := c.lookup(pos)
 		switch {
 		case e != nil:
 			c.counters.Hits++
 			c.lruFront(e)
+			if e.shared {
+				c.unshare(e, k < bs) // a whole-page store needs none of the old bytes
+			}
 		case k == bs:
 			// Full-page overwrite: no read needed.
 			var err error
@@ -416,9 +514,9 @@ func (c *Cache) WriteRange(block, off int, data mem.Buf) (sim.Duration, error) {
 			e = c.index[pos]
 			c.lruFront(e)
 		}
-		e.frame.WriteBuf(off, data.Slice(0, k))
+		put(e.frame, off, done, k)
 		wait += c.markDirty(e)
-		data = data.Slice(k, data.Len()-k)
+		done += k
 		off = 0
 		pos++
 	}
@@ -429,14 +527,18 @@ func (c *Cache) WriteRange(block, off int, data mem.Buf) (sim.Duration, error) {
 // — the donation primitive behind page-flip reads and move-family
 // file input. A missing block is filled first; a dirty one is written
 // back before leaving (the application receives the page, the device
-// must not lose the data). The caller owns the frame.
+// must not lose the data), and a shared one leaves the device its store
+// and takes a copy. The caller owns the frame.
 func (c *Cache) TakeFrame(block int) (*mem.Frame, sim.Duration, error) {
 	e, wait, err := c.require(block)
 	if err != nil {
 		return nil, wait, err
 	}
-	if e.dirty {
+	if c.isDirty(e) {
 		wait += c.writeBack(e)
+	}
+	if e.shared {
+		c.unshare(e, true)
 	}
 	f := c.unlink(e)
 	c.counters.Consumed++
@@ -482,7 +584,7 @@ func (c *Cache) Sync() sim.Duration {
 func (c *Cache) Drop() sim.Duration {
 	wait := c.flushDirty()
 	for c.tail != nil {
-		c.sys.Phys().Release(c.unlink(c.tail))
+		c.release(c.tail)
 		c.counters.Evictions++
 	}
 	c.gauge()
@@ -490,19 +592,30 @@ func (c *Cache) Drop() sim.Duration {
 }
 
 // CheckConservation verifies the cache's internal accounting: the
-// block index, resident count, LRU list, kernel object residency, and
-// dirty count agree, occupancy gauges never underflowed, and residency
-// never exceeded capacity.
+// block index, resident count, LRU list, kernel object residency, dirty
+// count and dirty bitmap agree, no dirty page is shared with the
+// device, occupancy gauges never underflowed, and residency never
+// exceeded capacity.
 func (c *Cache) CheckConservation() error {
 	n, dirty := 0, 0
 	for e := c.head; e != nil; e = e.next {
 		n++
-		if e.dirty {
+		if c.isDirty(e) {
 			dirty++
+			if e.shared {
+				return fmt.Errorf("pagecache: dirty block %d still shared with the device", e.block)
+			}
 		}
 		if c.lookup(e.block) != e {
 			return fmt.Errorf("pagecache: LRU entry for block %d not in index", e.block)
 		}
+	}
+	marked := 0
+	for _, w := range c.dirtyBits {
+		marked += bits.OnesCount64(w)
+	}
+	if marked != dirty {
+		return fmt.Errorf("pagecache: dirty bitmap marks %d blocks, %d of them resident", marked, dirty)
 	}
 	indexed := 0
 	for _, e := range c.index {
@@ -532,7 +645,10 @@ func (c *Cache) CheckConservation() error {
 // stale entries go to the idle list and the stale kernel object is
 // renewed as a fresh one. Call it in the same construction order as New
 // (right after the testbed reset) so object ids — and therefore
-// deterministic pageout scan order — match a fresh build.
+// deterministic pageout scan order — match a fresh build. The device
+// must be Reset with the system (core.Storage.Reacquire resets it
+// first): that ends every share, so Reacquire only forgets them, with
+// no device call and no copy.
 func (c *Cache) Reacquire() {
 	for e := c.head; e != nil; {
 		next := e.next
@@ -540,6 +656,7 @@ func (c *Cache) Reacquire() {
 		e = next
 	}
 	c.head, c.tail = nil, nil
+	clear(c.dirtyBits)
 	c.ndirty = 0
 	c.counters = Counters{}
 	c.residentHW.Reset()
