@@ -4,8 +4,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/experiments"
+	"repro/internal/netsim"
 )
 
 // runClusterCmd parses the cluster subcommand's flags.
@@ -26,6 +28,15 @@ func runClusterCmd(args []string, stdout, stderr io.Writer) int {
 	}
 	if opts.hosts < 2 {
 		return usageErrf(fs, stderr, "-hosts must be at least 2, got %d", opts.hosts)
+	}
+	if opts.rounds < 1 {
+		return usageErrf(fs, stderr, "-rounds must be at least 1, got %d", opts.rounds)
+	}
+	if opts.msgBytes < 1 || opts.msgBytes > netsim.MaxFrame {
+		return usageErrf(fs, stderr, "-bytes must be in [1, %d], got %d", netsim.MaxFrame, opts.msgBytes)
+	}
+	if opts.minSpeedup < 0 || math.IsNaN(opts.minSpeedup) || math.IsInf(opts.minSpeedup, 0) {
+		return usageErrf(fs, stderr, "-minspeedup must be finite and at least 0, got %v", opts.minSpeedup)
 	}
 	var err error
 	if opts.workers, err = parseWorkers(*workersList); err != nil {

@@ -2,7 +2,6 @@
 // repo's benchmark modes, one subcommand per mode:
 //
 //	geniebench [sweep]      # figures, tables, ablations (the default)
-//	geniebench bigsweep     # million-point analytic sweep + seeded sim spot checks
 //	geniebench cluster      # sharded multi-host benchmarks: incast determinism + ring self-speedup
 //	geniebench chaos        # fault-injection recovery matrix
 //	geniebench workload     # closed-loop backpressure study: semantics x depth x load
@@ -11,9 +10,9 @@
 //	geniebench plot         # the paper's Figures 3-7 as ASCII plots
 //
 // Every subcommand takes its own flags (see `geniebench <cmd> -h`).
-// sweep, bigsweep, cluster, workload and storage take -json <path>
-// (machine-readable report). sweep, bigsweep and workload take
-// -parallel N, the goroutines their independent points fan across.
+// sweep, cluster, workload and storage take -json <path>
+// (machine-readable report). sweep and workload take -parallel N, the
+// goroutines their independent points fan across.
 // cluster, workload and storage take -workers, the list of worker
 // counts whose digests must match, and share one rule for it: the
 // default is 1,4, a repeated count runs once, the first run is the
@@ -32,18 +31,6 @@
 // -nomemo and -norecycle restore the cold path. -dataplane selects
 // symbolic or materialized payload bytes — output is identical either
 // way.
-//
-// # bigsweep
-//
-// Evaluates the full cross-product of platforms x networks x schemes x
-// semantics x offsets x lengths — about a million points at the default
-// -stride 47 — through the closed-form analytic evaluator, while a
-// seeded pseudo-random subset (-spotcheck, default one in 4096) re-runs
-// through the discrete-event simulator as oracle. Exit status is
-// nonzero if the worst relative error exceeds -errbound, or when
-// -minspeedup is set and the analytic path is not at least that many
-// times faster per point. The same -seed always selects the same
-// spot-check set.
 //
 // # cluster
 //
@@ -146,7 +133,6 @@ var subcommands = []struct {
 	cmd  func(args []string, stdout, stderr io.Writer) int
 }{
 	{"sweep", "regenerate the paper's figures, tables, and ablations (default)", runSweepCmd},
-	{"bigsweep", "million-point analytic sweep with seeded simulated spot checks", runBigSweepCmd},
 	{"cluster", "sharded multi-host benchmarks: incast determinism + ring self-speedup", runClusterCmd},
 	{"chaos", "fault-injection recovery matrix", runChaosCmd},
 	{"workload", "closed-loop backpressure study: semantics x depth x load", runWorkloadCmd},

@@ -38,8 +38,13 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 		{"unknown fault key", []string{"chaos", "-spec", "seed=1,bogus=0.5"}, "-spec"},
 		{"out-of-range fault rate", []string{"chaos", "-spec", "seed=1,drop=1.5"}, "-spec"},
 		{"empty fault spec", []string{"chaos", "-spec", "seed=0"}, "injects nothing"},
-		{"negative errbound", []string{"bigsweep", "-errbound", "-1"}, "-errbound"},
-		{"NaN errbound", []string{"bigsweep", "-errbound", "NaN"}, "-errbound"},
+		{"zero cluster rounds", []string{"cluster", "-rounds", "0"}, "-rounds"},
+		{"negative cluster rounds", []string{"cluster", "-rounds", "-1"}, "-rounds"},
+		{"zero cluster bytes", []string{"cluster", "-bytes", "0"}, "-bytes"},
+		{"negative cluster bytes", []string{"cluster", "-bytes", "-5"}, "-bytes"},
+		{"oversized cluster bytes", []string{"cluster", "-bytes", "70000"}, "-bytes"},
+		{"NaN cluster minspeedup", []string{"cluster", "-minspeedup", "NaN"}, "-minspeedup"},
+		{"negative cluster minspeedup", []string{"cluster", "-minspeedup", "-3"}, "-minspeedup"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -54,18 +59,6 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 				t.Errorf("no usage text on stderr:\n%s", stderr)
 			}
 		})
-	}
-}
-
-// bigsweep -errbound 0 is checked as given: it demands the bit-exact
-// agreement the analytic path claims, and the report prints bound 0.
-func TestCLIBigSweepExactBound(t *testing.T) {
-	code, stdout, stderr := runCLI(t, "bigsweep", "-stride", "8191", "-spotcheck", "16", "-errbound", "0", "-parallel", "2")
-	if code != 0 {
-		t.Fatalf("exit code %d, want 0\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
-	}
-	if !strings.Contains(stdout, "max relative error 0 (bound 0)") {
-		t.Errorf("stdout does not report an exact check against bound 0:\n%s", stdout)
 	}
 }
 

@@ -20,7 +20,7 @@ func TestCLIDispatch(t *testing.T) {
 		if code != 2 {
 			t.Fatalf("exit code %d, want 2", code)
 		}
-		for _, want := range []string{"unknown subcommand", "Usage", "workload", "bigsweep"} {
+		for _, want := range []string{"unknown subcommand", "Usage", "workload", "storage"} {
 			if !strings.Contains(stderr, want) {
 				t.Errorf("stderr missing %q:\n%s", want, stderr)
 			}

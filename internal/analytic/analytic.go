@@ -19,8 +19,9 @@
 // latency and the fold order, including the per-set subtotals the
 // simulator adds as units, so on fault-free single-datagram points the
 // evaluator reproduces the simulated Measurement bit for bit. The
-// package's tests and experiments.BigSweep enforce that equivalence
-// point-for-point against seeded simulation spot-checks.
+// package's tests enforce that equivalence point for point against the
+// simulator, on fixed grids over every platform/network model and on
+// drawn points (FuzzEvaluateMatchesSimulation).
 //
 // The evaluator covers exactly the regime of experiments.Measure: one
 // datagram on a fresh (or Reset) two-host testbed, no fault injection.

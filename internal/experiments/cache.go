@@ -272,8 +272,8 @@ var measureMemo = newMemo()
 var testbeds par.Recycler[core.TestbedConfig, *core.Testbed]
 
 // PerfStats is a snapshot of the harness's own performance counters:
-// the pairwise measurement memo, the recyclers of the pairwise, workload
-// and storage sweeps, and the analytic fast path.
+// the pairwise measurement memo and the recyclers of the pairwise,
+// workload and storage sweeps.
 type PerfStats struct {
 	// CacheHits counts Measure calls served by the memo.
 	CacheHits uint64 `json:"cache_hits"`
@@ -291,15 +291,6 @@ type PerfStats struct {
 	// ResetFailures counts testbeds dropped because Reset failed; always
 	// zero unless a simulation leaked state.
 	ResetFailures uint64 `json:"reset_failures,omitempty"`
-	// AnalyticPoints counts measurement points served by the closed-form
-	// evaluator (BigSweep) instead of the simulator.
-	AnalyticPoints uint64 `json:"analytic_points,omitempty"`
-	// SimulatedSpotchecks counts the seeded oracle simulations BigSweep
-	// ran to validate the analytic path.
-	SimulatedSpotchecks uint64 `json:"simulated_spotchecks,omitempty"`
-	// MaxRelErr is the worst analytic-vs-simulated relative error
-	// observed by any spot check since the last reset.
-	MaxRelErr float64 `json:"max_rel_err,omitempty"`
 	// ClustersBuilt counts multi-host clusters constructed from scratch
 	// for workload sweep points.
 	ClustersBuilt uint64 `json:"clusters_built,omitempty"`
@@ -331,9 +322,6 @@ func Perf() PerfStats {
 		TestbedsBuilt:           tbs.Built,
 		TestbedsRecycled:        tbs.Recycled,
 		ResetFailures:           tbs.ResetFailures,
-		AnalyticPoints:          analyticPoints.Load(),
-		SimulatedSpotchecks:     simulatedSpotchecks.Load(),
-		MaxRelErr:               math.Float64frombits(analyticMaxRelErr.Load()),
 		ClustersBuilt:           wl.ClustersBuilt,
 		ClustersRecycled:        wl.ClustersRecycled,
 		ClusterResetFailures:    wl.ClusterResetFailures,
@@ -351,8 +339,5 @@ func ResetPerf() {
 	measureMemo.reset()
 	testbeds.Reset()
 	storageRigs.Reset()
-	analyticPoints.Store(0)
-	simulatedSpotchecks.Store(0)
-	analyticMaxRelErr.Store(0)
 	workload.ResetPerf()
 }

@@ -41,7 +41,7 @@ func TestPoisonedWirePoolDigests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := rep.Runs[0].Digest, "4234ccce87e5a8f3"; got != want {
+	if got, want := rep.Runs[0].Digest, storageDigest; got != want {
 		t.Errorf("storage digest %s with a poisoned wire pool, want the committed %s", got, want)
 	}
 

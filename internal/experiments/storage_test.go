@@ -9,12 +9,15 @@ import (
 	"repro/internal/core"
 )
 
+// storageDigest is the default storage sweep's committed digest, the
+// one the storage tests of this package check against.
+const storageDigest = "4234ccce87e5a8f3"
+
 // The default sweep reproduces its committed digest at 1 and 4 point
 // workers, and the 4-worker run simulates every point again instead of
 // replaying the first run: every run takes one rig per point. Fresh rigs
 // (recycling off) reproduce the digest too.
 func TestRunStorageDeterministic(t *testing.T) {
-	const committed = "4234ccce87e5a8f3"
 	ResetPerf()
 	rep, err := RunStorage(StorageConfig{Workers: []int{1, 4}})
 	if err != nil {
@@ -24,8 +27,8 @@ func TestRunStorageDeterministic(t *testing.T) {
 		t.Fatalf("storage sweep not deterministic: %+v", rep.Runs)
 	}
 	for _, r := range rep.Runs {
-		if r.Digest != committed {
-			t.Errorf("workers=%d digest %s, want the committed %s", r.Workers, r.Digest, committed)
+		if r.Digest != storageDigest {
+			t.Errorf("workers=%d digest %s, want the committed %s", r.Workers, r.Digest, storageDigest)
 		}
 	}
 	points := rep.Runs[0].Records
@@ -38,8 +41,8 @@ func TestRunStorageDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fresh.Runs[0].Digest != committed {
-			t.Errorf("fresh-rig digest %s, want the committed %s", fresh.Runs[0].Digest, committed)
+		if fresh.Runs[0].Digest != storageDigest {
+			t.Errorf("fresh-rig digest %s, want the committed %s", fresh.Runs[0].Digest, storageDigest)
 		}
 	})
 }
@@ -48,7 +51,6 @@ func TestRunStorageDeterministic(t *testing.T) {
 // memo off (the sweep subcommand's -nomemo regime) changes nothing: both
 // passes reproduce the committed digest and simulate every point.
 func TestRunStorageMemoOff(t *testing.T) {
-	const committed = "4234ccce87e5a8f3"
 	withPerfRegime(t, false, true, 0, func() {
 		rep, err := RunStorage(StorageConfig{Workers: []int{1, 4}})
 		if err != nil {
@@ -58,8 +60,8 @@ func TestRunStorageMemoOff(t *testing.T) {
 			t.Fatalf("memo-off storage sweep not deterministic: %+v", rep.Runs)
 		}
 		for _, r := range rep.Runs {
-			if r.Digest != committed {
-				t.Errorf("memo-off workers=%d digest %s, want the committed %s", r.Workers, r.Digest, committed)
+			if r.Digest != storageDigest {
+				t.Errorf("memo-off workers=%d digest %s, want the committed %s", r.Workers, r.Digest, storageDigest)
 			}
 		}
 		points := rep.Runs[0].Records

@@ -2,6 +2,7 @@ package pagecache
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -44,6 +45,7 @@ func pattern(seed, n int) []byte {
 type modelPage struct {
 	block      int
 	dirty      bool
+	shared     bool       // written back and clean since: the device holds the page by reference
 	prev, next *modelPage // most recent at head
 }
 
@@ -111,7 +113,7 @@ func (m *cacheModel) writeBack(p *modelPage) {
 	m.dev.Writes++
 	m.dev.BlocksWritten++
 	m.media[p.block] = slices.Clone(m.file[p.block])
-	p.dirty = false
+	p.dirty, p.shared = false, true
 	m.ndirty--
 	m.ct.Writebacks++
 }
@@ -229,6 +231,7 @@ func (m *cacheModel) writeRange(block, off int, data []byte) bool {
 		case p != nil:
 			m.ct.Hits++
 			m.front(p)
+			p.shared = false
 		case k == fuzzBS:
 			if !inDevice(pos) {
 				return false
@@ -303,161 +306,189 @@ func (m *cacheModel) drop() {
 // share ending shows as a media mismatch naming the block; every read
 // must return the file image, every request outside the device must
 // fail without a panic, and the cache and physical memory audits must
-// pass.
+// pass. Each script runs twice, once on the bytes plane and once on the
+// symbolic plane, each against its own model, and every failure names
+// the plane: on the bytes plane the device shares a written-back page's
+// store and the cache marks it shared, on the symbolic plane the device
+// keeps the page's runs by reference, and a later splice into the page
+// must leave them alone.
 func FuzzCacheScript(f *testing.F) {
 	f.Add([]byte{3, 2, 2, 7, 1, 5, 0, 9, 2, 3, 1, 4, 2, 1, 2, 8, 6})
 	f.Add([]byte{5, 0, 0, 1, 4, 2, 5, 2, 6, 0, 14, 5})
+	// Four pages, no threshold: write blocks 1-2 whole, Sync, then
+	// rewrite the shared block 2 in part and block 1 whole (op 9).
+	f.Add([]byte{3, 0, 0, 1, 2, 3, 1, 4, 6, 0, 9, 0, 0, 1, 10, 20, 7, 9, 0, 0, 0, 9})
+	// Two pages: write and Sync block 0, read blocks 4 and 5 to evict
+	// it, and read it back from the device.
+	f.Add([]byte{1, 0, 0, 2, 2, 2, 0, 6, 6, 0, 0, 6, 0, 0, 0, 7, 0, 0, 0, 2, 0, 63})
+	// Threshold 1 writes blocks 3-4 back as they are written; donate
+	// both, write into the donated frames (op 10), and read them back.
+	f.Add([]byte{4, 0, 1, 2, 2, 5, 1, 8, 10, 5, 1, 0, 5, 0, 127})
+	// Write part of block 4 (read ahead fills 5), Sync, rewrite part of
+	// it, Sync, Drop, and read blocks 4-5 back.
+	f.Add([]byte{3, 1, 0, 5, 1, 6, 3, 20, 12, 6, 0, 9, 0, 0, 1, 10, 4, 30, 6, 0, 7, 0, 0, 6, 0, 100})
 	f.Fuzz(func(t *testing.T, script []byte) {
-		r := &scriptReader{p: script}
-		cfg := Config{Pages: 1 + r.next()%6, ReadAhead: r.next() % 4, DirtyThreshold: r.next() % 5}
-		pm := mem.NewWithPlane(fuzzFrames, fuzzBS, mem.Bytes)
-		sys := vm.NewSystem(pm)
-		eng := sim.New()
-		dev, err := blockdev.New(eng, blockdev.Model{SeekUS: 5, FixedUS: 1}, fuzzBS, fuzzBlocks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := New(sys, dev, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := &cacheModel{cfg: cfg, pages: map[int]*modelPage{}, nextLBA: -1}
-		// load images the device with a fresh file; Load aliases its
-		// slice, so the model keeps copies.
-		load := func(seed int) {
-			m.file, m.media = make([][]byte, fuzzBlocks), make([][]byte, fuzzBlocks)
-			for b := range fuzzBlocks {
-				img := pattern(seed+b, fuzzBS)
-				if err := dev.Load(b, mem.BufBytes(img)); err != nil {
-					t.Fatal(err)
-				}
-				m.file[b], m.media[b] = slices.Clone(img), slices.Clone(img)
-			}
-		}
-		load(r.next())
-		for step := 0; len(r.p) > 0 && step < 64; step++ {
-			op, block := r.next()%11, r.next()%(fuzzBlocks+4)-2
-			var err error
-			ok := true
-			switch op {
-			case 0: // ReadRange
-				off, n := r.next()%(2*fuzzBS), 1+r.next()%(3*fuzzBS)
-				dst := make([]byte, n)
-				_, err = c.ReadRange(block, off, dst)
-				var want []byte
-				if want, ok = m.readRange(block, off, n); ok && err == nil && !bytes.Equal(dst, want) {
-					t.Fatalf("step %d: ReadRange(%d, %d, %d bytes) differs from the file image", step, block, off, n)
-				}
-			case 1, 2: // WriteRange, partial pages or whole ones
-				var off, n int
-				if op == 1 {
-					off, n = r.next()%fuzzBS, 1+r.next()%(2*fuzzBS)
-				} else {
-					n = (1 + r.next()%3) * fuzzBS
-				}
-				data := pattern(r.next(), n)
-				_, err = c.WriteRange(block, off, mem.BufBytes(data))
-				ok = m.writeRange(block, off, data)
-			case 3: // EnsureRange
-				count := r.next() % 5
-				_, err = c.EnsureRange(block, count)
-				for i := 0; ok && i < count; i++ {
-					_, ok = m.require(block + i)
-				}
-			case 4, 10: // TakeFrames; the frames go back to memory afterwards,
-				// written first by their new owner in op 10
-				frames := make([]*mem.Frame, 1+r.next()%4)
-				_, err = c.TakeFrames(block, frames)
-				if ok = m.takeFrames(block, len(frames)); ok && err == nil {
-					for i, fr := range frames {
-						if got := fr.ReadBuf(0, fuzzBS).Resolve(); !bytes.Equal(got, m.file[block+i]) {
-							t.Fatalf("step %d: taken frame of block %d differs from the file image", step, block+i)
-						}
-						if op == 10 {
-							fr.WriteAt(i, pattern(block+i+101, fuzzBS-i))
-						}
-						pm.Release(fr)
-					}
-				}
-			case 5: // WriteBackRange, possibly past either end
-				count := r.next() % 6
-				c.WriteBackRange(block, count)
-				m.writeBackRange(block, count)
-			case 6:
-				c.Sync()
-				m.flushDirty()
-			case 7:
-				c.Drop()
-				m.drop()
-			case 8: // system reset: dirty pages are lost with the old media
-				pm.Reset()
-				sys.Reset()
-				eng.Reset()
-				dev.Reset()
-				c.Reacquire()
-				*m = cacheModel{cfg: cfg, pages: map[int]*modelPage{}, nextLBA: -1}
-				load(r.next())
-			case 9: // rewrite a shared page, whole or in part; the block byte is unused
-				var shared []int
-				for e := c.head; e != nil; e = e.next {
-					if e.shared {
-						shared = append(shared, e.block)
-					}
-				}
-				pick, off, n := r.next(), 0, fuzzBS
-				if r.next()%2 == 1 {
-					off = r.next() % fuzzBS
-					n = 1 + r.next()%(fuzzBS-off)
-				}
-				data := pattern(r.next(), n)
-				if len(shared) == 0 {
-					break
-				}
-				block = shared[pick%len(shared)]
-				_, err = c.WriteRange(block, off, mem.BufBytes(data))
-				ok = m.writeRange(block, off, data)
-			}
-			if ok != (err == nil) {
-				t.Fatalf("step %d: op %d at block %d returned %v, model ok %t", step, op, block, err, ok)
-			}
-			checkAgainstModel(t, step, c, dev, pm, m)
+		for _, plane := range []mem.DataPlane{mem.Bytes, mem.Symbolic} {
+			runCacheScript(t, plane, script)
 		}
 	})
 }
 
+// runCacheScript decodes and runs one script on plane against a fresh
+// model.
+func runCacheScript(t *testing.T, plane mem.DataPlane, script []byte) {
+	t.Helper()
+	r := &scriptReader{p: script}
+	cfg := Config{Pages: 1 + r.next()%6, ReadAhead: r.next() % 4, DirtyThreshold: r.next() % 5}
+	pm := mem.NewWithPlane(fuzzFrames, fuzzBS, plane)
+	sys := vm.NewSystem(pm)
+	eng := sim.New()
+	dev, err := blockdev.New(eng, blockdev.Model{SeekUS: 5, FixedUS: 1}, fuzzBS, fuzzBlocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(sys, dev, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &cacheModel{cfg: cfg, pages: map[int]*modelPage{}, nextLBA: -1}
+	// load images the device with a fresh file; Load aliases its
+	// slice, so the model keeps copies.
+	load := func(seed int) {
+		m.file, m.media = make([][]byte, fuzzBlocks), make([][]byte, fuzzBlocks)
+		for b := range fuzzBlocks {
+			img := pattern(seed+b, fuzzBS)
+			if err := dev.Load(b, mem.BufBytes(img)); err != nil {
+				t.Fatalf("%s plane: %v", plane.Name(), err)
+			}
+			m.file[b], m.media[b] = slices.Clone(img), slices.Clone(img)
+		}
+	}
+	load(r.next())
+	for step := 0; len(r.p) > 0 && step < 64; step++ {
+		at := fmt.Sprintf("%s plane, step %d", plane.Name(), step)
+		op, block := r.next()%11, r.next()%(fuzzBlocks+4)-2
+		var err error
+		ok := true
+		switch op {
+		case 0: // ReadRange
+			off, n := r.next()%(2*fuzzBS), 1+r.next()%(3*fuzzBS)
+			dst := make([]byte, n)
+			_, err = c.ReadRange(block, off, dst)
+			var want []byte
+			if want, ok = m.readRange(block, off, n); ok && err == nil && !bytes.Equal(dst, want) {
+				t.Fatalf("%s: ReadRange(%d, %d, %d bytes) differs from the file image", at, block, off, n)
+			}
+		case 1, 2: // WriteRange, partial pages or whole ones
+			var off, n int
+			if op == 1 {
+				off, n = r.next()%fuzzBS, 1+r.next()%(2*fuzzBS)
+			} else {
+				n = (1 + r.next()%3) * fuzzBS
+			}
+			data := pattern(r.next(), n)
+			_, err = c.WriteRange(block, off, mem.BufBytes(data))
+			ok = m.writeRange(block, off, data)
+		case 3: // EnsureRange
+			count := r.next() % 5
+			_, err = c.EnsureRange(block, count)
+			for i := 0; ok && i < count; i++ {
+				_, ok = m.require(block + i)
+			}
+		case 4, 10: // TakeFrames; the frames go back to memory afterwards,
+			// written first by their new owner in op 10
+			frames := make([]*mem.Frame, 1+r.next()%4)
+			_, err = c.TakeFrames(block, frames)
+			if ok = m.takeFrames(block, len(frames)); ok && err == nil {
+				for i, fr := range frames {
+					if got := fr.ReadBuf(0, fuzzBS).Resolve(); !bytes.Equal(got, m.file[block+i]) {
+						t.Fatalf("%s: taken frame of block %d differs from the file image", at, block+i)
+					}
+					if op == 10 {
+						fr.WriteAt(i, pattern(block+i+101, fuzzBS-i))
+					}
+					pm.Release(fr)
+				}
+			}
+		case 5: // WriteBackRange, possibly past either end
+			count := r.next() % 6
+			c.WriteBackRange(block, count)
+			m.writeBackRange(block, count)
+		case 6:
+			c.Sync()
+			m.flushDirty()
+		case 7:
+			c.Drop()
+			m.drop()
+		case 8: // system reset: dirty pages are lost with the old media
+			pm.Reset()
+			sys.Reset()
+			eng.Reset()
+			dev.Reset()
+			c.Reacquire()
+			*m = cacheModel{cfg: cfg, pages: map[int]*modelPage{}, nextLBA: -1}
+			load(r.next())
+		case 9: // rewrite a shared page, whole or in part; the block byte is unused
+			var shared []int
+			for p := m.head; p != nil; p = p.next {
+				if p.shared {
+					shared = append(shared, p.block)
+				}
+			}
+			pick, off, n := r.next(), 0, fuzzBS
+			if r.next()%2 == 1 {
+				off = r.next() % fuzzBS
+				n = 1 + r.next()%(fuzzBS-off)
+			}
+			data := pattern(r.next(), n)
+			if len(shared) == 0 {
+				break
+			}
+			block = shared[pick%len(shared)]
+			_, err = c.WriteRange(block, off, mem.BufBytes(data))
+			ok = m.writeRange(block, off, data)
+		}
+		if ok != (err == nil) {
+			t.Fatalf("%s: op %d at block %d returned %v, model ok %t", at, op, block, err, ok)
+		}
+		checkAgainstModel(t, at, plane, c, dev, pm, m)
+	}
+}
+
 // checkAgainstModel compares the cache, its device and memory with the
-// model after one script step.
-func checkAgainstModel(t *testing.T, step int, c *Cache, dev *blockdev.Device, pm *mem.PhysMem, m *cacheModel) {
+// model after the script step at names. Only the bytes plane marks
+// shared entries; the symbolic plane's device keeps runs instead.
+func checkAgainstModel(t *testing.T, at string, plane mem.DataPlane, c *Cache, dev *blockdev.Device, pm *mem.PhysMem, m *cacheModel) {
 	t.Helper()
 	if c.Counters() != m.ct {
-		t.Fatalf("step %d: counters %+v, model %+v", step, c.Counters(), m.ct)
+		t.Fatalf("%s: counters %+v, model %+v", at, c.Counters(), m.ct)
 	}
 	if c.Resident() != len(m.pages) || c.Dirty() != m.ndirty {
-		t.Fatalf("step %d: resident %d dirty %d, model %d and %d", step, c.Resident(), c.Dirty(), len(m.pages), m.ndirty)
+		t.Fatalf("%s: resident %d dirty %d, model %d and %d", at, c.Resident(), c.Dirty(), len(m.pages), m.ndirty)
 	}
 	p := m.head
 	for e := c.head; e != nil || p != nil; e, p = e.next, p.next {
-		if e == nil || p == nil || e.block != p.block || c.isDirty(e) != p.dirty {
-			t.Fatalf("step %d: LRU order or dirty set differs from the model", step)
+		if e == nil || p == nil || e.block != p.block || c.isDirty(e) != p.dirty || e.shared != (p.shared && !plane.Symbolic()) {
+			t.Fatalf("%s: LRU order, dirty set or shared set differs from the model", at)
 		}
 		if got := e.frame.ReadBuf(0, fuzzBS).Resolve(); !bytes.Equal(got, m.file[e.block]) {
-			t.Fatalf("step %d: resident block %d differs from the file image", step, e.block)
+			t.Fatalf("%s: resident block %d differs from the file image", at, e.block)
 		}
 	}
 	ds := dev.Stats()
 	ds.BusyUS = 0
 	if ds != m.dev {
-		t.Fatalf("step %d: device stats %+v, model %+v", step, ds, m.dev)
+		t.Fatalf("%s: device stats %+v, model %+v", at, ds, m.dev)
 	}
 	for b := range fuzzBlocks {
 		if !bytes.Equal(dev.Peek(b).Resolve(), m.media[b]) {
-			t.Fatalf("step %d: media of block %d differs from the model", step, b)
+			t.Fatalf("%s: media of block %d differs from the model", at, b)
 		}
 	}
 	if err := c.CheckConservation(); err != nil {
-		t.Fatalf("step %d: %v", step, err)
+		t.Fatalf("%s: %v", at, err)
 	}
 	if err := pm.CheckInvariants(); err != nil {
-		t.Fatalf("step %d: %v", step, err)
+		t.Fatalf("%s: %v", at, err)
 	}
 }

@@ -57,9 +57,9 @@ type Recycler[K comparable, T interface{ Reset() error }] struct {
 }
 
 // maxRecycleKeys bounds the pairs one shelf keeps. It covers every
-// configuration one geniebench subcommand recycles (bigsweep, the
-// widest, uses 53), so none of their serial recycle counts depend on
-// it.
+// configuration one geniebench subcommand recycles (the default sweep,
+// the widest, uses 16), so none of their serial recycle counts depend
+// on it.
 const maxRecycleKeys = 64
 
 // shelf is one list of free objects and the counters of the calls that
