@@ -45,6 +45,9 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 		{"oversized cluster bytes", []string{"cluster", "-bytes", "70000"}, "-bytes"},
 		{"NaN cluster minspeedup", []string{"cluster", "-minspeedup", "NaN"}, "-minspeedup"},
 		{"negative cluster minspeedup", []string{"cluster", "-minspeedup", "-3"}, "-minspeedup"},
+		{"NaN workload minspeedup", []string{"workload", "-minspeedup", "NaN"}, "-minspeedup"},
+		{"negative workload minspeedup", []string{"workload", "-minspeedup", "-3"}, "-minspeedup"},
+		{"infinite workload minspeedup", []string{"workload", "-minspeedup", "+Inf"}, "-minspeedup"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

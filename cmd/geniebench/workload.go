@@ -132,6 +132,7 @@ func runWorkloadCmd(args []string, stdout, stderr io.Writer) int {
 	}{
 		{"clients", float64(*clients)}, {"ops", float64(*ops)}, {"msgbytes", float64(*msgBytes)},
 		{"think", *think}, {"pipeline", float64(*pipeline)}, {"streamrate", *streamRate}, {"rto", *rto},
+		{"minspeedup", *minSpeedup},
 	} {
 		if k.v < 0 || math.IsNaN(k.v) || math.IsInf(k.v, 0) {
 			return usageErrf(fs, stderr, "-%s must be finite and at least 0 (0 = default), got %v", k.flag, k.v)

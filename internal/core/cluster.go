@@ -158,6 +158,19 @@ func (c *Cluster) Reset() error {
 	return nil
 }
 
+// Drop ends the cluster's life: each host's physical memory hands its
+// page backing stores to mem's wire pool for the next build
+// (mem.PhysMem.Discard), and the cluster is left without hosts.
+// Nothing made on the cluster may be used afterwards, nor may the
+// cluster itself be Reset or run again. No host may carry a Storage,
+// whose device shares pages with the host's frames.
+func (c *Cluster) Drop() {
+	for _, h := range c.Hosts {
+		h.Phys.Discard()
+	}
+	c.Hosts = nil
+}
+
 // Run advances the whole cluster until no events remain on any shard,
 // returning the final cluster time.
 func (c *Cluster) Run() sim.Time { return c.Sim.Run() }

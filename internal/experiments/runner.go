@@ -26,7 +26,7 @@ type Runner struct {
 // of the lowest one — exactly the error the serial loop would have
 // returned. Indices beyond the first observed failure may be skipped.
 func (r Runner) ForEach(n int, fn func(i int) error) error {
-	return par.Each(n, r.Workers, fn)
+	return par.Each(n, r.Workers, func(_, i int) error { return fn(i) })
 }
 
 // defaultWorkers is the package-wide worker count: 0 selects

@@ -401,7 +401,7 @@ func (cfg StorageConfig) grid() []storageKey {
 func runStorageGrid(keys []storageKey, pw int) ([]StoragePoint, WorkerRun, error) {
 	start := time.Now()
 	points := make([]StoragePoint, len(keys))
-	err := par.Each(len(keys), pw, func(i int) error {
+	err := par.Each(len(keys), pw, func(_, i int) error {
 		var err error
 		points[i], err = runStoragePoint(keys[i])
 		return err

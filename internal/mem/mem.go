@@ -67,11 +67,16 @@ func (f *Frame) Data() []byte {
 }
 
 // touch materializes a bytes-plane frame's backing store on its first
-// write. Until then the frame reads as zeros, which is what a fresh
-// backing store holds.
+// write. Until then the frame reads as zeros, so the store is a page
+// from the wire pool, where a discarded machine's pages wait
+// (PhysMem.Discard), cleared of what its last owner left there.
 func (f *Frame) touch() {
 	if f.data == nil {
-		f.data = make([]byte, f.size)
+		p, fresh := getWire(f.size)
+		if !fresh {
+			clear(p)
+		}
+		f.data = p
 	}
 }
 
@@ -483,6 +488,27 @@ func (pm *PhysMem) Reset() {
 	pm.freeList = pm.freeList[:0]
 	pm.untouched = pm.numFrames - pm.reserved
 	pm.blocked = min(pm.blocked, pm.reserved)
+}
+
+// Discard ends pm's life: every materialized page backing store goes
+// to the wire pool (PutWire), where the next Frame.touch of any machine
+// takes it, and pm is left with no frames, so every allocation fails.
+// The caller must hold nothing that aliases pm's pages (a borrowed
+// buffer, a block device sharing a page) and must not use pm's frames
+// again.
+func (pm *PhysMem) Discard() {
+	for _, chunk := range pm.chunks {
+		if chunk == nil {
+			continue
+		}
+		for i := range chunk {
+			if p := chunk[i].data; p != nil {
+				chunk[i].data = nil
+				PutWire(p)
+			}
+		}
+	}
+	*pm = PhysMem{pageSize: pm.pageSize, plane: pm.plane}
 }
 
 // Readmit returns boot frame f to its state at Seal: attached, not

@@ -14,10 +14,15 @@ import (
 // receiver hands it back here and the next snapshot of that size class
 // reuses it instead of allocating.
 //
+// The same pool holds page backing stores: a discarded machine's pages
+// wait here (PhysMem.Discard) until a frame's first write takes one
+// (Frame.touch), so a cluster built after another is dropped writes its
+// pages without allocating.
+//
 // The pool is one sync.Pool per power-of-two class, safe for concurrent
 // use: sender and receiver may run on different cluster shard
 // goroutines. A pooled slice keeps its old contents; GetWire's caller
-// overwrites every byte it returns before anyone reads them.
+// overwrites or clears every byte it returns before anyone reads them.
 
 const (
 	minWireShift = 6  // smallest class: 64 bytes
@@ -39,17 +44,24 @@ func wireClass(n int) int {
 
 // GetWire returns an n-byte slice from the wire pool, allocating when
 // the pool has none free. Its contents are stale: the caller overwrites
-// all n bytes. Sizes above the largest class are plain allocations and
-// never enter the pool.
+// or clears all n bytes. Sizes above the largest class are plain
+// allocations and never enter the pool.
 func GetWire(n int) []byte {
+	p, _ := getWire(n)
+	return p
+}
+
+// getWire is GetWire, also reporting whether the slice is a new
+// allocation, and so all zero.
+func getWire(n int) (p []byte, fresh bool) {
 	c := wireClass(n)
 	if c > maxWireShift {
-		return make([]byte, n)
+		return make([]byte, n), true
 	}
 	if p, ok := wirePools[c].Get().(*byte); ok {
-		return unsafe.Slice(p, 1<<c)[:n]
+		return unsafe.Slice(p, 1<<c)[:n], false
 	}
-	return make([]byte, n, 1<<c)
+	return make([]byte, n, 1<<c), true
 }
 
 // Symbolic wire buffers: a symbolic snapshot's runs are immutable

@@ -22,6 +22,10 @@ var recyclingOff atomic.Bool
 // setting. While off, Get always builds and Put drops its object.
 func SetRecycling(on bool) (was bool) { return !recyclingOff.Swap(!on) }
 
+// Recycling reports whether recycling is on: whether a user of objects
+// it keeps for reuse should keep them (SetRecycling).
+func Recycling() bool { return !recyclingOff.Load() }
+
 // RecycleStats counts Recycler traffic.
 type RecycleStats struct {
 	Built         uint64 // objects constructed by Get
@@ -246,21 +250,23 @@ func (r *Recycler[K, T]) Reset() {
 	}
 }
 
-// Each calls fn(i) for every i in [0, n) across workers goroutines that
-// claim indices in increasing order; workers <= 0 means GOMAXPROCS, and
-// the count is clamped to [1, n]. With one worker the loop runs inline.
-// fn writes its result to caller-owned index-i storage, so distinct
-// indices never race. Each returns the error of the lowest failing index,
-// which is the error the serial loop returns. Every index below it runs;
-// indices above it may be skipped.
-func Each(n, workers int, fn func(i int) error) error {
+// Each calls fn(w, i) for every i in [0, n) across workers goroutines
+// that claim indices in increasing order; workers <= 0 means
+// GOMAXPROCS, and the count is clamped to [1, n]. w in [0, workers)
+// names the goroutine making the call, so fn may keep per-worker state
+// in caller-owned index-w storage. With one worker the loop runs inline
+// as worker 0. fn writes its result to caller-owned index-i storage, so
+// distinct indices never race. Each returns the error of the lowest
+// failing index, which is the error the serial loop returns. Every
+// index below it runs; indices above it may be skipped.
+func Each(n, workers int, fn func(w, i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = min(workers, n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
+			if err := fn(0, i); err != nil {
 				return err
 			}
 		}
@@ -277,7 +283,7 @@ func Each(n, workers int, fn func(i int) error) error {
 	next.Store(-1)
 	errIdx.Store(int64(n))
 	wg.Add(workers)
-	for k := 0; k < workers; k++ {
+	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for {
@@ -285,7 +291,7 @@ func Each(n, workers int, fn func(i int) error) error {
 				if i >= int64(n) || i > errIdx.Load() {
 					return
 				}
-				if err := fn(int(i)); err != nil {
+				if err := fn(w, int(i)); err != nil {
 					mu.Lock()
 					if i < errIdx.Load() {
 						errIdx.Store(i)

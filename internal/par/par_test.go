@@ -302,7 +302,7 @@ func TestEachErrorDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		for round := 0; round < 20; round++ {
 			var ran [n]atomic.Bool
-			err := Each(n, workers, func(i int) error {
+			err := Each(n, workers, func(_, i int) error {
 				ran[i].Store(true)
 				if i == 17 || i == 40 {
 					return fmt.Errorf("index %d failed", i)
@@ -322,15 +322,16 @@ func TestEachErrorDeterminism(t *testing.T) {
 }
 
 // Each clamps its workers to [1, n] (<= 0 meaning GOMAXPROCS), runs a
-// single worker inline on the caller's goroutine, and covers every
-// index exactly once. Goroutines left over from earlier calls may still
-// be exiting, which can only lower the count against base, so the
-// checks are upper bounds.
+// single worker inline on the caller's goroutine as worker 0, covers
+// every index exactly once, and names each call's worker by an index
+// below the clamped count that no concurrent call shares. Goroutines
+// left over from earlier calls may still be exiting, which can only
+// lower the count against base, so the checks are upper bounds.
 func TestEachClampsWorkers(t *testing.T) {
 	base := runtime.NumGoroutine()
 	inline := true
-	if err := Each(5, 1, func(int) error {
-		inline = inline && runtime.NumGoroutine() <= base
+	if err := Each(5, 1, func(w, _ int) error {
+		inline = inline && runtime.NumGoroutine() <= base && w == 0
 		return nil
 	}); err != nil || !inline {
 		t.Errorf("one worker: err %v, ran inline %v", err, inline)
@@ -342,9 +343,17 @@ func TestEachClampsWorkers(t *testing.T) {
 		{100, -1, runtime.GOMAXPROCS(0)},
 	} {
 		var hits [100]atomic.Int32
+		busy := make([]atomic.Bool, tc.max)
 		var peak atomic.Int64
 		base := runtime.NumGoroutine()
-		err := Each(tc.n, tc.workers, func(i int) error {
+		err := Each(tc.n, tc.workers, func(w, i int) error {
+			if w < 0 || w >= tc.max {
+				return fmt.Errorf("index %d: worker %d outside [0, %d)", i, w, tc.max)
+			}
+			if busy[w].Swap(true) {
+				return fmt.Errorf("index %d: worker %d already in a call", i, w)
+			}
+			defer busy[w].Store(false)
 			hits[i].Add(1)
 			for g := int64(runtime.NumGoroutine() - base); ; {
 				p := peak.Load()
@@ -370,7 +379,7 @@ func TestEachClampsWorkers(t *testing.T) {
 
 func TestEachEmpty(t *testing.T) {
 	for _, workers := range []int{0, 1, 4} {
-		if err := Each(0, workers, func(int) error {
+		if err := Each(0, workers, func(int, int) error {
 			t.Fatal("fn called for n = 0")
 			return nil
 		}); err != nil {

@@ -140,13 +140,13 @@ func (c *foClient) leg(op int) {
 }
 
 // runFanOut executes one fan-out operating point.
-func runFanOut(cfg Config, sem core.Semantics, depth int, load float64, workers int) (*pointRaw, error) {
+func runFanOut(slot *clusterSlot, cfg Config, sem core.Semantics, depth int, load float64, workers int) (*pointRaw, error) {
 	hosts := cfg.Clients + 1
-	c, release, err := clusterFor(cfg, depth, cfg.Clients, topo.Incast(hosts), workers)
+	c, err := clusterFor(slot, cfg, clusterDepth(cfg, depth), cfg.Clients, topo.Incast(hosts), workers)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
+	defer slot.done()
 	client := c.Host(0).Genie.NewProcess()
 
 	fo := &foClient{eng: c.Sim.Shard(0), cfg: cfg, load: load}

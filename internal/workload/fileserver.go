@@ -164,12 +164,12 @@ func (c *fsClient) next(op int) {
 }
 
 // runFileServer executes one file-server operating point.
-func runFileServer(cfg Config, sem core.Semantics, depth int, load float64, workers int) (*pointRaw, error) {
-	c, release, err := clusterFor(cfg, depth, cfg.Clients, topo.Incast(cfg.Clients+1), workers)
+func runFileServer(slot *clusterSlot, cfg Config, sem core.Semantics, depth int, load float64, workers int) (*pointRaw, error) {
+	c, err := clusterFor(slot, cfg, clusterDepth(cfg, depth), cfg.Clients, topo.Incast(cfg.Clients+1), workers)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
+	defer slot.done()
 	return fileServerOn(c, cfg, sem, depth, load)
 }
 

@@ -11,16 +11,18 @@ import (
 
 // pointMallocs runs one file-server point on a warm recycled cluster
 // and returns the mallocs and bytes allocated per request: the point
-// runs twice first, so its cluster, channel records and VM storage are
-// all warm, and the third run is measured.
+// runs twice first on one point worker's slot, so its cluster, channel
+// records and VM storage are all warm, and the third run is measured.
 func pointMallocs(t *testing.T, sem core.Semantics, depth int) (mallocs, bytes float64) {
 	t.Helper()
 	cfg, err := Config{Clients: 8, Ops: 24}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
+	var slot clusterSlot
+	defer slot.drop()
 	run := func() *pointRaw {
-		raw, err := runFileServer(cfg, sem, depth, 1, 1)
+		raw, err := runFileServer(&slot, cfg, sem, depth, 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +89,7 @@ func TestFileServerPointMallocs(t *testing.T) {
 
 // TestFileServerPointRecords: a host pays Go memory only for the frames
 // a run touches. Each warm recycled file-server point below (depth 16,
-// every semantics, on one cluster the recycler hands back every time)
+// every semantics, on the one cluster a point worker's slot holds)
 // lends kernel-pool pages from the top of the pool, frames [0, KP) of
 // its host, and allocates frames from KP up. So every frame handed out
 // lies in [KP - pool high water, frames high water), and each host's
@@ -104,9 +106,11 @@ func TestFileServerPointRecords(t *testing.T) {
 	hosts := cfg.Clients + 1
 	lo, hi := make([]int, hosts), make([]int, hosts) // frames handed out, over every run
 	var cluster *core.Cluster
+	var slot clusterSlot
+	defer slot.drop()
 	for run := range 2 {
 		for _, sem := range core.AllSemantics() {
-			c, release, err := clusterFor(cfg, depth, cfg.Clients, topo.Incast(hosts), 1)
+			c, err := clusterFor(&slot, cfg, depth, cfg.Clients, topo.Incast(hosts), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,7 +120,7 @@ func TestFileServerPointRecords(t *testing.T) {
 					lo[i] = c.Host(i).Genie.KernelPool().Total()
 				}
 			} else if c != cluster {
-				t.Fatalf("run %d %v: the recycler built a second cluster", run, sem)
+				t.Fatalf("run %d %v: the slot built a second cluster", run, sem)
 			}
 			if _, err := fileServerOn(c, cfg, sem, depth, 1); err != nil {
 				t.Fatal(err)
@@ -130,7 +134,7 @@ func TestFileServerPointRecords(t *testing.T) {
 				lo[i] = min(lo[i], kp.Total()-kp.HighWater())
 				hi[i] = max(hi[i], h.Phys.HighWater())
 			}
-			release()
+			slot.done()
 		}
 	}
 	built, frames := 0, 0

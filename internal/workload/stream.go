@@ -98,14 +98,12 @@ func (s *streamSender) onSettled(seq uint32, acked bool) {
 }
 
 // runStream executes one streaming operating point.
-func runStream(cfg Config, sem core.Semantics, depth int, load float64, workers int) (*pointRaw, error) {
-	// The swept depth is the sender-side queue; the channel window is
-	// sized out of the way so the queue is the binding constraint.
-	c, release, err := clusterFor(cfg, 4*cfg.Window+8, 1, topo.Pair(), workers)
+func runStream(slot *clusterSlot, cfg Config, sem core.Semantics, depth int, load float64, workers int) (*pointRaw, error) {
+	c, err := clusterFor(slot, cfg, clusterDepth(cfg, depth), 1, topo.Pair(), workers)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
+	defer slot.done()
 	sender := c.Host(0).Genie.NewProcess()
 	receiver := c.Host(1).Genie.NewProcess()
 	rSnd, rRcv, err := c.ConnectReliable(sender, receiver, sem, cfg.MsgBytes, cfg.Window, relConfig(cfg))

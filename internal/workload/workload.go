@@ -26,10 +26,12 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
 	"slices"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/digest"
@@ -300,9 +302,11 @@ type gridPoint struct {
 // results land in index-i storage, so after the fan-out the digest is
 // folded serially in canonical grid order: the Result (Digest included)
 // is byte-identical to the serial sweep at any point-worker count.
-// workers is the in-cluster shard-advance worker count each point's
-// cluster engine uses — a different axis entirely, and equally unable
-// to perturb results.
+// Points run in cluster-configuration order, and each point worker
+// holds at most one cluster, which the run drops before it returns, on
+// the error path too (see clusterSlot). workers is the in-cluster
+// shard-advance worker count each point's cluster engine uses — a
+// different axis entirely, and equally unable to perturb results.
 func RunParallel(cfg Config, workers, pointWorkers int) (*Result, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -316,10 +320,24 @@ func RunParallel(cfg Config, workers, pointWorkers int) (*Result, error) {
 			}
 		}
 	}
+	order := make([]int, len(grid))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(clusterDepth(cfg, grid[a].depth), clusterDepth(cfg, grid[b].depth))
+	})
+	slots := make([]clusterSlot, min(ResolvePointWorkers(pointWorkers), len(grid)))
+	defer func() {
+		for i := range slots {
+			slots[i].drop()
+		}
+	}()
 	raws := make([]*pointRaw, len(grid))
-	err = par.Each(len(grid), pointWorkers, func(i int) error {
+	err = par.Each(len(order), pointWorkers, func(w, k int) error {
+		i := order[k]
 		g := grid[i]
-		raw, err := computePoint(cfg, g.sem, g.depth, g.load, workers)
+		raw, err := computePoint(&slots[w], cfg, g.sem, g.depth, g.load, workers)
 		if err != nil {
 			return fmt.Errorf("workload: %s %s depth=%d load=%v: %w",
 				cfg.Scenario, g.sem, g.depth, g.load, err)
@@ -344,6 +362,7 @@ func RunParallel(cfg Config, workers, pointWorkers int) (*Result, error) {
 	d.Addf("workload %s clients=%d ops=%d msg=%d seed=%d\n",
 		cfg.Scenario, cfg.Clients, cfg.Ops, cfg.MsgBytes, cfg.Seed)
 	heaviest := slices.Max(cfg.Loads)
+	q := stats.NewQuantiles(0) // every point's latencies, in turn
 	idx := 0
 	for range cfg.Semantics {
 		g := grid[idx]
@@ -351,7 +370,7 @@ func RunParallel(cfg Config, workers, pointWorkers int) (*Result, error) {
 		for range cfg.Depths {
 			for range cfg.Loads {
 				g = grid[idx]
-				pt := makePoint(cfg, g.depth, g.load, raws[idx])
+				pt := makePoint(q, cfg, g.depth, g.load, raws[idx])
 				foldPoint(d, g.sem.String(), &pt, raws[idx])
 				scheme.Points = append(scheme.Points, pt)
 				if g.load == heaviest && !pt.Bimodal && scheme.TransitionDepth < 0 {
@@ -377,15 +396,16 @@ func ResolvePointWorkers(pw int) int {
 	return pw
 }
 
-// computePoint dispatches one operating point to its scenario runner.
-func computePoint(cfg Config, sem core.Semantics, depth int, load float64, workers int) (*pointRaw, error) {
+// computePoint dispatches one operating point to its scenario runner,
+// which takes its cluster from slot.
+func computePoint(slot *clusterSlot, cfg Config, sem core.Semantics, depth int, load float64, workers int) (*pointRaw, error) {
 	switch cfg.Scenario {
 	case FileServer:
-		return runFileServer(cfg, sem, depth, load, workers)
+		return runFileServer(slot, cfg, sem, depth, load, workers)
 	case Stream:
-		return runStream(cfg, sem, depth, load, workers)
+		return runStream(slot, cfg, sem, depth, load, workers)
 	case FanOut:
-		return runFanOut(cfg, sem, depth, load, workers)
+		return runFanOut(slot, cfg, sem, depth, load, workers)
 	}
 	return nil, fmt.Errorf("workload: unknown scenario %q", cfg.Scenario)
 }
@@ -396,9 +416,10 @@ func computePoint(cfg Config, sem core.Semantics, depth int, load float64, worke
 // multi-millisecond RTO mode into an otherwise sub-millisecond latency
 // population) or when the tail itself is stretched (p99 at least 3×
 // p50); a point that completed nothing is bimodal by definition, being
-// the degenerate far side of the transition.
-func makePoint(cfg Config, depth int, load float64, raw *pointRaw) Point {
-	q := stats.NewQuantiles(0)
+// the degenerate far side of the transition. q collects the latencies;
+// makePoint resets it first.
+func makePoint(q *stats.Quantiles, cfg Config, depth int, load float64, raw *pointRaw) Point {
+	q.Reset()
 	var bytes, completed, failed uint64
 	last := 0.0
 	for _, c := range raw.clients {
@@ -503,12 +524,25 @@ func pagesPerMsg(msgBytes, pageSize int) int {
 	return (msgBytes + 64 + pageSize - 1) / pageSize
 }
 
-// clusterFor acquires the operating point's cluster — a warm Reset one
-// from the recycler's free list when available, a freshly built one
-// otherwise (the two simulate bit-identically) — and returns it with
-// the release function that Resets it back onto the free list. The
-// caller must invoke release after collecting every stat it needs; the
-// cluster and everything created on it are dead afterwards.
+// clusterDepth is the depth, in messages across the hot host's
+// channels, that a point's cluster is sized for (clusterFor's
+// depthMsgs): the swept depth, except in the stream scenario, whose
+// swept depth is the sender-side queue and whose channel window is
+// sized out of the way so the queue is the binding constraint. Within
+// one sweep it is the only part of a point's cluster configuration that
+// varies.
+func clusterDepth(cfg Config, depth int) int {
+	if cfg.Scenario == Stream {
+		return 4*cfg.Window + 8
+	}
+	return depth
+}
+
+// clusterFor takes the operating point's cluster from slot — the held
+// one, Reset, when its configuration matches, a fresh build otherwise
+// (the two simulate bit-identically). The caller must call slot.done
+// after collecting every stat it needs; whatever it created on the
+// cluster is dead afterwards.
 //
 // The receive path is
 // the paper's early-demultiplexing architecture: every preposted
@@ -523,7 +557,7 @@ func pagesPerMsg(msgBytes, pageSize int) int {
 // (depthMsgs, in messages, across endpoints channels on the hottest
 // host): the sweep must bind at the window, not at an accidental
 // allocator ceiling.
-func clusterFor(cfg Config, depthMsgs, endpoints int, spec topo.Spec, workers int) (*core.Cluster, func(), error) {
+func clusterFor(slot *clusterSlot, cfg Config, depthMsgs, endpoints int, spec topo.Spec, workers int) (*core.Cluster, error) {
 	gcfg := core.DefaultConfig()
 	pageSize := 4096
 	ppm := pagesPerMsg(cfg.MsgBytes, pageSize)
@@ -541,17 +575,14 @@ func clusterFor(cfg Config, depthMsgs, endpoints int, spec topo.Spec, workers in
 		Topo:    spec,
 		Workers: workers,
 	}
-	key := keyFor(ccfg)
-	c, err := clusters.Get(key, func() (*core.Cluster, error) { return core.NewCluster(ccfg) })
+	c, err := slot.take(keyFor(ccfg), func() (*core.Cluster, error) { return core.NewCluster(ccfg) })
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	release := func() { clusters.Put(key, c) }
 	if got := c.Host(0).Genie.KernelPool().PageSize(); got != pageSize {
-		release()
-		return nil, nil, fmt.Errorf("workload: unexpected page size %d", got)
+		return nil, fmt.Errorf("workload: unexpected page size %d", got)
 	}
-	return c, release, nil
+	return c, nil
 }
 
 // collectHost reads one host's high-water marks and stat structs into
@@ -566,13 +597,50 @@ func collectCluster(raw *pointRaw, c *core.Cluster, hotHost int) {
 	}
 	raw.kernelHWM = h.Genie.KernelPool().HighWater()
 	raw.framesHWM = h.Phys.HighWater()
+	var buf [512]byte
 	for i := 0; i < c.Size(); i++ {
 		hi := c.Host(i)
-		raw.hostStats = append(raw.hostStats,
-			fmt.Sprintf("nic=%+v genie=%+v", hi.NIC.Stats(), hi.Genie.Stats()))
-		s := hi.NIC.Stats()
-		raw.drops += s.Dropped + s.PoolFailures + hi.Genie.Stats().Dropped
+		nic, g := hi.NIC.Stats(), hi.Genie.Stats()
+		raw.hostStats = append(raw.hostStats, string(appendHostStats(buf[:0], nic, g)))
+		raw.drops += nic.Dropped + nic.PoolFailures + g.Dropped
 	}
+}
+
+// appendHostStats appends the bytes fmt.Sprintf("nic=%+v genie=%+v",
+// nic, g) makes, field by field and without reflection.
+func appendHostStats(b []byte, nic netsim.Stats, g core.Stats) []byte {
+	b = appendField(b, "nic={TxFrames:", nic.TxFrames)
+	b = appendField(b, " RxFrames:", nic.RxFrames)
+	b = appendField(b, " TxBytes:", nic.TxBytes)
+	b = appendField(b, " RxBytes:", nic.RxBytes)
+	b = appendField(b, " Delivered:", nic.Delivered)
+	b = appendField(b, " Dropped:", nic.Dropped)
+	b = appendField(b, " PoolFailures:", nic.PoolFailures)
+	b = appendField(b, " Retried:", nic.Retried)
+	b = appendField(b, " WireDrops:", nic.WireDrops)
+	b = appendField(b, " WireDups:", nic.WireDups)
+	b = appendField(b, " WireReorders:", nic.WireReorders)
+	b = appendField(b, " WireCorrupts:", nic.WireCorrupts)
+	b = appendField(b, "} genie={Outputs:", g.Outputs)
+	b = appendField(b, " Inputs:", g.Inputs)
+	b = appendField(b, " ConvertedToCopy:", g.ConvertedToCopy)
+	b = appendField(b, " SwappedPages:", g.SwappedPages)
+	b = appendField(b, " ReverseCopyouts:", g.ReverseCopyouts)
+	b = appendField(b, " PartialCopyouts:", g.PartialCopyouts)
+	b = appendField(b, " FullCopyouts:", g.FullCopyouts)
+	b = appendField(b, " AlignedInputs:", g.AlignedInputs)
+	b = appendField(b, " UnalignedInputs:", g.UnalignedInputs)
+	b = appendField(b, " RegionsReused:", g.RegionsReused)
+	b = appendField(b, " RegionsAllocated:", g.RegionsAllocated)
+	b = appendField(b, " RegionsRemapped:", g.RegionsRemapped)
+	b = appendField(b, " Dropped:", g.Dropped)
+	b = appendField(b, " RPCOrphans:", g.RPCOrphans)
+	return append(b, '}')
+}
+
+// appendField appends label and then v in decimal.
+func appendField(b []byte, label string, v uint64) []byte {
+	return strconv.AppendUint(append(b, label...), v, 10)
 }
 
 // relConfig is the reliable-channel configuration every scenario uses:
