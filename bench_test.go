@@ -116,31 +116,19 @@ func BenchmarkFigureOutboard(b *testing.B) {
 	}
 }
 
-// BenchmarkTable6 regenerates the primitive-operation cost fits from
-// instrumented sweeps.
-func BenchmarkTable6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table6(experiments.Setup{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable7 regenerates the estimated-versus-actual latency table.
-func BenchmarkTable7(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table7(experiments.Setup{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable8 regenerates the cross-platform scaling table.
-func BenchmarkTable8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table8(); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkExperiments regenerates every registered figure, table and
+// ablation from the zero Setup, one sub-benchmark each
+// (BenchmarkExperiments/Table_6, BenchmarkExperiments/Ablation:_wiring,
+// ...).
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.Experiments {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Run(experiments.Setup{}, experiments.Runner{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -156,64 +144,6 @@ func BenchmarkOC12(b *testing.B) {
 	}
 }
 
-// Ablation benches (DESIGN.md Section 5).
-
-func BenchmarkAblationWiring(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationWiring(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationAlignment(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationAlignment(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationThresholds(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationThresholds(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationReverseCopyout(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationReverseCopyout(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationOutputProtection(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationOutputProtection(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationPageout(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationPageout(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationChecksum(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationChecksum(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // Performance of the reproduction itself: the following benchmarks time
 // the harness, not the simulated hardware. BenchmarkSweepSerial and
 // BenchmarkSweepParallel regenerate the same Figure 3 sweep (8 semantics
@@ -224,18 +154,14 @@ func BenchmarkAblationChecksum(b *testing.B) {
 
 func benchSweep(b *testing.B, workers int) {
 	b.Helper()
-	prev := experiments.Parallelism()
-	experiments.SetParallelism(workers)
-	defer func() {
-		experiments.SetParallelism(prev)
-		experiments.ResetPerf()
-	}()
+	defer experiments.ResetPerf()
+	r := experiments.Runner{Workers: workers}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Start each iteration from a cold cache and empty free lists so
 		// the benchmark measures the simulation fan-out, not memo lookups.
 		experiments.ResetPerf()
-		if _, err := experiments.Figure3(experiments.Setup{}); err != nil {
+		if _, err := experiments.Figure3(experiments.Setup{}, r); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -281,32 +207,9 @@ func BenchmarkMeasureColdVsRecycled(b *testing.B) {
 func BenchmarkFullRunCachedVsUncached(b *testing.B) {
 	fullRun := func(b *testing.B) {
 		b.Helper()
-		for _, f := range []func(experiments.Setup) (experiments.Figure, error){
-			experiments.Figure3, experiments.Figure4, experiments.Figure5,
-			experiments.Figure6, experiments.Figure7, experiments.FigureOutboard,
-		} {
-			if _, err := f(experiments.Setup{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for _, f := range []func(experiments.Setup) (experiments.Table, error){
-			experiments.Figure3Throughput, experiments.Table6, experiments.Table7,
-		} {
-			if _, err := f(experiments.Setup{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for _, f := range []func() (experiments.Table, error){
-			experiments.Table8, experiments.TableOC12,
-			func() (experiments.Table, error) { return experiments.TableThroughput(cost.CreditNetOC3) },
-			func() (experiments.Table, error) { return experiments.TableThroughput(cost.CreditNetOC12) },
-			experiments.AblationWiring, experiments.AblationAlignment,
-			experiments.AblationThresholds, experiments.AblationReverseCopyout,
-			experiments.AblationOutputProtection, experiments.AblationChecksum,
-			experiments.AblationPageout,
-		} {
-			if _, err := f(); err != nil {
-				b.Fatal(err)
+		for _, e := range experiments.Experiments {
+			if _, err := e.Run(experiments.Setup{}, experiments.Runner{}); err != nil {
+				b.Fatalf("%s: %v", e.Name, err)
 			}
 		}
 	}
@@ -403,10 +306,14 @@ func BenchmarkSweepSymbolicVsBytes(b *testing.B) {
 			}()
 			experiments.ResetPerf()
 			s := experiments.Setup{Scheme: netsim.EarlyDemux, Plane: arm.plane}
+			var probes []experiments.Probe
+			for _, n := range lengths {
+				probes = append(probes, experiments.Probe{Setup: s, Sem: core.Copy, Bytes: n})
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.Sweep(s, core.Copy, lengths); err != nil {
+				if _, err := (experiments.Runner{}).MeasureAll(probes); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -25,12 +25,13 @@
 // Regenerates every table and figure of the paper's evaluation next to
 // the published values. -figures/-tables/-ablations restrict the
 // sections; -csv writes figure CSVs; -trace captures one traced
-// exemplar per figure as Chrome trace_event JSON. Measurement points
-// fan out across -parallel workers (any count produces byte-identical
-// output), identical points are memoized, and testbeds are recycled;
-// -nomemo and -norecycle restore the cold path. -dataplane selects
-// symbolic or materialized payload bytes — output is identical either
-// way.
+// exemplar per figure as Chrome trace_event JSON. Every experiment runs
+// from one base setup on one runner: its measurement points fan out
+// across -parallel workers (any count produces byte-identical output),
+// and every testbed it simulates on, its own included, uses the
+// -dataplane representation, symbolic or materialized payload bytes —
+// output is identical either way. Identical points are memoized and
+// testbeds are recycled; -nomemo and -norecycle restore the cold path.
 //
 // # cluster
 //

@@ -8,15 +8,12 @@ import (
 	"repro/internal/experiments"
 )
 
-// runCLI invokes run() with captured streams, restoring the harness's
-// parallelism and counters afterwards (subcommands restore the memo and
-// recycling switches themselves).
+// runCLI invokes run() with captured streams, resetting the harness's
+// counters afterwards (subcommands restore the memo and recycling
+// switches themselves).
 func runCLI(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
-	defer func() {
-		experiments.SetParallelism(0)
-		experiments.ResetPerf()
-	}()
+	defer experiments.ResetPerf()
 	var stdout, stderr bytes.Buffer
 	code := run(args, &stdout, &stderr)
 	return code, stdout.String(), stderr.String()
@@ -43,6 +40,8 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 		{"zero cluster bytes", []string{"cluster", "-bytes", "0"}, "-bytes"},
 		{"negative cluster bytes", []string{"cluster", "-bytes", "-5"}, "-bytes"},
 		{"oversized cluster bytes", []string{"cluster", "-bytes", "70000"}, "-bytes"},
+		{"trace bytes past the largest frame", []string{"trace", "-bytes", "65536"}, "-bytes must be in [1, 65535]"},
+		{"oversized trace bytes", []string{"trace", "-bytes", "1000000"}, "-bytes"},
 		{"NaN cluster minspeedup", []string{"cluster", "-minspeedup", "NaN"}, "-minspeedup"},
 		{"negative cluster minspeedup", []string{"cluster", "-minspeedup", "-3"}, "-minspeedup"},
 		{"NaN workload minspeedup", []string{"workload", "-minspeedup", "NaN"}, "-minspeedup"},

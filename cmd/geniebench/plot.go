@@ -18,21 +18,21 @@ func runPlotCmd(args []string, stdout, stderr io.Writer) int {
 		return 2 // flag package already printed the error and usage
 	}
 	known := *which == 0
-	for _, pf := range paperFigures {
-		known = known || pf.id == *which
+	for _, e := range experiments.Experiments {
+		known = known || e.Fig == *which
 	}
 	if !known {
 		return usageErrf(fs, stderr, "-fig: no figure %d (3, 4, 5, 6, 7; 0 = all)", *which)
 	}
-	for _, pf := range paperFigures {
-		if *which != 0 && *which != pf.id {
+	for _, e := range experiments.Experiments {
+		if e.Fig == 0 || (*which != 0 && *which != e.Fig) {
 			continue
 		}
-		fig, err := pf.gen(experiments.Setup{})
+		out, err := e.Run(experiments.Setup{}, experiments.Runner{})
 		if err != nil {
 			return failf(stderr, err)
 		}
-		fig.Plot(stdout, experiments.DefaultPlot)
+		out.Figure.Plot(stdout, experiments.DefaultPlot)
 		fmt.Fprintln(stdout)
 	}
 	return 0

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/experiments"
 	"repro/internal/mem"
 	"repro/internal/netsim"
@@ -19,21 +18,12 @@ import (
 	"repro/internal/trace"
 )
 
-// generator is one named figure or table producer.
-type generator struct {
-	name    string
-	section string // "figures", "tables", or "ablations"
-	fig     func() (experiments.Figure, error)
-	tab     func() (experiments.Table, error)
-}
-
-// result is one generator's outcome, as written to the -json report.
+// result is one experiment's outcome, as written to the -json report.
 type result struct {
-	Name    string              `json:"name"`
-	Section string              `json:"section"`
-	WallMS  float64             `json:"wall_ms"`
-	Figure  *experiments.Figure `json:"figure,omitempty"`
-	Table   *experiments.Table  `json:"table,omitempty"`
+	Name    string  `json:"name"`
+	Section string  `json:"section"`
+	WallMS  float64 `json:"wall_ms"`
+	experiments.Output
 }
 
 // report is the top-level -json document, written so future PRs can
@@ -49,90 +39,15 @@ type report struct {
 	Results     []result              `json:"results"`
 }
 
-// paperFigures lists the paper's Figures 3-7 in order: sweep prints
-// them and writes them as CSV, and plot draws them.
-var paperFigures = []struct {
-	id  int
-	gen func(experiments.Setup) (experiments.Figure, error)
-}{
-	{3, experiments.Figure3},
-	{4, experiments.Figure4},
-	{5, experiments.Figure5},
-	{6, experiments.Figure6},
-	{7, experiments.Figure7},
-}
-
-// generators lists every figure, table, and ablation in print order.
-func generators() []generator {
-	fig := func(name string, f func(experiments.Setup) (experiments.Figure, error)) generator {
-		return generator{name: name, section: "figures",
-			fig: func() (experiments.Figure, error) { return f(experiments.Setup{}) }}
-	}
-	tabS := func(name, section string, f func(experiments.Setup) (experiments.Table, error)) generator {
-		return generator{name: name, section: section,
-			tab: func() (experiments.Table, error) { return f(experiments.Setup{}) }}
-	}
-	tab := func(name, section string, f func() (experiments.Table, error)) generator {
-		return generator{name: name, section: section, tab: f}
-	}
-	var gens []generator
-	for _, pf := range paperFigures {
-		gens = append(gens, fig(fmt.Sprintf("Figure %d", pf.id), pf.gen))
-	}
-	return append(gens,
-		fig("Outboard (predicted)", experiments.FigureOutboard),
-		tabS("Figure 3 (throughput)", "figures", experiments.Figure3Throughput),
-		tab("Table 1", "tables", func() (experiments.Table, error) { return experiments.Table1(), nil }),
-		tab("Table 5", "tables", func() (experiments.Table, error) { return experiments.Table5(), nil }),
-		tabS("Table 6", "tables", experiments.Table6),
-		tabS("Table 7", "tables", experiments.Table7),
-		tab("Table 8", "tables", experiments.Table8),
-		tab("OC-12 prediction", "tables", experiments.TableOC12),
-		tab("Throughput (OC-3)", "tables", func() (experiments.Table, error) {
-			return experiments.TableThroughput(cost.CreditNetOC3)
-		}),
-		tab("Throughput (OC-12)", "tables", func() (experiments.Table, error) {
-			return experiments.TableThroughput(cost.CreditNetOC12)
-		}),
-		tab("Ablation: wiring", "ablations", experiments.AblationWiring),
-		tab("Ablation: alignment", "ablations", experiments.AblationAlignment),
-		tab("Ablation: thresholds", "ablations", experiments.AblationThresholds),
-		tab("Ablation: reverse copyout", "ablations", experiments.AblationReverseCopyout),
-		tab("Ablation: output protection", "ablations", experiments.AblationOutputProtection),
-		tab("Ablation: checksum", "ablations", experiments.AblationChecksum),
-		tab("Ablation: pageout", "ablations", experiments.AblationPageout),
-	)
-}
-
-// run executes one generator, timing its wall clock.
-func (g generator) run() (result, error) {
-	r := result{Name: g.name, Section: g.section}
+// runExperiment runs e from base on r, timing its wall clock.
+func runExperiment(e experiments.Experiment, base experiments.Setup, r experiments.Runner) (result, error) {
 	start := time.Now()
-	switch {
-	case g.fig != nil:
-		f, err := g.fig()
-		if err != nil {
-			return result{}, fmt.Errorf("%s: %w", g.name, err)
-		}
-		r.Figure = &f
-	default:
-		t, err := g.tab()
-		if err != nil {
-			return result{}, fmt.Errorf("%s: %w", g.name, err)
-		}
-		r.Table = &t
+	out, err := e.Run(base, r)
+	if err != nil {
+		return result{}, fmt.Errorf("%s: %w", e.Name, err)
 	}
-	r.WallMS = float64(time.Since(start).Microseconds()) / 1000
-	return r, nil
-}
-
-func (r result) render(w io.Writer) {
-	if r.Figure != nil {
-		r.Figure.Render(w)
-	} else if r.Table != nil {
-		r.Table.Render(w)
-	}
-	fmt.Fprintln(w)
+	return result{Name: e.Name, Section: e.Section, Output: out,
+		WallMS: float64(time.Since(start).Microseconds()) / 1000}, nil
 }
 
 // runSweepCmd is the default subcommand: regenerate the paper's
@@ -170,10 +85,9 @@ func runSweepCmd(args []string, stdout, stderr io.Writer) int {
 	}
 	all := !*figures && !*tables && !*ablations && *tracePath == ""
 
-	experiments.SetParallelism(*parallel)
+	base, r := experiments.Setup{Plane: plane}, experiments.Runner{Workers: *parallel}
 	defer experiments.SetMemo(experiments.SetMemo(!*nomemo))
 	defer par.SetRecycling(par.SetRecycling(!*norecycle))
-	experiments.SetDataPlane(plane)
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -187,7 +101,7 @@ func runSweepCmd(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *csvDir != "" {
-		if err := writeCSVs(*csvDir); err != nil {
+		if err := writeCSVs(*csvDir, base, r); err != nil {
 			return failf(stderr, err)
 		}
 	}
@@ -211,18 +125,19 @@ func runSweepCmd(args []string, stdout, stderr io.Writer) int {
 
 	start := time.Now()
 	var results []result
-	for _, g := range generators() {
-		// -json tracks every generator; printing honors the section flags.
-		if *jsonPath == "" && !wantSection(g.section) {
+	for _, e := range experiments.Experiments {
+		// -json tracks every experiment; printing honors the section flags.
+		if *jsonPath == "" && !wantSection(e.Section) {
 			continue
 		}
-		r, err := g.run()
+		res, err := runExperiment(e, base, r)
 		if err != nil {
 			return failf(stderr, err)
 		}
-		results = append(results, r)
-		if wantSection(g.section) {
-			r.render(stdout)
+		results = append(results, res)
+		if wantSection(e.Section) {
+			res.Render(stdout)
+			fmt.Fprintln(stdout)
 		}
 	}
 
@@ -319,21 +234,25 @@ func writeTrace(path string, stderr io.Writer) error {
 	return nil
 }
 
-// writeCSVs regenerates the five figures and writes them as CSV files.
-func writeCSVs(dir string) error {
+// writeCSVs regenerates the paper's Figures 3-7 from base on r and
+// writes them as CSV files.
+func writeCSVs(dir string, base experiments.Setup, r experiments.Runner) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	for _, pf := range paperFigures {
-		fig, err := pf.gen(experiments.Setup{})
+	for _, e := range experiments.Experiments {
+		if e.Fig == 0 {
+			continue
+		}
+		out, err := e.Run(base, r)
 		if err != nil {
 			return err
 		}
-		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("figure%d.csv", pf.id)))
+		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("figure%d.csv", e.Fig)))
 		if err != nil {
 			return err
 		}
-		fig.CSV(f)
+		out.Figure.CSV(f)
 		if err := f.Close(); err != nil {
 			return err
 		}

@@ -46,8 +46,8 @@ func runTraceCmd(args []string, stdout, stderr io.Writer) int {
 	default:
 		return usageErrf(fs, stderr, "-scheme: unknown scheme %q (early, pooled, outboard)", *scheme)
 	}
-	if *length < 1 {
-		return usageErrf(fs, stderr, "-bytes must be at least 1, got %d", *length)
+	if *length < 1 || *length > netsim.MaxFrame {
+		return usageErrf(fs, stderr, "-bytes must be in [1, %d], got %d", netsim.MaxFrame, *length)
 	}
 	if *devOff < 0 {
 		return usageErrf(fs, stderr, "-devoff must not be negative, got %d", *devOff)

@@ -16,86 +16,74 @@ import (
 // AblationWiring quantifies what input-disabled pageout buys: the
 // emulated semantics differ from their basic counterparts exactly by the
 // wire/unwire costs (the paper cites ~35 us for the first page).
-func AblationWiring() (Table, error) {
-	s := Setup{Scheme: netsim.EarlyDemux}
+func AblationWiring(s Setup, r Runner) (Table, error) {
+	s = s.env()
+	s.Scheme = netsim.EarlyDemux
 	t := Table{
 		ID:     "Ablation: wiring vs input-disabled pageout",
 		Title:  "Latency saved by replacing region wiring with input-disabled pageout",
 		Header: []string{"pair", "bytes", "wired us", "unwired us", "saved us"},
 	}
-	pairs := []struct {
-		wired, unwired core.Semantics
-	}{
+	pairs := [][2]core.Semantics{
 		{core.Share, core.EmulatedShare},
 		{core.WeakMove, core.EmulatedWeakMove},
 	}
 	lengths := []int{4096, 61440}
-	rows := make([][]string, len(pairs)*len(lengths))
-	err := runner().ForEach(len(rows), func(i int) error {
-		pair := pairs[i/len(lengths)]
-		b := lengths[i%len(lengths)]
-		mw, err := Measure(s, pair.wired, b)
-		if err != nil {
-			return err
+	var probes []Probe
+	for _, pair := range pairs {
+		for _, b := range lengths {
+			probes = append(probes, Probe{s, pair[0], b}, Probe{s, pair[1], b})
 		}
-		mu, err := Measure(s, pair.unwired, b)
-		if err != nil {
-			return err
-		}
-		rows[i] = []string{
-			fmt.Sprintf("%v -> %v", pair.wired, pair.unwired),
-			fmt.Sprint(b),
-			fmt.Sprintf("%.0f", mw.LatencyUS),
-			fmt.Sprintf("%.0f", mu.LatencyUS),
-			fmt.Sprintf("%.0f", mw.LatencyUS-mu.LatencyUS),
-		}
-		return nil
-	})
+	}
+	ms, err := r.MeasureAll(probes)
 	if err != nil {
 		return Table{}, err
 	}
-	t.Rows = rows
+	for i := 0; i < len(ms); i += 2 {
+		mw, mu := ms[i], ms[i+1]
+		t.Rows = append(t.Rows, []string{
+			fmt.Sprintf("%v -> %v", probes[i].Sem, probes[i+1].Sem),
+			fmt.Sprint(mw.Bytes),
+			fmt.Sprintf("%.0f", mw.LatencyUS),
+			fmt.Sprintf("%.0f", mu.LatencyUS),
+			fmt.Sprintf("%.0f", mw.LatencyUS-mu.LatencyUS),
+		})
+	}
 	return t, nil
 }
 
 // AblationAlignment turns system input alignment off (the traditional
 // practice of allocating system buffers without regard to application
 // buffer alignment) and shows emulated copy degrading to copyout.
-func AblationAlignment() (Table, error) {
+func AblationAlignment(s Setup, r Runner) (Table, error) {
 	t := Table{
 		ID:     "Ablation: system input alignment",
 		Title:  "Emulated copy input with and without system input alignment (early demux, unaligned app buffer)",
 		Header: []string{"bytes", "aligned us", "no-alignment us", "penalty us"},
 	}
-	off := core.DefaultConfig()
-	on := core.DefaultConfig()
-	off.SystemAlignment = false
-	lengths := []int{8192, 24576, 61440}
-	rows := make([][]string, len(lengths))
-	err := runner().ForEach(len(lengths), func(i int) error {
-		b := lengths[i]
-		// App buffer at page offset 1000: only system alignment makes
-		// swapping possible.
-		mOn, err := Measure(Setup{Scheme: netsim.EarlyDemux, AppOffset: 1000, Genie: on}, core.EmulatedCopy, b)
-		if err != nil {
-			return err
-		}
-		mOff, err := Measure(Setup{Scheme: netsim.EarlyDemux, AppOffset: 1000, Genie: off}, core.EmulatedCopy, b)
-		if err != nil {
-			return err
-		}
-		rows[i] = []string{
-			fmt.Sprint(b),
-			fmt.Sprintf("%.0f", mOn.LatencyUS),
-			fmt.Sprintf("%.0f", mOff.LatencyUS),
-			fmt.Sprintf("%.0f", mOff.LatencyUS-mOn.LatencyUS),
-		}
-		return nil
-	})
+	// App buffer at page offset 1000: only system alignment makes
+	// swapping possible.
+	on := s.env()
+	on.Scheme, on.AppOffset, on.Genie = netsim.EarlyDemux, 1000, core.DefaultConfig()
+	off := on
+	off.Genie.SystemAlignment = false
+	var probes []Probe
+	for _, b := range []int{8192, 24576, 61440} {
+		probes = append(probes, Probe{on, core.EmulatedCopy, b}, Probe{off, core.EmulatedCopy, b})
+	}
+	ms, err := r.MeasureAll(probes)
 	if err != nil {
 		return Table{}, err
 	}
-	t.Rows = rows
+	for i := 0; i < len(ms); i += 2 {
+		mOn, mOff := ms[i], ms[i+1]
+		t.Rows = append(t.Rows, []string{
+			fmt.Sprint(mOn.Bytes),
+			fmt.Sprintf("%.0f", mOn.LatencyUS),
+			fmt.Sprintf("%.0f", mOff.LatencyUS),
+			fmt.Sprintf("%.0f", mOff.LatencyUS-mOn.LatencyUS),
+		})
+	}
 	return t, nil
 }
 
@@ -103,7 +91,7 @@ func AblationAlignment() (Table, error) {
 // threshold and shows why converting short outputs to copy semantics
 // wins: below ~1.5 KB, copyin is cheaper than TCOW protection plus the
 // receive-side copyout of a short fill.
-func AblationThresholds() (Table, error) {
+func AblationThresholds(s Setup, r Runner) (Table, error) {
 	t := Table{
 		ID:     "Ablation: output conversion threshold",
 		Title:  "Emulated copy latency under different copy-conversion thresholds",
@@ -114,7 +102,7 @@ func AblationThresholds() (Table, error) {
 		c.EmCopyOutputThreshold = threshold
 		return c
 	}
-	rows, err := thresholdRows([]int{256, 1024, 1536, 2048, 4096}, []int{0, 1666, 4096}, mk)
+	rows, err := thresholdRows(s, r, []int{256, 1024, 1536, 2048, 4096}, []int{0, 1666, 4096}, mk)
 	if err != nil {
 		return Table{}, err
 	}
@@ -123,27 +111,26 @@ func AblationThresholds() (Table, error) {
 }
 
 // thresholdRows measures emulated copy across a lengths × thresholds
-// grid, one worker task per grid cell, and assembles one row per length.
-func thresholdRows(lengths, thresholds []int, mk func(threshold int) core.Config) ([][]string, error) {
-	lats := make([]float64, len(lengths)*len(thresholds))
-	err := runner().ForEach(len(lats), func(i int) error {
-		b := lengths[i/len(thresholds)]
-		th := thresholds[i%len(thresholds)]
-		m, err := Measure(Setup{Scheme: netsim.EarlyDemux, Genie: mk(th)}, core.EmulatedCopy, b)
-		if err != nil {
-			return err
+// grid, one probe per grid cell, and assembles one row per length.
+func thresholdRows(s Setup, r Runner, lengths, thresholds []int, mk func(threshold int) core.Config) ([][]string, error) {
+	s = s.env()
+	s.Scheme = netsim.EarlyDemux
+	var probes []Probe
+	for _, b := range lengths {
+		for _, th := range thresholds {
+			s.Genie = mk(th)
+			probes = append(probes, Probe{s, core.EmulatedCopy, b})
 		}
-		lats[i] = m.LatencyUS
-		return nil
-	})
+	}
+	ms, err := r.MeasureAll(probes)
 	if err != nil {
 		return nil, err
 	}
 	rows := make([][]string, len(lengths))
 	for li, b := range lengths {
 		row := []string{fmt.Sprint(b)}
-		for ti := range thresholds {
-			row = append(row, fmt.Sprintf("%.0f", lats[li*len(thresholds)+ti]))
+		for _, m := range ms[li*len(thresholds) : (li+1)*len(thresholds)] {
+			row = append(row, fmt.Sprintf("%.0f", m.LatencyUS))
 		}
 		rows[li] = row
 	}
@@ -153,7 +140,7 @@ func thresholdRows(lengths, thresholds []int, mk func(threshold int) core.Config
 // AblationReverseCopyout sweeps the reverse copyout threshold: set to a
 // full page ("never"), partial fills are always copied; set to zero
 // ("always"), even tiny fills pay a page completion plus swap.
-func AblationReverseCopyout() (Table, error) {
+func AblationReverseCopyout(s Setup, r Runner) (Table, error) {
 	t := Table{
 		ID:     "Ablation: reverse copyout threshold",
 		Title:  "Emulated copy latency for partial-page fills under different reverse-copyout thresholds",
@@ -164,7 +151,7 @@ func AblationReverseCopyout() (Table, error) {
 		c.ReverseCopyoutThreshold = threshold
 		return c
 	}
-	rows, err := thresholdRows([]int{1800, 2048, 2500, 3000, 3800}, []int{1, 2178, 4097}, mk)
+	rows, err := thresholdRows(s, r, []int{1800, 2048, 2500, 3000, 3800}, []int{1, 2178, 4097}, mk)
 	if err != nil {
 		return Table{}, err
 	}
@@ -176,7 +163,9 @@ func AblationReverseCopyout() (Table, error) {
 // an application that overwrites its buffer while output is pending:
 // copy semantics pays a copy always; TCOW pays one only on conflict and
 // never stalls; share pays nothing and corrupts the output.
-func AblationOutputProtection() (Table, error) {
+func AblationOutputProtection(s Setup, r Runner) (Table, error) {
+	s = s.env()
+	s.Scheme = netsim.EarlyDemux
 	t := Table{
 		ID:     "Ablation: output protection schemes",
 		Title:  "Overwrite-during-output behaviour across output schemes (4 pages)",
@@ -185,9 +174,9 @@ func AblationOutputProtection() (Table, error) {
 	const length = 4 * 4096
 	sems := []core.Semantics{core.Copy, core.EmulatedCopy, core.EmulatedShare}
 	rows := make([][]string, len(sems))
-	err := runner().ForEach(len(sems), func(i int) error {
+	err := r.ForEach(len(sems), func(i int) error {
 		sem := sems[i]
-		tb, err := core.NewTestbed(core.TestbedConfig{Buffering: netsim.EarlyDemux})
+		tb, err := newTestbed(s, measureTestbedConfig(s))
 		if err != nil {
 			return err
 		}
@@ -250,7 +239,7 @@ func AblationOutputProtection() (Table, error) {
 // buffer involved, passing data by VM manipulation and then reading it
 // for checksumming beats a combined read-and-write pass — and only the
 // separate pass preserves copy semantics on verification failure.
-func AblationChecksum() (Table, error) {
+func AblationChecksum(s Setup, r Runner) (Table, error) {
 	t := Table{
 		ID:     "Ablation: checksum integration",
 		Title:  "Checksummed input strategies at 60 KB (early demultiplexing)",
@@ -258,15 +247,16 @@ func AblationChecksum() (Table, error) {
 	}
 	const n = 15 * 4096
 	run := func(mode core.ChecksumMode, sem core.Semantics) (float64, bool, error) {
-		cfg := core.DefaultConfig()
-		cfg.Checksum = mode
+		cs := s.env()
+		cs.Scheme, cs.Genie = netsim.EarlyDemux, core.DefaultConfig()
+		cs.Genie.Checksum = mode
 		// Good-path latency.
-		m, err := Measure(Setup{Scheme: netsim.EarlyDemux, Genie: cfg}, sem, n)
+		m, err := Measure(cs, sem, n)
 		if err != nil {
 			return 0, false, err
 		}
 		// Failure-path behaviour: corrupt a frame and check the buffer.
-		tb, err := core.NewTestbed(core.TestbedConfig{Buffering: netsim.EarlyDemux, Genie: cfg})
+		tb, err := newTestbed(cs, measureTestbedConfig(cs))
 		if err != nil {
 			return 0, false, err
 		}
@@ -311,7 +301,7 @@ func AblationChecksum() (Table, error) {
 		{"emulated copy + read pass", core.ChecksumSeparate, core.EmulatedCopy},
 	}
 	rows := make([][]string, len(cases))
-	err := runner().ForEach(len(cases), func(i int) error {
+	err := r.ForEach(len(cases), func(i int) error {
 		c := cases[i]
 		lat, intact, err := run(c.mode, c.sem)
 		if err != nil {
@@ -330,13 +320,15 @@ func AblationChecksum() (Table, error) {
 // AblationPageout demonstrates input-disabled pageout end to end: a
 // pageout daemon storm during pending I/O never touches input pages and
 // never corrupts output data, with no wiring in the emulated semantics.
-func AblationPageout() (Table, error) {
+func AblationPageout(s Setup, _ Runner) (Table, error) {
+	s = s.env()
+	s.Scheme = netsim.EarlyDemux
 	t := Table{
 		ID:     "Ablation: pageout during I/O",
 		Title:  "Pageout daemon pressure during pending emulated-semantics I/O (4 pages)",
 		Header: []string{"moment", "evictable pages", "paged out", "data intact"},
 	}
-	tb, err := core.NewTestbed(core.TestbedConfig{Buffering: netsim.EarlyDemux})
+	tb, err := newTestbed(s, measureTestbedConfig(s))
 	if err != nil {
 		return Table{}, err
 	}

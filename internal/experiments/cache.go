@@ -272,8 +272,9 @@ var measureMemo = newMemo()
 var testbeds par.Recycler[core.TestbedConfig, *core.Testbed]
 
 // PerfStats is a snapshot of the harness's own performance counters:
-// the pairwise measurement memo and the recyclers of the pairwise,
-// workload and storage sweeps.
+// the pairwise measurement memo and the recyclers of the pairwise and
+// storage sweeps. The workload sweep's cluster counters are
+// workload.Perf's.
 type PerfStats struct {
 	// CacheHits counts Measure calls served by the memo.
 	CacheHits uint64 `json:"cache_hits"`
@@ -291,15 +292,6 @@ type PerfStats struct {
 	// ResetFailures counts testbeds dropped because Reset failed; always
 	// zero unless a simulation leaked state.
 	ResetFailures uint64 `json:"reset_failures,omitempty"`
-	// ClustersBuilt counts multi-host clusters constructed from scratch
-	// for workload sweep points.
-	ClustersBuilt uint64 `json:"clusters_built,omitempty"`
-	// ClustersRecycled counts workload sweep points served by a Reset
-	// cluster from a recycler shelf instead of a fresh construction.
-	ClustersRecycled uint64 `json:"clusters_recycled,omitempty"`
-	// ClusterResetFailures counts clusters dropped because Reset failed;
-	// always zero unless a simulation leaked state.
-	ClusterResetFailures uint64 `json:"cluster_reset_failures,omitempty"`
 	// StorageRigsBuilt counts testbed+storage rigs constructed from
 	// scratch for storage sweep points.
 	StorageRigsBuilt uint64 `json:"storage_rigs_built,omitempty"`
@@ -314,7 +306,6 @@ type PerfStats struct {
 // Perf returns a snapshot of the package-wide performance counters.
 func Perf() PerfStats {
 	tbs, rigs := testbeds.Stats(), storageRigs.Stats()
-	wl := workload.Perf()
 	hits, misses := measureMemo.counts()
 	return PerfStats{
 		CacheHits:               hits,
@@ -322,9 +313,6 @@ func Perf() PerfStats {
 		TestbedsBuilt:           tbs.Built,
 		TestbedsRecycled:        tbs.Recycled,
 		ResetFailures:           tbs.ResetFailures,
-		ClustersBuilt:           wl.ClustersBuilt,
-		ClustersRecycled:        wl.ClustersRecycled,
-		ClusterResetFailures:    wl.ClusterResetFailures,
 		StorageRigsBuilt:        rigs.Built,
 		StorageRigsRecycled:     rigs.Recycled,
 		StorageRigResetFailures: rigs.ResetFailures,

@@ -240,8 +240,10 @@ func runRingOnce(cfg ClusterBenchConfig, workers int) (WorkerRun, float64, error
 func finishClusterRun(c *core.Cluster, d *digest.Digest, start time.Time) (WorkerRun, float64) {
 	final := float64(c.Run())
 	elapsed := time.Since(start)
+	var buf [512]byte
 	for i := 0; i < c.Size(); i++ {
-		d.Addf("host%d nic=%+v genie=%+v\n", i, c.Host(i).NIC.Stats(), c.Host(i).Genie.Stats())
+		h := c.Host(i)
+		d.Addf("host%d %s\n", i, string(core.AppendHostStats(buf[:0], h.NIC.Stats(), h.Genie.Stats())))
 	}
 	d.Addf("final=%x\n", final)
 	return WorkerRun{Digest: d.Hex(), Records: d.Records(), ElapsedSec: elapsed.Seconds()}, final

@@ -120,7 +120,7 @@ func TestFigure6And7Throughput(t *testing.T) {
 // operation costs (and hence the paper's Table 6) essentially exactly,
 // because charges are deterministic and linear.
 func TestTable6Recovery(t *testing.T) {
-	fits, err := fitOps(Setup{}, []int{4096, 16384, 32768, 49152, 61440})
+	fits, err := fitOps(Setup{}, Runner{}, []int{4096, 16384, 32768, 49152, 61440})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,11 +200,19 @@ func TestTable7AgainstPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full simulated Table 7 regeneration is slow")
 	}
-	opFits, err := fitOps(Setup{}, lengths)
+	opFits, err := fitOps(Setup{}, Runner{}, lengths)
 	if err != nil {
 		t.Fatal(err)
 	}
-	emShareFit, err := latencyFit(Setup{Scheme: netsim.EarlyDemux}, core.EmulatedShare, lengths)
+	// actualFit fits one semantics' simulated early-demux sweep.
+	actualFit := func(sem core.Semantics) (stats.Fit, error) {
+		ms, err := Runner{}.MeasureAll(sweepProbes(early, []core.Semantics{sem}, lengths))
+		if err != nil {
+			return stats.Fit{}, err
+		}
+		return latencyFit(ms)
+	}
+	emShareFit, err := actualFit(core.EmulatedShare)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +240,7 @@ func TestTable7AgainstPaper(t *testing.T) {
 
 	// Internal consistency: composed estimates match the measured fits.
 	for _, sem := range core.AllSemantics() {
-		act, err := latencyFit(Setup{Scheme: netsim.EarlyDemux}, sem, lengths)
+		act, err := actualFit(sem)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +273,7 @@ func TestTable8Scaling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three-platform fits are slow")
 	}
-	tbl, err := Table8()
+	tbl, err := Table8(Setup{}, Runner{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +326,7 @@ func TestRenderers(t *testing.T) {
 	if !strings.Contains(t1.String(), "ATM") {
 		t.Error("Table 1 missing ATM row")
 	}
-	fig, err := sweepFigure(Setup{Scheme: netsim.EarlyDemux}, "F", "test", "us",
+	fig, err := sweepFigure(Setup{Scheme: netsim.EarlyDemux}, Runner{}, "F", "test", "us",
 		[]int{4096, 8192}, latencyUS)
 	if err != nil {
 		t.Fatal(err)
@@ -340,7 +348,7 @@ func TestRenderers(t *testing.T) {
 
 // TestAblations smoke-tests every ablation and their headline claims.
 func TestAblations(t *testing.T) {
-	wiring, err := AblationWiring()
+	wiring, err := AblationWiring(Setup{}, Runner{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +363,7 @@ func TestAblations(t *testing.T) {
 		t.Errorf("wiring ablation saved %.0f us on first page, paper cites ~35", saved)
 	}
 
-	align, err := AblationAlignment()
+	align, err := AblationAlignment(Setup{}, Runner{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +378,7 @@ func TestAblations(t *testing.T) {
 		t.Errorf("alignment ablation: no-alignment penalty %.0f us at 60 KB, expected >800", b-a)
 	}
 
-	th, err := AblationThresholds()
+	th, err := AblationThresholds(Setup{}, Runner{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +395,7 @@ func TestAblations(t *testing.T) {
 		t.Errorf("threshold ablation: no-conversion %.0f <= converted %.0f at 256 B", noConv, paper)
 	}
 
-	rc, err := AblationReverseCopyout()
+	rc, err := AblationReverseCopyout(Setup{}, Runner{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +416,7 @@ func TestAblations(t *testing.T) {
 	}
 	_ = always
 
-	prot, err := AblationOutputProtection()
+	prot, err := AblationOutputProtection(Setup{}, Runner{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +427,7 @@ func TestAblations(t *testing.T) {
 		t.Error("share output unexpectedly intact under overwrite")
 	}
 
-	po, err := AblationPageout()
+	po, err := AblationPageout(Setup{}, Runner{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,60 +3,57 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/cost"
 )
 
-// TestGeneratorsEndToEnd exercises every figure and table generator the
-// geniebench command uses, checking structural sanity of each artifact.
+// TestGeneratorsEndToEnd runs every registered experiment from the zero
+// Setup, checking structural sanity of each artifact.
 func TestGeneratorsEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full generator suite is slow")
 	}
-	var s Setup
-
-	figures := []struct {
-		name string
-		gen  func(Setup) (Figure, error)
-	}{
-		{"Figure3", Figure3}, {"Figure4", Figure4}, {"Figure5", Figure5},
-		{"Figure6", Figure6}, {"Figure7", Figure7}, {"Outboard", FigureOutboard},
-	}
-	for _, f := range figures {
-		fig, err := f.gen(s)
+	tables := map[string]*Table{}
+	for _, e := range Experiments {
+		out, err := e.Run(Setup{}, Runner{})
 		if err != nil {
-			t.Fatalf("%s: %v", f.name, err)
+			t.Fatalf("%s: %v", e.Name, err)
 		}
+		if (out.Figure == nil) == (out.Table == nil) {
+			t.Fatalf("%s: want exactly one of a figure and a table", e.Name)
+		}
+		if e.Fig != 0 && out.Figure == nil {
+			t.Errorf("%s: paper figure %d is not a figure", e.Name, e.Fig)
+		}
+		if out.Table != nil {
+			tables[e.Name] = out.Table
+			continue
+		}
+		fig := out.Figure
 		if len(fig.Series) != 8 {
-			t.Errorf("%s: %d series, want 8", f.name, len(fig.Series))
+			t.Errorf("%s: %d series, want 8", e.Name, len(fig.Series))
 		}
 		for _, series := range fig.Series {
 			if len(series.Points) == 0 {
-				t.Errorf("%s/%s: empty series", f.name, series.Label)
+				t.Errorf("%s/%s: empty series", e.Name, series.Label)
 			}
 			for _, p := range series.Points {
 				if p.Value <= 0 {
-					t.Errorf("%s/%s: nonpositive value at %d bytes", f.name, series.Label, p.Bytes)
+					t.Errorf("%s/%s: nonpositive value at %d bytes", e.Name, series.Label, p.Bytes)
 				}
 			}
 		}
 		if !strings.Contains(fig.String(), "emulated copy") {
-			t.Errorf("%s: render missing series", f.name)
+			t.Errorf("%s: render missing series", e.Name)
 		}
 	}
-
-	thr, err := Figure3Throughput(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(thr.Rows) != 8 {
-		t.Errorf("throughput rows = %d", len(thr.Rows))
+	if len(Experiments) != 22 {
+		t.Errorf("%d experiments registered, want 22", len(Experiments))
 	}
 
-	t6, err := Table6(s)
-	if err != nil {
-		t.Fatal(err)
+	if n := len(tables["Figure 3 (throughput)"].Rows); n != 8 {
+		t.Errorf("throughput rows = %d", n)
 	}
+
+	t6 := tables["Table 6"]
 	if len(t6.Rows) < 20 {
 		t.Errorf("Table 6 rows = %d, want >= 20 ops", len(t6.Rows))
 	}
@@ -71,27 +68,13 @@ func TestGeneratorsEndToEnd(t *testing.T) {
 		t.Errorf("only %d Table 6 rows match the paper exactly", matches)
 	}
 
-	t7, err := Table7(s)
-	if err != nil {
-		t.Fatal(err)
+	if n := len(tables["Table 7"].Rows); n != 16 {
+		t.Errorf("Table 7 rows = %d, want 16 (E and A per semantics)", n)
 	}
-	if len(t7.Rows) != 16 {
-		t.Errorf("Table 7 rows = %d, want 16 (E and A per semantics)", len(t7.Rows))
+	if n := len(tables["OC-12 prediction"].Rows); n != 8 {
+		t.Errorf("OC-12 rows = %d", n)
 	}
-
-	oc12, err := TableOC12()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(oc12.Rows) != 8 {
-		t.Errorf("OC-12 rows = %d", len(oc12.Rows))
-	}
-
-	tp, err := TableThroughput(cost.CreditNetOC3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range tp.Rows {
+	for _, row := range tables["Throughput (OC-3)"].Rows {
 		if row[5] != "wire" {
 			t.Errorf("OC-3 streaming: %s bottleneck %q, want wire", row[0], row[5])
 		}

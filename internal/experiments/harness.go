@@ -44,9 +44,13 @@ type Setup struct {
 	// numbers are identical to an untraced run: tracing reads the
 	// simulation, it never perturbs it.
 	Tracer *trace.Tracer
-	// Plane pins the data-plane representation for this setup's
-	// testbeds; nil takes the package default (symbolic — see
-	// SetDataPlane). Measurements are byte-identical on either plane.
+	// Plane is the data-plane representation of this setup's testbeds;
+	// nil is the symbolic plane. Figure and table generation never reads
+	// payload contents except to verify delivery, which the symbolic
+	// plane answers from provenance descriptors, and the cost model
+	// charges on lengths, never contents, so measurements are
+	// byte-identical on either plane
+	// (TestFullSetByteIdenticalAcrossRegimes).
 	Plane mem.DataPlane
 	// Faults configures seeded deterministic fault injection on the
 	// point's testbeds. The zero spec disables injection; a seed-only
@@ -65,6 +69,33 @@ func (s Setup) model() *cost.Model {
 		return cost.Baseline()
 	}
 	return s.Model
+}
+
+// plane resolves the setup's data plane: nil is the symbolic plane.
+func (s Setup) plane() mem.DataPlane {
+	if s.Plane == nil {
+		return mem.Symbolic
+	}
+	return s.Plane
+}
+
+// env returns the part of s every experiment measures under, whatever
+// configuration it sets itself: the cost model, data plane, fault spec
+// and tracer.
+func (s Setup) env() Setup {
+	return Setup{Model: s.Model, Plane: s.Plane, Faults: s.Faults, Tracer: s.Tracer}
+}
+
+// newTestbed builds a fresh testbed from cfg with s's tracer attached,
+// for the experiments that drive a testbed themselves instead of
+// through Measure.
+func newTestbed(s Setup, cfg core.TestbedConfig) (*core.Testbed, error) {
+	tb, err := core.NewTestbed(cfg)
+	if err != nil {
+		return nil, err
+	}
+	tb.SetTracer(s.Tracer)
+	return tb, nil
 }
 
 // bufPool recycles the payload and verification buffers across
@@ -313,23 +344,4 @@ func PageSweep(pageSize int) []int {
 func ShortSweep() []int {
 	return []int{64, 128, 256, 512, 768, 1024, 1280, 1536, 1792, 2048,
 		2304, 2560, 3072, 3584, 4096, 5120, 6144, 7168, 8192}
-}
-
-// Sweep measures one semantics across the given lengths, fanning the
-// points across the package worker pool. Results are index-ordered, so
-// the output is identical to the serial loop.
-func Sweep(s Setup, sem core.Semantics, lengths []int) ([]Measurement, error) {
-	out := make([]Measurement, len(lengths))
-	err := runner().ForEach(len(lengths), func(i int) error {
-		m, err := Measure(s, sem, lengths[i])
-		if err != nil {
-			return err
-		}
-		out[i] = m
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

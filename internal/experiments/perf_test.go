@@ -14,101 +14,90 @@ import (
 	"repro/internal/trace"
 )
 
-// withPerfRegime runs f with the memo, recycling, and parallelism
-// pinned, from a cold memo and empty free lists, restoring the previous
-// configuration afterwards.
-func withPerfRegime(t *testing.T, memo, recycle bool, workers int, f func()) {
+// withPerfRegime runs f with the memo and recycling pinned, from a
+// cold memo and empty free lists, restoring the previous configuration
+// afterwards.
+func withPerfRegime(t *testing.T, memo, recycle bool, f func()) {
 	t.Helper()
-	prevMemo, prevRecycle, prevWorkers := SetMemo(memo), par.SetRecycling(recycle), Parallelism()
+	prevMemo, prevRecycle := SetMemo(memo), par.SetRecycling(recycle)
 	defer func() {
 		SetMemo(prevMemo)
 		par.SetRecycling(prevRecycle)
-		SetParallelism(prevWorkers)
 		ResetPerf()
 	}()
-	SetParallelism(workers)
 	ResetPerf()
 	f()
 }
 
-// renderFullSet regenerates every figure and table geniebench prints —
-// the sweeps, the fitted tables, the throughput extensions, and the
-// ablations — and renders them into one string.
-func renderFullSet(t *testing.T) string {
+// renderFullSet runs every registered experiment on r, each from the
+// base setup base returns for it, and renders them into one string.
+func renderFullSet(t *testing.T, r Runner, base func(Experiment) Setup) string {
 	t.Helper()
-	return renderFullSetWith(t, Setup{})
-}
-
-// renderFullSetWith is renderFullSet with base threaded into every
-// generator that takes a Setup (the ablations fix their own setups).
-func renderFullSetWith(t *testing.T, base Setup) string {
-	t.Helper()
-	fig := func(fn func(Setup) (Figure, error)) func() (string, error) {
-		return func() (string, error) { f, err := fn(base); return f.String(), err }
-	}
-	tabS := func(fn func(Setup) (Table, error)) func() (string, error) {
-		return func() (string, error) { tb, err := fn(base); return tb.String(), err }
-	}
-	tab := func(fn func() (Table, error)) func() (string, error) {
-		return func() (string, error) { tb, err := fn(); return tb.String(), err }
-	}
-	gens := []func() (string, error){
-		fig(Figure3), fig(Figure4), fig(Figure5), fig(Figure6), fig(Figure7),
-		fig(FigureOutboard),
-		tabS(Figure3Throughput), tabS(Table6), tabS(Table7),
-		tab(Table8), tab(TableOC12),
-		tab(func() (Table, error) { return TableThroughput(cost.CreditNetOC3) }),
-		tab(func() (Table, error) { return TableThroughput(cost.CreditNetOC12) }),
-		tab(AblationWiring), tab(AblationAlignment), tab(AblationThresholds),
-		tab(AblationReverseCopyout), tab(AblationOutputProtection),
-		tab(AblationChecksum), tab(AblationPageout),
-	}
 	var b strings.Builder
-	for _, g := range gens {
-		s, err := g()
+	for _, e := range Experiments {
+		out, err := e.Run(base(e), r)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", e.Name, err)
 		}
-		b.WriteString(s)
+		out.Render(&b)
 		b.WriteByte('\n')
 	}
 	return b.String()
 }
 
-// TestFullSetByteIdenticalAcrossRegimes asserts the tentpole determinism
+// from gives every experiment the base s.
+func from(s Setup) func(Experiment) Setup { return func(Experiment) Setup { return s } }
+
+// TestFullSetByteIdenticalAcrossRegimes asserts the harness's determinism
 // property: the full figure/table set is byte-identical with the
-// measurement cache and testbed recycling on or off, at -parallel 1
+// measurement cache and testbed recycling on or off, at one worker
 // versus 8, and on the bytes versus the symbolic data plane. The cold
 // serial regime on the default (symbolic) plane is the ground truth;
 // every accelerated or re-represented regime must match it byte for
-// byte.
+// byte. The traced regime also checks that the base setup reaches every
+// experiment: each one that simulates must emit events into the tracer
+// its base carries.
 func TestFullSetByteIdenticalAcrossRegimes(t *testing.T) {
 	if testing.Short() {
-		t.Skip("five full evaluation runs in -short mode")
+		t.Skip("six full evaluation runs in -short mode")
 	}
+	serial, parallel := Runner{Workers: 1}, Runner{Workers: 8}
 	var coldSerial, cachedSerial, cachedParallel, traced, bytesPlane, armedFaults string
-	sink := &discardCount{}
-	withPerfRegime(t, false, false, 1, func() { coldSerial = renderFullSet(t) })
-	withPerfRegime(t, true, true, 1, func() { cachedSerial = renderFullSet(t) })
-	withPerfRegime(t, true, true, 8, func() { cachedParallel = renderFullSet(t) })
+	withPerfRegime(t, false, false, func() { coldSerial = renderFullSet(t, serial, from(Setup{})) })
+	withPerfRegime(t, true, true, func() { cachedSerial = renderFullSet(t, serial, from(Setup{})) })
+	withPerfRegime(t, true, true, func() { cachedParallel = renderFullSet(t, parallel, from(Setup{})) })
 	// Tracing must observe without perturbing: a fully traced run (which
 	// bypasses the memo cache point by point) renders the same bytes.
-	// Serial, because the bundled sinks are not synchronized.
-	withPerfRegime(t, true, true, 1, func() {
-		traced = renderFullSetWith(t, Setup{Tracer: trace.New(sink)})
+	// Serial, because the counting sinks are not synchronized. Each
+	// experiment traces into its own sink.
+	events := map[string]*discardCount{}
+	withPerfRegime(t, true, true, func() {
+		traced = renderFullSet(t, serial, func(e Experiment) Setup {
+			sink := &discardCount{}
+			events[e.Name] = sink
+			return Setup{Tracer: trace.New(sink)}
+		})
 	})
 	// The data plane is a representation choice, never a result: a full
 	// run on materialized bytes must render the same output as the
 	// symbolic default.
-	withPerfRegime(t, true, true, 8, func() {
-		bytesPlane = renderFullSetWith(t, Setup{Plane: mem.Bytes})
+	withPerfRegime(t, true, true, func() {
+		bytesPlane = renderFullSet(t, parallel, from(Setup{Plane: mem.Bytes}))
 	})
 	// A seed-only fault spec arms the injector without ever firing it: a
 	// full run with injection attached but silent must render the seed
 	// figures byte for byte (zero-rate decisions draw no randomness and
 	// the recovery machinery stays dormant without fired faults).
-	withPerfRegime(t, true, true, 8, func() {
-		armedFaults = renderFullSetWith(t, Setup{Faults: faults.Spec{Seed: 1}})
+	withPerfRegime(t, true, true, func() {
+		armedFaults = renderFullSet(t, parallel, from(Setup{Faults: faults.Spec{Seed: 1}}))
+	})
+	// A spec that drops nine frames in ten, by contrast, fails every
+	// experiment whose testbeds carry it.
+	firedErrs := map[string]error{}
+	withPerfRegime(t, true, true, func() {
+		for _, e := range Experiments {
+			_, firedErrs[e.Name] = e.Run(Setup{Faults: faults.Spec{Seed: 1, Drop: 0.9}}, parallel)
+		}
 	})
 	if cachedSerial != coldSerial {
 		t.Errorf("cached serial output differs from cold serial output")
@@ -125,8 +114,20 @@ func TestFullSetByteIdenticalAcrossRegimes(t *testing.T) {
 	if armedFaults != coldSerial {
 		t.Errorf("armed-but-silent fault injector perturbed the output")
 	}
-	if sink.n == 0 {
-		t.Error("traced full set emitted no events")
+	// Tables 1 and 5 print hardware data and simulate nothing; every
+	// other experiment must carry the base's tracer and fault spec to
+	// everything it simulates.
+	for _, e := range Experiments {
+		n, err := events[e.Name].n, firedErrs[e.Name]
+		static := e.Name == "Table 1" || e.Name == "Table 5"
+		switch {
+		case static && (n != 0 || err != nil):
+			t.Errorf("%s: a static table emitted %d events and, dropping frames, failed with %v", e.Name, n, err)
+		case !static && n == 0:
+			t.Errorf("%s: emitted no events: its setups drop the base's tracer", e.Name)
+		case !static && err == nil:
+			t.Errorf("%s: ran clean while its base dropped 9 frames in 10: its setups drop the base's fault spec", e.Name)
+		}
 	}
 }
 
@@ -140,12 +141,12 @@ func (s *discardCount) Emit(trace.Event) { s.n++ }
 // the same max-datagram points, so generating both must simulate the
 // shared points exactly once.
 func TestCacheSharesPointsAcrossGenerators(t *testing.T) {
-	withPerfRegime(t, true, true, 4, func() {
-		if _, err := Figure3(Setup{}); err != nil {
+	withPerfRegime(t, true, true, func() {
+		if _, err := Figure3(Setup{}, Runner{Workers: 4}); err != nil {
 			t.Fatal(err)
 		}
 		misses := Perf().CacheMisses
-		if _, err := Figure3Throughput(Setup{}); err != nil {
+		if _, err := Figure3Throughput(Setup{}, Runner{Workers: 4}); err != nil {
 			t.Fatal(err)
 		}
 		after := Perf()
@@ -204,7 +205,7 @@ func TestCacheDistinguishesSetups(t *testing.T) {
 // builds one testbed and reuses it for every later point: free testbeds
 // are never lost to garbage collection, so the split is exact.
 func TestRecycleCounters(t *testing.T) {
-	withPerfRegime(t, false, true, 1, func() {
+	withPerfRegime(t, false, true, func() {
 		lengths := []int{4096, 8192, 12288, 16384}
 		ResetPerf()
 		for _, b := range lengths {
@@ -245,7 +246,7 @@ func TestRecycledMeasureAllocs(t *testing.T) {
 	}
 	const maxAllocs = 8
 	schemes := []netsim.InputBuffering{netsim.EarlyDemux, netsim.Pooled, netsim.OutboardBuffering}
-	withPerfRegime(t, false, true, 1, func() {
+	withPerfRegime(t, false, true, func() {
 		for _, scheme := range schemes {
 			for _, sem := range core.AllSemantics() {
 				for _, off := range []int{0, 1000} {

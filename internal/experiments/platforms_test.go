@@ -66,7 +66,7 @@ func TestAlphaScalingContrast(t *testing.T) {
 
 // TestPlotRendering smoke-tests the ASCII plotter on a real figure.
 func TestPlotRendering(t *testing.T) {
-	fig, err := sweepFigure(Setup{Scheme: netsim.EarlyDemux}, "Figure X", "plot test", "us",
+	fig, err := sweepFigure(Setup{Scheme: netsim.EarlyDemux}, Runner{}, "Figure X", "plot test", "us",
 		[]int{4096, 32768, 61440}, latencyUS)
 	if err != nil {
 		t.Fatal(err)

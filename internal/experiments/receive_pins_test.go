@@ -144,7 +144,7 @@ var receiveTracePins = map[string]string{
 // copy. Charge order is part of the contract: latencies are float64
 // sums, so a reordered charge can move a result by an ulp.
 func TestReceiveTracesPinned(t *testing.T) {
-	withPerfRegime(t, false, true, 1, func() {
+	withPerfRegime(t, false, true, func() {
 		for _, c := range receiveTraceCases() {
 			got, err := receiveTraceDigest(c)
 			if err != nil {

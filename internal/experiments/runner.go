@@ -1,8 +1,7 @@
 package experiments
 
 import (
-	"sync/atomic"
-
+	"repro/internal/core"
 	"repro/internal/par"
 )
 
@@ -29,24 +28,39 @@ func (r Runner) ForEach(n int, fn func(i int) error) error {
 	return par.Each(n, r.Workers, func(_, i int) error { return fn(i) })
 }
 
-// defaultWorkers is the package-wide worker count: 0 selects
-// runtime.GOMAXPROCS(0). cmd/geniebench sets it from -parallel.
-var defaultWorkers atomic.Int32
-
-// SetParallelism sets the worker count used by every pairwise sweep,
-// table, and ablation generator in this package; the workload and
-// storage sweeps take theirs from their configs. n == 1
-// restores strictly serial execution; n <= 0 selects
-// runtime.GOMAXPROCS(0).
-func SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	defaultWorkers.Store(int32(n))
+// Probe is one measurement point: a setup, a semantics and a datagram
+// length in bytes.
+type Probe struct {
+	Setup Setup
+	Sem   core.Semantics
+	Bytes int
 }
 
-// Parallelism reports the configured worker count (0 = GOMAXPROCS).
-func Parallelism() int { return int(defaultWorkers.Load()) }
+// MeasureAll measures every probe, fanning them across the worker pool,
+// and returns the measurements in probe order. The error is the lowest
+// failing probe's, as from ForEach.
+func (r Runner) MeasureAll(probes []Probe) ([]Measurement, error) {
+	out := make([]Measurement, len(probes))
+	err := r.ForEach(len(probes), func(i int) error {
+		p := probes[i]
+		m, err := Measure(p.Setup, p.Sem, p.Bytes)
+		out[i] = m
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
 
-// runner returns the package-default Runner.
-func runner() Runner { return Runner{Workers: Parallelism()} }
+// sweepProbes lists the probes of s across sems × lengths,
+// semantics-major.
+func sweepProbes(s Setup, sems []core.Semantics, lengths []int) []Probe {
+	probes := make([]Probe, 0, len(sems)*len(lengths))
+	for _, sem := range sems {
+		for _, b := range lengths {
+			probes = append(probes, Probe{s, sem, b})
+		}
+	}
+	return probes
+}

@@ -78,32 +78,18 @@ func TestForEachSkipsPastFailure(t *testing.T) {
 	}
 }
 
-// withParallelism runs f with the package worker count pinned to n.
-func withParallelism(t *testing.T, n int, f func()) {
-	t.Helper()
-	prev := Parallelism()
-	SetParallelism(n)
-	defer SetParallelism(prev)
-	f()
-}
-
-// TestParallelMatchesSerialFigure3 asserts the tentpole determinism
+// TestParallelMatchesSerialFigure3 asserts the runner's determinism
 // property: the parallel runner's Figure 3 — every series, every float —
 // is identical to the serial path.
 func TestParallelMatchesSerialFigure3(t *testing.T) {
-	var serial, parallel Figure
-	withParallelism(t, 1, func() {
-		var err error
-		if serial, err = Figure3(Setup{}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	withParallelism(t, 8, func() {
-		var err error
-		if parallel, err = Figure3(Setup{}); err != nil {
-			t.Fatal(err)
-		}
-	})
+	serial, err := Figure3(Setup{}, Runner{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := Figure3(Setup{}, Runner{Workers: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("parallel Figure 3 differs from serial:\nserial:\n%v\nparallel:\n%v", serial, parallel)
 	}
@@ -116,19 +102,14 @@ func TestParallelMatchesSerialTable6(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full instrumented sweep in -short mode")
 	}
-	var serial, parallel Table
-	withParallelism(t, 1, func() {
-		var err error
-		if serial, err = Table6(Setup{}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	withParallelism(t, 8, func() {
-		var err error
-		if parallel, err = Table6(Setup{}); err != nil {
-			t.Fatal(err)
-		}
-	})
+	serial, err := Table6(Setup{}, Runner{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := Table6(Setup{}, Runner{Workers: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("parallel Table 6 differs from serial:\nserial:\n%v\nparallel:\n%v", serial, parallel)
 	}
@@ -137,24 +118,19 @@ func TestParallelMatchesSerialTable6(t *testing.T) {
 // TestParallelMatchesSerialAblations covers the grid-shaped ablations,
 // which assemble rows from flattened index spaces.
 func TestParallelMatchesSerialAblations(t *testing.T) {
-	gens := map[string]func() (Table, error){
+	gens := map[string]func(Setup, Runner) (Table, error){
 		"wiring":     AblationWiring,
 		"thresholds": AblationThresholds,
 	}
 	for name, gen := range gens {
-		var serial, parallel Table
-		withParallelism(t, 1, func() {
-			var err error
-			if serial, err = gen(); err != nil {
-				t.Fatal(err)
-			}
-		})
-		withParallelism(t, 8, func() {
-			var err error
-			if parallel, err = gen(); err != nil {
-				t.Fatal(err)
-			}
-		})
+		serial, err := gen(Setup{}, Runner{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		parallel, err := gen(Setup{}, Runner{Workers: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Fatalf("%s: parallel output differs from serial", name)
 		}

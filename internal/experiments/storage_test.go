@@ -36,7 +36,7 @@ func TestRunStorageDeterministic(t *testing.T) {
 		t.Errorf("rig gets %d, want %d (every point simulated in both runs)", got, 2*points)
 	}
 
-	withPerfRegime(t, true, false, 0, func() {
+	withPerfRegime(t, true, false, func() {
 		fresh, err := RunStorage(StorageConfig{Workers: []int{4}})
 		if err != nil {
 			t.Fatal(err)
@@ -51,7 +51,7 @@ func TestRunStorageDeterministic(t *testing.T) {
 // memo off (the sweep subcommand's -nomemo regime) changes nothing: both
 // passes reproduce the committed digest and simulate every point.
 func TestRunStorageMemoOff(t *testing.T) {
-	withPerfRegime(t, false, true, 0, func() {
+	withPerfRegime(t, false, true, func() {
 		rep, err := RunStorage(StorageConfig{Workers: []int{1, 4}})
 		if err != nil {
 			t.Fatal(err)

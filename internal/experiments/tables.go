@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -59,48 +60,36 @@ func Table5() Table {
 	return t
 }
 
+// bufferingConfigs derives Table 7's three buffering configurations
+// from s: early demultiplexing, application-aligned pooled and
+// unaligned pooled input buffering.
+func bufferingConfigs(s Setup) [3]Setup {
+	early, aligned, unaligned := s.env(), s.env(), s.env()
+	early.Scheme = netsim.EarlyDemux
+	aligned.Scheme = netsim.Pooled
+	unaligned.Scheme, unaligned.AppOffset = netsim.Pooled, 1000
+	return [3]Setup{early, aligned, unaligned}
+}
+
 // fitOps runs instrumented sweeps across the three buffering
 // configurations and least-squares fits latency versus byte count for
 // every primitive operation observed, recovering Table 6. The
-// (configuration, semantics, length) points fan out across the worker
-// pool; the per-point records are appended to the sample sets in index
-// order, which is exactly the serial collection order, so the fits are
-// identical to the serial path.
-func fitOps(s Setup, lengths []int) (map[cost.Op]stats.Fit, error) {
-	type fitPoint struct {
-		s   Setup
-		sem core.Semantics
-		b   int
-	}
-	var points []fitPoint
-	for _, cfg := range []Setup{
-		{Model: s.Model, Scheme: netsim.EarlyDemux},
-		{Model: s.Model, Scheme: netsim.Pooled},
-		{Model: s.Model, Scheme: netsim.Pooled, AppOffset: 1000},
-	} {
+// (configuration, semantics, length) points fan out across r; the
+// per-point records are appended to the sample sets in point order, so
+// the fits are identical at any worker count.
+func fitOps(s Setup, r Runner, lengths []int) (map[cost.Op]stats.Fit, error) {
+	var probes []Probe
+	for _, cfg := range bufferingConfigs(s) {
 		cfg.Instrument = true
-		for _, sem := range core.AllSemantics() {
-			for _, b := range lengths {
-				points = append(points, fitPoint{cfg, sem, b})
-			}
-		}
+		probes = append(probes, sweepProbes(cfg, core.AllSemantics(), lengths)...)
 	}
-	records := make([][]core.OpRecord, len(points))
-	err := runner().ForEach(len(points), func(i int) error {
-		p := points[i]
-		m, err := Measure(p.s, p.sem, p.b)
-		if err != nil {
-			return err
-		}
-		records[i] = m.Records
-		return nil
-	})
+	ms, err := r.MeasureAll(probes)
 	if err != nil {
 		return nil, err
 	}
 	samples := make(map[cost.Op][][2]float64)
-	for _, recs := range records {
-		for _, r := range recs {
+	for _, m := range ms {
+		for _, r := range m.Records {
 			samples[r.Op] = append(samples[r.Op], [2]float64{float64(r.Bytes), r.Latency.Micros()})
 		}
 	}
@@ -140,8 +129,8 @@ func fmtFit(perByte, fixed float64) string {
 // Table6 regenerates the primitive-operation cost table by instrumenting
 // the latency sweeps and fitting each operation's latency against data
 // length, printed next to the published fits.
-func Table6(s Setup) (Table, error) {
-	fits, err := fitOps(s, PageSweep(s.model().Platform.PageSize))
+func Table6(s Setup, r Runner) (Table, error) {
+	fits, err := fitOps(s, r, PageSweep(s.model().Platform.PageSize))
 	if err != nil {
 		return Table{}, err
 	}
@@ -164,13 +153,9 @@ func Table6(s Setup) (Table, error) {
 	return t, nil
 }
 
-// latencyFit fits measured end-to-end latency versus length for one
-// semantics under one setup — the "actual" (A) rows of Table 7.
-func latencyFit(s Setup, sem core.Semantics, lengths []int) (stats.Fit, error) {
-	ms, err := Sweep(s, sem, lengths)
-	if err != nil {
-		return stats.Fit{}, err
-	}
+// latencyFit fits measured end-to-end latency versus length over one
+// semantics' sweep — the "actual" (A) rows of Table 7.
+func latencyFit(ms []Measurement) (stats.Fit, error) {
 	xs := make([]float64, len(ms))
 	ys := make([]float64, len(ms))
 	for i, m := range ms {
@@ -224,24 +209,35 @@ func estimateFit(opFits map[cost.Op]stats.Fit, base stats.Fit, sem core.Semantic
 // Table7 regenerates the estimated-versus-actual latency table: actual
 // fits come from the Figure 3/6/7 sweeps; estimates are composed from
 // the instrumented Table 6 operation fits and the derived base latency.
-func Table7(s Setup) (Table, error) {
+func Table7(s Setup, r Runner) (Table, error) {
 	lengths := PageSweep(s.model().Platform.PageSize)
-	opFits, err := fitOps(s, lengths)
+	opFits, err := fitOps(s, r, lengths)
 	if err != nil {
 		return Table{}, err
 	}
-
-	early := Setup{Model: s.Model, Scheme: netsim.EarlyDemux}
-	aligned := Setup{Model: s.Model, Scheme: netsim.Pooled}
-	unaligned := Setup{Model: s.Model, Scheme: netsim.Pooled, AppOffset: 1000}
+	// One flat list: every semantics' sweep under each of the three
+	// buffering configurations in turn.
+	sems := core.AllSemantics()
+	var probes []Probe
+	for _, cfg := range bufferingConfigs(s) {
+		probes = append(probes, sweepProbes(cfg, sems, lengths)...)
+	}
+	ms, err := r.MeasureAll(probes)
+	if err != nil {
+		return Table{}, err
+	}
+	// actual[c*len(sems)+i] fits semantics i's sweep under configuration c.
+	n := len(lengths)
+	actual := make([]stats.Fit, len(ms)/n)
+	for k := range actual {
+		if actual[k], err = latencyFit(ms[k*n : (k+1)*n]); err != nil {
+			return Table{}, err
+		}
+	}
 
 	// Base latency: emulated share early-demux fit minus reference and
 	// unreference (Section 8).
-	emShareFit, err := latencyFit(early, core.EmulatedShare, lengths)
-	if err != nil {
-		return Table{}, err
-	}
-	base := emShareFit
+	base := actual[slices.Index(sems, core.EmulatedShare)]
 	for _, op := range []cost.Op{cost.Reference, cost.Unreference} {
 		if f, ok := opFits[op]; ok {
 			base.Slope -= f.Slope
@@ -254,55 +250,29 @@ func Table7(s Setup) (Table, error) {
 		Title:  "Estimated (E) and actual (A) end-to-end latencies, in us (B = data length in bytes)",
 		Header: []string{"semantics", "", "early demux", "paper", "aligned pooled", "paper", "unaligned pooled", "paper"},
 	}
-	paperRow := func(sem core.Semantics) PaperTable7Row {
-		for _, r := range PaperTable7 {
-			if r.Sem == sem {
-				return r
+	for i, sem := range sems {
+		var pr PaperTable7Row
+		for _, row := range PaperTable7 {
+			if row.Sem == sem {
+				pr = row
+				break
 			}
 		}
-		return PaperTable7Row{}
-	}
-	// One task per semantics: each produces its E and A row pair, and the
-	// three actual-latency fits inside fan their sweeps out in turn.
-	sems := core.AllSemantics()
-	rowPairs := make([][2][]string, len(sems))
-	err = runner().ForEach(len(sems), func(i int) error {
-		sem := sems[i]
-		pr := paperRow(sem)
-
 		estE := estimateFit(opFits, base, sem, netsim.EarlyDemux, true)
 		estP := estimateFit(opFits, base, sem, netsim.Pooled, true)
 		estU := estimateFit(opFits, base, sem, netsim.Pooled, false)
-		actE, err := latencyFit(early, sem, lengths)
-		if err != nil {
-			return err
-		}
-		actP, err := latencyFit(aligned, sem, lengths)
-		if err != nil {
-			return err
-		}
-		actU, err := latencyFit(unaligned, sem, lengths)
-		if err != nil {
-			return err
-		}
-		rowPairs[i] = [2][]string{{
+		actE, actP, actU := actual[i], actual[len(sems)+i], actual[2*len(sems)+i]
+		t.Rows = append(t.Rows, []string{
 			sem.String(), "E",
 			fmtFit(estE.Slope, estE.Intercept), fmtFit(pr.EarlyE.PerByte, pr.EarlyE.Fixed),
 			fmtFit(estP.Slope, estP.Intercept), fmtFit(pr.AlignedE.PerByte, pr.AlignedE.Fixed),
 			fmtFit(estU.Slope, estU.Intercept), fmtFit(pr.UnalignedE.PerByte, pr.UnalignedE.Fixed),
-		}, {
+		}, []string{
 			"", "A",
 			fmtFit(actE.Slope, actE.Intercept), fmtFit(pr.EarlyA.PerByte, pr.EarlyA.Fixed),
 			fmtFit(actP.Slope, actP.Intercept), fmtFit(pr.AlignedA.PerByte, pr.AlignedA.Fixed),
 			fmtFit(actU.Slope, actU.Intercept), fmtFit(pr.UnalignedA.PerByte, pr.UnalignedA.Fixed),
-		}}
-		return nil
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	for _, pair := range rowPairs {
-		t.Rows = append(t.Rows, pair[0], pair[1])
+		})
 	}
 	return t, nil
 }
@@ -311,12 +281,12 @@ func Table7(s Setup) (Table, error) {
 // are measured on each platform's derived model and their ratios to the
 // baseline are summarized per parameter class, next to the estimated
 // bounds from Table 5 hardware data and the published summaries.
-func Table8() (Table, error) {
+func Table8(s Setup, r Runner) (Table, error) {
 	// A reduced sweep keeps the three-platform measurement quick while
 	// covering enough lengths for exact fits.
-	baseModel := cost.Baseline()
+	s.Model = cost.Baseline()
 	lengths := []int{4096, 12288, 24576, 40960, 61440}
-	baseFits, err := fitOps(Setup{Model: baseModel}, lengths)
+	baseFits, err := fitOps(s, r, lengths)
 	if err != nil {
 		return Table{}, err
 	}
@@ -334,14 +304,14 @@ func Table8() (Table, error) {
 		{cost.AlphaStation255, PaperTable8Entries[1]},
 	} {
 		p := entry.p
-		model := cost.NewModel(p, cost.CreditNetOC3)
 		// Use a baseline-page-size variant for the Alpha so sweeps use
 		// identical lengths (the scaling analysis is about op costs, not
 		// page geometry).
 		p4k := p
-		p4k.PageSize = baseModel.Platform.PageSize
-		model = cost.NewModel(p4k, cost.CreditNetOC3)
-		fits, err := fitOps(Setup{Model: model}, lengths)
+		p4k.PageSize = s.Model.Platform.PageSize
+		ps := s
+		ps.Model = cost.NewModel(p4k, cost.CreditNetOC3)
+		fits, err := fitOps(ps, r, lengths)
 		if err != nil {
 			return Table{}, err
 		}
@@ -377,13 +347,13 @@ func Table8() (Table, error) {
 			if len(ratios) == 0 {
 				return
 			}
-			s, err := stats.Summarize(ratios)
+			sum, err := stats.Summarize(ratios)
 			if err != nil {
 				return
 			}
 			t.Rows = append(t.Rows, []string{
 				p.Name, kind, estimated,
-				fmt.Sprintf("%.2f", s.GM), fmt.Sprintf("%.2f", s.Min), fmt.Sprintf("%.2f", s.Max),
+				fmt.Sprintf("%.2f", sum.GM), fmt.Sprintf("%.2f", sum.Min), fmt.Sprintf("%.2f", sum.Max),
 				fmt.Sprintf("%.2f", paperGM), paperRange,
 			})
 		}
@@ -402,32 +372,15 @@ func Table8() (Table, error) {
 
 // TableOC12 regenerates the Section 8 extrapolation: predicted 60 KB
 // single-datagram throughput at OC-12 rates on the Micron P166.
-func TableOC12() (Table, error) {
-	model := cost.NewModel(cost.MicronP166, cost.CreditNetOC12)
-	s := Setup{Model: model, Scheme: netsim.EarlyDemux}
-	t := Table{
+func TableOC12(s Setup, r Runner) (Table, error) {
+	s = s.env()
+	s.Model = cost.NewModel(cost.MicronP166, cost.CreditNetOC12)
+	s.Scheme = netsim.EarlyDemux
+	rows, err := throughputRows(s, r, PaperOC12ThroughputMbps)
+	return Table{
 		ID:     "OC-12 prediction",
 		Title:  "Predicted throughput for single 60 KB datagrams at OC-12 (622 Mbps), early demultiplexing",
 		Header: []string{"semantics", "predicted Mbps", "paper Mbps"},
-	}
-	sems := core.AllSemantics()
-	rows := make([][]string, len(sems))
-	err := runner().ForEach(len(sems), func(i int) error {
-		sem := sems[i]
-		m, err := Measure(s, sem, maxDatagram(s))
-		if err != nil {
-			return err
-		}
-		paper := ""
-		if v, ok := PaperOC12ThroughputMbps[sem]; ok {
-			paper = fmt.Sprintf("%.0f", v)
-		}
-		rows[i] = []string{sem.String(), fmt.Sprintf("%.0f", m.ThroughputMbps()), paper}
-		return nil
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	t.Rows = rows
-	return t, nil
+		Rows:   rows,
+	}, err
 }

@@ -41,14 +41,11 @@ func Throughput(s Setup, sem core.Semantics, bytes, count int) (ThroughputResult
 		genieCfg = core.DefaultConfig()
 	}
 	genieCfg.KernelPoolPages = (count + 2) * pagesPer
-	tb, err := core.NewTestbed(core.TestbedConfig{
-		Model:         model,
-		Buffering:     s.Scheme,
-		OverlayOff:    s.DevOff,
-		FramesPerHost: (count + 8) * pagesPer * 3,
-		PoolPages:     (count + 2) * pagesPer,
-		Genie:         genieCfg,
-	})
+	cfg := measureTestbedConfig(s)
+	cfg.FramesPerHost = (count + 8) * pagesPer * 3
+	cfg.PoolPages = (count + 2) * pagesPer
+	cfg.Genie = genieCfg
+	tb, err := newTestbed(s, cfg)
 	if err != nil {
 		return ThroughputResult{}, err
 	}
@@ -163,8 +160,10 @@ func almostEq(a, b, tol float64) bool {
 // semantics at the given link rate — an extension beyond the paper's
 // single-datagram equivalents that shows where copy semantics stops
 // being able to fill the pipe.
-func TableThroughput(net cost.Network) (Table, error) {
-	model := cost.NewModel(cost.MicronP166, net)
+func TableThroughput(s Setup, r Runner, net cost.Network) (Table, error) {
+	s = s.env()
+	s.Model = cost.NewModel(cost.MicronP166, net)
+	s.Scheme = netsim.EarlyDemux
 	t := Table{
 		ID:     fmt.Sprintf("Throughput (%s)", net.Name),
 		Title:  fmt.Sprintf("Sustained streaming throughput, 60 KB datagrams at %.0f Mbps", net.RateMbps),
@@ -172,19 +171,19 @@ func TableThroughput(net cost.Network) (Table, error) {
 	}
 	sems := core.AllSemantics()
 	rows := make([][]string, len(sems))
-	err := runner().ForEach(len(sems), func(i int) error {
+	err := r.ForEach(len(sems), func(i int) error {
 		sem := sems[i]
-		r, err := Throughput(Setup{Model: model, Scheme: netsim.EarlyDemux}, sem, 61440, 16)
+		res, err := Throughput(s, sem, 61440, 16)
 		if err != nil {
 			return fmt.Errorf("%v: %w", sem, err)
 		}
 		rows[i] = []string{
 			sem.String(),
-			fmt.Sprintf("%.0f", r.Mbps),
-			fmt.Sprintf("%.0f", r.WireUS),
-			fmt.Sprintf("%.0f", r.SenderUS),
-			fmt.Sprintf("%.0f", r.ReceiverUS),
-			r.Bottleneck,
+			fmt.Sprintf("%.0f", res.Mbps),
+			fmt.Sprintf("%.0f", res.WireUS),
+			fmt.Sprintf("%.0f", res.SenderUS),
+			fmt.Sprintf("%.0f", res.ReceiverUS),
+			res.Bottleneck,
 		}
 		return nil
 	})

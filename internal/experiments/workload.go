@@ -58,10 +58,9 @@ type WorkloadReport struct {
 	OptimizedSec float64 `json:"optimized_sec,omitempty"`
 	// Speedup is SerialColdSec / OptimizedSec (CompareSerialCold only).
 	Speedup float64 `json:"speedup_vs_serial_cold,omitempty"`
-	// Perf snapshots the harness's performance counters after the run:
-	// clusters recycled/built, next to the pairwise-path cache and
-	// testbed counters.
-	Perf PerfStats `json:"perf"`
+	// Perf snapshots the workload engine's counters after the run:
+	// clusters built, recycled and live.
+	Perf workload.PerfStats `json:"perf"`
 }
 
 // RunWorkload executes the sweep at every configured worker count. The
@@ -100,7 +99,7 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadReport, error) {
 			rep.Speedup = rep.SerialColdSec / rep.OptimizedSec
 		}
 	}
-	rep.Perf = Perf()
+	rep.Perf = workload.Perf()
 	return rep, nil
 }
 

@@ -31,7 +31,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/digest"
@@ -601,46 +600,9 @@ func collectCluster(raw *pointRaw, c *core.Cluster, hotHost int) {
 	for i := 0; i < c.Size(); i++ {
 		hi := c.Host(i)
 		nic, g := hi.NIC.Stats(), hi.Genie.Stats()
-		raw.hostStats = append(raw.hostStats, string(appendHostStats(buf[:0], nic, g)))
+		raw.hostStats = append(raw.hostStats, string(core.AppendHostStats(buf[:0], nic, g)))
 		raw.drops += nic.Dropped + nic.PoolFailures + g.Dropped
 	}
-}
-
-// appendHostStats appends the bytes fmt.Sprintf("nic=%+v genie=%+v",
-// nic, g) makes, field by field and without reflection.
-func appendHostStats(b []byte, nic netsim.Stats, g core.Stats) []byte {
-	b = appendField(b, "nic={TxFrames:", nic.TxFrames)
-	b = appendField(b, " RxFrames:", nic.RxFrames)
-	b = appendField(b, " TxBytes:", nic.TxBytes)
-	b = appendField(b, " RxBytes:", nic.RxBytes)
-	b = appendField(b, " Delivered:", nic.Delivered)
-	b = appendField(b, " Dropped:", nic.Dropped)
-	b = appendField(b, " PoolFailures:", nic.PoolFailures)
-	b = appendField(b, " Retried:", nic.Retried)
-	b = appendField(b, " WireDrops:", nic.WireDrops)
-	b = appendField(b, " WireDups:", nic.WireDups)
-	b = appendField(b, " WireReorders:", nic.WireReorders)
-	b = appendField(b, " WireCorrupts:", nic.WireCorrupts)
-	b = appendField(b, "} genie={Outputs:", g.Outputs)
-	b = appendField(b, " Inputs:", g.Inputs)
-	b = appendField(b, " ConvertedToCopy:", g.ConvertedToCopy)
-	b = appendField(b, " SwappedPages:", g.SwappedPages)
-	b = appendField(b, " ReverseCopyouts:", g.ReverseCopyouts)
-	b = appendField(b, " PartialCopyouts:", g.PartialCopyouts)
-	b = appendField(b, " FullCopyouts:", g.FullCopyouts)
-	b = appendField(b, " AlignedInputs:", g.AlignedInputs)
-	b = appendField(b, " UnalignedInputs:", g.UnalignedInputs)
-	b = appendField(b, " RegionsReused:", g.RegionsReused)
-	b = appendField(b, " RegionsAllocated:", g.RegionsAllocated)
-	b = appendField(b, " RegionsRemapped:", g.RegionsRemapped)
-	b = appendField(b, " Dropped:", g.Dropped)
-	b = appendField(b, " RPCOrphans:", g.RPCOrphans)
-	return append(b, '}')
-}
-
-// appendField appends label and then v in decimal.
-func appendField(b []byte, label string, v uint64) []byte {
-	return strconv.AppendUint(append(b, label...), v, 10)
 }
 
 // relConfig is the reliable-channel configuration every scenario uses:
