@@ -14,7 +14,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/mem"
 	"repro/internal/netsim"
-	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -171,26 +170,28 @@ func BenchmarkSweepSerial(b *testing.B)   { benchSweep(b, 1) }
 func BenchmarkSweepParallel(b *testing.B) { benchSweep(b, 0) }
 
 // BenchmarkMeasureColdVsRecycled isolates the testbed-recycling layer:
-// "cold" builds a fresh two-host testbed for every point (the pre-memo
-// behavior), "recycled" Resets and reuses one from the free list. The
-// cache is off in both arms so each iteration really simulates.
+// "cold" empties the recycler (experiments.ResetPerf, off the clock)
+// before every point, so each builds a fresh two-host testbed;
+// "recycled" Resets and reuses one from the free list. The memo is off
+// in both arms so each iteration really simulates.
 func BenchmarkMeasureColdVsRecycled(b *testing.B) {
 	s := experiments.Setup{Scheme: netsim.EarlyDemux}
 	for _, arm := range []struct {
-		name    string
-		recycle bool
-	}{{"cold", false}, {"recycled", true}} {
+		name string
+		cold bool
+	}{{"cold", true}, {"recycled", false}} {
 		b.Run(arm.name, func(b *testing.B) {
-			memoWas, recycleWas := experiments.SetMemo(false), par.SetRecycling(arm.recycle)
-			defer func() {
-				experiments.SetMemo(memoWas)
-				par.SetRecycling(recycleWas)
-				experiments.ResetPerf()
-			}()
+			defer experiments.SetMemo(experiments.SetMemo(false))
+			defer experiments.ResetPerf()
 			experiments.ResetPerf()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if arm.cold {
+					b.StopTimer()
+					experiments.ResetPerf()
+					b.StartTimer()
+				}
 				if _, err := experiments.Measure(s, core.EmulatedCopy, 61440); err != nil {
 					b.Fatal(err)
 				}
@@ -200,10 +201,11 @@ func BenchmarkMeasureColdVsRecycled(b *testing.B) {
 }
 
 // BenchmarkFullRunCachedVsUncached times one full geniebench evaluation
-// — every figure, table, and ablation — with the measurement memo and
-// testbed recycling on versus off. Each iteration starts from a cold
-// cache, so "cached" measures a complete run including its misses; the
-// gap between the arms is the redundant simulation the memo removes.
+// — every figure, table, and ablation — with the measurement memo on
+// versus off; testbeds are recycled in both arms. Each iteration starts
+// from a cold memo and empty free lists, so "cached" measures a
+// complete run including its misses; the gap between the arms is the
+// redundant simulation the memo removes.
 func BenchmarkFullRunCachedVsUncached(b *testing.B) {
 	fullRun := func(b *testing.B) {
 		b.Helper()
@@ -218,12 +220,8 @@ func BenchmarkFullRunCachedVsUncached(b *testing.B) {
 		on   bool
 	}{{"uncached", false}, {"cached", true}} {
 		b.Run(arm.name, func(b *testing.B) {
-			memoWas, recycleWas := experiments.SetMemo(arm.on), par.SetRecycling(arm.on)
-			defer func() {
-				experiments.SetMemo(memoWas)
-				par.SetRecycling(recycleWas)
-				experiments.ResetPerf()
-			}()
+			defer experiments.SetMemo(experiments.SetMemo(arm.on))
+			defer experiments.ResetPerf()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				experiments.ResetPerf()

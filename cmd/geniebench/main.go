@@ -31,7 +31,7 @@
 // and every testbed it simulates on, its own included, uses the
 // -dataplane representation, symbolic or materialized payload bytes —
 // output is identical either way. Identical points are memoized and
-// testbeds are recycled; -nomemo and -norecycle restore the cold path.
+// testbeds are recycled; -nomemo switches the memo off.
 //
 // # cluster
 //
@@ -40,12 +40,8 @@
 // all of them; then a ring halo exchange measures the engine's
 // self-speedup over its first run. Exit status is nonzero on any digest
 // divergence, or when -minspeedup is set and the best ring self-speedup
-// falls short.
-//
-// Both -minspeedup gates (cluster and workload) are skipped, not failed,
-// on a host with fewer CPUs than the parallelism they credit: the
-// largest -workers count for the ring, the -parallel point workers for
-// the workload.
+// falls short. The -minspeedup gate is skipped, not failed, on a host
+// with fewer CPUs than the largest -workers count.
 //
 // # chaos
 //
@@ -69,11 +65,9 @@
 // -requiretransition names a semantics whose transition is not finite.
 // Independent grid points fan across -parallel goroutines (default
 // GOMAXPROCS) while -workers parallelizes inside one point's cluster
-// engine. Every -workers count simulates the whole grid again. Each point
-// reuses a Reset cluster from the recycler (-norecycle builds every
-// cluster fresh; output is byte-identical either way). -minspeedup
-// additionally times the serial cold regime and gates on the optimized
-// speedup over it.
+// engine. Every -workers count simulates the whole grid again. Each
+// point worker reuses its cluster, Reset, for every point of the same
+// configuration; output is byte-identical to fresh clusters.
 //
 // # storage
 //
@@ -181,9 +175,9 @@ func failf(stderr io.Writer, err error) int {
 	return 1
 }
 
-// speedupGate applies a -minspeedup floor (0 = no gate) to a measured
-// speedup that credits w-way parallelism and reports whether the run
-// fails it. A process with fewer usable CPUs than w (NumCPU, or a lower
+// speedupGate applies cluster's -minspeedup floor (0 = no gate) to a
+// measured speedup that credits w-way parallelism and reports whether
+// the run fails it. A process with fewer usable CPUs than w (NumCPU, or a lower
 // GOMAXPROCS) cannot show that speedup, so there the gate is skipped
 // instead of decided by the runner's core count.
 func speedupGate(stderr io.Writer, what string, got, floor float64, w int) (fail bool) {

@@ -9,8 +9,7 @@ import (
 )
 
 // runCLI invokes run() with captured streams, resetting the harness's
-// counters afterwards (subcommands restore the memo and recycling
-// switches themselves).
+// counters afterwards (subcommands restore the memo switch themselves).
 func runCLI(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
 	defer experiments.ResetPerf()
@@ -44,9 +43,16 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 		{"oversized trace bytes", []string{"trace", "-bytes", "1000000"}, "-bytes"},
 		{"NaN cluster minspeedup", []string{"cluster", "-minspeedup", "NaN"}, "-minspeedup"},
 		{"negative cluster minspeedup", []string{"cluster", "-minspeedup", "-3"}, "-minspeedup"},
-		{"NaN workload minspeedup", []string{"workload", "-minspeedup", "NaN"}, "-minspeedup"},
-		{"negative workload minspeedup", []string{"workload", "-minspeedup", "-3"}, "-minspeedup"},
-		{"infinite workload minspeedup", []string{"workload", "-minspeedup", "+Inf"}, "-minspeedup"},
+		// workload has no speedup gate: -minspeedup is unknown to it,
+		// whatever its value.
+		{"NaN workload minspeedup", []string{"workload", "-minspeedup", "NaN"}, "flag provided but not defined: -minspeedup"},
+		{"negative workload minspeedup", []string{"workload", "-minspeedup", "-3"}, "flag provided but not defined: -minspeedup"},
+		{"infinite workload minspeedup", []string{"workload", "-minspeedup", "+Inf"}, "flag provided but not defined: -minspeedup"},
+		{"NaN storage seek", []string{"storage", "-seek", "NaN"}, "-seek must be finite"},
+		{"infinite storage seek", []string{"storage", "-seek", "+Inf"}, "-seek must be finite"},
+		{"negative storage seek", []string{"storage", "-seek", "-5000"}, "-seek must be finite"},
+		{"negative storage fixed", []string{"storage", "-fixed", "-1"}, "-fixed must be finite"},
+		{"infinite storage perbyte", []string{"storage", "-perbyte", "-Inf"}, "-perbyte must be finite"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

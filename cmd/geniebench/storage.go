@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/blockdev"
 	"repro/internal/experiments"
@@ -40,6 +41,14 @@ func runStorageCmd(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	for _, k := range []struct {
+		flag string
+		v    float64
+	}{{"seek", *seek}, {"fixed", *fixed}, {"perbyte", *perByte}} {
+		if k.v < 0 || math.IsNaN(k.v) || math.IsInf(k.v, 0) {
+			return usageErrf(fs, stderr, "-%s must be finite and at least 0, got %v", k.flag, k.v)
+		}
+	}
 	cfg := experiments.StorageConfig{ReadAhead: *readAhead}
 	if *seek != 0 || *fixed != 0 || *perByte != 0 {
 		cfg.Disk = blockdev.Model{SeekUS: *seek, FixedUS: *fixed, PerByteUS: *perByte}
@@ -92,7 +101,7 @@ func runStorageCmd(args []string, stdout, stderr io.Writer) int {
 	}
 
 	fmt.Fprintf(stderr, "geniebench: storage perf: rigs %d recycled / %d built\n",
-		rep.Perf.StorageRigsRecycled, rep.Perf.StorageRigsBuilt)
+		rep.Perf.Recycled, rep.Perf.Built)
 
 	code := 0
 	if divergenceGate(stderr, "storage", rep.Verification) {

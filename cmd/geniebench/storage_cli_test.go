@@ -63,7 +63,7 @@ func TestCLIStorage(t *testing.T) {
 		t.Fatalf("crossovers = %+v", rep.Crossovers)
 	}
 	// Both worker counts simulate all six points: one rig each.
-	if got := rep.Perf.StorageRigsBuilt + rep.Perf.StorageRigsRecycled; got != 12 {
+	if got := rep.Perf.Built + rep.Perf.Recycled; got != 12 {
 		t.Errorf("rig gets %d, want 12 (6 points x 2 runs): %+v", got, rep.Perf)
 	}
 }

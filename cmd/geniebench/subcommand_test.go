@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"regexp"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -105,22 +103,19 @@ func TestCLIWorkload(t *testing.T) {
 	}
 }
 
-// The optimization flags: -parallel fans grid points out without
-// perturbing the digest, every -workers count re-simulates the grid,
-// -minspeedup times the serial cold regime and reports the speedup plus
-// the perf counters, and -norecycle -parallel 1 runs cold while still
-// matching bit for bit.
+// -parallel fans grid points out without perturbing the digest, and
+// every -workers count re-simulates the grid: the JSON report carries
+// the perf counters, and a serial run matches bit for bit.
 func TestCLIWorkloadPointWorkers(t *testing.T) {
 	jsonPath := filepath.Join(t.TempDir(), "wl.json")
 	args := []string{"workload",
 		"-semantics", "copy", "-depths", "1,4", "-loads", "0.5,2",
 		"-ops", "6", "-workers", "1,2"}
-	code, stdout, stderr := runCLI(t, append(args,
-		"-parallel", "8", "-minspeedup", "0.1", "-json", jsonPath)...)
+	code, stdout, stderr := runCLI(t, append(args, "-parallel", "8", "-json", jsonPath)...)
 	if code != 0 {
 		t.Fatalf("exit code %d\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
-	for _, want := range []string{"point-workers=8", "speedup", "bit-identical"} {
+	for _, want := range []string{"point-workers=8", "bit-identical"} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("stdout missing %q:\n%s", want, stdout)
 		}
@@ -139,55 +134,18 @@ func TestCLIWorkloadPointWorkers(t *testing.T) {
 	if rep.PointWorkers != 8 || !rep.Deterministic {
 		t.Errorf("report: point workers %d deterministic %v", rep.PointWorkers, rep.Deterministic)
 	}
-	if rep.SerialColdSec <= 0 || rep.OptimizedSec <= 0 || rep.Speedup <= 0 {
-		t.Errorf("speedup fields missing: cold=%v optimized=%v speedup=%v",
-			rep.SerialColdSec, rep.OptimizedSec, rep.Speedup)
-	}
-	// 4 points, simulated at 2 worker counts in the cold and in the
-	// optimized regime: one cluster get each.
-	if got := rep.Perf.ClustersBuilt + rep.Perf.ClustersRecycled; got != 16 {
-		t.Errorf("cluster gets %d, want 16: %+v", got, rep.Perf)
+	// 4 points, simulated at 2 worker counts: one cluster get each.
+	if got := rep.Perf.ClustersBuilt + rep.Perf.ClustersRecycled; got != 8 {
+		t.Errorf("cluster gets %d, want 8: %+v", got, rep.Perf)
 	}
 
-	coldDigest := rep.Runs[0].Digest
-	code, stdout, stderr = runCLI(t, append(args, "-norecycle", "-parallel", "1")...)
+	digest := rep.Runs[0].Digest
+	code, stdout, stderr = runCLI(t, append(args, "-parallel", "1")...)
 	if code != 0 {
-		t.Fatalf("cold run exit code %d\nstderr:\n%s", code, stderr)
+		t.Fatalf("serial run exit code %d\nstderr:\n%s", code, stderr)
 	}
-	if !strings.Contains(stdout, coldDigest) {
-		t.Errorf("cold run digest differs from optimized run %s:\n%s", coldDigest, stdout)
-	}
-}
-
-// An unmeetable -minspeedup floor fails the run with exit 1 on a host
-// with the two CPUs the gate credits, and is skipped on a smaller one.
-func TestCLIWorkloadSpeedupGateFails(t *testing.T) {
-	code, _, stderr := runCLI(t, "workload",
-		"-semantics", "copy", "-depths", "1", "-loads", "1",
-		"-ops", "4", "-workers", "1", "-parallel", "2", "-minspeedup", "1e9")
-	if min(runtime.NumCPU(), runtime.GOMAXPROCS(0)) < 2 {
-		if code != 0 || !strings.Contains(stderr, "gate skipped:") {
-			t.Fatalf("exit code %d, want 0 and a skip notice; stderr:\n%s", code, stderr)
-		}
-		return
-	}
-	if code != 1 {
-		t.Fatalf("exit code %d, want 1; stderr:\n%s", code, stderr)
-	}
-	if !strings.Contains(stderr, "speedup") {
-		t.Errorf("stderr missing speedup diagnostic:\n%s", stderr)
-	}
-}
-
-// A speedup gate that credits more point workers than the host has CPUs
-// is skipped, however unmeetable its floor.
-func TestCLIWorkloadSpeedupGateSkips(t *testing.T) {
-	code, _, stderr := runCLI(t, "workload",
-		"-semantics", "copy", "-depths", "1", "-loads", "1",
-		"-ops", "4", "-workers", "1", "-parallel", "1000000", "-minspeedup", "1e9")
-	want := regexp.MustCompile(`gate skipped: (NumCPU|GOMAXPROCS)=\d+ < 1000000\n`)
-	if code != 0 || !want.MatchString(stderr) {
-		t.Fatalf("exit code %d, want 0 and %v; stderr:\n%s", code, want, stderr)
+	if !strings.Contains(stdout, digest) {
+		t.Errorf("serial run digest differs from point-parallel run %s:\n%s", digest, stdout)
 	}
 }
 

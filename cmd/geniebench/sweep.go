@@ -14,7 +14,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/mem"
 	"repro/internal/netsim"
-	"repro/internal/par"
 	"repro/internal/trace"
 )
 
@@ -32,7 +31,6 @@ type report struct {
 	Parallelism int                   `json:"parallelism"`
 	GOMAXPROCS  int                   `json:"gomaxprocs"`
 	Cache       bool                  `json:"cache"`
-	Recycle     bool                  `json:"recycle"`
 	DataPlane   string                `json:"data_plane"`
 	TotalWallMS float64               `json:"total_wall_ms"`
 	Perf        experiments.PerfStats `json:"perf"`
@@ -65,8 +63,6 @@ func runSweepCmd(args []string, stdout, stderr io.Writer) int {
 		"write every figure/table plus wall-clock per generator as JSON to this path")
 	nomemo := fs.Bool("nomemo", false,
 		"disable the cross-generator measurement memo (output is identical, only slower)")
-	norecycle := fs.Bool("norecycle", false,
-		"disable testbed recycling across measurement points")
 	dataplane := fs.String("dataplane", "symbolic",
 		"payload representation inside the simulator: symbolic or bytes (output is identical)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this path")
@@ -87,7 +83,6 @@ func runSweepCmd(args []string, stdout, stderr io.Writer) int {
 
 	base, r := experiments.Setup{Plane: plane}, experiments.Runner{Workers: *parallel}
 	defer experiments.SetMemo(experiments.SetMemo(!*nomemo))
-	defer par.SetRecycling(par.SetRecycling(!*norecycle))
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -147,7 +142,6 @@ func runSweepCmd(args []string, stdout, stderr io.Writer) int {
 			Parallelism: *parallel,
 			GOMAXPROCS:  runtime.GOMAXPROCS(0),
 			Cache:       !*nomemo,
-			Recycle:     !*norecycle,
 			DataPlane:   plane.Name(),
 			TotalWallMS: float64(time.Since(start).Microseconds()) / 1000,
 			Perf:        perf,
@@ -159,12 +153,12 @@ func runSweepCmd(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// The performance summary goes to stderr so stdout stays
-	// byte-comparable across memo/recycle/parallelism settings. Hits and
+	// byte-comparable across memo and parallelism settings. Hits and
 	// misses are exact at any -parallel; the testbed split depends on
 	// which point worker frees a testbed first unless the sweep is
 	// serial, so the label says when it cannot be quoted as a figure.
 	split := " (varies with worker timing; exact at -parallel 1)"
-	if *parallel == 1 || *norecycle {
+	if *parallel == 1 {
 		split = ""
 	}
 	fmt.Fprintf(stderr,

@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/faults"
-	"repro/internal/par"
 	"repro/internal/workload"
 )
 
@@ -117,9 +116,6 @@ func runWorkloadCmd(args []string, stdout, stderr io.Writer) int {
 	jsonPath := fs.String("json", "", "write the full report as JSON to this path")
 	parallel := fs.Int("parallel", 0,
 		"goroutines for independent (semantics, depth, load) points — a different axis from -workers, which parallelizes inside one point's cluster (0 = GOMAXPROCS, 1 = serial)")
-	noRecycle := fs.Bool("norecycle", false, "disable cluster recycling (every point builds a fresh cluster)")
-	minSpeedup := fs.Float64("minspeedup", 0,
-		"also time the serial/cold regime and exit nonzero unless optimized/cold speedup meets this floor (CI gate)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -132,17 +128,14 @@ func runWorkloadCmd(args []string, stdout, stderr io.Writer) int {
 	}{
 		{"clients", float64(*clients)}, {"ops", float64(*ops)}, {"msgbytes", float64(*msgBytes)},
 		{"think", *think}, {"pipeline", float64(*pipeline)}, {"streamrate", *streamRate}, {"rto", *rto},
-		{"minspeedup", *minSpeedup},
 	} {
 		if k.v < 0 || math.IsNaN(k.v) || math.IsInf(k.v, 0) {
 			return usageErrf(fs, stderr, "-%s must be finite and at least 0 (0 = default), got %v", k.flag, k.v)
 		}
 	}
-	defer par.SetRecycling(par.SetRecycling(!*noRecycle))
 
 	cfg := experiments.WorkloadConfig{}
 	cfg.PointWorkers = *parallel
-	cfg.CompareSerialCold = *minSpeedup > 0
 	cfg.Scenario = *scenario
 	cfg.Clients = *clients
 	cfg.Ops = *ops
@@ -209,9 +202,6 @@ func runWorkloadCmd(args []string, stdout, stderr io.Writer) int {
 	if divergenceGate(stderr, "workload "+rep.Scenario, rep.Verification) {
 		code = 1
 	}
-	if speedupGate(stderr, "workload speedup over serial cold", rep.Speedup, *minSpeedup, rep.PointWorkers) {
-		code = 1
-	}
 	if *requireTransition != "" {
 		s := rep.Result.Scheme(gate.String())
 		if s == nil || s.TransitionDepth < 0 {
@@ -259,9 +249,4 @@ func printWorkloadReport(stdout io.Writer, rep *experiments.WorkloadReport) {
 	}
 	printVerification(stdout, "workload "+res.Scenario, rep.Verification)
 	fmt.Fprintf(stdout, "workload %s: point-workers=%d\n", res.Scenario, rep.PointWorkers)
-	if rep.SerialColdSec > 0 {
-		fmt.Fprintf(stdout,
-			"workload %s: serial cold %.3fs, optimized %.3fs, speedup %.2fx\n",
-			res.Scenario, rep.SerialColdSec, rep.OptimizedSec, rep.Speedup)
-	}
 }

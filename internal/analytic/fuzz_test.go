@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/netsim"
-	"repro/internal/par"
 )
 
 // FuzzEvaluateMatchesSimulation is the generated-input oracle for the
@@ -19,13 +18,12 @@ import (
 // Evaluate must reproduce the simulated Measurement bit for bit, and
 // the simulator's plan check must never fire. Where the combination is unsupported, both paths
 // must fail with the same sentinel error. Each input is measured twice
-// with the memo off and recycling on: the second run takes the testbed
+// with the memo off: the second run takes the testbed
 // the first one put back, so a recycled testbed must reproduce a
 // fresh one on drawn configurations too. The testbed recycler keeps a
 // bounded number of configurations, so a long run's memory stays flat.
 func FuzzEvaluateMatchesSimulation(f *testing.F) {
 	defer experiments.SetMemo(experiments.SetMemo(false))
-	defer par.SetRecycling(par.SetRecycling(true))
 	type seed struct {
 		model, sem, scheme       uint8
 		length, devOff, appOff   uint16

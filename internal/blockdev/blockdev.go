@@ -36,6 +36,7 @@ package blockdev
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/mem"
 	"repro/internal/netsim"
@@ -107,11 +108,20 @@ type media struct {
 	owned   []byte  // the block's own storage, nil until its first Unshare
 }
 
-// New builds a device of nblocks blocks of blockSize bytes each. Zero
-// model fields take the defaults.
+// New builds a device of nblocks blocks of blockSize bytes each. The
+// zero model takes the defaults; a model field that is negative, NaN or
+// infinite is an error naming it.
 func New(eng *sim.Engine, model Model, blockSize, nblocks int) (*Device, error) {
 	if blockSize <= 0 || nblocks <= 0 {
 		return nil, fmt.Errorf("blockdev: bad geometry %d x %d", nblocks, blockSize)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"SeekUS", model.SeekUS}, {"FixedUS", model.FixedUS}, {"PerByteUS", model.PerByteUS}} {
+		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return nil, fmt.Errorf("blockdev: model %s = %v, want finite and at least 0", f.name, f.v)
+		}
 	}
 	return &Device{
 		eng:       eng,

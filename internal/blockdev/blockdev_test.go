@@ -2,6 +2,8 @@ package blockdev
 
 import (
 	"bytes"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
@@ -162,6 +164,32 @@ func TestModelNormalization(t *testing.T) {
 	_, lit := newDev(t, Model{SeekUS: 5})
 	if lit.Model() != (Model{SeekUS: 5}) {
 		t.Fatalf("literal model perturbed: %+v", lit.Model())
+	}
+}
+
+// A model field that is negative, NaN or infinite fails New with an
+// error naming the field; zero fields are legal.
+func TestNewRejectsBadModel(t *testing.T) {
+	for _, tc := range []struct {
+		m    Model
+		name string
+	}{
+		{Model{SeekUS: math.NaN()}, "SeekUS"},
+		{Model{SeekUS: -5000}, "SeekUS"},
+		{Model{FixedUS: math.Inf(1)}, "FixedUS"},
+		{Model{FixedUS: -1}, "FixedUS"},
+		{Model{PerByteUS: math.Inf(-1)}, "PerByteUS"},
+		{Model{SeekUS: 1, PerByteUS: -0.1}, "PerByteUS"},
+	} {
+		d, err := New(sim.New(), tc.m, bs, 64)
+		if err == nil || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("New(%+v) = %v, %v; want an error naming %s", tc.m, d, err, tc.name)
+		}
+	}
+	for _, m := range []Model{{}, {SeekUS: 0, FixedUS: 0, PerByteUS: 1}, {FixedUS: 3}} {
+		if _, err := New(sim.New(), m, bs, 64); err != nil {
+			t.Errorf("New(%+v): %v", m, err)
+		}
 	}
 }
 

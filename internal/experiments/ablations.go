@@ -251,7 +251,7 @@ func AblationChecksum(s Setup, r Runner) (Table, error) {
 		cs.Scheme, cs.Genie = netsim.EarlyDemux, core.DefaultConfig()
 		cs.Genie.Checksum = mode
 		// Good-path latency.
-		m, err := Measure(cs, sem, n)
+		m, err := r.measureOne(cs, sem, n)
 		if err != nil {
 			return 0, false, err
 		}

@@ -272,9 +272,9 @@ var measureMemo = newMemo()
 var testbeds par.Recycler[core.TestbedConfig, *core.Testbed]
 
 // PerfStats is a snapshot of the harness's own performance counters:
-// the pairwise measurement memo and the recyclers of the pairwise and
-// storage sweeps. The workload sweep's cluster counters are
-// workload.Perf's.
+// the pairwise measurement memo and testbed recycler. The storage sweep
+// reports its rigs in its own report, and the workload sweep's cluster
+// counters are workload.Perf's.
 type PerfStats struct {
 	// CacheHits counts Measure calls served by the memo.
 	CacheHits uint64 `json:"cache_hits"`
@@ -292,40 +292,27 @@ type PerfStats struct {
 	// ResetFailures counts testbeds dropped because Reset failed; always
 	// zero unless a simulation leaked state.
 	ResetFailures uint64 `json:"reset_failures,omitempty"`
-	// StorageRigsBuilt counts testbed+storage rigs constructed from
-	// scratch for storage sweep points.
-	StorageRigsBuilt uint64 `json:"storage_rigs_built,omitempty"`
-	// StorageRigsRecycled counts storage sweep points served by a Reset
-	// rig from a recycler shelf instead of a fresh construction.
-	StorageRigsRecycled uint64 `json:"storage_rigs_recycled,omitempty"`
-	// StorageRigResetFailures counts storage rigs dropped because Reset
-	// failed; always zero unless a simulation leaked state.
-	StorageRigResetFailures uint64 `json:"storage_rig_reset_failures,omitempty"`
 }
 
 // Perf returns a snapshot of the package-wide performance counters.
 func Perf() PerfStats {
-	tbs, rigs := testbeds.Stats(), storageRigs.Stats()
+	tbs := testbeds.Stats()
 	hits, misses := measureMemo.counts()
 	return PerfStats{
-		CacheHits:               hits,
-		CacheMisses:             misses,
-		TestbedsBuilt:           tbs.Built,
-		TestbedsRecycled:        tbs.Recycled,
-		ResetFailures:           tbs.ResetFailures,
-		StorageRigsBuilt:        rigs.Built,
-		StorageRigsRecycled:     rigs.Recycled,
-		StorageRigResetFailures: rigs.ResetFailures,
+		CacheHits:        hits,
+		CacheMisses:      misses,
+		TestbedsBuilt:    tbs.Built,
+		TestbedsRecycled: tbs.Recycled,
+		ResetFailures:    tbs.ResetFailures,
 	}
 }
 
 // ResetPerf discards the measurement memo's contents and every
-// recycled object, here and in the workload package, and zeroes all
-// performance counters. The switches (SetMemo, par.SetRecycling) keep their
-// settings. Tests and benchmarks use it to measure from a cold start.
+// recycled testbed, and zeroes all performance counters, here and in
+// the workload package. SetMemo keeps its setting. Tests and benchmarks
+// use it to measure from a cold start.
 func ResetPerf() {
 	measureMemo.reset()
 	testbeds.Reset()
-	storageRigs.Reset()
 	workload.ResetPerf()
 }

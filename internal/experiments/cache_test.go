@@ -32,7 +32,7 @@ func TestMeasureMemoConcurrent(t *testing.T) {
 		}
 	}
 	want := make([]Measurement, len(pts))
-	withPerfRegime(t, false, true, func() {
+	withPerfRegime(t, false, func() {
 		for i, p := range pts {
 			m, err := Measure(p.s, p.sem, p.length)
 			if err != nil {
@@ -45,7 +45,7 @@ func TestMeasureMemoConcurrent(t *testing.T) {
 	const workers = 8
 	got := make([][]Measurement, workers)
 	errs := make([]error, workers)
-	withPerfRegime(t, true, true, func() {
+	withPerfRegime(t, true, func() {
 		var wg sync.WaitGroup
 		for w := range workers {
 			wg.Add(1)
@@ -90,7 +90,7 @@ func TestMeasureMemoMemoizesErrors(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Checksum = core.ChecksumSeparate
 	s := Setup{Genie: cfg} // checksumming is defined for copy semantics only
-	withPerfRegime(t, true, true, func() {
+	withPerfRegime(t, true, func() {
 		_, first := Measure(s, core.Share, 4096)
 		_, second := Measure(s, core.Share, 4096)
 		for i, err := range []error{first, second} {
@@ -117,7 +117,7 @@ func TestMeasureMemoSwitchOff(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	withPerfRegime(t, true, true, func() {
+	withPerfRegime(t, true, func() {
 		measure()
 		if !SetMemo(false) {
 			t.Fatal("SetMemo(false) reported the memo was already off")
@@ -144,7 +144,7 @@ func TestMeasureMemoResetPerf(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	withPerfRegime(t, true, true, func() {
+	withPerfRegime(t, true, func() {
 		measure()
 		measure()
 		if st := Perf(); st.CacheHits != 1 || st.CacheMisses != 1 {
@@ -174,7 +174,7 @@ func TestMeasureMemoGrowsConcurrently(t *testing.T) {
 	s := Setup{Scheme: netsim.EarlyDemux}
 	length := func(i int) int { return 100 + 97*i }
 	want := make([]Measurement, points)
-	withPerfRegime(t, false, true, func() {
+	withPerfRegime(t, false, func() {
 		for i := range want {
 			m, err := Measure(s, core.Copy, length(i))
 			if err != nil {
@@ -192,7 +192,7 @@ func TestMeasureMemoGrowsConcurrently(t *testing.T) {
 	const workers = 4
 	got := make([][]Measurement, workers)
 	errs := make([]error, workers)
-	withPerfRegime(t, true, true, func() {
+	withPerfRegime(t, true, func() {
 		var wg sync.WaitGroup
 		for w := range workers {
 			wg.Add(1)
@@ -234,7 +234,7 @@ func TestMeasureMemoGrowsConcurrently(t *testing.T) {
 	// point and the second hits on every point: a lookup that starts
 	// after a store has returned sees it, across both doublings.
 	measureMemo = newMemo()
-	withPerfRegime(t, true, true, func() {
+	withPerfRegime(t, true, func() {
 		for pass := range 2 {
 			for i := range points {
 				if _, err := Measure(s, core.Copy, length(i)); err != nil {
@@ -365,7 +365,7 @@ func TestMeasureMemoHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under -race")
 	}
-	withPerfRegime(t, true, true, func() {
+	withPerfRegime(t, true, func() {
 		for _, s := range []Setup{{Scheme: netsim.EarlyDemux}, {Scheme: netsim.OutboardBuffering, AppOffset: 1000}} {
 			measure := func() {
 				if _, err := Measure(s, core.EmulatedCopy, 61440); err != nil {

@@ -10,23 +10,30 @@ import (
 	"repro/internal/faults"
 	"repro/internal/mem"
 	"repro/internal/netsim"
-	"repro/internal/par"
 	"repro/internal/trace"
 )
 
-// withPerfRegime runs f with the memo and recycling pinned, from a
-// cold memo and empty free lists, restoring the previous configuration
-// afterwards.
-func withPerfRegime(t *testing.T, memo, recycle bool, f func()) {
+// withPerfRegime runs f with the memo pinned, from a cold memo and
+// empty free lists, restoring the previous setting afterwards.
+func withPerfRegime(t *testing.T, memo bool, f func()) {
 	t.Helper()
-	prevMemo, prevRecycle := SetMemo(memo), par.SetRecycling(recycle)
+	prevMemo := SetMemo(memo)
 	defer func() {
 		SetMemo(prevMemo)
-		par.SetRecycling(prevRecycle)
 		ResetPerf()
 	}()
 	ResetPerf()
 	f()
+}
+
+// measureFresh is the reference measurement: the point simulated on a
+// newly built testbed, bypassing the memo and the testbed recycler.
+func measureFresh(s Setup, sem core.Semantics, length int) (Measurement, error) {
+	tb, err := core.NewTestbed(measureTestbedConfig(s))
+	if err != nil {
+		return Measurement{}, err
+	}
+	return measureOn(tb, s, sem, length)
 }
 
 // renderFullSet runs every registered experiment on r, each from the
@@ -49,12 +56,12 @@ func renderFullSet(t *testing.T, r Runner, base func(Experiment) Setup) string {
 func from(s Setup) func(Experiment) Setup { return func(Experiment) Setup { return s } }
 
 // TestFullSetByteIdenticalAcrossRegimes asserts the harness's determinism
-// property: the full figure/table set is byte-identical with the
-// measurement cache and testbed recycling on or off, at one worker
-// versus 8, and on the bytes versus the symbolic data plane. The cold
-// serial regime on the default (symbolic) plane is the ground truth;
-// every accelerated or re-represented regime must match it byte for
-// byte. The traced regime also checks that the base setup reaches every
+// property: the full figure/table set is byte-identical whether each
+// point is measured on a fresh testbed without the memo or through the
+// memo and testbed recycler, at one worker versus 8, and on the bytes
+// versus the symbolic data plane. The fresh serial regime on the
+// default (symbolic) plane is the ground truth; every accelerated or
+// re-represented regime must match it byte for byte. The traced regime also checks that the base setup reaches every
 // experiment: each one that simulates must emit events into the tracer
 // its base carries.
 func TestFullSetByteIdenticalAcrossRegimes(t *testing.T) {
@@ -62,16 +69,21 @@ func TestFullSetByteIdenticalAcrossRegimes(t *testing.T) {
 		t.Skip("six full evaluation runs in -short mode")
 	}
 	serial, parallel := Runner{Workers: 1}, Runner{Workers: 8}
-	var coldSerial, cachedSerial, cachedParallel, traced, bytesPlane, armedFaults string
-	withPerfRegime(t, false, false, func() { coldSerial = renderFullSet(t, serial, from(Setup{})) })
-	withPerfRegime(t, true, true, func() { cachedSerial = renderFullSet(t, serial, from(Setup{})) })
-	withPerfRegime(t, true, true, func() { cachedParallel = renderFullSet(t, parallel, from(Setup{})) })
+	var freshSerial, cachedSerial, cachedParallel, traced, bytesPlane, armedFaults string
+	withPerfRegime(t, true, func() {
+		freshSerial = renderFullSet(t, Runner{Workers: 1, measure: measureFresh}, from(Setup{}))
+		if p := Perf(); p.CacheHits+p.CacheMisses+p.TestbedsBuilt+p.TestbedsRecycled != 0 {
+			t.Errorf("the fresh regime reached the memo or the testbed recycler: %+v", p)
+		}
+	})
+	withPerfRegime(t, true, func() { cachedSerial = renderFullSet(t, serial, from(Setup{})) })
+	withPerfRegime(t, true, func() { cachedParallel = renderFullSet(t, parallel, from(Setup{})) })
 	// Tracing must observe without perturbing: a fully traced run (which
 	// bypasses the memo cache point by point) renders the same bytes.
 	// Serial, because the counting sinks are not synchronized. Each
 	// experiment traces into its own sink.
 	events := map[string]*discardCount{}
-	withPerfRegime(t, true, true, func() {
+	withPerfRegime(t, true, func() {
 		traced = renderFullSet(t, serial, func(e Experiment) Setup {
 			sink := &discardCount{}
 			events[e.Name] = sink
@@ -81,37 +93,37 @@ func TestFullSetByteIdenticalAcrossRegimes(t *testing.T) {
 	// The data plane is a representation choice, never a result: a full
 	// run on materialized bytes must render the same output as the
 	// symbolic default.
-	withPerfRegime(t, true, true, func() {
+	withPerfRegime(t, true, func() {
 		bytesPlane = renderFullSet(t, parallel, from(Setup{Plane: mem.Bytes}))
 	})
 	// A seed-only fault spec arms the injector without ever firing it: a
 	// full run with injection attached but silent must render the seed
 	// figures byte for byte (zero-rate decisions draw no randomness and
 	// the recovery machinery stays dormant without fired faults).
-	withPerfRegime(t, true, true, func() {
+	withPerfRegime(t, true, func() {
 		armedFaults = renderFullSet(t, parallel, from(Setup{Faults: faults.Spec{Seed: 1}}))
 	})
 	// A spec that drops nine frames in ten, by contrast, fails every
 	// experiment whose testbeds carry it.
 	firedErrs := map[string]error{}
-	withPerfRegime(t, true, true, func() {
+	withPerfRegime(t, true, func() {
 		for _, e := range Experiments {
 			_, firedErrs[e.Name] = e.Run(Setup{Faults: faults.Spec{Seed: 1, Drop: 0.9}}, parallel)
 		}
 	})
-	if cachedSerial != coldSerial {
-		t.Errorf("cached serial output differs from cold serial output")
+	if cachedSerial != freshSerial {
+		t.Errorf("cached serial output differs from fresh serial output")
 	}
-	if cachedParallel != coldSerial {
-		t.Errorf("cached parallel-8 output differs from cold serial output")
+	if cachedParallel != freshSerial {
+		t.Errorf("cached parallel-8 output differs from fresh serial output")
 	}
-	if traced != coldSerial {
-		t.Errorf("traced output differs from cold serial output")
+	if traced != freshSerial {
+		t.Errorf("traced output differs from fresh serial output")
 	}
-	if bytesPlane != coldSerial {
+	if bytesPlane != freshSerial {
 		t.Errorf("bytes-plane output differs from symbolic-plane output")
 	}
-	if armedFaults != coldSerial {
+	if armedFaults != freshSerial {
 		t.Errorf("armed-but-silent fault injector perturbed the output")
 	}
 	// Tables 1 and 5 print hardware data and simulate nothing; every
@@ -141,7 +153,7 @@ func (s *discardCount) Emit(trace.Event) { s.n++ }
 // the same max-datagram points, so generating both must simulate the
 // shared points exactly once.
 func TestCacheSharesPointsAcrossGenerators(t *testing.T) {
-	withPerfRegime(t, true, true, func() {
+	withPerfRegime(t, true, func() {
 		if _, err := Figure3(Setup{}, Runner{Workers: 4}); err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +217,7 @@ func TestCacheDistinguishesSetups(t *testing.T) {
 // builds one testbed and reuses it for every later point: free testbeds
 // are never lost to garbage collection, so the split is exact.
 func TestRecycleCounters(t *testing.T) {
-	withPerfRegime(t, false, true, func() {
+	withPerfRegime(t, false, func() {
 		lengths := []int{4096, 8192, 12288, 16384}
 		ResetPerf()
 		for _, b := range lengths {
@@ -225,7 +237,7 @@ func TestRecycleCounters(t *testing.T) {
 }
 
 // TestRecycledMeasureAllocs counts the heap allocations of one real
-// measurement on a warm recycled testbed, memo off and recycling on, at
+// measurement on a warm recycled testbed, with the memo off, at
 // every grid point: each input scheme, all eight semantics, aligned and
 // at AppOffset 1000, 3000 and 61440 bytes. A recycled testbed keeps its
 // frame free list, pool pages, page tables, object page slots, region
@@ -246,7 +258,7 @@ func TestRecycledMeasureAllocs(t *testing.T) {
 	}
 	const maxAllocs = 8
 	schemes := []netsim.InputBuffering{netsim.EarlyDemux, netsim.Pooled, netsim.OutboardBuffering}
-	withPerfRegime(t, false, true, func() {
+	withPerfRegime(t, false, func() {
 		for _, scheme := range schemes {
 			for _, sem := range core.AllSemantics() {
 				for _, off := range []int{0, 1000} {

@@ -144,7 +144,7 @@ var receiveTracePins = map[string]string{
 // copy. Charge order is part of the contract: latencies are float64
 // sums, so a reordered charge can move a result by an ulp.
 func TestReceiveTracesPinned(t *testing.T) {
-	withPerfRegime(t, false, true, func() {
+	withPerfRegime(t, false, func() {
 		for _, c := range receiveTraceCases() {
 			got, err := receiveTraceDigest(c)
 			if err != nil {

@@ -16,6 +16,10 @@ type Runner struct {
 	// runtime.GOMAXPROCS(0). Workers == 1 reproduces the serial path
 	// bit-for-bit (the loop runs inline, no goroutines).
 	Workers int
+	// measure, when set, measures each point in Measure's place. The
+	// package's tests set it to simulate every point on a fresh testbed,
+	// bypassing the memo: the reference every other regime must match.
+	measure func(Setup, core.Semantics, int) (Measurement, error)
 }
 
 // ForEach runs fn(i) for every i in [0, n), fanning the calls across the
@@ -26,6 +30,15 @@ type Runner struct {
 // returned. Indices beyond the first observed failure may be skipped.
 func (r Runner) ForEach(n int, fn func(i int) error) error {
 	return par.Each(n, r.Workers, func(_, i int) error { return fn(i) })
+}
+
+// measureOne measures one point: with Measure, unless r names another
+// measure function.
+func (r Runner) measureOne(s Setup, sem core.Semantics, length int) (Measurement, error) {
+	if r.measure != nil {
+		return r.measure(s, sem, length)
+	}
+	return Measure(s, sem, length)
 }
 
 // Probe is one measurement point: a setup, a semantics and a datagram
@@ -43,7 +56,7 @@ func (r Runner) MeasureAll(probes []Probe) ([]Measurement, error) {
 	out := make([]Measurement, len(probes))
 	err := r.ForEach(len(probes), func(i int) error {
 		p := probes[i]
-		m, err := Measure(p.Setup, p.Sem, p.Bytes)
+		m, err := r.measureOne(p.Setup, p.Sem, p.Bytes)
 		out[i] = m
 		return err
 	})

@@ -86,7 +86,10 @@ type StorageReport struct {
 	Points     []StoragePoint     `json:"points"`
 	Crossovers []StorageCrossover `json:"crossovers"`
 	Verification
-	Perf PerfStats `json:"perf"`
+	// Perf counts how the sweep's runs got their rigs: one built for
+	// each disk configuration a point worker meets, and Reset for every
+	// later point of it.
+	Perf par.RecycleStats `json:"perf"`
 }
 
 // storageKey is one storage grid point.
@@ -99,13 +102,21 @@ type storageKey struct {
 	disk           blockdev.Model
 }
 
-// storageRig pairs a testbed with its storage stack for recycling: the
+// storageRig pairs a testbed with its storage stack for reuse: the
 // stack's kernel object is created before any process, so a Reset +
 // Reacquire rig replays a fresh one bit for bit.
 type storageRig struct {
 	tb *core.Testbed
 	st *core.Storage
 }
+
+// rigSlot is one point worker's rig, keyed by disk configuration (the
+// testbed configuration is fixed: the stock single-pair bed).
+type rigSlot = par.Slot[core.DiskConfig, *storageRig]
+
+// testHookStorageRig, when a test sets it, sees each rig the sweep
+// builds.
+var testHookStorageRig func(*storageRig)
 
 func newStorageRig(disk core.DiskConfig) (*storageRig, error) {
 	tb, err := core.NewTestbed(core.TestbedConfig{})
@@ -116,7 +127,11 @@ func newStorageRig(disk core.DiskConfig) (*storageRig, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &storageRig{tb: tb, st: st}, nil
+	rig := &storageRig{tb: tb, st: st}
+	if testHookStorageRig != nil {
+		testHookStorageRig(rig)
+	}
+	return rig, nil
 }
 
 // Reset returns the rig to its post-construction state.
@@ -128,9 +143,10 @@ func (r *storageRig) Reset() error {
 	return nil
 }
 
-// storageRigs recycles rigs keyed by disk configuration (the testbed
-// configuration is fixed: the stock single-pair bed).
-var storageRigs par.Recycler[core.DiskConfig, *storageRig]
+// Drop ends the rig's life. Its host keeps its pages, which the device
+// may share, so the rig only lets go of its testbed and stack: the
+// collector takes them, and a dropped rig used again fails at once.
+func (r *storageRig) Drop() { r.tb, r.st = nil, nil }
 
 // storageImage returns the deterministic content of file block b.
 func storageImage(b, n int) []byte {
@@ -186,27 +202,32 @@ func checkMedia(dev *blockdev.Device, shadow []byte) error {
 // image before the media check, so the test can corrupt it.
 var testHookStorageShadow func(shadow []byte)
 
-// runStoragePoint simulates one grid point from a cold (or
-// indistinguishably recycled) storage stack; any error names the point.
-// The rig goes back to the recycler after a clean run; a failed
-// point's rig is in an unknown state and is dropped.
-func runStoragePoint(k storageKey) (StoragePoint, error) {
-	disk := core.DiskConfig{
+// diskConfig returns the storage stack configuration of point k.
+func (k storageKey) diskConfig() core.DiskConfig {
+	return core.DiskConfig{
 		Disk:           k.disk,
 		CachePages:     k.cachePages,
 		ReadAhead:      k.readAhead,
 		DirtyThreshold: k.dirtyThreshold,
 	}
-	rig, err := storageRigs.Get(disk, func() (*storageRig, error) { return newStorageRig(disk) })
+}
+
+// runStoragePoint simulates one grid point on the rig slot holds for
+// the point's disk configuration, Reset, or on a new one; a Reset rig
+// simulates bit-identically to a fresh one. Any error names the point.
+// A failed point's rig is in an unknown state and is dropped.
+func runStoragePoint(slot *rigSlot, k storageKey) (StoragePoint, error) {
+	disk := k.diskConfig()
+	rig, err := slot.Get(disk, func() (*storageRig, error) { return newStorageRig(disk) })
 	var pt StoragePoint
 	if err == nil {
 		pt, err = simulateStoragePoint(rig, k)
 	}
 	if err != nil {
+		slot.Drop()
 		return StoragePoint{}, fmt.Errorf("storage: %s size=%d cache=%dpg dirty=%d readahead=%d: %w",
 			k.sem, k.size, k.cachePages, k.dirtyThreshold, k.readAhead, err)
 	}
-	storageRigs.Put(disk, rig)
 	return pt, nil
 }
 
@@ -397,17 +418,20 @@ func (cfg StorageConfig) grid() []storageKey {
 }
 
 // runStorageGrid measures every point at the given worker count and
-// folds the canonical-order digest.
-func runStorageGrid(keys []storageKey, pw int) ([]StoragePoint, WorkerRun, error) {
+// folds the canonical-order digest. The grid is in disk-configuration
+// order, so each point worker's rig serves a run of consecutive points;
+// the run holds at most one rig per worker, and none once it returns.
+// It also returns how the run got its rigs.
+func runStorageGrid(keys []storageKey, pw int) ([]StoragePoint, WorkerRun, par.RecycleStats, error) {
 	start := time.Now()
 	points := make([]StoragePoint, len(keys))
-	err := par.Each(len(keys), pw, func(_, i int) error {
+	rigs, err := par.EachSlot(len(keys), pw, func(slot *rigSlot, i int) error {
 		var err error
-		points[i], err = runStoragePoint(keys[i])
+		points[i], err = runStoragePoint(slot, keys[i])
 		return err
 	})
 	if err != nil {
-		return nil, WorkerRun{}, err
+		return nil, WorkerRun{}, rigs, err
 	}
 	d := digest.New()
 	for _, pt := range points {
@@ -419,7 +443,7 @@ func runStorageGrid(keys []storageKey, pw int) ([]StoragePoint, WorkerRun, error
 			pt.DeviceSeeks, pt.DeviceBusyUS)
 		d.Record()
 	}
-	return points, WorkerRun{Digest: d.Hex(), Records: d.Records(), ElapsedSec: time.Since(start).Seconds()}, nil
+	return points, WorkerRun{Digest: d.Hex(), Records: d.Records(), ElapsedSec: time.Since(start).Seconds()}, rigs, nil
 }
 
 // storageCrossovers locates, for each cache configuration, the
@@ -481,16 +505,18 @@ func RunStorage(cfg StorageConfig) (*StorageReport, error) {
 	rep := &StorageReport{Scenario: "storage"}
 	var err error
 	rep.Verification, err = verifyWorkers(cfg.Workers, func(w int) (WorkerRun, error) {
-		points, run, err := runStorageGrid(keys, w)
+		points, run, rigs, err := runStorageGrid(keys, w)
 		if rep.Points == nil {
 			rep.Points = points
 		}
+		rep.Perf.Built += rigs.Built
+		rep.Perf.Recycled += rigs.Recycled
+		rep.Perf.ResetFailures += rigs.ResetFailures
 		return run, err
 	})
 	if err != nil {
 		return nil, err
 	}
 	rep.Crossovers = storageCrossovers(rep.Points)
-	rep.Perf = Perf()
 	return rep, nil
 }

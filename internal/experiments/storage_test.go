@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/blockdev"
@@ -15,11 +16,12 @@ const storageDigest = "4234ccce87e5a8f3"
 
 // The default sweep reproduces its committed digest at 1 and 4 point
 // workers, and the 4-worker run simulates every point again instead of
-// replaying the first run: every run takes one rig per point. Fresh rigs
-// (recycling off) reproduce the digest too.
+// replaying the first run: every run takes one rig per point. Every
+// point simulated on a newly built rig equals the sweep's, whose point
+// workers reuse their rigs.
 func TestRunStorageDeterministic(t *testing.T) {
-	ResetPerf()
-	rep, err := RunStorage(StorageConfig{Workers: []int{1, 4}})
+	cfg := StorageConfig{Workers: []int{1, 4}}
+	rep, err := RunStorage(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,43 +34,83 @@ func TestRunStorageDeterministic(t *testing.T) {
 		}
 	}
 	points := rep.Runs[0].Records
-	if got := rep.Perf.StorageRigsBuilt + rep.Perf.StorageRigsRecycled; points == 0 || got != 2*points {
+	if got := rep.Perf.Built + rep.Perf.Recycled; points == 0 || got != 2*points {
 		t.Errorf("rig gets %d, want %d (every point simulated in both runs)", got, 2*points)
 	}
 
-	withPerfRegime(t, true, false, func() {
-		fresh, err := RunStorage(StorageConfig{Workers: []int{4}})
+	for i, k := range cfg.grid() {
+		rig, err := newStorageRig(k.diskConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fresh.Runs[0].Digest != storageDigest {
-			t.Errorf("fresh-rig digest %s, want the committed %s", fresh.Runs[0].Digest, storageDigest)
+		pt, err := simulateStoragePoint(rig, k)
+		if err != nil {
+			t.Fatalf("%v size=%d on a fresh rig: %v", k.sem, k.size, err)
 		}
-	})
+		if pt != rep.Points[i] {
+			t.Errorf("point %d on a fresh rig:\n%+v\nthe sweep's:\n%+v", i, pt, rep.Points[i])
+		}
+	}
 }
 
-// The storage sweep has no memo of its own, so switching the process-wide
-// memo off (the sweep subcommand's -nomemo regime) changes nothing: both
-// passes reproduce the committed digest and simulate every point.
-func TestRunStorageMemoOff(t *testing.T) {
-	withPerfRegime(t, false, true, func() {
-		rep, err := RunStorage(StorageConfig{Workers: []int{1, 4}})
+// A sweep owns its rigs. The default grid runs in disk-configuration
+// order, 32 points to a configuration, so a serial sweep builds one rig
+// for each of the 4 (cache pages, dirty threshold) configurations and
+// Resets it for the other 124 points, and at 4 point workers builds at
+// most one per configuration per worker and takes one rig per point.
+// Every rig built is dropped by the time RunStorage returns, on the
+// error path too.
+func TestRunStorageRigs(t *testing.T) {
+	var (
+		mu    sync.Mutex
+		built []*storageRig
+	)
+	testHookStorageRig = func(r *storageRig) {
+		mu.Lock()
+		built = append(built, r)
+		mu.Unlock()
+	}
+	t.Cleanup(func() { testHookStorageRig = nil })
+	checkDropped := func(regime string) {
+		t.Helper()
+		for _, r := range built {
+			if r.tb != nil {
+				t.Errorf("%s: a rig is held after RunStorage returned", regime)
+				break
+			}
+		}
+		built = nil
+	}
+
+	const configs, points = 4, 128
+	for _, w := range []int{1, 4} {
+		rep, err := RunStorage(StorageConfig{Workers: []int{w}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !rep.Deterministic || len(rep.Runs) != 2 {
-			t.Fatalf("memo-off storage sweep not deterministic: %+v", rep.Runs)
+		st := rep.Perf
+		if st.Built+st.Recycled != points || st.Built > configs*uint64(w) || w == 1 && st.Built != configs {
+			t.Errorf("workers=%d: %d rigs built, %d reused; want %d gets and %d built (at most %d)",
+				w, st.Built, st.Recycled, points, configs, configs*w)
 		}
-		for _, r := range rep.Runs {
-			if r.Digest != storageDigest {
-				t.Errorf("memo-off workers=%d digest %s, want the committed %s", r.Workers, r.Digest, storageDigest)
-			}
+		if st.ResetFailures != 0 {
+			t.Errorf("workers=%d: %d rig resets failed", w, st.ResetFailures)
 		}
-		points := rep.Runs[0].Records
-		if got := rep.Perf.StorageRigsBuilt + rep.Perf.StorageRigsRecycled; points == 0 || got != 2*points {
-			t.Errorf("memo-off rig gets %d, want %d", got, 2*points)
+		if uint64(len(built)) != st.Built {
+			t.Errorf("workers=%d: the hook saw %d builds, the report %d", w, len(built), st.Built)
 		}
-	})
+		checkDropped(fmt.Sprintf("workers=%d", w))
+	}
+
+	testHookStorageShadow = func(shadow []byte) { shadow[0] ^= 1 }
+	t.Cleanup(func() { testHookStorageShadow = nil })
+	if _, err := RunStorage(StorageConfig{Workers: []int{4}}); err == nil {
+		t.Fatal("a sweep whose media checks all fail succeeded")
+	}
+	if len(built) == 0 {
+		t.Fatal("the failing sweep built no rig")
+	}
+	checkDropped("failing sweep")
 }
 
 // The report locates a finite copy-vs-move crossover on the read path

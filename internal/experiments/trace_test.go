@@ -99,7 +99,7 @@ func TestTracedRunEmitsAllLayers(t *testing.T) {
 // one: after a traced Measure, an untraced Measure on the recycled
 // testbed must emit nothing.
 func TestTracerDetachedOnRecycledTestbed(t *testing.T) {
-	withPerfRegime(t, false, true, func() {
+	withPerfRegime(t, false, func() {
 		ring := trace.NewRing(256)
 		traced := Setup{Scheme: netsim.EarlyDemux, Tracer: trace.New(ring)}
 		if _, err := Measure(traced, core.Share, 8192); err != nil {

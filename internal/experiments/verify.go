@@ -64,26 +64,11 @@ func verifyWorkers(workers []int, run func(w int) (WorkerRun, error)) (Verificat
 		r.Workers = w
 		v.Runs = append(v.Runs, r)
 	}
-	v.Deterministic = agree(v.Runs)
-	return v, nil
-}
-
-// agree reports whether every run's digest and record count equal the
-// first run's.
-func agree(runs []WorkerRun) bool {
-	for _, r := range runs {
-		if r.Digest != runs[0].Digest || r.Records != runs[0].Records {
-			return false
+	v.Deterministic = true
+	for _, r := range v.Runs {
+		if r.Digest != v.Runs[0].Digest || r.Records != v.Runs[0].Records {
+			v.Deterministic = false
 		}
 	}
-	return true
-}
-
-// elapsedSec sums the runs' wall-clock.
-func (v Verification) elapsedSec() float64 {
-	sum := 0.0
-	for _, r := range v.Runs {
-		sum += r.ElapsedSec
-	}
-	return sum
+	return v, nil
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"time"
 
-	"repro/internal/par"
 	"repro/internal/workload"
 )
 
@@ -15,13 +14,13 @@ import (
 // counter, and high-water mark, so a single worker-count-dependent
 // perturbation anywhere in the stack flips Deterministic to false.
 //
-// The sweep itself runs point-parallel and recycled: independent
-// (semantics, depth, load) points fan across PointWorkers goroutines and
-// each point reuses a warm Reset cluster from the recycler. Every worker
-// count simulates the whole grid again, so the digest comparison is a
-// real check. Both mechanisms are observably identical to the cold
-// serial path (byte-identical digests); CompareSerialCold measures
-// exactly that claim.
+// The sweep itself runs point-parallel: independent (semantics, depth,
+// load) points fan across PointWorkers goroutines, and each point
+// worker reuses its held cluster, Reset, for every point of the same
+// configuration. Every worker count simulates the whole grid again, so
+// the digest comparison is a real check. Neither mechanism changes a
+// bit of the result: workload's tests compare every sweep with a
+// reference run that builds a fresh cluster for each point.
 
 // WorkloadConfig parameterizes the experiment: the sweep itself plus
 // the worker counts to compare.
@@ -36,11 +35,6 @@ type WorkloadConfig struct {
 	// GOMAXPROCS; 1 is the strictly serial walk. Results are
 	// byte-identical at any value.
 	PointWorkers int
-	// CompareSerialCold, when set, first times the entire verification
-	// run in the serial cold regime — one point at a time, no cluster
-	// recycling — and reports the optimized run's speedup over it. The
-	// cold digest participates in the determinism verdict.
-	CompareSerialCold bool
 }
 
 // WorkloadReport is the experiment outcome: the first run's full
@@ -50,14 +44,6 @@ type WorkloadReport struct {
 	PointWorkers int              `json:"point_workers"`
 	Result       *workload.Result `json:"result"`
 	Verification
-	// SerialColdSec is the wall-clock of the whole verification run in
-	// the serial/cold regime (CompareSerialCold only).
-	SerialColdSec float64 `json:"serial_cold_sec,omitempty"`
-	// OptimizedSec is the wall-clock of the optimized verification run
-	// (point-parallel + recycled), summed over Runs.
-	OptimizedSec float64 `json:"optimized_sec,omitempty"`
-	// Speedup is SerialColdSec / OptimizedSec (CompareSerialCold only).
-	Speedup float64 `json:"speedup_vs_serial_cold,omitempty"`
 	// Perf snapshots the workload engine's counters after the run:
 	// clusters built, recycled and live.
 	Perf workload.PerfStats `json:"perf"`
@@ -65,18 +51,11 @@ type WorkloadReport struct {
 
 // RunWorkload executes the sweep at every configured worker count. The
 // first run is the reported baseline; every other run simulates the
-// grid again and must reproduce its digest bit for bit. With
-// CompareSerialCold the cold runs come first and join the verdict.
+// grid again and must reproduce its digest bit for bit.
 func RunWorkload(cfg WorkloadConfig) (*WorkloadReport, error) {
 	pointWorkers := workload.ResolvePointWorkers(cfg.PointWorkers)
 	rep := &WorkloadReport{PointWorkers: pointWorkers}
-	var cold Verification
 	var err error
-	if cfg.CompareSerialCold {
-		if cold, err = verifySerialCold(cfg); err != nil {
-			return nil, err
-		}
-	}
 	rep.Verification, err = verifyWorkers(cfg.Workers, func(w int) (WorkerRun, error) {
 		start := time.Now()
 		res, err := workload.RunParallel(cfg.Config, w, pointWorkers)
@@ -86,40 +65,11 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadReport, error) {
 		if rep.Result == nil {
 			rep.Result, rep.Scenario = res, res.Scenario
 		}
-		return workloadRun(res, start), nil
+		return WorkerRun{Digest: res.Digest, Records: res.CompletedOps, ElapsedSec: time.Since(start).Seconds()}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	rep.OptimizedSec = rep.elapsedSec()
-	if cfg.CompareSerialCold {
-		rep.Deterministic = agree(append(cold.Runs, rep.Runs...))
-		rep.SerialColdSec = cold.elapsedSec()
-		if rep.OptimizedSec > 0 {
-			rep.Speedup = rep.SerialColdSec / rep.OptimizedSec
-		}
-	}
 	rep.Perf = workload.Perf()
 	return rep, nil
-}
-
-// verifySerialCold runs the sweep at every worker count one point at a
-// time with recycling off.
-func verifySerialCold(cfg WorkloadConfig) (Verification, error) {
-	// The inner call switches recycling off and returns its previous
-	// setting, which the deferred outer call restores.
-	defer par.SetRecycling(par.SetRecycling(false))
-	return verifyWorkers(cfg.Workers, func(w int) (WorkerRun, error) {
-		start := time.Now()
-		res, err := workload.Run(cfg.Config, w)
-		if err != nil {
-			return WorkerRun{}, err
-		}
-		return workloadRun(res, start), nil
-	})
-}
-
-// workloadRun records a sweep that began at start.
-func workloadRun(res *workload.Result, start time.Time) WorkerRun {
-	return WorkerRun{Digest: res.Digest, Records: res.CompletedOps, ElapsedSec: time.Since(start).Seconds()}
 }

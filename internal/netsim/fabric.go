@@ -105,12 +105,6 @@ func (f *Fabric) Reset() {
 	}
 }
 
-// HostOf returns the host index a NIC was attached under.
-func (f *Fabric) HostOf(nic *NIC) (int, bool) {
-	id, ok := f.index[nic]
-	return id, ok
-}
-
 func (f *Fabric) wirePerByteUS() float64 { return f.perByteUS }
 func (f *Fabric) wireFixedUS() float64   { return f.fixedUS }
 

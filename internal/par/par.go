@@ -1,12 +1,13 @@
 // Package par holds the work-saving mechanisms that more than one
-// package uses: per-P shelves of Reset simulation objects that garbage
-// collection never empties (Recycler, switched by SetRecycling), and an
-// index-claiming fan-out over worker goroutines (Each).
+// package uses: an index-claiming fan-out over worker goroutines
+// (Each), one reusable object per worker of a run (Slot, EachSlot), and
+// per-P shelves of Reset simulation objects that garbage collection
+// never empties, for callers that own no run (Recycler).
 //
-// Neither may change a result. A Reset object simulates bit-identically
+// None may change a result. A Reset object simulates bit-identically
 // to a fresh one, and Each reports the error the serial loop would have
-// returned, so every sweep prints the same bytes with recycling on or
-// off and at any worker count.
+// returned, so every sweep prints the same bytes as a run on fresh
+// objects, at any worker count.
 package par
 
 import (
@@ -15,28 +16,97 @@ import (
 	"sync/atomic"
 )
 
-// recyclingOff is the process-wide recycling switch; it defaults to on.
-var recyclingOff atomic.Bool
-
-// SetRecycling turns every Recycler on or off and returns the previous
-// setting. While off, Get always builds and Put drops its object.
-func SetRecycling(on bool) (was bool) { return !recyclingOff.Swap(!on) }
-
-// Recycling reports whether recycling is on: whether a user of objects
-// it keeps for reuse should keep them (SetRecycling).
-func Recycling() bool { return !recyclingOff.Load() }
-
-// RecycleStats counts Recycler traffic.
+// RecycleStats counts how a Recycler or the Slots of a run got their
+// objects.
 type RecycleStats struct {
-	Built         uint64 // objects constructed by Get
-	Recycled      uint64 // Get calls served by a shelved object
-	ResetFailures uint64 // objects Put dropped because Reset failed
+	Built         uint64 `json:"built"`                    // objects constructed
+	Recycled      uint64 `json:"recycled"`                 // gets served by a Reset object
+	ResetFailures uint64 `json:"reset_failures,omitempty"` // objects dropped because Reset failed
+}
+
+// add adds o's counts to st.
+func (st *RecycleStats) add(o RecycleStats) {
+	st.Built += o.Built
+	st.Recycled += o.Recycled
+	st.ResetFailures += o.ResetFailures
+}
+
+// Slot holds one worker's reusable object between the points of a run:
+// the object its last point ran on, with the key it was built for, or
+// nothing. A run that visits its points in key order builds one object
+// per key per worker and holds at most one per worker. T's Reset
+// returns it to its post-construction state; its Drop ends its life.
+// A Slot belongs to one goroutine at a time.
+type Slot[K comparable, T interface {
+	Reset() error
+	Drop()
+}] struct {
+	key  K
+	t    T
+	held bool
+	st   RecycleStats
+}
+
+// Get returns the held object, Reset, when it was built for key;
+// otherwise, or when its Reset fails, Get drops it and returns a new
+// build for key, which the slot then holds.
+func (s *Slot[K, T]) Get(key K, build func() (T, error)) (T, error) {
+	if s.held && s.key == key {
+		if err := s.t.Reset(); err == nil {
+			s.st.Recycled++
+			return s.t, nil
+		}
+		s.st.ResetFailures++
+	}
+	s.Drop()
+	t, err := build()
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	s.st.Built++
+	s.key, s.t, s.held = key, t, true
+	return t, nil
+}
+
+// Drop drops the held object, if any.
+func (s *Slot[K, T]) Drop() {
+	if !s.held {
+		return
+	}
+	s.t.Drop()
+	var zero T
+	s.t, s.held = zero, false
+}
+
+// EachSlot is Each with one Slot per worker: fn(s, i) gets the slot of
+// the worker making the call. Before EachSlot returns, on the error
+// path too, every slot drops its object, so the run holds none
+// afterwards. It returns the slots' counts summed, and Each's error.
+func EachSlot[K comparable, T interface {
+	Reset() error
+	Drop()
+}](n, workers int, fn func(s *Slot[K, T], i int) error) (RecycleStats, error) {
+	slots := make([]Slot[K, T], workerCount(n, workers))
+	defer func() {
+		for i := range slots {
+			slots[i].Drop()
+		}
+	}()
+	err := Each(n, workers, func(w, i int) error { return fn(&slots[w], i) })
+	var st RecycleStats
+	for i := range slots {
+		st.add(slots[i].st)
+	}
+	return st, err
 }
 
 // Recycler keeps Reset objects for reuse, keyed by configuration, so
 // that an expensive object graph is built once per configuration and
 // reused. Reset must return the object to a state indistinguishable
-// from a fresh build.
+// from a fresh build. It serves callers with no run to own the objects,
+// such as single measurements drawn in random order; a run that visits
+// its points in key order uses EachSlot instead.
 //
 // Free objects wait on shelves: short lists of (key, object) pairs, at
 // most maxRecycleKeys each, newest last. A shelf belongs to whoever
@@ -186,16 +256,9 @@ func (r *Recycler[K, T]) search(key K) (T, bool) {
 // none is free.
 func (r *Recycler[K, T]) Get(key K, build func() (T, error)) (T, error) {
 	s := r.own()
-	var (
-		t  T
-		ok bool
-	)
-	on := !recyclingOff.Load()
-	if on {
-		t, ok = s.take(key)
-	}
+	t, ok := s.take(key)
 	r.release(s)
-	if on && !ok {
+	if !ok {
 		t, ok = r.search(key)
 	}
 	if ok {
@@ -210,11 +273,8 @@ func (r *Recycler[K, T]) Get(key K, build func() (T, error)) (T, error) {
 }
 
 // Put resets t and shelves it under key. An object whose Reset fails is
-// dropped and counted; while recycling is off, Put drops every object.
+// dropped and counted.
 func (r *Recycler[K, T]) Put(key K, t T) {
-	if recyclingOff.Load() {
-		return
-	}
 	err := t.Reset()
 	s := r.own()
 	if err != nil {
@@ -260,10 +320,7 @@ func (r *Recycler[K, T]) Reset() {
 // failing index, which is the error the serial loop returns. Every
 // index below it runs; indices above it may be skipped.
 func Each(n, workers int, fn func(w, i int) error) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, n)
+	workers = workerCount(n, workers)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if err := fn(0, i); err != nil {
@@ -304,4 +361,13 @@ func Each(n, workers int, fn func(w, i int) error) error {
 	}
 	wg.Wait()
 	return first
+}
+
+// workerCount is the number of workers Each starts for n indices:
+// workers, or GOMAXPROCS when workers <= 0, clamped to n.
+func workerCount(n, workers int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return min(workers, n)
 }

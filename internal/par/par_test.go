@@ -14,8 +14,11 @@ import (
 type obj struct {
 	dirty   bool
 	resets  int
+	drops   int
 	failing bool
 }
+
+func (o *obj) Drop() { o.drops++ }
 
 func (o *obj) Reset() error {
 	if o.failing {
@@ -261,8 +264,7 @@ func TestRecyclerBounded(t *testing.T) {
 	}
 }
 
-// An object whose Reset fails is dropped and counted, never reused; with
-// recycling off, Get always builds and Put drops without resetting.
+// An object whose Reset fails is dropped and counted, never reused.
 func TestRecyclerDropsFailedReset(t *testing.T) {
 	var r Recycler[int, *obj]
 	bad := &obj{failing: true}
@@ -277,19 +279,123 @@ func TestRecyclerDropsFailedReset(t *testing.T) {
 	if o == bad {
 		t.Error("Get handed out an object whose Reset failed")
 	}
-
-	defer SetRecycling(SetRecycling(false))
-	good := &obj{}
-	r.Put(1, good)
-	if good.resets != 0 {
-		t.Error("Put reset an object while recycling was off")
-	}
-	if o, _ := r.Get(1, func() (*obj, error) { return &obj{}, nil }); o == good {
-		t.Error("Get recycled while recycling was off")
-	}
 	r.Reset()
 	if st := r.Stats(); st != (RecycleStats{}) {
 		t.Errorf("stats after Reset = %+v", st)
+	}
+}
+
+// A Slot hands back its held object, Reset, for the key it was built
+// for, and drops it before it builds for another key, after a failed
+// Reset, and when told to; a failed build leaves the slot empty.
+func TestSlotReusesByKey(t *testing.T) {
+	var s Slot[string, *obj]
+	var built []*obj
+	build := func() (*obj, error) {
+		o := &obj{}
+		built = append(built, o)
+		return o, nil
+	}
+	a, _ := s.Get("a", build)
+	a.dirty = true
+	if again, _ := s.Get("a", build); again != a || a.dirty || a.resets != 1 {
+		t.Errorf("second get for a = %p %+v, want the held object %p Reset once", again, again, a)
+	}
+	b, _ := s.Get("b", build)
+	if b == a || a.drops != 1 || b.resets != 0 {
+		t.Errorf("get for b: got %p (a %p dropped %d times), want a new object after a is dropped", b, a, a.drops)
+	}
+	b.failing = true
+	if c, _ := s.Get("b", build); c == b || b.drops != 1 {
+		t.Errorf("get after a failed Reset returned %p (held %p dropped %d times), want a new build", c, b, b.drops)
+	}
+	boom := errors.New("boom")
+	if _, err := s.Get("c", func() (*obj, error) { return &obj{}, boom }); err != boom {
+		t.Errorf("failed build: err %v, want %v", err, boom)
+	}
+	s.Drop()
+	for i, o := range built {
+		if o.drops != 1 {
+			t.Errorf("object %d dropped %d times, want once", i, o.drops)
+		}
+	}
+	if want := (RecycleStats{Built: 3, Recycled: 1, ResetFailures: 1}); s.st != want {
+		t.Errorf("stats = %+v, want %+v", s.st, want)
+	}
+}
+
+// tally counts the objects a test's slots build and hold.
+type tally struct {
+	mu         sync.Mutex
+	built      []*obj
+	live, peak int
+}
+
+// liveObj is an obj whose build and Drop its tally counts.
+type liveObj struct {
+	*obj
+	tally *tally
+}
+
+func (o liveObj) Drop() {
+	o.tally.mu.Lock()
+	o.tally.live--
+	o.tally.mu.Unlock()
+	o.obj.Drop()
+}
+
+func (tl *tally) build() (liveObj, error) {
+	tl.mu.Lock()
+	defer tl.mu.Unlock()
+	o := &obj{}
+	tl.built = append(tl.built, o)
+	tl.live++
+	tl.peak = max(tl.peak, tl.live)
+	return liveObj{o, tl}, nil
+}
+
+// EachSlot gives each worker one slot and drops every object before it
+// returns, on the error path too. Over points in key order, a serial run
+// builds one object per key; a parallel run builds at most one per key
+// per worker, holds at most one per worker at a time, and takes one
+// object per point.
+func TestEachSlotOwnsItsObjects(t *testing.T) {
+	const n, keys, workers = 64, 4, 3
+	run := func(workers, failAt int) (*tally, RecycleStats, error) {
+		tl := &tally{}
+		st, err := EachSlot(n, workers, func(s *Slot[int, liveObj], i int) error {
+			if _, err := s.Get(i*keys/n, tl.build); err != nil {
+				return err
+			}
+			if i == failAt {
+				return errors.New("point failed")
+			}
+			return nil
+		})
+		for _, o := range tl.built {
+			if o.drops != 1 {
+				t.Errorf("workers=%d: an object was dropped %d times, want once", workers, o.drops)
+			}
+		}
+		if tl.live != 0 || tl.peak > workers {
+			t.Errorf("workers=%d: %d objects held after the run and %d at once, want 0 and at most %d", workers, tl.live, tl.peak, workers)
+		}
+		return tl, st, err
+	}
+	for _, w := range []int{1, workers} {
+		tl, st, err := run(w, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Built != uint64(len(tl.built)) || st.Built+st.Recycled != n || st.Built > uint64(keys*w) {
+			t.Errorf("workers=%d: stats %+v for %d builds, want at most %d built and %d gets", w, st, len(tl.built), keys*w, n)
+		}
+		if w == 1 && st.Built != keys {
+			t.Errorf("serial: built %d, want one per key (%d)", st.Built, keys)
+		}
+	}
+	if _, _, err := run(workers, n/2); err == nil {
+		t.Fatal("a failing point did not fail the run")
 	}
 }
 

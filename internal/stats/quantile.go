@@ -45,17 +45,6 @@ func (q *Quantiles) Reset() {
 	q.sorted = true
 }
 
-// Merge folds other's samples into q. Other is unchanged; quantiles of
-// the merged collector equal quantiles over the concatenated sample
-// sets regardless of merge order.
-func (q *Quantiles) Merge(other *Quantiles) {
-	if other == nil || len(other.samples) == 0 {
-		return
-	}
-	q.samples = append(q.samples, other.samples...)
-	q.sorted = false
-}
-
 // sort establishes the sorted order lazily.
 func (q *Quantiles) sort() {
 	if !q.sorted {

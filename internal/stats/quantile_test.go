@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -64,48 +63,6 @@ func TestQuantilesSmallN(t *testing.T) {
 	}
 	if got := four.Quantile(0.99); got != 40 {
 		t.Errorf("Quantile(0.99) of 4 = %v, want 40", got)
-	}
-}
-
-// Merge correctness: quantiles of merged collectors must equal
-// quantiles over the concatenation, in any merge order, even after the
-// parts were already queried (and therefore sorted).
-func TestQuantilesMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	parts := make([]*Quantiles, 3)
-	var all []float64
-	for i := range parts {
-		parts[i] = NewQuantiles(50)
-		for j := 0; j < 30+i*17; j++ {
-			v := rng.ExpFloat64() * 1000
-			parts[i].Add(v)
-			all = append(all, v)
-		}
-		parts[i].Quantile(0.5) // force an interior sort
-	}
-	merged := NewQuantiles(len(all))
-	merged.Merge(parts[2])
-	merged.Merge(parts[0])
-	merged.Merge(nil) // no-op
-	merged.Merge(parts[1])
-
-	sort.Float64s(all)
-	for _, p := range []float64{0, 0.25, 0.5, 0.9, 0.95, 0.99, 1} {
-		rank := int(math.Ceil(p * float64(len(all))))
-		if rank < 1 {
-			rank = 1
-		}
-		want := all[rank-1]
-		if got := merged.Quantile(p); got != want {
-			t.Errorf("merged Quantile(%v) = %v, want %v", p, got, want)
-		}
-	}
-	if merged.N() != len(all) {
-		t.Errorf("merged N = %d, want %d", merged.N(), len(all))
-	}
-	// The source collectors are unchanged by Merge.
-	if parts[0].N() != 30 {
-		t.Errorf("source collector mutated: N = %d", parts[0].N())
 	}
 }
 

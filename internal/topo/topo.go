@@ -51,17 +51,6 @@ func Incast(n int) Spec {
 	return s
 }
 
-// FullMesh connects every host pair.
-func FullMesh(n int) Spec {
-	s := Spec{Hosts: n}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			s.Pairs = append(s.Pairs, [2]int{i, j})
-		}
-	}
-	return s
-}
-
 // Validate reports whether the Spec is internally consistent.
 func (s Spec) Validate() error {
 	if s.Hosts < 1 {
@@ -80,15 +69,4 @@ func (s Spec) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Degree returns the number of pairs host i participates in.
-func (s Spec) Degree(host int) int {
-	d := 0
-	for _, p := range s.Pairs {
-		if p[0] == host || p[1] == host {
-			d++
-		}
-	}
-	return d
 }

@@ -89,7 +89,7 @@ type Event struct {
 
 // Sink receives emitted events. Emission happens inline on the
 // simulation's hot path, so sinks must be cheap and must not retain
-// pointers into the simulation. The bundled sinks (Ring, Histograms,
+// pointers into the simulation. The bundled sinks (Ring and
 // ChromeExporter) are not synchronized; share a sink across concurrent
 // simulations only if it locks internally.
 type Sink interface {

@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -82,43 +81,6 @@ func TestRingWraparound(t *testing.T) {
 	r.Reset()
 	if r.Len() != 0 || r.Total() != 0 {
 		t.Error("Reset did not clear the ring")
-	}
-}
-
-func TestHistogramsAggregate(t *testing.T) {
-	h := NewHistograms()
-	h.Emit(Event{Phase: Complete, Cat: CatOp, Name: "copyin", Sem: "copy", Dur: 10})
-	h.Emit(Event{Phase: Complete, Cat: CatOp, Name: "copyin", Sem: "copy", Dur: 30})
-	h.Emit(Event{Phase: Instant, Cat: CatOp, Name: "copyin", Sem: "copy"}) // ignored
-	h.Emit(Event{Phase: Complete, Cat: CatNet, Name: "net.tx", Dur: 5})    // ignored
-	h.Emit(Event{Phase: Complete, Cat: CatOp, Name: "swap", Sem: "move", Dur: 2})
-	hist := h.Get("copy", "copyin")
-	if hist == nil || hist.Count != 2 || hist.SumUS != 40 || hist.MinUS != 10 || hist.MaxUS != 30 {
-		t.Fatalf("copyin histogram wrong: %+v", hist)
-	}
-	if hist.MeanUS() != 20 {
-		t.Errorf("mean = %v, want 20", hist.MeanUS())
-	}
-	keys := h.Keys()
-	if len(keys) != 2 || keys[0] != (HistKey{"copy", "copyin"}) || keys[1] != (HistKey{"move", "swap"}) {
-		t.Errorf("keys = %v", keys)
-	}
-	var b strings.Builder
-	h.Render(&b)
-	if !strings.Contains(b.String(), "copyin") {
-		t.Error("Render missing copyin row")
-	}
-}
-
-func TestBucketFor(t *testing.T) {
-	cases := []struct {
-		us   float64
-		want int
-	}{{0, 0}, {0.5, 0}, {1, 1}, {1.9, 1}, {2, 2}, {1024, 11}, {1e12, HistBuckets - 1}}
-	for _, c := range cases {
-		if got := bucketFor(c.us); got != c.want {
-			t.Errorf("bucketFor(%v) = %d, want %d", c.us, got, c.want)
-		}
 	}
 }
 

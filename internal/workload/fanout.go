@@ -146,7 +146,6 @@ func runFanOut(slot *clusterSlot, cfg Config, sem core.Semantics, depth int, loa
 	if err != nil {
 		return nil, err
 	}
-	defer slot.done()
 	client := c.Host(0).Genie.NewProcess()
 
 	fo := &foClient{eng: c.Sim.Shard(0), cfg: cfg, load: load}

@@ -169,7 +169,6 @@ func runFileServer(slot *clusterSlot, cfg Config, sem core.Semantics, depth int,
 	if err != nil {
 		return nil, err
 	}
-	defer slot.done()
 	return fileServerOn(c, cfg, sem, depth, load)
 }
 

@@ -20,7 +20,7 @@ func pointMallocs(t *testing.T, sem core.Semantics, depth int) (mallocs, bytes f
 		t.Fatal(err)
 	}
 	var slot clusterSlot
-	defer slot.drop()
+	defer slot.Drop()
 	run := func() *pointRaw {
 		raw, err := runFileServer(&slot, cfg, sem, depth, 1, 1)
 		if err != nil {
@@ -74,7 +74,7 @@ func TestFileServerPointMallocs(t *testing.T) {
 		4:  {1.7, 1.8, 1.7, 1.7, 2.1, 1.6, 1.6, 1.6},
 		16: {1.9, 1.8, 1.8, 1.8, 1.8, 1.6, 1.6, 1.6},
 	}
-	setRegime(t, true)
+	coldCounters(t)
 	for _, depth := range []int{1, 4, 16} {
 		for i, sem := range core.AllSemantics() {
 			m, b := pointMallocs(t, sem, depth)
@@ -101,13 +101,13 @@ func TestFileServerPointRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	setRegime(t, true)
+	coldCounters(t)
 	const depth = 16
 	hosts := cfg.Clients + 1
 	lo, hi := make([]int, hosts), make([]int, hosts) // frames handed out, over every run
 	var cluster *core.Cluster
 	var slot clusterSlot
-	defer slot.drop()
+	defer slot.Drop()
 	for run := range 2 {
 		for _, sem := range core.AllSemantics() {
 			c, err := clusterFor(&slot, cfg, depth, cfg.Clients, topo.Incast(hosts), 1)
@@ -134,7 +134,6 @@ func TestFileServerPointRecords(t *testing.T) {
 				lo[i] = min(lo[i], kp.Total()-kp.HighWater())
 				hi[i] = max(hi[i], h.Phys.HighWater())
 			}
-			slot.done()
 		}
 	}
 	built, frames := 0, 0

@@ -14,22 +14,45 @@ import (
 )
 
 // The optimization stack's whole contract is observational equivalence:
-// point parallelism, cluster recycling, and shard parallelism may only
-// remove redundant work or spread it out, never perturb a bit of it. These tests pin the
-// contract by running the same sweep in every regime and comparing the
-// full digest — which folds every latency sample, counter, and
-// high-water mark — plus the decoded schemes.
+// point parallelism, cluster reuse, and shard parallelism may only
+// remove redundant work or spread it out, never perturb a bit of it.
+// These tests pin the contract by comparing each regime's full digest —
+// which folds every latency sample, counter, and high-water mark — and
+// decoded schemes with the reference path's (runFresh).
 
-// setRegime pins the recycling switch for one test and restores it
-// afterwards, with cold counters and empty free lists on both sides.
-func setRegime(t testing.TB, recycle bool) {
+// coldCounters zeroes the counters for one test and again afterwards.
+func coldCounters(t testing.TB) {
 	t.Helper()
 	ResetPerf()
-	recycleWas := par.SetRecycling(recycle)
-	t.Cleanup(func() {
-		par.SetRecycling(recycleWas)
-		ResetPerf()
-	})
+	t.Cleanup(ResetPerf)
+}
+
+// runFresh is the sweep's reference path: every grid point simulates on
+// its own empty slot, so on a cluster built for that point alone, and
+// the points fold as RunParallel folds them. It also returns how the
+// points' slots got their clusters.
+func runFresh(t testing.TB, cfg Config, workers int) (*Result, par.RecycleStats) {
+	t.Helper()
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := cfg.grid()
+	raws := make([]*pointRaw, len(grid))
+	var all par.RecycleStats
+	for i, g := range grid {
+		st, err := par.EachSlot(1, 1, func(slot *clusterSlot, _ int) error {
+			var err error
+			raws[i], err = computePoint(slot, cfg, g.sem, g.depth, g.load, workers)
+			return err
+		})
+		if err != nil {
+			t.Fatalf("fresh %s %s depth=%d load=%v: %v", cfg.Scenario, g.sem, g.depth, g.load, err)
+		}
+		all.Built += st.Built
+		all.Recycled += st.Recycled
+	}
+	return fold(cfg, grid, raws), all
 }
 
 // regimeConfigs returns the sweeps the regime tests pin: a plain
@@ -56,24 +79,20 @@ func regimeConfigs() map[string]Config {
 	}
 }
 
-// TestRegimesDigestIdentity runs each pinned sweep in five regimes —
-// serial cold, point-parallel cold, serial and point-parallel with
-// cluster recycling, and three shard workers per point — and requires
-// byte-identical digests and deep-equal schemes across all of them.
-// A serial recycled run builds one cluster per configuration (depth)
-// and serves every other point from it; a cold run builds one per
-// point.
+// TestRegimesDigestIdentity runs each pinned sweep on fresh clusters,
+// one per point, and then point-parallel, serially and at two point
+// workers reusing each worker's held cluster, and at three shard
+// workers per point, and requires byte-identical digests and deep-equal
+// schemes across all of them. A serial run builds one cluster per
+// configuration (depth) and serves every other point from it.
 func TestRegimesDigestIdentity(t *testing.T) {
 	for name, cfg := range regimeConfigs() {
 		t.Run(name, func(t *testing.T) {
+			coldCounters(t)
 			points := uint64(len(cfg.Semantics) * len(cfg.Depths) * len(cfg.Loads))
-			setRegime(t, false)
-			base, err := RunParallel(cfg, 1, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if p := Perf(); p.ClustersBuilt != points || p.ClustersRecycled != 0 {
-				t.Errorf("serial cold: %d built, %d recycled, want %d and 0", p.ClustersBuilt, p.ClustersRecycled, points)
+			base, st := runFresh(t, cfg, 1)
+			if st.Built != points || st.Recycled != 0 {
+				t.Errorf("fresh: %d built, %d recycled, want %d and 0", st.Built, st.Recycled, points)
 			}
 
 			check := func(regime string, got *Result, err error) {
@@ -82,36 +101,35 @@ func TestRegimesDigestIdentity(t *testing.T) {
 					t.Fatalf("%s: %v", regime, err)
 				}
 				if got.Digest != base.Digest {
-					t.Errorf("%s digest = %s, serial cold %s", regime, got.Digest, base.Digest)
+					t.Errorf("%s digest = %s, fresh %s", regime, got.Digest, base.Digest)
 				}
 				if !reflect.DeepEqual(got.Schemes, base.Schemes) {
-					t.Errorf("%s schemes diverge from serial cold", regime)
+					t.Errorf("%s schemes diverge from fresh", regime)
 				}
 			}
 
-			// Point-parallel, still cold: 8 point workers racing over the
-			// grid must assemble the identical fold.
+			// Point-parallel: 8 point workers racing over the grid must
+			// assemble the identical fold.
 			res, err := RunParallel(cfg, 1, 8)
 			check("point-parallel-8", res, err)
 
-			// Recycled: a serial run reuses its one held cluster for every
-			// point of a configuration, so it builds one per depth.
-			par.SetRecycling(true)
+			// Serial: the run reuses its one held cluster for every point
+			// of a configuration, so it builds one per depth.
 			ResetPerf()
 			res, err = RunParallel(cfg, 1, 1)
-			check("recycled", res, err)
+			check("serial", res, err)
 			depths := uint64(len(cfg.Depths))
 			if p := Perf(); p.ClustersBuilt != depths || p.ClustersRecycled != points-depths {
-				t.Errorf("recycled: %d built, %d recycled, want %d and %d", p.ClustersBuilt, p.ClustersRecycled, depths, points-depths)
+				t.Errorf("serial: %d built, %d recycled, want %d and %d", p.ClustersBuilt, p.ClustersRecycled, depths, points-depths)
 			} else if p.ClusterResetFailures != 0 {
 				t.Errorf("cluster reset failures = %d, want 0", p.ClusterResetFailures)
 			}
 			res, err = RunParallel(cfg, 1, 2)
-			check("recycled-point-parallel-2", res, err)
+			check("point-parallel-2", res, err)
 
 			// Shard-parallel: three in-cluster workers per point. The run
 			// must simulate every point — one cluster take each — and still
-			// reproduce the cold digest.
+			// reproduce the fresh digest.
 			before := Perf()
 			res, err = RunParallel(cfg, 3, 1)
 			check("shard-parallel-3", res, err)
@@ -134,28 +152,38 @@ var workloadPins = []struct{ scenario, digest string }{
 
 // TestWorkloadDigestsPinned pins the committed digests of the three
 // default scenario sweeps (what `geniebench workload -scenario S
-// -workers 1,4` prints) at one and four shard workers, with cluster
-// recycling on and off. A recycled cluster that is not Reset exactly to
-// its post-construction state changes the recycled digests; a change
-// to what the simulation computes changes both.
+// -workers 1,4` prints) at one and four shard workers, both for the
+// sweep, whose point workers reuse their clusters, and for the fresh
+// reference path, which builds one cluster per point. A reused cluster
+// that is not Reset exactly to its post-construction state changes the
+// sweep's digests; a change to what the simulation computes changes
+// both.
 func TestWorkloadDigestsPinned(t *testing.T) {
-	for _, recycle := range []bool{true, false} {
-		setRegime(t, recycle)
-		for _, pin := range workloadPins {
-			for _, workers := range []int{1, 4} {
-				res, err := RunParallel(Config{Scenario: pin.scenario}, workers, 2)
-				if err != nil {
-					t.Fatalf("%s workers=%d recycle=%t: %v", pin.scenario, workers, recycle, err)
-				}
-				if res.Digest != pin.digest {
-					t.Errorf("%s workers=%d recycle=%t: digest %s, want the committed %s",
-						pin.scenario, workers, recycle, res.Digest, pin.digest)
-				}
+	coldCounters(t)
+	for _, pin := range workloadPins {
+		cfg := Config{Scenario: pin.scenario}
+		for _, workers := range []int{1, 4} {
+			res, err := RunParallel(cfg, workers, 2)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", pin.scenario, workers, err)
+			}
+			if res.Digest != pin.digest {
+				t.Errorf("%s workers=%d: digest %s, want the committed %s",
+					pin.scenario, workers, res.Digest, pin.digest)
+			}
+			fresh, st := runFresh(t, cfg, workers)
+			if fresh.Digest != pin.digest {
+				t.Errorf("%s workers=%d fresh: digest %s, want the committed %s",
+					pin.scenario, workers, fresh.Digest, pin.digest)
+			}
+			if points := uint64(len(res.Schemes) * len(res.Schemes[0].Points)); st.Built != points || st.Recycled != 0 {
+				t.Errorf("%s workers=%d fresh: %d built, %d recycled, want %d and 0",
+					pin.scenario, workers, st.Built, st.Recycled, points)
 			}
 		}
-		if p := Perf(); recycle && p.ClustersRecycled == 0 {
-			t.Error("recycled regime never reused a cluster")
-		}
+	}
+	if p := Perf(); p.ClustersRecycled == 0 {
+		t.Error("the sweeps never reused a cluster")
 	}
 }
 
@@ -166,7 +194,7 @@ func TestWorkloadDigestsPinned(t *testing.T) {
 // the collector runs. The file server's cluster configuration varies
 // only with depth (the kernel pool is sized from it).
 func TestClusterBuildsBoundedUnderGC(t *testing.T) {
-	setRegime(t, true)
+	coldCounters(t)
 	defer debug.SetGCPercent(debug.SetGCPercent(1))
 	cfg, err := Config{}.withDefaults()
 	if err != nil {
@@ -190,12 +218,13 @@ func TestClusterBuildsBoundedUnderGC(t *testing.T) {
 // TestClusterRetentionBounded: a sweep owns its clusters. While a
 // default 2-worker sweep runs, the clusters built and not yet dropped
 // never outnumber its point workers, and once RunParallel returns none
-// is left: with recycling on or off, and on the error path, where every
+// is left: after a clean sweep, and on the error path, where every
 // point fails after its cluster is built.
 func TestClusterRetentionBounded(t *testing.T) {
 	const pointWorkers = 2
 	check := func(regime string, wantErr bool, cfg Config) {
 		t.Helper()
+		coldCounters(t)
 		_, err := RunParallel(cfg, 1, pointWorkers)
 		if (err != nil) != wantErr {
 			t.Fatalf("%s: err = %v, want an error: %t", regime, err, wantErr)
@@ -211,11 +240,7 @@ func TestClusterRetentionBounded(t *testing.T) {
 			t.Errorf("%s: %d clusters live after RunParallel returned, want 0", regime, p.ClustersLive)
 		}
 	}
-	for _, recycle := range []bool{true, false} {
-		setRegime(t, recycle)
-		check(fmt.Sprintf("default sweep, recycle=%t", recycle), false, Config{})
-	}
-	setRegime(t, true)
+	check("default sweep", false, Config{})
 	// A channel buffer above the largest frame fails every point's
 	// connect, after its cluster is built.
 	check("failing sweep", true, Config{MsgBytes: netsim.MaxFrame + 1})
@@ -244,7 +269,7 @@ func poisonPool(b byte) {
 // committed digests. A sweep that does not is named with the first point
 // whose results differ from a run over differently poisoned pages.
 func TestPoolPoisonOracle(t *testing.T) {
-	setRegime(t, true)
+	coldCounters(t)
 	func() {
 		defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection would empty the pool
 		poisonPool(0xa5)
@@ -325,37 +350,39 @@ func benchConfig() Config {
 	}
 }
 
-// BenchmarkWorkloadPointColdVsRecycled measures what cluster recycling
-// saves per operating point: cold builds the full cluster object graph
-// for every point and drops it after, recycled Resets and reuses the
-// one cluster its point worker's slot holds.
+// BenchmarkWorkloadPointColdVsRecycled measures what cluster reuse
+// saves per operating point: cold runs each point on a new slot, so it
+// builds the full cluster object graph and drops it after; recycled
+// Resets and reuses the one cluster its point worker's slot holds.
 func BenchmarkWorkloadPointColdVsRecycled(b *testing.B) {
 	cfg, err := benchConfig().withDefaults()
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, slot *clusterSlot) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := runFileServer(slot, cfg, core.Copy, 4, 1, 1); err != nil {
-				b.Fatal(err)
-			}
+	point := func(b *testing.B, slot *clusterSlot) {
+		if _, err := runFileServer(slot, cfg, core.Copy, 4, 1, 1); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.Run("cold", func(b *testing.B) {
-		setRegime(b, false)
-		var slot clusterSlot
-		run(b, &slot)
+		coldCounters(b)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var slot clusterSlot
+			point(b, &slot)
+			slot.Drop()
+		}
 	})
 	b.Run("recycled", func(b *testing.B) {
-		setRegime(b, true)
+		coldCounters(b)
 		var slot clusterSlot
-		defer slot.drop()
-		if _, err := runFileServer(&slot, cfg, core.Copy, 4, 1, 1); err != nil { // build the held cluster
-			b.Fatal(err)
-		}
+		defer slot.Drop()
+		point(b, &slot) // build the held cluster
+		b.ReportAllocs()
 		b.ResetTimer()
-		run(b, &slot)
+		for i := 0; i < b.N; i++ {
+			point(b, &slot)
+		}
 	})
 }
 
@@ -372,7 +399,7 @@ func BenchmarkSweepSerialVsPointParallel(b *testing.B) {
 			name = "pointworkers8"
 		}
 		b.Run(name, func(b *testing.B) {
-			setRegime(b, true)
+			coldCounters(b)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := RunParallel(cfg, 1, pw); err != nil {

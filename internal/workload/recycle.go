@@ -15,17 +15,15 @@ import (
 // core.Cluster.Reset returns that graph to its post-construction state
 // without reallocating it, so a sweep reuses a cluster for every point
 // of its configuration instead of rebuilding. RunParallel owns the
-// clusters of its run: each point worker holds at most one, in a
-// clusterSlot, and the grid runs in cluster-configuration order, so a
+// clusters of its run: each point worker holds at most one, in its
+// par.Slot, and the grid runs in cluster-configuration order, so a
 // worker's consecutive points mostly share it. A point whose
 // configuration differs drops the held cluster (core.Cluster.Drop,
 // which hands its page backing to mem's wire pool for the next build)
 // and builds its own; when the run ends, every slot drops its cluster.
 // A sweep thus holds at most one cluster per point worker, and none
 // once it returns. A Reset cluster simulates bit-identically to a fresh
-// one, so reuse cannot perturb the sweep digest. With recycling off
-// (par.SetRecycling), every point builds a cluster and drops it when
-// it is done.
+// one, so reuse cannot perturb the sweep digest.
 
 // clusterKey is the comparable identity of a cluster configuration:
 // clusters with equal keys are interchangeable after Reset. It is the
@@ -50,52 +48,37 @@ func keyFor(cfg core.ClusterConfig) clusterKey {
 
 // clusterSlot is one point worker's cluster: the one its last point ran
 // on, with that cluster's configuration, or none.
-type clusterSlot struct {
-	key clusterKey
-	c   *core.Cluster
-}
+type clusterSlot = par.Slot[clusterKey, cluster]
 
-// take returns a cluster for key: the held one, Reset, when it has that
-// configuration and recycling is on, else a new build, after the held
-// one is dropped.
-func (s *clusterSlot) take(key clusterKey, build func() (*core.Cluster, error)) (*core.Cluster, error) {
-	if s.c != nil && s.key == key && par.Recycling() {
-		if err := s.c.Reset(); err == nil {
-			count(func(p *PerfStats) { p.ClustersRecycled++ })
-			return s.c, nil
-		}
-		count(func(p *PerfStats) { p.ClusterResetFailures++ })
-	}
-	s.drop()
-	c, err := build()
+// cluster is a core.Cluster whose life ClustersLive follows.
+type cluster struct{ *core.Cluster }
+
+// newCluster builds a cluster and counts it live.
+func newCluster(cfg core.ClusterConfig) (cluster, error) {
+	c, err := core.NewCluster(cfg)
 	if err != nil {
-		return nil, err
+		return cluster{}, err
 	}
 	count(func(p *PerfStats) {
-		p.ClustersBuilt++
 		p.ClustersLive++
 		p.ClustersLivePeak = max(p.ClustersLivePeak, p.ClustersLive)
 	})
-	s.key, s.c = key, c
-	return c, nil
+	return cluster{c}, nil
 }
 
-// done ends a point on the held cluster: with recycling off, the point
-// drops the cluster it built.
-func (s *clusterSlot) done() {
-	if !par.Recycling() {
-		s.drop()
-	}
-}
-
-// drop drops the held cluster, if any.
-func (s *clusterSlot) drop() {
-	if s.c == nil {
-		return
-	}
-	s.c.Drop()
-	s.c = nil
+// Drop drops the cluster and counts it gone.
+func (c cluster) Drop() {
+	c.Cluster.Drop()
 	count(func(p *PerfStats) { p.ClustersLive-- })
+}
+
+// countRun adds how a run's slots got their clusters to the counters.
+func countRun(st par.RecycleStats) {
+	count(func(p *PerfStats) {
+		p.ClustersBuilt += st.Built
+		p.ClustersRecycled += st.Recycled
+		p.ClusterResetFailures += st.ResetFailures
+	})
 }
 
 // PerfStats is a snapshot of the workload engine's own performance

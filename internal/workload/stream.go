@@ -103,7 +103,6 @@ func runStream(slot *clusterSlot, cfg Config, sem core.Semantics, depth int, loa
 	if err != nil {
 		return nil, err
 	}
-	defer slot.done()
 	sender := c.Host(0).Genie.NewProcess()
 	receiver := c.Host(1).Genie.NewProcess()
 	rSnd, rRcv, err := c.ConnectReliable(sender, receiver, sem, cfg.MsgBytes, cfg.Window, relConfig(cfg))

@@ -311,6 +311,36 @@ func RunParallel(cfg Config, workers, pointWorkers int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	grid := cfg.grid()
+	order := make([]int, len(grid))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(clusterDepth(cfg, grid[a].depth), clusterDepth(cfg, grid[b].depth))
+	})
+	raws := make([]*pointRaw, len(grid))
+	st, err := par.EachSlot(len(order), pointWorkers, func(slot *clusterSlot, k int) error {
+		i := order[k]
+		g := grid[i]
+		raw, err := computePoint(slot, cfg, g.sem, g.depth, g.load, workers)
+		if err != nil {
+			return fmt.Errorf("workload: %s %s depth=%d load=%v: %w",
+				cfg.Scenario, g.sem, g.depth, g.load, err)
+		}
+		raws[i] = raw
+		return nil
+	})
+	countRun(st)
+	if err != nil {
+		return nil, err
+	}
+	return fold(cfg, grid, raws), nil
+}
+
+// grid lists the sweep's points in canonical order: semantics-major,
+// then depth, then load.
+func (cfg Config) grid() []gridPoint {
 	grid := make([]gridPoint, 0, len(cfg.Semantics)*len(cfg.Depths)*len(cfg.Loads))
 	for _, sem := range cfg.Semantics {
 		for _, depth := range cfg.Depths {
@@ -319,38 +349,14 @@ func RunParallel(cfg Config, workers, pointWorkers int) (*Result, error) {
 			}
 		}
 	}
-	order := make([]int, len(grid))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortStableFunc(order, func(a, b int) int {
-		return cmp.Compare(clusterDepth(cfg, grid[a].depth), clusterDepth(cfg, grid[b].depth))
-	})
-	slots := make([]clusterSlot, min(ResolvePointWorkers(pointWorkers), len(grid)))
-	defer func() {
-		for i := range slots {
-			slots[i].drop()
-		}
-	}()
-	raws := make([]*pointRaw, len(grid))
-	err = par.Each(len(order), pointWorkers, func(w, k int) error {
-		i := order[k]
-		g := grid[i]
-		raw, err := computePoint(&slots[w], cfg, g.sem, g.depth, g.load, workers)
-		if err != nil {
-			return fmt.Errorf("workload: %s %s depth=%d load=%v: %w",
-				cfg.Scenario, g.sem, g.depth, g.load, err)
-		}
-		raws[i] = raw
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
+	return grid
+}
 
-	// Assemble and fold in canonical grid order. The fold is the exact
-	// statement sequence the serial sweep emitted inline, so the digest
-	// cannot tell the regimes apart.
+// fold assembles the Result of a sweep from each grid point's raw
+// observations, raws[i] for grid[i], and folds the digest in canonical
+// grid order. The fold is the exact statement sequence the serial sweep
+// emitted inline, so the digest cannot tell how the points were run.
+func fold(cfg Config, grid []gridPoint, raws []*pointRaw) *Result {
 	d := digest.New()
 	res := &Result{
 		Scenario: cfg.Scenario,
@@ -382,7 +388,7 @@ func RunParallel(cfg Config, workers, pointWorkers int) (*Result, error) {
 	}
 	res.Digest = d.Hex()
 	res.CompletedOps = d.Records()
-	return res, nil
+	return res
 }
 
 // ResolvePointWorkers reports the effective point-worker count for a
@@ -539,9 +545,8 @@ func clusterDepth(cfg Config, depth int) int {
 
 // clusterFor takes the operating point's cluster from slot — the held
 // one, Reset, when its configuration matches, a fresh build otherwise
-// (the two simulate bit-identically). The caller must call slot.done
-// after collecting every stat it needs; whatever it created on the
-// cluster is dead afterwards.
+// (the two simulate bit-identically). Whatever a point creates on the
+// cluster is dead once the slot serves its next point.
 //
 // The receive path is
 // the paper's early-demultiplexing architecture: every preposted
@@ -574,14 +579,14 @@ func clusterFor(slot *clusterSlot, cfg Config, depthMsgs, endpoints int, spec to
 		Topo:    spec,
 		Workers: workers,
 	}
-	c, err := slot.take(keyFor(ccfg), func() (*core.Cluster, error) { return core.NewCluster(ccfg) })
+	c, err := slot.Get(keyFor(ccfg), func() (cluster, error) { return newCluster(ccfg) })
 	if err != nil {
 		return nil, err
 	}
 	if got := c.Host(0).Genie.KernelPool().PageSize(); got != pageSize {
 		return nil, fmt.Errorf("workload: unexpected page size %d", got)
 	}
-	return c, nil
+	return c.Cluster, nil
 }
 
 // collectHost reads one host's high-water marks and stat structs into
